@@ -106,6 +106,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 	examples := model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil)
 	// Route per example during training: the gate must be set before each
 	// step, so the loop is manual (gradient-accumulated like model.Train).
+	defer ps.ReleaseGrads()
 	opt := nn.NewAdam(tc.LR)
 	opt.WeightDecay = tc.WeightDecay
 	order := rand.New(rand.NewSource(tc.Seed))
@@ -113,6 +114,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 	if batch <= 0 {
 		batch = 4
 	}
+	var ex tasks.Example
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		perm := order.Perm(len(examples))
 		ps.ZeroGrad()
@@ -120,8 +122,8 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 		for _, idx := range perm {
 			te := examples[idx]
 			p.route(te.Instance)
-			ex := tasks.BuildExample(te.Spec, te.Instance, te.Knowledge)
-			host.Step(ex)
+			tasks.BuildExampleInto(&ex, te.Spec, te.Instance, te.Knowledge)
+			host.Step(&ex)
 			if pending++; pending == batch {
 				ps.ClipGradNorm(tc.Clip)
 				opt.Step(&ps)

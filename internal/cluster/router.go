@@ -185,7 +185,7 @@ func New(opts Options) (*Router, error) {
 	if r.client == nil {
 		r.client = &http.Client{Timeout: opts.AttemptTimeout}
 	}
-	for i, u := range opts.Backends {
+	for _, u := range opts.Backends {
 		b := &backendState{url: u}
 		u := u
 		b.breaker = resilience.NewBreaker(resilience.BreakerConfig{
@@ -200,6 +200,9 @@ func New(opts Options) (*Router, error) {
 		r.rec.SetGauge("cluster.backend_healthy/"+u, 1)
 		r.byURL[u] = b
 		r.order = append(r.order, b)
+	}
+	// Probes read r.order and r.byURL, so they start only once both are built.
+	for i, b := range r.order {
 		r.wg.Add(1)
 		go r.probeLoop(b, opts.Seed+int64(i))
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
-	"repro/internal/text"
 )
 
 // This file is the batched inference path: one forward pass over a whole
@@ -27,7 +26,6 @@ const evalBatch = 64
 // the serialization point — so single ownership is enough.
 type batchScratch struct {
 	pool  tensor.Pool
-	enc   *text.Encoder
 	encs  []*tensor.Sparse // per-slot input encodings
 	uniq  map[string]int   // candidate string -> column in G
 	cands []*tensor.Sparse // unique candidate encodings, first-seen order
@@ -43,10 +41,7 @@ type batchScratch struct {
 
 func (m *Model) batchScratch() *batchScratch {
 	if m.batch == nil {
-		m.batch = &batchScratch{
-			enc:  text.NewEncoder(m.Hasher),
-			uniq: make(map[string]int),
-		}
+		m.batch = &batchScratch{uniq: make(map[string]int)}
 	}
 	return m.batch
 }
@@ -91,11 +86,12 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	for len(b.encs) < n {
 		b.encs = append(b.encs, &tensor.Sparse{})
 	}
+	enc := m.encoder()
 	for i, ex := range exs {
 		if len(ex.Candidates) == 0 {
 			panic(fmt.Sprintf("model: example %q has no candidates", ex.Prompt))
 		}
-		b.enc.EncodeTo(b.encs[i], ex.Segments)
+		enc.EncodeTo(b.encs[i], ex.Segments)
 	}
 
 	// Input tower, one matmul per layer for the whole batch.

@@ -56,8 +56,11 @@ const (
 // DefaultDim is the default feature dimensionality.
 const DefaultDim = text.DefaultDim
 
-// Model is one DP-LM instance. A Model is not safe for concurrent use; the
-// experiment harness runs models sequentially.
+// Model is one DP-LM instance. A Model is not safe for concurrent use: its
+// layers and scratch hold one forward/backward pass at a time. Whoever owns
+// a model serializes calls into it — an experiment cell adapts and evaluates
+// its own clone, and on the serve path the per-adapter batcher is the single
+// caller.
 type Model struct {
 	Cfg    Config
 	Hasher *text.Hasher
@@ -81,15 +84,22 @@ type Model struct {
 	Rec *obs.Recorder
 
 	candCache map[string]*tensor.Sparse
+	enc       *text.Encoder // streaming serializer, created on first use
 	scratch   scratch
 	batch     *batchScratch
 }
 
+// scratch is the per-model state of Scores and Step.
 type scratch struct {
 	scores  tensor.Vec
 	dscores tensor.Vec
-	gs      []tensor.Vec
-	df      tensor.Vec
+	df, dg  tensor.Vec
+	x       tensor.Sparse // Step's encoded input
+	// cands[k] holds candidate k's activations through the four candidate
+	// layers between Step's forward and backward sweeps; gs[k] is its output
+	// (a view of the last layer's record, not a copy).
+	cands [][4]nn.Acts
+	gs    []tensor.Vec
 }
 
 // New constructs a randomly initialized model.
@@ -100,7 +110,12 @@ func New(cfg Config) *Model {
 	if cfg.Hidden == 0 {
 		cfg.Hidden = Hidden7B
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	return newModel(cfg, rand.New(rand.NewSource(cfg.Seed)))
+}
+
+// newModel allocates a model of cfg's shape, initializing the backbone from
+// rng or, when rng is nil, leaving it zero for the caller to fill.
+func newModel(cfg Config, rng *rand.Rand) *Model {
 	m := &Model{
 		Cfg:       cfg,
 		Hasher:    text.NewHasher(cfg.Dim),
@@ -159,11 +174,21 @@ func (m *Model) EncodeInput(segs []text.Segment) *tensor.Sparse {
 	return m.Hasher.Encode(segs...)
 }
 
+// encoder returns the model's streaming serializer, bit-identical to
+// Hasher.Encode without its per-call allocations.
+func (m *Model) encoder() *text.Encoder {
+	if m.enc == nil {
+		m.enc = text.NewEncoder(m.Hasher)
+	}
+	return m.enc
+}
+
 func (m *Model) encodeCand(c string) *tensor.Sparse {
 	if v, ok := m.candCache[c]; ok {
 		return v
 	}
-	v := m.Hasher.Encode(text.Segment{Text: c, Weight: 1})
+	v := &tensor.Sparse{}
+	m.encoder().EncodeTo(v, []text.Segment{{Text: c, Weight: 1}})
 	if len(m.candCache) > 1<<16 {
 		m.candCache = make(map[string]*tensor.Sparse)
 	}
@@ -253,68 +278,77 @@ func (m *Model) Loss(ex *tasks.Example) float64 {
 	return nn.SoftmaxCE(scores, ex.Gold, d)
 }
 
+// swapCandActs exchanges the candidate tower's activation records with a.
+func (m *Model) swapCandActs(a *[4]nn.Acts) {
+	m.candEmb.SwapActs(&a[0])
+	m.candAct1.SwapActs(&a[1])
+	m.candDense.SwapActs(&a[2])
+	m.candAct2.SwapActs(&a[3])
+}
+
 // Step runs forward + backward on one example, accumulating gradients into
 // whatever parameters are unfrozen (backbone, patches, λ, trust), and
 // returns the loss. The caller owns ZeroGrad and the optimizer step.
 func (m *Model) Step(ex *tasks.Example) float64 {
 	m.Rec.Count("model.train_step", 1)
 	n := len(ex.Candidates)
-	x := m.EncodeInput(ex.Segments)
-	f := m.forwardInput(x).Clone()
-	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
+	h := m.Cfg.Hidden
+	sc := &m.scratch
+	m.encoder().EncodeTo(&sc.x, ex.Segments)
+	// The two towers share no layer, so f (the input tower's output buffer)
+	// and the input layers' activations survive every candidate pass below.
+	f := m.forwardInput(&sc.x)
+	inv := 1 / math.Sqrt(float64(h))
 
-	if cap(m.scratch.scores) < n {
-		m.scratch.scores = tensor.NewVec(n)
-		m.scratch.dscores = tensor.NewVec(n)
+	if cap(sc.scores) < n {
+		sc.scores = tensor.NewVec(n)
+		sc.dscores = tensor.NewVec(n)
 	}
-	scores := m.scratch.scores[:n]
-	for len(m.scratch.gs) < n {
-		m.scratch.gs = append(m.scratch.gs, nil)
+	scores := sc.scores[:n]
+	for len(sc.cands) < n {
+		sc.cands = append(sc.cands, [4]nn.Acts{})
+		sc.gs = append(sc.gs, nil)
 	}
-	gs := m.scratch.gs[:n]
+	if cap(sc.df) < h {
+		sc.df, sc.dg = tensor.NewVec(h), tensor.NewVec(h)
+	}
+	df, dg := sc.df[:h], sc.dg[:h]
+	// Forward every candidate on its own activation record: candidate k's
+	// backward needs exactly what its forward left in the layers.
 	for k, c := range ex.Candidates {
+		m.swapCandActs(&sc.cands[k])
 		g := m.forwardCand(m.encodeCand(c))
-		if gs[k] == nil || len(gs[k]) != len(g) {
-			gs[k] = g.Clone()
-		} else {
-			copy(gs[k], g)
-		}
 		s := f.Dot(g) * inv
 		if ex.Hints != nil {
 			s += m.Trust.Val * ex.Hints[k]
 		}
 		scores[k] = s
+		sc.gs[k] = g
+		m.swapCandActs(&sc.cands[k])
 	}
-	d := m.scratch.dscores[:n]
+	d := sc.dscores[:n]
 	loss := nn.SoftmaxCE(scores, ex.Gold, d)
 
 	// Input-side gradient: df = Σ_k d_k · g_k · inv.
-	if cap(m.scratch.df) < m.Cfg.Hidden {
-		m.scratch.df = tensor.NewVec(m.Cfg.Hidden)
-	}
-	df := m.scratch.df[:m.Cfg.Hidden]
 	df.Zero()
-	for k := range gs {
-		df.Axpy(d[k]*inv, gs[k])
+	for k := range scores {
+		df.Axpy(d[k]*inv, sc.gs[k])
 	}
-	// Candidate-side gradients: re-run each candidate forward so the layer
-	// caches hold candidate k's activations, then backprop d_k·f·inv.
-	dg := tensor.NewVec(m.Cfg.Hidden)
-	for k, c := range ex.Candidates {
+	// Candidate-side gradients: backprop d_k·f·inv through candidate k's
+	// kept activations. A zero d_k contributes nothing, trust included.
+	for k := range scores {
 		if d[k] == 0 {
 			continue
 		}
-		m.forwardCand(m.encodeCand(c))
 		copy(dg, f)
 		dg.Scale(d[k] * inv)
+		m.swapCandActs(&sc.cands[k])
 		m.backwardCand(dg)
+		m.swapCandActs(&sc.cands[k])
 		if ex.Hints != nil && !m.Trust.Frozen {
 			m.Trust.Grad += d[k] * ex.Hints[k]
 		}
 	}
-	// Trust gradient for candidates whose d_k was zero is zero; nothing to add.
-	// Input side last (layer caches still hold the input activations? No —
-	// forwardCand overwrote only candidate layers; input layers still cache x).
 	m.backwardInput(df)
 	return loss
 }

@@ -84,7 +84,7 @@ func TestModelStepGradientCheck(t *testing.T) {
 			lm := m.Loss(ex)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			ana := p.G.Data[i]
+			ana := p.Grad().Data[i]
 			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
 				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
 			}
@@ -245,4 +245,113 @@ func TestScoresPanicsWithoutCandidates(t *testing.T) {
 		}
 	}()
 	m.Scores(&tasks.Example{})
+}
+
+// fusedModel builds what few-shot fine-tuning trains: a frozen backbone with
+// n loaded patches under trainable λ plus a fresh shared patch.
+func fusedModel(n int) (*Model, nn.ParamSet) {
+	m := New(tinyConfig())
+	m.SetBaseFrozen(true)
+	m.Trust.Frozen = true
+	rng := rand.New(rand.NewSource(9))
+	f := &lora.Fusion{}
+	for i := 0; i < n; i++ {
+		coef := &nn.Scalar{Val: 1 / float64(n)}
+		p := lora.Attach("p", m.LoraLayers(), lora.Config{Rank: 2, Alpha: 1}, coef, rng)
+		for _, at := range p.Attachments {
+			at.A.W.FillGaussian(rng, 0.1)
+		}
+		f.Upstream = append(f.Upstream, p)
+		f.Lambdas = append(f.Lambdas, coef)
+	}
+	f.Shared = lora.Attach("shared", m.LoraLayers(), lora.Config{Rank: 2, Alpha: 1}, &nn.Scalar{Val: 1, Frozen: true}, rng)
+	return m, f.TrainableParams()
+}
+
+// A warm training step on a fused model — forward, backward, clip, Adam,
+// zero — must not allocate: every buffer is layer or model scratch.
+func TestWarmStepAllocatesNothing(t *testing.T) {
+	m, ps := fusedModel(3)
+	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
+	opt := nn.NewAdam(0.01)
+	opt.WeightDecay = 3e-4
+	step := func() {
+		m.Step(ex)
+		ps.ClipGradNorm(0.01)
+		opt.Step(&ps)
+		ps.ZeroGrad()
+	}
+	step() // warm: gradient buffers, moments, activation records, encoder
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("warm Step+clip+Adam allocated %v times per run, want 0", allocs)
+	}
+}
+
+// Step must backprop each candidate through the activations of ITS forward
+// pass, not the last candidate's: with four candidates on a fused model every
+// analytic gradient still matches central finite differences.
+func TestStepKeepsPerCandidateActivations(t *testing.T) {
+	m, ps := fusedModel(2)
+	in := toyED(1, 5)[0]
+	in.Candidates = []string{tasks.AnswerYes, tasks.AnswerNo, "maybe", "0.05"}
+	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
+	ps.ZeroGrad()
+	m.Step(ex)
+
+	const eps = 1e-5
+	for _, p := range ps.Mats {
+		for i := range p.W.Data {
+			orig := p.W.Data[i]
+			p.W.Data[i] = orig + eps
+			lp := m.Loss(ex)
+			p.W.Data[i] = orig - eps
+			lm := m.Loss(ex)
+			p.W.Data[i] = orig
+			num := (lp - lm) / (2 * eps)
+			if ana := p.Grad().Data[i]; math.Abs(num-ana) > 1e-6*(1+math.Abs(num)) {
+				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
+			}
+		}
+	}
+}
+
+// Clone copies the backbone and nothing else: equal weights in independent
+// storage, no patches, and an Export/LoadSnapshot round trip that still works.
+func TestCloneCopiesBackboneOnly(t *testing.T) {
+	m, _ := fusedModel(2)
+	m.Trust.Val = 0.25
+	c := m.Clone()
+	cp := c.BaseParams()
+	for i, p := range m.BaseParams() {
+		if &p.W.Data[0] == &cp[i].W.Data[0] {
+			t.Fatalf("%s shares storage with the original", p.Name)
+		}
+		for j, w := range p.W.Data {
+			if cp[i].W.Data[j] != w {
+				t.Fatalf("%s[%d] = %v, want %v", p.Name, j, cp[i].W.Data[j], w)
+			}
+		}
+	}
+	if c.Trust.Val != 0.25 {
+		t.Fatalf("trust %v not copied", c.Trust.Val)
+	}
+	if got, want := len(c.Params().Mats), len(c.BaseParams()); got != want {
+		t.Fatalf("clone carries %d matrices, want the %d backbone ones (no patches)", got, want)
+	}
+	viaSnapshot := New(m.Cfg)
+	if err := viaSnapshot.LoadSnapshot(m.Export()); err != nil {
+		t.Fatal(err)
+	}
+	sp := viaSnapshot.BaseParams()
+	for i, p := range cp {
+		for j, w := range p.W.Data {
+			if sp[i].W.Data[j] != w {
+				t.Fatalf("Clone and Export/LoadSnapshot disagree at %s[%d]", p.Name, j)
+			}
+		}
+	}
+	cp[0].W.Data[0]++
+	if m.BaseParams()[0].W.Data[0] == cp[0].W.Data[0] {
+		t.Fatal("writing the clone changed the original")
+	}
 }

@@ -51,11 +51,12 @@ func (m *Model) LoadSnapshot(s *Snapshot) error {
 // single-goroutine). The clone inherits the recorder: observability follows
 // the model through the pipeline's clone-then-fine-tune pattern.
 func (m *Model) Clone() *Model {
-	c := New(m.Cfg)
-	if err := c.LoadSnapshot(m.Export()); err != nil {
-		// Same config by construction; a failure here is a programming error.
-		panic(err)
+	c := newModel(m.Cfg, nil)
+	src := m.BaseParams()
+	for i, p := range c.BaseParams() {
+		copy(p.W.Data, src[i].W.Data)
 	}
+	c.Trust.Val = m.Trust.Val
 	c.Rec = m.Rec
 	return c
 }

@@ -44,11 +44,14 @@ type TrainExample struct {
 
 // Train runs sample-level SGD (Adam) over the examples for the configured
 // epochs, shuffling each epoch, updating exactly the unfrozen parameters in
-// ps. It returns the mean loss of the final epoch.
+// ps. It returns the mean loss of the final epoch. Training state — the
+// gradient buffers of ps and the optimizer's moments — lives only for the
+// duration of the call.
 func Train(m *Model, examples []TrainExample, tc TrainConfig, ps *nn.ParamSet) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
+	defer ps.ReleaseGrads()
 	rng := rand.New(rand.NewSource(tc.Seed))
 	opt := nn.NewAdam(tc.LR)
 	opt.WeightDecay = tc.WeightDecay
@@ -66,6 +69,7 @@ func Train(m *Model, examples []TrainExample, tc TrainConfig, ps *nn.ParamSet) f
 	}
 	stepMetric, lossMetric := tag+".step_us", tag+".epoch_loss"
 	var lastEpochLoss float64
+	var ex tasks.Example
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var total float64
@@ -73,9 +77,9 @@ func Train(m *Model, examples []TrainExample, tc TrainConfig, ps *nn.ParamSet) f
 		pending := 0
 		for _, idx := range order {
 			te := examples[idx]
-			ex := tasks.BuildExample(te.Spec, te.Instance, te.Knowledge)
+			tasks.BuildExampleInto(&ex, te.Spec, te.Instance, te.Knowledge)
 			stepStart := m.Rec.Now()
-			total += m.Step(ex)
+			total += m.Step(&ex)
 			m.Rec.ObserveSince(stepMetric, stepStart)
 			pending++
 			if pending == batch {

@@ -16,9 +16,51 @@ type Attachment struct {
 	Coef  *Scalar
 	Alpha float64
 
-	// Scratch reused across Forward/Backward of one example.
-	z  tensor.Vec // A·u (rank-sized)
-	bz tensor.Vec // B·z (output-sized), cached for dλ
+	dz tensor.Vec // Backward scratch, rank-sized
+}
+
+// skipped reports whether the patch is switched off: with λ frozen at zero
+// it contributes nothing to Forward and no gradient reaches it, so both
+// passes skip it (and leave its activation slots stale).
+func (at *Attachment) skipped() bool { return at.Coef.Val == 0 && at.Coef.Frozen }
+
+// Acts is what one Forward leaves behind for the matching Backward: the
+// layer's input (or, for Tanh, its output) and per patch the rank projection
+// z and its lift bz. Every layer owns one. A caller that forwards several
+// inputs through a layer before backpropagating any of them (Model.Step's
+// candidates) gives each its own Acts via SwapActs instead of re-running
+// Forward.
+type Acts struct {
+	x   *tensor.Sparse // Embedding input
+	in  tensor.Vec     // Dense input
+	out tensor.Vec     // Tanh output
+	buf tensor.Vec     // per patch, in order: z (rank) then bz (layer width)
+}
+
+// fit sizes buf for a layer of width n carrying the given patches.
+func (a *Acts) fit(patches []*Attachment, n int) {
+	need := 0
+	for _, at := range patches {
+		need += at.Rank() + n
+	}
+	if cap(a.buf) < need {
+		a.buf = tensor.NewVec(need)
+	}
+	a.buf = a.buf[:need]
+}
+
+// patch returns the z and bz slots of the patch starting at off, and the
+// next patch's offset.
+func (a *Acts) patch(off, rank, n int) (z, bz tensor.Vec, next int) {
+	return a.buf[off : off+rank], a.buf[off+rank : off+rank+n], off + rank + n
+}
+
+// scratchVec returns *v resized to n, reallocating only when it must grow.
+func scratchVec(v *tensor.Vec, n int) tensor.Vec {
+	if cap(*v) < n {
+		*v = tensor.NewVec(n)
+	}
+	return (*v)[:n]
 }
 
 // Rank returns the LoRA rank of the attachment.
@@ -47,19 +89,25 @@ type Embedding struct {
 	E       *Param // Dim x Hidden
 	Patches []*Attachment
 
-	in  *tensor.Sparse // cached input
-	out tensor.Vec
+	acts Acts
+	out  tensor.Vec
 }
 
-// NewEmbedding allocates a dim x hidden embedding with scaled Gaussian init.
+// NewEmbedding allocates a dim x hidden embedding with scaled Gaussian init;
+// a nil rng leaves the weights zero for a caller about to overwrite them.
 // Embedding gradients touch only the rows of active input features, so the
 // parameter uses sparse-row tracking (see Param.TrackRows).
 func NewEmbedding(name string, dim, hidden int, rng *rand.Rand) *Embedding {
 	e := NewParam(name+".E", dim, hidden)
-	e.W.FillGaussian(rng, 1/math.Sqrt(float64(hidden)))
+	if rng != nil {
+		e.W.FillGaussian(rng, 1/math.Sqrt(float64(hidden)))
+	}
 	e.TrackRows()
 	return &Embedding{E: e, out: tensor.NewVec(hidden)}
 }
+
+// SwapActs exchanges the layer's activation record with *a.
+func (l *Embedding) SwapActs(a *Acts) { l.acts, *a = *a, l.acts }
 
 // Hidden returns the output dimensionality.
 func (l *Embedding) Hidden() int { return l.E.W.Cols }
@@ -81,30 +129,27 @@ func (l *Embedding) Attach(name string, rank int, alpha float64, coef *Scalar, r
 
 // Forward computes y = Σⱼ xⱼ·E[j,:] + α Σₚ λₚ (Σⱼ xⱼ·Bₚ[j,:])·Aₚ.
 func (l *Embedding) Forward(x *tensor.Sparse) tensor.Vec {
-	l.in = x
+	l.acts.x = x
+	l.acts.fit(l.Patches, l.Hidden())
 	y := l.out
 	y.Zero()
 	for i, idx := range x.Idx {
 		y.Axpy(x.Val[i], l.E.W.Row(int(idx)))
 	}
+	off := 0
 	for _, at := range l.Patches {
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		var u, ua tensor.Vec
+		u, ua, off = l.acts.patch(off, at.Rank(), len(y))
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		if cap(at.z) < r {
-			at.z = tensor.NewVec(r)
-		}
-		u := at.z[:r]
 		u.Zero()
 		for i, idx := range x.Idx {
 			u.Axpy(x.Val[i], at.B.W.Row(int(idx)))
 		}
-		if cap(at.bz) < len(y) {
-			at.bz = tensor.NewVec(len(y))
-		}
-		ua := at.bz[:len(y)]
-		at.A.W.MulVecT(u, ua) // ua = Aᵀ… wait: u (r) times A (r x h) → uᵀA, i.e. Aᵀu
+		// u is the input's rank-r projection Σⱼ xⱼ·B[j,:]; A is r x h, so
+		// the lift back to hidden space is ua = Aᵀu.
+		at.A.W.MulVecT(u, ua)
 		y.Axpy(at.Alpha*at.Coef.Val, ua)
 	}
 	return y
@@ -114,22 +159,21 @@ func (l *Embedding) Forward(x *tensor.Sparse) tensor.Vec {
 // gradient (features are data, not parameters).
 func (l *Embedding) Backward(dy tensor.Vec) {
 	checkLen("embedding dy", len(dy), l.Hidden())
-	x := l.in
+	x := l.acts.x
 	if !l.E.Frozen {
+		g := l.E.Grad()
 		for i, idx := range x.Idx {
-			l.E.G.Row(int(idx)).Axpy(x.Val[i], dy)
+			g.Row(int(idx)).Axpy(x.Val[i], dy)
 			l.E.TouchRow(int(idx))
 		}
 	}
+	off := 0
 	for _, at := range l.Patches {
-		// Skip exactly the patches Forward skipped: with λ frozen at zero no
-		// gradient reaches the patch and the scratch buffers are stale.
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		var u, ua tensor.Vec // Forward's Σⱼ xⱼ Bₚ[j,:] and its lift uᵀA
+		u, ua, off = l.acts.patch(off, at.Rank(), len(dy))
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		u := at.z[:r] // cached Σⱼ xⱼ Bₚ[j,:]
-		ua := at.bz[:len(dy)]
 		scale := at.Alpha * at.Coef.Val
 		if !at.Coef.Frozen {
 			// dλ = α · dy·(uᵀA)  — ua holds uᵀA from Forward.
@@ -137,15 +181,16 @@ func (l *Embedding) Backward(dy tensor.Vec) {
 		}
 		if !at.A.Frozen {
 			// dA += scale · outer(u, dy)
-			at.A.G.RankOne(scale, u, dy)
+			at.A.Grad().RankOne(scale, u, dy)
 		}
 		if !at.B.Frozen {
 			// du = scale · A·dy ; dB[j,:] += xⱼ·du
-			du := tensor.NewVec(r)
+			du := scratchVec(&at.dz, at.Rank())
 			at.A.W.MulVec(dy, du)
 			du.Scale(scale)
+			g := at.B.Grad()
 			for i, idx := range x.Idx {
-				at.B.G.Row(int(idx)).Axpy(x.Val[i], du)
+				g.Row(int(idx)).Axpy(x.Val[i], du)
 				at.B.TouchRow(int(idx))
 			}
 		}
@@ -166,18 +211,25 @@ type Dense struct {
 	W, B    *Param // W: out x in, B: 1 x out
 	Patches []*Attachment
 
-	in  tensor.Vec
-	out tensor.Vec
-	din tensor.Vec
+	acts Acts
+	out  tensor.Vec
+	din  tensor.Vec
+	tmp  tensor.Vec // Backward scratch, input-sized
 }
 
-// NewDense allocates an out x in layer with Xavier-style init.
+// NewDense allocates an out x in layer with Xavier-style init; a nil rng
+// leaves the weights zero for a caller about to overwrite them.
 func NewDense(name string, out, in int, rng *rand.Rand) *Dense {
 	w := NewParam(name+".W", out, in)
-	w.W.FillGaussian(rng, math.Sqrt(2/float64(in+out)))
+	if rng != nil {
+		w.W.FillGaussian(rng, math.Sqrt(2/float64(in+out)))
+	}
 	b := NewParam(name+".b", 1, out)
 	return &Dense{W: w, B: b, out: tensor.NewVec(out), din: tensor.NewVec(in)}
 }
+
+// SwapActs exchanges the layer's activation record with *a.
+func (l *Dense) SwapActs(a *Acts) { l.acts, *a = *a, l.acts }
 
 // In returns the input size; Out the output size.
 func (l *Dense) In() int  { return l.W.W.Cols }
@@ -193,24 +245,19 @@ func (l *Dense) Attach(name string, rank int, alpha float64, coef *Scalar, rng *
 // Forward computes y = W·u + b + α Σₚ λₚ Bₚ(Aₚu).
 func (l *Dense) Forward(u tensor.Vec) tensor.Vec {
 	checkLen("dense input", len(u), l.In())
-	l.in = u
+	l.acts.in = u
+	l.acts.fit(l.Patches, l.Out())
 	y := l.out
 	l.W.W.MulVec(u, y)
 	y.Axpy(1, l.B.W.Row(0))
+	off := 0
 	for _, at := range l.Patches {
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		var z, bz tensor.Vec
+		z, bz, off = l.acts.patch(off, at.Rank(), len(y))
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		if cap(at.z) < r {
-			at.z = tensor.NewVec(r)
-		}
-		z := at.z[:r]
 		at.A.W.MulVec(u, z)
-		if cap(at.bz) < len(y) {
-			at.bz = tensor.NewVec(len(y))
-		}
-		bz := at.bz[:len(y)]
 		at.B.W.MulVec(z, bz)
 		y.Axpy(at.Alpha*at.Coef.Val, bz)
 	}
@@ -221,38 +268,38 @@ func (l *Dense) Forward(u tensor.Vec) tensor.Vec {
 // slice is reused between calls; callers must not retain it.
 func (l *Dense) Backward(dy tensor.Vec) tensor.Vec {
 	checkLen("dense dy", len(dy), l.Out())
+	in := l.acts.in
 	du := l.din
 	l.W.W.MulVecT(dy, du)
 	if !l.W.Frozen {
-		l.W.G.RankOne(1, dy, l.in)
+		l.W.Grad().RankOne(1, dy, in)
 	}
 	if !l.B.Frozen {
-		l.B.G.Row(0).Axpy(1, dy)
+		l.B.Grad().Row(0).Axpy(1, dy)
 	}
+	off := 0
 	for _, at := range l.Patches {
-		// Match Forward's skip condition; see Embedding.Backward.
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		var z, bz tensor.Vec
+		z, bz, off = l.acts.patch(off, at.Rank(), l.Out())
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		z := at.z[:r]
-		bz := at.bz[:l.Out()]
 		scale := at.Alpha * at.Coef.Val
 		if !at.Coef.Frozen {
 			at.Coef.Grad += at.Alpha * dy.Dot(bz)
 		}
 		// dz = scale·Bᵀdy (needed for both dA and du)
-		dz := tensor.NewVec(r)
+		dz := scratchVec(&at.dz, at.Rank())
 		at.B.W.MulVecT(dy, dz)
 		dz.Scale(scale)
 		if !at.B.Frozen {
-			at.B.G.RankOne(scale, dy, z)
+			at.B.Grad().RankOne(scale, dy, z)
 		}
 		if !at.A.Frozen {
-			at.A.G.RankOne(1, dz, l.in)
+			at.A.Grad().RankOne(1, dz, in)
 		}
 		// du += Aᵀdz
-		tmp := tensor.NewVec(l.In())
+		tmp := scratchVec(&l.tmp, l.In())
 		at.A.W.MulVecT(dz, tmp)
 		du.Axpy(1, tmp)
 	}
@@ -270,17 +317,16 @@ func (l *Dense) Params() []*Param {
 
 // Tanh is an elementwise tanh activation.
 type Tanh struct {
-	out tensor.Vec
-	din tensor.Vec
+	acts Acts
+	din  tensor.Vec
 }
+
+// SwapActs exchanges the layer's activation record with *a.
+func (l *Tanh) SwapActs(a *Acts) { l.acts, *a = *a, l.acts }
 
 // Forward applies tanh elementwise.
 func (l *Tanh) Forward(u tensor.Vec) tensor.Vec {
-	if cap(l.out) < len(u) {
-		l.out = tensor.NewVec(len(u))
-		l.din = tensor.NewVec(len(u))
-	}
-	y := l.out[:len(u)]
+	y := scratchVec(&l.acts.out, len(u))
 	for i, v := range u {
 		y[i] = math.Tanh(v)
 	}
@@ -289,8 +335,8 @@ func (l *Tanh) Forward(u tensor.Vec) tensor.Vec {
 
 // Backward returns dL/du given dL/dy using the cached output.
 func (l *Tanh) Backward(dy tensor.Vec) tensor.Vec {
-	y := l.out[:len(dy)]
-	du := l.din[:len(dy)]
+	y := l.acts.out[:len(dy)]
+	du := scratchVec(&l.din, len(dy))
 	for i, g := range dy {
 		du[i] = g * (1 - y[i]*y[i])
 	}

@@ -89,7 +89,7 @@ func TestGradientCheck(t *testing.T) {
 			lm := net.loss(x, gold)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			ana := p.G.Data[i]
+			ana := p.Grad().Data[i]
 			if math.Abs(num-ana) > 1e-6*(1+math.Abs(num)) {
 				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
 			}
@@ -298,7 +298,7 @@ func TestAdamConvergesOnToyProblem(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("p", 1, 3)
-	copy(p.G.Data, []float64{3, 4, 0})
+	copy(p.Grad().Data, []float64{3, 4, 0})
 	var ps ParamSet
 	ps.Add(p)
 	pre := ps.ClipGradNorm(1)

@@ -16,12 +16,15 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
-// Param is a trainable matrix with its gradient and Adam moments.
+// Param is a trainable matrix. Its gradient is training state: the buffer
+// appears on the first backward pass that reaches the parameter unfrozen
+// (Grad) and goes away with ParamSet.ReleaseGrads when training ends, so a
+// model that is only served carries weights and nothing else.
 //
 // Parameters whose gradients touch only a few rows per step (embedding
 // tables and their LoRA B factors — the rows of the active input features)
@@ -32,73 +35,113 @@ import (
 type Param struct {
 	Name   string
 	W      *tensor.Mat
-	G      *tensor.Mat
 	Frozen bool
 
-	m, v *tensor.Mat // Adam first/second moments, allocated lazily
+	g *tensor.Mat // gradient; nil outside training
 
-	rows map[int32]struct{} // touched-row set; nil = dense gradients
+	// Sparse-row tracking: touched lists each row with mark[r] set exactly
+	// once, in first-touch order until touchedRows sorts it.
+	sparse  bool
+	mark    []bool
+	touched []int32
+	sorted  bool
 }
 
 // NewParam allocates a zero-initialized parameter.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{
-		Name: name,
-		W:    tensor.NewMat(rows, cols),
-		G:    tensor.NewMat(rows, cols),
+	return &Param{Name: name, W: tensor.NewMat(rows, cols)}
+}
+
+// Grad returns the gradient accumulator, allocating it zeroed on first use.
+func (p *Param) Grad() *tensor.Mat {
+	if p.g == nil {
+		p.g = tensor.NewMat(p.W.Rows, p.W.Cols)
+		if p.sparse {
+			p.mark = make([]bool, p.W.Rows)
+		}
 	}
+	return p.g
 }
 
 // TrackRows switches the parameter to sparse-row gradient tracking.
-func (p *Param) TrackRows() {
-	if p.rows == nil {
-		p.rows = make(map[int32]struct{})
-	}
-}
+func (p *Param) TrackRows() { p.sparse = true }
 
-// TouchRow records that row r received gradient this step. It is a no-op
-// for dense parameters.
+// TouchRow records that row r received gradient since the last ZeroGrad. It
+// is a no-op for dense parameters.
 func (p *Param) TouchRow(r int) {
-	if p.rows != nil {
-		p.rows[int32(r)] = struct{}{}
+	if !p.sparse {
+		return
+	}
+	p.Grad()
+	if !p.mark[r] {
+		p.mark[r] = true
+		p.touched = append(p.touched, int32(r))
+		p.sorted = false
 	}
 }
 
 // ZeroGrad clears the accumulated gradient (only the touched rows for
 // sparse-tracked parameters).
 func (p *Param) ZeroGrad() {
-	if p.rows != nil {
-		for r := range p.rows {
-			p.G.Row(int(r)).Zero()
-		}
-		clear(p.rows)
+	if p.g == nil {
 		return
 	}
-	p.G.Zero()
+	if !p.sparse {
+		p.g.Zero()
+		return
+	}
+	for _, r := range p.touched {
+		p.g.Row(int(r)).Zero()
+		p.mark[r] = false
+	}
+	p.touched = p.touched[:0]
 }
 
-// touchedRows returns the touched-row indices in sorted order. Sorted
-// iteration keeps floating-point reductions (gradient norms) bit-identical
-// across runs; map order would make training non-reproducible.
+// touchedRows returns the touched-row indices in ascending order, sorting at
+// most once per accumulation window: the gradient norm, the clip rescale and
+// the Adam update all walk the same list. Ascending order keeps the norm's
+// floating-point reduction bit-identical across runs and across the order in
+// which examples touched the rows.
 func (p *Param) touchedRows() []int32 {
-	rows := make([]int32, 0, len(p.rows))
-	for r := range p.rows {
-		rows = append(rows, r)
+	if !p.sorted {
+		slices.Sort(p.touched)
+		p.sorted = true
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-	return rows
+	return p.touched
 }
 
-// gradRows invokes f on every row slice of G that may hold gradient, in a
-// deterministic order.
-func (p *Param) gradRows(f func(row tensor.Vec)) {
-	if p.rows != nil {
-		for _, r := range p.touchedRows() {
-			f(p.G.Row(int(r)))
+// addSqNorm adds the squares of every gradient entry that may be non-zero to
+// t, in a deterministic order, and returns the running sum.
+func (p *Param) addSqNorm(t float64) float64 {
+	if p.g == nil {
+		return t
+	}
+	if !p.sparse {
+		for _, g := range p.g.Data {
+			t += g * g
 		}
+		return t
+	}
+	for _, r := range p.touchedRows() {
+		for _, g := range p.g.Row(int(r)) {
+			t += g * g
+		}
+	}
+	return t
+}
+
+// scaleGrad multiplies every gradient entry that may be non-zero by scale.
+func (p *Param) scaleGrad(scale float64) {
+	if p.g == nil {
 		return
 	}
-	f(tensor.Vec(p.G.Data))
+	if !p.sparse {
+		tensor.Vec(p.g.Data).Scale(scale)
+		return
+	}
+	for _, r := range p.touchedRows() {
+		p.g.Row(int(r)).Scale(scale)
+	}
 }
 
 // NumParams returns the number of scalar parameters in p.
@@ -110,8 +153,6 @@ type Scalar struct {
 	Val    float64
 	Grad   float64
 	Frozen bool
-
-	m, v float64 // Adam moments
 }
 
 // ZeroGrad clears the scalar gradient.
@@ -145,18 +186,21 @@ func (ps *ParamSet) ZeroGrad() {
 	}
 }
 
+// ReleaseGrads drops every gradient buffer and row-tracking list, returning
+// the parameters to their served state. Training loops call it when done.
+func (ps *ParamSet) ReleaseGrads() {
+	for _, p := range ps.Mats {
+		p.g, p.mark, p.touched = nil, nil, nil
+	}
+}
+
 // GradNorm returns the global Euclidean norm of all non-frozen gradients.
 func (ps *ParamSet) GradNorm() float64 {
 	var t float64
 	for _, p := range ps.Mats {
-		if p.Frozen {
-			continue
+		if !p.Frozen {
+			t = p.addSqNorm(t)
 		}
-		p.gradRows(func(row tensor.Vec) {
-			for _, g := range row {
-				t += g * g
-			}
-		})
 	}
 	for _, s := range ps.Scalars {
 		if s.Frozen {
@@ -176,14 +220,9 @@ func (ps *ParamSet) ClipGradNorm(max float64) float64 {
 	}
 	scale := max / n
 	for _, p := range ps.Mats {
-		if p.Frozen {
-			continue
+		if !p.Frozen {
+			p.scaleGrad(scale)
 		}
-		p.gradRows(func(row tensor.Vec) {
-			for i := range row {
-				row[i] *= scale
-			}
-		})
 	}
 	for _, s := range ps.Scalars {
 		if !s.Frozen {
@@ -210,7 +249,9 @@ func (ps *ParamSet) NumParams() int {
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with optional weight decay,
-// matching the fine-tuning recipe in Section VII-A.
+// matching the fine-tuning recipe in Section VII-A. The first/second moments
+// live in the optimizer, keyed by parameter, so they are freed with it: one
+// Adam value serves one training run.
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -218,12 +259,20 @@ type Adam struct {
 	Eps         float64
 	WeightDecay float64
 
-	step int
+	step    int
+	mats    map[*Param]*moments
+	scalars map[*Scalar]*scalarMoments
 }
+
+// moments holds Adam's first and second moment for one matrix parameter.
+type moments struct{ m, v []float64 }
+
+type scalarMoments struct{ m, v float64 }
 
 // NewAdam returns an Adam optimizer with standard betas.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
+		mats: map[*Param]*moments{}, scalars: map[*Scalar]*scalarMoments{}}
 }
 
 // Step applies one update to every non-frozen parameter and clears nothing;
@@ -236,52 +285,61 @@ func (a *Adam) Step(ps *ParamSet) {
 		if p.Frozen {
 			continue
 		}
-		if p.m == nil {
-			p.m = tensor.NewMat(p.W.Rows, p.W.Cols)
-			p.v = tensor.NewMat(p.W.Rows, p.W.Cols)
+		mo := a.mats[p]
+		if mo == nil {
+			mo = &moments{m: make([]float64, len(p.W.Data)), v: make([]float64, len(p.W.Data))}
+			a.mats[p] = mo
 		}
-		update := func(g, w, m, v []float64) {
-			for i := range g {
-				gi := g[i]
-				if a.WeightDecay != 0 {
-					gi += a.WeightDecay * w[i]
-				}
-				m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
-				v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
-				mh := m[i] / b1c
-				vh := v[i] / b2c
-				w[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
-			}
-		}
-		if p.rows != nil {
-			// Sparse-Adam: only rows touched since the last ZeroGrad carry
-			// gradient; untouched rows are skipped (their moments freeze).
-			cols := p.W.Cols
-			for _, r := range p.touchedRows() {
-				off := int(r) * cols
-				update(p.G.Data[off:off+cols], p.W.Data[off:off+cols],
-					p.m.Data[off:off+cols], p.v.Data[off:off+cols])
-			}
+		if !p.sparse {
+			// A dense parameter no backward reached still decays (weight
+			// decay, moment momentum): its gradient is zero, not absent.
+			a.update(p.Grad().Data, p.W.Data, mo.m, mo.v, b1c, b2c)
 			continue
 		}
-		update(p.G.Data, p.W.Data, p.m.Data, p.v.Data)
+		// Sparse-Adam: only rows touched since the last ZeroGrad carry
+		// gradient; untouched rows are skipped (their moments freeze).
+		cols := p.W.Cols
+		for _, r := range p.touchedRows() {
+			lo, hi := int(r)*cols, (int(r)+1)*cols
+			a.update(p.g.Data[lo:hi], p.W.Data[lo:hi], mo.m[lo:hi], mo.v[lo:hi], b1c, b2c)
+		}
 	}
 	for _, s := range ps.Scalars {
 		if s.Frozen {
 			continue
 		}
+		mo := a.scalars[s]
+		if mo == nil {
+			mo = &scalarMoments{}
+			a.scalars[s] = mo
+		}
 		g := s.Grad
-		s.m = a.Beta1*s.m + (1-a.Beta1)*g
-		s.v = a.Beta2*s.v + (1-a.Beta2)*g*g
-		mh := s.m / b1c
-		vh := s.v / b2c
+		mo.m = a.Beta1*mo.m + (1-a.Beta1)*g
+		mo.v = a.Beta2*mo.v + (1-a.Beta2)*g*g
+		mh := mo.m / b1c
+		vh := mo.v / b2c
 		s.Val -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 	}
 }
 
-// Reset clears the optimizer step counter and is used when the same
-// parameters go through a second training phase.
-func (a *Adam) Reset() { a.step = 0 }
+// update is the elementwise Adam rule over one span of a parameter. The
+// hyper-parameters are read into locals first: g, w, m and v are float64
+// slices like the fields, so inside the loop the compiler would reload them
+// after every store.
+func (a *Adam) update(g, w, m, v []float64, b1c, b2c float64) {
+	b1, b2, lr, eps, wd := a.Beta1, a.Beta2, a.LR, a.Eps, a.WeightDecay
+	w, m, v = w[:len(g)], m[:len(g)], v[:len(g)]
+	for i, gi := range g {
+		if wd != 0 {
+			gi += wd * w[i]
+		}
+		m[i] = b1*m[i] + (1-b1)*gi
+		v[i] = b2*v[i] + (1-b2)*gi*gi
+		mh := m[i] / b1c
+		vh := v[i] / b2c
+		w[i] -= lr * mh / (math.Sqrt(vh) + eps)
+	}
+}
 
 func checkLen(what string, got, want int) {
 	if got != want {

@@ -197,19 +197,24 @@ func profWindows(rows []profile.Sample, n int) []ProfWindow {
 }
 
 // monotonicWindows reports whether a metric's per-window floor AND
-// ceiling both rise strictly across every consecutive window pair, with
-// the total floor rise clearing an absolute slack and a relative
-// fraction of the starting value — the monotonic-growth shape of a
-// leak, with noise guards. Requiring the ceiling too is what separates
-// a leak from a warmup phase: building retained state raises floors
-// until retention plateaus, but its ceilings subside once the transient
-// build garbage is collected, while a leak lifts both forever.
+// ceiling both rise across every consecutive window pair, with the total
+// floor rise clearing an absolute slack and a relative fraction of the
+// starting value — the monotonic-growth shape of a leak, with noise
+// guards. Requiring the ceiling too is what separates a leak from a
+// warmup phase: building retained state raises floors until retention
+// plateaus, but its ceilings subside once the transient build garbage is
+// collected, while a leak lifts both forever. A floor counts as risen
+// only when it climbs by more than one pair's share of both slacks: on a
+// plateau the floor moves a fraction of a percent either way with GC
+// timing, and reading that as a rise makes the verdict a coin flip.
 func monotonicWindows(ws []ProfWindow, lo, hi func(ProfWindow) float64, absSlack, relSlack float64) bool {
 	if len(ws) < 3 {
 		return false
 	}
+	pairs := float64(len(ws) - 1)
 	for i := 1; i < len(ws); i++ {
-		if lo(ws[i]) <= lo(ws[i-1]) || hi(ws[i]) <= hi(ws[i-1]) {
+		prev := lo(ws[i-1])
+		if lo(ws[i])-prev <= max(absSlack, relSlack*prev)/pairs || hi(ws[i]) <= hi(ws[i-1]) {
 			return false
 		}
 	}

@@ -113,6 +113,27 @@ func TestProfReportWarmupIsNotALeak(t *testing.T) {
 	}
 }
 
+// A plateau whose floor jitters upward by a fraction of a percent between
+// two windows is not a rise, even when the windows around it climb and every
+// ceiling does: the shape of the serve selftest once a zoo build stops
+// holding dead training state (floors 1 → 46 → 46 → 55 MiB).
+func TestProfReportPlateauJitterIsNotALeak(t *testing.T) {
+	const mib = 1 << 20
+	floors := []uint64{1 * mib, 45*mib + 860<<10, 45*mib + 930<<10, 55 * mib}
+	ceils := []uint64{88 * mib, 127 * mib, 134 * mib, 204 * mib}
+	rows := steadyTimeline(40)
+	for i := range rows {
+		w := i / 10
+		rows[i].HeapLiveBytes = floors[w]
+		if i%10 == 5 {
+			rows[i].HeapLiveBytes = ceils[w]
+		}
+	}
+	if r := NewProfReport(rows, 4); r.HeapGrowth {
+		t.Error("plateau with sub-percent floor jitter flagged as heap growth")
+	}
+}
+
 func TestProfReportDetectsLeaks(t *testing.T) {
 	r := NewProfReport(leakyTimeline(40), 4)
 	if !r.GoroutineLeak {

@@ -34,10 +34,11 @@
 # 30% seeded fault rate must all pass the selftest (answer mismatches are
 # fatal inside it at any fault rate), and a warm batched run must allocate
 # strictly fewer bytes per request than the warm serial oracle. Finally an
-# allocation gate runs the ServePredict benchmark pair, requires the
-# batched forward to be >= 2x faster than the serial loop, and diffs the
-# measured ns/bytes/allocs per op against the committed BENCH_allocs.json
-# baseline via `knowtrans obs diff`.
+# allocation gate runs the ServePredict benchmark pair and the
+# FewShotTransfer benchmark, requires the batched forward to be >= 2x faster
+# than the serial loop, and diffs the measured ns/bytes/allocs per op of all
+# three against the committed BENCH_allocs.json baseline via
+# `knowtrans obs diff`.
 # A cluster gate then runs `knowtrans route -selftest`: a 3-backend fleet
 # with one backend SIGKILLed mid-load must serve every request (zero
 # non-2xx, byte-identical answers), record hedges and failovers, eject the
@@ -394,20 +395,24 @@ echo "check.sh: tier-2 batching gate passed (warm B/op: batched $bbat vs serial 
 # at least 2x faster, and the measured time/bytes/allocs per op must stay
 # within tolerance of the committed BENCH_allocs.json baseline (the rel-tol
 # absorbs machine-to-machine time variance; the 2x ratio gate is
-# machine-independent).
-go test -run '^$' -bench 'ServePredict' -benchmem . >"$tmp/bench.out" || {
-	echo "check.sh: ServePredict benchmarks failed:" >&2
+# machine-independent). FewShotTransfer rides along so a training step that
+# starts allocating per step again (57 MiB per Transfer before PR 12) trips
+# the same diff.
+go test -run '^$' -bench 'ServePredict|FewShotTransfer' -benchmem . >"$tmp/bench.out" || {
+	echo "check.sh: ServePredict/FewShotTransfer benchmarks failed:" >&2
 	cat "$tmp/bench.out" >&2
 	exit 1
 }
 awk '
 	$1 ~ /^BenchmarkServePredict(-|$)/       { bt=$3; bb=$5; ba=$7 }
 	$1 ~ /^BenchmarkServePredictSerial(-|$)/ { st=$3; sb=$5; sa=$7 }
+	$1 ~ /^BenchmarkFewShotTransfer(-|$)/    { tt=$3; tb=$5; ta=$7 }
 	END {
-		if (bt == "" || st == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
+		if (bt == "" || st == "" || tt == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
 		printf "{\n  \"schema_version\": 1,\n  \"report\": {\n"
 		printf "    \"batched_time_ns\": %s,\n    \"batched_bytes_per_op\": %s,\n    \"batched_allocs_per_op\": %s,\n", bt, bb, ba
 		printf "    \"serial_time_ns\": %s,\n    \"serial_bytes_per_op\": %s,\n    \"serial_allocs_per_op\": %s,\n", st, sb, sa
+		printf "    \"transfer_time_ns\": %s,\n    \"transfer_bytes_per_op\": %s,\n    \"transfer_allocs_per_op\": %s,\n", tt, tb, ta
 		printf "    \"batch_speedup_x\": %.3f\n  }\n}\n", st / bt
 	}
 ' "$tmp/bench.out" >"$tmp/allocs.json" || {
