@@ -266,9 +266,9 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 	task, _, _ := strings.Cut(key, "/")
 	ds := &data.Dataset{Name: "bulk", Task: task}
 	for i := 0; i < cfg.rows; i++ {
-		cp := *b.DS.Test[i%len(b.DS.Test)]
+		cp := b.DS.Test[i%len(b.DS.Test)].Clone()
 		cp.ID = fmt.Sprintf("bulk-%03d", i)
-		ds.Test = append(ds.Test, &cp)
+		ds.Test = append(ds.Test, cp)
 	}
 	input := filepath.Join(work, "input.json")
 	f, err := os.Create(input)

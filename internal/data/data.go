@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Table is a named relational table with an ordered schema, the raw material
@@ -62,6 +63,23 @@ type Instance struct {
 	Candidates []string // answer options; Gold indexes into it
 	Gold       int
 	Meta       map[string]string // free-form extras (e.g. latent error type)
+
+	derived atomic.Pointer[any] // see Derived
+}
+
+// Derived returns compute(in), computed on first use and kept with the
+// instance, so the memo is collected when the instance is. There is one
+// slot: every caller passes the same pure function of in.Fields
+// (internal/tasks' alignment features). Instances are treated as immutable
+// once built, which is what makes the memo sound; Clone does not carry it.
+// Concurrent first uses may each compute, and all return equal values.
+func (in *Instance) Derived(compute func(*Instance) any) any {
+	if p := in.derived.Load(); p != nil {
+		return *p
+	}
+	v := compute(in)
+	in.derived.Store(&v)
+	return v
 }
 
 // GoldText returns the gold answer string.
@@ -85,7 +103,7 @@ func (in *Instance) FieldValue(name string) string {
 
 // Clone returns a deep copy of the instance.
 func (in *Instance) Clone() *Instance {
-	out := *in
+	out := &Instance{ID: in.ID, Target: in.Target, Gold: in.Gold}
 	out.Fields = append([]Field(nil), in.Fields...)
 	out.Candidates = append([]string(nil), in.Candidates...)
 	if in.Meta != nil {
@@ -94,7 +112,7 @@ func (in *Instance) Clone() *Instance {
 			out.Meta[k] = v
 		}
 	}
-	return &out
+	return out
 }
 
 // Dataset is a named collection of instances for one task with the paper's

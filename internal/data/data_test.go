@@ -189,3 +189,24 @@ func TestFieldValue(t *testing.T) {
 		t.Fatal("FieldValue lookup broken")
 	}
 }
+
+// TestDerivedMemoizesOnTheInstance: the function runs once per instance and
+// a clone starts without the memo (its Fields may be edited before use).
+func TestDerivedMemoizesOnTheInstance(t *testing.T) {
+	calls := 0
+	count := func(in *Instance) any { calls++; return len(in.Fields) }
+	in := &Instance{ID: "r1", Fields: []Field{{Name: "a", Value: "1"}}, Target: "a",
+		Candidates: []string{"yes", "no"}, Gold: 1, Meta: map[string]string{"k": "v"}}
+	if in.Derived(count) != 1 || in.Derived(count) != 1 || calls != 1 {
+		t.Fatalf("memo: %d calls", calls)
+	}
+	cp := in.Clone()
+	if cp.ID != "r1" || cp.Target != "a" || cp.Gold != 1 || cp.Meta["k"] != "v" ||
+		len(cp.Fields) != 1 || len(cp.Candidates) != 2 {
+		t.Fatalf("clone lost a field: %+v", cp)
+	}
+	cp.Fields = append(cp.Fields, Field{Name: "b", Value: "2"})
+	if cp.Derived(count) != 2 || calls != 2 {
+		t.Fatalf("clone carried the memo (%d calls)", calls)
+	}
+}

@@ -1,7 +1,10 @@
 package tasks
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 )
@@ -52,5 +55,30 @@ func TestBuildExampleIntoMatchesBuildExample(t *testing.T) {
 		if ex.Prompt != "" {
 			t.Fatalf("%s: BuildExampleInto must not render a prompt", tc.name)
 		}
+	}
+}
+
+// TestAlignMemoDoesNotPinInstances: rows decoded for one request or one job
+// must be collectable once the caller drops them. A process-wide memo keyed
+// by instance pointer kept every row ever serialized alive (100 MiB over a
+// benchmark window of 2000-row jobs), which made each GC cycle's cost grow
+// with the rows served so far.
+func TestAlignMemoDoesNotPinInstances(t *testing.T) {
+	const n = 64
+	var freed atomic.Int32
+	var ex Example
+	for i := 0; i < n; i++ {
+		in := pairInstance()
+		runtime.SetFinalizer(in, func(*data.Instance) { freed.Add(1) })
+		BuildExampleInto(&ex, SpecFor(EM), in, nil)
+	}
+	ex = Example{}
+	for i := 0; i < 10 && freed.Load() < n-1; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond) // finalizers run on their own goroutine
+	}
+	// The loop variable's last value may still be on the stack.
+	if got := freed.Load(); got < n-1 {
+		t.Fatalf("%d of %d instances collected after use: something still holds them", got, n)
 	}
 }

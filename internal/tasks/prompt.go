@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/text"
@@ -142,26 +141,20 @@ func alignSegments(in *data.Instance) []text.Segment {
 	return appendAlignSegments(nil, in)
 }
 
-// alignCache memoizes computeAlignSegments per instance. Alignment features
-// are a pure function of in.Fields — independent of knowledge and spec — and
-// instances are long-lived dataset rows that get re-serialized constantly
-// (every AKB Evaluate sweep, every repeat prediction the serve path answers),
-// so the tokenization/map work behind them is paid once per instance instead
-// of once per build. Instances are treated as immutable after datagen, which
-// is what makes the memo sound; entries live as long as the instance does.
-var alignCache sync.Map // *data.Instance -> []text.Segment
-
 // appendAlignSegments appends the alignment segments to segs, so callers
-// with a reusable backing array avoid the intermediate slice. The cached
-// slice is append-copied, never aliased into the caller's example.
+// with a reusable backing array avoid the intermediate slice. Alignment
+// features are a pure function of in.Fields — independent of knowledge and
+// spec — and dataset rows get re-serialized constantly (every AKB Evaluate
+// sweep, every training epoch), so the tokenization/map work behind them is
+// paid once per instance and memoized on the instance itself: a row decoded
+// for one request or one job takes its memo with it when it is collected.
+// The memoized slice is append-copied, never aliased into the caller's
+// example.
 func appendAlignSegments(segs []text.Segment, in *data.Instance) []text.Segment {
-	if v, ok := alignCache.Load(in); ok {
-		return append(segs, v.([]text.Segment)...)
-	}
-	base := computeAlignSegments(in)
-	alignCache.Store(in, base)
-	return append(segs, base...)
+	return append(segs, in.Derived(alignMemo).([]text.Segment)...)
 }
+
+func alignMemo(in *data.Instance) any { return computeAlignSegments(in) }
 
 // computeAlignSegments is the uncached worker behind appendAlignSegments.
 func computeAlignSegments(in *data.Instance) (segs []text.Segment) {
