@@ -138,10 +138,10 @@ func BenchmarkTrainStepFused(b *testing.B) {
 func BenchmarkInference(b *testing.B) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
-	ex := tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)
+	exs := []*tasks.Example{tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(ex)
+		m.PredictBatch(exs)
 	}
 }
 
@@ -155,16 +155,16 @@ func BenchmarkInferenceFused(b *testing.B) {
 		lora.Attach(fmt.Sprintf("p%d", i), m.LoraLayers(), lora.DefaultConfig(), coef, rng)
 	}
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
-	ex := tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)
+	exs := []*tasks.Example{tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Predict(ex)
+		m.PredictBatch(exs)
 	}
 }
 
-// serveBenchInstances builds the fixed micro-batch both ServePredict
-// benchmarks answer: 8 test instances of one EM dataset, the serve hot
-// path's unit of work at the default MaxBatch.
+// serveBenchInstances builds the 8 rows both ServePredict benchmarks answer:
+// test instances of one EM dataset, the serve hot path's unit of work at the
+// default MaxBatch.
 func serveBenchInstances() (tasks.Spec, []*data.Instance) {
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
 	ins := make([]*data.Instance, 8)
@@ -175,25 +175,27 @@ func serveBenchInstances() (tasks.Spec, []*data.Instance) {
 }
 
 // BenchmarkServePredict measures the serve hot path's unit of work: one
-// micro-batch of 8 predictions answered by the batched forward pass
-// (shared candidate encoding, one matmul per layer per batch, pooled
-// scratch). Answers are bit-identical to the serial path below; the ratio
-// of the two ns/op numbers is the batching speedup check.sh gates on, and
-// the -benchmem counters feed the allocation gate via `knowtrans obs diff`.
+// micro-batch of 8 predictions answered by one forward pass (shared
+// candidate encoding, one matmul per layer per batch, pooled scratch). Its
+// time and -benchmem counters feed the allocation gate via `knowtrans obs
+// diff` against BENCH_allocs.json.
 func BenchmarkServePredict(b *testing.B) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
 	spec, ins := serveBenchInstances()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PredictBatchWith(spec, ins, nil)
 	}
 }
 
-// BenchmarkServePredictSerial answers the same micro-batch one prediction
-// at a time — the pre-batching serve path, kept as the benchmark baseline.
-func BenchmarkServePredictSerial(b *testing.B) {
+// BenchmarkServePredictOne answers the same 8 rows as eight n = 1 calls
+// through the same entry point — the shape of unbatched traffic (-max-batch
+// 1, MELD's per-row routing) — so the gate also guards the n = 1 cost.
+func BenchmarkServePredictOne(b *testing.B) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
 	spec, ins := serveBenchInstances()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, in := range ins {

@@ -37,8 +37,6 @@ func runServe(args []string) {
 	maxAdapters := fs.Int("max-adapters", 8, "resident-adapter bound (LRU eviction beyond it)")
 	maxBatch := fs.Int("max-batch", 8, "per-adapter micro-batch cap (1 disables batching)")
 	maxWait := fs.Duration("batch-wait", 2*time.Millisecond, "how long a non-full batch lingers for stragglers")
-	serialPredict := fs.Bool("serial-predict", false,
-		"force per-request Predict even for batch-capable adapters (the serial oracle path the batched path is gated against)")
 	reqTimeout := fs.Duration("timeout", 60*time.Second, "per-request deadline")
 	transferTimeout := fs.Duration("transfer-timeout", 0, "cold-start Transfer bound (0 = unbounded)")
 	maxInflight := fs.Int("max-inflight", 0, "shed predicts with 429 + Retry-After past this many in flight (0 = unlimited)")
@@ -108,7 +106,6 @@ func runServe(args []string) {
 		MaxAdapters:     *maxAdapters,
 		MaxBatch:        *maxBatch,
 		MaxWait:         *maxWait,
-		SerialPredict:   *serialPredict,
 		RequestTimeout:  *reqTimeout,
 		TransferTimeout: *transferTimeout,
 		MaxInflight:     *maxInflight,
@@ -243,9 +240,8 @@ type selftestConfig struct {
 // sample-trace handle to the embedded LoadReport; schema 3 added the
 // Resources section (allocation and GC cost of the load run) so `obs diff`
 // can gate resource regressions alongside latency ones; schema 4 added the
-// Batching section (batch counts, average size, and whether the run was
-// pinned to the serial oracle path) so the check.sh perf gate can compare a
-// batched run against its -serial-predict baseline.
+// Batching section; schema 5 dropped its two fields that told a batched run
+// from a serial one, when the serial predict path was deleted.
 type BenchServe struct {
 	SchemaVersion int                  `json:"schema_version"`
 	GeneratedAt   string               `json:"generated_at"`
@@ -264,16 +260,12 @@ type BenchServe struct {
 }
 
 // BenchServeBatching is the selftest's batching evidence, read back from
-// the service's own metrics after the load run: how many batches formed,
-// how many were answered by the one-pass batched forward (equal to Batches
-// on a healthy batched run, zero on a -serial-predict run), and the batch
-// size distribution.
+// the service's own metrics after the load run: how many batches formed
+// (each answered by one forward pass) and the batch size distribution.
 type BenchServeBatching struct {
-	SerialPredict   bool    `json:"serial_predict"`
-	Batches         int64   `json:"batches"`
-	BatchedPredicts int64   `json:"batched_predicts"`
-	AvgBatchSize    float64 `json:"avg_batch_size"`
-	MaxBatchSize    float64 `json:"max_batch_size"`
+	Batches      int64   `json:"batches"`
+	AvgBatchSize float64 `json:"avg_batch_size"`
+	MaxBatchSize float64 `json:"max_batch_size"`
 }
 
 // BenchServeResources is the selftest's resource accounting: runtime
@@ -341,8 +333,7 @@ func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg s
 		len(items), cfg.concurrency, len(keys), baseURL)
 
 	// A warm run builds every adapter up front, so the timed bracket below
-	// measures pure serving cost — the comparison surface for the batched
-	// vs -serial-predict perf gate. Cold-start coalescing is still proven
+	// measures pure serving cost. Cold-start coalescing is still proven
 	// (Transfers stays 1 per key); the default cold run exercises the race.
 	if cfg.warm {
 		fmt.Printf("selftest: pre-warming %d adapters...\n", len(keys))
@@ -366,13 +357,11 @@ func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg s
 	}
 	snap := reg.Snapshot()
 	// Batching evidence comes from the service's own metrics: the batcher
-	// counts every drained batch and every one answered by the one-pass
-	// batched forward.
-	bat := &BenchServeBatching{SerialPredict: cfg.opts.SerialPredict}
+	// counts every drained batch.
+	bat := &BenchServeBatching{}
 	if cfg.opts.Rec != nil && cfg.opts.Rec.Metrics != nil {
 		ms := cfg.opts.Rec.Metrics.Snapshot()
 		bat.Batches = ms.Counters["serve.batches"]
-		bat.BatchedPredicts = ms.Counters["serve.batched_predicts"]
 		if h, ok := ms.Histograms["serve.batch_size"]; ok {
 			bat.AvgBatchSize = h.Mean
 			bat.MaxBatchSize = h.Max
@@ -399,8 +388,8 @@ func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg s
 	fmt.Printf("selftest: resources: %.0f B/op, %.1f allocs/op, %d gc cycles (%.1fms pause), %d goroutines, heap %.1fMB\n",
 		res.BytesPerOp, res.AllocsPerOp, res.GCCycles, res.GCPauseTotalUS/1e3,
 		res.GoroutinesEnd, float64(res.HeapLiveEndBytes)/(1<<20))
-	fmt.Printf("selftest: batching: %d batches (avg %.1f, max %.0f), %d batched predicts, serial=%v\n",
-		bat.Batches, bat.AvgBatchSize, bat.MaxBatchSize, bat.BatchedPredicts, bat.SerialPredict)
+	fmt.Printf("selftest: batching: %d batches (avg %.1f, max %.0f)\n",
+		bat.Batches, bat.AvgBatchSize, bat.MaxBatchSize)
 	if rep.SampleTrace != "" {
 		fmt.Printf("selftest: slowest request trace %s (inspect: knowtrans obs trace FILE.jsonl -trace-id %s)\n",
 			rep.SampleTrace, rep.SampleTrace)
@@ -412,7 +401,7 @@ func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg s
 
 	if cfg.benchPath != "" {
 		doc := &BenchServe{
-			SchemaVersion: 4,
+			SchemaVersion: 5,
 			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
 			Seed:          cfg.seed,
 			Scale:         cfg.scale,
@@ -457,16 +446,6 @@ func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg s
 			return fmt.Errorf("selftest: adapter %s ran %d Transfers; cold starts must coalesce to exactly 1",
 				st.Key, st.Transfers)
 		}
-	}
-	// A non-serial run must actually exercise the batched forward (every
-	// drained batch rides it — core.Adapted implements BatchPredictor); a
-	// -serial-predict run must never touch it.
-	if cfg.opts.SerialPredict {
-		if bat.BatchedPredicts != 0 {
-			return fmt.Errorf("selftest: %d batched predicts under -serial-predict, want 0", bat.BatchedPredicts)
-		}
-	} else if bat.Batches > 0 && bat.BatchedPredicts != bat.Batches {
-		return fmt.Errorf("selftest: %d/%d batches took the batched path; all must", bat.BatchedPredicts, bat.Batches)
 	}
 	fmt.Println("selftest: PASS")
 	return nil

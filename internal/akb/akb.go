@@ -19,19 +19,13 @@ import (
 )
 
 // Predictor is the fine-tuned DP-LLM 𝓜' that evaluation queries
-// (internal/model.Model satisfies it through the Adapter below, keeping akb
-// decoupled from the substrate).
+// (internal/model.Model satisfies it, keeping akb decoupled from the
+// substrate). Evaluation is batch-shaped (Eq. 8 scores a candidate over the
+// whole validation split), so the one method answers a slice.
 type Predictor interface {
-	// PredictWith returns the model's answer for an instance under the
-	// given knowledge.
-	PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string
-}
-
-// BatchPredictor is the optional batched fast path of a Predictor. Evaluate
-// and Errors use it when available; the answers must be identical to calling
-// PredictWith per instance (the model's batched forward is bit-identical to
-// the serial one). The returned slice may be scratch reused across calls.
-type BatchPredictor interface {
+	// PredictBatchWith returns the model's answer for each instance under
+	// the given knowledge, one per instance in order. The returned slice may
+	// be scratch reused across calls.
 	PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string
 }
 
@@ -417,14 +411,8 @@ func Evaluate(pred Predictor, spec tasks.Spec, ins []*data.Instance, k *tasks.Kn
 		return 0
 	}
 	metric := tasks.NewMetric(spec.Metric)
-	if bp, ok := pred.(BatchPredictor); ok {
-		for i, got := range bp.PredictBatchWith(spec, ins, k) {
-			metric.Add(got, ins[i].GoldText())
-		}
-		return metric.Score()
-	}
-	for _, in := range ins {
-		metric.Add(pred.PredictWith(spec, in, k), in.GoldText())
+	for i, got := range pred.PredictBatchWith(spec, ins, k) {
+		metric.Add(got, ins[i].GoldText())
 	}
 	return metric.Score()
 }
@@ -433,18 +421,9 @@ func Evaluate(pred Predictor, spec tasks.Spec, ins []*data.Instance, k *tasks.Kn
 // (Algorithm 2 line 6).
 func Errors(pred Predictor, spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []ErrorCase {
 	var out []ErrorCase
-	if bp, ok := pred.(BatchPredictor); ok {
-		for i, got := range bp.PredictBatchWith(spec, ins, k) {
-			if !equalAnswer(got, ins[i].GoldText()) {
-				out = append(out, ErrorCase{Instance: ins[i], Predicted: got})
-			}
-		}
-		return out
-	}
-	for _, in := range ins {
-		got := pred.PredictWith(spec, in, k)
-		if !equalAnswer(got, in.GoldText()) {
-			out = append(out, ErrorCase{Instance: in, Predicted: got})
+	for i, got := range pred.PredictBatchWith(spec, ins, k) {
+		if !equalAnswer(got, ins[i].GoldText()) {
+			out = append(out, ErrorCase{Instance: ins[i], Predicted: got})
 		}
 	}
 	return out

@@ -12,18 +12,22 @@ import (
 // otherwise always "no" — a stand-in DP-LLM with a known knowledge gap.
 type fakePredictor struct{}
 
-func (fakePredictor) PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string {
-	hints := k.Hints(in)
-	best, bestH := -1, 0.0
-	for i, h := range hints {
-		if h > bestH {
-			best, bestH = i, h
+func (fakePredictor) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
+	out := make([]string, len(ins))
+	for n, in := range ins {
+		hints := k.Hints(in)
+		best, bestH := -1, 0.0
+		for i, h := range hints {
+			if h > bestH {
+				best, bestH = i, h
+			}
+		}
+		out[n] = tasks.AnswerNo
+		if best >= 0 {
+			out[n] = in.Candidates[best]
 		}
 	}
-	if best >= 0 {
-		return in.Candidates[best]
-	}
-	return tasks.AnswerNo
+	return out
 }
 
 // fakeOracle returns a fixed pool: one useless and one perfect knowledge.

@@ -40,6 +40,7 @@ func (c *ICL) Adapt(ctx *AdaptContext) Predictor {
 	}
 	p := &iclPredictor{
 		m:      m,
+		enc:    text.NewEncoder(m.Hasher),
 		spec:   ctx.Bundle.Spec(),
 		k:      k,
 		weight: c.VoteWeight,
@@ -50,7 +51,7 @@ func (c *ICL) Adapt(ctx *AdaptContext) Predictor {
 	for _, in := range ctx.FewShot {
 		p.demos = append(p.demos, demo{
 			in:  in,
-			vec: demoVec(m, in),
+			vec: recordVec(p.enc, in),
 			ans: in.GoldText(),
 		})
 	}
@@ -65,39 +66,39 @@ type demo struct {
 
 type iclPredictor struct {
 	m      *model.Model
+	enc    *text.Encoder // retrieval-side hashing; the model keeps its own
 	spec   tasks.Spec
 	k      int
 	weight float64
 	demos  []demo
 }
 
-// demoVec hashes an instance's record content for retrieval.
-func demoVec(m *model.Model, in *data.Instance) *tensor.Sparse {
-	segs := make([]text.Segment, 0, len(in.Fields))
-	for _, f := range in.Fields {
-		segs = append(segs, text.Segment{Field: f.Name, Text: f.Value, Weight: 1})
+// neighbor is one retrieved demonstration with its similarity to the query.
+type neighbor struct {
+	d   demo
+	sim float64
+}
+
+// neighbors returns the k demonstrations most similar to in, best first.
+func (p *iclPredictor) neighbors(in *data.Instance) []neighbor {
+	q := recordVec(p.enc, in)
+	ns := make([]neighbor, 0, len(p.demos))
+	for _, d := range p.demos {
+		ns = append(ns, neighbor{d, q.Dot(d.vec)})
 	}
-	return m.Hasher.Encode(segs...)
+	sort.SliceStable(ns, func(i, j int) bool { return ns[i].sim > ns[j].sim })
+	if len(ns) > p.k {
+		ns = ns[:p.k]
+	}
+	return ns
 }
 
 // Predict builds the demonstration-augmented prompt and combines model
 // scores with similarity-weighted neighbor votes.
 func (p *iclPredictor) Predict(in *data.Instance) string {
-	q := demoVec(p.m, in)
-	type scored struct {
-		d   demo
-		sim float64
-	}
-	neighbors := make([]scored, 0, len(p.demos))
-	for _, d := range p.demos {
-		neighbors = append(neighbors, scored{d, q.Dot(d.vec)})
-	}
-	sort.SliceStable(neighbors, func(i, j int) bool { return neighbors[i].sim > neighbors[j].sim })
-	if len(neighbors) > p.k {
-		neighbors = neighbors[:p.k]
-	}
-
-	ex := tasks.BuildExample(p.spec, in, nil)
+	neighbors := p.neighbors(in)
+	var ex tasks.Example
+	tasks.BuildExampleInto(&ex, p.spec, in, nil)
 	// Serialize demonstrations into the prompt. They are hashed into an
 	// isolated namespace at low weight: in a transformer the demonstrations
 	// occupy context without overwriting the query representation, and the
@@ -109,9 +110,9 @@ func (p *iclPredictor) Predict(in *data.Instance) string {
 			Weight:   0.04,
 			Isolated: true,
 		})
-		ex.Prompt += "\nExample: " + data.RenderRecord(n.d.in.Fields) + " -> " + n.d.ans
 	}
-	scores := p.m.Scores(ex).Clone()
+	// The votes are added in place, to the model's score scratch.
+	scores := p.m.ScoresBatch([]*tasks.Example{&ex})[0]
 	// ... and vote on candidates.
 	for _, n := range neighbors {
 		if n.sim <= 0 {
@@ -123,34 +124,16 @@ func (p *iclPredictor) Predict(in *data.Instance) string {
 			}
 		}
 	}
-	best := 0
-	for i, s := range scores {
-		if s > scores[best] {
-			best = i
-		}
-	}
+	best, _ := model.Argmax(scores)
 	return ex.Candidates[best]
 }
 
 // PromptTokens reports the token count of one demonstration-augmented
 // prompt, used by the Table III cost analysis.
 func (p *iclPredictor) PromptTokens(in *data.Instance) (input, output int) {
-	q := demoVec(p.m, in)
-	type scored struct {
-		d   demo
-		sim float64
-	}
-	neighbors := make([]scored, 0, len(p.demos))
-	for _, d := range p.demos {
-		neighbors = append(neighbors, scored{d, q.Dot(d.vec)})
-	}
-	sort.SliceStable(neighbors, func(i, j int) bool { return neighbors[i].sim > neighbors[j].sim })
-	if len(neighbors) > p.k {
-		neighbors = neighbors[:p.k]
-	}
 	ex := tasks.BuildExample(p.spec, in, nil)
 	prompt := ex.Prompt
-	for _, n := range neighbors {
+	for _, n := range p.neighbors(in) {
 		prompt += "\nExample: " + data.RenderRecord(n.d.in.Fields) + " -> " + n.d.ans
 	}
 	return text.CountTokens(prompt), text.CountTokens(p.Predict(in))

@@ -11,6 +11,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/skc"
 	"repro/internal/tasks"
+	"repro/internal/text"
 )
 
 // MELD reimplements the Mixture-of-Experts baseline [Yan et al., KDD 2024]
@@ -37,8 +38,9 @@ type Centroid struct {
 // CentroidOf computes a dataset centroid from sample instances.
 func CentroidOf(m *model.Model, name string, ins []*data.Instance) Centroid {
 	vec := make([]float64, m.Cfg.Dim)
+	enc := text.NewEncoder(m.Hasher)
 	for _, in := range ins {
-		v := demoVec(m, in)
+		v := recordVec(enc, in)
 		for i, idx := range v.Idx {
 			vec[idx] += v.Val[i]
 		}
@@ -73,6 +75,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 
 	p := &meldPredictor{
 		m:     host,
+		enc:   text.NewEncoder(host.Hasher),
 		spec:  ctx.Bundle.Spec(),
 		topK:  m.TopK,
 		cents: m.Centroids,
@@ -147,6 +150,7 @@ type expert struct {
 
 type meldPredictor struct {
 	m       *model.Model
+	enc     *text.Encoder // routing-side hashing; the model keeps its own
 	spec    tasks.Spec
 	topK    int
 	experts []expert
@@ -156,7 +160,7 @@ type meldPredictor struct {
 // route sets the expert gate coefficients for one instance: softmax over
 // centroid similarities, truncated to the top-k experts.
 func (p *meldPredictor) route(in *data.Instance) {
-	v := demoVec(p.m, in)
+	v := recordVec(p.enc, in)
 	sims := make([]float64, len(p.experts))
 	for i := range p.experts {
 		var s float64

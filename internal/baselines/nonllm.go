@@ -42,6 +42,10 @@ func (NonLLM) Adapt(ctx *AdaptContext) Predictor {
 	}
 }
 
+// newEncoder returns the feature hasher of the learned non-LLM methods: the
+// default-dimension space the DP-LM sees. Each predictor owns one.
+func newEncoder() *text.Encoder { return text.NewEncoder(text.NewHasher(text.DefaultDim)) }
+
 type constPredictor struct{ ans string }
 
 func (c constPredictor) Predict(*data.Instance) string { return c.ans }
@@ -174,13 +178,13 @@ func (m *memoCorrector) Predict(in *data.Instance) string {
 // segments (the same features the DP-LM sees) trained on the few-shot pairs.
 type logReg struct {
 	spec tasks.Spec
-	h    *text.Hasher
+	enc  *text.Encoder
 	w    []float64
 	b    float64
 }
 
 func newLogReg(kind tasks.Kind, fewshot []*data.Instance, seed int64) *logReg {
-	lr := &logReg{spec: tasks.SpecFor(kind), h: text.NewHasher(text.DefaultDim), w: make([]float64, text.DefaultDim)}
+	lr := &logReg{spec: tasks.SpecFor(kind), enc: newEncoder(), w: make([]float64, text.DefaultDim)}
 	type sample struct {
 		x *tensor.Sparse
 		y float64
@@ -218,7 +222,7 @@ func (lr *logReg) encode(in *data.Instance) *tensor.Sparse {
 	for _, f := range in.Fields {
 		segs = append(segs, text.Segment{Field: f.Entity + "." + f.Name, Text: f.Value, Weight: 1})
 	}
-	return lr.h.Encode(segs...)
+	return lr.enc.Encode(segs)
 }
 
 func (lr *logReg) prob(x *tensor.Sparse) float64 {
@@ -239,30 +243,32 @@ func (lr *logReg) Predict(in *data.Instance) string {
 // --- DI: IPM-style nearest-neighbor imputer ------------------------------------
 
 type knnImputer struct {
-	h     *text.Hasher
+	enc   *text.Encoder
 	memo  []*tensor.Sparse
 	golds []string
 }
 
 func newKNNImputer(fewshot []*data.Instance) *knnImputer {
-	k := &knnImputer{h: text.NewHasher(text.DefaultDim)}
+	k := &knnImputer{enc: newEncoder()}
 	for _, in := range fewshot {
-		k.memo = append(k.memo, recordVec(k.h, in))
+		k.memo = append(k.memo, recordVec(k.enc, in))
 		k.golds = append(k.golds, in.GoldText())
 	}
 	return k
 }
 
-func recordVec(h *text.Hasher, in *data.Instance) *tensor.Sparse {
+// recordVec hashes an instance's record content, one field segment per
+// attribute: the retrieval key of the kNN, centroid, ICL and MELD methods.
+func recordVec(e *text.Encoder, in *data.Instance) *tensor.Sparse {
 	segs := make([]text.Segment, 0, len(in.Fields))
 	for _, f := range in.Fields {
 		segs = append(segs, text.Segment{Field: f.Name, Text: f.Value, Weight: 1})
 	}
-	return h.Encode(segs...)
+	return e.Encode(segs)
 }
 
 func (k *knnImputer) Predict(in *data.Instance) string {
-	q := recordVec(k.h, in)
+	q := recordVec(k.enc, in)
 	best, bestSim := -1, -1.0
 	for i, v := range k.memo {
 		if s := q.Dot(v); s > bestSim {
@@ -285,13 +291,13 @@ func (k *knnImputer) Predict(in *data.Instance) string {
 // --- CTA: Doduo-style nearest-centroid typer -----------------------------------
 
 type centroidTyper struct {
-	h      *text.Hasher
+	enc    *text.Encoder
 	labels []string
 	cents  [][]float64
 }
 
 func newCentroidTyper(fewshot []*data.Instance) *centroidTyper {
-	c := &centroidTyper{h: text.NewHasher(text.DefaultDim)}
+	c := &centroidTyper{enc: newEncoder()}
 	byLabel := map[string][]*data.Instance{}
 	for _, in := range fewshot {
 		byLabel[in.GoldText()] = append(byLabel[in.GoldText()], in)
@@ -304,7 +310,7 @@ func newCentroidTyper(fewshot []*data.Instance) *centroidTyper {
 	for _, l := range labels {
 		vec := make([]float64, text.DefaultDim)
 		for _, in := range byLabel[l] {
-			v := recordVec(c.h, in)
+			v := recordVec(c.enc, in)
 			for i, idx := range v.Idx {
 				vec[idx] += v.Val[i]
 			}
@@ -326,7 +332,7 @@ func newCentroidTyper(fewshot []*data.Instance) *centroidTyper {
 }
 
 func (c *centroidTyper) Predict(in *data.Instance) string {
-	q := recordVec(c.h, in)
+	q := recordVec(c.enc, in)
 	best, bestSim := "", -1.0
 	for i, cent := range c.cents {
 		var s float64

@@ -20,8 +20,12 @@ import (
 // any replica gives byte-identical answers.
 type echoAdapter struct{ key string }
 
-func (a *echoAdapter) Predict(_ context.Context, in *data.Instance) string {
-	return a.key + ":" + in.ID
+func (a *echoAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []string {
+	out := make([]string, len(ins))
+	for i, in := range ins {
+		out[i] = a.key + ":" + in.ID
+	}
+	return out
 }
 
 // newBackend spins up a full serve stack (registry + HTTP server) like a

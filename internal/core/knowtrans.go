@@ -142,26 +142,25 @@ type Adapted struct {
 	AKBResult *akb.Result
 }
 
-// Predict answers one instance with the searched knowledge in the prompt.
-// A canceled or expired context short-circuits to the empty string — the
-// serving layer uses this to shed work for disconnected clients; batch
-// callers pass context.Background() and always get a real answer.
-//
-// Predict is not safe for concurrent use on one Adapted (the underlying
-// model reuses scratch buffers); the serve batcher serializes per-adapter
-// calls for exactly this reason.
+// Predict answers one instance with the searched knowledge in the prompt: a
+// batch of one through PredictBatch. A canceled or expired context
+// short-circuits to the empty string; callers without a deadline pass
+// context.Background() and always get a real answer.
 func (a *Adapted) Predict(ctx context.Context, in *data.Instance) string {
-	if ctx != nil && ctx.Err() != nil {
-		return ""
+	if out := a.PredictBatch(ctx, []*data.Instance{in}); len(out) == 1 {
+		return out[0]
 	}
-	return a.Model.PredictWith(tasks.SpecFor(a.Kind), in, a.Knowledge)
+	return ""
 }
 
-// PredictBatch answers a whole micro-batch through the model's batched
-// forward pass. Answers are identical to calling Predict per instance (the
-// batched path is bit-identical to the serial one); the serve batcher is the
-// caller. The returned slice is scratch reused across calls; a dead context
-// returns nil.
+// PredictBatch answers a whole micro-batch, one answer per instance in
+// order, with the searched knowledge in the prompt. The returned slice is
+// scratch reused across calls; a dead context returns nil — the serving
+// layer uses this to shed work nobody is waiting for.
+//
+// It is not safe for concurrent use on one Adapted (the underlying model
+// reuses scratch buffers); the serve batcher serializes per-adapter calls
+// for exactly this reason.
 func (a *Adapted) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
 	if ctx != nil && ctx.Err() != nil {
 		return nil
@@ -180,8 +179,8 @@ func (d Detached) Predict(in *data.Instance) string {
 }
 
 // PredictBatch satisfies the harness's context-free batched face, so
-// experiment eval loops score adapted models one micro-batch per forward
-// instead of one instance per forward. The returned slice is scratch.
+// experiment eval loops score adapted models a slice at a time. The
+// returned slice is scratch.
 func (d Detached) PredictBatch(ins []*data.Instance) []string {
 	return d.Adapted.PredictBatch(context.Background(), ins)
 }

@@ -6,13 +6,11 @@ import (
 
 	"repro/internal/akb"
 	"repro/internal/baselines"
-	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/lora"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/oracle"
-	"repro/internal/tasks"
 )
 
 // --- Fig. 4: scalability --------------------------------------------------------
@@ -203,27 +201,4 @@ func runFig7(z *Zoo, reps int) *Table {
 		}
 	}
 	return t
-}
-
-// evaluateAdapted scores an Adapted on instances (helper for tests). Like
-// baselines.Evaluate it prefers the batched face when the predictor has one.
-func evaluateAdapted(a interface {
-	Predict(in *data.Instance) string
-}, kind tasks.Kind, test []*data.Instance) float64 {
-	spec := tasks.SpecFor(kind)
-	metric := tasks.NewMetric(spec.Metric)
-	if bp, ok := a.(interface {
-		PredictBatch(ins []*data.Instance) []string
-	}); ok {
-		if got := bp.PredictBatch(test); len(got) == len(test) {
-			for i, g := range got {
-				metric.Add(g, test[i].GoldText())
-			}
-			return metric.Score()
-		}
-	}
-	for _, in := range test {
-		metric.Add(a.Predict(in), in.GoldText())
-	}
-	return metric.Score()
 }

@@ -53,18 +53,22 @@ func chaosInstances(n int) []*data.Instance {
 // enough model for Evaluate to rank candidates.
 type hintPredictor struct{}
 
-func (hintPredictor) PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string {
-	hints := k.Hints(in)
-	best, bestH := -1, 0.0
-	for i, h := range hints {
-		if h > bestH {
-			best, bestH = i, h
+func (hintPredictor) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
+	out := make([]string, len(ins))
+	for n, in := range ins {
+		hints := k.Hints(in)
+		best, bestH := -1, 0.0
+		for i, h := range hints {
+			if h > bestH {
+				best, bestH = i, h
+			}
+		}
+		out[n] = tasks.AnswerNo
+		if best >= 0 {
+			out[n] = in.Candidates[best]
 		}
 	}
-	if best >= 0 {
-		return in.Candidates[best]
-	}
-	return tasks.AnswerNo
+	return out
 }
 
 // chaosChain builds the production fault chain (the same shape

@@ -29,7 +29,7 @@ import (
 type Engine struct {
 	// Res answers rows: the local Registry offline, the cluster Router at
 	// fleet scale. Concurrent row predicts through it ride the per-adapter
-	// micro-batch loop (the BatchPredictor seam) automatically.
+	// micro-batch loop automatically.
 	Res serve.Resolver
 	// CheckpointDir holds the per-job checkpoint logs. Required for Run;
 	// Plan never touches it.

@@ -10,18 +10,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the batched inference path: one forward pass over a whole
-// micro-batch of examples, with the union of candidate strings encoded once
-// and all per-layer matmuls fused into single batched kernels. The batched
-// path is an optimization ONLY — it performs bit-identical arithmetic to
-// Scores/Predict example by example (pinned by the equivalence suite and the
-// serve selftest), so the serial path remains the oracle.
+// This file is the inference path, for any batch size n ≥ 1: one forward pass
+// over a whole micro-batch of examples, with the union of candidate strings
+// encoded once and each layer's matmul done once for the batch. Row by row it
+// performs the float64 arithmetic of the training forward (forwardInput /
+// forwardCand) in the same order; the reference kernel in the tests is built
+// from that forward and the equivalence suite compares bit for bit.
 
 // evalBatch bounds the internal batch size of PredictBatchWith so scratch
 // matrices stay small regardless of dataset size.
 const evalBatch = 64
 
-// batchScratch owns every reusable buffer of the batched path. A Model is
+// batchScratch owns every reusable buffer of the inference path. A Model is
 // not safe for concurrent use — on the serve path the per-adapter batcher is
 // the serialization point — so single ownership is enough.
 type batchScratch struct {
@@ -46,11 +46,12 @@ func (m *Model) batchScratch() *batchScratch {
 	return m.batch
 }
 
-// nanSafeArgmax returns the index of the maximum score, skipping NaNs, with
-// ties broken deterministically toward the lower index (matching the
-// historical argmax). It also reports how many scores were NaN; when every
-// score is NaN it falls back to candidate 0.
-func nanSafeArgmax(scores []float64) (best, nans int) {
+// Argmax returns the index of the maximum score, skipping NaNs (a NaN in slot
+// 0 would otherwise poison every comparison and silently elect candidate 0),
+// with ties broken deterministically toward the lower index. It also reports
+// how many scores were NaN; when every score is NaN it falls back to
+// candidate 0.
+func Argmax(scores []float64) (best, nans int) {
 	best = -1
 	for k, s := range scores {
 		if math.IsNaN(s) {
@@ -67,10 +68,10 @@ func nanSafeArgmax(scores []float64) (best, nans int) {
 	return best, nans
 }
 
-// ScoresBatch runs one batched forward pass over exs and returns one score
-// slice per example, bit-identical to calling Scores on each example in
-// turn. The returned slices are scratch reused across calls. Candidate
-// strings repeated across the batch are encoded and forwarded once.
+// ScoresBatch runs one forward pass over exs (any n ≥ 1) and returns one raw
+// candidate-score slice per example. The returned slices are scratch reused
+// across calls. Candidate strings repeated across the batch are encoded and
+// forwarded once. It panics on an example without candidates.
 func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	n := len(exs)
 	if n == 0 {
@@ -81,8 +82,7 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	b := m.batchScratch()
 	h := m.Cfg.Hidden
 
-	// Encode every input through the zero-alloc serializer (bit-identical to
-	// Hasher.Encode) into reused per-slot sparse vectors.
+	// Encode every input into reused per-slot sparse vectors.
 	for len(b.encs) < n {
 		b.encs = append(b.encs, &tensor.Sparse{})
 	}
@@ -104,8 +104,8 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	b.pool.PutMat(H)
 
 	// Deduplicate the union of candidate strings across the batch and encode
-	// each unique candidate once (through the shared candidate cache, like
-	// the serial path).
+	// each unique candidate once (through the candidate cache training
+	// shares).
 	clear(b.uniq)
 	b.cands = b.cands[:0]
 	total := 0
@@ -128,13 +128,13 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	b.pool.PutMat(CH)
 
 	// One Gram product scores every (input, unique candidate) pair; each
-	// entry is the same register-accumulated dot the serial path computes.
+	// entry is the same register-accumulated dot Step computes.
 	S := b.pool.GetMat(n, u)
 	tensor.MatMulNT(F, G, S)
 	b.pool.PutMat(F)
 	b.pool.PutMat(G)
 
-	// Gather per-example rows with the serial op order: dot, then *inv, then
+	// Gather per-example rows in Step's op order: dot, then *inv, then
 	// + trust·hint.
 	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
 	if cap(b.flat) < total {
@@ -158,9 +158,9 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	return b.scores
 }
 
-// PredictBatch returns the argmax candidate index for each example via one
-// batched forward pass. NaN scores are skipped exactly as in Predict, and
-// counted in model.nan_scores.
+// PredictBatch returns the highest-scoring candidate's index for each example
+// via one forward pass. NaN scores are skipped (see Argmax) and counted in
+// model.nan_scores.
 func (m *Model) PredictBatch(exs []*tasks.Example) []int {
 	scores := m.ScoresBatch(exs)
 	m.Rec.Count("model.predict", int64(len(exs)))
@@ -168,7 +168,7 @@ func (m *Model) PredictBatch(exs []*tasks.Example) []int {
 	b.idxs = b.idxs[:0]
 	nans := 0
 	for _, sc := range scores {
-		best, bad := nanSafeArgmax(sc)
+		best, bad := Argmax(sc)
 		nans += bad
 		b.idxs = append(b.idxs, best)
 	}
@@ -179,8 +179,8 @@ func (m *Model) PredictBatch(exs []*tasks.Example) []int {
 }
 
 // PredictBatchWith serializes instances under the given knowledge (without
-// rendering prompts — the serve-path serializer) and predicts them in
-// batches of evalBatch. The returned slice is scratch reused across calls.
+// rendering prompts) and predicts them in batches of evalBatch. The returned
+// slice is scratch reused across calls. It satisfies akb.Predictor.
 func (m *Model) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
 	b := m.batchScratch()
 	if cap(b.answers) < len(ins) {

@@ -45,10 +45,18 @@ func disjointCandidates(ins []*data.Instance) {
 	}
 }
 
-// TestScoresBatchMatchesScores is the table-driven equivalence suite from
-// the issue: batch sizes {1, 7, MaxBatch(=64)}, shared vs disjoint candidate
-// sets, with and without hint-carrying knowledge — every score bit-identical
-// to the serial oracle, every argmax identical.
+// fused12Model is the inference shape SKC produces: 12 loaded patches under
+// their own λ plus the shared patch, on every layer.
+func fused12Model(*testing.T) *Model {
+	m, _ := fusedModel(12)
+	m.Trust.Val = 0.3
+	return m
+}
+
+// TestScoresBatchMatchesScores is the table-driven equivalence suite: batch
+// sizes {1, 7, 8, MaxBatch(=64)}, shared vs disjoint candidate sets, with and
+// without hint-carrying knowledge, on a one-patch and a fused 12-patch model —
+// every score bit-identical to referenceScores, every argmax identical.
 func TestScoresBatchMatchesScores(t *testing.T) {
 	spec := tasks.SpecFor(tasks.ED)
 	cases := []struct {
@@ -56,19 +64,23 @@ func TestScoresBatchMatchesScores(t *testing.T) {
 		size     int
 		disjoint bool
 		know     *tasks.Knowledge
+		model    func(*testing.T) *Model
 	}{
-		{"batch1-shared", 1, false, nil},
-		{"batch7-shared", 7, false, nil},
-		{"batch64-shared", 64, false, nil},
-		{"batch7-disjoint", 7, true, nil},
-		{"batch64-disjoint", 64, true, nil},
-		{"batch7-hints", 7, false, hintKnowledge()},
-		{"batch64-hints", 64, false, hintKnowledge()},
-		{"batch1-hints", 1, false, hintKnowledge()},
+		{"batch1-shared", 1, false, nil, patchedModel},
+		{"batch7-shared", 7, false, nil, patchedModel},
+		{"batch64-shared", 64, false, nil, patchedModel},
+		{"batch1-disjoint", 1, true, nil, patchedModel},
+		{"batch7-disjoint", 7, true, nil, patchedModel},
+		{"batch64-disjoint", 64, true, nil, patchedModel},
+		{"batch7-hints", 7, false, hintKnowledge(), patchedModel},
+		{"batch64-hints", 64, false, hintKnowledge(), patchedModel},
+		{"batch1-hints", 1, false, hintKnowledge(), patchedModel},
+		{"batch1-fused12", 1, false, hintKnowledge(), fused12Model},
+		{"batch8-fused12", 8, true, nil, fused12Model},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := patchedModel(t)
+			m := tc.model(t)
 			ins := toyED(tc.size, int64(100+tc.size))
 			if tc.disjoint {
 				disjointCandidates(ins)
@@ -77,13 +89,11 @@ func TestScoresBatchMatchesScores(t *testing.T) {
 			for i, in := range ins {
 				exs[i] = tasks.BuildExample(spec, in, tc.know)
 			}
-			// Serial oracle first (Scores returns scratch; copy out).
 			want := make([][]float64, len(exs))
 			wantIdx := make([]int, len(exs))
 			for i, ex := range exs {
-				sc := m.Scores(ex)
-				want[i] = append([]float64(nil), sc...)
-				wantIdx[i], _ = nanSafeArgmax(sc)
+				want[i] = referenceScores(m, ex)
+				wantIdx[i], _ = Argmax(want[i])
 			}
 			got := m.ScoresBatch(exs)
 			if len(got) != len(want) {
@@ -95,14 +105,14 @@ func TestScoresBatchMatchesScores(t *testing.T) {
 				}
 				for k := range want[i] {
 					if math.Float64bits(got[i][k]) != math.Float64bits(want[i][k]) {
-						t.Fatalf("%s row %d cand %d: batched %x serial %x", tc.name, i, k,
+						t.Fatalf("%s row %d cand %d: batched %x reference %x", tc.name, i, k,
 							math.Float64bits(got[i][k]), math.Float64bits(want[i][k]))
 					}
 				}
 			}
 			for i, best := range m.PredictBatch(exs) {
 				if best != wantIdx[i] {
-					t.Fatalf("row %d: batched argmax %d, serial %d", i, best, wantIdx[i])
+					t.Fatalf("row %d: batched argmax %d, reference %d", i, best, wantIdx[i])
 				}
 			}
 		})
@@ -110,21 +120,65 @@ func TestScoresBatchMatchesScores(t *testing.T) {
 }
 
 // TestPredictBatchWithMatchesPredictWith pins the full serve-path chain
-// (BuildExampleInto + batched forward) against the serial PredictWith,
-// across a chunk boundary (evalBatch+5 instances).
+// (BuildExampleInto + forward + argmax) across a chunk boundary (evalBatch+5
+// instances): each answer equals the reference's, and equals what the n = 1
+// wrapper PredictWith says for that instance alone.
 func TestPredictBatchWithMatchesPredictWith(t *testing.T) {
 	m := patchedModel(t)
 	spec := tasks.SpecFor(tasks.ED)
 	ins := toyED(evalBatch+5, 77)
 	k := hintKnowledge()
-	got := m.PredictBatchWith(spec, ins, k)
+	// The result is scratch the PredictWith calls below reuse: copy it out.
+	got := append([]string(nil), m.PredictBatchWith(spec, ins, k)...)
 	if len(got) != len(ins) {
 		t.Fatalf("got %d answers for %d instances", len(got), len(ins))
 	}
 	for i, in := range ins {
-		if want := m.PredictWith(spec, in, k); got[i] != want {
-			t.Fatalf("instance %d: batched %q, serial %q", i, got[i], want)
+		best, _ := Argmax(referenceScores(m, tasks.BuildExample(spec, in, k)))
+		if want := in.Candidates[best]; got[i] != want {
+			t.Fatalf("instance %d: batched %q, reference %q", i, got[i], want)
 		}
+		if one := m.PredictWith(spec, in, k); got[i] != one {
+			t.Fatalf("instance %d: batched %q, alone %q", i, got[i], one)
+		}
+	}
+}
+
+// TestScoresBatchFollowsCoefficientChanges is the MELD shape: the expert
+// gate rewrites attachment coefficients between two n = 1 calls on the same
+// model, so nothing the forward keeps across calls (candidate cache, pooled
+// scratch) may depend on weights. Each call must match the reference under
+// the coefficients in force, and the two must differ.
+func TestScoresBatchFollowsCoefficientChanges(t *testing.T) {
+	m := New(tinyConfig())
+	rng := rand.New(rand.NewSource(31))
+	var gates []*nn.Scalar
+	for i := 0; i < 3; i++ {
+		coef := &nn.Scalar{Name: "gate", Frozen: true}
+		p := lora.Attach("expert", m.LoraLayers(), lora.Config{Rank: 2, Alpha: 1}, coef, rng)
+		for _, at := range p.Attachments {
+			at.A.W.FillGaussian(rng, 0.4)
+		}
+		gates = append(gates, coef)
+	}
+	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 41)[0], nil)
+	var seen [][]float64
+	for _, route := range [][]float64{{0.7, 0.3, 0}, {0, 0.1, 0.9}} {
+		for i, g := range gates {
+			g.Val = route[i]
+		}
+		got := append([]float64(nil), m.ScoresBatch(one(ex))[0]...)
+		want := referenceScores(m, ex)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("route %v cand %d: batched %x reference %x", route, k,
+					math.Float64bits(got[k]), math.Float64bits(want[k]))
+			}
+		}
+		seen = append(seen, got)
+	}
+	if seen[0][0] == seen[1][0] && seen[0][1] == seen[1][1] {
+		t.Fatal("test setup: re-routing the experts did not move the scores")
 	}
 }
 
@@ -146,16 +200,16 @@ func TestPredictNaNSafe(t *testing.T) {
 		{"negatives", []float64{nan, -3, -1}, 2, 1},
 	}
 	for _, tc := range cases {
-		best, nans := nanSafeArgmax(tc.scores)
+		best, nans := Argmax(tc.scores)
 		if best != tc.want || nans != tc.nans {
-			t.Fatalf("%s: nanSafeArgmax = (%d, %d), want (%d, %d)", tc.name, best, nans, tc.want, tc.nans)
+			t.Fatalf("%s: Argmax = (%d, %d), want (%d, %d)", tc.name, best, nans, tc.want, tc.nans)
 		}
 	}
 }
 
-// TestPredictCountsNaNScores drives a real NaN through Predict and
-// PredictBatch (via a poisoned hint on one candidate) and checks the
-// model.nan_scores counter and that both argmaxes skip the NaN.
+// TestPredictCountsNaNScores drives a real NaN through PredictBatch (via a
+// poisoned hint on one candidate) and checks the model.nan_scores counter and
+// that the argmax skips the NaN.
 func TestPredictCountsNaNScores(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := New(tinyConfig())
@@ -165,18 +219,10 @@ func TestPredictCountsNaNScores(t *testing.T) {
 	in.Fields[0].Value = "0.07%"
 	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
 	ex.Hints = []float64{math.NaN(), 0} // poisons candidate 0 only
-	best := m.Predict(ex)
-	if best != 1 {
-		t.Fatalf("Predict returned the NaN-scored candidate: %d", best)
+	if best := m.PredictBatch(one(ex))[0]; best != 1 {
+		t.Fatalf("PredictBatch returned the NaN-scored candidate: %d", best)
 	}
 	if got := reg.Counter("model.nan_scores").Value(); got != 1 {
-		t.Fatalf("model.nan_scores = %d after Predict, want 1", got)
-	}
-	batch := m.PredictBatch([]*tasks.Example{ex})
-	if batch[0] != 1 {
-		t.Fatalf("PredictBatch returned the NaN-scored candidate: %d", batch[0])
-	}
-	if got := reg.Counter("model.nan_scores").Value(); got != 2 {
-		t.Fatalf("model.nan_scores = %d after PredictBatch, want 2", got)
+		t.Fatalf("model.nan_scores = %d after PredictBatch, want 1", got)
 	}
 }

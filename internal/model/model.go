@@ -20,7 +20,6 @@
 package model
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -89,7 +88,7 @@ type Model struct {
 	batch     *batchScratch
 }
 
-// scratch is the per-model state of Scores and Step.
+// scratch is the per-model state of Step.
 type scratch struct {
 	scores  tensor.Vec
 	dscores tensor.Vec
@@ -169,13 +168,8 @@ func (m *Model) LoraLayers() map[string]lora.Layer {
 	}
 }
 
-// EncodeInput hashes prompt segments into the input feature space.
-func (m *Model) EncodeInput(segs []text.Segment) *tensor.Sparse {
-	return m.Hasher.Encode(segs...)
-}
-
-// encoder returns the model's streaming serializer, bit-identical to
-// Hasher.Encode without its per-call allocations.
+// encoder returns the model's streaming serializer, shared by training and
+// inference.
 func (m *Model) encoder() *text.Encoder {
 	if m.enc == nil {
 		m.enc = text.NewEncoder(m.Hasher)
@@ -222,60 +216,6 @@ func (m *Model) backwardCand(dg tensor.Vec) {
 	d = m.candDense.Backward(d)
 	d = m.candAct1.Backward(d)
 	m.candEmb.Backward(d)
-}
-
-// Scores runs the forward pass on an example and returns raw candidate
-// scores. The returned slice is scratch reused across calls.
-func (m *Model) Scores(ex *tasks.Example) tensor.Vec {
-	m.Rec.Count("model.forward", 1)
-	n := len(ex.Candidates)
-	if n == 0 {
-		panic(fmt.Sprintf("model: example %q has no candidates", ex.Prompt))
-	}
-	if cap(m.scratch.scores) < n {
-		m.scratch.scores = tensor.NewVec(n)
-		m.scratch.dscores = tensor.NewVec(n)
-	}
-	scores := m.scratch.scores[:n]
-	x := m.EncodeInput(ex.Segments)
-	f := m.forwardInput(x)
-	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
-	for k, c := range ex.Candidates {
-		g := m.forwardCand(m.encodeCand(c))
-		s := f.Dot(g) * inv
-		if ex.Hints != nil {
-			s += m.Trust.Val * ex.Hints[k]
-		}
-		scores[k] = s
-	}
-	return scores
-}
-
-// Predict returns the index of the highest-scoring candidate; ties break
-// deterministically toward the lower index. NaN scores are skipped (a NaN in
-// slot 0 used to poison every comparison and silently elect candidate 0) and
-// surface in the model.nan_scores counter; an all-NaN row falls back to 0.
-func (m *Model) Predict(ex *tasks.Example) int {
-	m.Rec.Count("model.predict", 1)
-	scores := m.Scores(ex)
-	best, nans := nanSafeArgmax(scores)
-	if nans > 0 {
-		m.Rec.Count("model.nan_scores", int64(nans))
-	}
-	return best
-}
-
-// PredictText returns the predicted candidate string.
-func (m *Model) PredictText(ex *tasks.Example) string {
-	return ex.Candidates[m.Predict(ex)]
-}
-
-// Loss computes the softmax cross-entropy of an example without touching
-// gradients.
-func (m *Model) Loss(ex *tasks.Example) float64 {
-	scores := m.Scores(ex)
-	d := m.scratch.dscores[:len(scores)]
-	return nn.SoftmaxCE(scores, ex.Gold, d)
 }
 
 // swapCandActs exchanges the candidate tower's activation records with a.
@@ -353,16 +293,14 @@ func (m *Model) Step(ex *tasks.Example) float64 {
 	return loss
 }
 
-// PredictWith serializes an instance under the given knowledge and returns
-// the model's answer. It satisfies akb.Predictor.
+// PredictWith answers one instance under the given knowledge: a batch of one
+// through PredictBatchWith.
 func (m *Model) PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string {
-	ex := tasks.BuildExample(spec, in, k)
-	return ex.Candidates[m.Predict(ex)]
+	return m.PredictBatchWith(spec, []*data.Instance{in}, k)[0]
 }
 
 // Evaluate scores the model on instances with the given knowledge and
-// returns the task metric on the 100-point scale. It runs the batched
-// forward path (bit-identical to the serial per-instance loop).
+// returns the task metric on the 100-point scale.
 func (m *Model) Evaluate(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) float64 {
 	metric := tasks.NewMetric(spec.Metric)
 	for i, ans := range m.PredictBatchWith(spec, ins, k) {

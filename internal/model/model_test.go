@@ -79,9 +79,9 @@ func TestModelStepGradientCheck(t *testing.T) {
 		for _, i := range idxs {
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
-			lp := m.Loss(ex)
+			lp := referenceLoss(m, ex)
 			p.W.Data[i] = orig - eps
-			lm := m.Loss(ex)
+			lm := referenceLoss(m, ex)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
 			ana := p.Grad().Data[i]
@@ -92,9 +92,9 @@ func TestModelStepGradientCheck(t *testing.T) {
 	}
 	orig := m.Trust.Val
 	m.Trust.Val = orig + eps
-	lp := m.Loss(ex)
+	lp := referenceLoss(m, ex)
 	m.Trust.Val = orig - eps
-	lm := m.Loss(ex)
+	lm := referenceLoss(m, ex)
 	m.Trust.Val = orig
 	num := (lp - lm) / (2 * eps)
 	if math.Abs(num-m.Trust.Grad) > 1e-6*(1+math.Abs(num)) {
@@ -138,8 +138,8 @@ func TestCloneIndependence(t *testing.T) {
 	c := m.Clone()
 	// Same weights initially.
 	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
-	s1 := m.Scores(ex).Clone()
-	s2 := c.Scores(ex).Clone()
+	s1 := append([]float64(nil), m.ScoresBatch(one(ex))[0]...)
+	s2 := c.ScoresBatch(one(ex))[0]
 	for i := range s1 {
 		if s1[i] != s2[i] {
 			t.Fatal("clone must score identically before training")
@@ -148,7 +148,7 @@ func TestCloneIndependence(t *testing.T) {
 	// Training the clone must not affect the original.
 	ps := c.Params()
 	Train(c, ExamplesFrom(tasks.ED, toyED(30, 6), nil), DefaultTrain(1), &ps)
-	s3 := m.Scores(ex).Clone()
+	s3 := m.ScoresBatch(one(ex))[0]
 	for i := range s1 {
 		if s1[i] != s3[i] {
 			t.Fatal("training a clone mutated the original")
@@ -176,7 +176,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	spec := tasks.SpecFor(tasks.ED)
 	for _, in := range test {
 		ex := tasks.BuildExample(spec, in, nil)
-		if m.Predict(ex) != m2.Predict(ex) {
+		if m.PredictBatch(one(ex))[0] != m2.PredictBatch(one(ex))[0] {
 			t.Fatal("snapshot round trip changed predictions")
 		}
 	}
@@ -229,10 +229,10 @@ func TestPredictDeterministic(t *testing.T) {
 	m := New(tinyConfig())
 	in := toyED(1, 20)[0]
 	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
-	p1 := m.Predict(ex)
+	p1 := m.PredictBatch(one(ex))[0]
 	for i := 0; i < 5; i++ {
-		if m.Predict(ex) != p1 {
-			t.Fatal("Predict must be deterministic")
+		if m.PredictBatch(one(ex))[0] != p1 {
+			t.Fatal("PredictBatch must be deterministic")
 		}
 	}
 }
@@ -244,7 +244,7 @@ func TestScoresPanicsWithoutCandidates(t *testing.T) {
 			t.Fatal("expected panic on empty candidates")
 		}
 	}()
-	m.Scores(&tasks.Example{})
+	m.ScoresBatch(one(&tasks.Example{}))
 }
 
 // fusedModel builds what few-shot fine-tuning trains: a frozen backbone with
@@ -303,9 +303,9 @@ func TestStepKeepsPerCandidateActivations(t *testing.T) {
 		for i := range p.W.Data {
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
-			lp := m.Loss(ex)
+			lp := referenceLoss(m, ex)
 			p.W.Data[i] = orig - eps
-			lm := m.Loss(ex)
+			lm := referenceLoss(m, ex)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
 			if ana := p.Grad().Data[i]; math.Abs(num-ana) > 1e-6*(1+math.Abs(num)) {

@@ -8,55 +8,56 @@ import (
 )
 
 // TestPredictNilRecorderAddsNoAllocs is the zero-cost-when-disabled gate
-// for the Predict hot path: the nil-recorder instrumentation calls Predict
-// makes must contribute zero allocations. We measure Predict as-is (its
-// hooks run against the nil recorder) and Predict plus an extra copy of
-// every hook it contains — identical counts mean the hooks are free.
+// for the predict hot path: the nil-recorder instrumentation calls an n = 1
+// PredictBatch makes must contribute zero allocations. We measure the call
+// as-is (its hooks run against the nil recorder) and the call plus an extra
+// copy of every hook it contains — identical counts mean the hooks are free.
 func TestPredictNilRecorderAddsNoAllocs(t *testing.T) {
 	m := New(tinyConfig())
 	ins := toyED(1, 9)
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[0], nil)
-	m.Predict(ex) // warm caches (candidate encodings, scratch)
+	exs := one(tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[0], nil))
+	m.PredictBatch(exs) // warm caches (candidate encodings, scratch)
 
 	if m.Rec != nil {
 		t.Fatal("fresh model should have a nil recorder")
 	}
 	base := testing.AllocsPerRun(500, func() {
-		m.Predict(ex)
+		m.PredictBatch(exs)
 	})
 	withHooks := testing.AllocsPerRun(500, func() {
 		m.Rec.Count("model.predict", 1)
 		m.Rec.Count("model.forward", 1)
-		m.Predict(ex)
+		m.Rec.Count("model.batch_forward", 1)
+		m.PredictBatch(exs)
 	})
 	if withHooks != base {
 		t.Fatalf("nil-recorder hooks allocate: %v allocs/op with extra hooks vs %v base", withHooks, base)
 	}
 }
 
-// TestPredictCountsWithRecorder checks the counters actually move when a
-// recorder is attached, and that clones inherit it.
+// TestPredictCountsWithRecorder pins the counters of an n = 1 predict — one
+// model.predict, one model.forward, one model.batch_forward — and that
+// clones inherit the recorder.
 func TestPredictCountsWithRecorder(t *testing.T) {
 	m := New(tinyConfig())
 	reg := obs.NewRegistry()
 	m.Rec = obs.NewRecorder(reg, nil)
 	ins := toyED(4, 11)
 	spec := tasks.SpecFor(tasks.ED)
-	for _, in := range ins {
-		m.Predict(tasks.BuildExample(spec, in, nil))
-	}
-	if got := reg.Counter("model.predict").Value(); got != 4 {
-		t.Fatalf("model.predict = %d, want 4", got)
-	}
-	if got := reg.Counter("model.forward").Value(); got != 4 {
-		t.Fatalf("model.forward = %d, want 4", got)
+	for i, in := range ins {
+		m.PredictWith(spec, in, nil)
+		for _, name := range []string{"model.predict", "model.forward", "model.batch_forward"} {
+			if got := reg.Counter(name).Value(); got != int64(i+1) {
+				t.Fatalf("%s = %d after %d n=1 predicts", name, got, i+1)
+			}
+		}
 	}
 
 	c := m.Clone()
 	if c.Rec != m.Rec {
 		t.Fatal("clone should inherit the recorder")
 	}
-	c.Predict(tasks.BuildExample(spec, ins[0], nil))
+	c.PredictWith(spec, ins[0], nil)
 	if got := reg.Counter("model.predict").Value(); got != 5 {
 		t.Fatalf("clone predict not counted: %d", got)
 	}

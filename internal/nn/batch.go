@@ -9,10 +9,10 @@ import (
 // Batched inference-only forward passes. These are stateless with respect to
 // the layer (no input/output caches are written, so they never disturb an
 // in-flight training step's Backward) and draw scratch from a caller-owned
-// tensor.Pool. Per row they perform exactly the arithmetic of the serial
-// Forward methods in the same order — the batched serve path is gated
-// byte-for-byte against the serial oracle, so any reordering here is a bug,
-// not an optimization.
+// tensor.Pool. Per row they perform exactly the arithmetic of the per-vector
+// Forward methods (the training forward) in the same order — inference is
+// gated byte-for-byte against a reference built from those, so any
+// reordering here is a bug, not an optimization.
 
 // ForwardBatch computes y.Row(i) = Embedding.Forward(xs[i]) for all i with
 // the patch projections batched: the rank-sized projections of the whole

@@ -8,15 +8,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// sparseFrom builds a sorted sparse vector from (idx, val) pairs.
-func sparseFrom(pairs map[int32]float64) *tensor.Sparse {
-	b := tensor.NewSparseBuilder()
-	for idx, v := range pairs {
-		b.Add(idx, v)
-	}
-	return b.Build()
-}
-
 // TestForwardBatchMatchesSerial pins the batched tower against the serial
 // one bit for bit, patches included (one live, one frozen-at-zero that must
 // be skipped by both paths).
@@ -38,9 +29,9 @@ func TestForwardBatchMatchesSerial(t *testing.T) {
 	}
 
 	xs := []*tensor.Sparse{
-		sparseFrom(map[int32]float64{1: 0.5, 7: -1.2, 33: 2}),
-		sparseFrom(map[int32]float64{0: 1}),
-		sparseFrom(map[int32]float64{5: 0.1, 6: 0.2, 7: 0.3, 60: -0.4}),
+		{Idx: []int32{1, 7, 33}, Val: []float64{0.5, -1.2, 2}},
+		{Idx: []int32{0}, Val: []float64{1}},
+		{Idx: []int32{5, 6, 7, 60}, Val: []float64{0.1, 0.2, 0.3, -0.4}},
 	}
 	n := len(xs)
 	var pool tensor.Pool

@@ -58,12 +58,7 @@ func (n *tinyNet) lossAndBackward(x *tensor.Sparse, gold int) float64 {
 }
 
 func testInput() *tensor.Sparse {
-	b := tensor.NewSparseBuilder()
-	b.Add(1, 0.5)
-	b.Add(3, -0.8)
-	b.Add(7, 1.2)
-	b.Add(15, 0.3)
-	s := b.Build()
+	s := &tensor.Sparse{Idx: []int32{1, 3, 7, 15}, Val: []float64{0.5, -0.8, 1.2, 0.3}}
 	s.Normalize()
 	return s
 }

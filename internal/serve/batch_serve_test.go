@@ -3,52 +3,14 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/obs"
 )
-
-// stubBatchAdapter adds a BatchPredictor face to stubAdapter: answers are
-// computed by the same formula as serial Predict, the returned slice is
-// scratch reused across calls (the contract the batcher must honor), and
-// concurrent entry is detected through the embedded inCall/raced pair.
-type stubBatchAdapter struct {
-	stubAdapter
-	batchCalls  atomic.Int32
-	serialCalls atomic.Int32
-	// wrongLen makes PredictBatch return one answer short — the defensive
-	// fallback case.
-	wrongLen bool
-	ans      []string
-}
-
-func (a *stubBatchAdapter) Predict(ctx context.Context, in *data.Instance) string {
-	a.serialCalls.Add(1)
-	return a.stubAdapter.Predict(ctx, in)
-}
-
-func (a *stubBatchAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []string {
-	if a.inCall.Add(1) != 1 {
-		a.raced.Store(true)
-	}
-	defer a.inCall.Add(-1)
-	a.batchCalls.Add(1)
-	if a.delay > 0 {
-		time.Sleep(a.delay)
-	}
-	a.ans = a.ans[:0]
-	for _, in := range ins {
-		a.ans = append(a.ans, a.key+":"+in.ID)
-	}
-	if a.wrongLen {
-		return a.ans[:len(a.ans)-1]
-	}
-	return a.ans
-}
 
 // stepClock is a deterministic clock for linger tests: the first now() call
 // (the request's enqueue stamp) returns base, every later call returns
@@ -125,7 +87,7 @@ func TestLingerStillWaitsWhenFresh(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	frozen := time.Unix(1000, 0)
-	ad := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K"}}
+	ad := &stubAdapter{key: "K"}
 	b := newClockBatcher(ad, 8, 300*time.Millisecond, func() time.Time { return frozen })
 	b.rec = rec
 	defer b.stop()
@@ -150,7 +112,7 @@ func TestLingerStillWaitsWhenFresh(t *testing.T) {
 // TestLingerTimerReused: the linger timer is allocated once per batcher and
 // reused across batches, not once per linger.
 func TestLingerTimerReused(t *testing.T) {
-	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, false, nil)
+	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, nil)
 	for i := 0; i < 6; i++ {
 		if _, err := b.predict(context.Background(), inst(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
@@ -163,40 +125,31 @@ func TestLingerTimerReused(t *testing.T) {
 }
 
 // TestBatchedPredictMatchesSerialUnderLoad drives 64 concurrent requests
-// through two batchers over equivalent adapters — one batched, one pinned
-// serial — and requires byte-identical answers, with the batched side never
-// touching the serial entry point and vice versa. Run under -race this also
-// exercises the depth-gauge-under-mutex and scratch-ownership invariants.
+// through one batcher and requires every answer to be the adapter's formula
+// for that request — batching must never hand a request its neighbour's
+// answer. Run under -race this also exercises the one-PredictBatch-in-flight,
+// scratch-ownership and depth-gauge-under-mutex invariants.
 func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
-	adB := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K", delay: time.Millisecond}}
-	adS := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K", delay: time.Millisecond}}
-	bb := newBatcher("K", adB, 8, 2*time.Millisecond, false, rec)
-	bs := newBatcher("K", adS, 8, 2*time.Millisecond, true, rec)
-	defer bb.stop()
-	defer bs.stop()
+	ad := &stubAdapter{key: "K", delay: time.Millisecond}
+	b := newBatcher("K", ad, 8, 2*time.Millisecond, rec)
+	defer b.stop()
 
 	const n = 64
 	var wg sync.WaitGroup
-	errCh := make(chan error, 2*n)
+	errCh := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			in := inst(fmt.Sprint(i))
-			got, err := bb.predict(context.Background(), in)
+			got, err := b.predict(context.Background(), inst(fmt.Sprint(i)))
 			if err != nil {
 				errCh <- err
 				return
 			}
-			want, err := bs.predict(context.Background(), in)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if got != want {
-				errCh <- fmt.Errorf("request %d: batched %q != serial %q", i, got, want)
+			if want := "K:" + fmt.Sprint(i); got != want {
+				errCh <- fmt.Errorf("request %d: answer %q, want %q", i, got, want)
 			}
 		}(i)
 	}
@@ -205,47 +158,75 @@ func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if adB.raced.Load() || adS.raced.Load() {
+	if ad.raced.Load() {
 		t.Fatal("concurrent adapter entry: the batcher must serialize per-adapter calls")
 	}
-	if adB.serialCalls.Load() != 0 {
-		t.Fatalf("batched batcher made %d serial Predict calls", adB.serialCalls.Load())
+	calls, batches := int64(ad.calls.Load()), reg.Counter("serve.batches").Value()
+	if calls == 0 || calls >= n {
+		t.Fatalf("%d PredictBatch calls for %d requests; batching amortized nothing", calls, n)
 	}
-	if adB.batchCalls.Load() == 0 {
-		t.Fatal("batched batcher never called PredictBatch")
-	}
-	if adS.batchCalls.Load() != 0 {
-		t.Fatalf("serial-pinned batcher made %d PredictBatch calls", adS.batchCalls.Load())
-	}
-	if c := reg.Counter("serve.batched_predicts").Value(); c == 0 {
-		t.Fatal("serve.batched_predicts counter never incremented")
+	if calls != batches {
+		t.Fatalf("%d PredictBatch calls for %d drained batches; every batch is one call", calls, batches)
 	}
 }
 
-// TestBatchFallsBackOnWrongLength: a BatchPredictor returning the wrong
-// number of answers must not corrupt responses — the batch re-runs through
-// the serial oracle path.
-func TestBatchFallsBackOnWrongLength(t *testing.T) {
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
-	ad := &stubBatchAdapter{stubAdapter: stubAdapter{key: "K"}, wrongLen: true}
-	b := newBatcher("K", ad, 4, time.Millisecond, false, rec)
+// TestBatchWrongLengthFailsTheBatch: an adapter returning the wrong number of
+// answers has broken its contract. The batch is not run a second time another
+// way: the adapter is entered once, every member gets an error promptly (none
+// is left hanging, none gets a neighbour's answer), and the loop keeps
+// serving — the next, well-formed batch succeeds.
+func TestBatchWrongLengthFailsTheBatch(t *testing.T) {
+	ad := &stubAdapter{key: "K"}
+	// A long linger and a batch cap of 3: each burst of three requests
+	// drains as exactly one full batch.
+	b := newBatcher("K", ad, 3, 10*time.Second, nil)
 	defer b.stop()
+	burst := func() (answers []string, errs []error) {
+		type result struct {
+			ans string
+			err error
+		}
+		results := make(chan result, 3)
+		for i := 0; i < 3; i++ {
+			go func(i int) {
+				ans, err := b.predict(context.Background(), inst(fmt.Sprint(i)))
+				results <- result{ans, err}
+			}(i)
+		}
+		for i := 0; i < 3; i++ {
+			select {
+			case r := <-results:
+				if r.err != nil {
+					errs = append(errs, r.err)
+				} else {
+					answers = append(answers, r.ans)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a member of the batch was left hanging")
+			}
+		}
+		return answers, errs
+	}
 
-	for i := 0; i < 3; i++ {
-		ans, err := b.predict(context.Background(), inst(fmt.Sprint(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := "K:" + fmt.Sprint(i); ans != want {
-			t.Fatalf("answer %q, want %q", ans, want)
+	ad.wrongLen.Store(true)
+	answers, errs := burst()
+	if len(answers) != 0 || len(errs) != 3 {
+		t.Fatalf("wrong-length batch: %d answers %v, %d errors; every member must fail", len(answers), answers, len(errs))
+	}
+	for _, err := range errs {
+		if !strings.Contains(err.Error(), "returned 2 answers for a batch of 3") {
+			t.Fatalf("member err = %v, want the wrong-length error", err)
 		}
 	}
-	if ad.serialCalls.Load() == 0 {
-		t.Fatal("wrong-length batch never fell back to serial Predict")
+	if got := ad.calls.Load(); got != 1 {
+		t.Fatalf("adapter entered %d times for one batch, want 1", got)
 	}
-	if c := reg.Counter("serve.batched_predicts").Value(); c != 0 {
-		t.Fatalf("serve.batched_predicts = %d for a misbehaving BatchPredictor, want 0", c)
+
+	ad.wrongLen.Store(false)
+	answers, errs = burst()
+	sort.Strings(answers)
+	if len(errs) != 0 || fmt.Sprint(answers) != "[K:0 K:1 K:2]" {
+		t.Fatalf("batch after the broken one: answers %v, errors %v", answers, errs)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -10,17 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 )
-
-// BatchPredictor is the optional batched fast path of an Adapter: answer a
-// whole micro-batch in one forward pass. core.Adapted implements it via the
-// model's batched forward, which is bit-identical to serial Predict — the
-// serve selftest gates on byte-equal answers, so an implementation may only
-// provide this if it preserves exact per-request results. The returned slice
-// must have one answer per instance; it may be scratch reused across calls
-// (the batcher copies answers out before the next call).
-type BatchPredictor interface {
-	PredictBatch(ctx context.Context, ins []*data.Instance) []string
-}
 
 // predictReq is one queued prediction: the instance, the requester's
 // context (checked again at serve time so abandoned work is shed), and a
@@ -47,10 +37,10 @@ var sizeBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128,
 // under a mutex; a single goroutine drains the queue into batches of at
 // most maxBatch, lingering up to maxWait for stragglers once it holds at
 // least one request, then answers the whole batch against the model.
-// Batching serves two purposes: hot adapters answer the batch in one batched
-// forward pass (see BatchPredictor), and — since the underlying model reuses
-// scratch buffers and is not safe for concurrent Predict — the loop is also
-// the per-adapter serialization point, so the registry can accept unbounded
+// Batching serves two purposes: the adapter answers the batch in one forward
+// pass (Adapter.PredictBatch), and — since the underlying model reuses
+// scratch buffers and is not safe for concurrent use — the loop is also the
+// per-adapter serialization point, so the registry can accept unbounded
 // request concurrency without data races.
 //
 // The enqueue path checks the stopped flag under the same mutex that stop
@@ -64,11 +54,7 @@ type batcher struct {
 	ad       Adapter
 	maxBatch int
 	maxWait  time.Duration
-	// serial forces the per-request oracle path even when the adapter
-	// implements BatchPredictor (Options.SerialPredict; the perf gate's
-	// baseline and the selftest's reference behavior).
-	serial bool
-	rec    *obs.Recorder
+	rec      *obs.Recorder
 	// depthGauge is the per-key queue depth gauge name, precomputed so the
 	// enqueue hot path does no string concatenation.
 	depthGauge string
@@ -98,13 +84,12 @@ type batcher struct {
 	ins  []*data.Instance
 }
 
-func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, serial bool, rec *obs.Recorder) *batcher {
+func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, rec *obs.Recorder) *batcher {
 	b := &batcher{
 		key:        key,
 		ad:         ad,
 		maxBatch:   maxBatch,
 		maxWait:    maxWait,
-		serial:     serial,
 		rec:        rec,
 		depthGauge: "serve.queue_depth/" + key,
 		now:        time.Now,
@@ -259,11 +244,11 @@ func (b *batcher) linger(wait time.Duration) {
 
 // serve answers one batch. Per-adapter calls are serialized by construction
 // (one loop per batcher); requests whose context already expired are shed
-// without touching the model. When the adapter implements BatchPredictor
-// (and the batcher is not pinned serial), the surviving requests are
-// answered by ONE batched forward pass; otherwise — and as the fallback if
-// the batched call returns the wrong number of answers — each request runs
-// through the serial oracle path.
+// without touching the model, and the survivors are answered by ONE
+// PredictBatch call. An adapter that returns the wrong number of answers has
+// broken its contract: every live member of that batch fails with one error
+// (a 502 through the ordinary envelope) and the loop moves on to the next
+// batch.
 //
 // The serve.batch span lives in its own trace — batching is shared work, so
 // it belongs to no single request — and instead *links* every member
@@ -298,7 +283,7 @@ func (b *batcher) serve(batch []*predictReq) {
 		live = append(live, r)
 	}
 	b.live = live[:0] // retain grown scratch for the next batch
-	if bp, ok := b.ad.(BatchPredictor); ok && !b.serial && len(live) > 0 {
+	if len(live) > 0 {
 		ins := b.ins[:0]
 		for _, r := range live {
 			ins = append(ins, r.in)
@@ -306,34 +291,24 @@ func (b *batcher) serve(batch []*predictReq) {
 		b.ins = ins[:0]
 		ps := span.StartChild("serve.predict")
 		ps.SetAttr("size", len(live))
-		// One batched forward under pprof labels; the batch runs on behalf
-		// of every member, so it is labeled but not cancellable by any
-		// single requester (expired members were already shed above).
+		// One forward under pprof labels; the batch runs on behalf of every
+		// member, so it is labeled but not cancellable by any single
+		// requester (expired members were already shed above).
 		var answers []string
 		profile.Do(context.Background(), func(ctx context.Context) {
-			answers = bp.PredictBatch(ctx, ins)
+			answers = b.ad.PredictBatch(ctx, ins)
 		}, profile.LabelKey, b.key, profile.LabelBatch, batchLabel)
 		ps.End()
-		if len(answers) == len(live) {
-			b.rec.Count("serve.batched_predicts", 1)
+		if len(answers) != len(live) {
+			err := fmt.Errorf("serve: adapter %q returned %d answers for a batch of %d", b.key, len(answers), len(live))
+			for _, r := range live {
+				r.resp <- predictResp{err: err}
+			}
+		} else {
 			for i, r := range live {
 				r.resp <- predictResp{ans: answers[i]}
 			}
-			live = live[:0]
 		}
-	}
-	for _, r := range live {
-		ps := span.StartChild("serve.predict")
-		// Predict runs under pprof labels — key and batch size on top of
-		// whatever the request context already carries (route) — so CPU
-		// samples attribute to the adapter that burned them. Labeling the
-		// request's own ctx keeps its cancellation semantics intact.
-		var ans string
-		profile.Do(r.ctx, func(ctx context.Context) {
-			ans = b.ad.Predict(ctx, r.in)
-		}, profile.LabelKey, b.key, profile.LabelBatch, batchLabel)
-		ps.End()
-		r.resp <- predictResp{ans: ans}
 	}
 	b.rec.Count("serve.batches", 1)
 	b.rec.Observe("serve.batch_us", float64(time.Since(start).Microseconds()), nil)

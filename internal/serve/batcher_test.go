@@ -18,7 +18,7 @@ func TestBatchesForm(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	ad := &stubAdapter{key: "K", delay: 2 * time.Millisecond}
-	b := newBatcher("K", ad, 8, 50*time.Millisecond, false, rec)
+	b := newBatcher("K", ad, 8, 50*time.Millisecond, rec)
 	defer b.stop()
 
 	const n = 32
@@ -44,7 +44,7 @@ func TestBatchesForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ad.raced.Load() {
-		t.Fatal("concurrent Predict calls reached the adapter")
+		t.Fatal("concurrent PredictBatch calls reached the adapter")
 	}
 	h := reg.Histogram("serve.batch_size", sizeBounds)
 	if h.Count() == 0 {
@@ -64,7 +64,7 @@ func TestBatchRespectsCap(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	ad := &stubAdapter{key: "K", delay: time.Millisecond}
-	b := newBatcher("K", ad, 4, 20*time.Millisecond, false, rec)
+	b := newBatcher("K", ad, 4, 20*time.Millisecond, rec)
 	defer b.stop()
 
 	var wg sync.WaitGroup
@@ -87,7 +87,7 @@ func TestBatchRespectsCap(t *testing.T) {
 // retry sentinel instead of hanging them, and refuses later arrivals.
 func TestStopFailsQueued(t *testing.T) {
 	ad := &stubAdapter{key: "K", delay: 20 * time.Millisecond}
-	b := newBatcher("K", ad, 1, time.Millisecond, false, nil)
+	b := newBatcher("K", ad, 1, time.Millisecond, nil)
 
 	// Occupy the loop with a slow call so the next request queues behind it.
 	first := make(chan error, 1)
@@ -119,7 +119,7 @@ func TestStopFailsQueued(t *testing.T) {
 // answered with the context error without touching the model.
 func TestPredictShedsCanceled(t *testing.T) {
 	ad := &stubAdapter{key: "K", delay: 30 * time.Millisecond}
-	b := newBatcher("K", ad, 1, time.Millisecond, false, nil)
+	b := newBatcher("K", ad, 1, time.Millisecond, nil)
 	defer b.stop()
 
 	// Head-of-line request keeps the loop busy.
@@ -146,7 +146,7 @@ func TestPredictShedsCanceled(t *testing.T) {
 
 // TestStopIdempotent: double-stop must not panic or hang.
 func TestStopIdempotent(t *testing.T) {
-	b := newBatcher("K", &stubAdapter{key: "K"}, 2, time.Millisecond, false, nil)
+	b := newBatcher("K", &stubAdapter{key: "K"}, 2, time.Millisecond, nil)
 	done := make(chan struct{})
 	go func() {
 		b.stop()

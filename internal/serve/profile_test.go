@@ -26,14 +26,14 @@ func jsonReader(t *testing.T, v any) *bytes.Reader {
 	return bytes.NewReader(raw)
 }
 
-// labelAdapter records the pprof labels visible from inside Predict —
+// labelAdapter records the pprof labels visible from inside PredictBatch —
 // what CPU samples taken during the call would be attributed with.
 type labelAdapter struct {
 	mu     sync.Mutex
 	labels map[string]string
 }
 
-func (a *labelAdapter) Predict(ctx context.Context, in *data.Instance) string {
+func (a *labelAdapter) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.labels = map[string]string{}
@@ -42,7 +42,7 @@ func (a *labelAdapter) Predict(ctx context.Context, in *data.Instance) string {
 			a.labels[k] = v
 		}
 	}
-	return "ok"
+	return make([]string, len(ins))
 }
 
 func (a *labelAdapter) seen() map[string]string {
@@ -51,15 +51,28 @@ func (a *labelAdapter) seen() map[string]string {
 	return a.labels
 }
 
-// TestPredictCarriesPprofLabels pins the cost-attribution contract: by the
-// time the adapter's Predict runs, the goroutine carries the handler's
-// route label and the batcher's key/batch labels, stacked on one context.
+// routeResolver records the route label on the context the HTTP handler
+// hands its resolver, then delegates.
+type routeResolver struct {
+	Resolver
+	route string
+}
+
+func (r *routeResolver) Predict(ctx context.Context, key string, in *data.Instance) (string, bool, error) {
+	r.route, _ = pprof.Label(ctx, profile.LabelRoute)
+	return r.Resolver.Predict(ctx, key, in)
+}
+
+// TestPredictCarriesPprofLabels pins the cost-attribution contract: the
+// handler's goroutine carries the route label down to the resolver, and the
+// adapter's PredictBatch runs under the batcher's key/batch labels. A batch
+// is shared work on behalf of every member, so it carries no member's route.
 func TestPredictCarriesPprofLabels(t *testing.T) {
 	ad := &labelAdapter{}
-	reg := NewRegistry(func(_ context.Context, _ string) (Adapter, error) {
+	res := &routeResolver{Resolver: NewRegistry(func(_ context.Context, _ string) (Adapter, error) {
 		return ad, nil
-	}, Options{})
-	srv := NewServer(reg, Options{})
+	}, Options{})}
+	srv := NewServer(res, Options{})
 
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", jsonReader(t, PredictRequest{
 		Adapter:  "EM/Walmart-Amazon",
@@ -70,9 +83,12 @@ func TestPredictCarriesPprofLabels(t *testing.T) {
 	if rw.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rw.Code, rw.Body.String())
 	}
+	if res.route != "predict" {
+		t.Errorf("route label at the resolver = %q, want predict", res.route)
+	}
 	labels := ad.seen()
-	if labels[profile.LabelRoute] != "predict" {
-		t.Errorf("route label = %q, want predict (labels %v)", labels[profile.LabelRoute], labels)
+	if r, ok := labels[profile.LabelRoute]; ok {
+		t.Errorf("batch carries route label %q; shared work belongs to no one request (labels %v)", r, labels)
 	}
 	if labels[profile.LabelKey] != "EM/Walmart-Amazon" {
 		t.Errorf("key label = %q (labels %v)", labels[profile.LabelKey], labels)

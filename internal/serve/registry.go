@@ -34,11 +34,14 @@ import (
 )
 
 // Adapter is what the registry holds per key: the narrow predict face of a
-// core.Adapted model (which satisfies it directly). Implementations are not
-// required to be safe for concurrent Predict calls — the batcher serializes
+// core.Adapted model (which satisfies it directly). PredictBatch answers a
+// whole micro-batch in one forward pass and must return exactly one answer
+// per instance, in order; the slice may be scratch reused across calls (the
+// batcher copies answers out before the next call). Implementations are not
+// required to be safe for concurrent calls — the batcher serializes
 // per-adapter access.
 type Adapter interface {
-	Predict(ctx context.Context, in *data.Instance) string
+	PredictBatch(ctx context.Context, ins []*data.Instance) []string
 }
 
 // Transferer builds the adapted model for one registry key ("EM/Walmart-
@@ -68,10 +71,6 @@ type Options struct {
 	// holds at least one request, measured from the oldest queued request's
 	// arrival. Default 2ms.
 	MaxWait time.Duration
-	// SerialPredict forces per-request Predict calls even for adapters that
-	// implement BatchPredictor. This is the oracle mode: the selftest and the
-	// perf gate compare batched output/throughput against it.
-	SerialPredict bool
 	// RequestTimeout is the per-request deadline the server applies on top
 	// of the client's context. Default 60s; negative disables.
 	RequestTimeout time.Duration
@@ -357,7 +356,7 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		key:     key,
 		ad:      ad,
 		lastUse: r.clock,
-		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, r.opts.SerialPredict, r.rec),
+		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, r.rec),
 	}
 	r.ready[key] = e
 	for len(r.ready) > r.opts.MaxAdapters {

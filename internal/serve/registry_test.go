@@ -13,24 +13,39 @@ import (
 	"repro/internal/data"
 )
 
-// stubAdapter is a deterministic in-test adapter that also detects
-// concurrent Predict calls — the batcher must serialize per-adapter access.
+// stubAdapter is a deterministic in-test adapter: it answers key:id, returns
+// scratch reused across calls (the contract the batcher must honor), counts
+// its calls, and detects concurrent entry — the batcher must serialize
+// per-adapter access.
 type stubAdapter struct {
-	key    string
-	delay  time.Duration
-	inCall atomic.Int32
-	raced  atomic.Bool
+	key   string
+	delay time.Duration
+	// wrongLen makes PredictBatch return one answer short: the broken
+	// adapter contract.
+	wrongLen atomic.Bool
+	calls    atomic.Int32
+	inCall   atomic.Int32
+	raced    atomic.Bool
+	ans      []string
 }
 
-func (a *stubAdapter) Predict(_ context.Context, in *data.Instance) string {
+func (a *stubAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []string {
 	if a.inCall.Add(1) != 1 {
 		a.raced.Store(true)
 	}
+	defer a.inCall.Add(-1)
+	a.calls.Add(1)
 	if a.delay > 0 {
 		time.Sleep(a.delay)
 	}
-	a.inCall.Add(-1)
-	return a.key + ":" + in.ID
+	a.ans = a.ans[:0]
+	for _, in := range ins {
+		a.ans = append(a.ans, a.key+":"+in.ID)
+	}
+	if a.wrongLen.Load() {
+		return a.ans[:len(a.ans)-1]
+	}
+	return a.ans
 }
 
 // stubTransferer counts builds per key and can be told to stall, fail, or

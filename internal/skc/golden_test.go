@@ -102,7 +102,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 	d.floats(tr.Fusion.Weights()...)
 	spec := tasks.SpecFor(tasks.ED)
 	for _, in := range markerDataset(rng, 10, "%", "") {
-		d.floats(tr.Model.Scores(tasks.BuildExample(spec, in, know))...)
+		d.floats(tr.Model.ScoresBatch([]*tasks.Example{tasks.BuildExample(spec, in, know)})[0]...)
 	}
 	if got := fmt.Sprintf("%016x", d.h.Sum64()); got != goldenDigest {
 		t.Fatalf("training arithmetic changed: digest %s, want %s", got, goldenDigest)

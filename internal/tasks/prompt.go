@@ -133,23 +133,16 @@ func formatSignature(v string) string {
 	return first + " " + second
 }
 
-// alignSegments derives comparison features for pair instances (EM, SM):
-// per-attribute equal/differ/missing states, token overlap buckets, and the
-// shared-model-token signal — what a sequence model reads from seeing both
-// records side by side.
-func alignSegments(in *data.Instance) []text.Segment {
-	return appendAlignSegments(nil, in)
-}
-
-// appendAlignSegments appends the alignment segments to segs, so callers
-// with a reusable backing array avoid the intermediate slice. Alignment
-// features are a pure function of in.Fields — independent of knowledge and
-// spec — and dataset rows get re-serialized constantly (every AKB Evaluate
-// sweep, every training epoch), so the tokenization/map work behind them is
-// paid once per instance and memoized on the instance itself: a row decoded
-// for one request or one job takes its memo with it when it is collected.
-// The memoized slice is append-copied, never aliased into the caller's
-// example.
+// appendAlignSegments appends to segs the comparison features of a pair
+// instance (EM, SM): per-attribute equal/differ/missing states, token overlap
+// buckets, and the shared-model-token signal — what a sequence model reads
+// from seeing both records side by side. Alignment features are a pure
+// function of in.Fields — independent of knowledge and spec — and dataset
+// rows get re-serialized constantly (every AKB Evaluate sweep, every training
+// epoch), so the tokenization/map work behind them is paid once per instance
+// and memoized on the instance itself: a row decoded for one request or one
+// job takes its memo with it when it is collected. The memoized slice is
+// append-copied, never aliased into the caller's example.
 func appendAlignSegments(segs []text.Segment, in *data.Instance) []text.Segment {
 	return append(segs, in.Derived(alignMemo).([]text.Segment)...)
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // This file holds the batched kernels and the scratch-buffer pool behind the
-// serve hot path. The contract that matters more than speed: every batched
-// kernel performs bit-identical float64 arithmetic to its serial counterpart
-// (MulVec / MulVecT applied row by row), so a batched forward pass can be
-// gated byte-for-byte against the serial oracle.
+// inference path. The contract that matters more than speed: every batched
+// kernel performs bit-identical float64 arithmetic to its per-vector
+// counterpart (MulVec / MulVecT applied row by row), so a batched forward
+// pass can be gated byte-for-byte against the per-example reference.
 
 // MatMulNT computes c = a · bᵀ. Shapes: a is n×k, b is m×k, c is n×m. Every
 // element c[i][j] is the register-accumulated dot of a's row i with b's row j

@@ -110,30 +110,25 @@ func TestPoolSteadyStateAllocsZero(t *testing.T) {
 	}
 }
 
-func TestSparseBuilderBuildInto(t *testing.T) {
-	b := NewSparseBuilder()
-	ref := NewSparseBuilder()
-	add := func(idx int32, v float64) {
-		b.Add(idx, v)
-		ref.Add(idx, v)
-	}
-	add(9, 1.5)
-	add(3, -2)
-	add(9, 0.25)
-	add(5, 1)
-	add(5, -1) // cancels to exactly zero, must be dropped
-	want := ref.Build()
+func TestDenseBuilderBuildInto(t *testing.T) {
+	b := NewDenseBuilder(16)
+	b.Add(9, 1.5)
+	b.Add(3, -2)
+	b.Add(9, 0.25)
+	b.Add(5, 1)
+	b.Add(5, -1) // cancels to exactly zero, must be dropped
+	want := Sparse{Idx: []int32{3, 9}, Val: []float64{-2, 1.75}}
 	var dst Sparse
 	dst.Idx = make([]int32, 0, 16)
 	dst.Val = make([]float64, 0, 16)
 	base := &dst.Idx[:1][0]
 	b.BuildInto(&dst)
 	if len(dst.Idx) != len(want.Idx) {
-		t.Fatalf("BuildInto nnz %d, Build nnz %d", len(dst.Idx), len(want.Idx))
+		t.Fatalf("BuildInto nnz %d, want %d", len(dst.Idx), len(want.Idx))
 	}
 	for i := range dst.Idx {
 		if dst.Idx[i] != want.Idx[i] || dst.Val[i] != want.Val[i] {
-			t.Fatalf("BuildInto[%d] = (%d,%v), Build = (%d,%v)",
+			t.Fatalf("BuildInto[%d] = (%d,%v), want (%d,%v)",
 				i, dst.Idx[i], dst.Val[i], want.Idx[i], want.Val[i])
 		}
 	}

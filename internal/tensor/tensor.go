@@ -275,79 +275,13 @@ func (s *Sparse) Dot(o *Sparse) float64 {
 	return t
 }
 
-// SparseBuilder accumulates (index, value) contributions, merging duplicate
-// indices, and produces a sorted Sparse. It is the bridge from feature
-// hashing to the encoder input.
-type SparseBuilder struct {
-	m map[int32]float64
-}
-
-// NewSparseBuilder returns an empty builder.
-func NewSparseBuilder() *SparseBuilder {
-	return &SparseBuilder{m: make(map[int32]float64)}
-}
-
-// Add accumulates v at index idx.
-func (b *SparseBuilder) Add(idx int32, v float64) { b.m[idx] += v }
-
-// Len returns the number of distinct indices accumulated so far.
-func (b *SparseBuilder) Len() int { return len(b.m) }
-
-// Build produces the sorted sparse vector and resets the builder. Entries
-// that cancelled to exactly zero are dropped.
-func (b *SparseBuilder) Build() *Sparse {
-	s := &Sparse{
-		Idx: make([]int32, 0, len(b.m)),
-		Val: make([]float64, 0, len(b.m)),
-	}
-	b.BuildInto(s)
-	return s
-}
-
-// BuildInto fills dst with the sorted sparse vector, reusing dst's backing
-// slices, and resets the builder in place (the map is cleared, not
-// reallocated). Entries that cancelled to exactly zero are dropped. This is
-// the allocation-free variant of Build for the serve hot path.
-func (b *SparseBuilder) BuildInto(dst *Sparse) {
-	dst.Idx = dst.Idx[:0]
-	dst.Val = dst.Val[:0]
-	for idx := range b.m {
-		dst.Idx = append(dst.Idx, idx)
-	}
-	// Insertion sort is fine for the few hundred features a prompt produces,
-	// but prompts can reach a few thousand; use the stdlib sort.
-	sortInt32(dst.Idx)
-	for _, idx := range dst.Idx {
-		dst.Val = append(dst.Val, b.m[idx])
-	}
-	// Drop exact zeros (rare sign-hash cancellations).
-	k := 0
-	for i := range dst.Idx {
-		if dst.Val[i] != 0 {
-			dst.Idx[k] = dst.Idx[i]
-			dst.Val[k] = dst.Val[i]
-			k++
-		}
-	}
-	dst.Idx = dst.Idx[:k]
-	dst.Val = dst.Val[:k]
-	b.Reset()
-}
-
-// Reset clears the accumulated contributions without releasing the map.
-func (b *SparseBuilder) Reset() {
-	clear(b.m)
-}
-
-// DenseBuilder is SparseBuilder's dense-scratch twin for a long-lived owner:
-// contributions accumulate into a dim-sized array with a generation stamp per
-// slot, so Add is two array writes instead of a map insert, and BuildInto
-// sorts a plain touched-index list instead of iterating a map. Accumulation
-// at each index happens in Add-call order starting from an explicit zero —
-// exactly the map's zero-value semantics — so the produced vectors are
-// bit-identical to SparseBuilder's. The dense scratch costs 12 bytes per
-// dimension, so this type is for persistent builders (one per Encoder, per
-// encoder pool slot); per-call code keeps using SparseBuilder.
+// DenseBuilder accumulates (index, value) contributions, merging duplicate
+// indices, and produces a sorted Sparse: the bridge from feature hashing to
+// the encoder input. Contributions accumulate into a dim-sized array with a
+// generation stamp per slot, so Add is two array writes and BuildInto sorts a
+// plain touched-index list. Accumulation at each index happens in Add-call
+// order starting from an explicit zero. The dense scratch costs 12 bytes per
+// dimension, so this type is for persistent builders (one per text.Encoder).
 type DenseBuilder struct {
 	val     []float64
 	gen     []uint32
@@ -364,8 +298,7 @@ func NewDenseBuilder(dim int) *DenseBuilder {
 func (b *DenseBuilder) Add(idx int32, v float64) {
 	if b.gen[idx] != b.cur {
 		b.gen[idx] = b.cur
-		// Start from an explicit 0 + v so a -0 contribution lands as +0,
-		// matching the map builder's zero-value accumulation bit for bit.
+		// Start from an explicit 0 + v so a -0 contribution lands as +0.
 		b.val[idx] = 0
 		b.touched = append(b.touched, idx)
 	}
@@ -377,7 +310,7 @@ func (b *DenseBuilder) Len() int { return len(b.touched) }
 
 // BuildInto fills dst with the sorted sparse vector, reusing dst's backing
 // slices, and resets the builder in O(touched). Entries that cancelled to
-// exactly zero are dropped, as in SparseBuilder.BuildInto.
+// exactly zero (rare sign-hash cancellations) are dropped.
 func (b *DenseBuilder) BuildInto(dst *Sparse) {
 	sortInt32(b.touched)
 	dst.Idx = dst.Idx[:0]

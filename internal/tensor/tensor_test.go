@@ -153,7 +153,7 @@ func TestSparseDotMatchesDense(t *testing.T) {
 }
 
 func buildSparse(idx []uint16, val []int8) *Sparse {
-	b := NewSparseBuilder()
+	b := NewDenseBuilder(1 << 16)
 	n := len(idx)
 	if len(val) < n {
 		n = len(val)
@@ -161,17 +161,20 @@ func buildSparse(idx []uint16, val []int8) *Sparse {
 	for i := 0; i < n; i++ {
 		b.Add(int32(idx[i]), float64(val[i]))
 	}
-	return b.Build()
+	s := &Sparse{}
+	b.BuildInto(s)
+	return s
 }
 
-func TestSparseBuilderMergesAndSorts(t *testing.T) {
-	b := NewSparseBuilder()
+func TestDenseBuilderMergesAndSorts(t *testing.T) {
+	b := NewDenseBuilder(16)
 	b.Add(5, 1)
 	b.Add(2, 3)
 	b.Add(5, 2)
 	b.Add(9, -1)
 	b.Add(9, 1) // cancels to zero, should be dropped
-	s := b.Build()
+	s := &Sparse{}
+	b.BuildInto(s)
 	if s.NNZ() != 2 {
 		t.Fatalf("nnz = %d, want 2", s.NNZ())
 	}
@@ -181,18 +184,16 @@ func TestSparseBuilderMergesAndSorts(t *testing.T) {
 	if s.Val[0] != 3 || s.Val[1] != 3 {
 		t.Fatalf("val = %v, want [3 3]", s.Val)
 	}
-	// Builder must be reusable after Build.
+	// Builder must be reusable after BuildInto.
 	b.Add(1, 1)
-	if s2 := b.Build(); s2.NNZ() != 1 || s2.Idx[0] != 1 {
+	s2 := &Sparse{}
+	if b.BuildInto(s2); s2.NNZ() != 1 || s2.Idx[0] != 1 {
 		t.Fatalf("builder not reset correctly: %+v", s2)
 	}
 }
 
 func TestSparseNormalize(t *testing.T) {
-	b := NewSparseBuilder()
-	b.Add(0, 3)
-	b.Add(1, 4)
-	s := b.Build()
+	s := &Sparse{Idx: []int32{0, 1}, Val: []float64{3, 4}}
 	if n := s.Normalize(); n != 5 {
 		t.Fatalf("norm = %v, want 5", n)
 	}

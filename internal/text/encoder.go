@@ -7,16 +7,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the zero-allocation twin of the Hasher feature extractors.
-// Hasher.Encode allocates on every call — a fresh builder map, a token
-// string per word, and a concatenated string per n-gram ("u:"+t, "b:"+a+" "+b)
-// just to feed FNV. On the serve hot path those concatenations dominate the
-// allocation profile, so Encoder streams the same byte sequences through the
-// same FNV-1a state instead: hash("u:"+t) == fnvAddBytes(fnvAddString(h,"u:"),t)
-// by construction, and feature-emission ORDER is kept identical to the Hasher
-// methods so duplicate-bucket float accumulation sums in the same order.
-// The result is bit-identical to Hasher.Encode — pinned by the equivalence
-// and fuzz tests — with zero steady-state allocations.
+// The Encoder never materializes an n-gram string ("u:"+t, "b:"+a+" "+b)
+// just to feed FNV: it streams the same byte sequences through one FNV-1a
+// state, hash("u:"+t) == fnvAddBytes(fnvAddString(h, "u:"), t). Features are
+// emitted in a fixed order (per token: unigram, bigram, trigrams) because
+// duplicate-bucket float accumulation sums in emission order; the reference
+// hasher in the tests pins both the hashes and the order.
 
 const (
 	fnvOffset uint64 = 14695981039346656037
@@ -59,19 +55,10 @@ func fnvAddLower(h uint64, s string) uint64 {
 	return h
 }
 
-// addHashed is addFeature after the hash: bucket + sign from a finished
-// FNV-1a state.
-func (h *Hasher) addHashed(b *tensor.SparseBuilder, hv uint64, w float64) {
-	idx := int32(hv & uint64(h.dim-1))
-	if hv&(1<<62) != 0 {
-		w = -w
-	}
-	b.Add(idx, w)
-}
-
-// addHashedDense is addHashed against the Encoder's dense builder — same
-// bucket, same sign flip, different accumulator.
-func (h *Hasher) addHashedDense(b *tensor.DenseBuilder, hv uint64, w float64) {
+// addHashed accumulates weight w at the bucket of a finished FNV-1a state,
+// using one bit of the hash as a sign to make hashing approximately
+// inner-product preserving.
+func (h *Hasher) addHashed(b *tensor.DenseBuilder, hv uint64, w float64) {
 	idx := int32(hv & uint64(h.dim-1))
 	if hv&(1<<62) != 0 {
 		w = -w
@@ -82,10 +69,10 @@ func (h *Hasher) addHashedDense(b *tensor.DenseBuilder, hv uint64, w float64) {
 // tokSpan is one token as a [lo,hi) byte range into Encoder.low.
 type tokSpan struct{ lo, hi int32 }
 
-// Encoder hashes weighted text segments into sparse vectors without
-// per-call allocation. It owns a reused lowered-byte buffer, token span
-// list, and sparse builder; one Encoder serves one goroutine (on the serve
-// path the per-adapter batcher is the serialization point).
+// Encoder hashes weighted text segments into normalized sparse vectors
+// without per-call allocation. It owns a reused lowered-byte buffer, token
+// span list, and sparse builder; one Encoder serves one goroutine (on the
+// serve path the per-adapter batcher is the serialization point).
 type Encoder struct {
 	h     *Hasher
 	b     *tensor.DenseBuilder
@@ -93,16 +80,23 @@ type Encoder struct {
 	spans []tokSpan
 }
 
-// NewEncoder returns an Encoder producing vectors bit-identical to h.Encode.
-// The dense builder trades 12 bytes per hash dimension of resident scratch
-// for map-free accumulation — the right trade for a persistent per-goroutine
-// encoder, which is the only way Encoders are used.
+// NewEncoder returns an Encoder over h's feature space. Its dense builder
+// holds 12 bytes per hash dimension of resident scratch, so an Encoder is
+// meant to be kept: one per model, one per predictor.
 func NewEncoder(h *Hasher) *Encoder {
 	return &Encoder{h: h, b: tensor.NewDenseBuilder(h.dim)}
 }
 
+// Encode returns the normalized sparse encoding of segs in a fresh vector,
+// for callers that keep the result (a retrieval memo, a training sample).
+func (e *Encoder) Encode(segs []Segment) *tensor.Sparse {
+	dst := &tensor.Sparse{}
+	e.EncodeTo(dst, segs)
+	return dst
+}
+
 // EncodeTo builds the normalized sparse encoding of segs into dst, reusing
-// dst's backing slices. The output is bit-identical to h.Encode(segs...).
+// dst's backing slices.
 func (e *Encoder) EncodeTo(dst *tensor.Sparse, segs []Segment) {
 	for i := range segs {
 		seg := &segs[i]
@@ -161,28 +155,32 @@ func (e *Encoder) tok(i int) []byte {
 	return e.low[sp.lo:sp.hi]
 }
 
-// features mirrors Hasher.Features: unigrams, adjacent bigrams, character
-// trigrams of long tokens — same order, same weights.
+// features hashes s: word unigrams (weight w), adjacent word bigrams (weight
+// w), and character trigrams of each word longer than three bytes (weight
+// w/2, capturing subword structure such as model-number fragments).
 func (e *Encoder) features(s string, w float64) {
 	e.tokenize(s)
 	for i := range e.spans {
 		t := e.tok(i)
-		e.h.addHashedDense(e.b, fnvAddBytes(fnvAddString(fnvOffset, "u:"), t), w)
+		e.h.addHashed(e.b, fnvAddBytes(fnvAddString(fnvOffset, "u:"), t), w)
 		if i > 0 {
 			hv := fnvAddBytes(fnvAddString(fnvOffset, "b:"), e.tok(i-1))
 			hv = fnvAddString(hv, " ")
-			e.h.addHashedDense(e.b, fnvAddBytes(hv, t), w)
+			e.h.addHashed(e.b, fnvAddBytes(hv, t), w)
 		}
 		if len(t) > 3 {
 			for j := 0; j+3 <= len(t); j++ {
-				e.h.addHashedDense(e.b, fnvAddBytes(fnvAddString(fnvOffset, "c:"), t[j:j+3]), w/2)
+				e.h.addHashed(e.b, fnvAddBytes(fnvAddString(fnvOffset, "c:"), t[j:j+3]), w/2)
 			}
 		}
 	}
 }
 
-// fieldFeatures mirrors Hasher.FieldFeatures: prefixed unigrams and bigrams
-// under "f:"+lower(field)+":", then the bare features at half weight.
+// fieldFeatures hashes a (field, value) pair under "f:"+lower(field)+":", so
+// the same value in different attributes produces different features (DP
+// tasks depend on knowing which attribute a value sits in), then the bare
+// tokens at half weight so cross-attribute overlap — the same model number in
+// two entities' titles — stays visible.
 func (e *Encoder) fieldFeatures(field, value string, w float64) {
 	pre := fnvAddString(fnvOffset, "f:")
 	pre = fnvAddLower(pre, field)
@@ -190,18 +188,21 @@ func (e *Encoder) fieldFeatures(field, value string, w float64) {
 	e.tokenize(value)
 	for i := range e.spans {
 		t := e.tok(i)
-		e.h.addHashedDense(e.b, fnvAddBytes(pre, t), w)
+		e.h.addHashed(e.b, fnvAddBytes(pre, t), w)
 		if i > 0 {
 			hv := fnvAddBytes(pre, e.tok(i-1))
 			hv = fnvAddString(hv, " ")
-			e.h.addHashedDense(e.b, fnvAddBytes(hv, t), w)
+			e.h.addHashed(e.b, fnvAddBytes(hv, t), w)
 		}
 	}
 	e.features(value, w/2)
 }
 
-// isolatedFeatures mirrors Hasher.IsolatedFeatures: prefixed unigrams and
-// bigrams under "iso:"+ns+":" with no bare tokens.
+// isolatedFeatures hashes s under "iso:"+ns+":" with NO bare tokens, so the
+// segment cannot spuriously overlap candidate encodings. Knowledge prose uses
+// this: the sentence "answer yes when ..." must shift the input
+// representation without directly pumping the "yes" candidate's token
+// similarity.
 func (e *Encoder) isolatedFeatures(ns, s string, w float64) {
 	pre := fnvAddString(fnvOffset, "iso:")
 	pre = fnvAddString(pre, ns)
@@ -209,11 +210,11 @@ func (e *Encoder) isolatedFeatures(ns, s string, w float64) {
 	e.tokenize(s)
 	for i := range e.spans {
 		t := e.tok(i)
-		e.h.addHashedDense(e.b, fnvAddBytes(pre, t), w)
+		e.h.addHashed(e.b, fnvAddBytes(pre, t), w)
 		if i > 0 {
 			hv := fnvAddBytes(pre, e.tok(i-1))
 			hv = fnvAddString(hv, " ")
-			e.h.addHashedDense(e.b, fnvAddBytes(hv, t), w)
+			e.h.addHashed(e.b, fnvAddBytes(hv, t), w)
 		}
 	}
 }

@@ -46,11 +46,11 @@ func requireBitIdentical(t *testing.T, want, got *tensor.Sparse, label string) {
 	}
 }
 
-// TestEncoderMatchesHasherEncode pins the core contract: the zero-alloc
-// Encoder produces bit-identical vectors to the allocating Hasher.Encode.
+// TestEncoderMatchesHasherEncode pins the core contract: the streaming
+// Encoder produces bit-identical vectors to the reference hasher's Encode.
 func TestEncoderMatchesHasherEncode(t *testing.T) {
-	h := NewHasher(DefaultDim)
-	e := NewEncoder(h)
+	h := &refHasher{dim: DefaultDim}
+	e := NewEncoder(NewHasher(DefaultDim))
 	var got tensor.Sparse
 	for i, segs := range sampleSegs() {
 		want := h.Encode(segs...)
@@ -62,13 +62,13 @@ func TestEncoderMatchesHasherEncode(t *testing.T) {
 // TestEncoderReuseIsClean checks that state from one EncodeTo call cannot
 // leak into the next.
 func TestEncoderReuseIsClean(t *testing.T) {
-	h := NewHasher(1 << 10)
-	e := NewEncoder(h)
+	e := NewEncoder(NewHasher(1 << 10))
 	var got tensor.Sparse
 	e.EncodeTo(&got, []Segment{{Text: "completely different text first", Weight: 2}})
 	segs := []Segment{{Field: "brand", Text: "acme 9000", Weight: 1}}
 	e.EncodeTo(&got, segs)
-	requireBitIdentical(t, h.Encode(segs...), &got, "after reuse")
+	requireBitIdentical(t, (&refHasher{dim: 1 << 10}).Encode(segs...), &got, "after reuse")
+	requireBitIdentical(t, &got, e.Encode(segs), "Encode vs EncodeTo")
 }
 
 // TestEncoderZeroAlloc pins the whole point: steady-state serialization on
@@ -92,8 +92,9 @@ func TestEncoderZeroAlloc(t *testing.T) {
 }
 
 // FuzzEncoderEquivalence drives arbitrary (field, text, weight, mode) inputs
-// through both serializers and requires bit-identical output — the seed
-// corpus covers the unicode, punctuation, and invalid-UTF-8 edges.
+// through the Encoder and the reference hasher and requires bit-identical
+// output — the seed corpus covers the unicode, punctuation, and invalid-UTF-8
+// edges.
 func FuzzEncoderEquivalence(f *testing.F) {
 	f.Add("title", "sony vaio pcg-71211m", 1.0, byte(0))
 	f.Add("", "4.5% ABV — draught", 0.5, byte(1))
@@ -103,6 +104,7 @@ func FuzzEncoderEquivalence(f *testing.F) {
 	f.Add("x", "aaaa bbbb aaaa bbbb", -1.5, byte(0))
 	f.Add("", "", 0.0, byte(0))
 	h := NewHasher(1 << 11)
+	ref := &refHasher{dim: 1 << 11}
 	f.Fuzz(func(t *testing.T, field, text string, w float64, mode byte) {
 		seg := Segment{Field: field, Text: text, Weight: w}
 		switch mode % 3 {
@@ -115,7 +117,7 @@ func FuzzEncoderEquivalence(f *testing.F) {
 		e := NewEncoder(h)
 		var got tensor.Sparse
 		e.EncodeTo(&got, segs)
-		want := h.Encode(segs...)
+		want := ref.Encode(segs...)
 		if len(want.Idx) != len(got.Idx) {
 			t.Fatalf("nnz %d vs %d", len(want.Idx), len(got.Idx))
 		}

@@ -13,8 +13,6 @@ package text
 import (
 	"strings"
 	"unicode"
-
-	"repro/internal/tensor"
 )
 
 // DefaultDim is the default hashed feature dimensionality. 2^13 buckets keep
@@ -22,10 +20,10 @@ import (
 // keeping embedding tables small enough for CPU training.
 const DefaultDim = 1 << 13
 
-// Hasher maps strings to sparse feature vectors by hashing word unigrams,
-// word bigrams and character trigrams into Dim buckets with a sign hash
-// (standard feature hashing, Weinberger et al.). The zero value is not
-// usable; construct with NewHasher.
+// Hasher fixes the feature space strings are hashed into: Dim buckets with a
+// sign hash (standard feature hashing, Weinberger et al.). An Encoder built
+// over it does the hashing. The zero value is not usable; construct with
+// NewHasher.
 type Hasher struct {
 	dim int
 }
@@ -41,18 +39,6 @@ func NewHasher(dim int) *Hasher {
 
 // Dim returns the feature dimensionality.
 func (h *Hasher) Dim() int { return h.dim }
-
-// fnv1a is the 64-bit FNV-1a hash, inlined so feature extraction allocates
-// nothing per n-gram.
-func fnv1a(s string) uint64 {
-	return fnvAddString(fnvOffset, s)
-}
-
-// addFeature hashes s into the builder with weight w, using one bit of the
-// hash as a sign to make hashing approximately inner-product preserving.
-func (h *Hasher) addFeature(b *tensor.SparseBuilder, s string, w float64) {
-	h.addHashed(b, fnv1a(s), w)
-}
 
 // Tokenize lower-cases s and splits it into word tokens. Runs of letters or
 // digits form tokens; every other non-space rune becomes a single-rune token
@@ -82,80 +68,10 @@ func Tokenize(s string) []string {
 	return toks
 }
 
-// Features hashes s into the builder: word unigrams (weight w), adjacent
-// word bigrams (weight w), and character trigrams of each word (weight w/2,
-// capturing subword structure such as model-number fragments).
-func (h *Hasher) Features(b *tensor.SparseBuilder, s string, w float64) {
-	toks := Tokenize(s)
-	for i, t := range toks {
-		h.addFeature(b, "u:"+t, w)
-		if i > 0 {
-			h.addFeature(b, "b:"+toks[i-1]+" "+t, w)
-		}
-		if len(t) > 3 {
-			for j := 0; j+3 <= len(t); j++ {
-				h.addFeature(b, "c:"+t[j:j+3], w/2)
-			}
-		}
-	}
-}
-
-// FieldFeatures hashes a (field, value) pair so the same value in different
-// attributes produces different features; DP tasks depend on knowing which
-// attribute a value sits in.
-func (h *Hasher) FieldFeatures(b *tensor.SparseBuilder, field, value string, w float64) {
-	toks := Tokenize(value)
-	prefix := "f:" + strings.ToLower(field) + ":"
-	for i, t := range toks {
-		h.addFeature(b, prefix+t, w)
-		if i > 0 {
-			h.addFeature(b, prefix+toks[i-1]+" "+t, w)
-		}
-	}
-	// Also hash the bare tokens so cross-attribute overlap (e.g. the same
-	// model number appearing in two entities' titles) is visible.
-	h.Features(b, value, w/2)
-}
-
-// IsolatedFeatures hashes text under a dedicated namespace with NO bare
-// tokens, so the segment cannot spuriously overlap candidate encodings.
-// Knowledge prose uses this: the sentence "answer yes when ..." must shift
-// the input representation without directly pumping the "yes" candidate's
-// token similarity.
-func (h *Hasher) IsolatedFeatures(b *tensor.SparseBuilder, ns, s string, w float64) {
-	toks := Tokenize(s)
-	prefix := "iso:" + ns + ":"
-	for i, t := range toks {
-		h.addFeature(b, prefix+t, w)
-		if i > 0 {
-			h.addFeature(b, prefix+toks[i-1]+" "+t, w)
-		}
-	}
-}
-
-// Encode builds a normalized sparse vector from any number of weighted text
-// segments. Use one Segment per prompt part so parts can be weighted
-// differently (e.g. knowledge vs record).
-func (h *Hasher) Encode(segs ...Segment) *tensor.Sparse {
-	b := tensor.NewSparseBuilder()
-	for _, seg := range segs {
-		switch {
-		case seg.Isolated:
-			h.IsolatedFeatures(b, seg.Field, seg.Text, seg.Weight)
-		case seg.Field != "":
-			h.FieldFeatures(b, seg.Field, seg.Text, seg.Weight)
-		default:
-			h.Features(b, seg.Text, seg.Weight)
-		}
-	}
-	s := b.Build()
-	s.Normalize()
-	return s
-}
-
-// Segment is one weighted piece of text to encode. If Field is non-empty the
-// segment is hashed as a (field, value) pair; if Isolated is set it is
-// hashed into a private namespace (see IsolatedFeatures).
+// Segment is one weighted piece of text to encode; use one per prompt part
+// so parts can be weighted differently (e.g. knowledge vs record). If Field
+// is non-empty the segment is hashed as a (field, value) pair; if Isolated is
+// set it is hashed into a private namespace under Field with no bare tokens.
 type Segment struct {
 	Field    string
 	Text     string

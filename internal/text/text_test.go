@@ -71,9 +71,9 @@ func TestNewHasherRejectsBadDim(t *testing.T) {
 }
 
 func TestEncodeDeterministic(t *testing.T) {
-	h := NewHasher(1 << 10)
-	a := h.Encode(Segment{Text: "the quick brown fox", Weight: 1})
-	b := h.Encode(Segment{Text: "the quick brown fox", Weight: 1})
+	e := NewEncoder(NewHasher(1 << 10))
+	a := e.Encode([]Segment{{Text: "the quick brown fox", Weight: 1}})
+	b := e.Encode([]Segment{{Text: "the quick brown fox", Weight: 1}})
 	if a.NNZ() != b.NNZ() {
 		t.Fatal("same text must produce same encoding")
 	}
@@ -85,17 +85,17 @@ func TestEncodeDeterministic(t *testing.T) {
 }
 
 func TestEncodeNormalized(t *testing.T) {
-	h := NewHasher(1 << 10)
-	v := h.Encode(Segment{Text: "some record with several attribute values", Weight: 3})
+	e := NewEncoder(NewHasher(1 << 10))
+	v := e.Encode([]Segment{{Text: "some record with several attribute values", Weight: 3}})
 	if math.Abs(v.Norm()-1) > 1e-9 {
 		t.Fatalf("encoded norm = %v, want 1", v.Norm())
 	}
 }
 
 func TestEncodeIndicesInRange(t *testing.T) {
-	h := NewHasher(1 << 8)
+	e := NewEncoder(NewHasher(1 << 8))
 	f := func(s string) bool {
-		v := h.Encode(Segment{Text: s, Weight: 1})
+		v := e.Encode([]Segment{{Text: s, Weight: 1}})
 		for _, idx := range v.Idx {
 			if idx < 0 || idx >= 1<<8 {
 				return false
@@ -111,10 +111,10 @@ func TestEncodeIndicesInRange(t *testing.T) {
 // Similar texts should have higher cosine similarity than unrelated texts —
 // the property the dual encoder relies on.
 func TestEncodeSimilarity(t *testing.T) {
-	h := NewHasher(DefaultDim)
-	a := h.Encode(Segment{Text: "apple iphone 12 pro max 256gb silver", Weight: 1})
-	b := h.Encode(Segment{Text: "apple iphone 12 pro 256 gb silver smartphone", Weight: 1})
-	c := h.Encode(Segment{Text: "craft beer ipa hoppy bitterness 65 ibu", Weight: 1})
+	e := NewEncoder(NewHasher(DefaultDim))
+	a := e.Encode([]Segment{{Text: "apple iphone 12 pro max 256gb silver", Weight: 1}})
+	b := e.Encode([]Segment{{Text: "apple iphone 12 pro 256 gb silver smartphone", Weight: 1}})
+	c := e.Encode([]Segment{{Text: "craft beer ipa hoppy bitterness 65 ibu", Weight: 1}})
 	simAB := a.Dot(b)
 	simAC := a.Dot(c)
 	if simAB <= simAC {
@@ -126,9 +126,9 @@ func TestEncodeSimilarity(t *testing.T) {
 }
 
 func TestFieldFeaturesDistinguishAttributes(t *testing.T) {
-	h := NewHasher(DefaultDim)
-	a := h.Encode(Segment{Field: "city", Text: "springfield", Weight: 1})
-	b := h.Encode(Segment{Field: "name", Text: "springfield", Weight: 1})
+	e := NewEncoder(NewHasher(DefaultDim))
+	a := e.Encode([]Segment{{Field: "city", Text: "springfield", Weight: 1}})
+	b := e.Encode([]Segment{{Field: "name", Text: "springfield", Weight: 1}})
 	// Shared bare-token features give some overlap but not identity.
 	if sim := a.Dot(b); sim > 0.99 {
 		t.Fatalf("different fields should encode differently, cosine = %v", sim)
@@ -155,8 +155,8 @@ func TestCountTokens(t *testing.T) {
 }
 
 func TestEmptyEncode(t *testing.T) {
-	h := NewHasher(1 << 10)
-	v := h.Encode(Segment{Text: "", Weight: 1})
+	e := NewEncoder(NewHasher(1 << 10))
+	v := e.Encode([]Segment{{Text: "", Weight: 1}})
 	if v.NNZ() != 0 {
 		t.Fatalf("empty text should produce empty vector, nnz=%d", v.NNZ())
 	}
