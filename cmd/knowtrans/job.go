@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/data"
@@ -61,26 +60,14 @@ func runJob(args []string) {
 	stRows := fs.Int("selftest-rows", 64, "selftest: input rows")
 	stShards := fs.Int("selftest-shards", 8, "selftest: shards per job")
 	stKill := fs.Int("selftest-kill-after", 2, "selftest: SIGKILL the run after this many committed shards")
-	benchPath := fs.String("bench", "BENCH_jobs.json", "selftest: write the perf record to `file` (empty to disable)")
 	workdir := fs.String("workdir", "", "selftest: keep specs/checkpoints/outputs in this `dir` (default: temp, removed)")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	if rec == nil || rec.Metrics == nil {
-		var tracer *obs.Tracer
-		if rec != nil {
-			tracer = rec.Tracer
-		}
-		rec = obs.NewRecorder(obs.NewRegistry(), tracer)
-	}
-	rec.SeedTraceIDs(*seed)
+	rec, finish := serviceRecorder(of, *seed)
 
 	if *selftest {
-		if err := runJobSelftest(jobSelftestConfig{
+		finishDrill(runJobSelftest(jobSelftestConfig{
 			backends:    *stBackends,
 			rows:        *stRows,
 			shards:      *stShards,
@@ -89,18 +76,9 @@ func runJob(args []string) {
 			scale:       *scale,
 			seed:        *seed,
 			faults:      *faultSpec,
-			benchPath:   *benchPath,
 			workdir:     *workdir,
 			rec:         rec,
-		}); err != nil {
-			if ferr := finish(); ferr != nil {
-				fmt.Fprintf(os.Stderr, "knowtrans: observability shutdown: %v\n", ferr)
-			}
-			fatal(err)
-		}
-		if err := finish(); err != nil {
-			fatal(err)
-		}
+		}), finish)
 		return
 	}
 
@@ -196,47 +174,8 @@ type jobSelftestConfig struct {
 	scale       float64
 	seed        int64
 	faults      string
-	benchPath   string
 	workdir     string
 	rec         *obs.Recorder
-}
-
-// BenchJobs is the BENCH_jobs.json document (schema 1). The "report"
-// section holds the numerics `obs diff` gates — job shape, recovery
-// outcome verdicts (as 0/1 ints), and throughput; run-volatile evidence
-// (kill timing, retry counts) lives in "chaos", which the diff loader
-// skips.
-type BenchJobs struct {
-	SchemaVersion int             `json:"schema_version"`
-	GeneratedAt   string          `json:"generated_at"`
-	Seed          int64           `json:"seed"`
-	Scale         float64         `json:"scale"`
-	Faults        string          `json:"faults,omitempty"`
-	Adapter       string          `json:"adapter"`
-	Backends      int             `json:"backends"`
-	Report        *BenchJobsStats `json:"report"`
-	Chaos         *BenchJobsChaos `json:"chaos"`
-}
-
-// BenchJobsStats is the gated surface of one selftest run.
-type BenchJobsStats struct {
-	Rows               int     `json:"rows"`
-	Shards             int     `json:"shards"`
-	ResumedShards      int     `json:"resumed_shards"`
-	RowFailures        int     `json:"row_failures"`
-	DuplicateTransfers int     `json:"duplicate_transfers"`
-	ByteIdentical      int     `json:"byte_identical"`
-	PlanDeterministic  int     `json:"plan_deterministic"`
-	WallS              float64 `json:"wall_s"`
-	RowsPerS           float64 `json:"rows_per_s"`
-}
-
-// BenchJobsChaos is the crash-recovery evidence around the SIGKILL.
-type BenchJobsChaos struct {
-	KilledAfterShards      int   `json:"killed_after_shards"`
-	CommittedBeforeKill    int   `json:"committed_before_kill"`
-	Retries                int64 `json:"retries"`
-	TruncatedTailRecovered int   `json:"truncated_tail_recovered"`
 }
 
 // runJobSelftest is the acceptance gate behind `knowtrans job -selftest`:
@@ -314,34 +253,12 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 		return err
 	}
 
-	// Spawn the backend fleet (same recipe as the route selftest: every
-	// backend is deterministic in (seed, scale, faults)).
-	fmt.Printf("selftest: spawning %d backends (scale=%.2f seed=%d faults=%q)...\n",
-		cfg.backends, cfg.scale, cfg.seed, cfg.faults)
-	procs := make([]*backendProc, 0, cfg.backends)
-	defer func() {
-		for _, p := range procs {
-			if p.cmd.ProcessState == nil {
-				p.cmd.Process.Kill()
-				p.cmd.Wait()
-			}
-		}
-	}()
-	urls := make([]string, 0, cfg.backends)
-	for i := 0; i < cfg.backends; i++ {
-		p, err := spawnBackend(cfg.scale, cfg.seed, 4, cfg.faults)
-		if err != nil {
-			return err
-		}
-		procs = append(procs, p)
-		urls = append(urls, p.url)
+	fl, err := spawnFleet(cfg.backends, cfg.scale, cfg.seed, 4, cfg.faults)
+	if err != nil {
+		return err
 	}
-	for _, u := range urls {
-		if err := waitReady(u, 30*time.Second); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("selftest: fleet up: %s\n", strings.Join(urls, " "))
+	defer fl.close()
+	urls := fl.urls()
 
 	// Error-envelope probe: a predict for an unknown dataset must come back
 	// as the canonical envelope with the right code and retryability.
@@ -372,10 +289,7 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 		p.Render(&sb)
 		renders[i] = sb.String()
 	}
-	planDet := 0
-	if renders[0] == renders[1] {
-		planDet = 1
-	} else {
+	if renders[0] != renders[1] {
 		return fmt.Errorf("job: plan render is not deterministic:\n%s\nvs\n%s", renders[0], renders[1])
 	}
 
@@ -393,12 +307,8 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 	// Job B: a subprocess runs the same rows and SIGKILLs itself the
 	// instant the Nth shard commits — a real crash, no deferred cleanup.
 	ckptB := filepath.Join(work, "ckptB")
-	exe, err := os.Executable()
-	if err != nil {
-		exe = os.Args[0]
-	}
 	fmt.Printf("selftest: job B — same rows, SIGKILL after %d committed shards\n", cfg.killAfter)
-	cmd := exec.Command(exe, "job", "run",
+	cmd := exec.Command(selfExe(), "job", "run",
 		"-spec", specBPath,
 		"-backends", strings.Join(urls, ","),
 		"-checkpoint", ckptB,
@@ -408,8 +318,9 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 	)
 	cmd.Stdout = os.Stdout
 	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err == nil {
-		return fmt.Errorf("job: the -kill-after-shards run exited 0; it must die mid-job")
+	if err := cmd.Run(); !sigkilled(err) {
+		return fmt.Errorf("job: the -kill-after-shards run must die of SIGKILL mid-job; it ended with %v (%v)",
+			cmd.ProcessState, err)
 	}
 	st, err := jobs.ReadLog(jobs.CheckpointPath(ckptB, spB.ID()))
 	if err != nil {
@@ -495,72 +406,17 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 		}
 	}
 
-	// Survivoring backends must drain clean on SIGTERM.
-	for _, p := range procs {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("job: SIGTERM %s: %w", p.url, err)
-		}
-	}
-	for _, p := range procs {
-		done := make(chan error, 1)
-		go func(p *backendProc) { done <- p.cmd.Wait() }(p)
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("job: backend %s did not drain clean: %v", p.url, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("job: backend %s still running 15s after SIGTERM", p.url)
-		}
+	// The backends must drain clean on SIGTERM.
+	if err := fl.drain(drainDeadline); err != nil {
+		return err
 	}
 
 	wall := resA.WallS + resB.WallS
-	report := &BenchJobsStats{
-		Rows:               resB.Rows,
-		Shards:             resB.Shards,
-		ResumedShards:      resB.ResumedShards,
-		RowFailures:        resA.RowFailures + resB.RowFailures,
-		DuplicateTransfers: duplicates,
-		ByteIdentical:      byteIdentical,
-		PlanDeterministic:  planDet,
-		WallS:              wall,
-	}
-	if wall > 0 {
-		report.RowsPerS = float64(resA.Rows+resB.Rows) / wall
-	}
-	chaos := &BenchJobsChaos{
-		KilledAfterShards:      cfg.killAfter,
-		CommittedBeforeKill:    committed,
-		Retries:                resA.Retries + resB.Retries,
-		TruncatedTailRecovered: 1,
-	}
-
+	rowFailures := resA.RowFailures + resB.RowFailures
 	fmt.Printf("selftest: %d rows, %d shards, resumed %d, %d row failures, %d duplicate transfers\n",
-		report.Rows, report.Shards, report.ResumedShards, report.RowFailures, duplicates)
-	fmt.Printf("selftest: byte_identical=%d plan_deterministic=%d (%.2fs wall, %.0f rows/s)\n",
-		byteIdentical, planDet, wall, report.RowsPerS)
-
-	if cfg.benchPath != "" {
-		doc := &BenchJobs{
-			SchemaVersion: 1,
-			GeneratedAt:   time.Now().UTC().Format(time.RFC3339),
-			Seed:          cfg.seed,
-			Scale:         cfg.scale,
-			Faults:        cfg.faults,
-			Adapter:       key,
-			Backends:      cfg.backends,
-			Report:        report,
-			Chaos:         chaos,
-		}
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.benchPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", cfg.benchPath)
-	}
+		resB.Rows, resB.Shards, resB.ResumedShards, rowFailures, duplicates)
+	fmt.Printf("selftest: byte_identical=%d plan_deterministic=1 (%.2fs wall, %.0f rows/s)\n",
+		byteIdentical, wall, float64(resA.Rows+resB.Rows)/wall)
 
 	// Verdicts: the recovery story holds or the gate fails.
 	if byteIdentical != 1 {
@@ -569,8 +425,8 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 	if duplicates != 0 {
 		return fmt.Errorf("job: %d duplicated Transfers across the kill/resume drill, want 0", duplicates)
 	}
-	if report.RowFailures != 0 {
-		return fmt.Errorf("job: %d rows were lost, want 0 (retries should absorb transient faults)", report.RowFailures)
+	if rowFailures != 0 {
+		return fmt.Errorf("job: %d rows were lost, want 0 (retries should absorb transient faults)", rowFailures)
 	}
 	fmt.Println("selftest: PASS")
 	return nil

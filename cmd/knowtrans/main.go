@@ -85,19 +85,19 @@ func usage() {
                   [-batch-wait D] [-timeout D] [-faults SPEC] [-access-log FILE|-]
                   [-slow D] [obs flags]
   knowtrans serve -selftest [-selftest-requests N] [-selftest-concurrency N]
-                  [-selftest-adapters N] [-bench BENCH_serve.json]
+                  [-selftest-adapters N]
   knowtrans route -backends URL,URL,... [-addr HOST:PORT] [-replication N]
                   [-probe-interval D] [-fail-threshold N] [-hedge-delay D]
                   [-retry-budget N] [-drain-timeout D] [obs flags]
   knowtrans route -selftest [-selftest-backends N] [-selftest-requests N]
                   [-selftest-concurrency N] [-selftest-adapters N] [-scale S]
-                  [-faults SPEC] [-bench BENCH_cluster.json]
+                  [-faults SPEC]
   knowtrans job [run|plan|resume] -spec FILE.{json,yaml} [-backends URL,URL]
                 [-replication N] [-checkpoint DIR] [-dry-run] [-scale S]
                 [-seed K] [-faults SPEC] [obs flags]
   knowtrans job -selftest [-selftest-backends N] [-selftest-rows N]
                 [-selftest-shards N] [-selftest-kill-after N] [-scale S]
-                [-faults SPEC] [-bench BENCH_jobs.json] [-workdir DIR]
+                [-faults SPEC] [-workdir DIR]
   knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow]
   knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
   knowtrans obs diff A.json B.json [-rel-tol F] [-strict] [-json]

@@ -49,7 +49,7 @@ func obsUsage() {
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
   knowtrans obs diff A.json B.json [-rel-tol F] [-wall-tol F] [-strict] [-verbose] [-json]
-      compare two BENCH_run.json or BENCH_serve.json documents
+      compare two BENCH_run.json or BENCH_allocs.json documents
       metric-by-metric; exits 1 when any metric regressed beyond the
       relative tolerance
   knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate] [-diff BASELINE.jsonl] [-rel-tol F]

@@ -36,68 +36,37 @@ type BenchRun struct {
 	TotalSeconds  float64           `json:"total_wall_seconds"`
 }
 
-// LoadBenchRun reads one BENCH_run.json document. A BENCH_serve.json
-// document (recognized by the absence of experiments and the presence of
-// a report section) is accepted too: its numeric report and resources
-// fields are flattened into a synthetic one-experiment run, so `obs diff`
-// gates serving latency and allocation cost with the same machinery as
+// LoadBenchRun reads one BENCH_run.json document. A report document —
+// {"schema_version": N, "report": {numeric leaves}}, the shape
+// BENCH_allocs.json has — is accepted too (recognized by the absence of
+// experiments): its numbers become the metrics of a synthetic
+// one-experiment run, so `obs diff` gates them with the same machinery as
 // experiment metrics.
 func LoadBenchRun(path string) (*BenchRun, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("analyze: %w", err)
 	}
-	var run BenchRun
-	if err := json.Unmarshal(blob, &run); err != nil {
+	var doc struct {
+		BenchRun
+		Report map[string]any `json:"report"`
+	}
+	if err := json.Unmarshal(blob, &doc); err != nil {
 		return nil, fmt.Errorf("analyze: %s: %w", path, err)
 	}
+	run := &doc.BenchRun
 	if len(run.Experiments) == 0 {
-		if srun, ok := benchRunFromServeDoc(blob); ok {
-			srun.SchemaVersion = run.SchemaVersion
-			srun.GeneratedAt = run.GeneratedAt
-			return srun, nil
+		exp := BenchExperiment{ID: "report", Title: "report", Metrics: map[string]float64{}}
+		for k, v := range doc.Report {
+			if f, ok := v.(float64); ok { // non-numeric leaves are skipped
+				exp.Metrics[k] = f
+			}
+		}
+		if len(exp.Metrics) > 0 {
+			run.Experiments = []BenchExperiment{exp}
 		}
 	}
-	return &run, nil
-}
-
-// benchRunFromServeDoc flattens a BENCH_serve.json document into a
-// synthetic one-experiment BenchRun. Numeric leaves of "report" and
-// "resources" become metrics under the experiment id "serve"; wall time
-// maps onto WallSeconds so it stays informational unless -wall-tol gates
-// it. Non-numeric fields (sample trace IDs, timestamps) are skipped.
-func benchRunFromServeDoc(blob []byte) (*BenchRun, bool) {
-	var doc struct {
-		Report    map[string]any `json:"report"`
-		Resources map[string]any `json:"resources"`
-	}
-	if err := json.Unmarshal(blob, &doc); err != nil || doc.Report == nil {
-		return nil, false
-	}
-	exp := BenchExperiment{ID: "serve", Title: "serve selftest", Metrics: map[string]float64{}}
-	flatten := func(prefix string, m map[string]any) {
-		for k, v := range m {
-			f, ok := v.(float64)
-			if !ok {
-				continue
-			}
-			if prefix == "" && k == "wall_s" {
-				exp.WallSeconds = f
-				continue
-			}
-			name := k
-			if prefix != "" {
-				name = prefix + "." + k
-			}
-			exp.Metrics[name] = f
-		}
-	}
-	flatten("", doc.Report)
-	flatten("resources", doc.Resources)
-	if len(exp.Metrics) == 0 {
-		return nil, false
-	}
-	return &BenchRun{Experiments: []BenchExperiment{exp}, TotalSeconds: exp.WallSeconds}, true
+	return run, nil
 }
 
 // DeltaClass classifies one metric comparison.
@@ -137,20 +106,16 @@ type DiffOptions struct {
 	Strict bool
 	// LowerIsBetter marks metric-name substrings (case-insensitive) whose
 	// direction is inverted: a decrease is an improvement. Defaults to
-	// cost/latency/seconds/time/_us when nil.
+	// DefaultLowerIsBetter when nil.
 	LowerIsBetter []string
 }
 
 // DefaultLowerIsBetter are the metric-name substrings treated as
-// lower-is-better by default: the cost and latency columns of Table III,
-// plus the serve-doc failure counters and resource costs (allocations,
-// GC work, goroutines, heap) the perf sentinel gates, and the jobs-doc
-// loss counters (row failures, duplicated transfers).
+// lower-is-better by default: the cost and latency columns of Table III
+// and the time/bytes/allocs per op of BENCH_allocs.json.
 var DefaultLowerIsBetter = []string{
-	"cost", "latency", "seconds", "time", "_us", "price", "token",
-	"alloc", "bytes", "gc_", "goroutine", "heap",
-	"non_2xx", "mismatch", "miss", "shed", "cold",
-	"fail", "duplicate",
+	"cost", "latency", "seconds", "time", "price", "token",
+	"alloc", "bytes",
 }
 
 func (o DiffOptions) lowerIsBetter(metric string) bool {

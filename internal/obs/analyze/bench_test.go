@@ -154,70 +154,50 @@ func TestLoadBenchRun(t *testing.T) {
 	}
 }
 
-// TestLoadBenchRunServeDoc pins the serve-doc fallback: a BENCH_serve.json
-// document loads as a synthetic one-experiment run whose metrics carry the
-// report and resources numbers, and diffing two of them gates resource
-// regressions with lower-is-better direction.
+// TestLoadBenchRunServeDoc pins the report-document fallback (the shape of
+// BENCH_allocs.json): the document loads as a synthetic one-experiment run
+// whose metrics are the report's numeric leaves, and diffing two of them
+// gates allocation regressions with lower-is-better direction.
 func TestLoadBenchRunServeDoc(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, doc string) string {
+	load := func(name, doc string) *BenchRun {
 		t.Helper()
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return p
+		run, err := LoadBenchRun(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
 	}
-	baseDoc := `{"schema_version":3,"generated_at":"x",
-		"report":{"requests":256,"non_2xx":0,"wall_s":1.2,"throughput_rps":210,"p95_us":9000,"sample_trace":"abc"},
-		"resources":{"bytes_per_op":50000,"allocs_per_op":400,"gc_cycles":12,"goroutines_end":20}}`
-	a, err := LoadBenchRun(write("a.json", baseDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Experiments) != 1 || a.Experiments[0].ID != "serve" {
-		t.Fatalf("serve doc experiments = %+v", a.Experiments)
+	baseDoc := `{"schema_version":1,
+		"report":{"time_ns":320000,"bytes_per_op":50000,"allocs_per_op":400,"note":"abc"}}`
+	a := load("a.json", baseDoc)
+	if len(a.Experiments) != 1 || a.SchemaVersion != 1 {
+		t.Fatalf("report doc loaded as %+v", a)
 	}
 	m := a.Experiments[0].Metrics
-	if m["p95_us"] != 9000 || m["resources.bytes_per_op"] != 50000 || m["throughput_rps"] != 210 {
-		t.Fatalf("flattened metrics = %v", m)
-	}
-	if _, ok := m["sample_trace"]; ok {
-		t.Error("non-numeric field leaked into metrics")
-	}
-	if a.Experiments[0].WallSeconds != 1.2 {
-		t.Errorf("wall_s not mapped: %g", a.Experiments[0].WallSeconds)
+	if len(m) != 3 || m["time_ns"] != 320000 || m["bytes_per_op"] != 50000 || m["allocs_per_op"] != 400 {
+		t.Fatalf("flattened metrics = %v (the non-numeric leaf must be skipped)", m)
 	}
 
 	// Identical docs: clean under any tolerance.
-	b, err := LoadBenchRun(write("b.json", baseDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := DiffBenchRuns(a, b, DiffOptions{RelTol: 0.25}); d.HasRegressions() {
-		t.Fatalf("self serve-diff regressed: %+v", d.Deltas)
+	if d := DiffBenchRuns(a, load("b.json", baseDoc), DiffOptions{RelTol: 0.25}); d.HasRegressions() {
+		t.Fatalf("self report-diff regressed: %+v", d.Deltas)
 	}
 
-	// Doctored candidate: bytes/op and allocs/op ballooned — must gate.
-	worseDoc := `{"schema_version":3,
-		"report":{"requests":256,"non_2xx":0,"wall_s":1.2,"throughput_rps":208,"p95_us":9100},
-		"resources":{"bytes_per_op":500000,"allocs_per_op":4000,"gc_cycles":12,"goroutines_end":20}}`
-	w, err := LoadBenchRun(write("w.json", worseDoc))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Doctored candidate: bytes/op ballooned 10x, time within tolerance.
+	w := load("w.json", `{"schema_version":1,
+		"report":{"time_ns":330000,"bytes_per_op":500000,"allocs_per_op":400}}`)
 	d := DiffBenchRuns(a, w, DiffOptions{RelTol: 0.25})
-	if !d.HasRegressions() {
-		t.Fatal("10x bytes_per_op not flagged")
+	if d.Regressions != 1 {
+		t.Fatalf("regressions = %d, want exactly bytes_per_op: %+v", d.Regressions, d.Deltas)
 	}
-	var names []string
 	for _, md := range d.Deltas {
-		if md.Class == DeltaRegressed {
-			names = append(names, md.Metric)
+		if (md.Class == DeltaRegressed) != (md.Metric == "bytes_per_op") {
+			t.Errorf("%s classified %s", md.Metric, md.Class)
 		}
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "resources.bytes_per_op") || !strings.Contains(joined, "resources.allocs_per_op") {
-		t.Errorf("regressed metrics = %v", names)
 	}
 }

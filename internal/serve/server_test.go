@@ -251,3 +251,22 @@ func TestRunLoadCountsMismatches(t *testing.T) {
 		t.Fatalf("report = %+v, want one mismatch", rep)
 	}
 }
+
+// TestRunLoadCountsEnvelopeMisses: a non-2xx body that is not the error
+// envelope is counted apart from enveloped failures — the counter the
+// selftests make fatal at any fault rate.
+func TestRunLoadCountsEnvelopeMisses(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprintln(w, "boom")
+	}))
+	defer srv.Close()
+	items := []LoadItem{{Key: "EM/A", In: WireInstance{ID: "1", Candidates: []string{"yes", "no"}}}}
+	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.EnvelopeMisses != 1 || rep.Non2xx != 1 || len(rep.ErrorCodes) != 0 {
+		t.Fatalf("report = %+v, want one envelope miss and no error codes", rep)
+	}
+}

@@ -1,54 +1,16 @@
 #!/bin/sh
-# Tier-1 gate: formatting, vet, build, and the race-sensitive test
-# packages (the obs registry/tracer/analyzer, the concurrent AKB loop, and
-# the parallel experiment harness in eval).
-# Tier-2 gate: run a tiny seeded experiment serially twice and once with
-# four workers, and require `knowtrans obs diff -strict` to report zero
-# regressions across all three (the determinism gate), byte-identical
-# rendered tables between the serial and parallel runs, and the trace
-# analyzer's self-time accounting to cover the root span. A chaos gate then
-# re-runs the experiment through the fault-injection chain: at rate 0 the
-# tables must stay byte-identical to the unwrapped run, and at a 30% seeded
-# fault rate the run must complete exit 0 with injection metrics recorded.
-# Finally a serve gate runs `knowtrans serve -selftest` with tracing and
-# the access log armed: a 64-concurrent seeded load over 4 adapters through
-# the real HTTP path must return zero non-2xx, echo every client
-# traceparent, answer byte-identically to the direct Adapted.Predict path,
-# coalesce every adapter's cold start to exactly one Transfer, and record
-# the run in BENCH_serve.json. The telemetry it leaves behind is then
-# audited: every 2xx predict produced exactly one access-log line carrying
-# a trace ID, every serve.batch span links at least one request span, and
-# `obs trace -trace-id` reconstructs the slowest request's end-to-end path.
-# `obs trace` on a missing file must exit 2 with usage, not panic or pass.
-# A profiling gate then audits the resource telemetry the same selftest
-# left behind (it runs under -sample with a whole-run -cpuprofile): the
-# runtime timeline must summarize cleanly under `obs prof -gate` (no
-# goroutine leak, no unbounded heap growth), self-diff to zero regressions,
-# and fail (exit 1) against a doctored timeline with inflated goroutine and
-# heap readings — the perf-regression sentinel. The CPU profile must be
-# valid pprof, BENCH_serve.json (schema 5) must carry the resources
-# section, and `obs diff` must accept serve docs: clean on self, exit 1
-# when bytes/op is doctored 10x.
-# A batching gate then sweeps the batcher's configurations: -max-batch 1
-# (degenerate single-request batches) and a 30% seeded fault rate must both
-# pass the selftest (answer mismatches are fatal inside it at any fault
-# rate). Finally an allocation gate runs the ServePredict benchmarks (8 rows
-# as one batch, and as eight n = 1 calls) and the FewShotTransfer benchmark,
-# and diffs the measured ns/bytes/allocs per op of all three against the
-# committed BENCH_allocs.json baseline via `knowtrans obs diff`.
-# A cluster gate then runs `knowtrans route -selftest`: a 3-backend fleet
-# with one backend SIGKILLed mid-load must serve every request (zero
-# non-2xx, byte-identical answers), record hedges and failovers, eject the
-# corpse, rebalance its keys, and drain the survivors clean on SIGTERM;
-# the recorded BENCH_cluster.json is diffed against the committed baseline.
-# Finally a jobs gate runs `knowtrans job -selftest` under a 30% seeded
-# fault rate: dry-run planning must be byte-deterministic, a multi-shard
-# bulk job SIGKILLed mid-flight must resume from its checkpoint log with
-# zero duplicated Transfers and produce output byte-identical to an
-# uninterrupted same-seed run, a torn checkpoint tail must be tolerated,
-# every /v1/* error body must be the canonical error envelope (also
-# enforced statically: no raw http.Error in the serving packages), and the
-# recorded BENCH_jobs.json is diffed against the committed baseline.
+# The repository's correctness gate. Each gate below says what it proves
+# where it runs; latency, throughput and allocation cost of the serving
+# tiers are measured by benchmark/ (see benchmark/README.md), not here.
+#   tier-1  gofmt, vet, build, the benchmark module, race-detector tests
+#   tier-2  determinism  same seed, same tables and metrics (1 and 4 workers)
+#           chaos        fault chain: rate 0 is invisible, rate 0.3 degrades
+#           serve        `serve -selftest` + access-log/span/trace audits
+#           profiling    runtime timeline gates and the obs prof sentinel
+#           batching     `serve -selftest` at -max-batch 1 and under faults
+#           allocation   in-process benchmarks vs committed BENCH_allocs.json
+#           cluster      `route -selftest`: SIGKILL a backend mid-load
+#           jobs         `job -selftest`: SIGKILL a job mid-flight, resume
 # Run from anywhere inside the repo; exits non-zero on first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -67,7 +29,7 @@ go build ./...
 (cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/faults/... ./internal/resilience/... ./internal/serve/... \
-	./internal/cluster/... ./internal/jobs/...
+	./internal/cluster/... ./internal/jobs/... ./cmd/knowtrans/...
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: telemetry determinism gate ------------------------------------
@@ -160,24 +122,15 @@ echo "check.sh: tier-2 chaos gate passed"
 # The selftest drives a seeded load through the full HTTP path and exits
 # non-zero itself on any answer mismatch vs the direct path, any non-2xx
 # at fault rate 0, or any adapter whose cold starts did not coalesce to
-# exactly one Transfer. We additionally require the perf record to exist
-# and to have actually measured the load.
+# exactly one Transfer.
 "$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
-	-bench "$tmp/serve.json" -trace "$tmp/serve.jsonl" \
+	-trace "$tmp/serve.jsonl" \
 	-sample 10ms -timeline "$tmp/serve.runtime.jsonl" \
 	-cpuprofile "$tmp/serve.cpu.pprof" \
 	-access-log "$tmp/access.log" >"$tmp/serve.out" || {
 	echo "check.sh: serve selftest failed:" >&2
 	cat "$tmp/serve.out" >&2
-	exit 1
-}
-[ -s "$tmp/serve.json" ] || {
-	echo "check.sh: serve selftest wrote no BENCH_serve.json" >&2
-	exit 1
-}
-grep -q '"requests": 256' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json did not record the 256-request load" >&2
 	exit 1
 }
 
@@ -292,32 +245,6 @@ go tool pprof -raw "$tmp/serve.cpu.pprof" >/dev/null 2>&1 || {
 	exit 1
 }
 
-# BENCH_serve.json schema 5 carries the resources section, and obs diff
-# understands serve docs: clean against itself, exit 1 when bytes/op is
-# doctored an order of magnitude worse.
-grep -q '"schema_version": 5' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json is not schema 5" >&2
-	exit 1
-}
-grep -q '"bytes_per_op"' "$tmp/serve.json" || {
-	echo "check.sh: BENCH_serve.json lacks the resources section" >&2
-	exit 1
-}
-"$tmp/knowtrans" obs diff "$tmp/serve.json" "$tmp/serve.json" >/dev/null || {
-	echo "check.sh: obs diff on identical serve docs reported regressions" >&2
-	exit 1
-}
-sed -e 's/"bytes_per_op": \([0-9]\)/"bytes_per_op": 9\1/' \
-	-e 's/"allocs_per_op": \([0-9]\)/"allocs_per_op": 9\1/' \
-	"$tmp/serve.json" >"$tmp/serve.doctored.json"
-rc=0
-"$tmp/knowtrans" obs diff "$tmp/serve.json" "$tmp/serve.doctored.json" \
-	-rel-tol 0.5 >/dev/null 2>&1 || rc=$?
-if [ "$rc" != 1 ]; then
-	echo "check.sh: obs diff on doctored serve doc exited $rc, want 1" >&2
-	exit 1
-fi
-
 # A missing timeline is an operator mistake: exit 2 with usage.
 rc=0
 "$tmp/knowtrans" obs prof "$tmp/no-such-timeline.jsonl" >/dev/null 2>&1 || rc=$?
@@ -337,7 +264,7 @@ echo "check.sh: tier-2 profiling gate passed"
 # Degenerate batches: -max-batch 1 drains every request as an n = 1 batch.
 "$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 128 -selftest-concurrency 32 -selftest-adapters 2 \
-	-max-batch 1 -bench "$tmp/serve.mb1.json" >"$tmp/serve.mb1.out" || {
+	-max-batch 1 >"$tmp/serve.mb1.out" || {
 	echo "check.sh: serve selftest with -max-batch 1 failed:" >&2
 	cat "$tmp/serve.mb1.out" >&2
 	exit 1
@@ -348,7 +275,7 @@ echo "check.sh: tier-2 profiling gate passed"
 # path and cold starts still coalesce.
 "$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 128 -selftest-concurrency 32 -selftest-adapters 2 \
-	-faults rate=0.3,seed=9 -bench "$tmp/serve.chaos.json" >"$tmp/serve.chaos.out" || {
+	-faults rate=0.3,seed=9 >"$tmp/serve.chaos.out" || {
 	echo "check.sh: serve selftest under 30% faults failed:" >&2
 	cat "$tmp/serve.chaos.out" >&2
 	exit 1
@@ -400,40 +327,16 @@ echo "check.sh: tier-2 allocation gate passed"
 # with answers byte-identical to the direct path, hedges AND failovers
 # were recorded, the corpse was ejected by the health probes, its keys
 # were re-served by replicas, and the surviving backends drained clean
-# (exit 0) on SIGTERM. check.sh additionally pins the zero-failure
-# verdicts in the written record and diffs its latency/throughput profile
-# against the committed baseline (generous tolerance: a degraded-phase
-# profile depends on kill timing).
+# (exit 0) on SIGTERM.
 "$tmp/knowtrans" route -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
-	-faults rate=0.3,seed=9 -bench "$tmp/cluster.json" >"$tmp/cluster.out" || {
+	-faults rate=0.3,seed=9 >"$tmp/cluster.out" || {
 	echo "check.sh: route selftest failed:" >&2
 	cat "$tmp/cluster.out" >&2
 	exit 1
 }
-[ -s "$tmp/cluster.json" ] || {
-	echo "check.sh: route selftest wrote no BENCH_cluster.json" >&2
-	exit 1
-}
-for want in '"non_2xx": 0' '"mismatches": 0' '"requests": 512'; do
-	grep -q "$want" "$tmp/cluster.json" || {
-		echo "check.sh: BENCH_cluster.json lacks $want" >&2
-		cat "$tmp/cluster.json" >&2
-		exit 1
-	}
-done
-hedges=$(sed -n 's/^ *"hedges": \([0-9]*\),\{0,1\}$/\1/p' "$tmp/cluster.json")
-failovers=$(sed -n 's/^ *"failovers": \([0-9]*\),\{0,1\}$/\1/p' "$tmp/cluster.json")
-if [ -z "$hedges" ] || [ "$hedges" = 0 ] || [ -z "$failovers" ] || [ "$failovers" = 0 ]; then
-	echo "check.sh: BENCH_cluster.json records hedges='$hedges' failovers='$failovers', want both > 0" >&2
-	exit 1
-fi
-"$tmp/knowtrans" obs diff BENCH_cluster.json "$tmp/cluster.json" -rel-tol 1.0 >/dev/null || {
-	echo "check.sh: cluster gate regressed vs committed BENCH_cluster.json:" >&2
-	"$tmp/knowtrans" obs diff BENCH_cluster.json "$tmp/cluster.json" -rel-tol 1.0 >&2 || true
-	exit 1
-}
-echo "check.sh: tier-2 cluster gate passed ($hedges hedges, $failovers failovers, 0 failed requests)"
+grep '^selftest: chaos:' "$tmp/cluster.out"
+echo "check.sh: tier-2 cluster gate passed"
 
 # --- tier-2: jobs gate -------------------------------------------------------
 # The bulk tier's crash-recovery drill: `job -selftest` spawns a 2-backend
@@ -443,34 +346,15 @@ echo "check.sh: tier-2 cluster gate passed ($hedges hedges, $failovers failovers
 # itself exits non-zero unless the resumed output is byte-identical to the
 # uninterrupted run with zero duplicated Transfers anywhere in the fleet,
 # zero lost rows (retries absorb the 30% fault rate), and a canonical
-# error envelope on the probe. check.sh pins those verdicts in the written
-# record — the 0/1 verdict fields sit inside obs diff's tolerance, so a
-# flip to 0 must fail here, not there — and re-plans the kept spec twice
-# to pin dry-run determinism from the CLI surface.
+# error envelope on the probe. check.sh re-plans the kept spec twice to pin
+# dry-run determinism from the CLI surface.
 "$tmp/knowtrans" job -selftest -scale 0.05 -seed 7 \
-	-faults rate=0.3,seed=9 -bench "$tmp/jobs.json" \
+	-faults rate=0.3,seed=9 \
 	-workdir "$tmp/jobswork" >"$tmp/jobs.out" || {
 	echo "check.sh: job selftest failed:" >&2
 	cat "$tmp/jobs.out" >&2
 	exit 1
 }
-grep -q 'error envelope ok' "$tmp/jobs.out" || {
-	echo "check.sh: job selftest never probed the error envelope" >&2
-	exit 1
-}
-[ -s "$tmp/jobs.json" ] || {
-	echo "check.sh: job selftest wrote no BENCH_jobs.json" >&2
-	exit 1
-}
-for want in '"byte_identical": 1' '"plan_deterministic": 1' \
-	'"duplicate_transfers": 0' '"row_failures": 0' \
-	'"truncated_tail_recovered": 1'; do
-	grep -q "$want" "$tmp/jobs.json" || {
-		echo "check.sh: BENCH_jobs.json lacks $want" >&2
-		cat "$tmp/jobs.json" >&2
-		exit 1
-	}
-done
 
 # Dry-run determinism from the CLI: the same spec must render the same
 # plan bytes on every invocation (no timestamps, no map ordering).
@@ -489,10 +373,5 @@ if grep -rn 'http\.Error(' internal/serve internal/cluster internal/jobs; then
 	exit 1
 fi
 
-"$tmp/knowtrans" obs diff BENCH_jobs.json "$tmp/jobs.json" -rel-tol 1.0 >/dev/null || {
-	echo "check.sh: jobs gate regressed vs committed BENCH_jobs.json:" >&2
-	"$tmp/knowtrans" obs diff BENCH_jobs.json "$tmp/jobs.json" -rel-tol 1.0 >&2 || true
-	exit 1
-}
 echo "check.sh: tier-2 jobs gate passed (kill/resume byte-identical, 0 duplicated transfers)"
 echo "check.sh: all gates passed"
