@@ -229,6 +229,10 @@ func BenchmarkFewShotTransfer(b *testing.B) {
 // aaa74b4). See EXPERIMENTS.md "Few-shot Transfer cost".
 const transferDigest = "e8d13a77dbd4f03e"
 
+// transferZoo is the benchmark's zoo (seed 7, scale 0.05), built once for the
+// tests that adapt all 13 downstream datasets.
+var transferZoo = sync.OnceValue(func() *eval.Zoo { return eval.NewZoo(7, 0.05) })
+
 // TestTransferDigest adapts every downstream dataset of the benchmark's zoo
 // (seed 7, scale 0.05, 7B) and digests what a Transfer produces: all adapted
 // weights, λ, trust, the searched knowledge and the test-split answers. It
@@ -238,7 +242,7 @@ func TestTransferDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a zoo (~8 s)")
 	}
-	z := eval.NewZoo(7, 0.05)
+	z := transferZoo()
 	h := fnv.New64a()
 	floats := func(vs ...float64) {
 		var buf [8]byte
@@ -268,6 +272,45 @@ func TestTransferDigest(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != transferDigest {
 		t.Fatalf("transfer digest %s, want %s", got, transferDigest)
+	}
+}
+
+// TestConcurrentPredictMatchesSerial: on every adapted model of the
+// benchmark's zoo, four goroutines answering disjoint quarters of the test
+// split at once — batch sizes 1, 3, 8 and 5 — reproduce the serial answers
+// exactly. Run under -race it is the proof that concurrent forwards on one
+// adapter share nothing but frozen weights.
+func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a zoo (~8 s)")
+	}
+	z := transferZoo()
+	ctx := context.Background()
+	for _, key := range z.DownstreamKeys() {
+		ad, err := z.TransferDataset(ctx, key, eval.Size7B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := z.DownstreamByKey(key).DS.Test
+		want := ad.PredictBatch(ctx, test)
+		got := make([]string, len(test))
+		var wg sync.WaitGroup
+		for q, size := range []int{1, 3, 8, 5} {
+			lo, hi := q*len(test)/4, (q+1)*len(test)/4
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ; lo < hi; lo += size {
+					copy(got[lo:hi], ad.PredictBatch(ctx, test[lo:min(lo+size, hi)]))
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s row %d: concurrent %q, serial %q", key, i, got[i], want[i])
+			}
+		}
 	}
 }
 

@@ -154,13 +154,11 @@ func (a *Adapted) Predict(ctx context.Context, in *data.Instance) string {
 }
 
 // PredictBatch answers a whole micro-batch, one answer per instance in
-// order, with the searched knowledge in the prompt. The returned slice is
-// scratch reused across calls; a dead context returns nil — the serving
-// layer uses this to shed work nobody is waiting for.
-//
-// It is not safe for concurrent use on one Adapted (the underlying model
-// reuses scratch buffers); the serve batcher serializes per-adapter calls
-// for exactly this reason.
+// order, with the searched knowledge in the prompt. It is safe for
+// concurrent calls on one Adapted (model.Model.PredictBatchWith runs each on
+// its own scratch) and the returned slice belongs to the caller; a dead
+// context returns nil — the serving layer uses this to shed work nobody is
+// waiting for.
 func (a *Adapted) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
 	if ctx != nil && ctx.Err() != nil {
 		return nil
@@ -179,8 +177,7 @@ func (d Detached) Predict(in *data.Instance) string {
 }
 
 // PredictBatch satisfies the harness's context-free batched face, so
-// experiment eval loops score adapted models a slice at a time. The
-// returned slice is scratch.
+// experiment eval loops score adapted models a slice at a time.
 func (d Detached) PredictBatch(ins []*data.Instance) []string {
 	return d.Adapted.PredictBatch(context.Background(), ins)
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
+	"repro/internal/text"
 )
 
 // This file is the inference path, for any batch size n ≥ 1: one forward pass
@@ -21,29 +22,75 @@ import (
 // matrices stay small regardless of dataset size.
 const evalBatch = 64
 
-// batchScratch owns every reusable buffer of the inference path. A Model is
-// not safe for concurrent use — on the serve path the per-adapter batcher is
-// the serialization point — so single ownership is enough.
+// batchScratch is the unit of ownership of the inference path: everything a
+// forward mutates — the streaming encoder, the candidate-encoding memo, the
+// tensor pool and the example/score/index buffers — lives here, one scratch
+// per call in flight, while the weights it reads stay shared on the Model.
 type batchScratch struct {
 	pool  tensor.Pool
-	encs  []*tensor.Sparse // per-slot input encodings
-	uniq  map[string]int   // candidate string -> column in G
-	cands []*tensor.Sparse // unique candidate encodings, first-seen order
+	enc   *text.Encoder
+	memo  map[string]*tensor.Sparse // candidate string -> encoding, kept across calls
+	encs  []*tensor.Sparse          // per-slot input encodings
+	uniq  map[string]int            // candidate string -> column in G
+	cands []*tensor.Sparse          // unique candidate encodings, first-seen order
 
 	flat   tensor.Vec  // backing store for per-example score rows
 	scores [][]float64 // views into flat, one per example
 
-	idxs    []int           // PredictBatch result scratch
-	exs     []tasks.Example // PredictBatchWith example scratch
-	exptrs  []*tasks.Example
-	answers []string
+	idxs   []int           // predictBatch result scratch
+	exs    []tasks.Example // PredictBatchWith example scratch
+	exptrs []*tasks.Example
 }
 
-func (m *Model) batchScratch() *batchScratch {
-	if m.batch == nil {
-		m.batch = &batchScratch{uniq: make(map[string]int)}
+// checkout takes a scratch off the model's free list, making one only when
+// every existing scratch is in use — so the list never grows past the peak
+// number of concurrent callers. It is a mutex-guarded slice, not a sync.Pool:
+// a GC must not turn the next forward into a re-allocation of the encoder.
+func (m *Model) checkout() *batchScratch {
+	var b *batchScratch
+	m.mu.Lock()
+	if n := len(m.free); n > 0 {
+		b, m.free = m.free[n-1], m.free[:n-1]
 	}
-	return m.batch
+	m.mu.Unlock()
+	if b == nil {
+		b = &batchScratch{
+			enc:  text.NewEncoder(m.Hasher),
+			memo: make(map[string]*tensor.Sparse),
+			uniq: make(map[string]int),
+		}
+	}
+	return b
+}
+
+func (m *Model) checkin(b *batchScratch) {
+	m.mu.Lock()
+	m.free = append(m.free, b)
+	m.mu.Unlock()
+}
+
+// owned returns the scratch the model's single owner keeps checked out
+// between calls: ScoresBatch and PredictBatch hand back views into it.
+func (m *Model) owned() *batchScratch {
+	if m.own == nil {
+		m.own = m.checkout()
+	}
+	return m.own
+}
+
+// encodeCand returns the encoding of candidate string c, memoized on the
+// scratch (an encoding depends on the hasher only, never on weights).
+func (b *batchScratch) encodeCand(c string) *tensor.Sparse {
+	if v, ok := b.memo[c]; ok {
+		return v
+	}
+	v := &tensor.Sparse{}
+	b.enc.EncodeTo(v, []text.Segment{{Text: c, Weight: 1}})
+	if len(b.memo) > 1<<16 {
+		b.memo = make(map[string]*tensor.Sparse)
+	}
+	b.memo[c] = v
+	return v
 }
 
 // Argmax returns the index of the maximum score, skipping NaNs (a NaN in slot
@@ -69,29 +116,31 @@ func Argmax(scores []float64) (best, nans int) {
 }
 
 // ScoresBatch runs one forward pass over exs (any n ≥ 1) and returns one raw
-// candidate-score slice per example. The returned slices are scratch reused
-// across calls. Candidate strings repeated across the batch are encoded and
-// forwarded once. It panics on an example without candidates.
+// candidate-score slice per example. The returned slices are the owner's
+// scratch, reused across calls. Candidate strings repeated across the batch
+// are encoded and forwarded once. It panics on an example without candidates.
 func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
+	return m.scoresBatch(m.owned(), exs)
+}
+
+func (m *Model) scoresBatch(b *batchScratch, exs []*tasks.Example) [][]float64 {
 	n := len(exs)
 	if n == 0 {
 		return nil
 	}
 	m.Rec.Count("model.forward", int64(n))
 	m.Rec.Count("model.batch_forward", 1)
-	b := m.batchScratch()
 	h := m.Cfg.Hidden
 
 	// Encode every input into reused per-slot sparse vectors.
 	for len(b.encs) < n {
 		b.encs = append(b.encs, &tensor.Sparse{})
 	}
-	enc := m.encoder()
 	for i, ex := range exs {
 		if len(ex.Candidates) == 0 {
 			panic(fmt.Sprintf("model: example %q has no candidates", ex.Prompt))
 		}
-		enc.EncodeTo(b.encs[i], ex.Segments)
+		b.enc.EncodeTo(b.encs[i], ex.Segments)
 	}
 
 	// Input tower, one matmul per layer for the whole batch.
@@ -104,8 +153,7 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 	b.pool.PutMat(H)
 
 	// Deduplicate the union of candidate strings across the batch and encode
-	// each unique candidate once (through the candidate cache training
-	// shares).
+	// each unique candidate once (through the scratch's memo).
 	clear(b.uniq)
 	b.cands = b.cands[:0]
 	total := 0
@@ -114,7 +162,7 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 		for _, c := range ex.Candidates {
 			if _, ok := b.uniq[c]; !ok {
 				b.uniq[c] = len(b.cands)
-				b.cands = append(b.cands, m.encodeCand(c))
+				b.cands = append(b.cands, b.encodeCand(c))
 			}
 		}
 	}
@@ -160,11 +208,14 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 
 // PredictBatch returns the highest-scoring candidate's index for each example
 // via one forward pass. NaN scores are skipped (see Argmax) and counted in
-// model.nan_scores.
+// model.nan_scores. The returned slice is the owner's scratch.
 func (m *Model) PredictBatch(exs []*tasks.Example) []int {
-	scores := m.ScoresBatch(exs)
+	return m.predictBatch(m.owned(), exs)
+}
+
+func (m *Model) predictBatch(b *batchScratch, exs []*tasks.Example) []int {
+	scores := m.scoresBatch(b, exs)
 	m.Rec.Count("model.predict", int64(len(exs)))
-	b := m.batchScratch()
 	b.idxs = b.idxs[:0]
 	nans := 0
 	for _, sc := range scores {
@@ -179,14 +230,14 @@ func (m *Model) PredictBatch(exs []*tasks.Example) []int {
 }
 
 // PredictBatchWith serializes instances under the given knowledge (without
-// rendering prompts) and predicts them in batches of evalBatch. The returned
-// slice is scratch reused across calls. It satisfies akb.Predictor.
+// rendering prompts) and predicts them in batches of evalBatch. It is safe
+// for concurrent callers — each call runs on a scratch of its own, checked
+// out for the duration — and the returned slice belongs to the caller. It
+// satisfies akb.Predictor.
 func (m *Model) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
-	b := m.batchScratch()
-	if cap(b.answers) < len(ins) {
-		b.answers = make([]string, 0, len(ins))
-	}
-	b.answers = b.answers[:0]
+	b := m.checkout()
+	defer m.checkin(b)
+	answers := make([]string, 0, len(ins))
 	for lo := 0; lo < len(ins); lo += evalBatch {
 		hi := lo + evalBatch
 		if hi > len(ins) {
@@ -202,9 +253,9 @@ func (m *Model) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks
 			tasks.BuildExampleInto(&b.exs[i], spec, in, k)
 			exptrs[i] = &b.exs[i]
 		}
-		for i, best := range m.PredictBatch(exptrs) {
-			b.answers = append(b.answers, exptrs[i].Candidates[best])
+		for i, best := range m.predictBatch(b, exptrs) {
+			answers = append(answers, exptrs[i].Candidates[best])
 		}
 	}
-	return b.answers
+	return answers
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
@@ -128,8 +130,7 @@ func TestPredictBatchWithMatchesPredictWith(t *testing.T) {
 	spec := tasks.SpecFor(tasks.ED)
 	ins := toyED(evalBatch+5, 77)
 	k := hintKnowledge()
-	// The result is scratch the PredictWith calls below reuse: copy it out.
-	got := append([]string(nil), m.PredictBatchWith(spec, ins, k)...)
+	got := m.PredictBatchWith(spec, ins, k)
 	if len(got) != len(ins) {
 		t.Fatalf("got %d answers for %d instances", len(got), len(ins))
 	}
@@ -224,5 +225,87 @@ func TestPredictCountsNaNScores(t *testing.T) {
 	}
 	if got := reg.Counter("model.nan_scores").Value(); got != 1 {
 		t.Fatalf("model.nan_scores = %d after PredictBatch, want 1", got)
+	}
+}
+
+// concurrentAnswers answers ins from four goroutines at once, each taking a
+// disjoint quarter at its own batch size, through the one method any
+// goroutine may call.
+func concurrentAnswers(m *Model, spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
+	got := make([]string, len(ins))
+	var wg sync.WaitGroup
+	for q, size := range []int{1, 3, 8, 5} {
+		lo, hi := q*len(ins)/4, (q+1)*len(ins)/4
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ; lo < hi; lo += size {
+				copy(got[lo:hi], m.PredictBatchWith(spec, ins[lo:min(lo+size, hi)], k))
+			}
+		}()
+	}
+	wg.Wait()
+	return got
+}
+
+// TestConcurrentPredictMatchesSerial is the zoo-free twin of the root
+// package's test of the same name: on a patched model with live hints, four
+// concurrent callers must reproduce the serial answers exactly. Under -race
+// it is the check that inference shares nothing but weights.
+func TestConcurrentPredictMatchesSerial(t *testing.T) {
+	spec := tasks.SpecFor(tasks.ED)
+	for _, mk := range []func(*testing.T) *Model{patchedModel, fused12Model} {
+		m := mk(t)
+		ins := toyED(123, 55)
+		disjointCandidates(ins[:60]) // both a growing and a shared candidate memo
+		k := hintKnowledge()
+		want := m.PredictBatchWith(spec, ins, k)
+		for round := 0; round < 2; round++ {
+			for i, got := range concurrentAnswers(m, spec, ins, k) {
+				if got != want[i] {
+					t.Fatalf("round %d instance %d: concurrent %q, serial %q", round, i, got, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestScratchListBoundedByPeakCallers: the free list grows only when every
+// scratch is checked out, so it never holds more than the peak number of
+// concurrent callers — one for any amount of serial use, training included.
+func TestScratchListBoundedByPeakCallers(t *testing.T) {
+	m := patchedModel(t)
+	spec := tasks.SpecFor(tasks.ED)
+	ins := toyED(24, 9)
+	ps := m.Params()
+	Train(m, ExamplesFrom(tasks.ED, ins, nil), TrainConfig{Epochs: 1, LR: 0.01, Seed: 1}, &ps)
+	for i := 0; i < 5; i++ {
+		m.PredictBatchWith(spec, ins, nil)
+	}
+	if got := len(m.free); got != 1 {
+		t.Fatalf("%d scratches after serial training and inference, want 1", got)
+	}
+
+	var inFlight, peak atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				n := inFlight.Add(1)
+				for {
+					if hi := peak.Load(); n <= hi || peak.CompareAndSwap(hi, n) {
+						break
+					}
+				}
+				m.PredictBatchWith(spec, ins, nil)
+				inFlight.Add(-1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(m.free); got < 1 || got > int(peak.Load()) {
+		t.Fatalf("%d scratches on the free list after a peak of %d concurrent callers", got, peak.Load())
 	}
 }

@@ -22,6 +22,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/data"
 	"repro/internal/lora"
@@ -55,11 +56,18 @@ const (
 // DefaultDim is the default feature dimensionality.
 const DefaultDim = text.DefaultDim
 
-// Model is one DP-LM instance. A Model is not safe for concurrent use: its
-// layers and scratch hold one forward/backward pass at a time. Whoever owns
-// a model serializes calls into it — an experiment cell adapts and evaluates
-// its own clone, and on the serve path the per-adapter batcher is the single
-// caller.
+// Model is one DP-LM instance: weights, which inference only reads, plus
+// scratch, which every forward mutates. Ownership follows that split.
+// PredictBatchWith (and PredictWith / Evaluate on top of it) may be called by
+// any number of goroutines at once — each call checks a batchScratch out of
+// the model's free list and returns a slice its caller owns. Everything else
+// belongs to the model's single owner, who serializes it and runs it while no
+// concurrent call is in flight: whatever writes weights or layer activations
+// (Step, Train, attaching patches, LoadSnapshot) and the two methods that
+// hand back views into scratch the owner keeps (ScoresBatch, PredictBatch).
+// An experiment cell adapts and evaluates its own clone; on the serve path
+// Transfer owns the model until it is published, and from then on the
+// batcher's lanes only call PredictBatchWith.
 type Model struct {
 	Cfg    Config
 	Hasher *text.Hasher
@@ -82,10 +90,11 @@ type Model struct {
 	// observability-free at zero cost (see internal/obs).
 	Rec *obs.Recorder
 
-	candCache map[string]*tensor.Sparse
-	enc       *text.Encoder // streaming serializer, created on first use
-	scratch   scratch
-	batch     *batchScratch
+	scratch scratch
+
+	mu   sync.Mutex
+	free []*batchScratch // inference scratches not in use, guarded by mu
+	own  *batchScratch   // the owner's, see owned
 }
 
 // scratch is the per-model state of Step.
@@ -116,14 +125,13 @@ func New(cfg Config) *Model {
 // rng or, when rng is nil, leaving it zero for the caller to fill.
 func newModel(cfg Config, rng *rand.Rand) *Model {
 	m := &Model{
-		Cfg:       cfg,
-		Hasher:    text.NewHasher(cfg.Dim),
-		inAct1:    &nn.Tanh{},
-		inAct2:    &nn.Tanh{},
-		candAct1:  &nn.Tanh{},
-		candAct2:  &nn.Tanh{},
-		Trust:     &nn.Scalar{Name: "trust"},
-		candCache: make(map[string]*tensor.Sparse),
+		Cfg:      cfg,
+		Hasher:   text.NewHasher(cfg.Dim),
+		inAct1:   &nn.Tanh{},
+		inAct2:   &nn.Tanh{},
+		candAct1: &nn.Tanh{},
+		candAct2: &nn.Tanh{},
+		Trust:    &nn.Scalar{Name: "trust"},
 	}
 	m.inEmb = nn.NewEmbedding("in.emb", cfg.Dim, cfg.Hidden, rng)
 	m.inDense = nn.NewDense("in.dense", cfg.Hidden, cfg.Hidden, rng)
@@ -166,28 +174,6 @@ func (m *Model) LoraLayers() map[string]lora.Layer {
 		"cand.emb":   m.candEmb,
 		"cand.dense": m.candDense,
 	}
-}
-
-// encoder returns the model's streaming serializer, shared by training and
-// inference.
-func (m *Model) encoder() *text.Encoder {
-	if m.enc == nil {
-		m.enc = text.NewEncoder(m.Hasher)
-	}
-	return m.enc
-}
-
-func (m *Model) encodeCand(c string) *tensor.Sparse {
-	if v, ok := m.candCache[c]; ok {
-		return v
-	}
-	v := &tensor.Sparse{}
-	m.encoder().EncodeTo(v, []text.Segment{{Text: c, Weight: 1}})
-	if len(m.candCache) > 1<<16 {
-		m.candCache = make(map[string]*tensor.Sparse)
-	}
-	m.candCache[c] = v
-	return v
 }
 
 func (m *Model) forwardInput(x *tensor.Sparse) tensor.Vec {
@@ -234,7 +220,11 @@ func (m *Model) Step(ex *tasks.Example) float64 {
 	n := len(ex.Candidates)
 	h := m.Cfg.Hidden
 	sc := &m.scratch
-	m.encoder().EncodeTo(&sc.x, ex.Segments)
+	// The encoder and the candidate memo are borrowed for the call from the
+	// list inference uses, so a trained model carries one of each, not two.
+	b := m.checkout()
+	defer m.checkin(b)
+	b.enc.EncodeTo(&sc.x, ex.Segments)
 	// The two towers share no layer, so f (the input tower's output buffer)
 	// and the input layers' activations survive every candidate pass below.
 	f := m.forwardInput(&sc.x)
@@ -257,7 +247,7 @@ func (m *Model) Step(ex *tasks.Example) float64 {
 	// backward needs exactly what its forward left in the layers.
 	for k, c := range ex.Candidates {
 		m.swapCandActs(&sc.cands[k])
-		g := m.forwardCand(m.encodeCand(c))
+		g := m.forwardCand(b.encodeCand(c))
 		s := f.Dot(g) * inv
 		if ex.Hints != nil {
 			s += m.Trust.Val * ex.Hints[k]

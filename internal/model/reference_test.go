@@ -14,12 +14,14 @@ import (
 // pooled scratch. It returns a fresh slice.
 func referenceScores(m *Model, ex *tasks.Example) []float64 {
 	var x tensor.Sparse
-	m.encoder().EncodeTo(&x, ex.Segments)
+	b := m.checkout()
+	defer m.checkin(b)
+	b.enc.EncodeTo(&x, ex.Segments)
 	f := m.forwardInput(&x)
 	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
 	scores := make([]float64, len(ex.Candidates))
 	for k, c := range ex.Candidates {
-		s := f.Dot(m.forwardCand(m.encodeCand(c))) * inv
+		s := f.Dot(m.forwardCand(b.encodeCand(c))) * inv
 		if ex.Hints != nil {
 			s += m.Trust.Val * ex.Hints[k]
 		}

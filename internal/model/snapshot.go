@@ -46,10 +46,10 @@ func (m *Model) LoadSnapshot(s *Snapshot) error {
 }
 
 // Clone returns a fresh model with identical backbone weights and no
-// patches. The clone has its own scratch and candidate cache, so the
-// original and the clone can be trained independently (but each remains
-// single-goroutine). The clone inherits the recorder: observability follows
-// the model through the pipeline's clone-then-fine-tune pattern.
+// patches. The clone shares no scratch with the original, so the two can be
+// trained independently (each by its own single owner). The clone inherits
+// the recorder: observability follows the model through the pipeline's
+// clone-then-fine-tune pattern.
 func (m *Model) Clone() *Model {
 	c := newModel(m.Cfg, nil)
 	src := m.BaseParams()

@@ -33,21 +33,12 @@ func (c *stepClock) now() time.Time {
 	return c.base.Add(c.step)
 }
 
-// newClockBatcher is newBatcher with an injected clock (set before the loop
-// starts, so the loop never races the assignment).
+// newClockBatcher is a one-lane newBatcher with an injected clock. The clock
+// is set before the first request; the dispatcher and the lane read it only
+// after dequeuing one, so b.mu orders the assignment ahead of their reads.
 func newClockBatcher(ad Adapter, maxBatch int, maxWait time.Duration, clk func() time.Time) *batcher {
-	b := &batcher{
-		key:        "K",
-		ad:         ad,
-		maxBatch:   maxBatch,
-		maxWait:    maxWait,
-		depthGauge: "serve.queue_depth/K",
-		now:        clk,
-		wake:       make(chan struct{}, 1),
-		stopc:      make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	go b.run()
+	b := newBatcher("K", ad, maxBatch, maxWait, 1, nil)
+	b.now = clk
 	return b
 }
 
@@ -112,7 +103,7 @@ func TestLingerStillWaitsWhenFresh(t *testing.T) {
 // TestLingerTimerReused: the linger timer is allocated once per batcher and
 // reused across batches, not once per linger.
 func TestLingerTimerReused(t *testing.T) {
-	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, nil)
+	b := newBatcher("K", &stubAdapter{key: "K"}, 2, 50*time.Millisecond, 2, nil)
 	for i := 0; i < 6; i++ {
 		if _, err := b.predict(context.Background(), inst(fmt.Sprint(i))); err != nil {
 			t.Fatal(err)
@@ -125,48 +116,54 @@ func TestLingerTimerReused(t *testing.T) {
 }
 
 // TestBatchedPredictMatchesSerialUnderLoad drives 64 concurrent requests
-// through one batcher and requires every answer to be the adapter's formula
-// for that request — batching must never hand a request its neighbour's
-// answer. Run under -race this also exercises the one-PredictBatch-in-flight,
-// scratch-ownership and depth-gauge-under-mutex invariants.
+// through one batcher, at 1, 2 and 4 lanes, and requires every answer to be
+// the adapter's formula for that request — batching must never hand a request
+// its neighbour's answer, whichever lane served it — with never more
+// PredictBatch calls in flight than lanes. Run under -race this also
+// exercises the lane-scratch ownership and depth-gauge-under-mutex
+// invariants.
 func TestBatchedPredictMatchesSerialUnderLoad(t *testing.T) {
-	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
-	ad := &stubAdapter{key: "K", delay: time.Millisecond}
-	b := newBatcher("K", ad, 8, 2*time.Millisecond, rec)
-	defer b.stop()
+	for _, lanes := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint("lanes=", lanes), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			rec := obs.NewRecorder(reg, nil)
+			ad := &stubAdapter{key: "K", delay: time.Millisecond}
+			b := newBatcher("K", ad, 8, 2*time.Millisecond, lanes, rec)
+			defer b.stop()
 
-	const n = 64
-	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := b.predict(context.Background(), inst(fmt.Sprint(i)))
-			if err != nil {
-				errCh <- err
-				return
+			const n = 64
+			var wg sync.WaitGroup
+			errCh := make(chan error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got, err := b.predict(context.Background(), inst(fmt.Sprint(i)))
+					if err != nil {
+						errCh <- err
+						return
+					}
+					if want := "K:" + fmt.Sprint(i); got != want {
+						errCh <- fmt.Errorf("request %d: answer %q, want %q", i, got, want)
+					}
+				}(i)
 			}
-			if want := "K:" + fmt.Sprint(i); got != want {
-				errCh <- fmt.Errorf("request %d: answer %q, want %q", i, got, want)
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
 			}
-		}(i)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if ad.raced.Load() {
-		t.Fatal("concurrent adapter entry: the batcher must serialize per-adapter calls")
-	}
-	calls, batches := int64(ad.calls.Load()), reg.Counter("serve.batches").Value()
-	if calls == 0 || calls >= n {
-		t.Fatalf("%d PredictBatch calls for %d requests; batching amortized nothing", calls, n)
-	}
-	if calls != batches {
-		t.Fatalf("%d PredictBatch calls for %d drained batches; every batch is one call", calls, batches)
+			if got := int(ad.maxInFlight.Load()); got > lanes {
+				t.Fatalf("%d PredictBatch calls in flight on %d lanes", got, lanes)
+			}
+			calls, batches := int64(ad.calls.Load()), reg.Counter("serve.batches").Value()
+			if calls == 0 || calls >= n {
+				t.Fatalf("%d PredictBatch calls for %d requests; batching amortized nothing", calls, n)
+			}
+			if calls != batches {
+				t.Fatalf("%d PredictBatch calls for %d drained batches; every batch is one call", calls, batches)
+			}
+		})
 	}
 }
 
@@ -179,7 +176,7 @@ func TestBatchWrongLengthFailsTheBatch(t *testing.T) {
 	ad := &stubAdapter{key: "K"}
 	// A long linger and a batch cap of 3: each burst of three requests
 	// drains as exactly one full batch.
-	b := newBatcher("K", ad, 3, 10*time.Second, nil)
+	b := newBatcher("K", ad, 3, 10*time.Second, 2, nil)
 	defer b.stop()
 	burst := func() (answers []string, errs []error) {
 		type result struct {

@@ -34,14 +34,14 @@ type predictResp struct {
 var sizeBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 
 // batcher is the per-adapter micro-batching predict loop. Requests enqueue
-// under a mutex; a single goroutine drains the queue into batches of at
-// most maxBatch, lingering up to maxWait for stragglers once it holds at
-// least one request, then answers the whole batch against the model.
-// Batching serves two purposes: the adapter answers the batch in one forward
-// pass (Adapter.PredictBatch), and — since the underlying model reuses
-// scratch buffers and is not safe for concurrent use — the loop is also the
-// per-adapter serialization point, so the registry can accept unbounded
-// request concurrency without data races.
+// under a mutex; a single dispatcher goroutine (run) drains the queue into
+// batches of at most maxBatch, lingering up to maxWait for stragglers once
+// it holds at least one request, and hands each batch on a lane to a serving
+// goroutine, which answers it with ONE Adapter.PredictBatch call. There are
+// as many lanes as serving goroutines, and the dispatcher takes a free lane
+// before it waits for work: up to that many batches are in flight at once,
+// and rows pile up in the queue — which is how batches fill — only while
+// every lane is busy.
 //
 // The enqueue path checks the stopped flag under the same mutex that stop
 // sets it, so after stop returns no new request can slip into the queue:
@@ -67,10 +67,19 @@ type batcher struct {
 
 	// wake (capacity 1) nudges the loop after an enqueue; coalesced wakes
 	// are fine because the loop re-reads the queue under the mutex. stopc
-	// unblocks the loop's waits on stop; done closes when the loop exits.
+	// unblocks the loop's waits on stop; done closes when the loop and
+	// every serving goroutine have exited.
 	wake  chan struct{}
 	stopc chan struct{}
 	done  chan struct{}
+
+	// idle holds the lanes with no batch in flight (its capacity is the lane
+	// count, so returning one never blocks); work carries a lane with a
+	// formed batch to whichever serving goroutine is free, and serving counts
+	// those goroutines for stop.
+	idle    chan *lane
+	work    chan *lane
+	serving sync.WaitGroup
 
 	// linger timer, allocated once per batcher and reused across batches
 	// (Stop+drain+Reset protocol). timerInits counts allocations so the
@@ -78,13 +87,22 @@ type batcher struct {
 	// after done closes.
 	timer      *time.Timer
 	timerInits int
-
-	// serve-loop scratch, reused across batches (single owner: the loop).
-	live []*predictReq
-	ins  []*data.Instance
 }
 
-func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, rec *obs.Recorder) *batcher {
+// lane is one batch in flight and the scratch serve reuses across the
+// batches that ride it. The dispatcher owns a lane between taking it off idle
+// and sending it on work; the serving goroutine that receives it owns it
+// until it puts it back on idle.
+type lane struct {
+	batch []*predictReq
+	live  []*predictReq
+	ins   []*data.Instance
+}
+
+// newBatcher starts the dispatcher and lanes serving goroutines (at least
+// one). The registry passes runtime.GOMAXPROCS(0) — more forwards than cores
+// cannot overlap — and tests pin the count.
+func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, lanes int, rec *obs.Recorder) *batcher {
 	b := &batcher{
 		key:        key,
 		ad:         ad,
@@ -96,6 +114,19 @@ func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, rec
 		wake:       make(chan struct{}, 1),
 		stopc:      make(chan struct{}),
 		done:       make(chan struct{}),
+		idle:       make(chan *lane, lanes),
+		work:       make(chan *lane),
+	}
+	b.serving.Add(lanes)
+	for i := 0; i < lanes; i++ {
+		b.idle <- &lane{}
+		go func() {
+			defer b.serving.Done()
+			for ln := range b.work {
+				b.serve(ln)
+				b.idle <- ln
+			}
+		}()
 	}
 	go b.run()
 	return b
@@ -133,10 +164,11 @@ func (b *batcher) predict(ctx context.Context, in *data.Instance) (string, error
 	}
 }
 
-// stop refuses new requests, fails everything still queued, waits for the
-// loop to exit, and retires the per-key depth gauge (an evicted key must
-// disappear from /metrics, not linger as a stale series). Queued requesters
-// get errBatcherStopped and transparently re-resolve through the registry.
+// stop refuses new requests, fails everything still queued, waits for every
+// batch in flight to be answered and the goroutines to exit, and retires the
+// per-key depth gauge (an evicted key must disappear from /metrics, not
+// linger as a stale series). Queued requesters get errBatcherStopped and
+// transparently re-resolve through the registry.
 func (b *batcher) stop() {
 	b.mu.Lock()
 	if b.stopped {
@@ -152,11 +184,19 @@ func (b *batcher) stop() {
 	b.rec.DeleteGauge(b.depthGauge)
 }
 
-// run is the drain loop: wait for work, linger for stragglers, serve the
-// batch, repeat until stopped.
+// run is the dispatcher, the queue's only consumer: take a free lane, wait
+// for work, linger for stragglers, move the batch onto the lane, repeat
+// until stopped.
 func (b *batcher) run() {
 	defer close(b.done)
+	var ln *lane // the free lane the next batch goes to
 	for {
+		if ln == nil {
+			select {
+			case ln = <-b.idle:
+			case <-b.stopc:
+			}
+		}
 		b.mu.Lock()
 		if b.stopped {
 			q := b.queue
@@ -165,6 +205,9 @@ func (b *batcher) run() {
 			for _, r := range q {
 				r.resp <- predictResp{err: errBatcherStopped}
 			}
+			// Each serving goroutine finishes the batch it holds, if any.
+			close(b.work)
+			b.serving.Wait()
 			return
 		}
 		if len(b.queue) == 0 {
@@ -192,18 +235,19 @@ func (b *batcher) run() {
 			}
 		}
 
+		// Take the batch into the lane's scratch and close the gap in place:
+		// the queue keeps its backing array, and the vacated tail is cleared
+		// so it does not pin requests already handed off.
 		b.mu.Lock()
-		n := len(b.queue)
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
-		batch := make([]*predictReq, n)
-		copy(batch, b.queue[:n])
-		rest := b.queue[n:]
-		b.queue = append(b.queue[:0:0], rest...)
-		b.rec.SetGauge(b.depthGauge, float64(len(b.queue)))
+		n := min(len(b.queue), b.maxBatch)
+		ln.batch = append(ln.batch[:0], b.queue[:n]...)
+		rest := copy(b.queue, b.queue[n:])
+		clear(b.queue[rest:])
+		b.queue = b.queue[:rest]
+		b.rec.SetGauge(b.depthGauge, float64(rest))
 		b.mu.Unlock()
-		b.serve(batch)
+		b.work <- ln
+		ln = nil
 	}
 }
 
@@ -242,13 +286,14 @@ func (b *batcher) linger(wait time.Duration) {
 	}
 }
 
-// serve answers one batch. Per-adapter calls are serialized by construction
-// (one loop per batcher); requests whose context already expired are shed
-// without touching the model, and the survivors are answered by ONE
-// PredictBatch call. An adapter that returns the wrong number of answers has
-// broken its contract: every live member of that batch fails with one error
-// (a 502 through the ordinary envelope) and the loop moves on to the next
-// batch.
+// serve answers the batch on ln, on a serving goroutine. Requests whose
+// context already expired are shed without touching the model, and the
+// survivors are answered by ONE PredictBatch call, which may run beside the
+// other lanes' (Adapter is safe for concurrent calls). An adapter that
+// returns the wrong number of answers has broken its contract: every live
+// member of that batch fails with one error (a 502 through the ordinary
+// envelope); other lanes' batches and the next one on this lane are
+// unaffected.
 //
 // The serve.batch span lives in its own trace — batching is shared work, so
 // it belongs to no single request — and instead *links* every member
@@ -256,14 +301,15 @@ func (b *batcher) linger(wait time.Duration) {
 // queue wait is annotated onto its own request span and fed back to the
 // access log through the requestInfo carrier, so "my request was slow" and
 // "the batch it rode was busy" stay connected.
-func (b *batcher) serve(batch []*predictReq) {
+func (b *batcher) serve(ln *lane) {
+	batch := ln.batch
 	_, span := b.rec.StartSpan("serve.batch")
 	span.SetAttr("key", b.key)
 	span.SetAttr("size", len(batch))
 	start := time.Now()
 	b.rec.Observe("serve.batch_size", float64(len(batch)), sizeBounds)
 	batchLabel := strconv.Itoa(len(batch))
-	live := b.live[:0]
+	live := ln.live[:0]
 	for _, r := range batch {
 		queueUS := b.now().Sub(r.enq).Microseconds()
 		b.rec.Observe("serve.queue_us", float64(queueUS), nil)
@@ -282,13 +328,13 @@ func (b *batcher) serve(batch []*predictReq) {
 		}
 		live = append(live, r)
 	}
-	b.live = live[:0] // retain grown scratch for the next batch
+	ln.live = live[:0] // retain grown scratch for the next batch
 	if len(live) > 0 {
-		ins := b.ins[:0]
+		ins := ln.ins[:0]
 		for _, r := range live {
 			ins = append(ins, r.in)
 		}
-		b.ins = ins[:0]
+		ln.ins = ins[:0]
 		ps := span.StartChild("serve.predict")
 		ps.SetAttr("size", len(live))
 		// One forward under pprof labels; the batch runs on behalf of every

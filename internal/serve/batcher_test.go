@@ -18,7 +18,7 @@ func TestBatchesForm(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	ad := &stubAdapter{key: "K", delay: 2 * time.Millisecond}
-	b := newBatcher("K", ad, 8, 50*time.Millisecond, rec)
+	b := newBatcher("K", ad, 8, 50*time.Millisecond, 1, rec)
 	defer b.stop()
 
 	const n = 32
@@ -43,8 +43,8 @@ func TestBatchesForm(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if ad.raced.Load() {
-		t.Fatal("concurrent PredictBatch calls reached the adapter")
+	if got := ad.maxInFlight.Load(); got != 1 {
+		t.Fatalf("%d PredictBatch calls in flight at once on one lane", got)
 	}
 	h := reg.Histogram("serve.batch_size", sizeBounds)
 	if h.Count() == 0 {
@@ -64,7 +64,7 @@ func TestBatchRespectsCap(t *testing.T) {
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, nil)
 	ad := &stubAdapter{key: "K", delay: time.Millisecond}
-	b := newBatcher("K", ad, 4, 20*time.Millisecond, rec)
+	b := newBatcher("K", ad, 4, 20*time.Millisecond, 2, rec)
 	defer b.stop()
 
 	var wg sync.WaitGroup
@@ -87,9 +87,9 @@ func TestBatchRespectsCap(t *testing.T) {
 // retry sentinel instead of hanging them, and refuses later arrivals.
 func TestStopFailsQueued(t *testing.T) {
 	ad := &stubAdapter{key: "K", delay: 20 * time.Millisecond}
-	b := newBatcher("K", ad, 1, time.Millisecond, nil)
+	b := newBatcher("K", ad, 1, time.Millisecond, 1, nil)
 
-	// Occupy the loop with a slow call so the next request queues behind it.
+	// Occupy the lane with a slow call so the next request queues behind it.
 	first := make(chan error, 1)
 	go func() {
 		_, err := b.predict(context.Background(), inst("0"))
@@ -119,10 +119,10 @@ func TestStopFailsQueued(t *testing.T) {
 // answered with the context error without touching the model.
 func TestPredictShedsCanceled(t *testing.T) {
 	ad := &stubAdapter{key: "K", delay: 30 * time.Millisecond}
-	b := newBatcher("K", ad, 1, time.Millisecond, nil)
+	b := newBatcher("K", ad, 1, time.Millisecond, 1, nil)
 	defer b.stop()
 
-	// Head-of-line request keeps the loop busy.
+	// Head-of-line request keeps the only lane busy.
 	go b.predict(context.Background(), inst("0")) //nolint:errcheck
 	time.Sleep(5 * time.Millisecond)
 
@@ -146,7 +146,7 @@ func TestPredictShedsCanceled(t *testing.T) {
 
 // TestStopIdempotent: double-stop must not panic or hang.
 func TestStopIdempotent(t *testing.T) {
-	b := newBatcher("K", &stubAdapter{key: "K"}, 2, time.Millisecond, nil)
+	b := newBatcher("K", &stubAdapter{key: "K"}, 2, time.Millisecond, 2, nil)
 	done := make(chan struct{})
 	go func() {
 		b.stop()

@@ -8,9 +8,8 @@
 //     with coalesced cold starts (exactly one Transfer per cold key, however
 //     many requests race for it) and panic-safe build slots.
 //   - batcher: one micro-batching predict loop per resident adapter, which
-//     drains queued requests into batches before touching the model — both
-//     an amortization and the serialization the model's scratch buffers
-//     require.
+//     drains queued requests into batches before touching the model and
+//     keeps up to GOMAXPROCS of them in flight at once.
 //   - Server: the HTTP surface (POST /v1/predict, POST+GET /v1/adapters,
 //     /healthz, /metrics) with per-request deadlines.
 //
@@ -24,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -36,10 +36,9 @@ import (
 // Adapter is what the registry holds per key: the narrow predict face of a
 // core.Adapted model (which satisfies it directly). PredictBatch answers a
 // whole micro-batch in one forward pass and must return exactly one answer
-// per instance, in order; the slice may be scratch reused across calls (the
-// batcher copies answers out before the next call). Implementations are not
-// required to be safe for concurrent calls — the batcher serializes
-// per-adapter access.
+// per instance, in order. It must be safe for concurrent calls — the batcher
+// keeps several batches of one adapter in flight — and the returned slice
+// belongs to the caller.
 type Adapter interface {
 	PredictBatch(ctx context.Context, ins []*data.Instance) []string
 }
@@ -356,7 +355,7 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		key:     key,
 		ad:      ad,
 		lastUse: r.clock,
-		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, r.rec),
+		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, runtime.GOMAXPROCS(0), r.rec),
 	}
 	r.ready[key] = e
 	for len(r.ready) > r.opts.MaxAdapters {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,39 +14,68 @@ import (
 	"repro/internal/data"
 )
 
-// stubAdapter is a deterministic in-test adapter: it answers key:id, returns
-// scratch reused across calls (the contract the batcher must honor), counts
-// its calls, and detects concurrent entry — the batcher must serialize
-// per-adapter access.
+// stubAdapter is a deterministic in-test adapter, safe for concurrent calls
+// as the Adapter contract requires: it answers key:id in a fresh slice,
+// counts its calls, and keeps the high-water mark of calls in flight at once
+// — which the batcher must hold at or below its lane count.
 type stubAdapter struct {
 	key   string
 	delay time.Duration
-	// wrongLen makes PredictBatch return one answer short: the broken
-	// adapter contract.
-	wrongLen atomic.Bool
-	calls    atomic.Int32
-	inCall   atomic.Int32
-	raced    atomic.Bool
-	ans      []string
+	// gate, when non-nil, holds every call inside the adapter until the test
+	// sends on it or closes it; each call announces itself on entered first.
+	gate    chan struct{}
+	entered chan struct{}
+	// wrongLen makes the next PredictBatch to return come back one answer
+	// short: the broken adapter contract. One call consumes it.
+	wrongLen    atomic.Bool
+	calls       atomic.Int32
+	inCall      atomic.Int32
+	maxInFlight atomic.Int32
+}
+
+// gatedAdapter returns a stub whose calls block until released.
+func gatedAdapter(key string) *stubAdapter {
+	// entered is buffered past any lane count the tests use, so announcing
+	// never blocks a call the test is not yet listening for.
+	return &stubAdapter{key: key, gate: make(chan struct{}), entered: make(chan struct{}, 64)}
 }
 
 func (a *stubAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []string {
-	if a.inCall.Add(1) != 1 {
-		a.raced.Store(true)
-	}
+	n := a.inCall.Add(1)
 	defer a.inCall.Add(-1)
+	for {
+		if hi := a.maxInFlight.Load(); n <= hi || a.maxInFlight.CompareAndSwap(hi, n) {
+			break
+		}
+	}
 	a.calls.Add(1)
+	if a.gate != nil {
+		a.entered <- struct{}{}
+		<-a.gate
+	}
 	if a.delay > 0 {
 		time.Sleep(a.delay)
 	}
-	a.ans = a.ans[:0]
+	ans := make([]string, 0, len(ins))
 	for _, in := range ins {
-		a.ans = append(a.ans, a.key+":"+in.ID)
+		ans = append(ans, a.key+":"+in.ID)
 	}
-	if a.wrongLen.Load() {
-		return a.ans[:len(a.ans)-1]
+	if a.wrongLen.CompareAndSwap(true, false) {
+		return ans[:len(ans)-1]
 	}
-	return a.ans
+	return ans
+}
+
+// awaitEntered waits until n more calls are inside the gated adapter.
+func (a *stubAdapter) awaitEntered(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		select {
+		case <-a.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d PredictBatch calls in flight", i, n)
+		}
+	}
 }
 
 // stubTransferer counts builds per key and can be told to stall, fail, or
@@ -98,15 +128,15 @@ func (t *stubTransferer) buildCount(key string) int {
 	return t.builds[key]
 }
 
-func (t *stubTransferer) anyRace() bool {
+// maxInFlight is the most PredictBatch calls any one adapter saw at once.
+func (t *stubTransferer) maxInFlight() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	hi := 0
 	for _, a := range t.adapters {
-		if a.raced.Load() {
-			return true
-		}
+		hi = max(hi, int(a.maxInFlight.Load()))
 	}
-	return false
+	return hi
 }
 
 func inst(id string) *data.Instance {
@@ -319,7 +349,7 @@ func TestEvictionChurnNeverWedges(t *testing.T) {
 	if r.Resident() != 1 {
 		t.Fatalf("resident = %d, want the bound 1", r.Resident())
 	}
-	if tr.anyRace() {
-		t.Fatal("concurrent Predict calls reached one adapter; the batcher must serialize")
+	if got, lanes := tr.maxInFlight(), runtime.GOMAXPROCS(0); got > lanes {
+		t.Fatalf("%d PredictBatch calls in flight on one adapter, lanes = GOMAXPROCS = %d", got, lanes)
 	}
 }

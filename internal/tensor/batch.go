@@ -68,9 +68,9 @@ const maxPoolClass = 24
 // batched inference path. Buffers are grouped by power-of-two capacity so a
 // request for any length is served from the matching class without growing.
 //
-// Ownership rule: a Pool has exactly one owner (the Model that embeds it) and
-// is not safe for concurrent use — the per-adapter batcher is the
-// serialization point, exactly as for the serial scratch buffers. Buffers
+// Ownership rule: a Pool has exactly one owner at a time (the model's
+// per-call inference scratch that embeds it) and is not safe for concurrent
+// use — concurrent forwards each run on their own. Buffers
 // come back from Get with len set but contents unspecified; every kernel
 // above either overwrites (MatMulNT) or zeroes first (MatMulNN, row packing).
 type Pool struct {

@@ -71,8 +71,9 @@ type tokSpan struct{ lo, hi int32 }
 
 // Encoder hashes weighted text segments into normalized sparse vectors
 // without per-call allocation. It owns a reused lowered-byte buffer, token
-// span list, and sparse builder; one Encoder serves one goroutine (on the
-// serve path the per-adapter batcher is the serialization point).
+// span list, and sparse builder; one Encoder serves one goroutine at a time
+// (on the inference path each call in flight holds its own, with the rest of
+// the model's per-call scratch).
 type Encoder struct {
 	h     *Hasher
 	b     *tensor.DenseBuilder

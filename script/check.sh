@@ -28,8 +28,12 @@ go build ./...
 # signature change that breaks it would otherwise pass every local gate.
 (cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
-	./internal/faults/... ./internal/resilience/... ./internal/serve/... \
-	./internal/cluster/... ./internal/jobs/... ./cmd/knowtrans/...
+	./internal/faults/... ./internal/resilience/... ./internal/core/... \
+	./internal/tasks/... ./internal/cluster/... ./internal/jobs/... \
+	./cmd/knowtrans/...
+# A batcher runs GOMAXPROCS lanes and a model answers that many callers at
+# once, so these two are raced on one core and on several.
+go test -race -cpu 1,4 ./internal/serve/... ./internal/model/...
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: telemetry determinism gate ------------------------------------
