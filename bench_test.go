@@ -97,16 +97,16 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepFused measures the unit few-shot fine-tuning actually
-// runs: a frozen backbone carrying 12 loaded upstream patches with adaptive
-// λ plus the shared patch, one Step per iteration and the clip + Adam update
-// every 4 steps (the few-shot accumulation window).
-func BenchmarkTrainStepFused(b *testing.B) {
+// fusedBenchModel returns a model shaped like every adapted one (what
+// skc.BuildFusion builds): a frozen backbone carrying 12 loaded rank-4
+// upstream patches with adaptive λ plus the shared patch.
+func fusedBenchModel() (*model.Model, *lora.Fusion) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
 	m.SetBaseFrozen(true)
 	m.Trust.Frozen = true
 	rng := rand.New(rand.NewSource(2))
 	fusion := &lora.Fusion{}
+	lora.Reserve(m.LoraLayers(), 13, lora.DefaultConfig())
 	for i := 0; i < 12; i++ {
 		coef := &nn.Scalar{Val: 1.0 / 12}
 		p := lora.Attach(fmt.Sprintf("p%d", i), m.LoraLayers(), lora.DefaultConfig(), coef, rng)
@@ -117,6 +117,14 @@ func BenchmarkTrainStepFused(b *testing.B) {
 		fusion.Lambdas = append(fusion.Lambdas, coef)
 	}
 	fusion.Shared = lora.Attach("shared", m.LoraLayers(), lora.DefaultConfig(), &nn.Scalar{Val: 1, Frozen: true}, rng)
+	return m, fusion
+}
+
+// BenchmarkTrainStepFused measures the unit few-shot fine-tuning actually
+// runs on a fused model: one Step per iteration and the clip + Adam update
+// every 4 steps (the few-shot accumulation window).
+func BenchmarkTrainStepFused(b *testing.B) {
+	m, fusion := fusedBenchModel()
 	ps := fusion.TrainableParams()
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
 	ex := tasks.BuildExample(bundle.Spec(), bundle.DS.Train[0], nil)
@@ -145,15 +153,10 @@ func BenchmarkInference(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceFused measures one prediction with the full 12-patch
-// fusion attached — the marginal cost of SKC at inference time.
+// BenchmarkInferenceFused measures one prediction on a fused model — against
+// BenchmarkInference, the marginal cost of SKC at inference time.
 func BenchmarkInferenceFused(b *testing.B) {
-	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 12; i++ {
-		coef := &nn.Scalar{Val: 1.0 / 12}
-		lora.Attach(fmt.Sprintf("p%d", i), m.LoraLayers(), lora.DefaultConfig(), coef, rng)
-	}
+	m, _ := fusedBenchModel()
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
 	exs := []*tasks.Example{tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)}
 	b.ResetTimer()
@@ -176,11 +179,12 @@ func serveBenchInstances() (tasks.Spec, []*data.Instance) {
 
 // BenchmarkServePredict measures the serve hot path's unit of work: one
 // micro-batch of 8 predictions answered by one forward pass (shared
-// candidate encoding, one matmul per layer per batch, pooled scratch). Its
-// time and -benchmem counters feed the allocation gate via `knowtrans obs
-// diff` against BENCH_allocs.json.
+// candidate encoding, one matmul per layer per batch, pooled scratch) on a
+// fused model, which is what every served adapter is. Its time and -benchmem
+// counters feed the allocation gate via `knowtrans obs diff` against
+// BENCH_allocs.json.
 func BenchmarkServePredict(b *testing.B) {
-	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
+	m, _ := fusedBenchModel()
 	spec, ins := serveBenchInstances()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -193,7 +197,7 @@ func BenchmarkServePredict(b *testing.B) {
 // through the same entry point — the shape of unbatched traffic (-max-batch
 // 1, MELD's per-row routing) — so the gate also guards the n = 1 cost.
 func BenchmarkServePredictOne(b *testing.B) {
-	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
+	m, _ := fusedBenchModel()
 	spec, ins := serveBenchInstances()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -260,8 +264,8 @@ func TestTransferDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := ad.Model.Params()
-		for _, p := range ps.Mats {
-			floats(p.W.Data...)
+		for _, b := range ps.Mats { // per block: layer, patch, B then A, row-major
+			floats(b.Values()...)
 		}
 		floats(ad.Model.Trust.Val)
 		floats(ad.Fusion.Weights()...)

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/lora"
 	"repro/internal/model"
@@ -38,39 +41,57 @@ func runBuild(args []string) {
 	z := eval.NewZoo(*seed, *scale)
 	z.Rec = rec
 	fmt.Println("training upstream DP-LLM (base pretraining + multi-task SFT)...")
-	up := z.Upstream(eval.Size7B)
-	blob, err := up.Export().Encode()
-	if err != nil {
+	if err := saveUpstream(*dir, z.Upstream(eval.Size7B)); err != nil {
 		fatal(err)
 	}
-	path := filepath.Join(*dir, "upstream-7B.gob")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s (%d KiB)\n", path, len(blob)/1024)
-
 	fmt.Println("extracting knowledge patches...")
 	for _, ns := range z.Patches(eval.Size7B) {
-		blob, err := ns.Snap.Encode()
-		if err != nil {
+		if err := savePatch(*dir, ns); err != nil {
 			fatal(err)
 		}
-		name := "patch-" + strings.ReplaceAll(ns.Name, "/", "-") + ".gob"
-		p := filepath.Join(*dir, name)
-		if err := os.WriteFile(p, blob, 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%d KiB)\n", p, len(blob)/1024)
 	}
 	if err := finish(); err != nil {
 		fatal(err)
 	}
 }
 
+const upstreamFile = "upstream-7B.gob"
+
+func saveUpstream(dir string, m *model.Model) error {
+	blob, err := m.Export().Encode()
+	return writeArtifact(dir, upstreamFile, blob, err)
+}
+
+func savePatch(dir string, ns *skc.NamedSnapshot) error {
+	blob, err := ns.Snap.Encode()
+	return writeArtifact(dir, "patch-"+strings.ReplaceAll(ns.Name, "/", "-")+".gob", blob, err)
+}
+
+// writeArtifact writes one encoded artifact (or passes on its encoding error)
+// and reports the file.
+func writeArtifact(dir, name string, blob []byte, err error) error {
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d KiB)\n", path, len(blob)/1024)
+	return nil
+}
+
 // loadArtifacts restores an upstream model and patch library written by
 // runBuild. Returns (nil, nil, nil) when the directory has no artifacts.
+//
+// Patches come back in Table VII order (datagen.UpstreamKeys, as Zoo.Patches
+// lists them), not in the directory's lexical order; names outside the table
+// follow, sorted. The order is arithmetic, not presentation: patches are
+// attached, summed into a layer's output and given their columns of its
+// factor bank in this order, so a loaded library must fuse exactly like the
+// in-memory one.
 func loadArtifacts(dir string) (*model.Model, []*skc.NamedSnapshot, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "upstream-7B.gob"))
+	blob, err := os.ReadFile(filepath.Join(dir, upstreamFile))
 	if os.IsNotExist(err) {
 		return nil, nil, nil
 	}
@@ -101,6 +122,16 @@ func loadArtifacts(dir string) (*model.Model, []*skc.NamedSnapshot, error) {
 		}
 		snaps = append(snaps, &skc.NamedSnapshot{Name: s.Name, Snap: s})
 	}
+	table := datagen.UpstreamKeys()
+	rank := func(name string) int {
+		if i := slices.Index(table, name); i >= 0 {
+			return i
+		}
+		return len(table)
+	}
+	slices.SortStableFunc(snaps, func(a, b *skc.NamedSnapshot) int {
+		return cmp.Or(cmp.Compare(rank(a.Name), rank(b.Name)), cmp.Compare(a.Name, b.Name))
+	})
 	return m, snaps, nil
 }
 

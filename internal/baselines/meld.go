@@ -83,18 +83,23 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 	if p.topK == 0 {
 		p.topK = 2
 	}
-	for _, ns := range m.Snaps {
+	layers := host.LoraLayers()
+	lora.Reserve(layers, len(m.Snaps)+1, cfg)
+	patches := make([]*lora.Patch, len(m.Snaps))
+	library := make([]*lora.Snapshot, len(m.Snaps))
+	for i, ns := range m.Snaps {
 		coef := &nn.Scalar{Name: "gate/" + ns.Name, Val: 0, Frozen: true}
-		patch := lora.Attach(ns.Name, host.LoraLayers(), cfg, coef, rng)
-		if err := patch.Load(ns.Snap); err != nil {
-			// Snapshots come from the same architecture; failure is a
-			// programming error, surface it loudly.
-			panic(err)
-		}
-		patch.SetFrozen(true)
+		patches[i] = lora.AttachUnset(ns.Name, layers, cfg, coef, rng)
+		patches[i].SetFrozen(true)
+		library[i] = ns.Snap
 		p.experts = append(p.experts, expert{name: ns.Name, coef: coef})
 	}
-	shared := lora.Attach("meld-shared", host.LoraLayers(), cfg,
+	if err := lora.LoadAll(patches, library); err != nil {
+		// Snapshots come from the same architecture; failure is a
+		// programming error, surface it loudly.
+		panic(err)
+	}
+	shared := lora.Attach("meld-shared", layers, cfg,
 		&nn.Scalar{Name: "gate/shared", Val: 1, Frozen: true}, rng)
 
 	// Fine-tune the shared adapter with the gate active (experts routed per

@@ -24,6 +24,7 @@ import (
 // nn.Dense satisfy it.
 type Layer interface {
 	Attach(name string, rank int, alpha float64, coef *nn.Scalar, rng *rand.Rand) *nn.Attachment
+	Reserve(cols int)
 }
 
 // Config fixes the hyper-parameters of a patch, mirroring the paper's
@@ -49,6 +50,8 @@ type Patch struct {
 // Attach creates a patch across the given layers with coefficient coef.
 // Layer map keys become attachment names, so patches extracted from one
 // model instance can later be loaded into another with the same topology.
+// The B factors are drawn from rng layer by layer in key order; a nil rng
+// leaves them zero (AttachUnset).
 func Attach(name string, layers map[string]Layer, cfg Config, coef *nn.Scalar, rng *rand.Rand) *Patch {
 	p := &Patch{Name: name, Cfg: cfg, Coef: coef, Attachments: make(map[string]*nn.Attachment, len(layers))}
 	for _, key := range sortedKeys(layers) {
@@ -57,9 +60,34 @@ func Attach(name string, layers map[string]Layer, cfg Config, coef *nn.Scalar, r
 	return p
 }
 
-// Params returns the patch's factor matrices in deterministic order.
-func (p *Patch) Params() []*nn.Param {
-	var out []*nn.Param
+// Reserve sizes every layer's factor bank for n more patches of cfg's rank in
+// one allocation per layer. A caller about to Attach a known number of patches
+// calls it first; Attach alone regrows each bank once per patch.
+func Reserve(layers map[string]Layer, n int, cfg Config) {
+	for _, l := range layers {
+		l.Reserve(n * cfg.Rank)
+	}
+}
+
+// AttachUnset is Attach for a patch about to be loaded from a snapshot: its B
+// factors stay zero instead of being drawn and then overwritten. rng still
+// advances by exactly the draws Attach makes, so a patch attached after this
+// one from the same stream is initialised as it always was (ROADMAP 4(e):
+// dropping these draws moves the shared patch's start — a re-baselining).
+func AttachUnset(name string, layers map[string]Layer, cfg Config, coef *nn.Scalar, rng *rand.Rand) *Patch {
+	p := Attach(name, layers, cfg, coef, nil)
+	for _, at := range p.Attachments {
+		for n := at.B.NumParams(); n > 0; n-- {
+			rng.NormFloat64()
+		}
+	}
+	return p
+}
+
+// Params returns the patch's factors in deterministic order: per layer, the
+// patch's block of the layer's B bank, then its A matrix.
+func (p *Patch) Params() []*nn.Block {
+	var out []*nn.Block
 	for _, key := range sortedKeys(p.Attachments) {
 		out = append(out, p.Attachments[key].Params()...)
 	}
@@ -81,7 +109,7 @@ func (p *Patch) Norm() float64 {
 	for _, at := range p.Attachments {
 		// ‖BA‖_F ≤ ‖B‖_F·‖A‖_F; the bound is monotone enough for diagnostics
 		// and avoids materializing ΔW.
-		t += at.B.W.FrobeniusNorm() * at.A.W.FrobeniusNorm()
+		t += tensor.Vec(at.B.Values()).Norm() * at.A.W.FrobeniusNorm()
 	}
 	return t
 }
@@ -100,37 +128,88 @@ type matSnap struct {
 	Data       []float64
 }
 
-func snapOf(m *tensor.Mat) matSnap {
-	return matSnap{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// Export captures the patch's current factors.
+// Export captures the patch's current factors, each as its own dense matrix:
+// the B block is gathered out of the layer's bank.
 func (p *Patch) Export() *Snapshot {
 	s := &Snapshot{Name: p.Name, Cfg: p.Cfg, B: map[string]matSnap{}, A: map[string]matSnap{}}
 	for key, at := range p.Attachments {
-		s.B[key] = snapOf(at.B.W)
-		s.A[key] = snapOf(at.A.W)
+		s.B[key] = snapOf(at.B)
+		s.A[key] = snapOf(&at.A.Block)
 	}
 	return s
 }
 
-// Load overwrites the patch's factors from a snapshot. The snapshot must
-// cover exactly the patch's layers with matching shapes.
+func snapOf(b *nn.Block) matSnap {
+	return matSnap{Rows: b.Rows(), Cols: b.Cols(), Data: b.Values()}
+}
+
+// fits reports whether the snapshot matrix has exactly b's shape.
+func (m matSnap) fits(b *nn.Block) bool {
+	return m.Rows == b.Rows() && m.Cols == b.Cols() && len(m.Data) == b.NumParams()
+}
+
+// Load overwrites the patch's factors from a snapshot. The snapshot must have
+// the patch's configuration and cover exactly its layers with matching
+// shapes; everything is checked before anything is copied, so a rejected
+// snapshot leaves the patch as it was.
 func (p *Patch) Load(s *Snapshot) error {
-	if len(s.B) != len(p.Attachments) {
-		return fmt.Errorf("lora: snapshot covers %d layers, patch has %d", len(s.B), len(p.Attachments))
+	return LoadAll([]*Patch{p}, []*Snapshot{s})
+}
+
+// LoadAll loads snaps[i] into patches[i], all or — if any snapshot does not
+// fit its patch — none. The B blocks that share a layer's bank are written in
+// one pass over it: N Loads walk the whole bank N times, a cache line per row
+// each time, which is most of what attaching a patch library costs.
+func LoadAll(patches []*Patch, snaps []*Snapshot) error {
+	for i, p := range patches {
+		if err := p.accepts(snaps[i]); err != nil {
+			return err
+		}
+	}
+	type load struct {
+		blocks []*nn.Block
+		srcs   [][]float64
+	}
+	banks := map[*nn.Param]*load{}
+	for i, p := range patches {
+		for key, at := range p.Attachments {
+			l := banks[at.B.P]
+			if l == nil {
+				l = &load{}
+				banks[at.B.P] = l
+			}
+			l.blocks = append(l.blocks, at.B)
+			l.srcs = append(l.srcs, snaps[i].B[key].Data)
+			at.A.SetValues(snaps[i].A[key].Data)
+		}
+	}
+	for _, l := range banks {
+		nn.SetBlocks(l.blocks, l.srcs)
+	}
+	return nil
+}
+
+// accepts reports why s cannot be loaded into p, or nil.
+func (p *Patch) accepts(s *Snapshot) error {
+	if s.Cfg != p.Cfg {
+		return fmt.Errorf("lora: snapshot %q is rank %d alpha %g, patch is rank %d alpha %g",
+			s.Name, s.Cfg.Rank, s.Cfg.Alpha, p.Cfg.Rank, p.Cfg.Alpha)
+	}
+	if len(s.B) != len(p.Attachments) || len(s.A) != len(p.Attachments) {
+		return fmt.Errorf("lora: snapshot %q covers %d B / %d A layers, patch has %d",
+			s.Name, len(s.B), len(s.A), len(p.Attachments))
 	}
 	for key, at := range p.Attachments {
 		bs, ok := s.B[key]
 		as, ok2 := s.A[key]
 		if !ok || !ok2 {
-			return fmt.Errorf("lora: snapshot missing layer %q", key)
+			return fmt.Errorf("lora: snapshot %q missing layer %q", s.Name, key)
 		}
-		if bs.Rows != at.B.W.Rows || bs.Cols != at.B.W.Cols || as.Rows != at.A.W.Rows || as.Cols != at.A.W.Cols {
-			return fmt.Errorf("lora: shape mismatch for layer %q", key)
+		if !bs.fits(at.B) || !as.fits(&at.A.Block) {
+			return fmt.Errorf("lora: snapshot %q layer %q: B %dx%d A %dx%d, patch wants B %dx%d A %dx%d",
+				s.Name, key, bs.Rows, bs.Cols, as.Rows, as.Cols,
+				at.B.Rows(), at.B.Cols(), at.A.Rows(), at.A.Cols())
 		}
-		copy(at.B.W.Data, bs.Data)
-		copy(at.A.W.Data, as.Data)
 	}
 	return nil
 }

@@ -2,10 +2,21 @@ package lora
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
+
+func gaussian(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = rng.NormFloat64() * 0.5
+	}
+	return out
+}
 
 // hostLayers builds a tiny pair of adaptable layers.
 func hostLayers(rng *rand.Rand) (map[string]Layer, *nn.Dense, *nn.Embedding) {
@@ -37,7 +48,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Give the factors distinctive values.
 	for _, at := range p.Attachments {
 		at.A.W.FillGaussian(rng, 0.5)
-		at.B.W.FillGaussian(rng, 0.5)
+		at.B.SetValues(gaussian(rng, at.B.NumParams()))
 	}
 	blob, err := p.Export().Encode()
 	if err != nil {
@@ -61,30 +72,194 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("A factors differ after round trip")
 			}
 		}
-		for i := range at.B.W.Data {
-			if at.B.W.Data[i] != at2.B.W.Data[i] {
-				t.Fatal("B factors differ after round trip")
-			}
+		if !slices.Equal(at.B.Values(), at2.B.Values()) {
+			t.Fatal("B factors differ after round trip")
 		}
+	}
+	t.Run("third of five to first of two", crossLayouts)
+}
+
+// crossLayouts: a snapshot is the patch's own dense matrices, whatever bank it
+// was cut from. The third of five patches, exported, encoded and loaded as
+// the first of two on another host, carries the values it was given and
+// computes the same forward bit for bit.
+func crossLayouts(t *testing.T) {
+	cfg := Config{Rank: 2, Alpha: 1.5}
+	off := func() *nn.Scalar { return &nn.Scalar{Frozen: true} } // λ frozen at 0: skipped
+	layers, d, e := hostLayers(rand.New(rand.NewSource(9)))
+	rng := rand.New(rand.NewSource(10))
+	var third *Patch
+	for i := 0; i < 5; i++ {
+		coef := off()
+		if i == 2 {
+			coef = &nn.Scalar{Val: 0.8}
+		}
+		p := Attach("p", layers, cfg, coef, rng)
+		if i == 2 {
+			third = p
+		}
+	}
+	want := map[string][2][]float64{}
+	for key, at := range third.Attachments {
+		b, a := gaussian(rng, at.B.NumParams()), gaussian(rng, at.A.NumParams())
+		at.B.SetValues(b)
+		at.A.SetValues(a)
+		want[key] = [2][]float64{b, a}
+	}
+	blob, err := third.Export().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, w := range want {
+		if bs := snap.B[key]; bs.Cols != cfg.Rank || !slices.Equal(bs.Data, w[0]) {
+			t.Fatalf("%s: decoded B is %dx%d %v, want the dense %v", key, bs.Rows, bs.Cols, bs.Data, w[0])
+		}
+		if as := snap.A[key]; as.Rows != cfg.Rank || !slices.Equal(as.Data, w[1]) {
+			t.Fatalf("%s: decoded A is %dx%d %v, want the dense %v", key, as.Rows, as.Cols, as.Data, w[1])
+		}
+	}
+
+	layers2, d2, e2 := hostLayers(rand.New(rand.NewSource(9))) // same backbone
+	rng2 := rand.New(rand.NewSource(11))
+	first := Attach("p", layers2, cfg, &nn.Scalar{Val: 0.8}, rng2)
+	Attach("q", layers2, cfg, off(), rng2)
+	if err := first.Load(snap); err != nil {
+		t.Fatal(err)
+	}
+	x := &tensor.Sparse{Idx: []int32{2, 9, 30}, Val: []float64{0.5, -1, 0.25}}
+	h, h2 := e.Forward(x), e2.Forward(x)
+	if !slices.Equal(h, h2) {
+		t.Fatalf("embedding forwards differ: %v vs %v", h, h2)
+	}
+	if y, y2 := d.Forward(h), d2.Forward(h2); !slices.Equal(y, y2) {
+		t.Fatalf("dense forwards differ: %v vs %v", y, y2)
 	}
 }
 
+// TestLoadRejectsWrongShape: a snapshot that does not fit — rank, α, a layer
+// missing from either map, one layer of the wrong shape — is refused with
+// the patch exactly as it was, not half overwritten.
 func TestLoadRejectsWrongShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	layers, _, _ := hostLayers(rng)
-	p := Attach("p", layers, Config{Rank: 2, Alpha: 1}, &nn.Scalar{Val: 1}, rng)
-	snap := p.Export()
-	// Different rank host.
-	layers2, _, _ := hostLayers(rand.New(rand.NewSource(5)))
-	p2 := Attach("p", layers2, Config{Rank: 3, Alpha: 1}, &nn.Scalar{Val: 1}, rng)
-	if err := p2.Load(snap); err == nil {
-		t.Fatal("expected shape mismatch error")
+	cfg := Config{Rank: 2, Alpha: 1}
+	p := Attach("p", layers, cfg, &nn.Scalar{Val: 1}, rng)
+	for _, at := range p.Attachments {
+		at.A.W.FillGaussian(rng, 0.5)
 	}
-	// Missing layer.
-	delete(snap.B, "dense")
-	delete(snap.A, "dense")
-	if err := p.Load(snap); err == nil {
-		t.Fatal("expected missing-layer error")
+	before := p.Export()
+	unchanged := func(why string) {
+		t.Helper()
+		after := p.Export()
+		for key := range before.B {
+			if !slices.Equal(after.B[key].Data, before.B[key].Data) || !slices.Equal(after.A[key].Data, before.A[key].Data) {
+				t.Fatalf("%s: rejected load changed layer %q", why, key)
+			}
+		}
+	}
+	// other returns a loadable snapshot of different values for fn to break.
+	other := func(c Config) *Snapshot {
+		l, _, _ := hostLayers(rand.New(rand.NewSource(5)))
+		q := Attach("q", l, c, &nn.Scalar{Val: 1}, rng)
+		for _, at := range q.Attachments {
+			at.A.W.FillGaussian(rng, 0.5)
+		}
+		return q.Export()
+	}
+	for _, tc := range []struct {
+		why    string
+		snap   *Snapshot
+		mangle func(*Snapshot)
+		names  string // what the error must mention
+	}{
+		{"different rank", other(Config{Rank: 3, Alpha: 1}), func(*Snapshot) {}, "rank 3"},
+		{"different alpha", other(Config{Rank: 2, Alpha: 2}), func(*Snapshot) {}, "alpha 2"},
+		{"layer missing", other(cfg), func(s *Snapshot) { delete(s.B, "dense"); delete(s.A, "dense") }, "layers"},
+		{"A missing for a layer", other(cfg), func(s *Snapshot) { delete(s.A, "emb") }, "layers"},
+		{"layer renamed", other(cfg), func(s *Snapshot) {
+			s.B["other"], s.A["other"] = s.B["emb"], s.A["emb"]
+			delete(s.B, "emb")
+			delete(s.A, "emb")
+		}, `"emb"`},
+		// "emb" sorts after "dense": validating while copying would have
+		// overwritten "dense" before noticing.
+		{"last layer misshapen", other(cfg), func(s *Snapshot) {
+			m := s.B["emb"]
+			m.Rows--
+			m.Data = m.Data[:m.Rows*m.Cols]
+			s.B["emb"] = m
+		}, `"emb"`},
+		{"data shorter than its shape", other(cfg), func(s *Snapshot) {
+			m := s.A["dense"]
+			m.Data = m.Data[1:]
+			s.A["dense"] = m
+		}, `"dense"`},
+	} {
+		tc.mangle(tc.snap)
+		err := p.Load(tc.snap)
+		if err == nil {
+			t.Fatalf("%s: Load accepted the snapshot", tc.why)
+		}
+		if !strings.Contains(err.Error(), tc.names) {
+			t.Fatalf("%s: error %q does not mention %s", tc.why, err, tc.names)
+		}
+		unchanged(tc.why)
+	}
+	if err := p.Load(other(cfg)); err != nil {
+		t.Fatalf("an intact snapshot must still load: %v", err)
+	}
+}
+
+// TestAttachUnsetLoadAllMatchesAttachLoad: attaching a library with
+// Reserve + AttachUnset + one LoadAll leaves every factor — the loaded
+// patches' and the fresh patch drawn after them from the same stream — equal
+// to Attach + Load per patch, which draws each B only to overwrite it.
+func TestAttachUnsetLoadAllMatchesAttachLoad(t *testing.T) {
+	cfg := Config{Rank: 2, Alpha: 1}
+	var snaps []*Snapshot
+	for i := int64(0); i < 3; i++ {
+		rng := rand.New(rand.NewSource(20 + i))
+		l, _, _ := hostLayers(rng)
+		p := Attach("src", l, cfg, &nn.Scalar{Val: 1}, rng)
+		for _, at := range p.Attachments {
+			at.A.W.FillGaussian(rng, 0.5)
+		}
+		snaps = append(snaps, p.Export())
+	}
+	build := func(batched bool) []*Patch {
+		layers, _, _ := hostLayers(rand.New(rand.NewSource(30)))
+		rng := rand.New(rand.NewSource(31))
+		var patches []*Patch
+		if batched {
+			Reserve(layers, len(snaps)+1, cfg)
+			for range snaps {
+				patches = append(patches, AttachUnset("p", layers, cfg, &nn.Scalar{Val: 1}, rng))
+			}
+			if err := LoadAll(patches, snaps); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			for _, s := range snaps {
+				p := Attach("p", layers, cfg, &nn.Scalar{Val: 1}, rng)
+				if err := p.Load(s); err != nil {
+					t.Fatal(err)
+				}
+				patches = append(patches, p)
+			}
+		}
+		return append(patches, Attach("shared", layers, cfg, &nn.Scalar{Val: 1}, rng))
+	}
+	one, all := build(false), build(true)
+	for i, p := range one {
+		for j, b := range p.Params() {
+			if !slices.Equal(b.Values(), all[i].Params()[j].Values()) {
+				t.Fatalf("patch %d factor %d differs between Attach+Load and AttachUnset+LoadAll", i, j)
+			}
+		}
 	}
 }
 

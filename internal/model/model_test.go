@@ -74,9 +74,10 @@ func TestModelStepGradientCheck(t *testing.T) {
 
 	const eps = 1e-5
 	// Spot-check a sample of weights in each matrix plus the trust scalar.
-	for _, p := range ps.Mats {
-		idxs := []int{0, len(p.W.Data) / 2, len(p.W.Data) - 1}
-		for _, i := range idxs {
+	for _, b := range ps.Mats {
+		p := b.P
+		for _, k := range []int{0, b.NumParams() / 2, b.NumParams() - 1} {
+			i := flatIndex(b, k)
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
 			lp := referenceLoss(m, ex)
@@ -287,6 +288,12 @@ func TestWarmStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// flatIndex maps element k of block b (row-major within the block) to its
+// index in b.P's flat weight and gradient storage.
+func flatIndex(b *nn.Block, k int) int {
+	return k/b.Cols()*b.P.W.Cols + b.Lo + k%b.Cols()
+}
+
 // Step must backprop each candidate through the activations of ITS forward
 // pass, not the last candidate's: with four candidates on a fused model every
 // analytic gradient still matches central finite differences.
@@ -299,8 +306,10 @@ func TestStepKeepsPerCandidateActivations(t *testing.T) {
 	m.Step(ex)
 
 	const eps = 1e-5
-	for _, p := range ps.Mats {
-		for i := range p.W.Data {
+	for _, b := range ps.Mats {
+		p := b.P
+		for k := 0; k < b.NumParams(); k++ {
+			i := flatIndex(b, k)
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
 			lp := referenceLoss(m, ex)

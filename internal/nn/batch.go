@@ -14,10 +14,11 @@ import (
 // gated byte-for-byte against a reference built from those, so any
 // reordering here is a bug, not an optimization.
 
-// ForwardBatch computes y.Row(i) = Embedding.Forward(xs[i]) for all i with
-// the patch projections batched: the rank-sized projections of the whole
-// batch are packed into one matrix and lifted back with a single
-// MatMulNN per patch. y must be len(xs) x Hidden.
+// ForwardBatch computes y.Row(i) = Embedding.Forward(xs[i]) for all i. Each
+// active feature is gathered once from E and once from the patch bank, so the
+// rank projections of every patch arrive in one n x R matrix; each patch then
+// lifts its columns back to hidden space and adds them under the λ it reads
+// now. y must be len(xs) x Hidden.
 func (l *Embedding) ForwardBatch(xs []*tensor.Sparse, y *tensor.Mat, pool *tensor.Pool) {
 	n := len(xs)
 	if y.Rows != n || y.Cols != l.Hidden() {
@@ -30,30 +31,30 @@ func (l *Embedding) ForwardBatch(xs []*tensor.Sparse, y *tensor.Mat, pool *tenso
 			row.Axpy(x.Val[i], l.E.W.Row(int(idx)))
 		}
 	}
+	if len(l.Patches) == 0 {
+		return
+	}
+	u := pool.GetMat(n, l.bank.W.Cols)
+	for b, x := range xs {
+		urow := u.Row(b)
+		urow.Zero()
+		for i, idx := range x.Idx {
+			urow.Axpy(x.Val[i], l.bank.W.Row(int(idx)))
+		}
+	}
+	ua := pool.GetVec(l.Hidden())
 	for _, at := range l.Patches {
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		u := pool.GetMat(n, r)
-		for b, x := range xs {
-			urow := u.Row(b)
-			urow.Zero()
-			for i, idx := range x.Idx {
-				urow.Axpy(x.Val[i], at.B.W.Row(int(idx)))
-			}
-		}
-		// One matmul lifts every row's rank projection back to hidden space;
-		// row i equals at.A.W.MulVecT(u.Row(i), ·) bit for bit.
-		ua := pool.GetMat(n, l.Hidden())
-		tensor.MatMulNN(u, at.A.W, ua)
 		scale := at.Alpha * at.Coef.Val
 		for b := 0; b < n; b++ {
-			y.Row(b).Axpy(scale, ua.Row(b))
+			at.A.W.MulVecT(u.Row(b)[at.B.Lo:at.B.Hi], ua)
+			y.Row(b).Axpy(scale, ua)
 		}
-		pool.PutMat(ua)
-		pool.PutMat(u)
 	}
+	pool.PutVec(ua)
+	pool.PutMat(u)
 }
 
 // ForwardBatch computes y.Row(i) = Dense.Forward(u.Row(i)) for all i with one
@@ -69,22 +70,24 @@ func (l *Dense) ForwardBatch(u, y *tensor.Mat, pool *tensor.Pool) {
 	for b := 0; b < n; b++ {
 		y.Row(b).Axpy(1, bias)
 	}
+	if len(l.Patches) == 0 {
+		return
+	}
+	bz := pool.GetVec(l.Out())
 	for _, at := range l.Patches {
-		if at.Coef.Val == 0 && at.Coef.Frozen {
+		if at.skipped() {
 			continue
 		}
-		r := at.Rank()
-		z := pool.GetMat(n, r)
+		z := pool.GetMat(n, at.Rank())
 		tensor.MatMulNT(u, at.A.W, z)
-		bz := pool.GetMat(n, l.Out())
-		tensor.MatMulNT(z, at.B.W, bz)
 		scale := at.Alpha * at.Coef.Val
 		for b := 0; b < n; b++ {
-			y.Row(b).Axpy(scale, bz.Row(b))
+			mulB(at.B, z.Row(b), bz)
+			y.Row(b).Axpy(scale, bz)
 		}
-		pool.PutMat(bz)
 		pool.PutMat(z)
 	}
+	pool.PutVec(bz)
 }
 
 // TanhMat applies tanh elementwise in place — the batched form of

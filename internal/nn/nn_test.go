@@ -75,8 +75,10 @@ func TestGradientCheck(t *testing.T) {
 	net.lossAndBackward(x, gold)
 
 	const eps = 1e-5
-	checkMat := func(p *Param) {
-		for i := range p.W.Data {
+	checkMat := func(b *Block) {
+		p := b.P
+		for k := 0; k < b.NumParams(); k++ {
+			i := k/b.Cols()*p.W.Cols + b.Lo + k%b.Cols() // flat index of block element k
 			orig := p.W.Data[i]
 			p.W.Data[i] = orig + eps
 			lp := net.loss(x, gold)
@@ -185,7 +187,7 @@ func TestPatchEquivalentToMaterializedDelta(t *testing.T) {
 		for j := 0; j < in; j++ {
 			var d float64
 			for k := 0; k < rank; k++ {
-				d += at.B.W.At(i, k) * at.A.W.At(k, j)
+				d += at.B.Values()[i*rank+k] * at.A.W.At(k, j)
 			}
 			eff.Set(i, j, eff.At(i, j)+1.3*0.9*d)
 		}
@@ -295,7 +297,7 @@ func TestClipGradNorm(t *testing.T) {
 	p := NewParam("p", 1, 3)
 	copy(p.Grad().Data, []float64{3, 4, 0})
 	var ps ParamSet
-	ps.Add(p)
+	ps.Add(&p.Block)
 	pre := ps.ClipGradNorm(1)
 	if math.Abs(pre-5) > 1e-12 {
 		t.Fatalf("pre-clip norm = %v, want 5", pre)

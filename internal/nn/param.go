@@ -21,21 +21,113 @@ import (
 	"repro/internal/tensor"
 )
 
+// Block is a run of adjacent columns [Lo, Hi) of a parameter: the unit a
+// ParamSet lists and the unit that freezes. A whole parameter is the block of
+// all its columns (Param embeds that one); the B factor of a LoRA patch is a
+// block of the bank its layer keeps for all its patches (see Attachment).
+type Block struct {
+	P      *Param
+	Lo, Hi int
+	Frozen bool
+
+	// dirty: on a sparse-tracked parameter, the block received gradient since
+	// the last ZeroGrad. The touched-row list is the parameter's, shared by its
+	// blocks; a block no backward reached sits the window out as a parameter
+	// with an empty list does.
+	dirty bool
+}
+
+// Rows and Cols give the block's shape.
+func (b *Block) Rows() int { return b.P.W.Rows }
+func (b *Block) Cols() int { return b.Hi - b.Lo }
+
+// NumParams returns the number of scalar parameters in the block.
+func (b *Block) NumParams() int { return b.Rows() * b.Cols() }
+
+// row returns the block's stretch of row r of m, one of P's matrices.
+func (b *Block) row(m *tensor.Mat, r int) tensor.Vec {
+	return m.Data[r*m.Cols+b.Lo : r*m.Cols+b.Hi]
+}
+
+// Values returns a row-major Rows x Cols copy of the block's weights — the
+// dense matrix the block stands for, whatever it is interleaved with.
+func (b *Block) Values() []float64 {
+	out := make([]float64, 0, b.NumParams())
+	for r := 0; r < b.Rows(); r++ {
+		out = append(out, b.row(b.P.W, r)...)
+	}
+	return out
+}
+
+// SetValues overwrites the block's weights from a row-major Rows x Cols slice.
+func (b *Block) SetValues(src []float64) { SetBlocks([]*Block{b}, [][]float64{src}) }
+
+// SetBlocks overwrites blocks[i] from srcs[i] (row-major, as SetValues takes
+// it) for several blocks of equal height in one pass over the rows: loading
+// every patch of a bank this way walks the bank once, where one SetValues per
+// patch walks it — a cache line per row — once per patch.
+func SetBlocks(blocks []*Block, srcs [][]float64) {
+	if len(blocks) == 0 {
+		return
+	}
+	for i, b := range blocks {
+		checkLen("block rows", b.Rows(), blocks[0].Rows())
+		checkLen("block values", len(srcs[i]), b.NumParams())
+	}
+	for r := 0; r < blocks[0].Rows(); r++ {
+		for i, b := range blocks {
+			dst := b.row(b.P.W, r)
+			src := srcs[i][r*len(dst):]
+			for k := range dst { // rank-sized: a loop beats a memmove call
+				dst[k] = src[k]
+			}
+		}
+	}
+}
+
+// addSqNorm adds the squares of the block's gradient entries that may be
+// non-zero to t — rows ascending, the block's columns in order — and returns
+// the running sum. The order is what keeps the clip scale's bits fixed.
+func (b *Block) addSqNorm(t float64) float64 {
+	p := b.P
+	if p.g == nil {
+		return t
+	}
+	if !p.sparse {
+		for r := 0; r < p.W.Rows; r++ {
+			for _, g := range b.row(p.g, r) {
+				t += g * g
+			}
+		}
+		return t
+	}
+	if !b.dirty {
+		return t
+	}
+	for _, r := range p.touchedRows() {
+		for _, g := range b.row(p.g, int(r)) {
+			t += g * g
+		}
+	}
+	return t
+}
+
 // Param is a trainable matrix. Its gradient is training state: the buffer
 // appears on the first backward pass that reaches the parameter unfrozen
 // (Grad) and goes away with ParamSet.ReleaseGrads when training ends, so a
 // model that is only served carries weights and nothing else.
 //
 // Parameters whose gradients touch only a few rows per step (embedding
-// tables and their LoRA B factors — the rows of the active input features)
-// opt into sparse-row tracking via TrackRows: Backward records touched rows
-// with TouchRow, and ZeroGrad / gradient norms / Adam then visit only those
-// rows. This is the standard "sparse Adam" approximation (moments of
-// untouched rows do not decay on steps that skip them).
+// tables and the banks of their LoRA B factors — the rows of the active input
+// features) opt into sparse-row tracking via TrackRows: Backward records
+// touched rows with TouchRow, and ZeroGrad / gradient norms / Adam then visit
+// only those rows. This is the standard "sparse Adam" approximation (moments
+// of untouched rows do not decay on steps that skip them).
 type Param struct {
-	Name   string
-	W      *tensor.Mat
-	Frozen bool
+	Block // the parameter as one block: every column; Frozen freezes all of it
+
+	Name string
+	W    *tensor.Mat
 
 	g *tensor.Mat // gradient; nil outside training
 
@@ -45,11 +137,18 @@ type Param struct {
 	mark    []bool
 	touched []int32
 	sorted  bool
+
+	runs []colRun // ParamSet.sweep's scratch: the columns the pass visits
 }
+
+// colRun is a run of columns [lo, hi).
+type colRun struct{ lo, hi int }
 
 // NewParam allocates a zero-initialized parameter.
 func NewParam(name string, rows, cols int) *Param {
-	return &Param{Name: name, W: tensor.NewMat(rows, cols)}
+	p := &Param{Name: name, W: tensor.NewMat(rows, cols)}
+	p.Block = Block{P: p, Hi: cols}
+	return p
 }
 
 // Grad returns the gradient accumulator, allocating it zeroed on first use.
@@ -73,28 +172,12 @@ func (p *Param) TouchRow(r int) {
 		return
 	}
 	p.Grad()
+	p.dirty = true
 	if !p.mark[r] {
 		p.mark[r] = true
 		p.touched = append(p.touched, int32(r))
 		p.sorted = false
 	}
-}
-
-// ZeroGrad clears the accumulated gradient (only the touched rows for
-// sparse-tracked parameters).
-func (p *Param) ZeroGrad() {
-	if p.g == nil {
-		return
-	}
-	if !p.sparse {
-		p.g.Zero()
-		return
-	}
-	for _, r := range p.touched {
-		p.g.Row(int(r)).Zero()
-		p.mark[r] = false
-	}
-	p.touched = p.touched[:0]
 }
 
 // touchedRows returns the touched-row indices in ascending order, sorting at
@@ -110,42 +193,29 @@ func (p *Param) touchedRows() []int32 {
 	return p.touched
 }
 
-// addSqNorm adds the squares of every gradient entry that may be non-zero to
-// t, in a deterministic order, and returns the running sum.
-func (p *Param) addSqNorm(t float64) float64 {
-	if p.g == nil {
-		return t
-	}
+// spans calls f with every contiguous stretch [lo, hi) of the parameter's
+// flat storage that p.runs covers — on a sparse-tracked parameter within the
+// touched rows only. Elementwise passes (zero, rescale, Adam) run over these.
+func (p *Param) spans(f func(lo, hi int)) {
+	cols := p.W.Cols
 	if !p.sparse {
-		for _, g := range p.g.Data {
-			t += g * g
+		if len(p.runs) == 1 && p.runs[0] == (colRun{0, cols}) {
+			f(0, len(p.W.Data))
+			return
 		}
-		return t
-	}
-	for _, r := range p.touchedRows() {
-		for _, g := range p.g.Row(int(r)) {
-			t += g * g
+		for r := 0; r < p.W.Rows; r++ {
+			for _, run := range p.runs {
+				f(r*cols+run.lo, r*cols+run.hi)
+			}
 		}
-	}
-	return t
-}
-
-// scaleGrad multiplies every gradient entry that may be non-zero by scale.
-func (p *Param) scaleGrad(scale float64) {
-	if p.g == nil {
-		return
-	}
-	if !p.sparse {
-		tensor.Vec(p.g.Data).Scale(scale)
 		return
 	}
 	for _, r := range p.touchedRows() {
-		p.g.Row(int(r)).Scale(scale)
+		for _, run := range p.runs {
+			f(int(r)*cols+run.lo, int(r)*cols+run.hi)
+		}
 	}
 }
-
-// NumParams returns the number of scalar parameters in p.
-func (p *Param) NumParams() int { return len(p.W.Data) }
 
 // Scalar is a single trainable value, used for the fusion weights λ.
 type Scalar struct {
@@ -158,14 +228,17 @@ type Scalar struct {
 // ZeroGrad clears the scalar gradient.
 func (s *Scalar) ZeroGrad() { s.Grad = 0 }
 
-// ParamSet is the collection of everything an optimizer updates.
+// ParamSet is the collection of everything an optimizer updates: blocks of
+// parameters, in the order GradNorm sums them, and scalars. The blocks of one
+// sparse-tracked parameter share its touched-row list, so they train under
+// one ParamSet.
 type ParamSet struct {
-	Mats    []*Param
+	Mats    []*Block
 	Scalars []*Scalar
 }
 
-// Add appends matrix parameters.
-func (ps *ParamSet) Add(params ...*Param) { ps.Mats = append(ps.Mats, params...) }
+// Add appends blocks; a whole parameter p is &p.Block.
+func (ps *ParamSet) Add(blocks ...*Block) { ps.Mats = append(ps.Mats, blocks...) }
 
 // AddScalar appends scalar parameters.
 func (ps *ParamSet) AddScalar(scalars ...*Scalar) { ps.Scalars = append(ps.Scalars, scalars...) }
@@ -176,10 +249,51 @@ func (ps *ParamSet) Merge(other ParamSet) {
 	ps.Scalars = append(ps.Scalars, other.Scalars...)
 }
 
-// ZeroGrad clears all gradients.
+// sweep calls visit once per listed parameter, with p.runs holding the
+// columns of its listed blocks that an elementwise pass covers: every listed
+// block when all is set, otherwise the ones that are unfrozen and (on a
+// sparse-tracked parameter) dirty. Blocks listed next to each other in column
+// order — the patches of a bank in attach order — merge into one run, so a
+// pass walks each row of a parameter once however many blocks it is listed
+// as. Only order-free passes may go through here; the norm does not.
+func (ps *ParamSet) sweep(all bool, visit func(p *Param)) {
+	for _, b := range ps.Mats {
+		b.P.runs = b.P.runs[:0]
+	}
+	for _, b := range ps.Mats {
+		p := b.P
+		if !all && (b.Frozen || p.sparse && !b.dirty) {
+			continue
+		}
+		if n := len(p.runs); n > 0 && p.runs[n-1].hi == b.Lo {
+			p.runs[n-1].hi = b.Hi
+		} else {
+			p.runs = append(p.runs, colRun{b.Lo, b.Hi})
+		}
+	}
+	for _, b := range ps.Mats {
+		if p := b.P; len(p.runs) > 0 {
+			visit(p)
+			p.runs = p.runs[:0]
+		}
+	}
+}
+
+// ZeroGrad clears all gradients (only the touched rows of sparse-tracked
+// parameters) and ends the accumulation window: touched-row lists are emptied.
 func (ps *ParamSet) ZeroGrad() {
-	for _, p := range ps.Mats {
-		p.ZeroGrad()
+	ps.sweep(true, func(p *Param) {
+		if p.g == nil {
+			return
+		}
+		p.spans(func(lo, hi int) { clear(p.g.Data[lo:hi]) })
+		for _, r := range p.touched {
+			p.mark[r] = false
+		}
+		p.touched = p.touched[:0]
+	})
+	for _, b := range ps.Mats {
+		b.dirty = false
 	}
 	for _, s := range ps.Scalars {
 		s.ZeroGrad()
@@ -189,17 +303,22 @@ func (ps *ParamSet) ZeroGrad() {
 // ReleaseGrads drops every gradient buffer and row-tracking list, returning
 // the parameters to their served state. Training loops call it when done.
 func (ps *ParamSet) ReleaseGrads() {
-	for _, p := range ps.Mats {
-		p.g, p.mark, p.touched = nil, nil, nil
+	for _, b := range ps.Mats {
+		p := b.P
+		p.g, p.mark, p.touched, p.runs = nil, nil, nil, nil
+		b.dirty, p.dirty = false, false
 	}
 }
 
-// GradNorm returns the global Euclidean norm of all non-frozen gradients.
+// GradNorm returns the global Euclidean norm of all non-frozen gradients. It
+// is one running sum, so it adds block by block in list order and never
+// through sweep: merging two blocks of a bank would reorder the additions and
+// move the clip scale's last bits.
 func (ps *ParamSet) GradNorm() float64 {
 	var t float64
-	for _, p := range ps.Mats {
-		if !p.Frozen {
-			t = p.addSqNorm(t)
+	for _, b := range ps.Mats {
+		if !b.Frozen {
+			t = b.addSqNorm(t)
 		}
 	}
 	for _, s := range ps.Scalars {
@@ -219,11 +338,11 @@ func (ps *ParamSet) ClipGradNorm(max float64) float64 {
 		return n
 	}
 	scale := max / n
-	for _, p := range ps.Mats {
-		if !p.Frozen {
-			p.scaleGrad(scale)
+	ps.sweep(false, func(p *Param) {
+		if p.g != nil {
+			p.spans(func(lo, hi int) { tensor.Vec(p.g.Data[lo:hi]).Scale(scale) })
 		}
-	}
+	})
 	for _, s := range ps.Scalars {
 		if !s.Frozen {
 			s.Grad *= scale
@@ -235,9 +354,9 @@ func (ps *ParamSet) ClipGradNorm(max float64) float64 {
 // NumParams returns the total number of trainable scalars (frozen excluded).
 func (ps *ParamSet) NumParams() int {
 	n := 0
-	for _, p := range ps.Mats {
-		if !p.Frozen {
-			n += p.NumParams()
+	for _, b := range ps.Mats {
+		if !b.Frozen {
+			n += b.NumParams()
 		}
 	}
 	for _, s := range ps.Scalars {
@@ -250,8 +369,8 @@ func (ps *ParamSet) NumParams() int {
 
 // Adam is the Adam optimizer (Kingma & Ba) with optional weight decay,
 // matching the fine-tuning recipe in Section VII-A. The first/second moments
-// live in the optimizer, keyed by parameter, so they are freed with it: one
-// Adam value serves one training run.
+// live in the optimizer, keyed by parameter and shaped like it, so they are
+// freed with it: one Adam value serves one training run.
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -275,35 +394,27 @@ func NewAdam(lr float64) *Adam {
 		mats: map[*Param]*moments{}, scalars: map[*Scalar]*scalarMoments{}}
 }
 
-// Step applies one update to every non-frozen parameter and clears nothing;
-// call ParamSet.ZeroGrad before the next backward pass.
+// Step applies one update to every listed, non-frozen block and clears
+// nothing; call ParamSet.ZeroGrad before the next backward pass. A dense
+// parameter no backward reached still decays (weight decay, moment momentum):
+// its gradient is zero, not absent. On a sparse-tracked parameter only rows
+// touched since the last ZeroGrad carry gradient; untouched rows, and blocks
+// no gradient reached, are skipped (their moments freeze).
 func (a *Adam) Step(ps *ParamSet) {
 	a.step++
 	b1c := 1 - math.Pow(a.Beta1, float64(a.step))
 	b2c := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, p := range ps.Mats {
-		if p.Frozen {
-			continue
-		}
+	ps.sweep(false, func(p *Param) {
 		mo := a.mats[p]
 		if mo == nil {
 			mo = &moments{m: make([]float64, len(p.W.Data)), v: make([]float64, len(p.W.Data))}
 			a.mats[p] = mo
 		}
-		if !p.sparse {
-			// A dense parameter no backward reached still decays (weight
-			// decay, moment momentum): its gradient is zero, not absent.
-			a.update(p.Grad().Data, p.W.Data, mo.m, mo.v, b1c, b2c)
-			continue
-		}
-		// Sparse-Adam: only rows touched since the last ZeroGrad carry
-		// gradient; untouched rows are skipped (their moments freeze).
-		cols := p.W.Cols
-		for _, r := range p.touchedRows() {
-			lo, hi := int(r)*cols, (int(r)+1)*cols
-			a.update(p.g.Data[lo:hi], p.W.Data[lo:hi], mo.m[lo:hi], mo.v[lo:hi], b1c, b2c)
-		}
-	}
+		g, w := p.Grad().Data, p.W.Data
+		p.spans(func(lo, hi int) {
+			a.update(g[lo:hi], w[lo:hi], mo.m[lo:hi], mo.v[lo:hi], b1c, b2c)
+		})
+	})
 	for _, s := range ps.Scalars {
 		if s.Frozen {
 			continue

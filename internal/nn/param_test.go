@@ -39,7 +39,7 @@ func TestSparseRowTrackingMatchesReference(t *testing.T) {
 		for _, p := range []*Param{sp, dn} {
 			p.W.FillGaussian(rng, 1)
 		}
-		ps := ParamSet{Mats: []*Param{sp, dn}, Scalars: []*Scalar{lam}}
+		ps := ParamSet{Mats: []*Block{&sp.Block, &dn.Block}, Scalars: []*Scalar{lam}}
 		opt := NewAdam(0.01)
 		opt.WeightDecay = 1e-3
 
@@ -160,7 +160,7 @@ func TestAdamMomentsLiveInOptimizer(t *testing.T) {
 	run := func(prior bool) float64 {
 		p := NewParam("p", 1, 1)
 		p.W.Data[0] = 1
-		ps := ParamSet{Mats: []*Param{p}}
+		ps := ParamSet{Mats: []*Block{&p.Block}}
 		if prior {
 			warm := NewAdam(0.1)
 			p.Grad().Data[0] = 3
@@ -177,7 +177,7 @@ func TestAdamMomentsLiveInOptimizer(t *testing.T) {
 
 	p := NewParam("p", 1, 2)
 	p.W.Data[0], p.W.Data[1] = 1, -1
-	ps := ParamSet{Mats: []*Param{p}}
+	ps := ParamSet{Mats: []*Block{&p.Block}}
 	opt := NewAdam(0.1)
 	opt.WeightDecay = 0.1
 	opt.Step(&ps)

@@ -36,8 +36,10 @@ func (d digest) floats(vs ...float64) {
 }
 
 func (d digest) params(ps nn.ParamSet) {
-	for _, p := range ps.Mats {
-		d.floats(p.W.Data...)
+	// Each listed block as its own dense matrix — layer, patch, B then A,
+	// row-major — whatever bank the B blocks are interleaved in.
+	for _, b := range ps.Mats {
+		d.floats(b.Values()...)
 	}
 	for _, s := range ps.Scalars {
 		d.floats(s.Val)

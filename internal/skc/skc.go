@@ -124,22 +124,28 @@ func BuildFusion(upstream *model.Model, snaps []*NamedSnapshot, opts Options) (*
 	rng := rand.New(rand.NewSource(opts.Seed + 911))
 	fusion := &lora.Fusion{}
 
-	if opts.Strategy != lora.StrategySingle {
-		n := len(snaps)
-		for _, ns := range snaps {
-			coef := &nn.Scalar{Name: "λ/" + ns.Name, Val: 1 / float64(n)}
-			if opts.Strategy == lora.StrategyUniform {
-				coef.Frozen = true
-			}
-			p := lora.Attach(ns.Name, m.LoraLayers(), opts.Patch, coef, rng)
-			if err := p.Load(ns.Snap); err != nil {
-				return nil, fmt.Errorf("skc: loading patch %q: %w", ns.Name, err)
-			}
-			fusion.Upstream = append(fusion.Upstream, p)
-			fusion.Lambdas = append(fusion.Lambdas, coef)
-		}
+	if opts.Strategy == lora.StrategySingle {
+		snaps = nil
 	}
-	shared := lora.Attach("shared", m.LoraLayers(), opts.Patch,
+	// Each layer keeps the B factors of all its patches in one bank; the
+	// patch count is known here, so the banks are sized once and the library
+	// is loaded in one pass over each.
+	layers := m.LoraLayers()
+	lora.Reserve(layers, len(snaps)+1, opts.Patch)
+	library := make([]*lora.Snapshot, len(snaps))
+	for i, ns := range snaps {
+		coef := &nn.Scalar{Name: "λ/" + ns.Name, Val: 1 / float64(len(snaps))}
+		if opts.Strategy == lora.StrategyUniform {
+			coef.Frozen = true
+		}
+		fusion.Upstream = append(fusion.Upstream, lora.AttachUnset(ns.Name, layers, opts.Patch, coef, rng))
+		fusion.Lambdas = append(fusion.Lambdas, coef)
+		library[i] = ns.Snap
+	}
+	if err := lora.LoadAll(fusion.Upstream, library); err != nil {
+		return nil, fmt.Errorf("skc: loading patches: %w", err)
+	}
+	shared := lora.Attach("shared", layers, opts.Patch,
 		&nn.Scalar{Name: "λ/shared", Val: 1, Frozen: true}, rng)
 	fusion.Shared = shared
 	return &Transferred{Model: m, Fusion: fusion}, nil

@@ -2,7 +2,8 @@
 # The repository's correctness gate. Each gate below says what it proves
 # where it runs; latency, throughput and allocation cost of the serving
 # tiers are measured by benchmark/ (see benchmark/README.md), not here.
-#   tier-1  gofmt, vet, build, the benchmark module, race-detector tests
+#   tier-1  gofmt, vet, build, the benchmark module, every package's tests,
+#           race-detector tests
 #   tier-2  determinism  same seed, same tables and metrics (1 and 4 workers)
 #           chaos        fault chain: rate 0 is invisible, rate 0.3 degrades
 #           serve        `serve -selftest` + access-log/span/trace audits
@@ -27,6 +28,11 @@ go build ./...
 # The committed benchmark is its own module: `./...` above skips it, so a
 # signature change that breaks it would otherwise pass every local gate.
 (cd benchmark && go vet ./... && go test ./...)
+# Every package once without the race detector: the race list below leaves out
+# nn, lora, skc, tensor, text, baselines, dataio, datagen, oracle and the root
+# package — the reference suites and both golden digests (TestGoldenBitIdentity,
+# TestTransferDigest), which are what a kernel or layout change breaks first.
+go test ./...
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/faults/... ./internal/resilience/... ./internal/core/... \
 	./internal/tasks/... ./internal/cluster/... ./internal/jobs/... \
