@@ -250,18 +250,12 @@ func parseServeURL(out []byte) string {
 func waitReady(url string, deadline time.Duration) error {
 	end := time.Now().Add(deadline)
 	for {
-		resp, err := http.Get(url + "/readyz")
+		err := serve.Call(context.Background(), http.DefaultClient, http.MethodGet, url+"/readyz", nil, nil, nil)
 		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+			return nil
 		}
 		if time.Now().After(end) {
-			if err != nil {
-				return fmt.Errorf("selftest: backend %s never became ready: %v", url, err)
-			}
-			return fmt.Errorf("selftest: backend %s never became ready", url)
+			return fmt.Errorf("selftest: backend %s never became ready: %v", url, err)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -44,7 +44,7 @@ func runJob(args []string) {
 		os.Exit(2)
 	}
 	fs := newFlagSet("job")
-	specPath := fs.String("spec", "", "job spec `file` (JSON or YAML)")
+	specPath := fs.String("spec", "", "job spec `file` (JSON)")
 	backendList := fs.String("backends", "", "comma-separated backend URLs; empty runs an in-process registry")
 	checkpointDir := fs.String("checkpoint", ".knowtrans-jobs", "checkpoint log `dir` (resume reads it, run appends to it)")
 	dryRun := fs.Bool("dry-run", false, "plan only: print the deterministic shard layout and exit 0")
@@ -388,14 +388,8 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 	// been transferred twice anywhere in the fleet.
 	duplicates := 0
 	for _, u := range urls {
-		resp, err := http.Get(u + "/v1/adapters")
-		if err != nil {
-			return fmt.Errorf("job: adapters probe %s: %w", u, err)
-		}
 		var ar serve.AdaptersResponse
-		err = json.NewDecoder(resp.Body).Decode(&ar)
-		resp.Body.Close()
-		if err != nil {
+		if err := serve.Call(context.Background(), http.DefaultClient, http.MethodGet, u+"/v1/adapters", nil, nil, &ar); err != nil {
 			return fmt.Errorf("job: adapters probe %s: %w", u, err)
 		}
 		for _, ks := range ar.Adapters {
@@ -435,23 +429,15 @@ func runJobSelftest(cfg jobSelftestConfig) error {
 // probeErrorEnvelope asserts one backend answers an unknown-dataset
 // predict with the canonical error envelope.
 func probeErrorEnvelope(url string) error {
-	body := `{"adapter":"EM/NoSuchDataset","instance":{"id":"p","candidates":["a","b"]}}`
-	resp, err := http.Post(url+"/v1/predict", "application/json", strings.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("job: envelope probe: %w", err)
+	req := serve.PredictRequest{Adapter: "EM/NoSuchDataset", Instance: serve.WireInstance{ID: "p", Candidates: []string{"a", "b"}}}
+	err := serve.Call(context.Background(), http.DefaultClient, http.MethodPost, url+"/v1/predict", nil, req, nil)
+	var we *serve.WireError
+	if !errors.As(err, &we) || we.Status != http.StatusNotFound {
+		return fmt.Errorf("job: envelope probe: got %v, want a 404", err)
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return fmt.Errorf("job: envelope probe: %w", err)
+	if we.Code != serve.CodeNotFound || !errors.Is(err, serve.ErrUnknownKey) {
+		return fmt.Errorf("job: envelope probe: body is not the canonical envelope: %v", err)
 	}
-	if resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("job: envelope probe: status %d, want 404 (%s)", resp.StatusCode, buf.String())
-	}
-	eb, ok := serve.ParseErrorEnvelope(buf.Bytes())
-	if !ok || eb.Code != serve.CodeNotFound || eb.Retryable {
-		return fmt.Errorf("job: envelope probe: body is not the canonical envelope: %s", buf.String())
-	}
-	fmt.Printf("selftest: error envelope ok (code=%s retryable=%v)\n", eb.Code, eb.Retryable)
+	fmt.Printf("selftest: error envelope ok (code=%s retryable=%v)\n", we.Code, we.Retryable)
 	return nil
 }

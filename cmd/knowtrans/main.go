@@ -92,7 +92,7 @@ func usage() {
   knowtrans route -selftest [-selftest-backends N] [-selftest-requests N]
                   [-selftest-concurrency N] [-selftest-adapters N] [-scale S]
                   [-faults SPEC]
-  knowtrans job [run|plan|resume] -spec FILE.{json,yaml} [-backends URL,URL]
+  knowtrans job [run|plan|resume] -spec FILE.json [-backends URL,URL]
                 [-replication N] [-checkpoint DIR] [-dry-run] [-scale S]
                 [-seed K] [-faults SPEC] [obs flags]
   knowtrans job -selftest [-selftest-backends N] [-selftest-rows N]

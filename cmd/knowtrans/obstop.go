@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
+	"repro/internal/serve"
 )
 
 // runObsTop is the live operator view: it polls a running server's
@@ -29,20 +30,9 @@ func runObsTop(args []string) {
 	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
-	fetch := func() (obs.RegistrySnapshot, error) {
-		var snap obs.RegistrySnapshot
-		resp, err := client.Get(*url + "/metrics.json")
-		if err != nil {
-			return snap, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return snap, fmt.Errorf("%s/metrics.json: HTTP %d", *url, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-			return snap, fmt.Errorf("decode /metrics.json: %w", err)
-		}
-		return snap, nil
+	fetch := func() (snap obs.RegistrySnapshot, err error) {
+		err = serve.Call(context.Background(), client, http.MethodGet, *url+"/metrics.json", nil, nil, &snap)
+		return snap, err
 	}
 
 	var prev obs.RegistrySnapshot

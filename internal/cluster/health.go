@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"time"
@@ -47,20 +46,10 @@ func (r *Router) probeLoop(b *backendState, seed int64) {
 func (r *Router) probe(b *backendState) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
 	defer cancel()
-	ok := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/readyz", nil)
-	if err == nil {
-		resp, derr := r.client.Do(req)
-		if derr == nil {
-			var rr serve.ReadyResponse
-			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&rr) == nil && rr.OK {
-				ok = true
-				b.resident.Store(int64(rr.Resident))
-			}
-			resp.Body.Close()
-		}
-	}
+	var rr serve.ReadyResponse
+	ok := r.roundTrip(ctx, b, nil, http.MethodGet, "/readyz", nil, &rr) == nil && rr.OK
 	if ok {
+		b.resident.Store(int64(rr.Resident))
 		b.probeFails = 0
 		if !b.healthy.Swap(true) {
 			r.rejoins.Add(1)

@@ -75,9 +75,6 @@ func (r *Ring) Owners(key string, n int) []string {
 	return owners
 }
 
-// Backends returns the ring's member list in construction order.
-func (r *Ring) Backends() []string { return append([]string(nil), r.backends...) }
-
 // hash64 is FNV-1a finished with murmur3's 64-bit mixer: fast,
 // dependency-free, and stable across processes — router restarts and every
 // router replica agree on placement. The finalizer matters: bare FNV-1a

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -121,6 +119,9 @@ func (o Options) withDefaults() Options {
 type backendState struct {
 	url     string
 	breaker *resilience.Breaker
+	// Series names touched per round trip, built once: the nil-safe
+	// Recorder still evaluates its arguments.
+	requestsSeries, inflightSeries string
 
 	healthy    atomic.Bool
 	probeFails int // owned by the probe loop goroutine
@@ -186,8 +187,11 @@ func New(opts Options) (*Router, error) {
 		r.client = &http.Client{Timeout: opts.AttemptTimeout}
 	}
 	for _, u := range opts.Backends {
-		b := &backendState{url: u}
-		u := u
+		b := &backendState{
+			url:            u,
+			requestsSeries: "cluster.backend_requests/" + u,
+			inflightSeries: "cluster.backend_inflight/" + u,
+		}
 		b.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 			Threshold: opts.BreakerThreshold,
 			Cooldown:  opts.BreakerCooldown,
@@ -252,10 +256,20 @@ func (r *Router) candidates(key string) []*backendState {
 	return append(live, rest...)
 }
 
-// predictResult is one backend's answer.
-type predictResult struct {
-	answer string
-	cold   bool
+// targets validates key and returns its owners in attempt order, at most
+// budget of them (budget <= 0: all; a negative RetryBudget lands here).
+func (r *Router) targets(key string, budget int) ([]*backendState, error) {
+	if err := serve.ValidateKey(key); err != nil {
+		return nil, err
+	}
+	cands := r.candidates(key)
+	if len(cands) == 0 {
+		return nil, fmt.Errorf("cluster: no backends own %q", key)
+	}
+	if budget > 0 && budget < len(cands) {
+		cands = cands[:budget]
+	}
+	return cands, nil
 }
 
 // Predict implements serve.Resolver over the owner set: attempt the first
@@ -264,23 +278,16 @@ type predictResult struct {
 // errors (unknown key, bad key) abort immediately — every replica would
 // say the same thing.
 func (r *Router) Predict(ctx context.Context, key string, in *data.Instance) (string, bool, error) {
-	if err := serve.ValidateKey(key); err != nil {
+	cands, err := r.targets(key, 1+r.opts.RetryBudget)
+	if err != nil {
 		return "", false, err
-	}
-	cands := r.candidates(key)
-	if len(cands) == 0 {
-		return "", false, fmt.Errorf("cluster: no backends own %q", key)
-	}
-	n := len(cands)
-	if r.opts.RetryBudget >= 0 && n > 1+r.opts.RetryBudget {
-		n = 1 + r.opts.RetryBudget
 	}
 	delay := r.hedgeDelay()
 	r.requests.Add(1)
 	r.rec.Count("cluster.requests", 1)
 	start := time.Now()
-	res, out, err := resilience.Hedge(ctx, n, resilience.HedgeOptions{Delay: delay},
-		func(actx context.Context, i int) (predictResult, error) {
+	res, out, err := resilience.Hedge(ctx, len(cands), resilience.HedgeOptions{Delay: delay},
+		func(actx context.Context, i int) (serve.PredictResponse, error) {
 			return r.predictOn(actx, cands[i], key, in)
 		})
 	r.lat.add(float64(time.Since(start).Microseconds()))
@@ -299,19 +306,18 @@ func (r *Router) Predict(ctx context.Context, key string, in *data.Instance) (st
 	if out.Winner > 0 {
 		r.rec.Count("cluster.secondary_wins", 1)
 	}
-	return res.answer, res.cold, nil
+	return res.Answer, res.Cold, nil
 }
 
-// predictOn runs one attempt against one backend. Every attempt gets a
-// cluster.attempt child span of the caller's request span and forwards its
-// traceparent, so a hedged request renders as one trace with both
-// attempts. Cancellation of a losing attempt is not held against the
-// backend's breaker — only real outcomes are.
-func (r *Router) predictOn(ctx context.Context, b *backendState, key string, in *data.Instance) (predictResult, error) {
-	var zero predictResult
+// predictOn runs one attempt against one backend, unless its breaker says
+// not to. Every attempt gets a cluster.attempt child span of the caller's
+// request span and forwards its traceparent, so a hedged request renders
+// as one trace with both attempts.
+func (r *Router) predictOn(ctx context.Context, b *backendState, key string, in *data.Instance) (serve.PredictResponse, error) {
+	var pr serve.PredictResponse
 	if err := b.breaker.Allow(); err != nil {
 		r.rec.Count("cluster.breaker_rejected", 1)
-		return zero, fmt.Errorf("cluster: backend %s: %w", b.url, err)
+		return pr, fmt.Errorf("cluster: backend %s: %w", b.url, err)
 	}
 	var span *obs.Span
 	if parent := obs.SpanFromContext(ctx); parent != nil {
@@ -320,97 +326,67 @@ func (r *Router) predictOn(ctx context.Context, b *backendState, key string, in 
 		span.SetAttr("key", key)
 		defer span.End()
 	}
-
-	body, err := json.Marshal(serve.PredictRequest{Adapter: key, Instance: serve.WireFrom(in)})
-	if err != nil {
-		return zero, resilience.Terminal(err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/predict", bytes.NewReader(body))
-	if err != nil {
-		return zero, resilience.Terminal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if span != nil {
-		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(span.Context()))
-	}
-
-	b.requests.Add(1)
-	r.rec.Count("cluster.backend_requests/"+b.url, 1)
-	r.rec.SetGauge("cluster.backend_inflight/"+b.url, float64(b.inflight.Add(1)))
-	t0 := time.Now()
-	resp, err := r.client.Do(req)
-	r.rec.SetGauge("cluster.backend_inflight/"+b.url, float64(b.inflight.Add(-1)))
-	r.rec.Observe("cluster.attempt_us", float64(time.Since(t0).Microseconds()), nil)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Our own cancellation (hedge loser or caller gone): no verdict
-			// on the backend.
-			return zero, ctx.Err()
-		}
-		r.noteFailure(b, span)
-		return zero, fmt.Errorf("cluster: backend %s: %w", b.url, err)
-	}
-	payload, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if span != nil {
-		span.SetAttr("status", resp.StatusCode)
-	}
-
-	switch {
-	case resp.StatusCode/100 == 2:
-		b.breaker.Success()
-		var pr serve.PredictResponse
-		if err := json.Unmarshal(payload, &pr); err != nil {
-			r.noteFailure(b, span)
-			return zero, fmt.Errorf("cluster: backend %s: bad response body: %w", b.url, err)
-		}
-		return predictResult{answer: pr.Answer, cold: pr.Cold}, nil
-	case resp.StatusCode == http.StatusNotFound:
-		// The backend is fine; the key is unknown everywhere. Terminal.
-		b.breaker.Success()
-		return zero, resilience.Terminal(fmt.Errorf("%w: backend %s: %s", serve.ErrUnknownKey, b.url, trimBody(payload)))
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Shed load: the backend is alive but saturated. Retryable on a
-		// replica; counts against the breaker so a saturated backend sheds
-		// router traffic too.
-		r.noteFailure(b, span)
-		return zero, fmt.Errorf("%w: backend %s: %s", serve.ErrOverloaded, b.url, trimBody(payload))
-	case resp.StatusCode == http.StatusServiceUnavailable:
-		// Draining for restart: retry on a replica.
-		r.noteFailure(b, span)
-		return zero, fmt.Errorf("%w: backend %s: %s", serve.ErrDraining, b.url, trimBody(payload))
-	case resp.StatusCode/100 == 4:
-		// Other 4xx (bad key, malformed body): the request is at fault, no
-		// replica will disagree. Terminal.
-		b.breaker.Success()
-		err := fmt.Errorf("cluster: backend %s: HTTP %d: %s", b.url, resp.StatusCode, trimBody(payload))
-		if resp.StatusCode == http.StatusBadRequest {
-			err = fmt.Errorf("%w: backend %s: %s", serve.ErrBadKey, b.url, trimBody(payload))
-		}
-		return zero, resilience.Terminal(err)
-	default:
-		// 5xx: backend trouble. Retryable on a replica.
-		r.noteFailure(b, span)
-		return zero, fmt.Errorf("cluster: backend %s: HTTP %d: %s", b.url, resp.StatusCode, trimBody(payload))
-	}
+	err := r.call(ctx, b, span, http.MethodPost, "/v1/predict",
+		serve.PredictRequest{Adapter: key, Instance: serve.WireFrom(in)}, &pr)
+	return pr, err
 }
 
-func (r *Router) noteFailure(b *backendState, span *obs.Span) {
+// roundTrip is the only place the router issues an HTTP request: one
+// serve.Call to b, forwarding span (when given) as the traceparent.
+func (r *Router) roundTrip(ctx context.Context, b *backendState, span *obs.Span, method, path string, in, out any) error {
+	var header http.Header
+	if span != nil {
+		header = http.Header{}
+		header.Set(obs.TraceparentHeader, obs.FormatTraceparent(span.Context()))
+	}
+	return serve.Call(ctx, r.client, method, b.url+path, header, in, out)
+}
+
+// call is one round trip of request traffic — predict, warm, evict,
+// snapshot — inside the per-backend request, inflight and latency accounts,
+// and the only place a breaker verdict is decided:
+//
+//	answered, or refused for good (400, 404, any non-retryable status):
+//	    the backend is fine — Success; a refusal is Terminal, since every
+//	    replica would say the same
+//	our own context ended (hedge loser, caller gone, caller's deadline):
+//	    no verdict
+//	anything else (transport error, 429/503/504/5xx, undecodable 2xx):
+//	    Failure, retryable on a replica
+//
+// Health probes use roundTrip directly: membership and the breaker stay
+// independent signals, so a backend that accepts probes but fails traffic
+// still gets shed, and probes do not pass for traffic in the accounts.
+func (r *Router) call(ctx context.Context, b *backendState, span *obs.Span, method, path string, in, out any) error {
+	b.requests.Add(1)
+	r.rec.Count(b.requestsSeries, 1)
+	r.rec.SetGauge(b.inflightSeries, float64(b.inflight.Add(1)))
+	t0 := time.Now()
+	err := r.roundTrip(ctx, b, span, method, path, in, out)
+	r.rec.SetGauge(b.inflightSeries, float64(b.inflight.Add(-1)))
+	r.rec.Observe("cluster.attempt_us", float64(time.Since(t0).Microseconds()), nil)
+	if err == nil {
+		b.breaker.Success()
+		return nil
+	}
+	var we *serve.WireError
+	if errors.As(err, &we) && span != nil {
+		span.SetAttr("status", we.Status)
+	}
+	switch {
+	case we != nil && !we.Retryable:
+		b.breaker.Success()
+		return resilience.Terminal(fmt.Errorf("cluster: backend %s: %w", b.url, err))
+	case ctx.Err() != nil:
+		return ctx.Err()
+	}
 	b.breaker.Failure()
 	b.failures.Add(1)
 	r.rec.Count("cluster.backend_failures/"+b.url, 1)
 	if span != nil {
 		span.SetAttr("error", true)
 	}
-}
-
-// trimBody compacts an error payload for wrapping into an error message.
-func trimBody(payload []byte) string {
-	s := string(bytes.TrimSpace(payload))
-	if len(s) > 200 {
-		s = s[:200] + "…"
-	}
-	return s
+	return fmt.Errorf("cluster: backend %s: %w", b.url, err)
 }
 
 // Warm implements serve.Resolver by fanning the warm out to the key's
@@ -423,69 +399,26 @@ func trimBody(payload []byte) string {
 // reported if any warmed owner was cold; the first error is returned only
 // when no owner succeeded.
 func (r *Router) Warm(ctx context.Context, key string) (bool, error) {
-	if err := serve.ValidateKey(key); err != nil {
+	cands, err := r.targets(key, r.opts.WarmReplicas)
+	if err != nil {
 		return false, err
 	}
-	cands := r.candidates(key)
-	if len(cands) == 0 {
-		return false, fmt.Errorf("cluster: no backends own %q", key)
-	}
-	if budget := r.opts.WarmReplicas; budget > 0 && budget < len(cands) {
-		cands = cands[:budget]
-	}
-	var cold bool
+	var cold, ok bool
 	var firstErr error
-	ok := 0
 	for _, b := range cands {
-		c, err := r.warmOn(ctx, b, key)
-		if err != nil {
+		var wr serve.WarmResponse
+		if err := r.call(ctx, b, nil, http.MethodPost, "/v1/adapters", serve.WarmRequest{Key: key}, &wr); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		ok++
-		cold = cold || c
+		ok, cold = true, cold || wr.Cold
 	}
-	if ok == 0 {
+	if !ok {
 		return false, firstErr
 	}
 	return cold, nil
-}
-
-func (r *Router) warmOn(ctx context.Context, b *backendState, key string) (bool, error) {
-	body, _ := json.Marshal(serve.WarmRequest{Key: key})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/adapters", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	b.requests.Add(1)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		r.noteFailure(b, nil)
-		return false, fmt.Errorf("cluster: backend %s: %w", b.url, err)
-	}
-	payload, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		if resp.StatusCode/100 == 5 {
-			r.noteFailure(b, nil)
-		} else {
-			b.breaker.Success()
-		}
-		err := fmt.Errorf("cluster: backend %s: HTTP %d: %s", b.url, resp.StatusCode, trimBody(payload))
-		if resp.StatusCode == http.StatusNotFound {
-			err = fmt.Errorf("%w: backend %s", serve.ErrUnknownKey, b.url)
-		}
-		return false, err
-	}
-	b.breaker.Success()
-	var wr serve.WarmResponse
-	if err := json.Unmarshal(payload, &wr); err != nil {
-		return false, fmt.Errorf("cluster: backend %s: bad response body: %w", b.url, err)
-	}
-	return wr.Cold, nil
 }
 
 var _ serve.Evicter = (*Router)(nil)
@@ -493,69 +426,33 @@ var _ serve.Evicter = (*Router)(nil)
 // Evict implements serve.Evicter by fanning DELETE /v1/adapters/{key} to
 // every owner (no budget here: a partial eviction would leave stale
 // replicas serving a key an operator asked to drop). Evicted is true if
-// any owner dropped a resident adapter; ErrUnknownKey only when every
-// reachable owner reported the key unseen.
+// any owner dropped a resident adapter; ErrUnknownKey only when no owner
+// failed and every one reported the key unseen.
 func (r *Router) Evict(ctx context.Context, key string) (bool, error) {
-	if err := serve.ValidateKey(key); err != nil {
+	cands, err := r.targets(key, 0)
+	if err != nil {
 		return false, err
 	}
-	cands := r.candidates(key)
-	if len(cands) == 0 {
-		return false, fmt.Errorf("cluster: no backends own %q", key)
-	}
-	var (
-		evicted  bool
-		ok       int
-		unknown  int
-		firstErr error
-	)
+	var evicted, ok bool
+	var firstErr, unknown error
 	for _, b := range cands {
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, b.url+"/v1/adapters/"+key, nil)
-		if err != nil {
-			return false, err
-		}
-		b.requests.Add(1)
-		resp, err := r.client.Do(req)
-		if err != nil {
-			r.noteFailure(b, nil)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: backend %s: %w", b.url, err)
-			}
-			continue
-		}
-		payload, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode/100 == 2:
-			b.breaker.Success()
-			var er serve.EvictResponse
-			if err := json.Unmarshal(payload, &er); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: backend %s: bad response body: %w", b.url, err)
-				}
-				continue
-			}
-			ok++
-			evicted = evicted || er.Evicted
-		case resp.StatusCode == http.StatusNotFound:
-			b.breaker.Success()
-			unknown++
-		default:
-			if resp.StatusCode/100 == 5 {
-				r.noteFailure(b, nil)
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: backend %s: HTTP %d: %s", b.url, resp.StatusCode, trimBody(payload))
-			}
+		var er serve.EvictResponse
+		switch err := r.call(ctx, b, nil, http.MethodDelete, "/v1/adapters/"+key, nil, &er); {
+		case err == nil:
+			ok, evicted = true, evicted || er.Evicted
+		case errors.Is(err, serve.ErrUnknownKey):
+			unknown = err
+		case firstErr == nil:
+			firstErr = err
 		}
 	}
-	if ok == 0 {
-		if unknown > 0 && firstErr == nil {
-			return false, fmt.Errorf("%w: no owner has state for %q", serve.ErrUnknownKey, key)
-		}
+	switch {
+	case ok:
+		return evicted, nil
+	case firstErr != nil:
 		return false, firstErr
 	}
-	return evicted, nil
+	return false, unknown
 }
 
 // Snapshot implements serve.Resolver: the union of every healthy backend's
@@ -574,20 +471,8 @@ func (r *Router) Snapshot() []serve.KeyStats {
 		wg.Add(1)
 		go func(b *backendState) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/v1/adapters", nil)
-			if err != nil {
-				return
-			}
-			resp, err := r.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
 			var ar serve.AdaptersResponse
-			if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+			if r.call(ctx, b, nil, http.MethodGet, "/v1/adapters", nil, &ar) != nil {
 				return
 			}
 			mu.Lock()
@@ -692,7 +577,9 @@ func (w *latWindow) add(us float64) {
 	w.buf[w.n%len(w.buf)] = us
 	w.n++
 	if w.n%latRefreshEvery == 0 {
-		w.cached = w.percentileLocked(0.95)
+		sorted := append([]float64(nil), w.buf[:min(w.n, len(w.buf))]...)
+		sort.Float64s(sorted)
+		w.cached = obs.SampleQuantile(sorted, 0.95)
 	}
 }
 
@@ -705,19 +592,6 @@ func (w *latWindow) p95() float64 {
 		return 0
 	}
 	return w.cached
-}
-
-func (w *latWindow) percentileLocked(p float64) float64 {
-	n := w.n
-	if n > len(w.buf) {
-		n = len(w.buf)
-	}
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), w.buf[:n]...)
-	sort.Float64s(sorted)
-	return sorted[int(p*float64(n-1))]
 }
 
 // hedgeDelay is the backup-request delay for one predict: the fixed

@@ -35,24 +35,11 @@ type KnowTrans struct {
 	Upstream *model.Model
 	Patches  []*skc.NamedSnapshot
 
-	// Oracle is the single oracle seam of the framework: the error-aware
-	// face (akb.FallibleOracle) that a production client backed by a remote
-	// API implements directly. It replaces the old Oracle/Fallible field
-	// pair — an infallible in-process oracle plugs in through the thin
-	// WithPlainOracle adapter instead. When set, it takes precedence over
-	// any plain oracle and any armed fault spec (the caller owns the chain).
-	Oracle akb.FallibleOracle
-
 	SKC skc.Options
 	AKB akb.Config
 
 	UseSKC bool
 	UseAKB bool
-
-	// PlainFT is the fine-tuning recipe used instead of SKC when UseSKC is
-	// false (the "w/o SKC" ablation fine-tunes the whole upstream model on
-	// the few-shot data, like the Jellyfish baseline).
-	PlainFT model.TrainConfig
 
 	// Rec, when non-nil, wraps every Transfer in a root span and threads
 	// observability down into the SKC and AKB stages (overriding any
@@ -60,8 +47,7 @@ type KnowTrans struct {
 	Rec *obs.Recorder
 
 	// plain and chaosSpec back the WithPlainOracle/WithFaults options:
-	// Transfer builds the per-seed oracle chain (OracleChain) from them when
-	// no FallibleOracle was set directly.
+	// Transfer builds the per-seed oracle chain (OracleChain) from them.
 	plain     akb.Oracle
 	chaosSpec *faults.Config
 }
@@ -118,13 +104,9 @@ func OracleChain(g akb.Oracle, spec *faults.Config, cellSeed int64, rec *obs.Rec
 	})
 }
 
-// resolveOracle picks the oracle Transfer searches through: an explicitly
-// set FallibleOracle wins; otherwise the plain oracle is lifted through
-// OracleChain (which also arms the chaos chain when WithFaults set a spec).
+// resolveOracle lifts the plain oracle through OracleChain (which also arms
+// the chaos chain when WithFaults set a spec).
 func (kt *KnowTrans) resolveOracle(seed int64, rec *obs.Recorder) (akb.FallibleOracle, error) {
-	if kt.Oracle != nil {
-		return kt.Oracle, nil
-	}
 	if kt.plain == nil {
 		return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
 	}
@@ -234,18 +216,12 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 	} else {
 		_, ftSpan := rec.StartSpan("core.plain_ft")
 		m := kt.Upstream.Clone()
-		tc := kt.PlainFT
-		if tc.Epochs == 0 {
-			tc = model.DefaultTrain(seed)
-			tc.Epochs = 6
-			tc.LR = 0.01
-			tc.WeightDecay = 3e-4
-			tc.BatchSize = 4
-		}
-		tc.Seed = seed
-		if tc.MetricTag == "" {
-			tc.MetricTag = "core.plain_ft"
-		}
+		tc := model.DefaultTrain(seed)
+		tc.Epochs = 6
+		tc.LR = 0.01
+		tc.WeightDecay = 3e-4
+		tc.BatchSize = 4
+		tc.MetricTag = "core.plain_ft"
 		ps := m.Params()
 		model.Train(m, examples, tc, &ps)
 		ad.Model = m

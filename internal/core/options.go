@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/akb"
 	"repro/internal/faults"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/skc"
 )
@@ -14,24 +13,12 @@ import (
 // states only what it overrides.
 type Option func(*KnowTrans)
 
-// WithOracle sets the oracle the AKB search consults — the single
-// error-aware seam (akb.FallibleOracle) a remote-API client implements.
-// It takes precedence over WithPlainOracle and disables WithFaults (the
-// caller owns the whole chain).
-func WithOracle(o akb.FallibleOracle) Option {
-	return func(kt *KnowTrans) { kt.Oracle = o }
-}
-
-// WithPlainOracle plugs in an infallible in-process oracle (the simulated
-// GPT of internal/oracle, or a test stub). Transfer lifts it into the
-// fallible seam per seed — through the injector/resilience chain when
-// WithFaults armed a spec, through the thin akb.AsFallible adapter
-// otherwise.
-//
-// Deprecated: this is the compatibility adapter for the pre-redesign
-// `Oracle akb.Oracle` field, kept for one release. New code should
-// implement akb.FallibleOracle and use WithOracle — unless it arms
-// WithFaults, whose injector wraps the plain oracle underneath the chain.
+// WithPlainOracle plugs in the oracle the AKB search consults: an
+// infallible in-process one (the simulated GPT of internal/oracle, or a
+// test stub) — the only oracle option, since no caller has a fallible
+// client of its own. Transfer lifts it into the akb.FallibleOracle seam per
+// seed — through the injector/resilience chain when WithFaults armed a
+// spec, through the thin akb.AsFallible adapter otherwise.
 func WithPlainOracle(o akb.Oracle) Option {
 	return func(kt *KnowTrans) { kt.plain = o }
 }
@@ -74,9 +61,4 @@ func WithSKCOptions(opts skc.Options) Option {
 // the paper defaults (the config is normalized on entry to the search).
 func WithAKBConfig(cfg akb.Config) Option {
 	return func(kt *KnowTrans) { kt.AKB = cfg }
-}
-
-// WithPlainFT overrides the fine-tuning recipe of the "w/o SKC" ablation.
-func WithPlainFT(tc model.TrainConfig) Option {
-	return func(kt *KnowTrans) { kt.PlainFT = tc }
 }

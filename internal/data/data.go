@@ -174,30 +174,8 @@ func (d *Dataset) FewShot(rng *rand.Rand, n int) []*Instance {
 	return out
 }
 
-// TrainValidSplit splits instances 9:1 (the paper's Section VII-A ratio)
-// deterministically in rng. With fewer than 10 instances the validation side
-// still receives at least one.
-func TrainValidSplit(rng *rand.Rand, ins []*Instance) (train, valid []*Instance) {
-	cp := append([]*Instance(nil), ins...)
-	shuffle(rng, cp)
-	nv := len(cp) / 10
-	if nv == 0 && len(cp) > 1 {
-		nv = 1
-	}
-	return cp[nv:], cp[:nv]
-}
-
 func shuffle(rng *rand.Rand, ins []*Instance) {
 	rng.Shuffle(len(ins), func(i, j int) { ins[i], ins[j] = ins[j], ins[i] })
-}
-
-// Subset returns the first n instances (or all if fewer); used by the
-// scalability analysis of Fig. 4 where the labeled pool grows.
-func Subset(ins []*Instance, n int) []*Instance {
-	if n >= len(ins) {
-		return ins
-	}
-	return ins[:n]
 }
 
 // RenderRecord serializes an instance's fields in the Jellyfish prompt style

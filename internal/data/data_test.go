@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func binaryInstances(n, posEvery int) []*Instance {
@@ -110,52 +109,6 @@ func TestFewShotWholePool(t *testing.T) {
 	got := ds.FewShot(rand.New(rand.NewSource(1)), 50)
 	if len(got) != 10 {
 		t.Fatalf("asking for more than the pool should return the pool, got %d", len(got))
-	}
-}
-
-func TestTrainValidSplit(t *testing.T) {
-	ins := binaryInstances(100, 3)
-	train, valid := TrainValidSplit(rand.New(rand.NewSource(2)), ins)
-	if len(train) != 90 || len(valid) != 10 {
-		t.Fatalf("split = %d/%d, want 90/10", len(train), len(valid))
-	}
-	// Tiny input still yields a validation instance.
-	train, valid = TrainValidSplit(rand.New(rand.NewSource(2)), binaryInstances(3, 2))
-	if len(valid) != 1 || len(train) != 2 {
-		t.Fatalf("tiny split = %d/%d", len(train), len(valid))
-	}
-}
-
-// Property: split partitions the input (no loss, no duplication).
-func TestTrainValidSplitPartition(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%50 + 2
-		ins := binaryInstances(n, 3)
-		train, valid := TrainValidSplit(rand.New(rand.NewSource(seed)), ins)
-		if len(train)+len(valid) != n {
-			return false
-		}
-		seen := map[*Instance]bool{}
-		for _, in := range append(append([]*Instance{}, train...), valid...) {
-			if seen[in] {
-				return false
-			}
-			seen[in] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubset(t *testing.T) {
-	ins := binaryInstances(10, 2)
-	if got := Subset(ins, 3); len(got) != 3 {
-		t.Fatalf("subset = %d", len(got))
-	}
-	if got := Subset(ins, 99); len(got) != 10 {
-		t.Fatalf("oversized subset = %d", len(got))
 	}
 }
 

@@ -215,11 +215,6 @@ func isoDateStr(rng *rand.Rand) string {
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
 }
 
-func slashDateStr(rng *rand.Rand) string {
-	y, m, d := isoDate(rng)
-	return fmt.Sprintf("%d/%d/%02d", m, d, y%100)
-}
-
 // ampmTime renders a flight-style timestamp "7:10 a.m. Dec 1".
 func ampmTime(rng *rand.Rand) string {
 	months := []string{"Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"}

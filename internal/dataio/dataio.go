@@ -40,21 +40,6 @@ func ReadCSV(name string, r io.Reader) (*data.Table, error) {
 	return t, nil
 }
 
-// WriteCSV renders a Table as CSV.
-func WriteCSV(t *data.Table, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Attrs); err != nil {
-		return fmt.Errorf("dataio: writing header: %w", err)
-	}
-	for i, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("dataio: writing row %d: %w", i, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // EDInstances lifts a labeled error-detection table into instances. The
 // label column must hold yes/no (case-insensitive; 1/0 and true/false are
 // accepted); target names the attribute under verification.

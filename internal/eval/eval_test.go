@@ -20,11 +20,11 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", id)
 		}
 	}
-	if _, ok := ByID("table2"); !ok {
-		t.Fatal("ByID lookup failed")
+	if _, ok := ExperimentByID("table2"); !ok {
+		t.Fatal("ExperimentByID lookup failed")
 	}
-	if _, ok := ByID("nope"); ok {
-		t.Fatal("ByID should reject unknown ids")
+	if _, ok := ExperimentByID("nope"); ok {
+		t.Fatal("ExperimentByID should reject unknown ids")
 	}
 }
 
@@ -41,8 +41,10 @@ func TestFullRegistryIncludesAblations(t *testing.T) {
 	}
 	// The paper-only registry must not leak the ablations (experiment
 	// `all` reproduces exactly the paper's artifact list).
-	if _, ok := ByID("ablate-substrate"); ok {
-		t.Fatal("paper registry should not include reproduction ablations")
+	for _, e := range Registry() {
+		if strings.HasPrefix(e.ID, "ablate-") {
+			t.Fatalf("paper registry should not include reproduction ablation %s", e.ID)
+		}
 	}
 }
 

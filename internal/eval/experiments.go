@@ -40,16 +40,6 @@ func Registry() []Experiment {
 	}
 }
 
-// ByID returns the experiment with the given id.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // cellKey joins the components of a cell's seed-stream key with an explicit
 // separator. Bare concatenation (the former b.Key()+name scheme) could
 // alias distinct (dataset, method) pairs into one seed stream; the

@@ -149,13 +149,6 @@ func Wrap(inner akb.Oracle, cfg Config) *Injector {
 
 var _ akb.FallibleOracle = (*Injector)(nil)
 
-// Calls returns the number of oracle calls seen so far.
-func (f *Injector) Calls() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.calls
-}
-
 // Schedule returns a copy of the executed fault schedule: one entry per
 // injected fault, in call order. Two runs with the same seed and the same
 // call sequence produce identical schedules.

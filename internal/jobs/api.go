@@ -11,7 +11,7 @@ import (
 
 // API mounts the bulk-job routes on a serve.Server mux:
 //
-//	POST   /v1/jobs        submit a spec (JSON or YAML body); ?dry_run=1
+//	POST   /v1/jobs        submit a spec (JSON body); ?dry_run=1
 //	                       plans without running and returns the plan
 //	GET    /v1/jobs        list known jobs
 //	GET    /v1/jobs/{id}   progress snapshot of one job

@@ -49,10 +49,10 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	out := filepath.Join(dir, "out.csv")
 	ts, _ := newJobServer(t, newFakeResolver(), dir)
 
-	specYAML := fmt.Sprintf("adapter: EM/Walmart-Amazon\ninput:\n  path: %s\noutput:\n  path: %s\nshards: 2\n", input, out)
+	spec := fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q},"shards":2}`, input, out)
 
 	// Dry run plans without running: 200, a plan body, no job created.
-	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs?dry_run=1", []byte(specYAML))
+	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs?dry_run=1", []byte(spec))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("dry run: %d %s", resp.StatusCode, blob)
 	}
@@ -72,7 +72,7 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	}
 
 	// Submit: 202, then poll to done.
-	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(specYAML))
+	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(spec))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d %s", resp.StatusCode, blob)
 	}
@@ -84,24 +84,26 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 		t.Fatalf("submit response: %+v", sub)
 	}
 
-	var snap Snapshot
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, blob = doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.Job.ID, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll: %d %s", resp.StatusCode, blob)
+	poll := func() Snapshot {
+		t.Helper()
+		var snap Snapshot
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			resp, blob := doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.Job.ID, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("poll: %d %s", resp.StatusCode, blob)
+			}
+			if err := json.Unmarshal(blob, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if snap.State != StateRunning {
+				return snap
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job still running: %+v", snap)
+			}
 		}
-		if err := json.Unmarshal(blob, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.State != StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job still running: %+v", snap)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	snap := poll()
 	if snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
 		t.Fatalf("job did not finish cleanly: %+v", snap)
 	}
@@ -111,9 +113,14 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 
 	// Re-submitting the done job reruns it; the checkpoint makes that a
 	// pure resume (all shards adopted).
-	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(specYAML))
+	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(spec))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmit: %d %s", resp.StatusCode, blob)
+	}
+	// Wait it out: a job still appending to its checkpoint log races the
+	// TempDir cleanup ("directory not empty", seen under -race at the parent).
+	if snap := poll(); snap.State != StateDone || snap.ShardsResumed != 2 {
+		t.Fatalf("resubmitted job: %+v, want done with both shards adopted", snap)
 	}
 }
 
@@ -129,7 +136,7 @@ func TestJobsHTTPErrors(t *testing.T) {
 		want   int
 	}{
 		{"bad spec", http.MethodPost, "/v1/jobs", []byte("{nope"), http.StatusBadRequest},
-		{"yaml sequence", http.MethodPost, "/v1/jobs", []byte("adapter:\n  - EM/A\n"), http.StatusBadRequest},
+		{"not JSON", http.MethodPost, "/v1/jobs", []byte("adapter: EM/A\ninput:\n  path: a.json\n"), http.StatusBadRequest},
 		{"collection put", http.MethodPut, "/v1/jobs", nil, http.StatusMethodNotAllowed},
 		{"unknown get", http.MethodGet, "/v1/jobs/jdeadbeefdeadbeef", nil, http.StatusNotFound},
 		{"unknown cancel", http.MethodDelete, "/v1/jobs/jdeadbeefdeadbeef", nil, http.StatusNotFound},

@@ -1,5 +1,5 @@
 // Package jobs is the bulk data-preparation tier: a declarative JobSpec
-// (JSON or YAML) drives a Plan→Shard→Predict→Verify→Commit pipeline that
+// (JSON) drives a Plan→Shard→Predict→Verify→Commit pipeline that
 // fans contiguous row shards out over the serving tier through the
 // serve.Resolver seam — the local Registry for offline runs, the cluster
 // Router for fleet-scale ones. An append-only JSONL checkpoint log,
@@ -24,8 +24,8 @@ import (
 )
 
 // Spec is the declarative description of one bulk job (the dsort idiom:
-// the spec says *what*, the engine decides *how*). JSON and YAML are both
-// accepted; field names below are the canonical keys in either format.
+// the spec says *what*, the engine decides *how*). Specs are JSON; field
+// names below are the canonical keys.
 type Spec struct {
 	// Adapter is the task/dataset key the rows are answered under
 	// (serve.ValidateKey shape, e.g. "EM/Walmart-Amazon").
@@ -88,36 +88,17 @@ type Limits struct {
 	RowTimeoutS float64 `json:"row_timeout_s,omitempty"`
 }
 
-// ParseSpec decodes a JSON or YAML spec (sniffed by first non-space byte)
-// and normalizes it: defaults applied, shape validated.
+// ParseSpec decodes a JSON spec and normalizes it: defaults applied, shape
+// validated, unknown fields rejected.
 func ParseSpec(blob []byte) (*Spec, error) {
-	trimmed := bytes.TrimSpace(blob)
-	if len(trimmed) == 0 {
+	if len(bytes.TrimSpace(blob)) == 0 {
 		return nil, fmt.Errorf("jobs: empty spec")
 	}
 	var sp Spec
-	if trimmed[0] == '{' {
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
-			return nil, fmt.Errorf("jobs: bad JSON spec: %w", err)
-		}
-	} else {
-		m, err := parseYAML(trimmed)
-		if err != nil {
-			return nil, err
-		}
-		// Funnel through the JSON decoder so YAML and JSON share one set
-		// of field names, types, and unknown-key errors.
-		raw, err := json.Marshal(m)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
-			return nil, fmt.Errorf("jobs: bad YAML spec: %w", err)
-		}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
+		return nil, fmt.Errorf("jobs: bad JSON spec: %w", err)
 	}
 	if err := sp.Normalize(); err != nil {
 		return nil, err
@@ -247,8 +228,8 @@ func (s *Spec) Normalize() error {
 
 // Hash is the job's content address: sha256 over the canonical JSON of the
 // normalized spec. Struct marshaling fixes field order, and Normalize
-// fills defaults first, so the hash is stable across JSON vs YAML, key
-// reordering, and spelled-out defaults. The checkpoint log is named by it.
+// fills defaults first, so the hash is stable across key reordering and
+// spelled-out defaults. The checkpoint log is named by it.
 func (s *Spec) Hash() string {
 	raw, err := json.Marshal(s)
 	if err != nil {

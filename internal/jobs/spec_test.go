@@ -11,14 +11,6 @@ const jsonSpec = `{
   "output": {"path": "out.csv"}
 }`
 
-const yamlSpec = `# same job, YAML spelling
-adapter: EM/Walmart-Amazon
-input:
-  path: in.json
-output:
-  path: out.csv
-`
-
 // Same job again: keys reordered, formats and every default spelled out.
 const jsonSpecReordered = `{
   "output": {"format": "csv", "path": "out.csv"},
@@ -31,7 +23,6 @@ const jsonSpecReordered = `{
 func TestSpecHashStable(t *testing.T) {
 	specs := map[string]string{
 		"json":           jsonSpec,
-		"yaml":           yamlSpec,
 		"json-reordered": jsonSpecReordered,
 	}
 	hashes := map[string]string{}
@@ -45,7 +36,7 @@ func TestSpecHashStable(t *testing.T) {
 			t.Fatalf("%s: ID %q does not match hash %q", name, got, sp.Hash())
 		}
 	}
-	if hashes["json"] != hashes["yaml"] || hashes["json"] != hashes["json-reordered"] {
+	if hashes["json"] != hashes["json-reordered"] {
 		t.Fatalf("hash not stable across encodings: %v", hashes)
 	}
 
@@ -60,7 +51,7 @@ func TestSpecHashStable(t *testing.T) {
 }
 
 func TestSpecNormalizeDefaults(t *testing.T) {
-	sp, err := ParseSpec([]byte(yamlSpec))
+	sp, err := ParseSpec([]byte(jsonSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,45 +79,11 @@ func TestSpecNormalizeErrors(t *testing.T) {
 		"bad output format":  `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.xml"}}`,
 		"negative shards":    `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"},"shards":-1}`,
 		"csv kind from task": `{"adapter":"TX/A","input":{"path":"a.csv"},"output":{"path":"o.csv"}}`,
+		"not JSON":           "adapter: EM/A\ninput:\n  path: a.json\noutput:\n  path: o.csv\n",
 	}
 	for name, blob := range cases {
 		if _, err := ParseSpec([]byte(blob)); err == nil {
 			t.Errorf("%s: parsed without error", name)
-		}
-	}
-}
-
-func TestYAMLParser(t *testing.T) {
-	sp, err := ParseSpec([]byte(`
-# a fuller spelling
-adapter: "EM/Walmart-Amazon"
-input:
-  path: 'in.json'   # quoted path
-  split: train
-output:
-  path: out.jsonl
-shards: 8
-limits:
-  concurrency: 3
-  max_row_failures: 2
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Input.Split != "train" || sp.Input.Path != "in.json" || sp.Shards != 8 ||
-		sp.Output.Format != "jsonl" || sp.Limits.Concurrency != 3 || sp.Limits.MaxRowFailures != 2 {
-		t.Fatalf("yaml spec misparsed: %+v", sp)
-	}
-
-	bad := map[string]string{
-		"tabs":      "adapter: EM/A\n\tinput: x\n",
-		"sequence":  "adapter: EM/A\ninput:\n  - a.json\n",
-		"duplicate": "adapter: EM/A\nadapter: EM/B\n",
-		"no colon":  "adapter EM/A\n",
-	}
-	for name, blob := range bad {
-		if _, err := parseYAML([]byte(blob)); err == nil {
-			t.Errorf("%s: yaml parsed without error", name)
 		}
 	}
 }

@@ -168,9 +168,6 @@ func (l *Embedding) SwapActs(a *Acts) { l.acts, *a = *a, l.acts }
 // Hidden returns the output dimensionality.
 func (l *Embedding) Hidden() int { return l.E.W.Cols }
 
-// Dim returns the input (feature-space) dimensionality.
-func (l *Embedding) Dim() int { return l.E.W.Rows }
-
 // Attach adds a LoRA patch with the given rank. For an embedding the factor
 // shapes are B: Dim x r and A: r x Hidden, so ΔE = B·A matches E's shape.
 func (l *Embedding) Attach(name string, rank int, alpha float64, coef *Scalar, rng *rand.Rand) *Attachment {
@@ -442,22 +439,4 @@ func SoftmaxCE(scores tensor.Vec, gold int, dscores tensor.Vec) float64 {
 	loss := -math.Log(dscores[gold] + 1e-12)
 	dscores[gold] -= 1
 	return loss
-}
-
-// Softmax converts scores to probabilities in place.
-func Softmax(scores tensor.Vec) {
-	max := scores[0]
-	for _, s := range scores[1:] {
-		if s > max {
-			max = s
-		}
-	}
-	var z float64
-	for i, s := range scores {
-		scores[i] = math.Exp(s - max)
-		z += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= z
-	}
 }

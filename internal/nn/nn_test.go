@@ -251,13 +251,19 @@ func TestSoftmaxCE(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	scores := tensor.Vec{1000, 999, 998}
-	Softmax(scores)
-	var s float64
-	for _, p := range scores {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			t.Fatalf("softmax overflow: %v", scores)
+	d := tensor.NewVec(3)
+	loss := SoftmaxCE(scores, 0, d)
+	if math.IsNaN(loss) || math.IsInf(loss, 0) || loss < 0 {
+		t.Fatalf("softmax overflow: loss %v", loss)
+	}
+	// d is softmax minus one-hot: adding the one back must give
+	// probabilities that sum to 1.
+	s := 1.0
+	for _, g := range d {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			t.Fatalf("softmax overflow: gradient %v", d)
 		}
-		s += p
+		s += g
 	}
 	if math.Abs(s-1) > 1e-9 {
 		t.Fatalf("softmax sums to %v", s)

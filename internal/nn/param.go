@@ -243,12 +243,6 @@ func (ps *ParamSet) Add(blocks ...*Block) { ps.Mats = append(ps.Mats, blocks...)
 // AddScalar appends scalar parameters.
 func (ps *ParamSet) AddScalar(scalars ...*Scalar) { ps.Scalars = append(ps.Scalars, scalars...) }
 
-// Merge appends everything in other.
-func (ps *ParamSet) Merge(other ParamSet) {
-	ps.Mats = append(ps.Mats, other.Mats...)
-	ps.Scalars = append(ps.Scalars, other.Scalars...)
-}
-
 // sweep calls visit once per listed parameter, with p.runs holding the
 // columns of its listed blocks that an elementwise pass covers: every listed
 // block when all is set, otherwise the ones that are unfrozen and (on a

@@ -11,9 +11,6 @@
 package analyze
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -57,32 +54,12 @@ type Trace struct {
 // parse (truncated by an aborted run) is skipped and flagged, while a
 // malformed line in the middle of the stream is a hard error.
 func Load(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var recs []obs.SpanRecord
-	var badLine int // 1-based index of first unparsable line, 0 = none
-	line := 0
-	for sc.Scan() {
-		raw := bytes.TrimSpace(sc.Bytes())
-		line++
-		if len(raw) == 0 {
-			continue
-		}
-		if badLine != 0 {
-			return nil, fmt.Errorf("analyze: trace line %d is malformed (not a truncated tail: line %d follows)", badLine, line)
-		}
-		var rec obs.SpanRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			badLine = line
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: read trace: %w", err)
+	recs, truncated, err := obs.ReadJSONL[obs.SpanRecord](r)
+	if err != nil {
+		return nil, err
 	}
 	t := build(recs)
-	t.Truncated = badLine != 0
+	t.Truncated = truncated
 	return t, nil
 }
 
@@ -224,8 +201,8 @@ func (t *Trace) Aggregate() []NameStat {
 	for name, s := range byName {
 		ds := durs[name]
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		s.P50US = quantile(ds, 0.50)
-		s.P95US = quantile(ds, 0.95)
+		s.P50US = obs.SampleQuantile(ds, 0.50)
+		s.P95US = obs.SampleQuantile(ds, 0.95)
 		out = append(out, *s)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -235,25 +212,6 @@ func (t *Trace) Aggregate() []NameStat {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// quantile returns the q-quantile of sorted durations by linear
-// interpolation between order statistics.
-func quantile(sorted []int64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	if n == 1 {
-		return float64(sorted[0])
-	}
-	pos := q * float64(n-1)
-	i := int(pos)
-	if i >= n-1 {
-		return float64(sorted[n-1])
-	}
-	frac := pos - float64(i)
-	return float64(sorted[i]) + frac*float64(sorted[i+1]-sorted[i])
 }
 
 // PathStep is one hop of the critical path.

@@ -74,8 +74,19 @@ func BuildTop(prev, cur obs.RegistrySnapshot) TopStats {
 		deltas[i] = d
 		total += d
 	}
-	s.P50US = bucketQuantile(h.Le, deltas, total, 0.50)
-	s.P95US = bucketQuantile(h.Le, deltas, total, 0.95)
+	// Edge rule of a polled snapshot (no min/max for the interval): the first
+	// bucket starts at 0, the overflow bucket collapses onto the last bound.
+	edges := func(i int) (lo, hi float64) {
+		if i >= len(h.Le) {
+			return h.Le[len(h.Le)-1], h.Le[len(h.Le)-1]
+		}
+		if i > 0 {
+			lo = h.Le[i-1]
+		}
+		return lo, h.Le[i]
+	}
+	s.P50US = obs.BucketQuantile(deltas, 0.50, edges)
+	s.P95US = obs.BucketQuantile(deltas, 0.95, edges)
 	// Exemplar: the last trace ID stamped in the slowest bucket that saw
 	// traffic this interval (falling back to lifetime buckets when the
 	// interval was quiet).
@@ -86,46 +97,6 @@ func BuildTop(prev, cur obs.RegistrySnapshot) TopStats {
 		}
 	}
 	return s
-}
-
-// bucketQuantile estimates a quantile from per-bucket counts over upper
-// bounds le (one overflow bucket at the end), interpolating linearly within
-// the crossing bucket.
-func bucketQuantile(le []float64, counts []int64, total int64, q float64) float64 {
-	if total <= 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		n := float64(c)
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			var lo, hi float64
-			if i == 0 {
-				lo = 0
-			} else {
-				lo = le[i-1]
-			}
-			if i < len(le) {
-				hi = le[i]
-			} else {
-				hi = le[len(le)-1] // overflow: clamp at the last bound
-				lo = hi
-			}
-			frac := (rank - cum) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += n
-	}
-	return 0
 }
 
 // WriteText renders one refresh as the compact live view.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"log/slog"
 	"time"
 )
@@ -10,8 +9,7 @@ import (
 // with Kind == KindEvent, a zero duration, and the enclosing span as
 // parent. Attribute normalization is delegated to log/slog — Event accepts
 // the same alternating key/value (or slog.Attr) argument forms as
-// slog.Logger, and a Tracer is itself usable as a slog.Handler via Logger()
-// for code that already speaks slog.
+// slog.Logger.
 
 // Event writes one structured event under the given parent span id (0 for a
 // top-level event). args are slog-style attributes: alternating key/value
@@ -70,56 +68,4 @@ func flattenAttr(dst map[string]any, prefix string, a slog.Attr) {
 		return
 	}
 	dst[key] = v.Any()
-}
-
-// Logger returns a *slog.Logger whose records become event lines in the
-// trace (top-level: no parent span). The handler ignores levels — a trace
-// is opt-in debugging output, so everything written to it is kept.
-func (t *Tracer) Logger() *slog.Logger {
-	return slog.New(&traceHandler{t: t})
-}
-
-// traceHandler adapts a Tracer to slog.Handler.
-type traceHandler struct {
-	t      *Tracer
-	attrs  []slog.Attr
-	groups []string
-}
-
-func (h *traceHandler) Enabled(context.Context, slog.Level) bool { return h.t != nil }
-
-func (h *traceHandler) Handle(_ context.Context, rec slog.Record) error {
-	out := slog.NewRecord(rec.Time, rec.Level, rec.Message, rec.PC)
-	out.AddAttrs(h.attrs...)
-	prefix := ""
-	for _, g := range h.groups {
-		prefix += g + "."
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		if prefix != "" {
-			a.Key = prefix + a.Key
-		}
-		out.AddAttrs(a)
-		return true
-	})
-	h.t.writeEvent(SpanContext{}, out)
-	return h.t.Err()
-}
-
-func (h *traceHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	nh := &traceHandler{t: h.t, groups: h.groups}
-	nh.attrs = append([]slog.Attr(nil), h.attrs...)
-	for _, a := range attrs {
-		for i := len(h.groups) - 1; i >= 0; i-- {
-			a.Key = h.groups[i] + "." + a.Key
-		}
-		nh.attrs = append(nh.attrs, a)
-	}
-	return nh
-}
-
-func (h *traceHandler) WithGroup(name string) slog.Handler {
-	nh := &traceHandler{t: h.t, attrs: h.attrs}
-	nh.groups = append(append([]string(nil), h.groups...), name)
-	return nh
 }

@@ -51,30 +51,6 @@ func TestEventNilSafety(t *testing.T) {
 	metricsOnly.Event("ghost", "k", 1)
 }
 
-func TestTracerLoggerSlogHandler(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	log := tr.Logger().With("run", "t1").WithGroup("akb")
-	log.Info("candidate", "score", 88.0)
-
-	recs, err := ReadTrace(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || !recs[0].IsEvent() {
-		t.Fatalf("records = %+v", recs)
-	}
-	ev := recs[0]
-	if ev.Name != "candidate" {
-		t.Errorf("event name = %q", ev.Name)
-	}
-	// With-attrs are unprefixed (added before the group); record attrs take
-	// the group prefix.
-	if ev.Attrs["run"] != "t1" || ev.Attrs["akb.score"] != 88.0 {
-		t.Errorf("attrs = %v", ev.Attrs)
-	}
-}
-
 func TestEventGroupFlattening(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
@@ -133,12 +109,6 @@ func TestTracerClose(t *testing.T) {
 func TestDefaultBoundsAliases(t *testing.T) {
 	if len(DefaultLatencyBounds) == 0 || len(DefaultScoreBounds) == 0 {
 		t.Fatal("default bounds empty")
-	}
-	if &TimeBuckets[0] != &DefaultLatencyBounds[0] {
-		t.Error("TimeBuckets is not an alias of DefaultLatencyBounds")
-	}
-	if &ScoreBuckets[0] != &DefaultScoreBounds[0] {
-		t.Error("ScoreBuckets is not an alias of DefaultScoreBounds")
 	}
 	// Registry nil-bounds fallback uses the latency defaults.
 	reg := NewRegistry()

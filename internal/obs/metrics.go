@@ -130,33 +130,19 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the buckets. It
+// Quantile estimates the q-quantile (q in [0,1]) from the buckets
+// (BucketQuantile under the observed-min/max edge rule of bucketRange). It
 // returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
+	return BucketQuantile(h.loadCounts(), q, h.bucketRange)
+}
+
+func (h *Histogram) loadCounts() []int64 {
+	counts := make([]int64, len(h.counts))
 	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			lo, hi := h.bucketRange(i)
-			frac := (rank - cum) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += n
+		counts[i] = h.counts[i].Load()
 	}
-	return math.Float64frombits(h.max.Load())
+	return counts
 }
 
 // bucketRange returns the [lo, hi] value range of bucket i, clamped to the
@@ -205,22 +191,20 @@ type HistogramSnapshot struct {
 
 // Snapshot summarizes the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	bkt := h.loadCounts()
 	s := HistogramSnapshot{
 		Count: h.Count(),
 		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
+		P50:   BucketQuantile(bkt, 0.50, h.bucketRange),
+		P95:   BucketQuantile(bkt, 0.95, h.bucketRange),
+		P99:   BucketQuantile(bkt, 0.99, h.bucketRange),
+		Le:    append([]float64(nil), h.bounds...),
+		Bkt:   bkt,
 	}
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
 		s.Min = math.Float64frombits(h.min.Load())
 		s.Max = math.Float64frombits(h.max.Load())
-	}
-	s.Le = append([]float64(nil), h.bounds...)
-	s.Bkt = make([]int64, len(h.counts))
-	for i := range h.counts {
-		s.Bkt[i] = h.counts[i].Load()
 	}
 	var stamped bool
 	ex := make([]string, len(h.exemp))
@@ -253,14 +237,6 @@ var DefaultLatencyBounds = func() []float64 {
 // 100-point scale used throughout the evaluation (AKB candidate scores,
 // method accuracies).
 var DefaultScoreBounds = []float64{0, 10, 20, 30, 40, 50, 60, 65, 70, 75, 80, 85, 90, 92.5, 95, 97.5, 99, 100}
-
-// TimeBuckets and ScoreBuckets are the pre-rename aliases of the default
-// bound slices, kept so existing call sites and external users keep
-// compiling.
-var (
-	TimeBuckets  = DefaultLatencyBounds
-	ScoreBuckets = DefaultScoreBounds
-)
 
 // Registry is a named collection of metrics. Lookups are get-or-create and
 // safe for concurrent use; metric instances are safe to retain and update

@@ -46,7 +46,7 @@ func TestConcurrentCounters(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram(TimeBuckets)
+	h := newHistogram(DefaultLatencyBounds)
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i))
 	}

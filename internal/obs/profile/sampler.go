@@ -249,23 +249,10 @@ func (s *Sampler) setErr(err error) {
 	s.writeErrMu.Unlock()
 }
 
-// ReadTimeline parses a JSONL timeline back into samples, in file order.
-// A truncated tail (the process was killed mid-write) is tolerated: the
-// complete prefix is returned with a nil error, matching the trace
-// loader's contract.
+// ReadTimeline parses a JSONL timeline back into samples, in file order,
+// under obs.ReadJSONL's tail rule: a truncated last line (the process was
+// killed mid-write) is dropped, garbage before the last line is an error.
 func ReadTimeline(r io.Reader) ([]Sample, error) {
-	dec := json.NewDecoder(r)
-	var out []Sample
-	for {
-		var row Sample
-		if err := dec.Decode(&row); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			if len(out) > 0 {
-				return out, nil // truncated tail
-			}
-			return out, fmt.Errorf("profile: parse timeline line %d: %w", len(out)+1, err)
-		}
-		out = append(out, row)
-	}
+	rows, _, err := obs.ReadJSONL[Sample](r)
+	return rows, err
 }

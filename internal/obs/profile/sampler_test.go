@@ -178,8 +178,16 @@ func TestReadTimelineTruncatedTail(t *testing.T) {
 	if len(rows) != 1 || rows[0].Goroutines != 5 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	if _, err := ReadTimeline(strings.NewReader("not json")); err == nil {
-		t.Error("fully malformed timeline should error")
+	// Garbage with a line after it is corruption, not a tail (the old reader
+	// returned the prefix and swallowed it).
+	garbled := `{"t_ms":1,"seq":1}` + "\nnot json\n" + `{"t_ms":3,"seq":3}` + "\n"
+	if _, err := ReadTimeline(strings.NewReader(garbled)); err == nil {
+		t.Error("mid-stream garbage should be a hard error")
+	}
+	// A lone unparsable line is a tail with nothing before it: no rows,
+	// which analyze.LoadTimeline reports as an empty timeline.
+	if rows, err := ReadTimeline(strings.NewReader("not json")); err != nil || len(rows) != 0 {
+		t.Errorf("lone malformed line = %d rows, %v; want 0 rows, nil", len(rows), err)
 	}
 }
 

@@ -3,6 +3,8 @@ package profile
 import (
 	"math"
 	"runtime/metrics"
+
+	"repro/internal/obs"
 )
 
 // runtime/metrics names the package reads. All of them have been stable
@@ -134,42 +136,20 @@ func histSumSeconds(h *metrics.Float64Histogram) float64 {
 	return sum
 }
 
-// histQuantileSeconds estimates the q-quantile of a runtime histogram by
-// linear interpolation within the crossing bucket.
+// histQuantileSeconds estimates the q-quantile of a runtime histogram
+// (obs.BucketQuantile; edge rule: -Inf reads as 0, a +Inf upper edge
+// collapses the bucket onto its lower one).
 func histQuantileSeconds(h *metrics.Float64Histogram, q float64) float64 {
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range h.Counts {
-		n := float64(c)
-		if n == 0 {
-			continue
+	return obs.BucketQuantile(h.Counts, q, func(i int) (lo, hi float64) {
+		lo, hi = h.Buckets[i], h.Buckets[i+1]
+		if math.IsInf(lo, -1) {
+			lo = 0
 		}
-		if cum+n >= rank {
-			lo, hi := h.Buckets[i], h.Buckets[i+1]
-			if math.IsInf(lo, -1) {
-				lo = 0
-			}
-			if math.IsInf(hi, +1) {
-				hi = lo
-			}
-			frac := (rank - cum) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
+		if math.IsInf(hi, +1) {
+			hi = lo
 		}
-		cum += n
-	}
-	return bucketMid(h.Buckets, len(h.Counts)-1)
+		return lo, hi
+	})
 }
 
 // Delta returns the cumulative-counter movement from prev to st. Callers

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -472,19 +474,39 @@ func CanonicalTrace(recs []SpanRecord) []SpanRecord {
 	return out
 }
 
-// ReadTrace parses a JSONL trace stream back into records, in file order
-// (i.e. span-end order). It is the inverse of the Tracer's serialization
-// and the basis of the round-trip tests and any offline analysis tooling.
-func ReadTrace(r io.Reader) ([]SpanRecord, error) {
-	dec := json.NewDecoder(r)
-	var out []SpanRecord
-	for {
-		var rec SpanRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("obs: parse trace line %d: %w", len(out)+1, err)
+// ReadJSONL decodes one T per non-blank line of r, in file order — the one
+// reader under traces and runtime timelines. A final line that does not
+// parse is a truncated tail (the writer was killed mid-line): it is
+// skipped and reported. An unparsable line with another line after it is
+// corruption and a hard error.
+func ReadJSONL[T any](r io.Reader) (rows []T, truncated bool, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	bad := 0 // 1-based number of the first unparsable line
+	for line := 1; sc.Scan(); line++ {
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
+			continue
 		}
-		out = append(out, rec)
+		if bad != 0 {
+			return nil, false, fmt.Errorf("obs: line %d is malformed (not a truncated tail: line %d follows)", bad, line)
+		}
+		var row T
+		if json.Unmarshal(raw, &row) != nil {
+			bad = line
+			continue
+		}
+		rows = append(rows, row)
 	}
+	if err := sc.Err(); err != nil {
+		return nil, false, fmt.Errorf("obs: read: %w", err)
+	}
+	return rows, bad != 0, nil
+}
+
+// ReadTrace parses a JSONL trace stream back into records, in file order
+// (i.e. span-end order): the inverse of the Tracer's serialization.
+func ReadTrace(r io.Reader) ([]SpanRecord, error) {
+	recs, _, err := ReadJSONL[SpanRecord](r)
+	return recs, err
 }

@@ -614,33 +614,6 @@ func condNote(c tasks.Condition) string {
 	}
 }
 
-func answerNote(a tasks.Answer) string {
-	switch a.Transform {
-	case tasks.TransformStripPercent:
-		return "remove the % symbol"
-	case tasks.TransformDateISO:
-		return "rewrite the date as YYYY-MM-DD"
-	case tasks.TransformSpellFix:
-		return "use the closest known spelling"
-	case tasks.TransformStripSymbols:
-		return "drop stray symbols"
-	case tasks.TransformFirstWord:
-		return "take the first word of " + a.Arg
-	default:
-		return a.Literal
-	}
-}
-
-func capitalize(s string) string {
-	if s == "" {
-		return s
-	}
-	if s[0] >= 'a' && s[0] <= 'z' {
-		return string(s[0]-'a'+'A') + s[1:]
-	}
-	return s
-}
-
 // misfires reports whether a rule actively supported the wrong prediction on
 // an error case — the evidence Refinement uses to drop harmful rules.
 func misfires(r tasks.Rule, e akb.ErrorCase) bool {

@@ -180,13 +180,6 @@ func (r *ResilientOracle) State() State {
 	return r.br.State()
 }
 
-// Calls returns the number of attempts issued to the inner oracle.
-func (r *ResilientOracle) Calls() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.calls
-}
-
 // Generate implements akb.FallibleOracle.
 func (r *ResilientOracle) Generate(ctx context.Context, req akb.GenerateRequest) ([]*tasks.Knowledge, error) {
 	var out []*tasks.Knowledge

@@ -223,13 +223,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 	}
 	sorted := append([]float64(nil), latUs...)
 	sort.Float64s(sorted)
-	q := func(p float64) float64 {
-		if len(sorted) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(sorted)-1))
-		return sorted[i]
-	}
 	return &LoadReport{
 		Requests:        len(items),
 		Non2xx:          int(non2xx.Load()),
@@ -242,9 +235,9 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		SampleTrace:     traceFor(slowest).Trace.String(),
 		WallS:           wall.Seconds(),
 		RPS:             float64(len(items)) / wall.Seconds(),
-		P50us:           q(0.50),
-		P95us:           q(0.95),
-		P99us:           q(0.99),
+		P50us:           obs.SampleQuantile(sorted, 0.50),
+		P95us:           obs.SampleQuantile(sorted, 0.95),
+		P99us:           obs.SampleQuantile(sorted, 0.99),
 		MaxUs:           sorted[len(sorted)-1],
 		FirstError:      firstErr,
 	}, nil

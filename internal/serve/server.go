@@ -97,9 +97,6 @@ func (s *Server) HandleFunc(pattern, route string, h http.HandlerFunc) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Resolver returns the resolver the server fronts.
-func (s *Server) Resolver() Resolver { return s.res }
-
 // StartDrain flips the server into draining: /readyz reports 503 so
 // health-checked routers stop sending, and new predict/warm calls shed
 // with 503 + Retry-After while requests already in flight finish. Pair it

@@ -212,13 +212,6 @@ func (m *Mat) FillGaussian(rng *rand.Rand, std float64) {
 	}
 }
 
-// FillUniform fills m with Uniform(-a, a) samples drawn from rng.
-func (m *Mat) FillUniform(rng *rand.Rand, a float64) {
-	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * a
-	}
-}
-
 // Sparse is a sparse vector: parallel slices of strictly increasing indices
 // and their values. The zero value is an empty vector.
 type Sparse struct {
@@ -304,9 +297,6 @@ func (b *DenseBuilder) Add(idx int32, v float64) {
 	}
 	b.val[idx] += v
 }
-
-// Len returns the number of distinct indices accumulated so far.
-func (b *DenseBuilder) Len() int { return len(b.touched) }
 
 // BuildInto fills dst with the sorted sparse vector, reusing dst's backing
 // slices, and resets the builder in O(touched). Entries that cancelled to

@@ -37,9 +37,6 @@ func NewHasher(dim int) *Hasher {
 	return &Hasher{dim: dim}
 }
 
-// Dim returns the feature dimensionality.
-func (h *Hasher) Dim() int { return h.dim }
-
 // Tokenize lower-cases s and splits it into word tokens. Runs of letters or
 // digits form tokens; every other non-space rune becomes a single-rune token
 // (punctuation carries signal in DP data — "%" in an ABV value, "-" in an

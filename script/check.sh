@@ -382,6 +382,13 @@ if grep -rn 'http\.Error(' internal/serve internal/cluster internal/jobs; then
 	echo "check.sh: raw http.Error in a serving package — use serve.WriteError" >&2
 	exit 1
 fi
+# And its mirror on the client side: the router and the CLI reach a backend
+# only through serve.Call (one round trip, one error shape).
+if grep -rn --include='*.go' --exclude='*_test.go' \
+	-e 'http\.NewRequest' -e 'http\.Get(' -e 'http\.Post(' internal/cluster cmd/knowtrans; then
+	echo "check.sh: hand-rolled backend request — use serve.Call" >&2
+	exit 1
+fi
 
 echo "check.sh: tier-2 jobs gate passed (kill/resume byte-identical, 0 duplicated transfers)"
 echo "check.sh: all gates passed"
