@@ -1,0 +1,88 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/data"
+	"repro/internal/dataio"
+)
+
+// knowtrans runs the CLI's main() on args in a helper process (TestMain's
+// "main" mode) and returns what it printed and how it exited.
+func knowtrans(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(selfExe(), args...)
+	cmd.Env = append(os.Environ(), helperEnv+"=main")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("knowtrans %v: %v", args, err)
+	}
+	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
+}
+
+// TestOperatorMistakesExitTwo pins the CLI's error contract: a missing input
+// file or an unknown subcommand is an operator mistake — exit 2 with the
+// usage text, never a panic (exit 2 without usage), a crash or a success.
+func TestOperatorMistakesExitTwo(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-file.jsonl")
+	for _, args := range [][]string{
+		{"obs", "trace", missing},
+		{"obs", "prof", missing},
+		{"obs", "prof", missing, "-gate"},
+		{"obs", "diff", missing, missing}, // removed: numbers are compared by benchmark/ only
+		{"obs", "frobnicate"},
+		{"obs"},
+		{"frobnicate"},
+	} {
+		stdout, stderr, exit := knowtrans(t, args...)
+		if exit != 2 || !strings.Contains(stderr, "usage:") || stdout != "" {
+			t.Errorf("knowtrans %v: exit %d, stdout %q, stderr %q; want exit 2 with usage on stderr only",
+				args, exit, stdout, stderr)
+		}
+	}
+}
+
+// TestJobPlanIsDeterministic: the same spec renders the same plan bytes on
+// every invocation — no timestamps, no map ordering — from the CLI surface,
+// each in a process of its own.
+func TestJobPlanIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	ds := &data.Dataset{Name: "bulk", Task: "EM"}
+	for i := 0; i < 10; i++ {
+		ds.Test = append(ds.Test, &data.Instance{
+			ID:         fmt.Sprintf("row-%02d", i),
+			Fields:     []data.Field{{Name: "title", Value: fmt.Sprintf("item %d", i)}},
+			Candidates: []string{"match", "non-match"},
+		})
+	}
+	var input bytes.Buffer
+	if err := dataio.EncodeJSON(ds, "", &input); err != nil {
+		t.Fatal(err)
+	}
+	inputPath := filepath.Join(dir, "input.json")
+	specPath := filepath.Join(dir, "spec.json")
+	spec := fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q},"shards":3}`,
+		inputPath, filepath.Join(dir, "out.csv"))
+	for path, blob := range map[string][]byte{inputPath: input.Bytes(), specPath: []byte(spec)} {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, stderr, exit := knowtrans(t, "job", "plan", "-spec", specPath)
+	if exit != 0 || !strings.Contains(first, "shard") {
+		t.Fatalf("job plan: exit %d, stdout %q, stderr %q", exit, first, stderr)
+	}
+	if again, _, _ := knowtrans(t, "job", "plan", "-spec", specPath); again != first {
+		t.Fatalf("job plan rendered different bytes across invocations:\n%s---\n%s", first, again)
+	}
+}

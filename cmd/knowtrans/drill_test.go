@@ -22,11 +22,14 @@ import (
 const helperEnv = "KNOWTRANS_DRILL_HELPER"
 
 func TestMain(m *testing.M) {
-	mode := os.Getenv(helperEnv)
-	if mode == "" {
+	switch mode := os.Getenv(helperEnv); mode {
+	case "":
 		os.Exit(m.Run())
+	case "main":
+		main() // the real CLI on this process's arguments (cli_test.go)
+	default:
+		helperBackend(mode)
 	}
-	helperBackend(mode)
 }
 
 // helperBackend is a stand-in for `knowtrans serve`: it prints the banner,

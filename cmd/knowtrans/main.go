@@ -17,11 +17,11 @@
 // -metrics FILE.json, -pprof ADDR, and the profiling family -sample,
 // -timeline, -cpuprofile, -memprofile, -profdir (see internal/obs,
 // internal/obs/profile, and the "Observability" and "Profiling & resource
-// accounting" sections of DESIGN.md). `knowtrans experiment` also writes
-// a machine-readable BENCH_run.json run record (-bench to rename,
-// -bench "" to disable) and accepts -faults to run the grid under seeded
-// chaos injection on the oracle path (see internal/faults and the
-// "Resilience & chaos testing" section of DESIGN.md).
+// accounting" sections of DESIGN.md). `knowtrans experiment` prints its
+// tables and writes nothing else unless one of those flags names a file;
+// it accepts -faults to run the grid under seeded chaos injection on the
+// oracle path (see internal/faults and the "Resilience & chaos testing"
+// section of DESIGN.md).
 package main
 
 import (
@@ -78,7 +78,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   knowtrans list
   knowtrans experiment <id|all> [-scale S] [-reps N] [-seed K] [-workers W]
-                       [-bench FILE.json] [-faults rate=R,seed=S[,kinds=a+b]] [obs flags]
+                       [-faults rate=R,seed=S[,kinds=a+b]] [obs flags]
   knowtrans build [-artifacts DIR] [-scale S] [-seed K] [obs flags]
   knowtrans transfer -dataset <task/name> [-artifacts DIR] [-scale S] [-seed K] [obs flags]
   knowtrans serve [-addr HOST:PORT] [-scale S] [-seed K] [-max-adapters N] [-max-batch N]
@@ -100,8 +100,7 @@ func usage() {
                 [-faults SPEC] [-workdir DIR]
   knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow]
   knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
-  knowtrans obs diff A.json B.json [-rel-tol F] [-strict] [-json]
-  knowtrans obs prof TIMELINE.jsonl [-windows N] [-gate] [-diff BASELINE.jsonl] [-json]
+  knowtrans obs prof TIMELINE.jsonl [-windows N] [-gate] [-json]
 
 observability flags (any subcommand):
   -trace FILE.jsonl   write a span trace (Transfer → SKC stages → AKB iterations)
@@ -143,7 +142,6 @@ func runExperiment(args []string) {
 	seed := fs.Int64("seed", 1, "master random seed")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"experiment cell workers (1 = serial; results are identical at any count)")
-	benchPath := fs.String("bench", "BENCH_run.json", "write a machine-readable run record to `file` (empty to disable)")
 	faultSpec := fs.String("faults", "",
 		"inject oracle faults, `spec` rate=R,seed=S[,kinds=a+b][,latency=D] (chaos testing; see internal/faults)")
 	of := addObsFlags(fs)
@@ -170,7 +168,6 @@ func runExperiment(args []string) {
 		z.Faults = &fcfg
 	}
 
-	bench := &BenchRun{}
 	run := func(e eval.Experiment) {
 		// Each experiment runs under one root span so `knowtrans obs trace`
 		// can account every stage's self time against a single wall-time
@@ -188,7 +185,6 @@ func runExperiment(args []string) {
 		expRec.Event("experiment.done", "id", e.ID, "wall_s", wall.Seconds())
 		fmt.Println(t.Render())
 		fmt.Printf("(%s in %.1fs, scale=%.2f, reps=%d, seed=%d)\n\n", e.ID, wall.Seconds(), *scale, *reps, *seed)
-		bench.Experiments = append(bench.Experiments, benchRecord(t, wall, *scale, *reps, *seed))
 	}
 	if id == "all" {
 		for _, e := range eval.Registry() {
@@ -201,12 +197,6 @@ func runExperiment(args []string) {
 			os.Exit(2)
 		}
 		run(e)
-	}
-	if *benchPath != "" {
-		if err := writeBenchRun(*benchPath, bench); err != nil {
-			fatal(fmt.Errorf("write bench record: %w", err))
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *benchPath, len(bench.Experiments))
 	}
 	if err := finish(); err != nil {
 		fatal(err)

@@ -10,12 +10,14 @@ import (
 	"repro/internal/obs/analyze"
 )
 
-// The obs subcommand family is the consumption side of the -trace/-metrics
-// flags: offline analysis of the JSONL span traces and BENCH_run.json
-// documents an instrumented run leaves behind.
+// The obs subcommand family is the consumption side of the -trace, -sample
+// and -pprof flags: offline analysis of the JSONL span traces and runtime
+// timelines an instrumented run leaves behind, and a live view of a server.
+// It compares nothing: numbers from two commits meet only in benchmark/.
 //
-//	knowtrans obs trace t.jsonl [-top 10] [-json]
-//	knowtrans obs diff A.json B.json [-rel-tol F] [-wall-tol F] [-strict] [-verbose] [-json]
+//	knowtrans obs trace t.jsonl [-top 10] [-json] [-trace-id ID] [-follow]
+//	knowtrans obs top [-url URL] [-once]
+//	knowtrans obs prof timeline.jsonl [-windows 4] [-gate] [-json]
 func runObs(args []string) {
 	if len(args) == 0 {
 		obsUsage()
@@ -24,8 +26,6 @@ func runObs(args []string) {
 	switch args[0] {
 	case "trace":
 		runObsTrace(args[1:])
-	case "diff":
-		runObsDiff(args[1:])
 	case "top":
 		runObsTop(args[1:])
 	case "prof":
@@ -48,16 +48,10 @@ func obsUsage() {
   knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
-  knowtrans obs diff A.json B.json [-rel-tol F] [-wall-tol F] [-strict] [-verbose] [-json]
-      compare two BENCH_run.json or BENCH_allocs.json documents
-      metric-by-metric; exits 1 when any metric regressed beyond the
-      relative tolerance
-  knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate] [-diff BASELINE.jsonl] [-rel-tol F]
+  knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate]
       summarize a runtime-metrics timeline recorded with -sample: heap
       growth slope, GC pause p50/p95, goroutine-leak detection across
-      windows, alloc rate. -gate exits 1 on a suspected leak; -diff
-      compares against a baseline timeline and exits 1 on budget
-      regression — the perf sentinel`)
+      windows, alloc rate. -gate exits 1 on a suspected leak`)
 }
 
 func runObsTrace(args []string) {
@@ -144,16 +138,12 @@ func runObsTrace(args []string) {
 }
 
 // runObsProf summarizes a runtime-metrics timeline (the JSONL the
-// -sample flag records) and optionally gates it: -gate fails on the
-// timeline's own leak verdicts, -diff fails on budget regressions
-// against a baseline timeline.
+// -sample flag records); -gate fails on the timeline's own leak verdicts.
 func runObsProf(args []string) {
 	fs := newFlagSet("obs prof")
 	windows := fs.Int("windows", 4, "analysis windows for leak detection")
-	asJSON := fs.Bool("json", false, "emit the report/diff as JSON instead of text")
+	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	gate := fs.Bool("gate", false, "exit 1 when the timeline shows a goroutine leak or unbounded heap growth")
-	baseline := fs.String("diff", "", "baseline timeline `file`; exit 1 on budget regression against it")
-	relTol := fs.Float64("rel-tol", 0.25, "relative headroom for -diff budgets")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		fmt.Fprintln(os.Stderr, "knowtrans: obs prof needs a runtime timeline file")
 		obsUsage()
@@ -162,42 +152,16 @@ func runObsProf(args []string) {
 	path := args[0]
 	parseOrExit(fs, args[1:])
 
-	load := func(p string) *analyze.ProfReport {
-		rows, err := analyze.LoadTimeline(p)
-		if err != nil {
-			// Same contract as obs trace: an unreadable input is an operator
-			// mistake — explain, show usage, exit 2.
-			fmt.Fprintf(os.Stderr, "knowtrans: %v\n", err)
-			obsUsage()
-			runObsCleanup()
-			os.Exit(2)
-		}
-		return analyze.NewProfReport(rows, *windows)
+	rows, err := analyze.LoadTimeline(path)
+	if err != nil {
+		// Same contract as obs trace: an unreadable input is an operator
+		// mistake — explain, show usage, exit 2.
+		fmt.Fprintf(os.Stderr, "knowtrans: %v\n", err)
+		obsUsage()
+		runObsCleanup()
+		os.Exit(2)
 	}
-
-	rep := load(path)
-	if *baseline != "" {
-		base := load(*baseline)
-		bud := analyze.DefaultProfBudget()
-		bud.RelTol = *relTol
-		d := analyze.DiffProf(base, rep, bud)
-		var err error
-		if *asJSON {
-			err = d.WriteJSON(os.Stdout)
-		} else {
-			fmt.Printf("prof diff %s -> %s\n", *baseline, path)
-			err = d.WriteText(os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if d.HasRegressions() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	var err error
+	rep := analyze.NewProfReport(rows, *windows)
 	if *asJSON {
 		err = rep.WriteJSON(os.Stdout)
 	} else {
@@ -207,47 +171,6 @@ func runObsProf(args []string) {
 		fatal(err)
 	}
 	if *gate && rep.Unhealthy() {
-		os.Exit(1)
-	}
-}
-
-func runObsDiff(args []string) {
-	fs := newFlagSet("obs diff")
-	relTol := fs.Float64("rel-tol", 0, "relative metric change treated as noise (0 = any change counts)")
-	wallTol := fs.Float64("wall-tol", 0, "gate wall time when relative increase exceeds this (0 = report only)")
-	strict := fs.Bool("strict", false, "any change (including improvements and added metrics) is a regression — the determinism gate")
-	verbose := fs.Bool("verbose", false, "also list unchanged metrics and wall-time deltas")
-	asJSON := fs.Bool("json", false, "emit the diff as JSON instead of text")
-	if len(args) < 2 || strings.HasPrefix(args[0], "-") || strings.HasPrefix(args[1], "-") {
-		fmt.Fprintln(os.Stderr, "knowtrans: obs diff needs two BENCH_run.json files")
-		obsUsage()
-		os.Exit(2)
-	}
-	pathA, pathB := args[0], args[1]
-	parseOrExit(fs, args[2:])
-	a, err := analyze.LoadBenchRun(pathA)
-	if err != nil {
-		fatal(err)
-	}
-	b, err := analyze.LoadBenchRun(pathB)
-	if err != nil {
-		fatal(err)
-	}
-	d := analyze.DiffBenchRuns(a, b, analyze.DiffOptions{
-		RelTol:  *relTol,
-		WallTol: *wallTol,
-		Strict:  *strict,
-	})
-	if *asJSON {
-		err = d.WriteJSON(os.Stdout)
-	} else {
-		fmt.Printf("diff %s -> %s\n", pathA, pathB)
-		err = d.WriteText(os.Stdout, *verbose)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	if d.HasRegressions() {
 		os.Exit(1)
 	}
 }

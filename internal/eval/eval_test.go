@@ -90,9 +90,6 @@ func TestTableWithAverages(t *testing.T) {
 	if overall != 30 {
 		t.Fatalf("overall average = %v, want 30 (mean of datasets, not tasks)", overall)
 	}
-	if got := avg.Average("A"); got != 30 {
-		t.Fatalf("Average() = %v", got)
-	}
 	if v, ok := avg.CellAt("ED", "d2", "A"); !ok || v != 30 {
 		t.Fatalf("CellAt lookup = %v/%v", v, ok)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // withFaults arms a fault spec on the shared test zoo for one test and
@@ -36,20 +37,25 @@ func TestFaultsRateZeroByteIdentical(t *testing.T) {
 // TestFaultsChaosGridCompletes runs a small grid at a 30% fault rate, in
 // parallel, twice: it must complete without panicking and reproduce
 // byte-identically — fault schedules are content-addressed per cell, so
-// worker interleaving cannot perturb them.
+// worker interleaving cannot perturb them. The first run carries a recorder:
+// the injections must show up in the zoo's metrics, which is how an operator
+// tells a chaos run from a healthy one.
 func TestFaultsChaosGridCompletes(t *testing.T) {
 	z := zooForTest()
 	keys := []string{"ED/Flights", "EM/Abt-Buy"}
 	withFaults(t, z, &faults.Config{Rate: 0.3, Seed: 9})
-	prev := z.Workers
-	defer func() { z.Workers = prev }()
+	prevRec, prevWorkers := z.Rec, z.Workers
+	defer func() { z.Rec, z.Workers = prevRec, prevWorkers }()
 
-	z.Workers = 4
+	z.Rec, z.Workers = obs.NewRecorder(obs.NewRegistry(), nil), 4
 	first := runTable6On(z, 1, keys).Render()
 	if first == "" {
 		t.Fatal("chaos grid rendered nothing")
 	}
-	z.Workers = 1
+	if n := z.Rec.Metrics.Snapshot().Counters["faults.injected"]; n == 0 {
+		t.Fatal("30% fault rate recorded no faults.injected")
+	}
+	z.Rec, z.Workers = nil, 1
 	second := runTable6On(z, 1, keys).Render()
 	if first != second {
 		t.Fatalf("chaos grid not reproducible across worker counts:\n--- 4 workers ---\n%s--- serial ---\n%s", first, second)

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // --- Zoo.memo concurrency -----------------------------------------------------
@@ -196,22 +199,74 @@ func TestRunCellsRecordsWorkerTelemetry(t *testing.T) {
 	}
 }
 
-// TestTable6SerialParallelDeterminism renders a small Table VI grid at one
-// worker and at four and requires byte-identical output — the in-process
-// version of the check.sh tier-2 gate. The shared test zoo keeps artifact
-// builds amortized across the eval test suite.
+// tracedTable6 runs the small Table VI grid under one root span, the way
+// `knowtrans experiment` wraps each experiment, and returns the table with
+// the trace's self-time coverage (Σ self time / root duration).
+func tracedTable6(t *testing.T, z *Zoo, workers int, keys []string) (*Table, float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	rec, span := obs.NewRecorder(obs.NewRegistry(), tracer).StartSpan("experiment")
+	z.Rec, z.Workers = rec, workers
+	tab := runTable6On(z, 1, keys)
+	span.End()
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := analyze.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, analyze.NewReport(tr, 0).Coverage
+}
+
+// TestTable6SerialParallelDeterminism is the determinism gate: the same seed
+// gives the same Table VI grid bit for bit — every cell and every average
+// row compared with math.Float64bits — serial and traced, serial and
+// untraced, and on four workers. The two traced runs also pin the span
+// tree's accounting: per-stage self times must add up to the root span (a
+// serial trace has one timeline, so coverage is bounded both ways; worker
+// spans overlap, so four workers only have the lower bound).
 func TestTable6SerialParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a zoo (~8 s)")
+	}
 	z := zooForTest()
 	keys := []string{"ED/Flights", "EM/Abt-Buy"}
-	prev := z.Workers
-	defer func() { z.Workers = prev }()
+	prevRec, prevWorkers := z.Rec, z.Workers
+	defer func() { z.Rec, z.Workers = prevRec, prevWorkers }()
 
-	z.Workers = 1
-	serial := runTable6On(z, 1, keys).Render()
-	z.Workers = 4
-	parallel := runTable6On(z, 1, keys).Render()
+	serial, scov := tracedTable6(t, z, 1, keys)
+	if scov < 0.95 || scov > 1.05 {
+		t.Errorf("serial self-time coverage %.3f outside [0.95, 1.05]", scov)
+	}
+	z.Rec, z.Workers = nil, 1
+	requireSameBits(t, "serial untraced", serial, runTable6On(z, 1, keys))
+	parallel, pcov := tracedTable6(t, z, 4, keys)
+	if pcov < 0.95 {
+		t.Errorf("4-worker self-time coverage %.3f below 0.95", pcov)
+	}
+	requireSameBits(t, "4 workers", serial, parallel)
+	t.Logf("self-time coverage: serial %.3f, 4 workers %.3f", scov, pcov)
+}
 
-	if serial != parallel {
-		t.Fatalf("parallel table6 differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, parallel)
+// requireSameBits fails unless got holds exactly want's rows and cells.
+func requireSameBits(t *testing.T, name string, want, got *Table) {
+	t.Helper()
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows, want %d", name, len(got.Rows), len(want.Rows))
+	}
+	for i, w := range want.Rows {
+		g := got.Rows[i]
+		if g.Task != w.Task || g.Dataset != w.Dataset || len(g.Cells) != len(w.Cells) {
+			t.Fatalf("%s: row %d is %s/%s with %d cells, want %s/%s with %d",
+				name, i, g.Task, g.Dataset, len(g.Cells), w.Task, w.Dataset, len(w.Cells))
+		}
+		for col, wv := range w.Cells {
+			if gv, ok := g.Cells[col]; !ok || math.Float64bits(gv) != math.Float64bits(wv) {
+				t.Errorf("%s: %s/%s %s = %v (%#x), want %v (%#x)", name, w.Task, w.Dataset, col,
+					gv, math.Float64bits(gv), wv, math.Float64bits(wv))
+			}
+		}
 	}
 }

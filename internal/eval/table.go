@@ -143,22 +143,3 @@ func (t *Table) CellAt(task, dataset, column string) (float64, bool) {
 	}
 	return 0, false
 }
-
-// Average returns the mean of a column across non-average rows.
-func (t *Table) Average(column string) float64 {
-	var sum float64
-	var n int
-	for _, r := range t.Rows {
-		if r.IsAverage {
-			continue
-		}
-		if v, ok := r.Cells[column]; ok {
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}

@@ -7,8 +7,8 @@
 //
 // Determinism is the point: the injector draws every fault decision from
 // its own rand.Rand, never from the wrapped oracle's, so (a) the same seed
-// produces the same fault schedule call-for-call, making chaos runs
-// diffable with `knowtrans obs diff`, and (b) at Rate 0 the wrapped oracle
+// produces the same fault schedule call-for-call, so two chaos runs
+// compare byte for byte, and (b) at Rate 0 the wrapped oracle
 // sees exactly the call sequence it would have seen unwrapped, byte-
 // identical results included. The schedule each injector actually executed
 // is recorded and retrievable via Schedule for assertions and offline

@@ -9,15 +9,23 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 func newJobServer(t *testing.T, res serve.Resolver, dir string) (*httptest.Server, *Manager) {
 	t.Helper()
-	m := NewManager(res, ManagerOptions{CheckpointDir: filepath.Join(dir, "ckpt")})
+	m := NewManager(res, ManagerOptions{
+		CheckpointDir: filepath.Join(dir, "ckpt"),
+		Rec:           obs.NewRecorder(obs.NewRegistry(), nil),
+	})
 	srv := serve.NewServer(res, serve.Options{})
 	NewAPI(m).Register(srv)
 	ts := httptest.NewServer(srv)
@@ -47,9 +55,27 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	input := writeInput(t, dir, 8)
 	out := filepath.Join(dir, "out.csv")
-	ts, _ := newJobServer(t, newFakeResolver(), dir)
+	// hold makes the resolver park its next predict until release closes,
+	// announcing itself on entered: the window in which a job is cancelled.
+	res := newFakeResolver()
+	var hold atomic.Bool
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	res.answer = func(in *data.Instance) string {
+		if hold.Load() {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-release
+		}
+		return in.Candidates[in.Gold]
+	}
+	ts, m := newJobServer(t, res, dir)
 
-	spec := fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q},"shards":2}`, input, out)
+	specFor := func(input, out string) []byte {
+		return []byte(fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q},"shards":2}`, input, out))
+	}
+	spec := specFor(input, out)
 
 	// Dry run plans without running: 200, a plan body, no job created.
 	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs?dry_run=1", []byte(spec))
@@ -72,23 +98,26 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	}
 
 	// Submit: 202, then poll to done.
-	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(spec))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", resp.StatusCode, blob)
+	submit := func(spec []byte) string {
+		t.Helper()
+		resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d %s", resp.StatusCode, blob)
+		}
+		var sub SubmitResponse
+		if err := json.Unmarshal(blob, &sub); err != nil {
+			t.Fatal(err)
+		}
+		if !sub.Started || sub.Job.ID == "" {
+			t.Fatalf("submit response: %+v", sub)
+		}
+		return sub.Job.ID
 	}
-	var sub SubmitResponse
-	if err := json.Unmarshal(blob, &sub); err != nil {
-		t.Fatal(err)
-	}
-	if !sub.Started || sub.Job.ID == "" {
-		t.Fatalf("submit response: %+v", sub)
-	}
-
-	poll := func() Snapshot {
+	poll := func(id string) Snapshot {
 		t.Helper()
 		var snap Snapshot
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-			resp, blob := doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.Job.ID, nil)
+			resp, blob := doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("poll: %d %s", resp.StatusCode, blob)
 			}
@@ -103,7 +132,8 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 			}
 		}
 	}
-	snap := poll()
+	id := submit(spec)
+	snap := poll(id)
 	if snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
 		t.Fatalf("job did not finish cleanly: %+v", snap)
 	}
@@ -113,14 +143,41 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 
 	// Re-submitting the done job reruns it; the checkpoint makes that a
 	// pure resume (all shards adopted).
-	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", []byte(spec))
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resubmit: %d %s", resp.StatusCode, blob)
+	if again := submit(spec); again != id {
+		t.Fatalf("resubmit ran as %s, want the same job %s", again, id)
 	}
 	// Wait it out: a job still appending to its checkpoint log races the
 	// TempDir cleanup ("directory not empty", seen under -race at the parent).
-	if snap := poll(); snap.State != StateDone || snap.ShardsResumed != 2 {
+	if snap := poll(id); snap.State != StateDone || snap.ShardsResumed != 2 {
 		t.Fatalf("resubmitted job: %+v, want done with both shards adopted", snap)
+	}
+
+	// A job whose input is gone fails in Plan; a job cancelled while a row is
+	// in flight ends canceled. Each moves its own counter; finished runs are
+	// counted once, by the engine.
+	failed := poll(submit(specFor(filepath.Join(dir, "gone.json"), filepath.Join(dir, "out2.csv"))))
+	if failed.State != StateFailed || failed.Error == "" {
+		t.Fatalf("job over a missing input: %+v, want failed with an error", failed)
+	}
+	hold.Store(true)
+	cid := submit(specFor(input, filepath.Join(dir, "out3.csv")))
+	<-entered
+	if resp, blob := doReq(t, http.MethodDelete, ts.URL+"/v1/jobs/"+cid, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel: %d %s", resp.StatusCode, blob)
+	}
+	close(release)
+	if snap := poll(cid); snap.State != StateCanceled {
+		t.Fatalf("cancelled job: %+v", snap)
+	}
+	want := map[string]int64{"jobs.submitted": 4, "jobs.completed": 2, "jobs.failed": 1, "jobs.canceled": 1}
+	got := m.opts.Rec.Metrics.Snapshot().Counters
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("%s = %d, want %d (all counters: %v)", name, got[name], n, got)
+		}
+	}
+	if list := m.List(); len(list) != 3 || !slices.IsSortedFunc(list, func(a, b Snapshot) int { return strings.Compare(a.ID, b.ID) }) {
+		t.Errorf("List() = %+v, want the three jobs ordered by ID", list)
 	}
 }
 

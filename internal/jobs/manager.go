@@ -3,6 +3,8 @@ package jobs
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,29 +137,22 @@ func (m *Manager) run(ctx context.Context, j *job) {
 		}
 		return m.eng.Run(ctx, p, j.tracker)
 	}()
-	j.mu.Lock()
-	j.wallS = time.Since(j.started).Seconds()
+	// Count before publishing: a poller that sees the terminal state also
+	// sees its counter. A finished job is the engine's jobs.completed.
+	state := StateDone
 	switch {
 	case err == nil:
-		j.state = StateDone
-		j.result = res
 	case ctx.Err() != nil:
-		j.state = StateCanceled
-		j.err = err
-	default:
-		j.state = StateFailed
-		j.err = err
-	}
-	state := j.state
-	j.mu.Unlock()
-	switch state {
-	case StateDone:
-		m.opts.Rec.Count("jobs.completed_async", 1)
-	case StateCanceled:
+		state = StateCanceled
 		m.opts.Rec.Count("jobs.canceled", 1)
 	default:
+		state = StateFailed
 		m.opts.Rec.Count("jobs.failed", 1)
 	}
+	j.mu.Lock()
+	j.wallS = time.Since(j.started).Seconds()
+	j.state, j.result, j.err = state, res, err
+	j.mu.Unlock()
 	m.setActiveGauge()
 }
 
@@ -180,11 +175,7 @@ func (m *Manager) List() []Snapshot {
 		out = append(out, j.snapshot())
 	}
 	m.mu.Unlock()
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].ID < out[k-1].ID; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.SortFunc(out, func(a, b Snapshot) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -1,13 +1,14 @@
 // Package analyze is the consumption side of the observability layer: it
-// loads the JSONL span traces and BENCH_run.json documents that
-// internal/obs and `knowtrans experiment` produce, rebuilds the span tree,
-// and answers the questions the raw records cannot — which stage dominates
-// wall time, what the critical path through a run was, and whether a bench
-// document regressed against a baseline.
+// loads the JSONL span traces and runtime timelines that internal/obs and
+// internal/obs/profile record, rebuilds the span tree, and answers the
+// questions the raw records cannot — which stage dominates wall time, what
+// the critical path through a run was, what one request's path through
+// shared batches was, whether a process is leaking.
 //
-// The package is pure analysis: it never writes telemetry, so it can be
-// linked into tooling (the `knowtrans obs` subcommands, CI gates) without
-// dragging the recording machinery along.
+// The package is pure analysis of one run: it never writes telemetry, so it
+// can be linked into tooling (the `knowtrans obs` subcommands, tests)
+// without dragging the recording machinery along, and it never compares two
+// runs — numbers from two commits meet only in benchmark/.
 package analyze
 
 import (

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/obs/profile"
 )
@@ -13,9 +12,8 @@ import (
 // Resource-timeline analysis: the consumption side of the runtime sampler
 // (internal/obs/profile). LoadTimeline reads the JSONL resource record a
 // sampled run leaves behind; NewProfReport summarizes it (heap growth
-// slope, GC pauses, goroutine-leak detection, alloc rates per window);
-// DiffProf gates one run's report against a baseline's under budgets —
-// the perf-regression sentinel `knowtrans obs prof -diff` exposes.
+// slope, GC pauses, goroutine-leak detection, alloc rates per window) and
+// Unhealthy is the verdict `knowtrans obs prof -gate` exits on.
 
 // LoadTimeline reads one runtime-metrics timeline file.
 func LoadTimeline(path string) ([]profile.Sample, error) {
@@ -284,114 +282,3 @@ func (r *ProfReport) WriteText(w io.Writer) error {
 // Unhealthy reports whether the standalone gate (-gate) should fail: a
 // suspected goroutine leak or unbounded heap growth.
 func (r *ProfReport) Unhealthy() bool { return r.GoroutineLeak || r.HeapGrowth }
-
-// ProfBudget tunes DiffProf's regression thresholds. A metric regresses
-// when candidate > baseline*(1+RelTol) + slack; the absolute slacks keep
-// tiny baselines (an idle 2MB heap, 20 goroutines) from flagging noise.
-type ProfBudget struct {
-	RelTol          float64 `json:"rel_tol"`
-	GoroutineSlack  float64 `json:"goroutine_slack"`
-	HeapSlackBytes  float64 `json:"heap_slack_bytes"`
-	AllocSlackBPS   float64 `json:"alloc_slack_bps"`
-	GCPauseSlackUS  float64 `json:"gc_pause_slack_us"`
-	GCCyclesSlack   float64 `json:"gc_cycles_slack"`
-	SchedLatSlackUS float64 `json:"sched_lat_slack_us"`
-}
-
-// DefaultProfBudget is the stock sentinel configuration: 25% relative
-// headroom plus small absolute slacks.
-func DefaultProfBudget() ProfBudget {
-	return ProfBudget{
-		RelTol:          0.25,
-		GoroutineSlack:  16,
-		HeapSlackBytes:  16 << 20,
-		AllocSlackBPS:   16 << 20,
-		GCPauseSlackUS:  2000,
-		GCCyclesSlack:   8,
-		SchedLatSlackUS: 2000,
-	}
-}
-
-// ProfDelta is one gated metric's comparison.
-type ProfDelta struct {
-	Metric    string  `json:"metric"`
-	A         float64 `json:"a"`
-	B         float64 `json:"b"`
-	Rel       float64 `json:"rel"`
-	Budget    float64 `json:"budget"` // the threshold B had to stay under
-	Regressed bool    `json:"regressed"`
-}
-
-// ProfDiff compares a candidate timeline report against a baseline's.
-type ProfDiff struct {
-	Deltas      []ProfDelta `json:"deltas"`
-	Regressions int         `json:"regressions"`
-	// LeakAppeared flags a leak/growth verdict present in the candidate
-	// but not the baseline — always a regression regardless of budgets.
-	LeakAppeared bool `json:"leak_appeared,omitempty"`
-}
-
-// HasRegressions reports whether the diff should fail a gate.
-func (d *ProfDiff) HasRegressions() bool { return d.Regressions > 0 }
-
-// DiffProf gates candidate b against baseline a. All gated metrics are
-// lower-is-better resource costs; improvements never gate.
-func DiffProf(a, b *ProfReport, bud ProfBudget) *ProfDiff {
-	d := &ProfDiff{}
-	check := func(metric string, av, bv, slack float64) {
-		budget := av*(1+bud.RelTol) + slack
-		pd := ProfDelta{Metric: metric, A: av, B: bv, Budget: budget, Regressed: bv > budget}
-		if av != 0 {
-			pd.Rel = (bv - av) / av
-		}
-		if pd.Regressed {
-			d.Regressions++
-		}
-		d.Deltas = append(d.Deltas, pd)
-	}
-	check("goroutine_max", float64(a.GoroutineMax), float64(b.GoroutineMax), bud.GoroutineSlack)
-	check("goroutine_end", float64(a.GoroutineEnd), float64(b.GoroutineEnd), bud.GoroutineSlack)
-	check("heap_max_bytes", float64(a.HeapMaxBytes), float64(b.HeapMaxBytes), bud.HeapSlackBytes)
-	check("heap_end_bytes", float64(a.HeapEndBytes), float64(b.HeapEndBytes), bud.HeapSlackBytes)
-	check("alloc_rate_bps", a.AllocRateBPS, b.AllocRateBPS, bud.AllocSlackBPS)
-	check("gc_pause_p95_us", a.GCPauseP95US, b.GCPauseP95US, bud.GCPauseSlackUS)
-	check("gc_cycles", float64(a.GCCycles), float64(b.GCCycles), bud.GCCyclesSlack)
-	check("sched_lat_p95_us", a.SchedLatP95US, b.SchedLatP95US, bud.SchedLatSlackUS)
-	if (b.GoroutineLeak && !a.GoroutineLeak) || (b.HeapGrowth && !a.HeapGrowth) {
-		d.LeakAppeared = true
-		d.Regressions++
-	}
-	return d
-}
-
-// WriteJSON emits the diff as indented JSON.
-func (d *ProfDiff) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// WriteText renders the diff as an aligned table plus a verdict line.
-func (d *ProfDiff) WriteText(w io.Writer) error {
-	rows := [][]string{{"METRIC", "BASELINE", "CANDIDATE", "REL", "BUDGET", "VERDICT"}}
-	for _, md := range d.Deltas {
-		verdict := "ok"
-		if md.Regressed {
-			verdict = "REGRESSED"
-		}
-		rows = append(rows, []string{
-			md.Metric,
-			fmt.Sprintf("%.4g", md.A), fmt.Sprintf("%.4g", md.B),
-			fmt.Sprintf("%+.1f%%", 100*md.Rel), fmt.Sprintf("%.4g", md.Budget),
-			verdict,
-		})
-	}
-	var sb strings.Builder
-	writeAligned(&sb, rows)
-	if d.LeakAppeared {
-		sb.WriteString("leak verdict: candidate flags a goroutine/heap leak the baseline did not\n")
-	}
-	fmt.Fprintf(&sb, "%d regressed of %d gated metrics\n", d.Regressions, len(d.Deltas))
-	_, err := io.WriteString(w, sb.String())
-	return err
-}

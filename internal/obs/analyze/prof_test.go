@@ -173,64 +173,6 @@ func TestProfReportDegenerate(t *testing.T) {
 	}
 }
 
-func TestDiffProfSelfIsClean(t *testing.T) {
-	r := NewProfReport(steadyTimeline(40), 4)
-	d := DiffProf(r, r, DefaultProfBudget())
-	if d.HasRegressions() {
-		var b bytes.Buffer
-		d.WriteText(&b)
-		t.Fatalf("self-diff regressed:\n%s", b.String())
-	}
-}
-
-func TestDiffProfCatchesRegression(t *testing.T) {
-	base := NewProfReport(steadyTimeline(40), 4)
-	cand := NewProfReport(leakyTimeline(40), 4)
-	d := DiffProf(base, cand, DefaultProfBudget())
-	if !d.HasRegressions() {
-		t.Fatal("leaky candidate passed diff")
-	}
-	if !d.LeakAppeared {
-		t.Error("LeakAppeared not set")
-	}
-	var regressed []string
-	for _, md := range d.Deltas {
-		if md.Regressed {
-			regressed = append(regressed, md.Metric)
-		}
-	}
-	joined := strings.Join(regressed, ",")
-	if !strings.Contains(joined, "goroutine_max") || !strings.Contains(joined, "heap_max_bytes") {
-		t.Errorf("regressed metrics = %v", regressed)
-	}
-	var text bytes.Buffer
-	if err := d.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text.String(), "REGRESSED") {
-		t.Errorf("diff text missing REGRESSED:\n%s", text.String())
-	}
-	// Improvements never gate: leaky as baseline, steady as candidate.
-	if d := DiffProf(cand, base, DefaultProfBudget()); d.HasRegressions() {
-		t.Error("improvement flagged as regression")
-	}
-}
-
-func TestDiffProfJSONRoundTrip(t *testing.T) {
-	d := DiffProf(NewProfReport(steadyTimeline(20), 4), NewProfReport(leakyTimeline(20), 4), DefaultProfBudget())
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back ProfDiff
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Regressions != d.Regressions {
-		t.Errorf("round trip regressions %d != %d", back.Regressions, d.Regressions)
-	}
-}
-
 func TestLoadTimeline(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "runtime.jsonl")

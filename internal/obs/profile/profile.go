@@ -9,7 +9,7 @@
 //     and objects, cumulative allocations, GC pause distribution,
 //     goroutine count, scheduler latency) that feeds the obs metrics
 //     registry live and appends a JSONL timeline — the machine-readable
-//     resource record `knowtrans obs prof` analyzes and diffs.
+//     resource record `knowtrans obs prof` analyzes.
 //   - pprof label plumbing (Do): the serve path runs request handling,
 //     batches, and cold-start Transfers under pprof labels (route, key,
 //     batch, phase) and eval labels its worker cells, so a captured CPU

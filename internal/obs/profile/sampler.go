@@ -13,8 +13,7 @@ import (
 
 // Sample is one line of the runtime-metrics timeline: a point-in-time
 // resource reading plus the deltas since the previous sample. The JSONL
-// stream of these is what `knowtrans obs prof` loads, summarizes, and
-// diffs against a baseline.
+// stream of these is what `knowtrans obs prof` loads and summarizes.
 type Sample struct {
 	// TMS is milliseconds since the sampler started.
 	TMS int64 `json:"t_ms"`
@@ -154,7 +153,7 @@ func (s *Sampler) run() {
 			prev = s.take(prev, false)
 		case <-s.stopc:
 			// Final sample so the timeline's last row reflects the state at
-			// shutdown — the row leak detection and end-state diffs read.
+			// shutdown — the row leak detection and the end-state summary read.
 			s.take(prev, false)
 			return
 		}

@@ -39,8 +39,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // Breaker is a three-state circuit breaker (closed → open on consecutive
-// failures → half-open probes → closed), factored out of ResilientOracle
-// so the serving tier can run one per backend. Callers bracket each
+// failures → half-open probes → closed). ResilientOracle runs one per AKB
+// search and cluster.Router one per backend. Callers bracket each
 // protected call with Allow / Success-or-Failure. Safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig

@@ -1,21 +1,25 @@
-// Package resilience hardens the oracle path of AKB against an unreliable
-// backend. ResilientOracle wraps any akb.FallibleOracle — a remote-API
-// client, or internal/faults' chaos injector — with the standard remote-
-// dependency defenses:
+// Package resilience holds the defenses a caller puts in front of an
+// unreliable remote dependency, each written once:
 //
-//   - a context deadline per attempt (a hung call cannot wedge a search),
-//   - capped exponential backoff with decorrelated jitter between retries
-//     of transient failures,
-//   - a three-state circuit breaker (closed → open on consecutive failures
-//     → half-open probe calls → closed again) so a dead backend fails fast
-//     instead of burning the retry budget on every round, and
-//   - a per-client call and token budget, bounding what one AKB search may
-//     spend on its oracle.
+//   - Breaker, a three-state circuit breaker (closed → open on consecutive
+//     failures → half-open probe calls → closed again) so a dead backend
+//     fails fast. It is one implementation with two callers: New builds
+//     ResilientOracle's with NewBreaker, and cluster.Router builds one per
+//     backend from the same type.
+//   - Hedge, timer hedges and error failovers over a list of replicas
+//     (cluster.Router's attempt loop).
+//   - ResilientOracle, which hardens AKB's oracle path. It wraps any
+//     akb.FallibleOracle — a remote-API client, or internal/faults' chaos
+//     injector — with a context deadline per attempt (a hung call cannot
+//     wedge a search), capped exponential backoff with decorrelated jitter
+//     between retries of transient failures, a Breaker so a dead oracle
+//     does not burn the retry budget on every round, and a per-client call
+//     and token budget bounding what one AKB search may spend.
 //
 // Everything is deterministic given Policy.Seed and an injectable Sleep,
 // which is how seeded chaos runs stay reproducible and wall-clock fast.
-// All failures surface as errors to akb.SearchFallible, which degrades
-// gracefully instead of aborting the search.
+// All oracle failures surface as errors to akb.SearchFallible, which
+// degrades gracefully instead of aborting the search.
 package resilience
 
 import (
@@ -254,12 +258,12 @@ func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.C
 		cancel()
 		rec.ObserveSince("resilience.attempt_us", start)
 		if err == nil {
-			r.onSuccess(rec)
+			r.br.Success()
 			span.SetAttr("attempts", attempt+1)
 			return nil
 		}
 		lastErr = err
-		r.onFailure(rec)
+		r.br.Failure()
 		rec.Count("resilience.failures", 1)
 		rec.Event("resilience.error", "op", op, "attempt", attempt, "err", err.Error())
 		if !transient(err) {
@@ -303,14 +307,6 @@ func (r *ResilientOracle) admit(rec *obs.Recorder) error {
 	return nil
 }
 
-func (r *ResilientOracle) onSuccess(rec *obs.Recorder) {
-	r.br.Success()
-}
-
-func (r *ResilientOracle) onFailure(rec *obs.Recorder) {
-	r.br.Failure()
-}
-
 // nextDelay draws the decorrelated-jitter backoff: uniform in
 // [BaseDelay, 3×previous], capped at MaxDelay.
 func (r *ResilientOracle) nextDelay() time.Duration {
@@ -333,10 +329,10 @@ func (r *ResilientOracle) nextDelay() time.Duration {
 type temporary interface{ Temporary() bool }
 
 // transient reports whether a failed attempt is worth retrying. Errors
-// that say so themselves (Temporary) are believed; deadline expiries are
-// retried; cancellation and the client's own terminal sentinels are not.
-// Unknown errors default to retryable — for a remote dependency, a blip is
-// the common case and the attempt cap bounds the damage.
+// that say so themselves (Temporary) are believed; cancellation and the
+// client's own terminal sentinels are not retried. Everything else is —
+// deadline expiries included: for a remote dependency a blip is the common
+// case and the attempt cap bounds the damage.
 func transient(err error) bool {
 	if errors.Is(err, context.Canceled) ||
 		errors.Is(err, ErrBreakerOpen) ||
@@ -346,9 +342,6 @@ func transient(err error) bool {
 	var t temporary
 	if errors.As(err, &t) {
 		return t.Temporary()
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
 	}
 	return true
 }

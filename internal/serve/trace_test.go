@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // lockedBuffer serializes writes so the slog JSON handler and the test's
@@ -188,6 +189,32 @@ func TestConcurrentTracing(t *testing.T) {
 	}
 	if batches == 0 {
 		t.Fatal("no serve.batch spans recorded")
+	}
+
+	// One request end to end, the way an operator follows a slow one: the
+	// load report's slowest trace ID must reassemble (what `knowtrans obs
+	// trace -trace-id` prints) into its own serve.request span plus the
+	// linked serve.batch that answered it.
+	tr, err := analyze.Load(bytes.NewReader(traceBuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := tr.FilterTrace(rep.SampleTrace)
+	var text bytes.Buffer
+	if err := path.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	hasSpan := func(roots []*analyze.Node, name string) bool {
+		for _, n := range roots {
+			if n.Rec.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	if !hasSpan(path.Direct, "serve.request") || !hasSpan(path.Linked, "serve.batch") {
+		t.Fatalf("slowest request %s does not reconstruct to serve.request + linked serve.batch:\n%s",
+			rep.SampleTrace, text.String())
 	}
 
 	// The registry metrics side: inflight settled back to zero and the

@@ -1,37 +1,45 @@
 #!/bin/sh
-# The repository's correctness gate. Each gate below says what it proves
-# where it runs; latency, throughput and allocation cost of the serving
-# tiers are measured by benchmark/ (see benchmark/README.md), not here.
-#   tier-1  gofmt, vet, build, the benchmark module, every package's tests,
-#           race-detector tests
-#   tier-2  determinism  same seed, same tables and metrics (1 and 4 workers)
-#           chaos        fault chain: rate 0 is invisible, rate 0.3 degrades
-#           serve        `serve -selftest` + access-log/span/trace audits
-#           profiling    runtime timeline gates and the obs prof sentinel
-#           batching     `serve -selftest` at -max-batch 1 and under faults
-#           allocation   in-process benchmarks vs committed BENCH_allocs.json
-#           cluster      `route -selftest`: SIGKILL a backend mid-load
-#           jobs         `job -selftest`: SIGKILL a job mid-flight, resume
+# The repository's correctness gate: tier-1, the drills, and a few bare
+# commands. Every gate is owned by a Go test, a drill verdict or one command
+# below; this script compares no numbers. Latency, throughput and allocation
+# of the serving tiers across commits are benchmark/'s job (BENCHMARK.json).
+#
+#   gate                                        owner
+#   determinism in process, every cell bitwise  eval.TestTable6SerialParallelDeterminism
+#   determinism across processes                `cmp` of two `experiment table6` runs, below
+#   self-time coverage of a real trace          eval.TestTable6SerialParallelDeterminism
+#   chaos: rate 0 is invisible                  eval.TestFaultsRateZeroByteIdentical
+#   chaos: 30% faults complete and are counted  eval.TestFaultsChaosGridCompletes, faults/chaos_test.go
+#   access log, trace IDs, batch links, path    serve.TestConcurrentTracing
+#   served == direct answers, 1 Transfer/key    `serve -selftest` verdict (default, -max-batch 1, 30% faults)
+#   no leak in a healthy run                    `obs prof FILE -gate`, below
+#   the CPU profile is valid pprof              `go tool pprof -raw`, below
+#   allocs/op and B/op of predict and Transfer  TestAllocationBudgets (root package)
+#   operator mistakes exit 2 with usage         cmd/knowtrans TestOperatorMistakesExitTwo
+#   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
+#   backend SIGKILL mid-load                    `route -selftest` verdict
+#   job SIGKILL, torn tail, resume              `job -selftest` verdict
+#   error envelope, one client call site        the two `! grep` lines, below
 # Run from anywhere inside the repo; exits non-zero on first failure.
 set -eu
 cd "$(dirname "$0")/.."
 
+# --- tier-1 ------------------------------------------------------------------
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
 	echo "gofmt: files need formatting:" >&2
 	echo "$fmt" >&2
 	exit 1
 fi
-
 go vet ./...
 go build ./...
 # The committed benchmark is its own module: `./...` above skips it, so a
 # signature change that breaks it would otherwise pass every local gate.
 (cd benchmark && go vet ./... && go test ./...)
-# Every package once without the race detector: the race list below leaves out
-# nn, lora, skc, tensor, text, baselines, dataio, datagen, oracle and the root
-# package — the reference suites and both golden digests (TestGoldenBitIdentity,
-# TestTransferDigest), which are what a kernel or layout change breaks first.
+# Every package once without the race detector and without -short: the race
+# list below leaves out nn, lora, skc, tensor, text, baselines, dataio, datagen,
+# oracle and the root package — the reference suites, both golden digests
+# (TestGoldenBitIdentity, TestTransferDigest) and TestAllocationBudgets.
 go test ./...
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/faults/... ./internal/resilience/... ./internal/core/... \
@@ -42,353 +50,59 @@ go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 go test -race -cpu 1,4 ./internal/serve/... ./internal/model/...
 echo "check.sh: tier-1 gates passed"
 
-# --- tier-2: telemetry determinism gate ------------------------------------
+# --- tier-2: drills and bare commands ----------------------------------------
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+kt="$tmp/knowtrans"
+go build -o "$kt" ./cmd/knowtrans
 
-go build -o "$tmp/knowtrans" ./cmd/knowtrans
-"$tmp/knowtrans" experiment table6 -scale 0.05 -seed 7 -workers 1 \
-	-bench "$tmp/a.json" -trace "$tmp/a.jsonl" >"$tmp/a.out"
-"$tmp/knowtrans" experiment table6 -scale 0.05 -seed 7 -workers 1 \
-	-bench "$tmp/b.json" >/dev/null
-"$tmp/knowtrans" experiment table6 -scale 0.05 -seed 7 -workers 4 \
-	-bench "$tmp/p.json" -trace "$tmp/p.jsonl" >"$tmp/p.out"
+# Determinism across processes: the rendered tables of a serial and a
+# 4-worker run are the same bytes (the "(table6 in 9.2s ...)" trailer is
+# wall time).
+"$kt" experiment table6 -scale 0.05 -seed 7 -workers 1 >"$tmp/w1.out"
+"$kt" experiment table6 -scale 0.05 -seed 7 -workers 4 >"$tmp/w4.out"
+grep -v '^(table6 in ' "$tmp/w1.out" >"$tmp/w1.tables"
+grep -v '^(table6 in ' "$tmp/w4.out" >"$tmp/w4.tables"
+cmp "$tmp/w1.tables" "$tmp/w4.tables"
+echo "check.sh: determinism gate passed"
 
-# Identical seeds must produce identical metrics (wall time is exempt):
-# serial vs serial, and serial vs four workers.
-for other in b p; do
-	"$tmp/knowtrans" obs diff "$tmp/a.json" "$tmp/$other.json" -strict >/dev/null || {
-		echo "check.sh: determinism gate failed — obs diff a vs $other found changes:" >&2
-		"$tmp/knowtrans" obs diff "$tmp/a.json" "$tmp/$other.json" -strict >&2 || true
-		exit 1
-	}
-done
-
-# The rendered tables must be byte-identical too. Only the wall-time
-# trailer "(table6 in ...)" and the "wrote BENCH..." line vary per run.
-sed -e '/^(/d' -e '/^wrote /d' "$tmp/a.out" >"$tmp/a.flat"
-sed -e '/^(/d' -e '/^wrote /d' "$tmp/p.out" >"$tmp/p.flat"
-cmp -s "$tmp/a.flat" "$tmp/p.flat" || {
-	echo "check.sh: parallel run rendered different tables than serial:" >&2
-	diff "$tmp/a.flat" "$tmp/p.flat" >&2 || true
-	exit 1
-}
-
-# The analyzer's per-stage self times must account for the root span's
-# duration (the ISSUE's 5% acceptance bound). A serial trace has one
-# timeline, so coverage is bounded both ways; a parallel trace holds
-# overlapping worker spans whose self times sum past the root's wall time,
-# so only the lower bound applies there.
-coverage=$("$tmp/knowtrans" obs trace "$tmp/a.jsonl" | sed -n 's/^self-time coverage: \([0-9.]*\)%.*/\1/p')
-if [ -z "$coverage" ]; then
-	echo "check.sh: obs trace printed no coverage line for serial run" >&2
-	exit 1
-fi
-ok=$(awk -v c="$coverage" 'BEGIN { print (c >= 95.0 && c <= 105.0) ? 1 : 0 }')
-if [ "$ok" != 1 ]; then
-	echo "check.sh: serial self-time coverage $coverage% outside [95,105]" >&2
-	exit 1
-fi
-pcov=$("$tmp/knowtrans" obs trace "$tmp/p.jsonl" | sed -n 's/^self-time coverage: \([0-9.]*\)%.*/\1/p')
-if [ -z "$pcov" ]; then
-	echo "check.sh: obs trace printed no coverage line for parallel run" >&2
-	exit 1
-fi
-ok=$(awk -v c="$pcov" 'BEGIN { print (c >= 95.0) ? 1 : 0 }')
-if [ "$ok" != 1 ]; then
-	echo "check.sh: parallel self-time coverage $pcov% below 95" >&2
-	exit 1
-fi
-echo "check.sh: tier-2 determinism gate passed (coverage serial $coverage%, 4 workers $pcov%)"
-
-# --- tier-2: chaos gate ------------------------------------------------------
-# Rate 0 arms the whole injector → resilient-client chain with zero
-# injections: the rendered tables must stay byte-identical to the unwrapped
-# serial run above.
-"$tmp/knowtrans" experiment table6 -scale 0.05 -seed 7 -workers 4 \
-	-faults rate=0,seed=9 -bench "$tmp/f0.json" >"$tmp/f0.out"
-sed -e '/^(/d' -e '/^wrote /d' "$tmp/f0.out" >"$tmp/f0.flat"
-cmp -s "$tmp/a.flat" "$tmp/f0.flat" || {
-	echo "check.sh: rate-0 fault chain changed the rendered tables:" >&2
-	diff "$tmp/a.flat" "$tmp/f0.flat" >&2 || true
-	exit 1
-}
-
-# A 30% seeded fault rate must complete every cell (exit 0 — graceful
-# degradation, never a panic) and the injection/resilience metrics must
-# actually appear in the metrics snapshot.
-"$tmp/knowtrans" experiment table6 -scale 0.05 -seed 7 -workers 4 \
-	-faults rate=0.3,seed=9 -metrics "$tmp/chaos.json" >/dev/null || {
-	echo "check.sh: chaos run (30% faults) failed" >&2
-	exit 1
-}
-grep -q '"faults.injected"' "$tmp/chaos.json" || {
-	echo "check.sh: chaos run recorded no faults.injected metric" >&2
-	exit 1
-}
-echo "check.sh: tier-2 chaos gate passed"
-
-# --- tier-2: serve gate ------------------------------------------------------
-# The selftest drives a seeded load through the full HTTP path and exits
-# non-zero itself on any answer mismatch vs the direct path, any non-2xx
-# at fault rate 0, or any adapter whose cold starts did not coalesce to
-# exactly one Transfer.
-"$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
+# Serve drill, instrumented: the selftest exits non-zero itself on any answer
+# mismatch vs the direct path, any non-2xx at fault rate 0, or any adapter
+# whose cold starts did not coalesce to exactly one Transfer. What it leaves
+# behind must read as a healthy run and a valid profile.
+"$kt" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
-	-trace "$tmp/serve.jsonl" \
-	-sample 10ms -timeline "$tmp/serve.runtime.jsonl" \
-	-cpuprofile "$tmp/serve.cpu.pprof" \
-	-access-log "$tmp/access.log" >"$tmp/serve.out" || {
-	echo "check.sh: serve selftest failed:" >&2
-	cat "$tmp/serve.out" >&2
-	exit 1
-}
-
-# Access log: the selftest passed, so all 256 predicts were 2xx — each must
-# have produced exactly one log line, and every line must carry a trace ID.
-lines=$(grep -c '"msg":"request"' "$tmp/access.log" || true)
-if [ "$lines" != 256 ]; then
-	echo "check.sh: access log has $lines request lines, want 256" >&2
-	exit 1
-fi
-traced=$(grep '"msg":"request"' "$tmp/access.log" | grep -c '"trace":"[0-9a-f]' || true)
-if [ "$traced" != 256 ]; then
-	echo "check.sh: only $traced/256 access-log lines carry a trace ID" >&2
-	exit 1
-fi
-
-# Span stream: batching ran, and every serve.batch span links the request
-# spans it served (the handle that makes shared work attributable).
-batches=$(grep -c '"name":"serve.batch"' "$tmp/serve.jsonl" || true)
-if [ "$batches" = 0 ]; then
-	echo "check.sh: selftest trace recorded no serve.batch spans" >&2
-	exit 1
-fi
-linked=$(grep '"name":"serve.batch"' "$tmp/serve.jsonl" | grep -c '"links":\[' || true)
-if [ "$linked" != "$batches" ]; then
-	echo "check.sh: only $linked/$batches serve.batch spans carry request links" >&2
-	exit 1
-fi
-
-# End-to-end reconstruction: pull the slowest request's trace ID the
-# selftest printed and require `obs trace -trace-id` to reassemble its path
-# — the request span plus the linked batch that actually served it.
-sample=$(sed -n 's/^selftest: slowest request trace \([0-9a-f]*\).*/\1/p' "$tmp/serve.out")
-if [ -z "$sample" ]; then
-	echo "check.sh: selftest printed no sample trace ID" >&2
-	exit 1
-fi
-"$tmp/knowtrans" obs trace "$tmp/serve.jsonl" -trace-id "$sample" >"$tmp/path.out" || {
-	echo "check.sh: obs trace -trace-id $sample failed" >&2
-	exit 1
-}
-for want in serve.request serve.batch; do
-	grep -q "$want" "$tmp/path.out" || {
-		echo "check.sh: obs trace -trace-id reconstruction lacks $want:" >&2
-		cat "$tmp/path.out" >&2
-		exit 1
-	}
-done
-
-# A missing trace file is an operator mistake: exit 2 with usage, never a
-# panic and never a success.
-rc=0
-"$tmp/knowtrans" obs trace "$tmp/no-such-trace.jsonl" >/dev/null 2>&1 || rc=$?
-if [ "$rc" != 2 ]; then
-	echo "check.sh: obs trace on a missing file exited $rc, want 2" >&2
-	exit 1
-fi
-echo "check.sh: tier-2 serve gate passed"
-
-# --- tier-2: profiling gate --------------------------------------------------
-# The selftest above ran under the runtime sampler with a whole-run CPU
-# profile; audit what it left behind.
-[ -s "$tmp/serve.runtime.jsonl" ] || {
-	echo "check.sh: sampler wrote no runtime timeline" >&2
-	exit 1
-}
-
-# The timeline must summarize cleanly: no goroutine leak, no unbounded
-# heap growth in a healthy selftest.
-"$tmp/knowtrans" obs prof "$tmp/serve.runtime.jsonl" -gate >"$tmp/prof.out" || {
-	echo "check.sh: obs prof -gate flagged the healthy selftest:" >&2
-	cat "$tmp/prof.out" >&2
-	exit 1
-}
-grep -q 'runtime timeline:' "$tmp/prof.out" || {
-	echo "check.sh: obs prof printed no summary:" >&2
-	cat "$tmp/prof.out" >&2
-	exit 1
-}
-
-# Sentinel, negative control: a timeline diffed against itself has zero
-# budget regressions.
-"$tmp/knowtrans" obs prof "$tmp/serve.runtime.jsonl" \
-	-diff "$tmp/serve.runtime.jsonl" >/dev/null || {
-	echo "check.sh: obs prof self-diff reported regressions" >&2
-	exit 1
-}
-
-# Sentinel, positive control: doctor the timeline (goroutine and heap
-# readings inflated by a leading digit, ~10-90x) and require the diff
-# against the real baseline to exit 1.
-sed -e 's/"goroutines":\([0-9]\)/"goroutines":9\1/' \
-	-e 's/"heap_live_bytes":\([0-9]\)/"heap_live_bytes":9\1/' \
-	"$tmp/serve.runtime.jsonl" >"$tmp/doctored.runtime.jsonl"
-rc=0
-"$tmp/knowtrans" obs prof "$tmp/doctored.runtime.jsonl" \
-	-diff "$tmp/serve.runtime.jsonl" >/dev/null 2>&1 || rc=$?
-if [ "$rc" != 1 ]; then
-	echo "check.sh: obs prof -diff on doctored timeline exited $rc, want 1" >&2
-	exit 1
-fi
-
-# The whole-run CPU profile must be valid pprof (label-propagation down to
-# the adapter is pinned by unit tests; a live profile's sample mix is
-# load-dependent and not asserted here).
-[ -s "$tmp/serve.cpu.pprof" ] || {
-	echo "check.sh: selftest wrote no CPU profile" >&2
-	exit 1
-}
-go tool pprof -raw "$tmp/serve.cpu.pprof" >/dev/null 2>&1 || {
-	echo "check.sh: serve.cpu.pprof is not a valid profile" >&2
-	exit 1
-}
-
-# A missing timeline is an operator mistake: exit 2 with usage.
-rc=0
-"$tmp/knowtrans" obs prof "$tmp/no-such-timeline.jsonl" >/dev/null 2>&1 || rc=$?
-if [ "$rc" != 2 ]; then
-	echo "check.sh: obs prof on a missing file exited $rc, want 2" >&2
-	exit 1
-fi
-echo "check.sh: tier-2 profiling gate passed"
-
-# --- tier-2: batching gate ---------------------------------------------------
-# The served answers must be byte-identical to the direct path in every
-# configuration the batcher can reach. The selftest makes answer mismatches
-# fatal at any fault rate, so each PASS below is an equivalence proof for
-# its configuration; the main serve gate above already covered the default
-# configuration.
-
-# Degenerate batches: -max-batch 1 drains every request as an n = 1 batch.
-"$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
+	-trace "$tmp/serve.jsonl" -sample 10ms -timeline "$tmp/serve.runtime.jsonl" \
+	-cpuprofile "$tmp/serve.cpu.pprof" -access-log "$tmp/access.log"
+"$kt" obs prof "$tmp/serve.runtime.jsonl" -gate
+go tool pprof -raw "$tmp/serve.cpu.pprof" >/dev/null
+# The same drill where every request is an n = 1 batch, and under a 30%
+# seeded fault rate (availability may degrade, answers may not).
+"$kt" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 128 -selftest-concurrency 32 -selftest-adapters 2 \
-	-max-batch 1 >"$tmp/serve.mb1.out" || {
-	echo "check.sh: serve selftest with -max-batch 1 failed:" >&2
-	cat "$tmp/serve.mb1.out" >&2
-	exit 1
-}
-
-# Chaos: a 30% seeded fault rate must degrade availability, never
-# correctness — the served answers still match the equally-faulted direct
-# path and cold starts still coalesce.
-"$tmp/knowtrans" serve -selftest -scale 0.05 -seed 7 \
+	-access-log "$tmp/access.log" -max-batch 1
+"$kt" serve -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 128 -selftest-concurrency 32 -selftest-adapters 2 \
-	-faults rate=0.3,seed=9 >"$tmp/serve.chaos.out" || {
-	echo "check.sh: serve selftest under 30% faults failed:" >&2
-	cat "$tmp/serve.chaos.out" >&2
-	exit 1
-}
+	-access-log "$tmp/access.log" -faults rate=0.3,seed=9
+echo "check.sh: serve gate passed"
 
-echo "check.sh: tier-2 batching gate passed"
-
-# --- tier-2: allocation gate -------------------------------------------------
-# The ServePredict benchmarks answer the same 8 rows as one micro-batch and
-# as eight n = 1 calls. The measured time/bytes/allocs per op must stay
-# within tolerance of the committed BENCH_allocs.json baseline (the rel-tol
-# absorbs machine-to-machine time variance). FewShotTransfer rides along so
-# a training step that starts allocating per step again (57 MiB per Transfer
-# before PR 12) trips the same diff.
-go test -run '^$' -bench 'ServePredict|FewShotTransfer' -benchmem . >"$tmp/bench.out" || {
-	echo "check.sh: ServePredict/FewShotTransfer benchmarks failed:" >&2
-	cat "$tmp/bench.out" >&2
-	exit 1
-}
-awk '
-	$1 ~ /^BenchmarkServePredict(-|$)/    { bt=$3; bb=$5; ba=$7 }
-	$1 ~ /^BenchmarkServePredictOne(-|$)/ { ot=$3; ob=$5; oa=$7 }
-	$1 ~ /^BenchmarkFewShotTransfer(-|$)/ { tt=$3; tb=$5; ta=$7 }
-	END {
-		if (bt == "" || ot == "" || tt == "") { print "missing benchmark lines" > "/dev/stderr"; exit 1 }
-		printf "{\n  \"schema_version\": 1,\n  \"report\": {\n"
-		printf "    \"batched_time_ns\": %s,\n    \"batched_bytes_per_op\": %s,\n    \"batched_allocs_per_op\": %s,\n", bt, bb, ba
-		printf "    \"one_time_ns\": %s,\n    \"one_bytes_per_op\": %s,\n    \"one_allocs_per_op\": %s,\n", ot, ob, oa
-		printf "    \"transfer_time_ns\": %s,\n    \"transfer_bytes_per_op\": %s,\n    \"transfer_allocs_per_op\": %s\n  }\n}\n", tt, tb, ta
-	}
-' "$tmp/bench.out" >"$tmp/allocs.json" || {
-	echo "check.sh: could not parse benchmark output:" >&2
-	cat "$tmp/bench.out" >&2
-	exit 1
-}
-"$tmp/knowtrans" obs diff BENCH_allocs.json "$tmp/allocs.json" -rel-tol 0.5 >/dev/null || {
-	echo "check.sh: allocation gate regressed vs committed BENCH_allocs.json:" >&2
-	"$tmp/knowtrans" obs diff BENCH_allocs.json "$tmp/allocs.json" -rel-tol 0.5 >&2 || true
-	exit 1
-}
-echo "check.sh: tier-2 allocation gate passed"
-
-# --- tier-2: cluster gate ----------------------------------------------------
-# The sharded serving tier's chaos drill: `route -selftest` spawns a
-# 3-backend fleet as subprocesses, drives two 256-request 64-concurrent
-# seeded load phases through two router replicas (one hedging, one
-# failover-only), SIGKILLs one backend a quarter of the way into the
-# second phase, and itself exits non-zero unless every request succeeded
-# with answers byte-identical to the direct path, hedges AND failovers
-# were recorded, the corpse was ejected by the health probes, its keys
-# were re-served by replicas, and the surviving backends drained clean
-# (exit 0) on SIGTERM.
-"$tmp/knowtrans" route -selftest -scale 0.05 -seed 7 \
+# Cluster drill: 3 backends, two 256-request phases through two router
+# replicas, one backend SIGKILLed a quarter into the second.
+"$kt" route -selftest -scale 0.05 -seed 7 \
 	-selftest-requests 256 -selftest-concurrency 64 -selftest-adapters 4 \
-	-faults rate=0.3,seed=9 >"$tmp/cluster.out" || {
-	echo "check.sh: route selftest failed:" >&2
-	cat "$tmp/cluster.out" >&2
-	exit 1
-}
-grep '^selftest: chaos:' "$tmp/cluster.out"
-echo "check.sh: tier-2 cluster gate passed"
+	-faults rate=0.3,seed=9
+echo "check.sh: cluster gate passed"
 
-# --- tier-2: jobs gate -------------------------------------------------------
-# The bulk tier's crash-recovery drill: `job -selftest` spawns a 2-backend
-# fleet, runs a 64-row 8-shard job uninterrupted, runs the same rows as a
-# subprocess that SIGKILLs itself after 2 fsynced shard commits, tears the
-# checkpoint tail the way a second mid-append kill would, resumes, and
-# itself exits non-zero unless the resumed output is byte-identical to the
-# uninterrupted run with zero duplicated Transfers anywhere in the fleet,
-# zero lost rows (retries absorb the 30% fault rate), and a canonical
-# error envelope on the probe. check.sh re-plans the kept spec twice to pin
-# dry-run determinism from the CLI surface.
-"$tmp/knowtrans" job -selftest -scale 0.05 -seed 7 \
-	-faults rate=0.3,seed=9 \
-	-workdir "$tmp/jobswork" >"$tmp/jobs.out" || {
-	echo "check.sh: job selftest failed:" >&2
-	cat "$tmp/jobs.out" >&2
-	exit 1
-}
+# Jobs drill: a 64-row 8-shard job SIGKILLed after 2 commits, its checkpoint
+# tail torn, resumed; output byte-identical to the uninterrupted run.
+"$kt" job -selftest -scale 0.05 -seed 7 -faults rate=0.3,seed=9
+echo "check.sh: jobs gate passed"
 
-# Dry-run determinism from the CLI: the same spec must render the same
-# plan bytes on every invocation (no timestamps, no map ordering).
-"$tmp/knowtrans" job plan -spec "$tmp/jobswork/specA.json" >"$tmp/plan1.out"
-"$tmp/knowtrans" job plan -spec "$tmp/jobswork/specA.json" >"$tmp/plan2.out"
-cmp -s "$tmp/plan1.out" "$tmp/plan2.out" || {
-	echo "check.sh: job plan rendered different bytes across invocations:" >&2
-	diff "$tmp/plan1.out" "$tmp/plan2.out" >&2 || true
-	exit 1
-}
+# Envelope enforcement, statically: the serving packages route every HTTP
+# error through serve.WriteError, never raw http.Error; and the router and
+# the CLI reach a backend only through serve.Call.
+! grep -rn 'http\.Error(' internal/serve internal/cluster internal/jobs || exit 1
+! grep -rn --include='*.go' --exclude='*_test.go' \
+	-e 'http\.NewRequest' -e 'http\.Get(' -e 'http\.Post(' internal/cluster cmd/knowtrans || exit 1
 
-# Envelope enforcement, statically: the serving packages must route every
-# HTTP error through the envelope writer, never raw http.Error.
-if grep -rn 'http\.Error(' internal/serve internal/cluster internal/jobs; then
-	echo "check.sh: raw http.Error in a serving package — use serve.WriteError" >&2
-	exit 1
-fi
-# And its mirror on the client side: the router and the CLI reach a backend
-# only through serve.Call (one round trip, one error shape).
-if grep -rn --include='*.go' --exclude='*_test.go' \
-	-e 'http\.NewRequest' -e 'http\.Get(' -e 'http\.Post(' internal/cluster cmd/knowtrans; then
-	echo "check.sh: hand-rolled backend request — use serve.Call" >&2
-	exit 1
-fi
-
-echo "check.sh: tier-2 jobs gate passed (kill/resume byte-identical, 0 duplicated transfers)"
 echo "check.sh: all gates passed"
