@@ -18,8 +18,7 @@ import (
 // "main" mode) and returns what it printed and how it exited.
 func knowtrans(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	t.Helper()
-	cmd := exec.Command(selfExe(), args...)
-	cmd.Env = append(os.Environ(), helperEnv+"=main")
+	cmd := child("main", args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
@@ -31,10 +30,14 @@ func knowtrans(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 }
 
 // TestOperatorMistakesExitTwo pins the CLI's error contract: a missing input
-// file or an unknown subcommand is an operator mistake — exit 2 with the
-// usage text, never a panic (exit 2 without usage), a crash or a success.
+// file, an unknown subcommand or flag, or a service started without what it
+// needs is an operator mistake — exit 2 with the usage text, never a panic
+// (exit 2 without usage), a crash or a success — and it leaves nothing
+// behind: a mistake is refused before any obs flag creates its file.
 func TestOperatorMistakesExitTwo(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "no-such-file.jsonl")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "no-such-file.jsonl")
+	obsFiles := []string{"-trace", filepath.Join(dir, "t.jsonl"), "-cpuprofile", filepath.Join(dir, "c.pprof")}
 	for _, args := range [][]string{
 		{"obs", "trace", missing},
 		{"obs", "prof", missing},
@@ -43,12 +46,25 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		{"obs", "frobnicate"},
 		{"obs"},
 		{"frobnicate"},
+		// Removed: the drills are Go tests (drill_scenarios_test.go), not modes
+		// of the product.
+		{"serve", "-selftest"},
+		{"route", "-selftest"},
+		{"job", "-selftest"},
+		{"job", "run", "-kill-after-shards", "1", "-spec", "x"},
+		{"route"},
+		{"job", "run"},
+		append([]string{"route"}, obsFiles...),
+		append([]string{"job", "run"}, obsFiles...),
 	} {
 		stdout, stderr, exit := knowtrans(t, args...)
 		if exit != 2 || !strings.Contains(stderr, "usage:") || stdout != "" {
 			t.Errorf("knowtrans %v: exit %d, stdout %q, stderr %q; want exit 2 with usage on stderr only",
 				args, exit, stdout, stderr)
 		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("exit-2 mistakes left %d files behind, first %s", len(left), left[0].Name())
 	}
 }
 

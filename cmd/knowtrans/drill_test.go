@@ -1,39 +1,71 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/eval"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// helperEnv selects the fake backend this test binary plays when the fleet
-// helpers re-execute it (os/exec's own helper-process idiom): spawnBackend
-// runs os.Executable() with serve's arguments, which under `go test` is this
-// binary, and TestMain diverts to the helper before the testing package ever
-// parses those arguments.
+// The harness under the drills (drill_scenarios_test.go) and its own tier-1
+// tests. A drill is the real binary driven from outside: this test binary
+// re-executed as `knowtrans` (TestMain's "main" mode), loaded over HTTP, and
+// judged by what it answers, what it exits with and what it leaves on disk.
+// The drills are pass/fail — a served, routed or resumed answer is
+// byte-identical to a direct Transfer + Predict at the same seed — and this
+// file holds the one copy of everything around that claim: the spawned
+// fleet, the same-seed reference load, and the verdicts over a load report.
+// Latency, throughput and allocation cost are measured by benchmark/
+// (BENCHMARK.json), not here.
+
+// helperEnv selects what this test binary plays when it is re-executed
+// (os/exec's own helper-process idiom): TestMain diverts before the testing
+// package ever parses the child's arguments.
 const helperEnv = "KNOWTRANS_DRILL_HELPER"
+
+// Every drill runs at one seed and one scale, the fast-but-meaningful floor.
+const (
+	drillSeed  = 7
+	drillScale = 0.05
+)
+
+// drainDeadline is how long a SIGTERMed backend gets to exit 0.
+const drainDeadline = 15 * time.Second
 
 func TestMain(m *testing.M) {
 	switch mode := os.Getenv(helperEnv); mode {
 	case "":
 		os.Exit(m.Run())
 	case "main":
-		main() // the real CLI on this process's arguments (cli_test.go)
-	default:
+		main() // the real CLI on this process's arguments
+	case "job-crash":
+		helperJobCrash()
+	case "exit-early", "ignore-term":
 		helperBackend(mode)
+	default:
+		fmt.Fprintf(os.Stderr, "unknown %s=%q\n", helperEnv, mode)
+		os.Exit(2)
 	}
 }
 
-// helperBackend is a stand-in for `knowtrans serve`: it prints the banner,
-// answers /readyz, and reacts to SIGTERM as the mode says.
+// helperBackend is a backend that misbehaves on demand, which the real
+// binary cannot: "exit-early" dies before its banner, "ignore-term" prints
+// the banner, answers /readyz and never leaves on SIGTERM.
 func helperBackend(mode string) {
 	if mode == "exit-early" {
 		fmt.Println("some startup noise, no banner")
@@ -52,22 +84,307 @@ func helperBackend(mode string) {
 		}
 	}))
 	fmt.Printf("knowtrans serve on http://%s (helper %s)\n", ln.Addr(), mode)
-	for range sigc {
-		if mode != "ignore-term" {
-			os.Exit(0)
+	for range sigc { // ignore-term: stay up until SIGKILLed
+	}
+}
+
+// child is this test binary re-executed in one of TestMain's helper modes;
+// "main" makes it the real knowtrans CLI on args.
+func child(mode string, args ...string) *exec.Cmd {
+	exe, err := os.Executable()
+	if err != nil {
+		exe = os.Args[0]
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), helperEnv+"="+mode)
+	return cmd
+}
+
+// sigkilled reports whether a child's Wait error says SIGKILL ended it —
+// the only ending that proves a crash: no deferred cleanup ran, no file was
+// closed on the way out.
+func sigkilled(waitErr error) bool {
+	var ee *exec.ExitError
+	if !errors.As(waitErr, &ee) {
+		return false
+	}
+	ws, ok := ee.Sys().(syscall.WaitStatus)
+	return ok && ws.Signaled() && ws.Signal() == syscall.SIGKILL
+}
+
+// backend is one spawned `knowtrans serve` subprocess. Exactly one
+// goroutine, started at spawn, calls cmd.Wait; everyone else learns the
+// outcome by waiting on done and then reading err.
+type backend struct {
+	url    string
+	cmd    *exec.Cmd
+	done   chan struct{} // closed by the waiter once the process is reaped
+	err    error         // cmd.Wait's result; read only after done is closed
+	killed bool          // SIGKILLed on purpose by fleet.kill
+}
+
+// banner is a child's stdout: it accumulates output until the serve banner
+// is complete, announces the bound URL once, and discards the rest so the
+// child never blocks on a full pipe.
+type banner struct {
+	acc []byte
+	url chan string
+}
+
+func (w *banner) Write(p []byte) (int, error) {
+	if w.url != nil {
+		w.acc = append(w.acc, p...)
+		if u := parseServeURL(w.acc); u != "" {
+			w.url <- u
+			w.url, w.acc = nil, nil
+		}
+	}
+	return len(p), nil
+}
+
+// spawnBackend re-executes this binary in the given helper mode as `serve`
+// on an ephemeral port and parses the announced bound address. Every backend
+// gets the same seed and scale (and the caller's extra flags), so a fleet is
+// deterministic: any replica answers any key byte-identically — the property
+// that makes hedged and failed-over answers indistinguishable from primary
+// ones.
+func spawnBackend(mode string, extra ...string) (*backend, error) {
+	args := append([]string{
+		"serve", "-addr", "127.0.0.1:0",
+		"-scale", fmt.Sprint(drillScale),
+		"-seed", fmt.Sprint(drillSeed),
+		"-access-log", "",
+	}, extra...)
+	cmd := child(mode, args...)
+	cmd.Stderr = os.Stderr
+	urlc := make(chan string, 1)
+	cmd.Stdout = &banner{url: urlc}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	b := &backend{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		b.err = cmd.Wait()
+		close(b.done)
+	}()
+	select {
+	case b.url = <-urlc:
+		return b, nil
+	case <-b.done:
+		return nil, fmt.Errorf("backend exited before announcing its address: %v", b.err)
+	case <-time.After(30 * time.Second):
+		cmd.Process.Kill()
+		<-b.done
+		return nil, fmt.Errorf("backend did not announce its address within 30s")
+	}
+}
+
+// parseServeURL extracts the bound base URL from the serve banner
+// ("knowtrans serve on http://127.0.0.1:PORT (...)").
+func parseServeURL(out []byte) string {
+	s := string(out)
+	i := strings.Index(s, "serve on http://")
+	if i < 0 {
+		return ""
+	}
+	s = s[i+len("serve on "):]
+	if j := strings.IndexAny(s, " \n"); j >= 0 {
+		s = s[:j]
+	} else {
+		return "" // line not complete yet
+	}
+	return s
+}
+
+// waitReady polls a backend's /readyz until it answers 200 or the deadline
+// passes.
+func waitReady(url string, deadline time.Duration) error {
+	end := time.Now().Add(deadline)
+	for {
+		err := serve.Call(context.Background(), http.DefaultClient, http.MethodGet, url+"/readyz", nil, nil, nil)
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(end) {
+			return fmt.Errorf("backend %s never became ready: %v", url, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// fleet is the set of backends a test spawned; spawnFleet registers its
+// close with the test.
+type fleet []*backend
+
+// spawnFleet starts n backends in the given helper mode ("main" is the real
+// binary) and returns once every one answers /readyz. Whatever it started,
+// on error too, is reaped by t.Cleanup if kill and drain have not already.
+func spawnFleet(t *testing.T, mode string, n int, extra ...string) (fleet, error) {
+	t.Helper()
+	var f fleet
+	t.Cleanup(func() { f.close() })
+	for i := 0; i < n; i++ {
+		b, err := spawnBackend(mode, extra...)
+		if err != nil {
+			return nil, err
+		}
+		f = append(f, b)
+	}
+	for _, b := range f {
+		if err := waitReady(b.url, 30*time.Second); err != nil {
+			return nil, err
+		}
+	}
+	t.Logf("fleet up (%s %s): %s", mode, strings.Join(extra, " "), strings.Join(f.urls(), " "))
+	return f, nil
+}
+
+// mustSpawn is spawnFleet for callers with nothing to learn from a failure.
+func mustSpawn(t *testing.T, mode string, n int, extra ...string) fleet {
+	t.Helper()
+	f, err := spawnFleet(t, mode, n, extra...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+func (f fleet) urls() []string {
+	urls := make([]string, len(f))
+	for i, b := range f {
+		urls[i] = b.url
+	}
+	return urls
+}
+
+// kill SIGKILLs the backend at url — no drain, no goodbye, the way real
+// backends die — and returns once it is reaped.
+func (f fleet) kill(url string) {
+	for _, b := range f {
+		if b.url == url {
+			b.killed = true
+			b.cmd.Process.Kill()
+			<-b.done
 		}
 	}
 }
 
-func spawnHelpers(t *testing.T, mode string, n int) fleet {
-	t.Helper()
-	t.Setenv(helperEnv, mode)
-	f, err := spawnFleet(n, 0.05, 7, 4, "")
-	if err != nil {
-		t.Fatal(err)
+// drain SIGTERMs every backend kill has not taken and requires each to
+// exit 0 within deadline: readiness flips, in-flight work finishes,
+// telemetry is flushed, the process leaves on its own — the graceful half
+// of membership, and the path that writes the files a drill then inspects.
+func (f fleet) drain(deadline time.Duration) error {
+	for _, b := range f {
+		if b.killed {
+			continue
+		}
+		if err := b.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			return fmt.Errorf("SIGTERM %s: %w", b.url, err)
+		}
 	}
-	t.Cleanup(f.close)
-	return f
+	timeout := time.After(deadline)
+	for _, b := range f {
+		if b.killed {
+			continue
+		}
+		select {
+		case <-b.done:
+			if b.err != nil {
+				return fmt.Errorf("backend %s did not drain clean: %v", b.url, b.err)
+			}
+		case <-timeout:
+			return fmt.Errorf("backend %s still running %s after SIGTERM", b.url, deadline)
+		}
+	}
+	return nil
+}
+
+// close SIGKILLs whatever is still running and reaps it. Signalling an
+// already-reaped process is a harmless error, so close is safe after kill,
+// after drain, and twice.
+func (f fleet) close() {
+	for _, b := range f {
+		b.cmd.Process.Kill()
+	}
+	for _, b := range f {
+		<-b.done
+	}
+}
+
+// referenceLoad builds n load items spread evenly over keys, each carrying
+// the answer the direct path gives: ref is an independent zoo at the
+// service's seed, so Want is Transfer + Predict with no serving code in
+// between. The items are shuffled so cold starts race each other and hot
+// batches interleave across adapters — the shape multi-tenant traffic has.
+func referenceLoad(ref *eval.Zoo, keys []string, n int, seed int64) ([]serve.LoadItem, error) {
+	items := make([]serve.LoadItem, 0, n)
+	perKey := (n + len(keys) - 1) / len(keys)
+	for _, key := range keys {
+		ad, err := ref.TransferDataset(context.Background(), key, eval.Size7B)
+		if err != nil {
+			return nil, fmt.Errorf("reference transfer %s: %w", key, err)
+		}
+		b, _ := ref.FindDownstream(key)
+		for i := 0; i < perKey && len(items) < n; i++ {
+			in := b.DS.Test[i%len(b.DS.Test)]
+			items = append(items, serve.LoadItem{
+				Key:  key,
+				In:   serve.WireFrom(in),
+				Want: ad.Predict(context.Background(), in),
+			})
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	return items, nil
+}
+
+// loadVerdict is the fatal reading of a drill's load reports. A divergent
+// answer, a non-2xx body that is not the error envelope, and a lost
+// traceparent echo are fatal at any fault rate: the fault chain is seeded,
+// so even a chaos run must match its reference, and an injected fault may
+// cost availability but never the API's shape. Plain non-2xx responses are
+// fatal unless the caller armed faults that make them legitimate.
+func loadVerdict(tier string, non2xxOK bool, reps ...*serve.LoadReport) error {
+	var sum serve.LoadReport
+	for _, r := range reps {
+		sum.Mismatches += r.Mismatches
+		sum.EnvelopeMisses += r.EnvelopeMisses
+		sum.Non2xx += r.Non2xx
+		sum.TraceEchoMisses += r.TraceEchoMisses
+		if sum.FirstError == "" {
+			sum.FirstError = r.FirstError
+		}
+	}
+	switch {
+	case sum.Mismatches > 0:
+		return fmt.Errorf("%s: %d answers diverged from the direct path (first: %s)",
+			tier, sum.Mismatches, sum.FirstError)
+	case sum.EnvelopeMisses > 0:
+		return fmt.Errorf("%s: %d non-2xx bodies were not the error envelope (first: %s)",
+			tier, sum.EnvelopeMisses, sum.FirstError)
+	case sum.Non2xx > 0 && !non2xxOK:
+		return fmt.Errorf("%s: %d non-2xx responses (first: %s)", tier, sum.Non2xx, sum.FirstError)
+	case sum.TraceEchoMisses > 0:
+		return fmt.Errorf("%s: %d responses did not echo the client's traceparent (first: %s)",
+			tier, sum.TraceEchoMisses, sum.FirstError)
+	}
+	return nil
+}
+
+// probeErrorEnvelope asserts one backend answers an unknown-dataset
+// predict with the canonical error envelope.
+func probeErrorEnvelope(url string) error {
+	req := serve.PredictRequest{Adapter: "EM/NoSuchDataset", Instance: serve.WireInstance{ID: "p", Candidates: []string{"a", "b"}}}
+	err := serve.Call(context.Background(), http.DefaultClient, http.MethodPost, url+"/v1/predict", nil, req, nil)
+	var we *serve.WireError
+	if !errors.As(err, &we) || we.Status != http.StatusNotFound {
+		return fmt.Errorf("envelope probe: got %v, want a 404", err)
+	}
+	if we.Code != serve.CodeNotFound || !errors.Is(err, serve.ErrUnknownKey) {
+		return fmt.Errorf("envelope probe: body is not the canonical envelope: %v", err)
+	}
+	return nil
 }
 
 // exited reports whether the backend's waiter has reaped it.
@@ -80,8 +397,35 @@ func exited(b *backend) bool {
 	}
 }
 
+// TestServeChildEnvelopeDrainMetrics is the tier-1 reading of the real
+// binary as a process: it comes up, answers /readyz (spawnFleet), refuses an
+// unknown key with the canonical envelope, leaves with 0 on SIGTERM, and
+// what it flushed on the way out parses. No zoo is built — the zoo is lazy
+// and an unknown key never reaches it — so this costs well under a second.
+func TestServeChildEnvelopeDrainMetrics(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	f := mustSpawn(t, "main", 1, "-metrics", metrics)
+	if err := probeErrorEnvelope(f[0].url); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.drain(drainDeadline); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("the drained child left no metrics file: %v", err)
+	}
+	var snap obs.RegistrySnapshot
+	if err := json.Unmarshal(blob, &snap); err != nil {
+		t.Fatalf("metrics file does not parse: %v\n%s", err, blob)
+	}
+	if snap.Counters["serve.requests"] < 1 {
+		t.Fatalf("metrics file counts no request though one was answered: %s", blob)
+	}
+}
+
 func TestFleetSpawnReadyDrain(t *testing.T) {
-	f := spawnHelpers(t, "serve", 2)
+	f := mustSpawn(t, "main", 2)
 	urls := f.urls()
 	if len(urls) != 2 || urls[0] == urls[1] || !strings.HasPrefix(urls[0], "http://127.0.0.1:") {
 		t.Fatalf("urls = %v", urls)
@@ -98,10 +442,8 @@ func TestFleetSpawnReadyDrain(t *testing.T) {
 }
 
 func TestFleetSpawnFailsWhenChildExitsEarly(t *testing.T) {
-	t.Setenv(helperEnv, "exit-early")
-	f, err := spawnFleet(1, 0.05, 7, 4, "")
+	_, err := spawnFleet(t, "exit-early", 1)
 	if err == nil {
-		f.close()
 		t.Fatal("spawnFleet succeeded though the child never announced")
 	}
 	// The error carries the reaped child's status, so nothing is left running.
@@ -111,7 +453,7 @@ func TestFleetSpawnFailsWhenChildExitsEarly(t *testing.T) {
 }
 
 func TestFleetDrainNamesAStuckBackend(t *testing.T) {
-	f := spawnHelpers(t, "ignore-term", 1)
+	f := mustSpawn(t, "ignore-term", 1)
 	start := time.Now()
 	err := f.drain(200 * time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), f[0].url) || !strings.Contains(err.Error(), "still running") {
@@ -127,7 +469,7 @@ func TestFleetDrainNamesAStuckBackend(t *testing.T) {
 }
 
 func TestFleetKill(t *testing.T) {
-	f := spawnHelpers(t, "serve", 2)
+	f := mustSpawn(t, "main", 2)
 	f.kill(f[0].url)
 	if !exited(f[0]) || !sigkilled(f[0].err) {
 		t.Fatalf("killed backend: exited=%v err=%v, want a SIGKILL death", exited(f[0]), f[0].err)

@@ -1,17 +1,25 @@
-// Command knowtrans is the experiment driver of the KnowTrans
-// reproduction. It can run any paper experiment by id, train the upstream
-// artifacts, or transfer the model to a single dataset and print the
-// searched knowledge.
+// Command knowtrans is the command line of the KnowTrans reproduction: it
+// runs the paper's experiments, builds and applies the upstream artifacts,
+// serves adapted models over HTTP alone or behind a router, runs bulk jobs
+// against either, and reads back the telemetry all of them write.
 //
 // Usage:
 //
-//	knowtrans experiment <id> [-scale 0.15] [-reps 3] [-seed 1] [-workers N]
-//	knowtrans experiment all
 //	knowtrans list
-//	knowtrans transfer -dataset EM/Walmart-Amazon [-scale 0.15] [-seed 1]
+//	knowtrans experiment <id|all> [-scale 0.15] [-reps 3] [-seed 1] [-workers N]
+//	knowtrans build [-artifacts DIR]
+//	knowtrans transfer -dataset EM/Walmart-Amazon [-artifacts DIR]
+//	knowtrans serve [-addr HOST:PORT]
+//	knowtrans route -backends URL,URL,...
+//	knowtrans job [run|plan|resume] -spec FILE.json [-backends URL,URL]
+//	knowtrans obs trace|top|prof ...
 //
 // Experiment ids: table1 table2 table3 table4 table5 table6 table7 fig4
 // fig5 fig6 fig7 (see DESIGN.md for the mapping to the paper).
+//
+// The binary holds only these subcommands. The drills that show serving,
+// routing and resuming never change an answer are Go tests that start this
+// binary as child processes (drill_test.go, `go test -drill`).
 //
 // Every subcommand accepts the observability flags -trace FILE.jsonl,
 // -metrics FILE.json, -pprof ADDR, and the profiling family -sample,
@@ -84,20 +92,12 @@ func usage() {
   knowtrans serve [-addr HOST:PORT] [-scale S] [-seed K] [-max-adapters N] [-max-batch N]
                   [-batch-wait D] [-timeout D] [-faults SPEC] [-access-log FILE|-]
                   [-slow D] [obs flags]
-  knowtrans serve -selftest [-selftest-requests N] [-selftest-concurrency N]
-                  [-selftest-adapters N]
   knowtrans route -backends URL,URL,... [-addr HOST:PORT] [-replication N]
                   [-probe-interval D] [-fail-threshold N] [-hedge-delay D]
                   [-retry-budget N] [-drain-timeout D] [obs flags]
-  knowtrans route -selftest [-selftest-backends N] [-selftest-requests N]
-                  [-selftest-concurrency N] [-selftest-adapters N] [-scale S]
-                  [-faults SPEC]
   knowtrans job [run|plan|resume] -spec FILE.json [-backends URL,URL]
                 [-replication N] [-checkpoint DIR] [-dry-run] [-scale S]
                 [-seed K] [-faults SPEC] [obs flags]
-  knowtrans job -selftest [-selftest-backends N] [-selftest-rows N]
-                [-selftest-shards N] [-selftest-kill-after N] [-scale S]
-                [-faults SPEC] [-workdir DIR]
   knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow]
   knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
   knowtrans obs prof TIMELINE.jsonl [-windows N] [-gate] [-json]

@@ -16,18 +16,15 @@ import (
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // runServe starts the inference service: an adapter registry over the
-// zoo's TransferDataset, fronted by the HTTP API of internal/serve. With
-// -selftest it instead binds an ephemeral port, drives a seeded load
-// through the full HTTP path with the configured concurrency, verifies
-// byte-identity against the direct Adapted.Predict path, and exits non-zero
-// on any failed check.
+// zoo's TransferDataset, fronted by the HTTP API of internal/serve.
 func runServe(args []string) {
 	fs := newFlagSet("serve")
-	addr := fs.String("addr", "localhost:8080", "listen address (selftest overrides with an ephemeral port)")
+	addr := fs.String("addr", "localhost:8080", "listen address")
 	scale := fs.Float64("scale", 0.15, "dataset scale relative to paper sizes (0,1]")
 	seed := fs.Int64("seed", 1, "master random seed (adapters are deterministic in it)")
 	maxAdapters := fs.Int("max-adapters", 8, "resident-adapter bound (LRU eviction beyond it)")
@@ -46,10 +43,6 @@ func runServe(args []string) {
 	jobsDir := fs.String("jobs-dir", "",
 		"mount the bulk-job API (POST/GET /v1/jobs) with checkpoint logs in this `dir` (empty disables)")
 	maxJobs := fs.Int("max-jobs", 4, "with -jobs-dir: concurrent bulk jobs before 429")
-	selftest := fs.Bool("selftest", false, "run the load-generator gate instead of serving forever")
-	stRequests := fs.Int("selftest-requests", 256, "selftest: total predict requests")
-	stConcurrency := fs.Int("selftest-concurrency", 64, "selftest: concurrent in-flight requests")
-	stAdapters := fs.Int("selftest-adapters", 4, "selftest: distinct adapters to load")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
@@ -103,19 +96,10 @@ func runServe(args []string) {
 		jobs.NewAPI(jm).Register(srv)
 	}
 
-	if *selftest {
-		finishDrill(runServeSelftest(z, reg, srv, selftestConfig{
-			requests:    *stRequests,
-			concurrency: *stConcurrency,
-			adapters:    *stAdapters,
-		}), finish)
-		return
-	}
-
 	err := serveWithDrain(*addr, srv, *drainTimeout, func(bound net.Addr) {
-		// The bound address is printed first and alone on its line: the
-		// cluster selftest spawns backends on 127.0.0.1:0 and parses this
-		// line for the kernel-assigned port.
+		// The bound address is printed first and alone on its line: whoever
+		// starts a backend on 127.0.0.1:0 (the drills do) parses this line
+		// for the kernel-assigned port.
 		fmt.Printf("knowtrans serve on http://%s (scale=%.2f seed=%d max-adapters=%d max-batch=%d batch-wait=%s)\n",
 			bound, *scale, *seed, *maxAdapters, *maxBatch, *maxWait)
 		endpoints := "endpoints: POST /v1/predict  POST+GET /v1/adapters  GET /healthz /readyz /metrics /metrics.json"
@@ -134,6 +118,23 @@ func runServe(args []string) {
 	}
 }
 
+// serviceRecorder builds the recorder a service subcommand runs under. A
+// service always carries a metrics registry — /metrics and the registry
+// counters need one even when no obs flag asked for files. Seeded runs mint
+// reproducible trace IDs, so a client's per-index traces and the server's
+// span records line up run over run.
+func serviceRecorder(of *obsFlags, seed int64) (*obs.Recorder, func() error) {
+	rec, finish, err := of.setup()
+	if err != nil {
+		fatal(err)
+	}
+	if rec == nil {
+		rec = obs.NewRecorder(obs.NewRegistry(), nil)
+	}
+	rec.SeedTraceIDs(seed)
+	return rec, finish
+}
+
 // serveWithDrain binds addr, announces the bound address, and serves srv
 // until a fatal listener error or a shutdown signal. On SIGTERM/SIGINT the
 // server drains instead of dying mid-request: /readyz flips to 503 so
@@ -143,6 +144,12 @@ func runServe(args []string) {
 // what lets an operator (or orchestrator) restart a backend without
 // failing a single request.
 func serveWithDrain(addr string, srv *serve.Server, drainTimeout time.Duration, announce func(net.Addr)) error {
+	// The handler is installed before the address is announced or /readyz
+	// can answer: whoever sees this server ready may SIGTERM it at once, and
+	// must get a drain, not the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -151,9 +158,6 @@ func serveWithDrain(addr string, srv *serve.Server, drainTimeout time.Duration, 
 	hs := &http.Server{Handler: srv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
 		return err
@@ -183,82 +187,6 @@ func zooTransferer(z *eval.Zoo) serve.Transferer {
 		}
 		return ad, nil
 	}
-}
-
-type selftestConfig struct {
-	requests    int
-	concurrency int
-	adapters    int
-}
-
-// runServeSelftest is the acceptance gate behind `knowtrans serve -selftest`:
-// it proves the service sustains the configured concurrency across several
-// adapters with coalesced cold starts and answers byte-identical to the
-// direct path.
-func runServeSelftest(z *eval.Zoo, reg *serve.Registry, srv *serve.Server, cfg selftestConfig) error {
-	keys := z.DownstreamKeys()
-	if cfg.adapters < 1 || cfg.adapters > len(keys) {
-		return fmt.Errorf("serve: -selftest-adapters must be in [1,%d]", len(keys))
-	}
-	keys = keys[:cfg.adapters]
-
-	// Reference answers come from a second, independent zoo at the same
-	// (seed, scale, faults).
-	ref := eval.NewZoo(z.Seed, z.Scale)
-	ref.Faults = z.Faults
-	items, err := referenceLoad(ref, keys, cfg.requests, z.Seed)
-	if err != nil {
-		return err
-	}
-
-	baseURL, stop, err := listen(srv)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	fmt.Printf("selftest: %d requests, %d concurrent, %d adapters via %s\n",
-		len(items), cfg.concurrency, len(keys), baseURL)
-
-	rep, err := serve.RunLoad(context.Background(), baseURL, items, serve.LoadOptions{
-		Concurrency: cfg.concurrency,
-		TraceSeed:   z.Seed,
-	})
-	if err != nil {
-		return fmt.Errorf("selftest: load run: %w", err)
-	}
-	snap := reg.Snapshot()
-
-	fmt.Printf("selftest: %d requests in %.2fs — %.0f req/s, p50 %.1fms p95 %.1fms p99 %.1fms\n",
-		rep.Requests, rep.WallS, rep.RPS, rep.P50us/1e3, rep.P95us/1e3, rep.P99us/1e3)
-	fmt.Printf("selftest: %d non-2xx, %d mismatches, %d cold hits, %d trace-echo misses\n",
-		rep.Non2xx, rep.Mismatches, rep.ColdHits, rep.TraceEchoMisses)
-	// Batching evidence comes from the service's own metrics: the batcher
-	// counts every drained batch, each answered by one forward pass.
-	ms := z.Rec.Metrics.Snapshot()
-	bs := ms.Histograms["serve.batch_size"]
-	fmt.Printf("selftest: batching: %d batches (avg %.1f, max %.0f)\n",
-		ms.Counters["serve.batches"], bs.Mean, bs.Max)
-	if rep.SampleTrace != "" {
-		fmt.Printf("selftest: slowest request trace %s (inspect: knowtrans obs trace FILE.jsonl -trace-id %s)\n",
-			rep.SampleTrace, rep.SampleTrace)
-	}
-	for _, st := range snap {
-		fmt.Printf("selftest: adapter %-24s transfers=%d requests=%d hits=%d misses=%d\n",
-			st.Key, st.Transfers, st.Requests, st.Hits, st.Misses)
-	}
-
-	// Availability is only gated when no faults are armed.
-	if err := loadVerdict("selftest", z.Faults != nil, rep); err != nil {
-		return err
-	}
-	for _, st := range snap {
-		if st.Transfers != 1 {
-			return fmt.Errorf("selftest: adapter %s ran %d Transfers; cold starts must coalesce to exactly 1",
-				st.Key, st.Transfers)
-		}
-	}
-	fmt.Println("selftest: PASS")
-	return nil
 }
 
 // Compile-time statement that the production Adapted model satisfies the

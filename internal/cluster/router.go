@@ -525,7 +525,7 @@ type BackendStat struct {
 	Breaker  string `json:"breaker"`
 }
 
-// RouterStats is the router's own counters — the selftest's evidence that
+// RouterStats is the router's own counters — the route drill's evidence that
 // hedging and failover actually happened.
 type RouterStats struct {
 	Requests  int64         `json:"requests"`

@@ -38,7 +38,7 @@ type Engine struct {
 	// job.commit spans, jobs.* metrics). Nil disables it.
 	Rec *obs.Recorder
 	// OnCommit, when set, observes every durable shard commit with the
-	// total committed count (resumed shards included) — the selftest's
+	// total committed count (resumed shards included) — the crash drill's
 	// kill-mid-flight hook.
 	OnCommit func(shard, committed int)
 }

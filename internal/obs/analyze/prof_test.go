@@ -115,7 +115,7 @@ func TestProfReportWarmupIsNotALeak(t *testing.T) {
 
 // A plateau whose floor jitters upward by a fraction of a percent between
 // two windows is not a rise, even when the windows around it climb and every
-// ceiling does: the shape of the serve selftest once a zoo build stops
+// ceiling does: the shape of the serve drill once a zoo build stops
 // holding dead training state (floors 1 → 46 → 46 → 55 MiB).
 func TestProfReportPlateauJitterIsNotALeak(t *testing.T) {
 	const mib = 1 << 20

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +26,7 @@ type LoadItem struct {
 // LoadOptions configures RunLoad.
 type LoadOptions struct {
 	// Concurrency is the number of in-flight requests the generator keeps
-	// open (the ISSUE's acceptance floor is 64). Default 64.
+	// open. Default 64.
 	Concurrency int
 	// Timeout bounds one HTTP request. Default 120s (a cold adapter pays
 	// for a full Transfer on its first predict).
@@ -38,8 +37,8 @@ type LoadOptions struct {
 	// still sent, just not reproducible across runs.
 	TraceSeed int64
 	// AtCount/OnCount inject a mid-load event: OnCount fires exactly once,
-	// as soon as AtCount requests have completed. The cluster selftest uses
-	// it to SIGKILL a backend while the remaining requests are in flight.
+	// as soon as AtCount requests have completed. The cluster drill uses it
+	// to SIGKILL a backend while the remaining requests are in flight.
 	AtCount int
 	OnCount func()
 }
@@ -54,8 +53,8 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	return o
 }
 
-// LoadReport summarizes one load run. Latencies are per-request
-// microseconds over the full HTTP round trip.
+// LoadReport is what a verdict reads of one load run: counts, never
+// timings (latency and throughput are benchmark/'s to measure).
 type LoadReport struct {
 	Requests    int `json:"requests"`
 	Non2xx      int `json:"non_2xx"`
@@ -72,13 +71,7 @@ type LoadReport struct {
 	EnvelopeMisses int            `json:"envelope_misses,omitempty"`
 	// SampleTrace is the trace ID of the slowest request of the run: the
 	// one to pull first with `knowtrans obs trace -trace-id`.
-	SampleTrace string  `json:"sample_trace,omitempty"`
-	WallS       float64 `json:"wall_s"`
-	RPS         float64 `json:"throughput_rps"`
-	P50us       float64 `json:"p50_us"`
-	P95us       float64 `json:"p95_us"`
-	P99us       float64 `json:"p99_us"`
-	MaxUs       float64 `json:"max_us"`
+	SampleTrace string `json:"sample_trace,omitempty"`
 
 	// FirstError keeps the first failure verbatim for diagnostics.
 	FirstError string `json:"first_error,omitempty"`
@@ -191,7 +184,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		}
 	}
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -210,7 +202,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -221,8 +212,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			slowest = i
 		}
 	}
-	sorted := append([]float64(nil), latUs...)
-	sort.Float64s(sorted)
 	return &LoadReport{
 		Requests:        len(items),
 		Non2xx:          int(non2xx.Load()),
@@ -233,12 +222,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		ErrorCodes:      errorCodes,
 		EnvelopeMisses:  int(envMiss.Load()),
 		SampleTrace:     traceFor(slowest).Trace.String(),
-		WallS:           wall.Seconds(),
-		RPS:             float64(len(items)) / wall.Seconds(),
-		P50us:           obs.SampleQuantile(sorted, 0.50),
-		P95us:           obs.SampleQuantile(sorted, 0.95),
-		P99us:           obs.SampleQuantile(sorted, 0.99),
-		MaxUs:           sorted[len(sorted)-1],
 		FirstError:      firstErr,
 	}, nil
 }

@@ -129,7 +129,7 @@ type WireInstance struct {
 }
 
 // WireFrom converts a data.Instance to its JSON wire shape. The gold label
-// is not carried: callers that know it (the selftest) keep it on their side
+// is not carried: callers that know it (the drills) keep it on their side
 // of the wire.
 func WireFrom(in *data.Instance) WireInstance {
 	wi := WireInstance{
