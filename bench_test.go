@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/lora"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/tasks"
 )
@@ -292,16 +294,10 @@ const transferDigest = "e8d13a77dbd4f03e"
 // tests that adapt all 13 downstream datasets.
 var transferZoo = sync.OnceValue(func() *eval.Zoo { return eval.NewZoo(7, 0.05) })
 
-// TestTransferDigest adapts every downstream dataset of the benchmark's zoo
-// (seed 7, scale 0.05, 7B) and digests what a Transfer produces: all adapted
-// weights, λ, trust, the searched knowledge and the test-split answers. It
-// pins zoo training, patch extraction, fusion, few-shot fine-tuning and AKB
-// to their recorded arithmetic bit for bit.
-func TestTransferDigest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a zoo (~8 s)")
-	}
-	z := transferZoo()
+// digestTransfers adapts every downstream dataset of a zoo (7B) and digests
+// what a Transfer produces: all adapted weights, λ, trust, the searched
+// knowledge and the test-split answers.
+func digestTransfers(t *testing.T, z *eval.Zoo) string {
 	h := fnv.New64a()
 	floats := func(vs ...float64) {
 		var buf [8]byte
@@ -329,8 +325,44 @@ func TestTransferDigest(t *testing.T) {
 			fmt.Fprintf(h, "%s|", ans)
 		}
 	}
-	if got := fmt.Sprintf("%016x", h.Sum64()); got != transferDigest {
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestTransferDigest pins zoo training, patch extraction, fusion, few-shot
+// fine-tuning and AKB to their recorded arithmetic bit for bit: the digest of
+// the benchmark's zoo (seed 7, scale 0.05) over all 13 downstream datasets is
+// the recorded constant — and so is the digest of a fresh zoo that loaded
+// what the first one saved, which trains no zoo model and extracts no patch.
+// A loaded zoo is the trained zoo.
+func TestTransferDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a zoo (~8 s)")
+	}
+	built := transferZoo()
+	if got := digestTransfers(t, built); got != transferDigest {
 		t.Fatalf("transfer digest %s, want %s", got, transferDigest)
+	}
+
+	dir := t.TempDir()
+	if err := built.SaveArtifacts(dir, eval.Size7B); err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	loaded := eval.NewZoo(built.Seed, built.Scale)
+	loaded.Rec = obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(&trace))
+	if err := loaded.LoadArtifacts(dir, eval.Size7B); err != nil {
+		t.Fatal(err)
+	}
+	loaded.Upstream(eval.Size7B)
+	loaded.Patches(eval.Size7B)
+	if n := loaded.Rec.Metrics.Counter("model.train_step").Value(); n != 0 {
+		t.Fatalf("a loaded zoo ran %d training steps to hand out Upstream and Patches", n)
+	}
+	if got := digestTransfers(t, loaded); got != transferDigest {
+		t.Fatalf("transfer digest of the loaded zoo %s, want %s", got, transferDigest)
+	}
+	if bytes.Contains(trace.Bytes(), []byte(`"skc.extract`)) {
+		t.Fatal("a loaded zoo extracted patches")
 	}
 }
 

@@ -56,6 +56,13 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		{"job", "run"},
 		append([]string{"route"}, obsFiles...),
 		append([]string{"job", "run"}, obsFiles...),
+		// The zoo's flags and transfer's -dataset are checked before setup too.
+		append([]string{"serve", "-faults", "garbage"}, obsFiles...),
+		append([]string{"serve", "-scale", "0"}, obsFiles...),
+		append([]string{"transfer", "-dataset", "nope"}, obsFiles...),
+		append([]string{"experiment", "table6", "-faults", "garbage"}, obsFiles...),
+		append([]string{"experiment", "nope"}, obsFiles...),
+		append([]string{"job", "run", "-spec", "x", "-faults", "garbage"}, obsFiles...),
 	} {
 		stdout, stderr, exit := knowtrans(t, args...)
 		if exit != 2 || !strings.Contains(stderr, "usage:") || stdout != "" {

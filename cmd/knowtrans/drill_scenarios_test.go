@@ -33,10 +33,11 @@ import (
 //
 //	go test ./cmd/knowtrans -run TestDrill -drill -count=1 -v
 //
-// Each starts real `knowtrans serve` children, drives them over HTTP and
-// compares every answer with the direct path; together they take about a
-// minute and build a zoo per child, so plain `go test ./...` skips them.
-var drill = flag.Bool("drill", false, "run the serve, route, job and table6 drills (about a minute)")
+// Each starts the real binary as child processes — `serve` fleets driven over
+// HTTP and compared answer by answer with the direct path, or one-shot
+// subcommands compared by their output; together they take about 75 s and
+// build a zoo per child, so plain `go test ./...` skips them.
+var drill = flag.Bool("drill", false, "run the serve, route, job, table6 and artifacts drills (about 75 s)")
 
 func needDrill(t *testing.T) {
 	t.Helper()
@@ -550,5 +551,44 @@ func TestDrillTable6AcrossProcesses(t *testing.T) {
 	serial, parallel := tables("1"), tables("4")
 	if !strings.Contains(serial, "Average (all)") || serial != parallel {
 		t.Fatalf("table6 differs between -workers 1 and -workers 4:\n%s\n---\n%s", serial, parallel)
+	}
+}
+
+// TestDrillArtifacts: `build` in one process, then `transfer -artifacts` in
+// another prints, from the first line naming Jellyfish-7B on, the bytes
+// `transfer` prints from a zoo it trained itself — on the two datasets whose
+// scores the old copied -artifacts path got wrong. In process and over all 13
+// datasets this is TestTransferDigest (root package). A directory built at
+// another seed is refused by name, exit 1.
+func TestDrillArtifacts(t *testing.T) {
+	needDrill(t)
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	common := []string{"-scale", fmt.Sprint(drillScale), "-seed", fmt.Sprint(drillSeed)}
+	if _, stderr, exit := knowtrans(t, append([]string{"build", "-artifacts", dir}, common...)...); exit != 0 {
+		t.Fatalf("build: exit %d\n%s", exit, stderr)
+	}
+	transfer := func(args ...string) (string, time.Duration) {
+		start := time.Now()
+		out, stderr, exit := knowtrans(t, append(append([]string{"transfer"}, args...), common...)...)
+		if exit != 0 {
+			t.Fatalf("transfer %v: exit %d\n%s", args, exit, stderr)
+		}
+		i := strings.Index(out, "Jellyfish-7B")
+		if i < 0 || !strings.Contains(out, "KnowTrans-7B:") {
+			t.Fatalf("transfer %v printed no scores:\n%s", args, out)
+		}
+		return out[i:], time.Since(start)
+	}
+	for _, key := range []string{"EM/Walmart-Amazon", "AVE/OA-mine"} {
+		trained, trainedWall := transfer("-dataset", key)
+		loaded, loadedWall := transfer("-dataset", key, "-artifacts", dir)
+		t.Logf("%s: transfer %.1fs, transfer -artifacts %.1fs", key, trainedWall.Seconds(), loadedWall.Seconds())
+		if loaded != trained {
+			t.Errorf("%s: transfer -artifacts differs from transfer:\n%s---\n%s", key, loaded, trained)
+		}
+	}
+	_, stderr, exit := knowtrans(t, "transfer", "-artifacts", dir, "-scale", fmt.Sprint(drillScale), "-seed", "2")
+	if exit != 1 || !strings.Contains(stderr, "artifact mismatch") || !strings.Contains(stderr, "Seed:2") {
+		t.Errorf("transfer -artifacts at another seed: exit %d, stderr %q; want exit 1 naming the mismatch", exit, stderr)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/jobs"
 	"repro/internal/serve"
 )
@@ -26,31 +24,25 @@ func runJob(args []string) {
 	switch verb {
 	case "run", "plan", "resume":
 	default:
-		fmt.Fprintf(os.Stderr, "knowtrans: unknown job verb %q (want run|plan|resume)\n", verb)
-		usage()
-		os.Exit(2)
+		mistake("unknown job verb %q (want run|plan|resume)", verb)
 	}
 	fs := newFlagSet("job")
 	specPath := fs.String("spec", "", "job spec `file` (JSON)")
-	backendList := fs.String("backends", "", "comma-separated backend URLs; empty runs an in-process registry")
+	backendList := fs.String("backends", "",
+		"comma-separated backend URLs; empty runs an in-process registry over the zoo of -scale, -seed and -faults")
 	checkpointDir := fs.String("checkpoint", ".knowtrans-jobs", "checkpoint log `dir` (resume reads it, run appends to it)")
 	dryRun := fs.Bool("dry-run", false, "plan only: print the deterministic shard layout and exit 0")
 	replication := fs.Int("replication", 2, "with -backends: distinct owners per key")
-	scale := fs.Float64("scale", 0.15, "in-process resolver: dataset scale")
-	seed := fs.Int64("seed", 1, "in-process resolver: master random seed")
-	faultSpec := fs.String("faults", "",
-		"in-process resolver: oracle fault `spec` rate=R,seed=S[,kinds=a+b]")
+	zf := addZooFlags(fs, true)
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
 	// Validate before setup: an exit-2 mistake must not leave a 0-byte
 	// -trace or -cpuprofile behind.
 	if *specPath == "" {
-		fmt.Fprintln(os.Stderr, "knowtrans: job needs -spec")
-		usage()
-		os.Exit(2)
+		mistake("job needs -spec")
 	}
-	rec, finish := serviceRecorder(of, *seed)
+	z, rec, finish := zf.open(of, true)
 	sp, err := jobs.ParseSpecFile(*specPath)
 	if err != nil {
 		fatal(err)
@@ -61,7 +53,7 @@ func runJob(args []string) {
 		r, err := cluster.New(cluster.Options{
 			Backends:    urls,
 			Replication: *replication,
-			Seed:        *seed,
+			Seed:        zf.seed,
 			Rec:         rec,
 		})
 		if err != nil {
@@ -70,15 +62,6 @@ func runJob(args []string) {
 		defer r.Close()
 		res = r
 	} else {
-		z := eval.NewZoo(*seed, *scale)
-		z.Rec = rec
-		if *faultSpec != "" {
-			fcfg, err := faults.ParseSpec(*faultSpec)
-			if err != nil {
-				fatal(err)
-			}
-			z.Faults = &fcfg
-		}
 		res = serve.NewRegistry(zooTransferer(z), serve.Options{Rec: rec})
 	}
 
@@ -92,9 +75,7 @@ func runJob(args []string) {
 		var b strings.Builder
 		p.Render(&b)
 		fmt.Print(b.String())
-		if err := finish(); err != nil {
-			fatal(err)
-		}
+		finish()
 		return
 	}
 	ckptPath := jobs.CheckpointPath(*checkpointDir, p.ID)
@@ -113,7 +94,5 @@ func runJob(args []string) {
 		result.ID, result.Rows, result.WallS, float64(result.Rows)/result.WallS,
 		result.Shards, result.ResumedShards, result.RowFailures, result.Retries)
 	fmt.Printf("wrote %s\n", result.Output)
-	if err := finish(); err != nil {
-		fatal(err)
-	}
+	finish()
 }

@@ -33,21 +33,16 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/lora"
-	"repro/internal/oracle"
 	"repro/internal/tasks"
 )
 
@@ -76,9 +71,7 @@ func main() {
 	case "obs":
 		runObs(os.Args[2:])
 	default:
-		fmt.Fprintf(os.Stderr, "knowtrans: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		mistake("unknown command %q", os.Args[1])
 	}
 }
 
@@ -135,46 +128,44 @@ func parseOrExit(fs *flag.FlagSet, args []string) {
 	}
 }
 
+// mistake refuses an invocation the operator must correct: explanation, usage,
+// exit 2 — before obsFlags.setup, so a refused invocation creates no file.
+func mistake(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "knowtrans: "+format+"\n", args...)
+	usage()
+	os.Exit(2)
+}
+
 func runExperiment(args []string) {
 	fs := newFlagSet("experiment")
-	scale := fs.Float64("scale", 0.15, "dataset scale relative to paper sizes (0,1]")
+	zf := addZooFlags(fs, true)
 	reps := fs.Int("reps", 1, "repetitions to average over (paper: 3)")
-	seed := fs.Int64("seed", 1, "master random seed")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"experiment cell workers (1 = serial; results are identical at any count)")
-	faultSpec := fs.String("faults", "",
-		"inject oracle faults, `spec` rate=R,seed=S[,kinds=a+b][,latency=D] (chaos testing; see internal/faults)")
 	of := addObsFlags(fs)
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "knowtrans: experiment needs an id (or `all`)")
-		usage()
-		os.Exit(2)
+		mistake("experiment needs an id (or `all`)")
 	}
 	id := args[0]
 	parseOrExit(fs, args[1:])
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	rec.SeedTraceIDs(*seed)
-	z := eval.NewZoo(*seed, *scale)
-	z.Rec = rec
-	z.Workers = *workers
-	if *faultSpec != "" {
-		fcfg, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
+	exps := eval.Registry()
+	if id != "all" {
+		e, ok := eval.ExperimentByID(id)
+		if !ok {
+			mistake("unknown experiment %q; try `knowtrans list`", id)
 		}
-		z.Faults = &fcfg
+		exps = []eval.Experiment{e}
 	}
+	z, rec, finish := zf.open(of, false)
+	z.Workers = *workers
 
-	run := func(e eval.Experiment) {
+	for _, e := range exps {
 		// Each experiment runs under one root span so `knowtrans obs trace`
 		// can account every stage's self time against a single wall-time
 		// denominator.
 		expRec, expSpan := rec.StartSpan("experiment")
 		expSpan.SetAttr("id", e.ID)
-		expSpan.SetAttr("scale", *scale)
+		expSpan.SetAttr("scale", zf.scale)
 		expSpan.SetAttr("reps", *reps)
 		z.Rec = expRec
 		start := time.Now()
@@ -184,84 +175,42 @@ func runExperiment(args []string) {
 		z.Rec = rec
 		expRec.Event("experiment.done", "id", e.ID, "wall_s", wall.Seconds())
 		fmt.Println(t.Render())
-		fmt.Printf("(%s in %.1fs, scale=%.2f, reps=%d, seed=%d)\n\n", e.ID, wall.Seconds(), *scale, *reps, *seed)
+		fmt.Printf("(%s in %.1fs, scale=%.2f, reps=%d, seed=%d)\n\n", e.ID, wall.Seconds(), zf.scale, *reps, zf.seed)
 	}
-	if id == "all" {
-		for _, e := range eval.Registry() {
-			run(e)
-		}
-	} else {
-		e, ok := eval.ExperimentByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "knowtrans: unknown experiment %q; try `knowtrans list`\n", id)
-			os.Exit(2)
-		}
-		run(e)
-	}
-	if err := finish(); err != nil {
-		fatal(err)
-	}
+	finish()
 }
 
+// runTransfer prints the Jellyfish few-shot baseline beside KnowTrans on one
+// downstream dataset. -artifacts fills the zoo from what `knowtrans build`
+// wrote before anything reads it, so both rows adapt the loaded upstream model
+// and patches — no zoo training runs — and print what a trained zoo prints.
 func runTransfer(args []string) {
 	fs := newFlagSet("transfer")
-	dataset := fs.String("dataset", "EM/Walmart-Amazon", "downstream dataset key (task/name)")
 	artifacts := fs.String("artifacts", "", "artifact directory written by `knowtrans build` (optional)")
-	scale := fs.Float64("scale", 0.15, "dataset scale")
-	seed := fs.Int64("seed", 1, "random seed")
+	zf := addZooFlags(fs, false)
+	zf.dataset = fs.String("dataset", "EM/Walmart-Amazon", "downstream dataset key (task/name)")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	rec.SeedTraceIDs(*seed)
-	z := eval.NewZoo(*seed, *scale)
-	z.Rec = rec
-	b, ok := z.FindDownstream(*dataset)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "knowtrans: unknown dataset %q; valid keys:\n  %s\n",
-			*dataset, strings.Join(z.DownstreamKeys(), "\n  "))
-		usage()
-		os.Exit(2)
-	}
-	fewshot := b.DS.FewShot(rand.New(rand.NewSource(*seed)), eval.FewShotN)
-
-	fmt.Printf("Transferring Jellyfish-7B to %s with %d labeled examples...\n", *dataset, len(fewshot))
-	jelly := z.Method(eval.MethodJellyfish).Adapt(&baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: *seed})
-	jellyScore := baselines.Evaluate(jelly, b.Kind, b.DS.Test)
-
-	var pred baselines.Predictor
+	z, _, finish := zf.open(of, false)
+	b := z.DownstreamByKey(*zf.dataset)
 	if *artifacts != "" {
-		upstream, snaps, err := loadArtifacts(*artifacts)
-		if err != nil {
+		if err := z.LoadArtifacts(*artifacts, eval.Size7B); err != nil {
 			fatal(err)
 		}
-		if upstream == nil {
-			fatal(fmt.Errorf("no artifacts in %s; run `knowtrans build` first", *artifacts))
-		}
-		fmt.Printf("loaded upstream model + %d patches from %s\n", len(snaps), *artifacts)
-		upstream.Rec = rec
-		kt := core.NewKnowTrans(upstream, snaps,
-			core.WithPlainOracle(oracle.New(*seed)),
-			core.WithRecorder(rec),
-		)
-		ad, err := kt.Transfer(context.Background(), b.Kind, fewshot, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		pred = ad.Detached()
-	} else {
-		kt := z.KnowTransMethod(eval.Size7B, true, true, lora.StrategyAdaptive)
-		pred = kt.Adapt(&baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: *seed})
+		fmt.Printf("loaded upstream model + %d patches from %s\n", len(z.Patches(eval.Size7B)), *artifacts)
 	}
+	fewshot := b.DS.FewShot(rand.New(rand.NewSource(zf.seed)), eval.FewShotN)
+
+	fmt.Printf("Transferring Jellyfish-7B to %s with %d labeled examples...\n", b.Key(), len(fewshot))
+	actx := &baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: zf.seed}
+	jelly := z.Method(eval.MethodJellyfish).Adapt(actx)
+	jellyScore := baselines.Evaluate(jelly, b.Kind, b.DS.Test)
+	pred := z.KnowTransMethod(eval.Size7B, true, true, lora.StrategyAdaptive).Adapt(actx)
 	ktScore := baselines.Evaluate(pred, b.Kind, b.DS.Test)
 
 	fmt.Printf("\n%-24s %6.2f\n%-24s %6.2f\n", "Jellyfish-7B (few-shot):", jellyScore, "KnowTrans-7B:", ktScore)
 	if kc, ok := pred.(interface{ SearchedKnowledge() *tasks.Knowledge }); ok && kc.SearchedKnowledge() != nil {
 		fmt.Printf("\nSearched knowledge:\n%s\n", tasks.RenderKnowledgeText(kc.SearchedKnowledge()))
 	}
-	if err := finish(); err != nil {
-		fatal(err)
-	}
+	finish()
 }

@@ -103,6 +103,28 @@ func (o *obsFlags) enabled() bool {
 		o.sample > 0 || o.cpuprofile != "" || o.memprofile != "" || o.profdir != ""
 }
 
+// start is setup for a subcommand, to which a telemetry failure — at setup or
+// in the returned flush, which must run before exit — is fatal. Seeded runs
+// mint reproducible trace IDs, so a client's per-index traces and the server's
+// spans line up run over run. A service always carries a metrics registry
+// (/metrics needs one even when no obs flag asked for files); a batch run
+// with no obs flag keeps the nil recorder and its zero cost.
+func (o *obsFlags) start(seed int64, service bool) (*obs.Recorder, func()) {
+	rec, finish, err := o.setup()
+	if err != nil {
+		fatal(err)
+	}
+	if rec == nil && service {
+		rec = obs.NewRecorder(obs.NewRegistry(), nil)
+	}
+	rec.SeedTraceIDs(seed)
+	return rec, func() {
+		if err := finish(); err != nil {
+			fatal(err)
+		}
+	}
+}
+
 // setup builds the recorder the flags ask for. The returned finish func
 // flushes and closes everything — sampler, profiles, metrics, tracer, and
 // the pprof server — runs at most once (fatal() triggers it on the error

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"time"
 
@@ -44,11 +43,9 @@ func runRoute(args []string) {
 	// -trace or -cpuprofile behind.
 	backends := splitBackends(*backendList)
 	if len(backends) == 0 {
-		fmt.Fprintln(os.Stderr, "knowtrans: route needs -backends")
-		usage()
-		os.Exit(2)
+		mistake("route needs -backends")
 	}
-	rec, finish := serviceRecorder(of, *seed)
+	rec, finish := of.start(*seed, true)
 
 	copts := cluster.Options{
 		Backends:       backends,
@@ -96,9 +93,7 @@ func runRoute(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := finish(); err != nil {
-		fatal(err)
-	}
+	finish()
 }
 
 func splitBackends(s string) []string {

@@ -14,9 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/faults"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -25,8 +23,7 @@ import (
 func runServe(args []string) {
 	fs := newFlagSet("serve")
 	addr := fs.String("addr", "localhost:8080", "listen address")
-	scale := fs.Float64("scale", 0.15, "dataset scale relative to paper sizes (0,1]")
-	seed := fs.Int64("seed", 1, "master random seed (adapters are deterministic in it)")
+	zf := addZooFlags(fs, true)
 	maxAdapters := fs.Int("max-adapters", 8, "resident-adapter bound (LRU eviction beyond it)")
 	maxBatch := fs.Int("max-batch", 8, "per-adapter micro-batch cap (1 disables batching)")
 	maxWait := fs.Duration("batch-wait", 2*time.Millisecond, "how long a non-full batch lingers for stragglers")
@@ -35,8 +32,6 @@ func runServe(args []string) {
 	maxInflight := fs.Int("max-inflight", 0, "shed predicts with 429 + Retry-After past this many in flight (0 = unlimited)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
 		"how long SIGTERM waits for in-flight requests before the process exits anyway")
-	faultSpec := fs.String("faults", "",
-		"inject oracle faults during Transfers, `spec` rate=R,seed=S[,kinds=a+b][,latency=D]")
 	accessLog := fs.String("access-log", "-",
 		"write one JSON access-log line per request to `file` (\"-\" = stderr, empty disables)")
 	slowReq := fs.Duration("slow", time.Second, "access-log latency threshold for slow=true + Warn level")
@@ -46,7 +41,7 @@ func runServe(args []string) {
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
-	rec, finish := serviceRecorder(of, *seed)
+	z, rec, finish := zf.open(of, true)
 
 	var logger *slog.Logger
 	switch *accessLog {
@@ -60,16 +55,6 @@ func runServe(args []string) {
 		}
 		defer f.Close()
 		logger = slog.New(slog.NewJSONHandler(f, nil))
-	}
-
-	z := eval.NewZoo(*seed, *scale)
-	z.Rec = rec
-	if *faultSpec != "" {
-		fcfg, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		z.Faults = &fcfg
 	}
 
 	opts := serve.Options{
@@ -101,7 +86,7 @@ func runServe(args []string) {
 		// starts a backend on 127.0.0.1:0 (the drills do) parses this line
 		// for the kernel-assigned port.
 		fmt.Printf("knowtrans serve on http://%s (scale=%.2f seed=%d max-adapters=%d max-batch=%d batch-wait=%s)\n",
-			bound, *scale, *seed, *maxAdapters, *maxBatch, *maxWait)
+			bound, zf.scale, zf.seed, *maxAdapters, *maxBatch, *maxWait)
 		endpoints := "endpoints: POST /v1/predict  POST+GET /v1/adapters  GET /healthz /readyz /metrics /metrics.json"
 		if *jobsDir != "" {
 			endpoints += "  POST+GET /v1/jobs"
@@ -113,26 +98,7 @@ func runServe(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := finish(); err != nil {
-		fatal(err)
-	}
-}
-
-// serviceRecorder builds the recorder a service subcommand runs under. A
-// service always carries a metrics registry — /metrics and the registry
-// counters need one even when no obs flag asked for files. Seeded runs mint
-// reproducible trace IDs, so a client's per-index traces and the server's
-// span records line up run over run.
-func serviceRecorder(of *obsFlags, seed int64) (*obs.Recorder, func() error) {
-	rec, finish, err := of.setup()
-	if err != nil {
-		fatal(err)
-	}
-	if rec == nil {
-		rec = obs.NewRecorder(obs.NewRegistry(), nil)
-	}
-	rec.SeedTraceIDs(seed)
-	return rec, finish
+	finish()
 }
 
 // serveWithDrain binds addr, announces the bound address, and serves srv

@@ -56,9 +56,3 @@ func WithAKB(enabled bool) Option {
 func WithSKCOptions(opts skc.Options) Option {
 	return func(kt *KnowTrans) { kt.SKC = opts }
 }
-
-// WithAKBConfig overrides the AKB search configuration. Unset fields keep
-// the paper defaults (the config is normalized on entry to the search).
-func WithAKBConfig(cfg akb.Config) Option {
-	return func(kt *KnowTrans) { kt.AKB = cfg }
-}

@@ -3,7 +3,6 @@ package eval
 import (
 	"repro/internal/akb"
 	"repro/internal/baselines"
-	"repro/internal/lora"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/tasks"
@@ -72,7 +71,7 @@ func runAblateSubstrate(z *Zoo, reps int) *Table {
 				for rep := 0; rep < reps; rep++ {
 					fewshot := b.DS.FewShot(fewShotRNG(z, key, rep), FewShotN)
 					ctx := &baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: repSeed(z, key, rep), Rec: rec}
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, true, lora.StrategyAdaptive, akb.Config{})
+					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, true)
 					if err != nil {
 						panic(err)
 					}
@@ -136,7 +135,7 @@ func runAblateOracle(z *Zoo, reps int) *Table {
 					fewshot := b.DS.FewShot(fewShotRNG(z, key, rep), FewShotN)
 					ctx := &baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: repSeed(z, key, rep), Rec: rec}
 					// One SKC fine-tune shared by all oracle variants.
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false, lora.StrategyAdaptive, akb.Config{})
+					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
 					if err != nil {
 						panic(err)
 					}

@@ -155,7 +155,7 @@ func runFig7(z *Zoo, reps int) *Table {
 					ctx := &baselines.AdaptContext{Bundle: b, FewShot: ftHalf, Seed: repSeed(z, key, rep), Rec: rec}
 					// Fine-tune with SKC but defer AKB: the search is run manually
 					// with a test probe and an extended round budget.
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false, lora.StrategyAdaptive, akb.Config{})
+					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
 					if err != nil {
 						panic(err)
 					}

@@ -3,11 +3,11 @@ package eval
 import (
 	"context"
 
-	"repro/internal/akb"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/lora"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/skc"
 )
@@ -102,18 +102,7 @@ func (k *ktMethod) Adapt(ctx *baselines.AdaptContext) baselines.Predictor {
 	if k.upstream {
 		backbone = k.z.Upstream(k.size)
 	}
-	rec := ctx.Rec
-	if rec == nil {
-		rec = k.z.Rec
-	}
-	kt := core.NewKnowTrans(backbone, k.z.Patches(k.size),
-		core.WithPlainOracle(oracle.New(ctx.Seed+771)),
-		core.WithFaults(k.z.Faults),
-		core.WithSKC(k.useSKC),
-		core.WithAKB(k.useAKB),
-		core.WithSKCOptions(skc.Options{Strategy: k.strategy}),
-		core.WithRecorder(rec),
-	)
+	kt := k.z.knowTrans(backbone, k.size, ctx.Seed, ctx.Rec, k.useSKC, k.useAKB, k.strategy)
 	ad, err := kt.Transfer(context.Background(), ctx.Bundle.Kind, ctx.FewShot, ctx.Seed)
 	if err != nil {
 		panic(err)
@@ -123,20 +112,25 @@ func (k *ktMethod) Adapt(ctx *baselines.AdaptContext) baselines.Predictor {
 
 // AdaptKnowTrans exposes the full Adapted artifact (fusion weights, searched
 // knowledge) for experiments that inspect internals (Table VI, Fig. 7).
-func (z *Zoo) AdaptKnowTrans(ctx *baselines.AdaptContext, size Size, useSKC, useAKB bool, strategy lora.WeightStrategy, akbCfg akb.Config) (*core.Adapted, error) {
-	backbone := z.Upstream(size)
-	rec := ctx.Rec
+func (z *Zoo) AdaptKnowTrans(ctx *baselines.AdaptContext, size Size, useSKC, useAKB bool) (*core.Adapted, error) {
+	kt := z.knowTrans(z.Upstream(size), size, ctx.Seed, ctx.Rec, useSKC, useAKB, lora.StrategyAdaptive)
+	return kt.Transfer(context.Background(), ctx.Bundle.Kind, ctx.FewShot, ctx.Seed)
+}
+
+// knowTrans is the one place the zoo's artifacts become a core.KnowTrans:
+// the experiment grid (ktMethod.Adapt, AdaptKnowTrans), the serving layer and
+// the CLI (TransferDataset) all adapt through it, so one (seed, dataset)
+// gives one adapter on every path. A nil rec means the zoo's recorder.
+func (z *Zoo) knowTrans(backbone *model.Model, size Size, oracleSeed int64, rec *obs.Recorder, useSKC, useAKB bool, strategy lora.WeightStrategy) *core.KnowTrans {
 	if rec == nil {
 		rec = z.Rec
 	}
-	kt := core.NewKnowTrans(backbone, z.Patches(size),
-		core.WithPlainOracle(oracle.New(ctx.Seed+771)),
+	return core.NewKnowTrans(backbone, z.Patches(size),
+		core.WithPlainOracle(oracle.New(oracleSeed+771)),
 		core.WithFaults(z.Faults),
 		core.WithSKC(useSKC),
 		core.WithAKB(useAKB),
 		core.WithSKCOptions(skc.Options{Strategy: strategy}),
-		core.WithAKBConfig(akbCfg),
 		core.WithRecorder(rec),
 	)
-	return kt.Transfer(context.Background(), ctx.Bundle.Kind, ctx.FewShot, ctx.Seed)
 }

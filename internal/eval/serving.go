@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lora"
-	"repro/internal/oracle"
-	"repro/internal/skc"
 )
 
 // ErrUnknownDataset marks a downstream-dataset key the zoo does not serve;
@@ -22,19 +20,15 @@ var ErrUnknownDataset = errors.New("eval: unknown downstream dataset")
 // KnowTrans pipeline as the experiment grid — upstream backbone, patch
 // library, adaptive fusion, the simulated oracle behind the zoo's fault
 // chain — seeded entirely from (Zoo.Seed, key), so repeated transfers of
-// one key produce byte-identical adapters and predictions match the direct
-// `knowtrans transfer` path at the same seed.
+// one key produce byte-identical adapters — and the predictions `knowtrans
+// transfer` scores at the same seed: its KnowTransMethod is built by the same
+// Zoo.knowTrans, over a trained zoo or one LoadArtifacts filled.
 func (z *Zoo) TransferDataset(ctx context.Context, key string, size Size) (*core.Adapted, error) {
 	b, ok := z.FindDownstream(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, key)
 	}
 	fewshot := b.DS.FewShot(rand.New(rand.NewSource(z.Seed)), FewShotN)
-	kt := core.NewKnowTrans(z.Upstream(size), z.Patches(size),
-		core.WithPlainOracle(oracle.New(z.Seed+771)),
-		core.WithFaults(z.Faults),
-		core.WithSKCOptions(skc.Options{Strategy: lora.StrategyAdaptive}),
-		core.WithRecorder(z.Rec),
-	)
+	kt := z.knowTrans(z.Upstream(size), size, z.Seed, z.Rec, true, true, lora.StrategyAdaptive)
 	return kt.Transfer(ctx, b.Kind, fewshot, z.Seed)
 }

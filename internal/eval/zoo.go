@@ -105,7 +105,7 @@ type Zoo struct {
 	Faults *faults.Config
 
 	mu       sync.Mutex
-	cond     sync.Cond // lazily bound to mu; broadcast when a build finishes
+	cond     sync.Cond // on mu; broadcast when a build finishes
 	cache    map[string]interface{}
 	building map[string]bool // keys whose build is in flight
 }
@@ -116,7 +116,9 @@ func NewZoo(seed int64, scale float64) *Zoo {
 	if scale <= 0 || scale > 1 {
 		panic("eval: scale must be in (0, 1]")
 	}
-	return &Zoo{Seed: seed, Scale: scale, cache: map[string]interface{}{}}
+	z := &Zoo{Seed: seed, Scale: scale, cache: map[string]interface{}{}, building: map[string]bool{}}
+	z.cond.L = &z.mu
+	return z
 }
 
 // memo caches build results by key. The lock is NOT held while build runs —
@@ -130,15 +132,6 @@ func NewZoo(seed int64, scale float64) *Zoo {
 // for the key.
 func (z *Zoo) memo(key string, build func() interface{}) interface{} {
 	z.mu.Lock()
-	if z.cond.L == nil {
-		z.cond.L = &z.mu
-	}
-	if z.cache == nil {
-		z.cache = map[string]interface{}{}
-	}
-	if z.building == nil {
-		z.building = map[string]bool{}
-	}
 	for {
 		if v, ok := z.cache[key]; ok {
 			z.mu.Unlock()
@@ -258,12 +251,16 @@ func (z *Zoo) Base(size Size) *model.Model {
 	}).(*model.Model)
 }
 
+// The memo keys LoadArtifacts publishes under instead of building.
+func upstreamKey(size Size) string { return "upstream-model/" + string(size) }
+func patchesKey(size Size) string  { return "patches/" + string(size) }
+
 // Upstream returns the upstream DP-LLM of a tier (the Jellyfish analogue):
 // the base model fully fine-tuned on the 12 upstream datasets in one shared
 // parameter space — the multi-task SFT whose gradient conflicts cause the
 // knowledge-distraction problem.
 func (z *Zoo) Upstream(size Size) *model.Model {
-	return z.memo("upstream-model/"+string(size), func() interface{} {
+	return z.memo(upstreamKey(size), func() interface{} {
 		m := z.Base(size).Clone()
 		m.Cfg.Name = "jellyfish-" + string(size)
 		var exs []model.TrainExample
@@ -309,7 +306,7 @@ func rebalance(b *datagen.Bundle, seed int64) []*data.Instance {
 // cross-model parameterization). Extraction happens once and is shared by
 // every downstream transfer, like the paper's patch library.
 func (z *Zoo) Patches(size Size) []*skc.NamedSnapshot {
-	return z.memo("patches/"+string(size), func() interface{} {
+	return z.memo(patchesKey(size), func() interface{} {
 		var sources []skc.Source
 		for _, b := range z.UpstreamBundles() {
 			sources = append(sources, skc.Source{

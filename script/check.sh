@@ -16,6 +16,10 @@
 #   the CPU profile is valid pprof              cmd/knowtrans TestDrillServe/default
 #   a real serve child: ready, envelope, exit 0 cmd/knowtrans TestServeChildEnvelopeDrainMetrics
 #   allocs/op and B/op of predict and Transfer  TestAllocationBudgets (root package)
+#   loaded zoo == trained zoo, 13 keys bitwise  TestTransferDigest (root package)
+#   build -> transfer -artifacts == transfer,
+#     across processes; foreign dir refused     cmd/knowtrans TestDrillArtifacts
+#   stale / truncated artifact dirs refused     eval.TestLoadArtifactsRefuses
 #   operator mistakes exit 2, leave no files    cmd/knowtrans TestOperatorMistakesExitTwo
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
@@ -52,8 +56,8 @@ go test -race -cpu 1,4 ./internal/serve/... ./internal/model/...
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: the drills ------------------------------------------------------
-# Go tests that start the real binary as child processes (about a minute, a
-# zoo per child), so tier-1's `go test` skips them unless -drill is passed.
+# Go tests that start the real binary as child processes (about 75 s, a zoo
+# per child), so tier-1's `go test` skips them unless -drill is passed.
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
