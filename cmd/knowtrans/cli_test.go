@@ -38,7 +38,7 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "no-such-file.jsonl")
 	obsFiles := []string{"-trace", filepath.Join(dir, "t.jsonl"), "-cpuprofile", filepath.Join(dir, "c.pprof")}
-	for _, args := range [][]string{
+	mistakes := [][]string{
 		{"obs", "trace", missing},
 		{"obs", "prof", missing},
 		{"obs", "prof", missing, "-gate"},
@@ -63,7 +63,16 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		append([]string{"experiment", "table6", "-faults", "garbage"}, obsFiles...),
 		append([]string{"experiment", "nope"}, obsFiles...),
 		append([]string{"job", "run", "-spec", "x", "-faults", "garbage"}, obsFiles...),
-	} {
+	}
+	// Removed: the router knobs no caller ever set are constants of
+	// internal/cluster, not flags.
+	for _, gone := range []string{"-vnodes", "-fail-threshold", "-retry-budget"} {
+		mistakes = append(mistakes, append([]string{"route", "-backends", "http://127.0.0.1:1", gone, "3"}, obsFiles...))
+	}
+	for _, gone := range []string{"-probe-timeout", "-hedge-min", "-hedge-max", "-attempt-timeout"} {
+		mistakes = append(mistakes, append([]string{"route", "-backends", "http://127.0.0.1:1", gone, "1s"}, obsFiles...))
+	}
+	for _, args := range mistakes {
 		stdout, stderr, exit := knowtrans(t, args...)
 		if exit != 2 || !strings.Contains(stderr, "usage:") || stdout != "" {
 			t.Errorf("knowtrans %v: exit %d, stdout %q, stderr %q; want exit 2 with usage on stderr only",

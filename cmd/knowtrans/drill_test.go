@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -112,53 +114,59 @@ func sigkilled(waitErr error) bool {
 	return ok && ws.Signaled() && ws.Signal() == syscall.SIGKILL
 }
 
-// backend is one spawned `knowtrans serve` subprocess. Exactly one
-// goroutine, started at spawn, calls cmd.Wait; everyone else learns the
+// backend is one spawned `knowtrans serve` (or `route`) subprocess. Exactly
+// one goroutine, started at spawn, calls cmd.Wait; everyone else learns the
 // outcome by waiting on done and then reading err.
 type backend struct {
 	url    string
+	banner string // its stdout up to and including the announced URL
 	cmd    *exec.Cmd
 	done   chan struct{} // closed by the waiter once the process is reaped
 	err    error         // cmd.Wait's result; read only after done is closed
 	killed bool          // SIGKILLed on purpose by fleet.kill
 }
 
-// banner is a child's stdout: it accumulates output until the serve banner
-// is complete, announces the bound URL once, and discards the rest so the
-// child never blocks on a full pipe.
+// banner is a child's stdout: it accumulates output until the banner of its
+// subcommand is complete, announces what it read once, and discards the rest
+// so the child never blocks on a full pipe.
 type banner struct {
-	acc []byte
-	url chan string
+	subcommand string
+	acc        []byte
+	read       chan string
 }
 
 func (w *banner) Write(p []byte) (int, error) {
-	if w.url != nil {
+	if w.read != nil {
 		w.acc = append(w.acc, p...)
-		if u := parseServeURL(w.acc); u != "" {
-			w.url <- u
-			w.url, w.acc = nil, nil
+		if bannerURL(w.acc, w.subcommand) != "" {
+			w.read <- string(w.acc)
+			w.read, w.acc = nil, nil
 		}
 	}
 	return len(p), nil
 }
 
 // spawnBackend re-executes this binary in the given helper mode as `serve`
-// on an ephemeral port and parses the announced bound address. Every backend
-// gets the same seed and scale (and the caller's extra flags), so a fleet is
-// deterministic: any replica answers any key byte-identically — the property
-// that makes hedged and failed-over answers indistinguishable from primary
-// ones.
+// on an ephemeral port. Every backend gets the same seed and scale (and the
+// caller's extra flags), so a fleet is deterministic: any replica answers
+// any key byte-identically — the property that makes hedged and failed-over
+// answers indistinguishable from primary ones.
 func spawnBackend(mode string, extra ...string) (*backend, error) {
-	args := append([]string{
+	return spawn(mode, os.Stderr, append([]string{
 		"serve", "-addr", "127.0.0.1:0",
 		"-scale", fmt.Sprint(drillScale),
 		"-seed", fmt.Sprint(drillSeed),
 		"-access-log", "",
-	}, extra...)
+	}, extra...)...)
+}
+
+// spawn starts one service child — args[0] is its subcommand, serve or
+// route — and parses the bound address it announces.
+func spawn(mode string, stderr io.Writer, args ...string) (*backend, error) {
 	cmd := child(mode, args...)
-	cmd.Stderr = os.Stderr
-	urlc := make(chan string, 1)
-	cmd.Stdout = &banner{url: urlc}
+	cmd.Stderr = stderr
+	read := make(chan string, 1)
+	cmd.Stdout = &banner{subcommand: args[0], read: read}
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
@@ -168,7 +176,8 @@ func spawnBackend(mode string, extra ...string) (*backend, error) {
 		close(b.done)
 	}()
 	select {
-	case b.url = <-urlc:
+	case b.banner = <-read:
+		b.url = bannerURL([]byte(b.banner), args[0])
 		return b, nil
 	case <-b.done:
 		return nil, fmt.Errorf("backend exited before announcing its address: %v", b.err)
@@ -181,13 +190,17 @@ func spawnBackend(mode string, extra ...string) (*backend, error) {
 
 // parseServeURL extracts the bound base URL from the serve banner
 // ("knowtrans serve on http://127.0.0.1:PORT (...)").
-func parseServeURL(out []byte) string {
+func parseServeURL(out []byte) string { return bannerURL(out, "serve") }
+
+// bannerURL is parseServeURL for either service's banner.
+func bannerURL(out []byte, subcommand string) string {
 	s := string(out)
-	i := strings.Index(s, "serve on http://")
+	marker := subcommand + " on "
+	i := strings.Index(s, marker+"http://")
 	if i < 0 {
 		return ""
 	}
-	s = s[i+len("serve on "):]
+	s = s[i+len(marker):]
 	if j := strings.IndexAny(s, " \n"); j >= 0 {
 		s = s[:j]
 	} else {
@@ -421,6 +434,108 @@ func TestServeChildEnvelopeDrainMetrics(t *testing.T) {
 	}
 	if snap.Counters["serve.requests"] < 1 {
 		t.Fatalf("metrics file counts no request though one was answered: %s", blob)
+	}
+}
+
+// TestRouteChild is the tier-1 reading of a real `knowtrans route` process
+// (TestDrillRoute builds its routers in process): over one backend URL
+// nothing listens on, it announces the replication it clamped to the fleet,
+// describes a router on /healthz (no registry field), turns unready once the
+// probe loop ejects the backend, envelopes an unknown path, writes one
+// access-log line per request — at the parent `route` logged nothing — and
+// leaves with 0 on SIGTERM. No zoo anywhere; well under a second.
+func TestRouteChild(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+
+	var stderr bytes.Buffer // read only after the child is reaped
+	b, err := spawn("main", &stderr, "route", "-addr", "127.0.0.1:0", "-backends", dead, "-probe-interval", "10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleet{b}
+	t.Cleanup(f.close)
+	if !strings.Contains(b.banner, "1 backends, replication=1,") {
+		t.Errorf("banner %q does not print the replication clamped to one backend", b.banner)
+	}
+
+	sent := 0
+	get := func(method, path string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, b.url+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sent++
+		blob, _ := io.ReadAll(resp.Body)
+		return resp, blob
+	}
+
+	resp, blob := get(http.MethodGet, "/healthz")
+	var health map[string]any
+	if err := json.Unmarshal(blob, &health); err != nil || resp.StatusCode != http.StatusOK || health["ok"] != true {
+		t.Fatalf("/healthz: %d %s (%v)", resp.StatusCode, blob, err)
+	}
+	for _, field := range []string{"max_batch", "max_wait_s", "max_adapters", "sampler"} {
+		if _, ok := health[field]; ok {
+			t.Errorf("a router's /healthz carries %s: %s", field, blob)
+		}
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, blob = get(http.MethodGet, "/readyz")
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz still %d %s: the dead backend was never ejected", resp.StatusCode, blob)
+		}
+	}
+	if resp.Header.Get("Retry-After") == "" || !strings.Contains(string(blob), "no healthy backends") {
+		t.Errorf("unready /readyz: Retry-After %q, body %s", resp.Header.Get("Retry-After"), blob)
+	}
+
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/v1/nope", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs", http.StatusNotFound}, // not mounted without -jobs-dir
+		{http.MethodPut, "/v1/adapters", http.StatusMethodNotAllowed},
+	} {
+		resp, blob := get(tc.method, tc.path)
+		eb, ok := serve.ParseErrorEnvelope(blob)
+		if resp.StatusCode != tc.want || !ok || eb.Code != serve.ErrorCode(tc.want) || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("%s %s: %d %q %s, want an enveloped %d", tc.method, tc.path,
+				resp.StatusCode, resp.Header.Get("Content-Type"), blob, tc.want)
+		}
+	}
+
+	if err := f.drain(drainDeadline); err != nil {
+		t.Fatal(err)
+	}
+	logged := 0
+	for _, line := range strings.Split(strings.TrimSpace(stderr.String()), "\n") {
+		var rec struct {
+			Msg, Route string
+			Status     int
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Msg != "request" || rec.Route == "" || rec.Status == 0 {
+			t.Errorf("stderr line %q is not an access-log record (%v)", line, err)
+		}
+		logged++
+	}
+	if logged != sent {
+		t.Errorf("%d access-log lines for %d requests:\n%s", logged, sent, stderr.String())
 	}
 }
 

@@ -32,7 +32,8 @@ func runJob(args []string) {
 		"comma-separated backend URLs; empty runs an in-process registry over the zoo of -scale, -seed and -faults")
 	checkpointDir := fs.String("checkpoint", ".knowtrans-jobs", "checkpoint log `dir` (resume reads it, run appends to it)")
 	dryRun := fs.Bool("dry-run", false, "plan only: print the deterministic shard layout and exit 0")
-	replication := fs.Int("replication", 2, "with -backends: distinct owners per key")
+	copts := cluster.Options{}.WithDefaults()
+	fs.IntVar(&copts.Replication, "replication", copts.Replication, "with -backends: distinct owners per key")
 	zf := addZooFlags(fs, true)
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
@@ -49,13 +50,9 @@ func runJob(args []string) {
 	}
 
 	var res serve.Resolver
-	if urls := splitBackends(*backendList); len(urls) > 0 {
-		r, err := cluster.New(cluster.Options{
-			Backends:    urls,
-			Replication: *replication,
-			Seed:        zf.seed,
-			Rec:         rec,
-		})
+	if copts.Backends = splitBackends(*backendList); len(copts.Backends) > 0 {
+		copts.Seed, copts.Rec = zf.seed, rec
+		r, err := cluster.New(copts)
 		if err != nil {
 			fatal(err)
 		}

@@ -3,15 +3,16 @@
 // serves adapted models over HTTP alone or behind a router, runs bulk jobs
 // against either, and reads back the telemetry all of them write.
 //
-// Usage:
+// Usage (`knowtrans <subcommand> -h` lists that subcommand's flags, each
+// with its default — the one place either is stated):
 //
 //	knowtrans list
-//	knowtrans experiment <id|all> [-scale 0.15] [-reps 3] [-seed 1] [-workers N]
-//	knowtrans build [-artifacts DIR]
-//	knowtrans transfer -dataset EM/Walmart-Amazon [-artifacts DIR]
-//	knowtrans serve [-addr HOST:PORT]
+//	knowtrans experiment <id|all>
+//	knowtrans build
+//	knowtrans transfer -dataset EM/Walmart-Amazon
+//	knowtrans serve
 //	knowtrans route -backends URL,URL,...
-//	knowtrans job [run|plan|resume] -spec FILE.json [-backends URL,URL]
+//	knowtrans job [run|plan|resume] -spec FILE.json
 //	knowtrans obs trace|top|prof ...
 //
 // Experiment ids: table1 table2 table3 table4 table5 table6 table7 fig4
@@ -21,15 +22,11 @@
 // routing and resuming never change an answer are Go tests that start this
 // binary as child processes (drill_test.go, `go test -drill`).
 //
-// Every subcommand accepts the observability flags -trace FILE.jsonl,
-// -metrics FILE.json, -pprof ADDR, and the profiling family -sample,
-// -timeline, -cpuprofile, -memprofile, -profdir (see internal/obs,
-// internal/obs/profile, and the "Observability" and "Profiling & resource
-// accounting" sections of DESIGN.md). `knowtrans experiment` prints its
-// tables and writes nothing else unless one of those flags names a file;
-// it accepts -faults to run the grid under seeded chaos injection on the
-// oracle path (see internal/faults and the "Resilience & chaos testing"
-// section of DESIGN.md).
+// Every subcommand that runs the pipeline accepts the observability flags
+// (obsFlags; DESIGN.md "Observability" and "Profiling & resource
+// accounting") and writes nothing but stdout unless one of them names a
+// file; those that adapt models accept -faults for seeded chaos on the
+// oracle path (DESIGN.md "Resilience & chaos testing").
 package main
 
 import (
@@ -78,36 +75,19 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   knowtrans list
-  knowtrans experiment <id|all> [-scale S] [-reps N] [-seed K] [-workers W]
-                       [-faults rate=R,seed=S[,kinds=a+b]] [obs flags]
-  knowtrans build [-artifacts DIR] [-scale S] [-seed K] [obs flags]
-  knowtrans transfer -dataset <task/name> [-artifacts DIR] [-scale S] [-seed K] [obs flags]
-  knowtrans serve [-addr HOST:PORT] [-scale S] [-seed K] [-max-adapters N] [-max-batch N]
-                  [-batch-wait D] [-timeout D] [-faults SPEC] [-access-log FILE|-]
-                  [-slow D] [obs flags]
-  knowtrans route -backends URL,URL,... [-addr HOST:PORT] [-replication N]
-                  [-probe-interval D] [-fail-threshold N] [-hedge-delay D]
-                  [-retry-budget N] [-drain-timeout D] [obs flags]
-  knowtrans job [run|plan|resume] -spec FILE.json [-backends URL,URL]
-                [-replication N] [-checkpoint DIR] [-dry-run] [-scale S]
-                [-seed K] [-faults SPEC] [obs flags]
-  knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow]
-  knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
-  knowtrans obs prof TIMELINE.jsonl [-windows N] [-gate] [-json]
+  knowtrans experiment <id|all> [flags]
+  knowtrans build [flags]
+  knowtrans transfer -dataset <task/name> [flags]
+  knowtrans serve [flags]
+  knowtrans route -backends URL,URL,... [flags]
+  knowtrans job [run|plan|resume] -spec FILE.json [flags]
+  knowtrans obs trace FILE.jsonl [flags]
+  knowtrans obs top [flags]
+  knowtrans obs prof TIMELINE.jsonl [flags]
 
-observability flags (any subcommand):
-  -trace FILE.jsonl   write a span trace (Transfer → SKC stages → AKB iterations)
-  -metrics FILE.json  write counters/gauges/latency histograms at exit
-  -pprof ADDR         serve net/http/pprof plus live /metrics (Prometheus
-                      text) and /metrics.json on ADDR while the run executes
-  -sample D           poll runtime/metrics every D into the registry and a
-                      JSONL timeline for knowtrans obs prof
-  -timeline FILE      where -sample writes the timeline (default: next to
-                      the trace file, else runtime.jsonl)
-  -cpuprofile FILE    whole-run CPU profile (pprof-labeled by route/key/
-                      batch/phase/cell)
-  -memprofile FILE    heap profile written at exit
-  -profdir DIR        slow-request-triggered CPU/heap captures (serve)`)
+knowtrans <subcommand> -h lists its flags and their defaults; all but list and
+obs take the observability flags (-trace -metrics -pprof -sample -timeline
+-cpuprofile -memprofile -profdir).`)
 }
 
 // newFlagSet returns a flag set that reports parse errors to the caller

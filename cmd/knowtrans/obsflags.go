@@ -43,8 +43,8 @@ type obsFlags struct {
 	memprofile string
 	profdir    string
 
-	// sampler / trigger are populated by setup for subcommands that thread
-	// them further (serve wires both into its Options).
+	// sampler is what setup started and finish stops; trigger is populated
+	// by setup for the services, which wire it into serve.Options.Profiles.
 	sampler *profile.Sampler
 	trigger *profile.Trigger
 }

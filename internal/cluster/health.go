@@ -12,7 +12,7 @@ import (
 // probeLoop is one backend's health checker: GET /readyz every
 // ProbeInterval (with seeded jitter so a fleet of probes never beats in
 // lockstep), exponential backoff while the backend is failing, ejection
-// after FailThreshold consecutive failures, rejoin on the first success.
+// after failThreshold consecutive failures, rejoin on the first success.
 // Probing /readyz — not /healthz — is what makes a drain graceful: a
 // draining backend flips to 503 and leaves the rotation while the process
 // stays alive to finish its in-flight batches.
@@ -59,7 +59,7 @@ func (r *Router) probe(b *backendState) {
 		}
 	} else {
 		b.probeFails++
-		if b.probeFails >= r.opts.FailThreshold && b.healthy.Swap(false) {
+		if b.probeFails >= failThreshold && b.healthy.Swap(false) {
 			b.ejections.Add(1)
 			r.ejections.Add(1)
 			r.rec.Count("cluster.ejections", 1)

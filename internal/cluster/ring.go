@@ -28,13 +28,9 @@ type ringPoint struct {
 	backend int // index into backends
 }
 
-// NewRing builds a ring over backends with vnodes points each (default 64
-// when vnodes <= 0). Backend order is irrelevant: placement depends only
-// on the backend strings themselves.
+// NewRing builds a ring over backends with vnodes points each. Backend order
+// is irrelevant: placement depends only on the backend strings themselves.
 func NewRing(backends []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	r := &Ring{backends: append([]string(nil), backends...)}
 	r.points = make([]ringPoint, 0, len(backends)*vnodes)
 	for i, b := range r.backends {

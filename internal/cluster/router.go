@@ -32,33 +32,17 @@ type Options struct {
 	// Default 2, clamped to Replication; negative warms every owner (the
 	// old unbounded behavior).
 	WarmReplicas int
-	// VNodes is the virtual-node count per backend on the ring (default 64).
-	VNodes int
 	// ProbeInterval is the base period between /readyz probes per backend
 	// (default 500ms); ProbeTimeout bounds one probe (default 2s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// FailThreshold is how many consecutive probe failures eject a backend
-	// (default 2). An ejected backend keeps being probed (with backoff) and
-	// rejoins on its first success.
-	FailThreshold int
 	// HedgeDelay fixes the backup-request delay. Default 0: derive it per
 	// request from the observed p95 router latency, clamped to
-	// [HedgeMin, HedgeMax] (defaults 1ms, 1s). Negative disables hedging.
+	// [hedgeMin, hedgeMax]. Negative disables hedging.
 	HedgeDelay time.Duration
-	HedgeMin   time.Duration
-	HedgeMax   time.Duration
-	// RetryBudget caps extra attempts (hedges + failovers) per request
-	// beyond the first (default 2; <0 unlimited up to the owner set).
-	// Together with Replication it bounds retry amplification during an
-	// outage: one request costs at most 1+RetryBudget backend calls.
-	RetryBudget int
-	// AttemptTimeout bounds one backend HTTP call (default 60s).
-	AttemptTimeout time.Duration
-	// BreakerThreshold/BreakerCooldown trip and cool the per-backend
-	// breaker (defaults 5 and 8 calls; threshold <0 disables).
+	// BreakerThreshold is the run of failed calls that trips a backend's
+	// breaker (default 5; <0 disables).
 	BreakerThreshold int
-	BreakerCooldown  int
 	// Seed drives probe jitter; same seed, same probe schedule.
 	Seed int64
 	// Rec threads observability through the router. Nil disables it.
@@ -67,7 +51,21 @@ type Options struct {
 	Client *http.Client
 }
 
-func (o Options) withDefaults() Options {
+// Fixed policy: no caller ever chose any of these, so none is an option.
+const (
+	vnodes          = 64               // virtual nodes per backend on the ring
+	failThreshold   = 2                // consecutive probe failures that eject a backend (it rejoins on its first success)
+	hedgeMin        = time.Millisecond // clamp of the p95-derived hedge delay
+	hedgeMax        = time.Second
+	retryBudget     = 2                // extra attempts (hedges + failovers) per request: at most 1+retryBudget backend calls
+	attemptTimeout  = 60 * time.Second // one backend HTTP call
+	breakerCooldown = 8                // calls an open breaker short-circuits before a trial
+	latRefreshEvery = 32               // latencies between recomputations of the hedge delay's p95
+)
+
+// WithDefaults fills the unset fields with their documented defaults: the
+// one place they are stated (the CLI's flag defaults are read from here).
+func (o Options) WithDefaults() Options {
 	if o.Replication <= 0 {
 		o.Replication = 2
 	}
@@ -80,35 +78,14 @@ func (o Options) withDefaults() Options {
 	if o.WarmReplicas > o.Replication {
 		o.WarmReplicas = o.Replication
 	}
-	if o.VNodes <= 0 {
-		o.VNodes = 64
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
 	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
-	if o.HedgeMin <= 0 {
-		o.HedgeMin = time.Millisecond
-	}
-	if o.HedgeMax <= 0 {
-		o.HedgeMax = time.Second
-	}
-	if o.RetryBudget == 0 {
-		o.RetryBudget = 2
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 60 * time.Second
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 8
 	}
 	return o
 }
@@ -164,7 +141,7 @@ var _ serve.ReadyChecker = (*Router)(nil)
 // on contact anyway); the first probe round corrects the picture within
 // ProbeInterval. Call Close to stop probing.
 func New(opts Options) (*Router, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if len(opts.Backends) == 0 {
 		return nil, fmt.Errorf("cluster: no backends")
 	}
@@ -178,13 +155,13 @@ func New(opts Options) (*Router, error) {
 	r := &Router{
 		opts:   opts,
 		rec:    opts.Rec,
-		ring:   NewRing(opts.Backends, opts.VNodes),
+		ring:   NewRing(opts.Backends, vnodes),
 		byURL:  make(map[string]*backendState, len(opts.Backends)),
 		client: opts.Client,
 		stopc:  make(chan struct{}),
 	}
 	if r.client == nil {
-		r.client = &http.Client{Timeout: opts.AttemptTimeout}
+		r.client = &http.Client{Timeout: attemptTimeout}
 	}
 	for _, u := range opts.Backends {
 		b := &backendState{
@@ -194,7 +171,7 @@ func New(opts Options) (*Router, error) {
 		}
 		b.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 			Threshold: opts.BreakerThreshold,
-			Cooldown:  opts.BreakerCooldown,
+			Cooldown:  breakerCooldown,
 			OnState: func(s resilience.State) {
 				r.rec.SetGauge("cluster.breaker_state/"+u, float64(s))
 			},
@@ -257,7 +234,7 @@ func (r *Router) candidates(key string) []*backendState {
 }
 
 // targets validates key and returns its owners in attempt order, at most
-// budget of them (budget <= 0: all; a negative RetryBudget lands here).
+// budget of them (budget <= 0: all).
 func (r *Router) targets(key string, budget int) ([]*backendState, error) {
 	if err := serve.ValidateKey(key); err != nil {
 		return nil, err
@@ -278,7 +255,7 @@ func (r *Router) targets(key string, budget int) ([]*backendState, error) {
 // errors (unknown key, bad key) abort immediately — every replica would
 // say the same thing.
 func (r *Router) Predict(ctx context.Context, key string, in *data.Instance) (string, bool, error) {
-	cands, err := r.targets(key, 1+r.opts.RetryBudget)
+	cands, err := r.targets(key, 1+retryBudget)
 	if err != nil {
 		return "", false, err
 	}
@@ -568,8 +545,6 @@ type latWindow struct {
 	cached float64
 }
 
-const latRefreshEvery = 32
-
 // add records one latency (µs) and occasionally recomputes the p95.
 func (w *latWindow) add(us float64) {
 	w.mu.Lock()
@@ -595,8 +570,8 @@ func (w *latWindow) p95() float64 {
 }
 
 // hedgeDelay is the backup-request delay for one predict: the fixed
-// HedgeDelay if set, else the observed p95 clamped to [HedgeMin, HedgeMax]
-// — and HedgeMax while the window is still warming up (hedge late rather
+// HedgeDelay if set, else the observed p95 clamped to [hedgeMin, hedgeMax]
+// — and hedgeMax while the window is still warming up (hedge late rather
 // than double traffic on a cold estimate).
 func (r *Router) hedgeDelay() time.Duration {
 	if r.opts.HedgeDelay != 0 {
@@ -607,15 +582,9 @@ func (r *Router) hedgeDelay() time.Duration {
 	}
 	p95 := r.lat.p95()
 	if p95 <= 0 {
-		return r.opts.HedgeMax
+		return hedgeMax
 	}
-	d := time.Duration(p95) * time.Microsecond
-	if d < r.opts.HedgeMin {
-		d = r.opts.HedgeMin
-	}
-	if d > r.opts.HedgeMax {
-		d = r.opts.HedgeMax
-	}
+	d := min(max(time.Duration(p95)*time.Microsecond, hedgeMin), hedgeMax)
 	r.rec.SetGauge("cluster.hedge_delay_us", float64(d.Microseconds()))
 	return d
 }

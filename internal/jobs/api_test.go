@@ -20,14 +20,16 @@ import (
 	"repro/internal/serve"
 )
 
+// newJobServer mounts the job API over res with dir as the jobs directory:
+// checkpoint logs land in it and the paths of posted specs resolve under it.
 func newJobServer(t *testing.T, res serve.Resolver, dir string) (*httptest.Server, *Manager) {
 	t.Helper()
 	m := NewManager(res, ManagerOptions{
-		CheckpointDir: filepath.Join(dir, "ckpt"),
+		CheckpointDir: dir,
 		Rec:           obs.NewRecorder(obs.NewRegistry(), nil),
 	})
 	srv := serve.NewServer(res, serve.Options{})
-	NewAPI(m).Register(srv)
+	m.Mount(srv)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, m
@@ -53,8 +55,8 @@ func doReq(t *testing.T, method, url string, body []byte) (*http.Response, []byt
 
 func TestJobsHTTPLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	input := writeInput(t, dir, 8)
-	out := filepath.Join(dir, "out.csv")
+	writeInput(t, dir, 8)
+	input, out := "input.json", "out.csv" // as the wire names them: under the jobs dir
 	// hold makes the resolver park its next predict until release closes,
 	// announcing itself on entered: the window in which a job is cancelled.
 	res := newFakeResolver()
@@ -137,7 +139,7 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	if snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
 		t.Fatalf("job did not finish cleanly: %+v", snap)
 	}
-	if _, err := os.Stat(out); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, out)); err != nil {
 		t.Fatalf("output missing: %v", err)
 	}
 
@@ -155,12 +157,12 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	// A job whose input is gone fails in Plan; a job cancelled while a row is
 	// in flight ends canceled. Each moves its own counter; finished runs are
 	// counted once, by the engine.
-	failed := poll(submit(specFor(filepath.Join(dir, "gone.json"), filepath.Join(dir, "out2.csv"))))
+	failed := poll(submit(specFor("gone.json", "out2.csv")))
 	if failed.State != StateFailed || failed.Error == "" {
 		t.Fatalf("job over a missing input: %+v, want failed with an error", failed)
 	}
 	hold.Store(true)
-	cid := submit(specFor(input, filepath.Join(dir, "out3.csv")))
+	cid := submit(specFor(input, "out3.csv"))
 	<-entered
 	if resp, blob := doReq(t, http.MethodDelete, ts.URL+"/v1/jobs/"+cid, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %d %s", resp.StatusCode, blob)
@@ -199,6 +201,7 @@ func TestJobsHTTPErrors(t *testing.T) {
 		{"unknown cancel", http.MethodDelete, "/v1/jobs/jdeadbeefdeadbeef", nil, http.StatusNotFound},
 		{"bad id", http.MethodGet, "/v1/jobs/a/b", nil, http.StatusBadRequest},
 		{"item post", http.MethodPost, "/v1/jobs/jdeadbeefdeadbeef", nil, http.StatusMethodNotAllowed},
+		{"spec over the cap", http.MethodPost, "/v1/jobs", bytes.Repeat([]byte(" "), maxSpecBytes+1), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, blob := doReq(t, tc.method, ts.URL+tc.path, tc.body)
@@ -210,5 +213,85 @@ func TestJobsHTTPErrors(t *testing.T) {
 		if !ok || eb.Code != serve.ErrorCode(tc.want) || eb.Retryable != serve.ErrorRetryable(tc.want) {
 			t.Errorf("%s: body is not the canonical envelope: %s", tc.name, blob)
 		}
+	}
+}
+
+// TestJobsHTTPConfinesPaths: a spec from the network names its files under
+// the jobs directory and nowhere else. An absolute path or a ".." escape is
+// a 400 before a byte is read or a directory made — at the parent a dry run
+// answered with the row count and SHA-256 of any file the process could
+// read, and a real submit wrote answers wherever it was told.
+func TestJobsHTTPConfinesPaths(t *testing.T) {
+	root := t.TempDir()
+	jobsDir := filepath.Join(root, "jobs")
+	if err := os.Mkdir(jobsDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeInput(t, root, 4)              // outside: the secret
+	inside := writeInput(t, jobsDir, 4) // jobs/input.json
+	res := newFakeResolver()
+	ts, _ := newJobServer(t, res, jobsDir)
+	spec := func(in, out string) []byte {
+		return []byte(fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q}}`, in, out))
+	}
+
+	for _, tc := range []struct{ name, in, out string }{
+		{"absolute input", filepath.Join(root, "input.json"), "out.csv"},
+		{"input escapes", "../input.json", "out.csv"},
+		{"input escapes from below", "sub/../../input.json", "out.csv"},
+		{"absolute output", "input.json", filepath.Join(root, "made", "out.csv")},
+		{"output escapes", "input.json", "../made/out.csv"},
+	} {
+		for _, query := range []string{"?dry_run=1", ""} {
+			resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs"+query, spec(tc.in, tc.out))
+			eb, ok := serve.ParseErrorEnvelope(blob)
+			if resp.StatusCode != http.StatusBadRequest || !ok || !strings.Contains(eb.Message, "jobs directory") {
+				t.Errorf("%s%s: %d %s, want a 400 envelope naming the jobs directory", tc.name, query, resp.StatusCode, blob)
+			}
+			// Reading the outside file would have put its digest in the answer.
+			if strings.Contains(string(blob), "input_sha") {
+				t.Errorf("%s%s: the refusal carries a plan: %s", tc.name, query, blob)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "made")); !os.IsNotExist(err) {
+		t.Errorf("a refused spec made a directory outside the jobs dir (stat err %v)", err)
+	}
+	if ents, _ := os.ReadDir(jobsDir); len(ents) != 1 {
+		t.Errorf("refused specs left %d entries in the jobs dir, want the input alone", len(ents))
+	}
+	if res.count("row-000") != 0 {
+		t.Errorf("refused specs reached the resolver")
+	}
+
+	// A local path, in a subdirectory too, is accepted and lands inside.
+	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs?dry_run=1", spec("input.json", "answers/out.csv"))
+	var plan Plan
+	if err := json.Unmarshal(blob, &plan); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("local dry run: %d %s (%v)", resp.StatusCode, blob, err)
+	}
+	if plan.Rows != 4 || plan.Spec.Input.Path != inside || plan.Spec.Output.Path != filepath.Join(jobsDir, "answers", "out.csv") {
+		t.Errorf("local dry run planned %+v over %+v, want 4 rows of %s", plan.Spec.Output, plan.Spec.Input, inside)
+	}
+}
+
+// TestJobsHTTPDrainRefusesSubmit: a draining server lists and cancels but
+// starts nothing it would take down with it.
+func TestJobsHTTPDrainRefusesSubmit(t *testing.T) {
+	dir := t.TempDir()
+	writeInput(t, dir, 2)
+	m := NewManager(newFakeResolver(), ManagerOptions{CheckpointDir: dir})
+	srv := serve.NewServer(newFakeResolver(), serve.Options{})
+	m.Mount(srv)
+	srv.StartDrain()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs",
+		[]byte(`{"adapter":"EM/Walmart-Amazon","input":{"path":"input.json"},"output":{"path":"out.csv"}}`))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("submit while draining: %d %s, want 503 + Retry-After", resp.StatusCode, blob)
+	}
+	if resp, blob := doReq(t, http.MethodGet, ts.URL+"/v1/jobs", nil); resp.StatusCode != http.StatusOK || len(m.List()) != 0 {
+		t.Errorf("list while draining: %d %s", resp.StatusCode, blob)
 	}
 }

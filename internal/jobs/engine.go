@@ -7,7 +7,6 @@ import (
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -487,7 +486,7 @@ func (e *Engine) predictRow(ctx context.Context, sp *Spec, in *data.Instance) (s
 			return ans, retries, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || !transientErr(err) {
+		if ctx.Err() != nil || !serve.Retryable(err) {
 			return "", retries, err
 		}
 		if a < attempts-1 {
@@ -505,16 +504,6 @@ func (e *Engine) predictRow(ctx context.Context, sp *Spec, in *data.Instance) (s
 		}
 	}
 	return "", retries, lastErr
-}
-
-// transientErr reports whether a predict error is worth retrying: shed
-// load, drains, attempt timeouts, and backend 5xx are; bad/unknown keys
-// and our own cancellation are not.
-func transientErr(err error) bool {
-	if errors.Is(err, serve.ErrBadKey) || errors.Is(err, serve.ErrUnknownKey) || errors.Is(err, context.Canceled) {
-		return false
-	}
-	return true
 }
 
 // answerValid is the Verify stage: the service ranks candidates, so a

@@ -20,13 +20,17 @@ const (
 	StateCanceled = "canceled"
 )
 
+// DefaultMaxActive is ManagerOptions.MaxActive when unset.
+const DefaultMaxActive = 4
+
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
-	// CheckpointDir holds the checkpoint logs (required).
+	// CheckpointDir holds the checkpoint logs (required). It is also the one
+	// directory a spec posted over HTTP can name files in (Spec.confine).
 	CheckpointDir string
-	// MaxActive bounds concurrently running jobs (default 4); submits past
-	// it are shed with serve.ErrOverloaded, which the HTTP layer maps to a
-	// retryable 429 envelope.
+	// MaxActive bounds concurrently running jobs (default DefaultMaxActive);
+	// submits past it are shed with serve.ErrOverloaded, which the HTTP
+	// layer maps to a retryable 429 envelope.
 	MaxActive int
 	// Rec threads observability through the engine. Nil disables it.
 	Rec *obs.Recorder
@@ -80,7 +84,7 @@ type Snapshot struct {
 // NewManager returns a manager running jobs against res.
 func NewManager(res serve.Resolver, opts ManagerOptions) *Manager {
 	if opts.MaxActive == 0 {
-		opts.MaxActive = 4
+		opts.MaxActive = DefaultMaxActive
 	}
 	return &Manager{
 		eng:  &Engine{Res: res, CheckpointDir: opts.CheckpointDir, Rec: opts.Rec},

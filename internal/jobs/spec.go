@@ -119,6 +119,20 @@ func ParseSpecFile(path string) (*Spec, error) {
 	return sp, nil
 }
 
+// confine is what a spec from the network gets instead of the submitter's
+// view of the filesystem: its paths must be local (relative, no ".." that
+// escapes — filepath.IsLocal) and are resolved under dir. Nothing has been
+// read and no directory made when it refuses.
+func (s *Spec) confine(dir string) error {
+	for _, p := range []*string{&s.Input.Path, &s.Output.Path} {
+		if !filepath.IsLocal(*p) {
+			return fmt.Errorf("jobs: path %q must be relative to the server's jobs directory and stay inside it", *p)
+		}
+		*p = filepath.Join(dir, *p)
+	}
+	return nil
+}
+
 // formatFromExt maps a file extension to a format name.
 func formatFromExt(path string) string {
 	switch strings.ToLower(filepath.Ext(path)) {

@@ -45,17 +45,6 @@ type Config struct {
 	W io.Writer
 }
 
-// SamplerStatus is the sampler's health summary: what /healthz embeds so
-// operators see resource state and sampling liveness from one curl. A nil
-// sampler reports Enabled false with live readings still filled in.
-type SamplerStatus struct {
-	Enabled       bool    `json:"enabled"`
-	IntervalS     float64 `json:"interval_s,omitempty"`
-	Samples       int64   `json:"samples"`
-	Goroutines    int64   `json:"goroutines"`
-	HeapLiveBytes uint64  `json:"heap_live_bytes"`
-}
-
 // Sampler polls runtime/metrics on a fixed interval, feeding the obs
 // registry and appending the JSONL timeline. Start it with Start; Stop
 // takes a final sample, waits for the loop goroutine to exit, and is
@@ -65,8 +54,6 @@ type Sampler struct {
 	start time.Time
 
 	samples    atomic.Int64
-	lastGoro   atomic.Int64
-	lastHeap   atomic.Uint64
 	writeErrMu sync.Mutex
 	writeErr   error
 
@@ -124,23 +111,6 @@ func (s *Sampler) Samples() int64 {
 	return s.samples.Load()
 }
 
-// Status reports the sampler's state plus current resource readings. On a
-// nil sampler the readings are taken fresh so /healthz stays informative
-// even when sampling is off.
-func (s *Sampler) Status() SamplerStatus {
-	if s == nil {
-		g, h := QuickReadings()
-		return SamplerStatus{Goroutines: g, HeapLiveBytes: h}
-	}
-	return SamplerStatus{
-		Enabled:       true,
-		IntervalS:     s.cfg.Interval.Seconds(),
-		Samples:       s.samples.Load(),
-		Goroutines:    s.lastGoro.Load(),
-		HeapLiveBytes: s.lastHeap.Load(),
-	}
-}
-
 func (s *Sampler) run() {
 	defer close(s.done)
 	ticker := time.NewTicker(s.cfg.Interval)
@@ -165,8 +135,6 @@ func (s *Sampler) run() {
 func (s *Sampler) take(prev Stats, first bool) Stats {
 	st := ReadStats()
 	seq := s.samples.Add(1)
-	s.lastGoro.Store(st.Goroutines)
-	s.lastHeap.Store(st.HeapLiveBytes)
 
 	var d StatsDelta
 	if !first {

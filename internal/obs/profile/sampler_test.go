@@ -125,26 +125,6 @@ func TestSamplerNilSafety(t *testing.T) {
 	if n := s.Samples(); n != 0 {
 		t.Fatalf("nil Samples = %d", n)
 	}
-	st := s.Status()
-	if st.Enabled {
-		t.Error("nil sampler reports Enabled")
-	}
-	if st.Goroutines <= 0 || st.HeapLiveBytes == 0 {
-		t.Errorf("nil Status should carry live readings, got %+v", st)
-	}
-}
-
-func TestSamplerStatus(t *testing.T) {
-	s := Start(Config{Interval: 2 * time.Millisecond})
-	defer s.Stop()
-	time.Sleep(10 * time.Millisecond)
-	st := s.Status()
-	if !st.Enabled || st.Samples < 1 || st.Goroutines <= 0 || st.HeapLiveBytes == 0 {
-		t.Errorf("live status implausible: %+v", st)
-	}
-	if st.IntervalS != 0.002 {
-		t.Errorf("IntervalS = %g", st.IntervalS)
-	}
 }
 
 func TestReadStats(t *testing.T) {

@@ -23,21 +23,6 @@ type WireError struct {
 
 func (e *WireError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.Status, e.Message) }
 
-// Is maps the status back to the sentinel statusFor mapped from.
-func (e *WireError) Is(target error) bool {
-	switch e.Status {
-	case http.StatusBadRequest:
-		return target == ErrBadKey
-	case http.StatusNotFound:
-		return target == ErrUnknownKey
-	case http.StatusTooManyRequests:
-		return target == ErrOverloaded
-	case http.StatusServiceUnavailable:
-		return target == ErrDraining
-	}
-	return false
-}
-
 // Call is the client half of the wire: one JSON round trip. A non-nil in
 // is sent as the JSON body, header carries extras (traceparent), and a 2xx
 // body is decoded into a non-nil out. A non-2xx answer is a *WireError; a

@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 )
 
 // envResolver returns a scripted error per key, so the envelope test can
@@ -47,9 +50,11 @@ func (f *envResolver) Evict(_ context.Context, key string) (bool, error) {
 	return true, nil
 }
 
-// TestErrorEnvelopeEverywhere asserts the API-redesign contract: every
-// error path on the /v1 surface emits the versioned JSON envelope with the
-// code and retryable flag implied by its status — no plain-text bodies.
+// TestErrorEnvelopeEverywhere asserts the contract of the /v1 surface: every
+// error path emits the versioned JSON envelope with the code and retryable
+// flag implied by its status — no plain-text bodies. The named cases reach
+// every branch of statusFor through a scripted resolver; the property after
+// them (routeRefusals) walks the route table itself.
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	res := &envResolver{errs: map[string]error{
 		"EM/unknown":    fmt.Errorf("%w: %q", ErrUnknownKey, "EM/unknown"),
@@ -133,6 +138,7 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 			}
 		})
 	}
+	t.Run("routes", func(t *testing.T) { routeRefusals(t, res) })
 }
 
 // TestAdapterKeyRoutes exercises the REST-shaped single-key routes over a
@@ -193,5 +199,126 @@ func TestAdapterKeyRoutes(t *testing.T) {
 	resp.Body.Close()
 	if ks.Resident || ks.Transfers != 1 {
 		t.Fatalf("post-evict stats = %+v, want non-resident with 1 transfer", ks)
+	}
+}
+
+// routeRefusals is the property over the route table: for every registered
+// route × {a method its pattern does not serve, a body over the cap, a
+// malformed body, a bad key, a drain or an overload where the route sheds},
+// and for one path no route owns, the refusal is the envelope and is counted
+// (serve.requests, serve.requests/<route>, serve.request_errors), access-
+// logged once with its status, and echoes the caller's traceparent. It
+// iterates Server.routes, so a route added later — by this package or, like
+// /v1/extra here, through Handle from outside — cannot dodge it. At the
+// parent of PR 23 it fails on PUT /v1/adapters (uncounted, unlogged, no
+// traceparent), GET /v1/nope (text/plain) and a predict body over the cap
+// (read whole).
+func routeRefusals(t *testing.T, res Resolver) {
+	type probe struct {
+		name, label, method, path, body string
+		want                            int
+		arm                             func(*Server) // puts a fresh server in the state the refusal needs
+	}
+	const tp = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	mreg := obs.NewRegistry()
+	var accessLog bytes.Buffer
+	newServer := func() *Server {
+		s := NewServer(res, Options{
+			MaxInflight: 1,
+			Rec:         obs.NewRecorder(mreg, nil),
+			AccessLog:   slog.New(slog.NewJSONHandler(&accessLog, nil)),
+		})
+		Handle(s, Route{Method: http.MethodPost, Pattern: "/v1/extra", Label: "extra", ShedDrain: true, BodyCap: 64}, nil,
+			func(_ context.Context, w http.ResponseWriter, _ *Request[map[string]any]) {
+				WriteJSON(w, http.StatusOK, "ok")
+			})
+		return s
+	}
+
+	probes := []probe{{name: "unknown path", label: "unknown", method: http.MethodGet, path: "/v1/nope", want: http.StatusNotFound}}
+	for pattern, routes := range newServer().routes {
+		path := pattern
+		if strings.HasSuffix(pattern, "/") {
+			path += "EM/known"
+		}
+		probes = append(probes, probe{name: "PATCH " + pattern, label: routes[0].Label,
+			method: http.MethodPatch, path: path, want: http.StatusMethodNotAllowed})
+		for _, rt := range routes {
+			p := probe{label: rt.Label, method: rt.Method, path: path, body: `{"adapter":"EM/known","key":"EM/known"}`}
+			add := func(name string, want int, edit func(*probe)) {
+				q := p
+				q.name, q.want = rt.Method+" "+pattern+" "+name, want
+				edit(&q)
+				probes = append(probes, q)
+			}
+			if rt.BodyCap > 0 {
+				add("body over the cap", http.StatusBadRequest, func(q *probe) {
+					q.body = `{"pad":"` + strings.Repeat("x", int(rt.BodyCap)) + `"}`
+				})
+				add("malformed body", http.StatusBadRequest, func(q *probe) { q.body = "{nope" })
+			}
+			if rt.keyed {
+				add("bad key", http.StatusBadRequest, func(q *probe) {
+					q.path, q.body = strings.Replace(q.path, "EM/known", "no-slash", 1), `{"adapter":"no-slash","key":"no-slash"}`
+				})
+			}
+			if rt.ShedDrain {
+				add("draining", http.StatusServiceUnavailable, func(q *probe) { q.arm = (*Server).StartDrain })
+			}
+			if rt.ShedOverload {
+				add("overloaded", http.StatusTooManyRequests, func(q *probe) { q.arm = func(s *Server) { s.inflight.Add(2) } })
+			}
+		}
+	}
+	if len(probes) < 20 {
+		t.Fatalf("only %d probes: the route table was not walked", len(probes))
+	}
+
+	for _, p := range probes {
+		t.Run(p.name, func(t *testing.T) {
+			s := newServer()
+			if p.arm != nil {
+				p.arm(s)
+			}
+			counters := []string{"serve.requests", "serve.requests/" + p.label, "serve.request_errors"}
+			before := make([]int64, len(counters))
+			for i, name := range counters {
+				before[i] = mreg.Counter(name).Value()
+			}
+			accessLog.Reset()
+			req := httptest.NewRequest(p.method, p.path, strings.NewReader(p.body))
+			req.Header.Set(obs.TraceparentHeader, tp)
+			rw := httptest.NewRecorder()
+			s.ServeHTTP(rw, req)
+
+			if rw.Code != p.want {
+				t.Fatalf("status %d (%s), want %d", rw.Code, rw.Body, p.want)
+			}
+			eb, ok := ParseErrorEnvelope(rw.Body.Bytes())
+			if !ok || eb.Code != ErrorCode(p.want) || eb.Retryable != ErrorRetryable(p.want) || eb.Message == "" {
+				t.Errorf("body %s is not the envelope for %d", rw.Body, p.want)
+			}
+			if ct := rw.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type %q", ct)
+			}
+			if got := rw.Header().Get(obs.TraceparentHeader); got != tp {
+				t.Errorf("traceparent echoed as %q", got)
+			}
+			if (p.want == http.StatusTooManyRequests || p.want == http.StatusServiceUnavailable) && rw.Header().Get("Retry-After") == "" {
+				t.Errorf("%d without Retry-After", p.want)
+			}
+			for i, name := range counters {
+				if d := mreg.Counter(name).Value() - before[i]; d != 1 {
+					t.Errorf("%s moved by %d, want 1", name, d)
+				}
+			}
+			var line struct {
+				Route  string `json:"route"`
+				Status int    `json:"status"`
+			}
+			if err := json.Unmarshal(accessLog.Bytes(), &line); err != nil || line.Route != p.label || line.Status != p.want {
+				t.Errorf("access log %q (%v), want one line with route %s status %d", accessLog.String(), err, p.label, p.want)
+			}
+		})
 	}
 }

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 )
 
-// ErrorEnvelope is the one error body every /v1/* endpoint (and the
-// /metrics* 500 paths) speaks: a versioned JSON envelope instead of
-// ad-hoc text, so clients, the cluster router, and the load generator
-// can branch on a stable machine-readable code while the HTTP status
-// mapping (statusFor) stays exactly what it was.
+// ErrorEnvelope is the one error body this surface speaks (the /metrics*
+// 500 paths included): a versioned JSON envelope instead of ad-hoc text, so
+// clients, the cluster router, and the load generator can branch on a stable
+// machine-readable code.
 //
 //	{"error": {"code": "not_found", "message": "...", "retryable": false}}
 type ErrorEnvelope struct {
@@ -17,7 +18,7 @@ type ErrorEnvelope struct {
 }
 
 // ErrorBody is the payload inside the envelope. Code is one of the
-// errorCode* constants; Retryable tells the caller whether the same
+// Code* constants; Retryable tells the caller whether the same
 // request may succeed later or on a replica (shed load, drains,
 // timeouts, backend 5xx) or can never succeed as written (bad keys,
 // unknown keys, malformed bodies).
@@ -40,54 +41,85 @@ const (
 	CodeTimeout          = "timeout"            // 504
 )
 
-// ErrorCode maps an HTTP status to its envelope code.
-func ErrorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeBadRequest
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusMethodNotAllowed:
-		return CodeMethodNotAllowed
-	case http.StatusTooManyRequests:
-		return CodeOverloaded
-	case 499:
-		return CodeCanceled
-	case http.StatusInternalServerError:
-		return CodeInternal
-	case http.StatusServiceUnavailable:
-		return CodeUnavailable
-	case http.StatusGatewayTimeout:
-		return CodeTimeout
-	default:
-		if status >= 500 {
-			return CodeUpstream
-		}
-		return CodeBadRequest
-	}
+// wireStatus is one row of the wire's error vocabulary. cause is the error
+// statusFor maps to the status (nil: the status exists only at the HTTP
+// layer); sentinel marks the causes that are serve's own and so survive the
+// wire (WireError.Is) — a peer's 504 or 499 is about its context, not the
+// caller's.
+type wireStatus struct {
+	status    int
+	code      string
+	retryable bool
+	cause     error
+	sentinel  bool
 }
 
-// ErrorRetryable reports whether a status is worth retrying: shed load,
-// drains, timeouts, and backend failures are transient; 4xx (and a
-// client that hung up, 499) are not.
-func ErrorRetryable(status int) bool {
-	switch status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	case 499:
-		return false
+// wireStatuses is the one table behind statusFor, ErrorCode, ErrorRetryable
+// and WireError.Is. Malformed keys are a 400 (no resolver anywhere can serve
+// them), unknown keys a 404, shed load a 429, a draining server a 503,
+// deadlines a 504, a client that went away 499 (nginx's convention; net/http
+// has no name for it), everything else a 502 from the adaptation backend.
+// Shed load, drains, timeouts and backend failures are worth retrying, here
+// or on a replica; 4xx and 499 are not. Causes are matched in row order.
+var wireStatuses = [...]wireStatus{
+	{http.StatusBadRequest, CodeBadRequest, false, ErrBadKey, true},
+	{http.StatusNotFound, CodeNotFound, false, ErrUnknownKey, true},
+	{http.StatusTooManyRequests, CodeOverloaded, true, ErrOverloaded, true},
+	{http.StatusServiceUnavailable, CodeUnavailable, true, ErrDraining, true},
+	{http.StatusGatewayTimeout, CodeTimeout, true, context.DeadlineExceeded, false},
+	{499, CodeCanceled, false, context.Canceled, false},
+	{http.StatusMethodNotAllowed, CodeMethodNotAllowed, false, nil, false},
+	{http.StatusInternalServerError, CodeInternal, true, nil, false},
+	{http.StatusBadGateway, CodeUpstream, true, nil, false},
+}
+
+// statusRow finds a status in the table. One outside it reads as the
+// catch-all of its class: 502 for a 5xx, 400 for anything else.
+func statusRow(status int) *wireStatus {
+	for i := range wireStatuses {
+		if wireStatuses[i].status == status {
+			return &wireStatuses[i]
+		}
 	}
-	return status >= 500
+	if status >= 500 {
+		return statusRow(http.StatusBadGateway)
+	}
+	return statusRow(http.StatusBadRequest)
+}
+
+// statusFor maps a resolver/transfer error to its HTTP status.
+func statusFor(err error) int {
+	for i := range wireStatuses {
+		if row := &wireStatuses[i]; row.cause != nil && errors.Is(err, row.cause) {
+			return row.status
+		}
+	}
+	return http.StatusBadGateway
+}
+
+// ErrorCode maps an HTTP status to its envelope code.
+func ErrorCode(status int) string { return statusRow(status).code }
+
+// ErrorRetryable reports whether a status is worth retrying.
+func ErrorRetryable(status int) bool { return statusRow(status).retryable }
+
+// Retryable is ErrorRetryable for an error that has not crossed the wire
+// yet, or has (*WireError): the one retry rule of routers and bulk jobs.
+func Retryable(err error) bool { return ErrorRetryable(statusFor(err)) }
+
+// Is maps the status back to the sentinel statusFor mapped from.
+func (e *WireError) Is(target error) bool {
+	row := statusRow(e.Status)
+	return row.status == e.Status && row.sentinel && target == row.cause
 }
 
 // WriteJSON renders one JSON response. Exported so packages extending the
-// /v1 surface through Server.HandleFunc (internal/jobs) emit the same
-// shapes as the built-in routes.
+// /v1 surface through Handle (internal/jobs) emit the same shapes as the
+// built-in routes.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError renders err under its statusFor mapping in the versioned

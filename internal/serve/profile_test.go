@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,43 +116,43 @@ func TestTransferCarriesPprofLabels(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsSamplerAndRuntime pins the /healthz satellite: sampler
-// status plus fresh goroutine/heap readings, with and without a sampler.
-func TestHealthzReportsSamplerAndRuntime(t *testing.T) {
-	s := profile.Start(profile.Config{Interval: 2 * time.Millisecond})
-	defer s.Stop()
-	time.Sleep(6 * time.Millisecond)
-
+// TestHealthzDescribesWhatItFronts: fresh goroutine/heap readings once, and
+// the batching knobs only in front of a Registry, read from the registry's
+// own options — never the server's defaulted copy, which at the parent made a
+// router's /healthz claim max_batch 8.
+func TestHealthzDescribesWhatItFronts(t *testing.T) {
+	reg := NewRegistry(newStubTransferer(0).transfer, Options{MaxBatch: 3, MaxAdapters: 5, MaxWait: 7 * time.Millisecond})
 	for _, tc := range []struct {
-		name    string
-		sampler *profile.Sampler
-		enabled bool
+		name string
+		res  Resolver
+		want map[string]any // nil: the field must be absent
 	}{
-		{"with sampler", s, true},
-		{"without sampler", nil, false},
+		{"registry", reg, map[string]any{"max_batch": 3.0, "max_adapters": 5.0, "max_wait_s": 0.007}},
+		{"other resolver", &envResolver{}, map[string]any{"max_batch": nil, "max_adapters": nil, "max_wait_s": nil}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Sampler: tc.sampler}
-			reg := NewRegistry(newStubTransferer(0).transfer, opts)
-			srv := NewServer(reg, opts)
-			req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+			// The server's own options say nothing about the registry.
+			srv := NewServer(tc.res, Options{})
 			rw := httptest.NewRecorder()
-			srv.ServeHTTP(rw, req)
+			srv.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 			var hr HealthResponse
+			var fields map[string]any
 			if err := json.Unmarshal(rw.Body.Bytes(), &hr); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(rw.Body.Bytes(), &fields); err != nil {
 				t.Fatal(err)
 			}
 			if !hr.OK || hr.Goroutines <= 0 || hr.HeapLiveBytes == 0 {
 				t.Fatalf("healthz runtime readings implausible: %+v", hr)
 			}
-			if hr.Sampler.Enabled != tc.enabled {
-				t.Errorf("sampler.enabled = %v, want %v", hr.Sampler.Enabled, tc.enabled)
+			for name, want := range tc.want {
+				if got, ok := fields[name]; ok != (want != nil) || (ok && got != want) {
+					t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+				}
 			}
-			if tc.enabled && hr.Sampler.Samples < 1 {
-				t.Errorf("sampler.samples = %d, want >= 1", hr.Sampler.Samples)
-			}
-			if hr.Sampler.Goroutines <= 0 || hr.Sampler.HeapLiveBytes == 0 {
-				t.Errorf("sampler readings implausible: %+v", hr.Sampler)
+			if _, ok := fields["sampler"]; ok || strings.Count(rw.Body.String(), "goroutines") != 1 {
+				t.Errorf("healthz repeats itself: %s", rw.Body)
 			}
 		})
 	}

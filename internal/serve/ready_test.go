@@ -92,9 +92,6 @@ func TestReadyzAndDrain(t *testing.T) {
 	}
 
 	s.StartDrain()
-	if !s.Draining() {
-		t.Fatal("Draining() = false after StartDrain")
-	}
 
 	resp, body = getBody(t, srv.URL+"/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {

@@ -92,17 +92,15 @@ type Options struct {
 	// escalated to Warn with slow=true. Default 1s; negative disables the
 	// escalation.
 	SlowRequest time.Duration
-	// Sampler, when set, surfaces runtime-sampling status and current
-	// goroutine/heap readings on /healthz. Nil is fine: /healthz then
-	// reports sampling disabled with fresh readings.
-	Sampler *profile.Sampler
 	// Profiles, when set, is poked on slow requests (those past
 	// SlowRequest) so "why was that slow" arrives with a CPU+heap capture
 	// of the moment it happened. Nil disables triggered captures.
 	Profiles *profile.Trigger
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults fills the unset fields with their documented defaults: the
+// one place they are stated (the CLI's flag defaults are read from here).
+func (o Options) WithDefaults() Options {
 	if o.MaxAdapters <= 0 {
 		o.MaxAdapters = 8
 	}
@@ -175,7 +173,7 @@ type flight struct {
 var _ Resolver = (*Registry)(nil)
 
 func NewRegistry(t Transferer, opts Options) *Registry {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	return &Registry{
 		transfer: t,
 		opts:     opts,

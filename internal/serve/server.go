@@ -2,10 +2,7 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -18,8 +15,8 @@ import (
 	"repro/internal/obs/profile"
 )
 
-// Server is the HTTP face of the service: a mux over a Resolver (the local
-// Registry, or internal/cluster's Router) plus the live telemetry
+// Server is the HTTP face of the service: a route table over a Resolver
+// (the local Registry, or internal/cluster's Router) plus the live telemetry
 // endpoints. Build one with NewServer and mount it anywhere an
 // http.Handler goes (net/http, httptest, ...).
 //
@@ -33,38 +30,56 @@ import (
 //	GET    /metrics           Prometheus text exposition (when a metrics registry is wired)
 //	GET    /metrics.json      the same snapshot as JSON
 //
-// Every error body on this surface is the versioned JSON envelope
-// (ErrorEnvelope); plain-text error responses do not exist here.
+// Every route but the two /metrics scrapes is a row of the table in
+// NewServer and crosses the one pipeline (Handle), so every error body here
+// — a wrong method and an unknown path included — is the versioned JSON
+// envelope (ErrorEnvelope), counted, logged and traced; plain-text error
+// responses do not exist here.
 type Server struct {
 	res      Resolver
 	opts     Options
 	rec      *obs.Recorder
 	mux      *http.ServeMux
+	routes   map[string][]Route // by pattern, in registration order
 	start    time.Time
 	revision string
 	inflight atomic.Int64
 	draining atomic.Bool
 }
 
-// NewServer wraps a resolver in the HTTP API. When fronting a local
-// Registry, opts should be the options the registry was built with (the
-// server applies RequestTimeout and reports the batching knobs on
-// /healthz).
+// adaptersPath is the subtree of the single-key routes; the key below it
+// contains a slash itself (task/dataset).
+const adaptersPath = "/v1/adapters/"
+
+// NewServer wraps a resolver in the HTTP API. Of opts the server reads
+// RequestTimeout, MaxInflight, Rec, AccessLog, SlowRequest and Profiles;
+// the registry knobs are the registry's own.
 func NewServer(res Resolver, opts Options) *Server {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	s := &Server{
 		res:      res,
 		opts:     opts,
 		rec:      opts.Rec,
 		mux:      http.NewServeMux(),
+		routes:   map[string][]Route{},
 		start:    time.Now(),
 		revision: vcsRevision(),
 	}
-	s.mux.HandleFunc("/v1/predict", s.handlePredict)
-	s.mux.HandleFunc("/v1/adapters", s.handleAdapters)
-	s.mux.HandleFunc("/v1/adapters/", s.handleAdapterKey)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
+	pathKey := func(rq *Request[None]) string { return strings.TrimPrefix(rq.URL.Path, adaptersPath) }
+	Handle(s, Route{Method: http.MethodPost, Pattern: "/v1/predict", Label: "predict",
+		ShedDrain: true, ShedOverload: true, BodyCap: maxBodyBytes, Deadline: true},
+		func(rq *Request[PredictRequest]) string { return rq.Body.Adapter }, s.predict)
+	Handle(s, Route{Method: http.MethodGet, Pattern: "/v1/adapters", Label: "adapters"}, nil, s.adapters)
+	Handle(s, Route{Method: http.MethodPost, Pattern: "/v1/adapters", Label: "warm",
+		ShedDrain: true, BodyCap: maxBodyBytes, Deadline: true},
+		func(rq *Request[WarmRequest]) string { return rq.Body.Key }, s.warm)
+	Handle(s, Route{Method: http.MethodGet, Pattern: adaptersPath, Label: "adapters"}, pathKey, s.adapterStats)
+	Handle(s, Route{Method: http.MethodDelete, Pattern: adaptersPath, Label: "evict", Deadline: true}, pathKey, s.evict)
+	Handle(s, Route{Method: http.MethodGet, Pattern: "/healthz", Label: "healthz"}, nil, s.healthz)
+	Handle(s, Route{Method: http.MethodGet, Pattern: "/readyz", Label: "readyz"}, nil, s.readyz)
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		s.instrument(&unknownPath, w, r)
+	})
 	if opts.Rec != nil && opts.Rec.Metrics != nil {
 		reg := opts.Rec.Metrics
 		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -83,17 +98,6 @@ func NewServer(res Resolver, opts Options) *Server {
 	return s
 }
 
-// HandleFunc mounts an extra route on the server's mux under the full
-// instrumentation path (traceparent ingest/echo, request span, counters,
-// access log, pprof route label) — the seam higher tiers (internal/jobs)
-// use to extend the /v1 surface without serve importing them. route is
-// the label used on spans and per-route counters.
-func (s *Server) HandleFunc(pattern, route string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.instrument(route, w, r, func(sw *statusWriter, r *http.Request) { h(sw, r) })
-	})
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -107,9 +111,6 @@ func (s *Server) StartDrain() {
 		s.rec.Event("serve.drain")
 	}
 }
-
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // WireField / WireInstance are the JSON shape of a data.Instance on the
 // predict endpoint. Gold is deliberately absent: the service answers
@@ -207,15 +208,16 @@ type HealthResponse struct {
 	GoVersion string  `json:"go_version"`
 	Revision  string  `json:"revision,omitempty"`
 	Resident  int     `json:"resident"`
-	MaxBatch  int     `json:"max_batch"`
-	MaxWaitS  float64 `json:"max_wait_s"`
-	MaxAdapt  int     `json:"max_adapters"`
+	// MaxBatch, MaxWaitS and MaxAdapt describe a local Registry — its own
+	// options, as it defaulted them — and are absent in front of any other
+	// resolver: a router has no batcher to report.
+	MaxBatch int     `json:"max_batch,omitempty"`
+	MaxWaitS float64 `json:"max_wait_s,omitempty"`
+	MaxAdapt int     `json:"max_adapters,omitempty"`
 	// Goroutines / HeapLiveBytes are fresh runtime readings taken at
-	// request time; Sampler reports whether continuous sampling is on and
-	// how many samples it has taken.
-	Goroutines    int64                 `json:"goroutines"`
-	HeapLiveBytes uint64                `json:"heap_live_bytes"`
-	Sampler       profile.SamplerStatus `json:"sampler"`
+	// request time.
+	Goroutines    int64  `json:"goroutines"`
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 }
 
 // ReadyResponse is the body of GET /readyz. Resident rides along so a
@@ -254,331 +256,99 @@ func vcsRevision() string {
 	return rev + dirty
 }
 
-// requestCtx applies the server's per-request deadline on top of the
-// client's context.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.opts.RequestTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	}
-	return r.Context(), func() {}
-}
-
-// statusFor maps a resolver/transfer error to an HTTP status: malformed
-// keys are a 400 (no resolver anywhere can serve them), unknown keys a
-// 404, shed load a 429, a draining server a 503, deadlines are 504, a
-// client that went away is 499 (nginx's convention; net/http has no name
-// for it), everything else is a 502 from the adaptation backend.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrBadKey):
-		return http.StatusBadRequest
-	case errors.Is(err, ErrUnknownKey):
-		return http.StatusNotFound
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499
-	default:
-		return http.StatusBadGateway
-	}
-}
-
-// instrument wraps one handler in the full request-scoped observability
-// path: it ingests the W3C `traceparent` header (so the serve.request span
-// joins the caller's trace), threads the span and a requestInfo carrier
-// through the request context for the registry/batcher to annotate, echoes
-// a traceparent back (the server span's context when tracing is on, the
-// inbound value verbatim otherwise), and emits counters, an exemplar-stamped
-// latency observation, and one structured access-log line per request.
-func (s *Server) instrument(route string, w http.ResponseWriter, r *http.Request, h func(w *statusWriter, r *http.Request)) {
-	inTP := r.Header.Get(obs.TraceparentHeader)
-	var remote obs.SpanContext
-	if inTP != "" {
-		remote, _ = obs.ParseTraceparent(inTP) // malformed → fresh trace
-	}
-	_, span := s.rec.StartSpanIn("serve.request", remote)
-	span.SetAttr("route", route)
-	span.SetAttr("method", r.Method)
-	traceID := span.Context().Trace.String()
-	if span != nil {
-		w.Header().Set(obs.TraceparentHeader, obs.FormatTraceparent(span.Context()))
-	} else if inTP != "" {
-		// No tracer wired: echo the caller's header verbatim so propagation
-		// is still observable end to end.
-		w.Header().Set(obs.TraceparentHeader, inTP)
-	}
-
-	ri := &requestInfo{}
-	ctx := withRequestInfo(r.Context(), ri)
-	ctx = obs.ContextWithSpan(ctx, span)
-
-	s.rec.SetGauge("serve.inflight", float64(s.inflight.Add(1)))
-	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	// The handler runs under a pprof route label, so CPU samples burned
-	// anywhere below attribute to the route; the labeled context flows
-	// down to the batcher, which stacks key/batch labels on top.
-	profile.Do(ctx, func(lctx context.Context) {
-		r = r.WithContext(lctx)
-		h(sw, r)
-	}, profile.LabelRoute, route)
-	dur := time.Since(start)
-	s.rec.SetGauge("serve.inflight", float64(s.inflight.Add(-1)))
-
-	span.SetAttr("status", sw.status)
-	if ri.key != "" {
-		span.SetAttr("key", ri.key)
-	}
-	span.End()
-	s.rec.Count("serve.requests", 1)
-	s.rec.Count(fmt.Sprintf("serve.requests/%s", route), 1)
-	if sw.status >= 400 {
-		s.rec.Count("serve.request_errors", 1)
-	}
-	s.rec.ObserveEx("serve.request_us", float64(dur.Microseconds()), nil, traceID)
-
-	slow := s.opts.SlowRequest > 0 && dur >= s.opts.SlowRequest
-	if slow {
-		// A slow request pokes the profile trigger (nil-safe, cooldown
-		// inside): the capture of the moment it happened lands next to the
-		// access-log line that flagged it.
-		s.opts.Profiles.Capture(route)
-	}
-
-	if s.opts.AccessLog != nil {
-		level := slog.LevelInfo
-		if slow || sw.status >= 500 {
-			level = slog.LevelWarn
-		}
-		s.opts.AccessLog.LogAttrs(r.Context(), level, "request",
-			slog.String("trace", traceID),
-			slog.String("route", route),
-			slog.String("method", r.Method),
-			slog.Int("status", sw.status),
-			slog.String("key", ri.key),
-			slog.Int64("batch", ri.batchSize.Load()),
-			slog.Int64("queue_us", ri.queueUS.Load()),
-			slog.Int64("dur_us", dur.Microseconds()),
-			slog.Bool("slow", slow),
-		)
-	}
-}
-
-// statusWriter remembers the response code for the span and error counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.instrument("predict", w, r, func(w *statusWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			WriteErrorStatus(w, http.StatusMethodNotAllowed, "POST only")
-			return
-		}
-		if s.draining.Load() {
-			s.rec.Count("serve.shed_draining", 1)
-			WriteError(w, ErrDraining)
-			return
-		}
-		if s.opts.MaxInflight > 0 && s.inflight.Load() > int64(s.opts.MaxInflight) {
-			s.rec.Count("serve.shed_overload", 1)
-			WriteError(w, fmt.Errorf("%w: %d requests in flight", ErrOverloaded, s.inflight.Load()))
-			return
-		}
-		var req PredictRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			WriteErrorStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-			return
-		}
-		if err := ValidateKey(req.Adapter); err != nil {
-			WriteError(w, err)
-			return
-		}
-		if ri := requestInfoFrom(r.Context()); ri != nil {
-			ri.key = req.Adapter
-		}
-		if len(req.Instance.Candidates) == 0 {
-			// Prediction ranks candidate answers (DESIGN.md: open-domain tasks
-			// are realized as ranking), so an empty set is unanswerable.
-			WriteErrorStatus(w, http.StatusBadRequest, "instance needs candidate answers")
-			return
-		}
-		ctx, cancel := s.requestCtx(r)
-		defer cancel()
-		ans, cold, err := s.res.Predict(ctx, req.Adapter, req.Instance.instance())
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, PredictResponse{Adapter: req.Adapter, Answer: ans, Cold: cold})
-	})
-}
-
-func (s *Server) handleAdapters(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		s.instrument("adapters", w, r, func(w *statusWriter, r *http.Request) {
-			s.writeAdapterStats(w, r, "")
-		})
-	case http.MethodPost:
-		s.instrument("warm", w, r, func(w *statusWriter, r *http.Request) {
-			if s.draining.Load() {
-				s.rec.Count("serve.shed_draining", 1)
-				WriteError(w, ErrDraining)
-				return
-			}
-			var req WarmRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				WriteErrorStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-				return
-			}
-			if err := ValidateKey(req.Key); err != nil {
-				WriteError(w, err)
-				return
-			}
-			if ri := requestInfoFrom(r.Context()); ri != nil {
-				ri.key = req.Key
-			}
-			ctx, cancel := s.requestCtx(r)
-			defer cancel()
-			cold, err := s.res.Warm(ctx, req.Key)
-			if err != nil {
-				WriteError(w, err)
-				return
-			}
-			WriteJSON(w, http.StatusOK, WarmResponse{Key: req.Key, Cold: cold})
-		})
-	default:
-		WriteErrorStatus(&statusWriter{ResponseWriter: w}, http.StatusMethodNotAllowed, "GET, POST, or DELETE /v1/adapters/{key} only")
-	}
-}
-
-// handleAdapterKey serves the REST-shaped single-key routes under
-// /v1/adapters/{key} (the key itself contains a slash: task/dataset).
-// They share their implementations with the legacy collection routes:
-// GET funnels into the same stats writer with a key filter, DELETE is
-// explicit eviction through the resolver's optional Evicter.
-func (s *Server) handleAdapterKey(w http.ResponseWriter, r *http.Request) {
-	key := strings.TrimPrefix(r.URL.Path, "/v1/adapters/")
-	switch r.Method {
-	case http.MethodGet:
-		s.instrument("adapters", w, r, func(w *statusWriter, r *http.Request) {
-			s.writeAdapterStats(w, r, key)
-		})
-	case http.MethodDelete:
-		s.instrument("evict", w, r, func(w *statusWriter, r *http.Request) {
-			s.evictAdapter(w, r, key)
-		})
-	default:
-		WriteErrorStatus(&statusWriter{ResponseWriter: w}, http.StatusMethodNotAllowed, "GET or DELETE only")
-	}
-}
-
-// writeAdapterStats renders resolver stats: the full snapshot when key is
-// empty (GET /v1/adapters), or one key's entry with a 404 envelope when
-// the resolver has never seen it (GET /v1/adapters/{key}).
-func (s *Server) writeAdapterStats(w *statusWriter, r *http.Request, key string) {
-	if key == "" {
-		WriteJSON(w, http.StatusOK, AdaptersResponse{Resident: s.res.Resident(), Adapters: s.res.Snapshot()})
+func (s *Server) predict(ctx context.Context, w http.ResponseWriter, rq *Request[PredictRequest]) {
+	if len(rq.Body.Instance.Candidates) == 0 {
+		// Prediction ranks candidate answers (DESIGN.md: open-domain tasks
+		// are realized as ranking), so an empty set is unanswerable.
+		WriteErrorStatus(w, http.StatusBadRequest, "instance needs candidate answers")
 		return
 	}
-	if err := ValidateKey(key); err != nil {
+	ans, cold, err := s.res.Predict(ctx, rq.Key, rq.Body.Instance.instance())
+	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	if ri := requestInfoFrom(r.Context()); ri != nil {
-		ri.key = key
+	WriteJSON(w, http.StatusOK, PredictResponse{Adapter: rq.Key, Answer: ans, Cold: cold})
+}
+
+func (s *Server) warm(ctx context.Context, w http.ResponseWriter, rq *Request[WarmRequest]) {
+	cold, err := s.res.Warm(ctx, rq.Key)
+	if err != nil {
+		WriteError(w, err)
+		return
 	}
+	WriteJSON(w, http.StatusOK, WarmResponse{Key: rq.Key, Cold: cold})
+}
+
+func (s *Server) adapters(_ context.Context, w http.ResponseWriter, _ *Request[None]) {
+	WriteJSON(w, http.StatusOK, AdaptersResponse{Resident: s.res.Resident(), Adapters: s.res.Snapshot()})
+}
+
+// adapterStats serves GET /v1/adapters/{key}: one key's entry of the
+// snapshot, a 404 envelope when the resolver has never seen it.
+func (s *Server) adapterStats(_ context.Context, w http.ResponseWriter, rq *Request[None]) {
 	for _, ks := range s.res.Snapshot() {
-		if ks.Key == key {
+		if ks.Key == rq.Key {
 			WriteJSON(w, http.StatusOK, ks)
 			return
 		}
 	}
-	WriteError(w, fmt.Errorf("%w: no stats for %q", ErrUnknownKey, key))
+	WriteError(w, fmt.Errorf("%w: no stats for %q", ErrUnknownKey, rq.Key))
 }
 
-// evictAdapter serves DELETE /v1/adapters/{key}: drop the resident adapter
+// evict serves DELETE /v1/adapters/{key}: drop the resident adapter
 // (retiring its per-key gauges, exactly like an LRU eviction) without
 // touching its request counters. A key the resolver has never seen is a
 // 404; a known key that simply is not resident right now evicts nothing
 // and reports evicted=false.
-func (s *Server) evictAdapter(w *statusWriter, r *http.Request, key string) {
-	if err := ValidateKey(key); err != nil {
-		WriteError(w, err)
-		return
-	}
-	if ri := requestInfoFrom(r.Context()); ri != nil {
-		ri.key = key
-	}
+func (s *Server) evict(ctx context.Context, w http.ResponseWriter, rq *Request[None]) {
 	ev, ok := s.res.(Evicter)
 	if !ok {
 		WriteErrorStatus(w, http.StatusNotImplemented, "resolver does not support eviction")
 		return
 	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	evicted, err := ev.Evict(ctx, key)
+	evicted, err := ev.Evict(ctx, rq.Key)
 	if err != nil {
 		WriteError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, EvictResponse{Key: key, Evicted: evicted})
+	WriteJSON(w, http.StatusOK, EvictResponse{Key: rq.Key, Evicted: evicted})
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.instrument("healthz", w, r, func(w *statusWriter, _ *http.Request) {
-		goro, heap := profile.QuickReadings()
-		WriteJSON(w, http.StatusOK, HealthResponse{
-			OK:            true,
-			Draining:      s.draining.Load(),
-			UptimeS:       time.Since(s.start).Seconds(),
-			GoVersion:     runtime.Version(),
-			Revision:      s.revision,
-			Resident:      s.res.Resident(),
-			MaxBatch:      s.opts.MaxBatch,
-			MaxWaitS:      s.opts.MaxWait.Seconds(),
-			MaxAdapt:      s.opts.MaxAdapters,
-			Goroutines:    goro,
-			HeapLiveBytes: heap,
-			Sampler:       s.opts.Sampler.Status(),
-		})
-	})
+func (s *Server) healthz(_ context.Context, w http.ResponseWriter, _ *Request[None]) {
+	hr := HealthResponse{
+		OK:        true,
+		Draining:  s.draining.Load(),
+		UptimeS:   time.Since(s.start).Seconds(),
+		GoVersion: runtime.Version(),
+		Revision:  s.revision,
+		Resident:  s.res.Resident(),
+	}
+	hr.Goroutines, hr.HeapLiveBytes = profile.QuickReadings()
+	if reg, ok := s.res.(*Registry); ok {
+		hr.MaxBatch, hr.MaxWaitS, hr.MaxAdapt = reg.opts.MaxBatch, reg.opts.MaxWait.Seconds(), reg.opts.MaxAdapters
+	}
+	WriteJSON(w, http.StatusOK, hr)
 }
 
-// handleReadyz is the readiness probe: 200 only while the server is
-// accepting new work. It diverges from /healthz (pure liveness) exactly
-// when a router should stop routing here — during a drain, or when the
-// resolver itself reports unready (the cluster router with zero healthy
-// backends). 503s carry Retry-After like any other shed response.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.instrument("readyz", w, r, func(w *statusWriter, _ *http.Request) {
-		resp := ReadyResponse{OK: true, Resident: s.res.Resident()}
-		if s.draining.Load() {
-			resp.OK = false
-			resp.Draining = true
-			resp.Reason = ErrDraining.Error()
-		} else if rc, ok := s.res.(ReadyChecker); ok {
-			if err := rc.Ready(); err != nil {
-				resp.OK = false
-				resp.Reason = err.Error()
-			}
-		}
-		if !resp.OK {
-			w.Header().Set("Retry-After", "1")
-			WriteJSON(w, http.StatusServiceUnavailable, resp)
-			return
-		}
-		WriteJSON(w, http.StatusOK, resp)
-	})
+// readyz is the readiness probe: 200 only while the server is accepting
+// new work. It diverges from /healthz (pure liveness) exactly when a router
+// should stop routing here — during a drain, or when the resolver itself
+// reports unready (the cluster router with zero healthy backends). 503s
+// carry Retry-After like any other shed response.
+func (s *Server) readyz(_ context.Context, w http.ResponseWriter, _ *Request[None]) {
+	resp := ReadyResponse{OK: true, Draining: s.draining.Load(), Resident: s.res.Resident()}
+	var err error
+	if resp.Draining {
+		err = ErrDraining
+	} else if rc, ok := s.res.(ReadyChecker); ok {
+		err = rc.Ready()
+	}
+	if err != nil {
+		resp.OK, resp.Reason = false, err.Error()
+		w.Header().Set("Retry-After", "1")
+		WriteJSON(w, http.StatusServiceUnavailable, resp)
+		return
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -15,6 +15,13 @@
 #   no leak in a healthy run (obs prof -gate)   cmd/knowtrans TestDrillServe/default
 #   the CPU profile is valid pprof              cmd/knowtrans TestDrillServe/default
 #   a real serve child: ready, envelope, exit 0 cmd/knowtrans TestServeChildEnvelopeDrainMetrics
+#   a real route child: banner, healthz, readyz,
+#     404/405 envelopes, access log, exit 0    cmd/knowtrans TestRouteChild
+#   every route counted, logged, capped,
+#     enveloped                                 serve.TestErrorEnvelopeEverywhere (walks Server.routes)
+#   allocs/op of one request through the
+#     pipeline                                  TestServeRequestAllocs (root package)
+#   HTTP job specs stay inside -jobs-dir        jobs.TestJobsHTTPConfinesPaths
 #   allocs/op and B/op of predict and Transfer  TestAllocationBudgets (root package)
 #   loaded zoo == trained zoo, 13 keys bitwise  TestTransferDigest (root package)
 #   build -> transfer -artifacts == transfer,
@@ -24,7 +31,8 @@
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
-#   error envelope, one client call site        the two `! grep` lines, below
+#   error envelope, one client call site,
+#     one request pipeline                      the four `! grep` lines, below
 # Run from anywhere inside the repo; exits non-zero on first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -67,5 +75,11 @@ echo "check.sh: drills passed"
 ! grep -rn 'http\.Error(' internal/serve internal/cluster internal/jobs || exit 1
 ! grep -rn --include='*.go' --exclude='*_test.go' \
 	-e 'http\.NewRequest' -e 'http\.Get(' -e 'http\.Post(' internal/cluster cmd/knowtrans || exit 1
+
+# One request pipeline, statically: method checks, body decodes and body caps
+# live in internal/serve/pipeline.go and nowhere else, so a tenth hand-rolled
+# handler cannot come back.
+! grep -rn 'r\.Method\|json\.NewDecoder(r\.Body)\|io\.LimitReader' internal/jobs || exit 1
+! grep -rn --exclude=pipeline.go 'r\.Method\|json\.NewDecoder(r\.Body)\|io\.LimitReader' internal/serve || exit 1
 
 echo "check.sh: all gates passed"
