@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -229,7 +230,7 @@ func BenchmarkFewShotTransfer(b *testing.B) {
 	transfer := func() {
 		// Fixed seeds: the AKB search length depends on the seed, so seeding
 		// with i would make ns/op a function of b.N.
-		kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(3)))
+		kt := &core.KnowTrans{Upstream: upstream, Patches: patches, UseSKC: true, UseAKB: true, Oracle: oracle.New(3)}
 		if _, err := kt.Transfer(context.Background(), bundle.Kind, fewshot, 3); err != nil {
 			b.Fatal(err)
 		}
@@ -415,6 +416,46 @@ func TestTransferDigest(t *testing.T) {
 	}
 	if bytes.Contains(trace.Bytes(), []byte(`"skc.extract`)) {
 		t.Fatal("a loaded zoo extracted patches")
+	}
+
+	// The 13 traced Transfers left the span tree and the series the telemetry
+	// catalogue lists for the adapt path: one tree per Transfer, λ per
+	// upstream patch, per-step timings of the few-shot fine-tune.
+	if err := loaded.Rec.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTrace(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID, spans := map[uint64]string{}, map[string]int{}
+	for _, r := range recs {
+		byID[r.Span] = r.Name
+	}
+	for _, r := range recs {
+		if !r.IsEvent() {
+			spans[byID[r.Parent]+">"+r.Name]++
+		}
+	}
+	n := len(loaded.DownstreamKeys())
+	for _, edge := range []string{">core.transfer", "core.transfer>skc.transfer", "skc.transfer>skc.fuse", "skc.transfer>skc.fewshot_ft", "core.transfer>akb.search"} {
+		if spans[edge] != n {
+			t.Errorf("trace holds %d %s spans, want one per Transfer (%d); all edges: %v", spans[edge], edge, n, spans)
+		}
+	}
+	snap := loaded.Rec.Metrics.Snapshot()
+	lambdas := 0
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "skc.lambda/") {
+			lambdas++
+		}
+	}
+	if lambdas != len(loaded.Patches(eval.Size7B)) || snap.Histograms["skc.fewshot.step_us"].Count == 0 {
+		t.Errorf("%d skc.lambda/<patch> gauges and %d skc.fewshot.step_us observations, want %d gauges and some steps",
+			lambdas, snap.Histograms["skc.fewshot.step_us"].Count, len(loaded.Patches(eval.Size7B)))
+	}
+	if _, ok := snap.Gauges["skc.fewshot.epoch_loss"]; !ok {
+		t.Error("no skc.fewshot.epoch_loss gauge after 13 few-shot fine-tunes")
 	}
 }
 

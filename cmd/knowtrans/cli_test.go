@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dataio"
+	"repro/internal/obs/profile"
 )
 
 // knowtrans runs the CLI's main() on args in a helper process (TestMain's
@@ -52,6 +55,9 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		{"route", "-selftest"},
 		{"job", "-selftest"},
 		{"job", "run", "-kill-after-shards", "1", "-spec", "x"},
+		// Removed: each spelled an option that exists (`job plan`, `obs top -n 1`).
+		append([]string{"job", "run", "-dry-run", "-spec", "x"}, obsFiles...),
+		{"obs", "top", "-once", "-url", "http://127.0.0.1:1"},
 		{"route"},
 		{"job", "run"},
 		append([]string{"route"}, obsFiles...),
@@ -81,6 +87,49 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Errorf("exit-2 mistakes left %d files behind, first %s", len(left), left[0].Name())
+	}
+}
+
+// TestFailedObsSetupReleasesWhatItAcquired: when a late step of the telemetry
+// setup fails (-profdir under a regular file), what the earlier steps started
+// is stopped before the exit 1 — the CPU profile is a complete gzip stream
+// and the timeline ends on the sampler's final row, not wherever a goroutine
+// still running at os.Exit happened to be.
+func TestFailedObsSetupReleasesWhatItAcquired(t *testing.T) {
+	dir := t.TempDir()
+	notADir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpu, timeline := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "runtime.jsonl")
+	stdout, stderr, exit := knowtrans(t, "route", "-backends", "http://127.0.0.1:1",
+		"-cpuprofile", cpu, "-sample", "1ms", "-timeline", timeline, "-trace", filepath.Join(dir, "t.jsonl"),
+		"-metrics", filepath.Join(dir, "m.json"), "-profdir", filepath.Join(notADir, "sub"))
+	if exit != 1 || !strings.Contains(stderr, "create profile dir") || stdout != "" {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming the profile dir", exit, stdout, stderr)
+	}
+	f, err := os.Open(cpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err == nil {
+		_, err = io.Copy(io.Discard, zr)
+	}
+	if err != nil {
+		t.Errorf("-cpuprofile is not a complete gzip'd profile (the profiler was never stopped): %v", err)
+	}
+	tl, err := os.Open(timeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	if rows, err := profile.ReadTimeline(tl); err != nil || len(rows) < 2 {
+		t.Errorf("timeline holds %d rows (%v); want the first sample and the one Stop takes", len(rows), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "m.json")); err == nil {
+		t.Error("a failed setup wrote the at-exit -metrics file")
 	}
 }
 

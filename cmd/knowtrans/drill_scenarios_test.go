@@ -200,7 +200,6 @@ func TestDrillRoute(t *testing.T) {
 	copts := cluster.Options{
 		Backends:      fl.urls(),
 		ProbeInterval: 100 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 		HedgeDelay:    2 * time.Millisecond,
 		Seed:          drillSeed,
 		Rec:           rec,

@@ -31,7 +31,6 @@ func runJob(args []string) {
 	backendList := fs.String("backends", "",
 		"comma-separated backend URLs; empty runs an in-process registry over the zoo of -scale, -seed and -faults")
 	checkpointDir := fs.String("checkpoint", ".knowtrans-jobs", "checkpoint log `dir` (resume reads it, run appends to it)")
-	dryRun := fs.Bool("dry-run", false, "plan only: print the deterministic shard layout and exit 0")
 	copts := cluster.Options{}.WithDefaults()
 	fs.IntVar(&copts.Replication, "replication", copts.Replication, "with -backends: distinct owners per key")
 	zf := addZooFlags(fs, true)
@@ -68,7 +67,7 @@ func runJob(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if verb == "plan" || *dryRun {
+	if verb == "plan" {
 		var b strings.Builder
 		p.Render(&b)
 		fmt.Print(b.String())

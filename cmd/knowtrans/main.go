@@ -23,7 +23,8 @@
 // binary as child processes (drill_test.go, `go test -drill`).
 //
 // Every subcommand that runs the pipeline accepts the observability flags
-// (obsFlags; DESIGN.md "Observability" and "Profiling & resource
+// (obsFlags; DESIGN.md "Observability" — whose "Telemetry catalogue" lists
+// every metric, span and event name — and "Profiling & resource
 // accounting") and writes nothing but stdout unless one of them names a
 // file; those that adapt models accept -faults for seeded chaos on the
 // oracle path (DESIGN.md "Resilience & chaos testing").
@@ -80,9 +81,9 @@ func usage() {
   knowtrans transfer -dataset <task/name> [flags]
   knowtrans serve [flags]
   knowtrans route -backends URL,URL,... [flags]
-  knowtrans job [run|plan|resume] -spec FILE.json [flags]
+  knowtrans job [run|plan|resume] -spec FILE.json [flags]   (plan prints the shard layout and runs nothing)
   knowtrans obs trace FILE.jsonl [flags]
-  knowtrans obs top [flags]
+  knowtrans obs top [-n N] [flags]                          (-n 1: one look)
   knowtrans obs prof TIMELINE.jsonl [flags]
 
 knowtrans <subcommand> -h lists its flags and their defaults; all but list and
@@ -153,7 +154,6 @@ func runExperiment(args []string) {
 		wall := time.Since(start)
 		expSpan.End()
 		z.Rec = rec
-		expRec.Event("experiment.done", "id", e.ID, "wall_s", wall.Seconds())
 		fmt.Println(t.Render())
 		fmt.Printf("(%s in %.1fs, scale=%.2f, reps=%d, seed=%d)\n\n", e.ID, wall.Seconds(), zf.scale, *reps, zf.seed)
 	}

@@ -16,7 +16,7 @@ import (
 // It compares nothing: numbers from two commits meet only in benchmark/.
 //
 //	knowtrans obs trace t.jsonl [-top 10] [-json] [-trace-id ID] [-follow]
-//	knowtrans obs top [-url URL] [-once]
+//	knowtrans obs top [-url URL] [-n N]
 //	knowtrans obs prof timeline.jsonl [-windows 4] [-gate] [-json]
 func runObs(args []string) {
 	if len(args) == 0 {
@@ -45,7 +45,7 @@ func obsUsage() {
       -trace-id reassembles one request's end-to-end path (its spans,
       events, and the shared batch/transfer work linked into it); -follow
       tails the file, re-rendering as new records land
-  knowtrans obs top [-url URL] [-interval D] [-n N] [-once]
+  knowtrans obs top [-url URL] [-interval D] [-n N]
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
   knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate]

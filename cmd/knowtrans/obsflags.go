@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -43,9 +44,8 @@ type obsFlags struct {
 	memprofile string
 	profdir    string
 
-	// sampler is what setup started and finish stops; trigger is populated
-	// by setup for the services, which wire it into serve.Options.Profiles.
-	sampler *profile.Sampler
+	// trigger is populated by setup for the services, which wire it into
+	// serve.Options.Profiles.
 	trigger *profile.Trigger
 }
 
@@ -125,14 +125,95 @@ func (o *obsFlags) start(seed int64, service bool) (*obs.Recorder, func()) {
 	}
 }
 
-// setup builds the recorder the flags ask for. The returned finish func
-// flushes and closes everything — sampler, profiles, metrics, tracer, and
-// the pprof server — runs at most once (fatal() triggers it on the error
-// path too), and must run before exit; it is safe to call when no flag
-// was set.
-func (o *obsFlags) setup() (*obs.Recorder, func() error, error) {
+// setup builds the recorder the flags ask for. Everything it acquires goes
+// on one list of release functions, in the reverse of the order a clean exit
+// needs: the returned finish runs the list backwards — at most once (fatal()
+// triggers it on the error path too), before exit, safe when no flag was
+// set — and so does setup itself when a later step fails, so a failed start
+// leaves no goroutine running and no file open.
+func (o *obsFlags) setup() (_ *obs.Recorder, _ func() error, err error) {
 	if !o.enabled() {
 		return nil, func() error { return nil }, nil
+	}
+	var (
+		releases []func() error
+		once     sync.Once
+		ready    bool // setup completed: the at-exit files are worth writing
+	)
+	finish := func() error {
+		var firstErr error
+		once.Do(func() {
+			for i := len(releases) - 1; i >= 0; i-- {
+				if err := releases[i](); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			}
+		})
+		return firstErr
+	}
+	defer func() {
+		if err != nil {
+			finish() // the step that failed is the error worth reporting
+		}
+	}()
+	// atExit registers a file written by a clean finish only.
+	atExit := func(path, what string, write func(io.Writer) error) {
+		releases = append(releases, func() error {
+			if !ready {
+				return nil
+			}
+			f, err := os.Create(path)
+			if err != nil {
+				return fmt.Errorf("open %s: %w", what, err)
+			}
+			if err := write(f); err != nil {
+				f.Close()
+				return err
+			}
+			return f.Close()
+		})
+	}
+
+	// The registry exists whenever any observability is on: spans and
+	// metrics come from the same instrumentation points, a trace-only run
+	// still benefits from counters being cheap, and the live /metrics
+	// endpoint needs something to render even when nothing is written at
+	// exit.
+	reg := obs.NewRegistry()
+
+	// Released last: the live telemetry endpoint. It gets its own mux —
+	// registering pprof on the global default mux would leak handlers into
+	// every http.Handler the process serves — and binds synchronously so a
+	// bad -pprof addr is a startup error, not a lost stderr line after the
+	// run is underway.
+	if o.pprof != "" {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", netpprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
+		obs.MountMetrics(mux, reg)
+		ln, err := net.Listen("tcp", o.pprof)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bind pprof server: %w", err)
+		}
+		srv := &http.Server{Handler: mux}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+				fmt.Fprintf(os.Stderr, "knowtrans: pprof server: %v\n", err)
+			}
+		}()
+		releases = append(releases, func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			err := srv.Shutdown(ctx)
+			<-served
+			return err
+		})
+		fmt.Fprintf(os.Stderr, "telemetry on http://%s: /debug/pprof/ /metrics /metrics.json\n", ln.Addr())
 	}
 
 	var tracer *obs.Tracer
@@ -142,45 +223,47 @@ func (o *obsFlags) setup() (*obs.Recorder, func() error, error) {
 			return nil, nil, fmt.Errorf("open trace file: %w", err)
 		}
 		tracer = obs.NewTracer(f)
+		// Close flushes the JSONL tail and surfaces any write error the
+		// tracer swallowed mid-run.
+		releases = append(releases, tracer.Close)
 	}
-	// The registry exists whenever any observability is on: spans and
-	// metrics come from the same instrumentation points, a trace-only run
-	// still benefits from counters being cheap, and the live /metrics
-	// endpoint needs something to render even when nothing is written at
-	// exit.
-	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(reg, tracer)
 
-	// Whole-run CPU profile: started before anything interesting runs,
-	// stopped in finish. Triggered captures tolerate the profiler being
-	// owned for the whole run (they keep the heap half).
-	var cpuFile *os.File
+	// The snapshots come after the sampler's last sample (registered below,
+	// so released before them) and before the tracer closes.
+	if o.metrics != "" {
+		atExit(o.metrics, "metrics file", reg.WriteJSON)
+	}
+	if o.memprofile != "" {
+		atExit(o.memprofile, "mem profile", profile.WriteHeap)
+	}
+
+	// Whole-run CPU profile: started before anything interesting runs.
+	// Triggered captures tolerate the profiler being owned for the whole
+	// run (they keep the heap half).
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			return nil, nil, fmt.Errorf("open cpu profile: %w", err)
 		}
+		releases = append(releases, f.Close)
 		if err := rtpprof.StartCPUProfile(f); err != nil {
-			f.Close()
 			return nil, nil, fmt.Errorf("start cpu profile: %w", err)
 		}
-		cpuFile = f
+		releases = append(releases, func() error { rtpprof.StopCPUProfile(); return nil })
 	}
 
 	// Continuous runtime sampling: registry gauges plus the JSONL timeline
-	// `knowtrans obs prof` consumes.
-	var timelineFile *os.File
+	// `knowtrans obs prof` consumes. Released first: the sampler's final
+	// sample is the timeline's last row.
 	if o.sample > 0 {
 		f, err := os.Create(o.timelinePath())
 		if err != nil {
-			if cpuFile != nil {
-				rtpprof.StopCPUProfile()
-				cpuFile.Close()
-			}
 			return nil, nil, fmt.Errorf("open runtime timeline: %w", err)
 		}
-		timelineFile = f
-		o.sampler = profile.Start(profile.Config{Interval: o.sample, Rec: rec, W: f})
+		releases = append(releases, f.Close)
+		sampler := profile.Start(profile.Config{Interval: o.sample, Rec: rec, W: f})
+		releases = append(releases, func() error { sampler.Stop(); return sampler.Err() })
 	}
 
 	if o.profdir != "" {
@@ -190,103 +273,7 @@ func (o *obsFlags) setup() (*obs.Recorder, func() error, error) {
 		o.trigger = &profile.Trigger{Dir: o.profdir, Rec: rec}
 	}
 
-	// The live telemetry endpoint gets its own mux — registering pprof on
-	// the global default mux would leak handlers into every http.Handler
-	// the process serves — and binds synchronously so a bad -pprof addr is
-	// a startup error, not a lost stderr line after the run is underway.
-	var pprofSrv *http.Server
-	if o.pprof != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", netpprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-		// /metrics and /metrics.json snapshot the registry per scrape, so a
-		// long `knowtrans experiment` run can be watched while it executes.
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			if err := obs.WritePrometheus(w, reg.Snapshot()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := reg.WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		ln, err := net.Listen("tcp", o.pprof)
-		if err != nil {
-			o.sampler.Stop()
-			if timelineFile != nil {
-				timelineFile.Close()
-			}
-			if cpuFile != nil {
-				rtpprof.StopCPUProfile()
-				cpuFile.Close()
-			}
-			return nil, nil, fmt.Errorf("bind pprof server: %w", err)
-		}
-		pprofSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := pprofSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "knowtrans: pprof server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s: /debug/pprof/ /metrics /metrics.json\n", ln.Addr())
-	}
-
-	var once sync.Once
-	finish := func() error {
-		var firstErr error
-		keep := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		once.Do(func() {
-			// Order matters: stop the sampler first (its final sample is the
-			// timeline's last row), then the profiles, then the snapshots the
-			// sampler fed, then the tracer, then the live endpoint.
-			o.sampler.Stop()
-			keep(o.sampler.Err())
-			if timelineFile != nil {
-				keep(timelineFile.Close())
-			}
-			if cpuFile != nil {
-				rtpprof.StopCPUProfile()
-				keep(cpuFile.Close())
-			}
-			if o.memprofile != "" {
-				f, err := os.Create(o.memprofile)
-				if err != nil {
-					keep(fmt.Errorf("open mem profile: %w", err))
-				} else {
-					keep(profile.WriteHeap(f))
-					keep(f.Close())
-				}
-			}
-			if o.metrics != "" {
-				f, err := os.Create(o.metrics)
-				if err != nil {
-					keep(fmt.Errorf("open metrics file: %w", err))
-				} else {
-					keep(reg.WriteJSON(f))
-					keep(f.Close())
-				}
-			}
-			// Close flushes the JSONL tail and surfaces any write error the
-			// tracer swallowed mid-run.
-			keep(tracer.Close())
-			if pprofSrv != nil {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				keep(pprofSrv.Shutdown(ctx))
-				cancel()
-			}
-		})
-		return firstErr
-	}
+	ready = true
 	obsCleanupMu.Lock()
 	obsCleanup = finish
 	obsCleanupMu.Unlock()

@@ -23,11 +23,7 @@ func runObsTop(args []string) {
 	url := fs.String("url", "http://localhost:8080", "base `URL` of the running server")
 	interval := fs.Duration("interval", 2*time.Second, "poll interval")
 	n := fs.Int("n", 0, "stop after N refreshes (0 = run until interrupted)")
-	once := fs.Bool("once", false, "one refresh, then exit (same as -n 1)")
 	parseOrExit(fs, args)
-	if *once {
-		*n = 1
-	}
 
 	client := &http.Client{Timeout: 10 * time.Second}
 	fetch := func() (snap obs.RegistrySnapshot, err error) {

@@ -6,6 +6,11 @@
 // upstream patch library and the searched knowledge.
 //
 // Run with: go run ./examples/entity_matching
+//
+// No `knowtrans` command prints these numbers: nothing here comes from
+// eval.Zoo (own corpus sizes, learning rates and seeds), so the harness's
+// oracle seed rule (eval.Zoo.Oracle) has nothing to agree with. For the
+// zoo-built equivalent see examples/quickstart.
 package main
 
 import (
@@ -58,7 +63,7 @@ func main() {
 	wa := datagen.ByKey("EM/Walmart-Amazon", seed, 0.1)
 	fewshot := wa.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
 
-	kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(seed)))
+	kt := &core.KnowTrans{Upstream: upstream, Patches: patches, UseSKC: true, UseAKB: true, Oracle: oracle.New(seed)}
 	ad, err := kt.Transfer(context.Background(), tasks.EM, fewshot, seed)
 	if err != nil {
 		panic(err)

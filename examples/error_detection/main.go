@@ -11,18 +11,19 @@
 // loop discovering the rules from the few-shot data and error feedback.
 //
 // Run with: go run ./examples/error_detection
+//
+// The model adapts through eval.Zoo.TransferDataset, the path serve and the
+// CLI take: `knowtrans transfer -dataset ED/Beer -seed 5 -scale 0.08` prints
+// the same "with AKB searched knowledge" score and the same knowledge.
 package main
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/akb"
-	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/eval"
-	"repro/internal/oracle"
 	"repro/internal/tasks"
 )
 
@@ -32,11 +33,7 @@ func main() {
 	fmt.Println("== Error detection on Beer: closing the knowledge gap ==")
 
 	beer := z.DownstreamByKey("ED/Beer")
-	fewshot := beer.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
-
-	upstream := z.Upstream(eval.Size7B)
-	kt := core.NewKnowTrans(upstream, z.Patches(eval.Size7B), core.WithPlainOracle(oracle.New(seed)))
-	ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, seed)
+	ad, err := z.TransferDataset(context.Background(), beer.Key(), eval.Size7B)
 	if err != nil {
 		panic(err)
 	}

@@ -5,15 +5,20 @@
 // Fig. 7's curves.
 //
 // Run with: go run ./examples/knowledge_search
+//
+// Model, few-shot sample and oracle are the ones `knowtrans transfer -dataset
+// ED/Rayyan -seed 3 -scale 0.08` searches with (eval.Zoo.AdaptKnowTrans and
+// eval.Zoo.Oracle); that command runs the default round budget and no test
+// probe, this one 5 rounds, so its round-by-round eval scores are a prefix of
+// these.
 package main
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
 	"repro/internal/akb"
-	"repro/internal/core"
+	"repro/internal/baselines"
 	"repro/internal/eval"
 	"repro/internal/oracle"
 	"repro/internal/tasks"
@@ -25,11 +30,10 @@ func main() {
 	fmt.Println("== AKB knowledge search on ED/Rayyan ==")
 
 	b := z.DownstreamByKey("ED/Rayyan")
-	fewshot := b.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
+	fewshot := b.DS.FewShot(rand.New(rand.NewSource(seed)), eval.FewShotN)
 
 	// A fine-tuned model WITHOUT knowledge: the 𝓜' the search queries.
-	kt := core.NewKnowTrans(z.Upstream(eval.Size7B), z.Patches(eval.Size7B), core.WithAKB(false))
-	ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, seed)
+	ad, err := z.AdaptKnowTrans(&baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: seed}, eval.Size7B, true, false)
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +44,7 @@ func main() {
 	}
 	cfg := akb.DefaultConfig(seed)
 	cfg.Iterations = 5
-	gpt := oracle.New(seed)
+	gpt := z.Oracle(seed, oracle.PaperTemperature)
 	res := akb.Search(ad.Model, gpt, tasks.ED, fewshot, probe, cfg)
 
 	fmt.Println("\nsearch trace:")

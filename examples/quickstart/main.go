@@ -11,6 +11,10 @@
 //  4. Compare against plain few-shot fine-tuning of the upstream model.
 //
 // Run with: go run ./examples/quickstart
+//
+// The KnowTrans row adapts through eval.Zoo.TransferDataset, the path serve
+// and the CLI take: `knowtrans transfer -dataset EM/Walmart-Amazon -seed 7
+// -scale 0.08` prints the same KnowTrans score and searched knowledge.
 package main
 
 import (
@@ -19,11 +23,9 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/eval"
 	"repro/internal/model"
-	"repro/internal/oracle"
 	"repro/internal/skc"
 	"repro/internal/tasks"
 )
@@ -49,16 +51,16 @@ func main() {
 
 	// The novel downstream dataset with 20 labeled examples.
 	b := z.DownstreamByKey("EM/Walmart-Amazon")
-	fewshot := b.DS.FewShot(rand.New(rand.NewSource(seed)), 20)
+	fewshot := b.DS.FewShot(rand.New(rand.NewSource(seed)), eval.FewShotN)
 	fmt.Printf("downstream: %s (test=%d instances, few-shot=%d)\n", b.Key(), len(b.DS.Test), len(fewshot))
 
 	// Baseline: plain few-shot fine-tuning of the upstream model.
 	baseline := fineTune(upstream.Clone(), b.Kind, fewshot, seed)
 	baseScore := baseline.Evaluate(tasks.SpecFor(b.Kind), b.DS.Test, nil)
 
-	// KnowTrans: SKC + AKB.
-	kt := core.NewKnowTrans(upstream, patches, core.WithPlainOracle(oracle.New(seed)))
-	ad, err := kt.Transfer(context.Background(), b.Kind, fewshot, seed)
+	// KnowTrans: SKC + AKB, from the same few-shot sample (the zoo draws it
+	// from its seed).
+	ad, err := z.TransferDataset(context.Background(), b.Key(), eval.Size7B)
 	if err != nil {
 		panic(err)
 	}

@@ -188,7 +188,6 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 	// trace carry enough to reconstruct the fault schedule offline.
 	degrade := func(r *obs.Recorder, op string, err error) {
 		res.DegradedRounds++
-		r.Count("akb.oracle_errors", 1)
 		r.Count("akb.degraded_rounds", 1)
 		r.Event("akb.degraded", "op", op, "err", err.Error())
 	}
@@ -212,7 +211,6 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 	pool := []*tasks.Knowledge{nil}
 	genRec, genSpan := rec.StartSpan("akb.generation")
 	rec.Count("akb.oracle_calls", 1)
-	rec.Count("akb.oracle.generate", 1)
 	generated, err := oracle.Generate(ctx, GenerateRequest{
 		Kind:     kind,
 		Examples: demos,
@@ -320,7 +318,6 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 			fbRec, fbSpan := iterRec.StartSpan("akb.feedback")
 			fbSpan.SetAttr("errors", len(subset))
 			iterRec.Count("akb.oracle_calls", 1)
-			iterRec.Count("akb.oracle.feedback", 1)
 			fb, err := oracle.Feedback(ctx, FeedbackRequest{Kind: kind, Knowledge: best, Errors: subset})
 			if err != nil {
 				degrade(fbRec, "feedback", err)
@@ -334,7 +331,6 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 			res.Feedbacks = append(res.Feedbacks, fb)
 			refRec, refSpan := iterRec.StartSpan("akb.refinement")
 			iterRec.Count("akb.oracle_calls", 1)
-			iterRec.Count("akb.oracle.refine", 1)
 			refined, err := oracle.Refine(ctx, RefineRequest{
 				Kind:       kind,
 				Knowledge:  best,

@@ -1,11 +1,13 @@
 package akb
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/tasks"
 )
 
@@ -113,10 +115,29 @@ func TestSearchDegradesOnGenerateFailure(t *testing.T) {
 func TestSearchDegradesOnRefineFailure(t *testing.T) {
 	valid := percentInstances(20)
 	o := &flakyOracle{generated: []*tasks.Knowledge{{Text: "useless"}}, failRefine: true}
-	res := SearchFallible(context.Background(), fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(2))
+	var trace bytes.Buffer
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig(2)
+	cfg.Rec = obs.NewRecorder(reg, obs.NewTracer(&trace))
+	res := SearchFallible(context.Background(), fakePredictor{}, o, tasks.ED, valid, nil, cfg)
 	if res.DegradedRounds != o.refineCalls || res.DegradedRounds == 0 {
 		t.Fatalf("every failed refine should degrade: %d degraded, %d refine calls",
 			res.DegradedRounds, o.refineCalls)
+	}
+	// The telemetry owns up to each skipped round too: the counter, and one
+	// akb.degraded event carrying the error.
+	recs, err := obs.ReadTrace(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := 0
+	for _, r := range recs {
+		if r.Name == "akb.degraded" && r.Attrs["op"] == "refine" && r.Attrs["err"] != nil {
+			degraded++
+		}
+	}
+	if got := reg.Snapshot().Counters["akb.degraded_rounds"]; got != int64(res.DegradedRounds) || degraded != res.DegradedRounds {
+		t.Fatalf("akb.degraded_rounds = %d and %d akb.degraded events for %d degraded rounds", got, degraded, res.DegradedRounds)
 	}
 	// Feedback succeeded, so its text is still collected.
 	if len(res.Feedbacks) != o.feedbackCalls {
@@ -137,9 +158,15 @@ func TestSearchSanitizesMalformedCandidates(t *testing.T) {
 		},
 		failFeedback: true,
 	}
-	res := SearchFallible(context.Background(), fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(3))
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig(3)
+	cfg.Rec = obs.NewRecorder(reg, nil)
+	res := SearchFallible(context.Background(), fakePredictor{}, o, tasks.ED, valid, nil, cfg)
 	if res.Rejected != 2 {
 		t.Fatalf("expected 2 rejected candidates (nil + all-malformed), got %d", res.Rejected)
+	}
+	if got := reg.Snapshot().Counters["akb.candidates_rejected"]; got != 2 {
+		t.Fatalf("akb.candidates_rejected = %d, want 2", got)
 	}
 	if res.BestScore != 100 {
 		t.Fatalf("healthy candidate should still win, score %v", res.BestScore)

@@ -50,10 +50,20 @@ func TestSearchRecordsTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	byID := map[uint64]obs.SpanRecord{}
-	count := map[string]int{}
+	count, events := map[string]int{}, map[string]int{}
 	for _, r := range recs {
+		if r.IsEvent() {
+			events[r.Name]++
+			continue
+		}
 		byID[r.Span] = r
 		count[r.Name]++
+	}
+	// The decisions of the search ride the span timeline as events: every
+	// scored candidate, every feedback text and refinement batch, and the
+	// one final selection.
+	if events["akb.candidate"] == 0 || events["akb.feedback"] != o.refineCalls || events["akb.refined"] != o.refineCalls || events["akb.selected"] != 1 {
+		t.Errorf("events %v, want akb.candidate > 0, akb.feedback = akb.refined = %d refinements, one akb.selected", events, o.refineCalls)
 	}
 	if count["akb.search"] != 1 {
 		t.Fatalf("span counts: %v", count)

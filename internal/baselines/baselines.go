@@ -7,6 +7,8 @@
 package baselines
 
 import (
+	"fmt"
+
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/model"
@@ -14,17 +16,25 @@ import (
 	"repro/internal/tasks"
 )
 
-// Predictor answers instances of one downstream dataset.
+// Predictor answers instances of one downstream dataset, a slice at a time
+// and one answer per instance in order (the shape akb.Predictor and the
+// serving tier already have). Model-backed methods answer through the
+// backbone's batched forward; per-row methods through rowPredictor.
 type Predictor interface {
-	Predict(in *data.Instance) string
+	PredictBatch(ins []*data.Instance) []string
 }
 
-// BatchPredictor is the optional batched face of a Predictor: one call
-// answers a whole instance slice through the backbone's batched forward
-// pass. Answers must be identical to calling Predict per instance; the
-// returned slice may be scratch reused across calls.
-type BatchPredictor interface {
-	PredictBatch(ins []*data.Instance) []string
+// rowPredictor is the one row loop of the methods that answer an instance at
+// a time (the non-LLM learners, ICL's per-query retrieval, MELD's per-instance
+// gate): their predict method, as a Predictor.
+type rowPredictor func(in *data.Instance) string
+
+func (predict rowPredictor) PredictBatch(ins []*data.Instance) []string {
+	out := make([]string, len(ins))
+	for i, in := range ins {
+		out[i] = predict(in)
+	}
+	return out
 }
 
 // AdaptContext is everything a method may use to adapt: the dataset bundle
@@ -48,22 +58,16 @@ type Method interface {
 }
 
 // Evaluate runs a predictor over a test set with the task's metric. A
-// predictor that also implements BatchPredictor is scored through one
-// batched call (bit-identical answers, one forward per micro-batch instead
-// of one per instance); a wrong-length batch falls back to the serial loop.
+// predictor that answers a different number of rows than it was asked is a
+// bug in the method, not a score: it panics.
 func Evaluate(p Predictor, kind tasks.Kind, test []*data.Instance) float64 {
-	spec := tasks.SpecFor(kind)
-	metric := tasks.NewMetric(spec.Metric)
-	if bp, ok := p.(BatchPredictor); ok {
-		if got := bp.PredictBatch(test); len(got) == len(test) {
-			for i, g := range got {
-				metric.Add(g, test[i].GoldText())
-			}
-			return metric.Score()
-		}
+	metric := tasks.NewMetric(tasks.SpecFor(kind).Metric)
+	got := p.PredictBatch(test)
+	if len(got) != len(test) {
+		panic(fmt.Sprintf("baselines: predictor answered %d of %d instances", len(got), len(test)))
 	}
-	for _, in := range test {
-		metric.Add(p.Predict(in), in.GoldText())
+	for i, g := range got {
+		metric.Add(g, test[i].GoldText())
 	}
 	return metric.Score()
 }
@@ -76,12 +80,7 @@ type modelPredictor struct {
 	k    *tasks.Knowledge
 }
 
-func (p *modelPredictor) Predict(in *data.Instance) string {
-	return p.m.PredictWith(p.spec, in, p.k)
-}
-
-// PredictBatch answers the slice through the model's batched forward —
-// the BatchPredictor face Evaluate prefers.
+// PredictBatch answers the slice through the model's batched forward.
 func (p *modelPredictor) PredictBatch(ins []*data.Instance) []string {
 	return p.m.PredictBatchWith(p.spec, ins, p.k)
 }

@@ -40,8 +40,9 @@ func TestNonLLMAdaptAllTasks(t *testing.T) {
 			t.Fatalf("%s: score %v out of range", key, score)
 		}
 		// Every prediction must be a legal answer for its instance.
-		for _, in := range b.DS.Test[:10] {
-			got := pred.Predict(in)
+		head := b.DS.Test[:10]
+		for i, got := range pred.PredictBatch(head) {
+			in := head[i]
 			legal := false
 			for _, c := range in.Candidates {
 				if strings.EqualFold(c, got) {
@@ -63,7 +64,7 @@ func TestProfileDetectorFlagsMissing(t *testing.T) {
 		Target:     "ibu",
 		Candidates: []string{tasks.AnswerYes, tasks.AnswerNo},
 	}
-	if got := pred.Predict(in); got != tasks.AnswerYes {
+	if got := pred.PredictBatch([]*data.Instance{in}); len(got) != 1 || got[0] != tasks.AnswerYes {
 		t.Fatalf("missing value should be flagged, got %q", got)
 	}
 }
@@ -151,11 +152,28 @@ func TestMELDRoutesAndPredicts(t *testing.T) {
 
 func TestEvaluateUsesTaskMetric(t *testing.T) {
 	b := smallBundle("DI/Phone")
-	pred := constPredictor{tasks.AnswerNA}
+	pred := rowPredictor(constPredictor{tasks.AnswerNA}.Predict)
 	score := Evaluate(pred, b.Kind, b.DS.Test)
 	if score != 0 {
 		t.Fatalf("always-n/a imputer should score 0 accuracy, got %v", score)
 	}
+}
+
+// shortPredictor answers one row fewer than it was asked.
+type shortPredictor struct{}
+
+func (shortPredictor) PredictBatch(ins []*data.Instance) []string { return make([]string, len(ins)-1) }
+
+// TestEvaluatePanicsOnWrongLength: a predictor that loses a row is a bug in
+// the method; scoring what it did answer would report a number for it.
+func TestEvaluatePanicsOnWrongLength(t *testing.T) {
+	b := smallBundle("DI/Phone")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Evaluate scored a predictor that answered too few rows")
+		}
+	}()
+	Evaluate(shortPredictor{}, b.Kind, b.DS.Test)
 }
 
 func TestKNNImputerMemorizes(t *testing.T) {

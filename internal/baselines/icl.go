@@ -93,6 +93,11 @@ func (p *iclPredictor) neighbors(in *data.Instance) []neighbor {
 	return ns
 }
 
+// PredictBatch implements Predictor, a row at a time: retrieval is per query.
+func (p *iclPredictor) PredictBatch(ins []*data.Instance) []string {
+	return rowPredictor(p.Predict).PredictBatch(ins)
+}
+
 // Predict builds the demonstration-augmented prompt and combines model
 // scores with similarity-weighted neighbor votes.
 func (p *iclPredictor) Predict(in *data.Instance) string {

@@ -200,7 +200,13 @@ func (p *meldPredictor) route(in *data.Instance) {
 	}
 }
 
-// Predict implements Predictor.
+// PredictBatch implements Predictor, a row at a time: the gate is set per
+// instance.
+func (p *meldPredictor) PredictBatch(ins []*data.Instance) []string {
+	return rowPredictor(p.Predict).PredictBatch(ins)
+}
+
+// Predict routes one instance and answers it under that gate.
 func (p *meldPredictor) Predict(in *data.Instance) string {
 	p.route(in)
 	return p.m.PredictWith(p.spec, in, nil)

@@ -26,19 +26,19 @@ func (NonLLM) Name() string { return "Non-LLM" }
 func (NonLLM) Adapt(ctx *AdaptContext) Predictor {
 	switch ctx.Bundle.Kind {
 	case tasks.ED:
-		return newProfileDetector(ctx.FewShot)
+		return rowPredictor(newProfileDetector(ctx.FewShot).Predict)
 	case tasks.DC:
-		return newMemoCorrector(ctx.FewShot)
+		return rowPredictor(newMemoCorrector(ctx.FewShot).Predict)
 	case tasks.EM, tasks.SM:
-		return newLogReg(ctx.Bundle.Kind, ctx.FewShot, ctx.Seed)
+		return rowPredictor(newLogReg(ctx.Bundle.Kind, ctx.FewShot, ctx.Seed).Predict)
 	case tasks.DI:
-		return newKNNImputer(ctx.FewShot)
+		return rowPredictor(newKNNImputer(ctx.FewShot).Predict)
 	case tasks.CTA:
-		return newCentroidTyper(ctx.FewShot)
+		return rowPredictor(newCentroidTyper(ctx.FewShot).Predict)
 	case tasks.AVE:
-		return newVocabTagger(ctx.FewShot)
+		return rowPredictor(newVocabTagger(ctx.FewShot).Predict)
 	default:
-		return constPredictor{tasks.AnswerNo}
+		return rowPredictor(constPredictor{tasks.AnswerNo}.Predict)
 	}
 }
 

@@ -44,7 +44,7 @@ func (r *Router) probeLoop(b *backendState, seed int64) {
 
 // probe runs one /readyz round trip and applies the verdict.
 func (r *Router) probe(b *backendState) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	var rr serve.ReadyResponse
 	ok := r.roundTrip(ctx, b, nil, http.MethodGet, "/readyz", nil, &rr) == nil && rr.OK
@@ -53,18 +53,14 @@ func (r *Router) probe(b *backendState) {
 		b.probeFails = 0
 		if !b.healthy.Swap(true) {
 			r.rejoins.Add(1)
-			r.rec.Count("cluster.rejoins", 1)
 			r.rec.SetGauge("cluster.backend_healthy/"+b.url, 1)
-			r.rec.Event("cluster.rejoin", "backend", b.url)
 		}
 	} else {
 		b.probeFails++
 		if b.probeFails >= failThreshold && b.healthy.Swap(false) {
-			b.ejections.Add(1)
 			r.ejections.Add(1)
 			r.rec.Count("cluster.ejections", 1)
 			r.rec.SetGauge("cluster.backend_healthy/"+b.url, 0)
-			r.rec.Event("cluster.eject", "backend", b.url, "probe_fails", b.probeFails)
 		}
 	}
 	healthy := 0

@@ -26,23 +26,13 @@ type Options struct {
 	// replicas, default 2, clamped to len(Backends)). Replicas are the
 	// hedging/failover targets and the takeover set when the primary dies.
 	Replication int
-	// WarmReplicas budgets how many owners one Warm call fans to, in
-	// attempt order (healthy first): enough pre-warmed replicas to survive
-	// a primary death without paying every owner's Transfer up front.
-	// Default 2, clamped to Replication; negative warms every owner (the
-	// old unbounded behavior).
-	WarmReplicas int
 	// ProbeInterval is the base period between /readyz probes per backend
-	// (default 500ms); ProbeTimeout bounds one probe (default 2s).
+	// (default 500ms).
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// HedgeDelay fixes the backup-request delay. Default 0: derive it per
 	// request from the observed p95 router latency, clamped to
 	// [hedgeMin, hedgeMax]. Negative disables hedging.
 	HedgeDelay time.Duration
-	// BreakerThreshold is the run of failed calls that trips a backend's
-	// breaker (default 5; <0 disables).
-	BreakerThreshold int
 	// Seed drives probe jitter; same seed, same probe schedule.
 	Seed int64
 	// Rec threads observability through the router. Nil disables it.
@@ -59,7 +49,9 @@ const (
 	hedgeMax        = time.Second
 	retryBudget     = 2                // extra attempts (hedges + failovers) per request: at most 1+retryBudget backend calls
 	attemptTimeout  = 60 * time.Second // one backend HTTP call
-	breakerCooldown = 8                // calls an open breaker short-circuits before a trial
+	breakerCooldown = 8                // calls an open breaker counts off before a trial (resilience.BreakerConfig.Cooldown)
+	warmReplicas    = 2                // owners one Warm call fans to, in attempt order: enough to survive a primary death without paying every owner's Transfer
+	probeTimeout    = 2 * time.Second  // one /readyz probe, and one Snapshot fan-out
 	latRefreshEvery = 32               // latencies between recomputations of the hedge delay's p95
 )
 
@@ -72,42 +64,25 @@ func (o Options) WithDefaults() Options {
 	if len(o.Backends) > 0 && o.Replication > len(o.Backends) {
 		o.Replication = len(o.Backends)
 	}
-	if o.WarmReplicas == 0 {
-		o.WarmReplicas = 2
-	}
-	if o.WarmReplicas > o.Replication {
-		o.WarmReplicas = o.Replication
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 500 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
 	}
 	return o
 }
 
 // backendState is everything the router tracks per backend: membership
 // (healthy flag driven by the probe loop), a circuit breaker fed by real
-// request outcomes, and counters for the per-backend QPS/gauge surface.
+// request outcomes, and the counters Stats reports.
 type backendState struct {
 	url     string
 	breaker *resilience.Breaker
-	// Series names touched per round trip, built once: the nil-safe
-	// Recorder still evaluates its arguments.
-	requestsSeries, inflightSeries string
 
 	healthy    atomic.Bool
 	probeFails int // owned by the probe loop goroutine
 
-	requests  atomic.Int64
-	failures  atomic.Int64
-	inflight  atomic.Int64
-	resident  atomic.Int64 // last /readyz resident reading
-	ejections atomic.Int64
+	requests atomic.Int64
+	failures atomic.Int64
+	resident atomic.Int64 // last /readyz resident reading
 }
 
 // Router consistent-hashes adapter keys onto the backend fleet and speaks
@@ -164,14 +139,9 @@ func New(opts Options) (*Router, error) {
 		r.client = &http.Client{Timeout: attemptTimeout}
 	}
 	for _, u := range opts.Backends {
-		b := &backendState{
-			url:            u,
-			requestsSeries: "cluster.backend_requests/" + u,
-			inflightSeries: "cluster.backend_inflight/" + u,
-		}
+		b := &backendState{url: u}
 		b.breaker = resilience.NewBreaker(resilience.BreakerConfig{
-			Threshold: opts.BreakerThreshold,
-			Cooldown:  breakerCooldown,
+			Cooldown: breakerCooldown,
 			OnState: func(s resilience.State) {
 				r.rec.SetGauge("cluster.breaker_state/"+u, float64(s))
 			},
@@ -187,7 +157,6 @@ func New(opts Options) (*Router, error) {
 		r.wg.Add(1)
 		go r.probeLoop(b, opts.Seed+int64(i))
 	}
-	r.rec.SetGauge("cluster.backends", float64(len(r.order)))
 	r.rec.SetGauge("cluster.backends_healthy", float64(len(r.order)))
 	return r, nil
 }
@@ -261,27 +230,20 @@ func (r *Router) Predict(ctx context.Context, key string, in *data.Instance) (st
 	}
 	delay := r.hedgeDelay()
 	r.requests.Add(1)
-	r.rec.Count("cluster.requests", 1)
 	start := time.Now()
-	res, out, err := resilience.Hedge(ctx, len(cands), resilience.HedgeOptions{Delay: delay},
+	res, out, err := resilience.Hedge(ctx, len(cands), delay,
 		func(actx context.Context, i int) (serve.PredictResponse, error) {
 			return r.predictOn(actx, cands[i], key, in)
 		})
 	r.lat.add(float64(time.Since(start).Microseconds()))
 	if out.Hedges > 0 {
 		r.hedges.Add(int64(out.Hedges))
-		r.rec.Count("cluster.hedges", int64(out.Hedges))
 	}
 	if out.Failovers > 0 {
 		r.failovers.Add(int64(out.Failovers))
-		r.rec.Count("cluster.failovers", int64(out.Failovers))
 	}
 	if err != nil {
-		r.rec.Count("cluster.request_errors", 1)
 		return "", false, err
-	}
-	if out.Winner > 0 {
-		r.rec.Count("cluster.secondary_wins", 1)
 	}
 	return res.Answer, res.Cold, nil
 }
@@ -293,7 +255,6 @@ func (r *Router) Predict(ctx context.Context, key string, in *data.Instance) (st
 func (r *Router) predictOn(ctx context.Context, b *backendState, key string, in *data.Instance) (serve.PredictResponse, error) {
 	var pr serve.PredictResponse
 	if err := b.breaker.Allow(); err != nil {
-		r.rec.Count("cluster.breaker_rejected", 1)
 		return pr, fmt.Errorf("cluster: backend %s: %w", b.url, err)
 	}
 	var span *obs.Span
@@ -320,8 +281,8 @@ func (r *Router) roundTrip(ctx context.Context, b *backendState, span *obs.Span,
 }
 
 // call is one round trip of request traffic — predict, warm, evict,
-// snapshot — inside the per-backend request, inflight and latency accounts,
-// and the only place a breaker verdict is decided:
+// snapshot — inside the per-backend request and failure accounts, and the
+// only place a breaker verdict is decided:
 //
 //	answered, or refused for good (400, 404, any non-retryable status):
 //	    the backend is fine — Success; a refusal is Terminal, since every
@@ -336,12 +297,7 @@ func (r *Router) roundTrip(ctx context.Context, b *backendState, span *obs.Span,
 // still gets shed, and probes do not pass for traffic in the accounts.
 func (r *Router) call(ctx context.Context, b *backendState, span *obs.Span, method, path string, in, out any) error {
 	b.requests.Add(1)
-	r.rec.Count(b.requestsSeries, 1)
-	r.rec.SetGauge(b.inflightSeries, float64(b.inflight.Add(1)))
-	t0 := time.Now()
 	err := r.roundTrip(ctx, b, span, method, path, in, out)
-	r.rec.SetGauge(b.inflightSeries, float64(b.inflight.Add(-1)))
-	r.rec.Observe("cluster.attempt_us", float64(time.Since(t0).Microseconds()), nil)
 	if err == nil {
 		b.breaker.Success()
 		return nil
@@ -359,7 +315,6 @@ func (r *Router) call(ctx context.Context, b *backendState, span *obs.Span, meth
 	}
 	b.breaker.Failure()
 	b.failures.Add(1)
-	r.rec.Count("cluster.backend_failures/"+b.url, 1)
 	if span != nil {
 		span.SetAttr("error", true)
 	}
@@ -367,7 +322,7 @@ func (r *Router) call(ctx context.Context, b *backendState, span *obs.Span, meth
 }
 
 // Warm implements serve.Resolver by fanning the warm out to the key's
-// owners under the WarmReplicas budget — replicas must be warm too, or the
+// owners under the warmReplicas budget — replicas must be warm too, or the
 // first hedge/failover after a primary death pays a cold start at the
 // worst possible moment, but warming *every* owner of a wide replication
 // factor just multiplies Transfer cost for owners that may never be
@@ -376,7 +331,7 @@ func (r *Router) call(ctx context.Context, b *backendState, span *obs.Span, meth
 // reported if any warmed owner was cold; the first error is returned only
 // when no owner succeeded.
 func (r *Router) Warm(ctx context.Context, key string) (bool, error) {
-	cands, err := r.targets(key, r.opts.WarmReplicas)
+	cands, err := r.targets(key, warmReplicas)
 	if err != nil {
 		return false, err
 	}
@@ -436,7 +391,7 @@ func (r *Router) Evict(ctx context.Context, key string) (bool, error) {
 // snapshot, counters summed per key (a key resident on two replicas counts
 // both backends' traffic).
 func (r *Router) Snapshot() []serve.KeyStats {
-	ctx, cancel := context.WithTimeout(context.Background(), r.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	merged := map[string]*serve.KeyStats{}
 	var mu sync.Mutex
@@ -584,7 +539,5 @@ func (r *Router) hedgeDelay() time.Duration {
 	if p95 <= 0 {
 		return hedgeMax
 	}
-	d := min(max(time.Duration(p95)*time.Microsecond, hedgeMin), hedgeMax)
-	r.rec.SetGauge("cluster.hedge_delay_us", float64(d.Microseconds()))
-	return d
+	return min(max(time.Duration(p95)*time.Microsecond, hedgeMin), hedgeMax)
 }

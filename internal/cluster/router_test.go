@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -46,7 +47,6 @@ func testOptions(backends []string) Options {
 		Backends:      backends,
 		Replication:   2,
 		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 		HedgeDelay:    -1, // hedging off by default; tests opt in
 		Seed:          1,
 	}
@@ -328,7 +328,12 @@ func TestRouterDrainEjectsViaReadyz(t *testing.T) {
 
 	opts := testOptions([]string{draining.URL, other.URL})
 	opts.ProbeInterval = 20 * time.Millisecond
+	metrics := obs.NewRegistry()
+	opts.Rec = obs.NewRecorder(metrics, nil)
 	r := newTestRouter(t, opts)
+	if g := metrics.Snapshot().Gauges; g["cluster.backends_healthy"] != 2 || g["cluster.backend_healthy/"+draining.URL] != 1 {
+		t.Fatalf("a new router's health gauges = %v, want both backends healthy", g)
+	}
 
 	s.StartDrain()
 	deadline := time.Now().Add(10 * time.Second)
@@ -337,6 +342,20 @@ func TestRouterDrainEjectsViaReadyz(t *testing.T) {
 			t.Fatal("draining backend never left the rotation")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	// What an operator alerts on says the same as Stats. The ejecting probe
+	// publishes cluster.backends_healthy last, after Healthy flips.
+	for metrics.Snapshot().Gauges["cluster.backends_healthy"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("cluster.backends_healthy never dropped to 1")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	snap := metrics.Snapshot()
+	if snap.Counters["cluster.ejections"] != 1 || snap.Gauges["cluster.backend_healthy/"+draining.URL] != 0 ||
+		snap.Gauges["cluster.backend_healthy/"+other.URL] != 1 {
+		t.Fatalf("after the ejection: counters %v gauges %v; want cluster.ejections 1 and only the drained backend unhealthy",
+			snap.Counters, snap.Gauges)
 	}
 	// Its keys are served by the survivor without failover noise.
 	key := keyOwnedBy(t, r, draining.URL)
@@ -364,8 +383,8 @@ func residentCount(regs []*serve.Registry, key string) int {
 }
 
 // TestWarmReplicasBudget is the regression test for the unbounded-warm fix:
-// Warm must fan to exactly WarmReplicas owners, not all of them, and a
-// negative budget restores the warm-everything behavior.
+// Warm must fan to exactly warmReplicas owners, not all of them, and to
+// every owner when there are fewer.
 func TestWarmReplicasBudget(t *testing.T) {
 	var urls []string
 	var regs []*serve.Registry
@@ -376,28 +395,26 @@ func TestWarmReplicasBudget(t *testing.T) {
 	}
 
 	cases := []struct {
-		name         string
-		warmReplicas int
-		want         int
+		name        string
+		replication int
+		want        int
 	}{
-		{"budget below replication", 2, 2},
-		{"default budget", 0, 2}, // withDefaults: 2
-		{"unbounded", -1, 3},     // every owner
-		{"budget above replication clamps", 5, 3},
+		{"budget below replication", 3, warmReplicas},
+		{"default budget", 0, warmReplicas}, // WithDefaults: replication 2, both owners
+		{"budget above replication clamps", 1, 1},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := testOptions(urls)
-			opts.Replication = 3
-			opts.WarmReplicas = tc.warmReplicas
+			opts.Replication = tc.replication
 			r := newTestRouter(t, opts)
 			key := fmt.Sprintf("EM/warm-budget-%d", i)
 			if _, err := r.Warm(context.Background(), key); err != nil {
 				t.Fatalf("Warm: %v", err)
 			}
 			if got := residentCount(regs, key); got != tc.want {
-				t.Fatalf("key resident on %d backends, want %d (WarmReplicas=%d, Replication=3)",
-					got, tc.want, tc.warmReplicas)
+				t.Fatalf("key resident on %d backends, want %d (warmReplicas=%d, Replication=%d)",
+					got, tc.want, warmReplicas, tc.replication)
 			}
 		})
 	}
@@ -416,12 +433,14 @@ func TestRouterEvictFansToOwners(t *testing.T) {
 	}
 	opts := testOptions(urls)
 	opts.Replication = 3
-	opts.WarmReplicas = -1 // warm all owners so the evict has work everywhere
 	r := newTestRouter(t, opts)
 
+	// Every owner holds the key, the third one past Warm's budget.
 	const key = "EM/evict-me"
-	if _, err := r.Warm(context.Background(), key); err != nil {
-		t.Fatal(err)
+	for _, reg := range regs {
+		if _, err := reg.Warm(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := residentCount(regs, key); got != 3 {
 		t.Fatalf("warm landed on %d backends, want 3", got)

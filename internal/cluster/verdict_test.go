@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/serve"
 )
@@ -104,7 +105,7 @@ var ops = []struct {
 // call trips it, a cleared call leaves it closed even after one more
 // failure (the run was reset), an unjudged call lets that failure trip it.
 func TestCallVerdict(t *testing.T) {
-	const threshold = 3
+	const threshold = 5 // resilience's breakerThreshold
 	type tc struct {
 		name     string
 		script   script
@@ -150,9 +151,7 @@ func TestCallVerdict(t *testing.T) {
 		for _, c := range cases {
 			t.Run(op.name+"/"+c.name, func(t *testing.T) {
 				b := scriptedBackend(t)
-				opts := testOptions([]string{b.url})
-				opts.BreakerThreshold = threshold
-				r := newTestRouter(t, opts)
+				r := newTestRouter(t, testOptions([]string{b.url}))
 				state := func() BackendStat { return r.Stats().Backends[0] }
 
 				b.set(script{status: 500, body: envelopeBody(500)})
@@ -213,12 +212,15 @@ func TestCallVerdict(t *testing.T) {
 
 // TestGarbage200TripsBreaker: a backend that answers 200 with a truncated
 // body is failing, and consecutive such answers must trip its breaker at
-// BreakerThreshold. (Before the single verdict each one was a Success
+// the threshold of 5. (Before the single verdict each one was a Success
 // followed by a failure note, so the run never got past 1.)
 func TestGarbage200TripsBreaker(t *testing.T) {
 	b := scriptedBackend(t)
 	b.set(script{status: 200, body: `{"adapter":"EM/verdict","answ`})
-	r := newTestRouter(t, testOptions([]string{b.url})) // default threshold 5
+	metrics := obs.NewRegistry()
+	opts := testOptions([]string{b.url})
+	opts.Rec = obs.NewRecorder(metrics, nil)
+	r := newTestRouter(t, opts)
 	for i := 1; i <= 5; i++ {
 		if err := ops[0].do(context.Background(), r); err == nil {
 			t.Fatal("a truncated 200 was accepted as an answer")
@@ -231,6 +233,10 @@ func TestGarbage200TripsBreaker(t *testing.T) {
 			t.Fatalf("after %d garbage answers: %d failures, breaker %s; want %d, %s", i, s.Failures, s.Breaker, i, want)
 		}
 	}
+	snap := metrics.Snapshot()
+	if snap.Counters["cluster.breaker_trips"] != 1 || snap.Gauges["cluster.breaker_state/"+b.url] != float64(resilience.StateOpen) {
+		t.Fatalf("counters %v gauges %v; want cluster.breaker_trips 1 and the backend's cluster.breaker_state open", snap.Counters, snap.Gauges)
+	}
 }
 
 // TestProbesLeaveTheBreakerAlone: membership and the breaker are separate
@@ -241,9 +247,8 @@ func TestProbesLeaveTheBreakerAlone(t *testing.T) {
 	b.set(script{status: 500, body: envelopeBody(500)})
 	opts := testOptions([]string{b.url})
 	opts.ProbeInterval = 2 * time.Millisecond
-	opts.BreakerThreshold = 3
 	r := newTestRouter(t, opts)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		ops[0].do(context.Background(), r)
 		// Let a few green probes land before the next failure.
 		before := b.probes.Load()
@@ -254,7 +259,7 @@ func TestProbesLeaveTheBreakerAlone(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if s := r.Stats().Backends[0]; s.Breaker != "open" || !s.Healthy || s.Requests != 3 {
-		t.Fatalf("stats = %+v, want 3 requests and an open breaker on a backend the probes call healthy", s)
+	if s := r.Stats().Backends[0]; s.Breaker != "open" || !s.Healthy || s.Requests != 5 {
+		t.Fatalf("stats = %+v, want 5 requests and an open breaker on a backend the probes call healthy", s)
 	}
 }

@@ -5,9 +5,11 @@
 //
 // Typical use:
 //
-//	kt := core.NewKnowTrans(upstreamModel, patchLibrary,
-//		core.WithPlainOracle(oracle.New(seed)), // the simulated GPT-4o
-//	)
+//	kt := &core.KnowTrans{
+//		Upstream: upstreamModel, Patches: patchLibrary,
+//		UseSKC: true, UseAKB: true,
+//		Oracle: oracle.New(seed), // the simulated GPT-4o
+//	}
 //	ad, err := kt.Transfer(ctx, tasks.EM, fewshot, seed)
 //	...
 //	answer := ad.Predict(ctx, instance)
@@ -29,8 +31,10 @@ import (
 	"repro/internal/tasks"
 )
 
-// KnowTrans configures the framework. UseSKC/UseAKB are the ablation
-// switches of Table V; both default to on via NewKnowTrans.
+// KnowTrans configures the framework: a struct literal is the one way to
+// build it (eval.Zoo's knowTrans is the one site outside tests and examples).
+// UseSKC/UseAKB are the ablation switches of Table V; the full framework
+// sets both.
 type KnowTrans struct {
 	Upstream *model.Model
 	Patches  []*skc.NamedSnapshot
@@ -41,39 +45,19 @@ type KnowTrans struct {
 	UseSKC bool
 	UseAKB bool
 
+	// Oracle is what the AKB search consults: an infallible in-process one
+	// (the simulated GPT of internal/oracle, or a test stub). Transfer lifts
+	// it into the akb.FallibleOracle seam per seed (OracleChain) — through
+	// the injector/resilience chain when Faults is set, through the thin
+	// akb.AsFallible adapter otherwise. Required when UseAKB is set.
+	Oracle akb.Oracle
+	// Faults, when non-nil, arms seeded chaos injection on the oracle path.
+	Faults *faults.Config
+
 	// Rec, when non-nil, wraps every Transfer in a root span and threads
 	// observability down into the SKC and AKB stages (overriding any
 	// Rec already set on kt.SKC / kt.AKB so the spans nest correctly).
 	Rec *obs.Recorder
-
-	// plain and chaosSpec back the WithPlainOracle/WithFaults options:
-	// Transfer builds the per-seed oracle chain (OracleChain) from them.
-	plain     akb.Oracle
-	chaosSpec *faults.Config
-}
-
-// NewKnowTrans returns a fully enabled framework with paper defaults,
-// customized by functional options — the one construction path serve, the
-// experiment harness, and the CLI all share:
-//
-//	kt := core.NewKnowTrans(upstream, patches,
-//		core.WithPlainOracle(oracle.New(seed)),
-//		core.WithRecorder(rec),
-//		core.WithFaults(chaosSpec), // nil disarms
-//	)
-func NewKnowTrans(upstream *model.Model, patches []*skc.NamedSnapshot, opts ...Option) *KnowTrans {
-	kt := &KnowTrans{
-		Upstream: upstream,
-		Patches:  patches,
-		UseSKC:   true,
-		UseAKB:   true,
-	}
-	for _, o := range opts {
-		if o != nil {
-			o(kt)
-		}
-	}
-	return kt
 }
 
 // OracleChain wraps a plain in-process oracle for the error-aware search
@@ -102,15 +86,6 @@ func OracleChain(g akb.Oracle, spec *faults.Config, cellSeed int64, rec *obs.Rec
 		CallTimeout: -1,
 		Rec:         rec,
 	})
-}
-
-// resolveOracle lifts the plain oracle through OracleChain (which also arms
-// the chaos chain when WithFaults set a spec).
-func (kt *KnowTrans) resolveOracle(seed int64, rec *obs.Recorder) (akb.FallibleOracle, error) {
-	if kt.plain == nil {
-		return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
-	}
-	return OracleChain(kt.plain, kt.chaosSpec, seed, rec), nil
 }
 
 // Adapted is a model transferred to one downstream dataset: the fine-tuned
@@ -153,12 +128,7 @@ func (a *Adapted) PredictBatch(ctx context.Context, ins []*data.Instance) []stri
 // context.Background().
 type Detached struct{ *Adapted }
 
-// Predict satisfies the harness's context-free Predictor interface.
-func (d Detached) Predict(in *data.Instance) string {
-	return d.Adapted.Predict(context.Background(), in)
-}
-
-// PredictBatch satisfies the harness's context-free batched face, so
+// PredictBatch satisfies the harness's context-free Predictor interface, so
 // experiment eval loops score adapted models a slice at a time.
 func (d Detached) PredictBatch(ins []*data.Instance) []string {
 	return d.Adapted.PredictBatch(context.Background(), ins)
@@ -198,7 +168,6 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 	span.SetAttr("kind", string(kind))
 	span.SetAttr("fewshot", len(fewshot))
 	span.SetAttr("seed", seed)
-	rec.Count("core.transfers", 1)
 	ad := &Adapted{Kind: kind}
 	examples := model.ExamplesFrom(kind, fewshot, nil)
 
@@ -214,7 +183,6 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		}
 		ad.Model, ad.Fusion = tr.Model, tr.Fusion
 	} else {
-		_, ftSpan := rec.StartSpan("core.plain_ft")
 		m := kt.Upstream.Clone()
 		tc := model.DefaultTrain(seed)
 		tc.Epochs = 6
@@ -225,16 +193,14 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		ps := m.Params()
 		model.Train(m, examples, tc, &ps)
 		ad.Model = m
-		ftSpan.End()
 	}
 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: transfer: %w", err)
 	}
 	if kt.UseAKB {
-		fo, err := kt.resolveOracle(seed, rec)
-		if err != nil {
-			return nil, err
+		if kt.Oracle == nil {
+			return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
 		}
 		// SearchFallible normalizes the config (unset fields get the paper
 		// defaults, caller-set fields survive).
@@ -243,7 +209,7 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		if rec != nil {
 			cfg.Rec = rec
 		}
-		res := akb.SearchFallible(ctx, ad.Model, fo, kind, fewshot, nil, cfg)
+		res := akb.SearchFallible(ctx, ad.Model, OracleChain(kt.Oracle, kt.Faults, seed, rec), kind, fewshot, nil, cfg)
 		ad.Knowledge, ad.AKBResult = res.Best, res
 	}
 	return ad, nil

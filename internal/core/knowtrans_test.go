@@ -51,13 +51,14 @@ func testUpstream() (*model.Model, []*skc.NamedSnapshot) {
 func TestTransferFullPipeline(t *testing.T) {
 	upstream, snaps := testUpstream()
 	rng := rand.New(rand.NewSource(5))
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{
-		Rules: []tasks.Rule{{
-			Cond:   tasks.Condition{Pred: tasks.PredFormat, Arg: tasks.FormatPercent},
-			Answer: tasks.Answer{Literal: tasks.AnswerYes},
-			Weight: 1,
-		}},
-	}}))
+	kt := &KnowTrans{Upstream: upstream, Patches: snaps, UseSKC: true, UseAKB: true,
+		Oracle: fixedOracle{k: &tasks.Knowledge{
+			Rules: []tasks.Rule{{
+				Cond:   tasks.Condition{Pred: tasks.PredFormat, Arg: tasks.FormatPercent},
+				Answer: tasks.Answer{Literal: tasks.AnswerYes},
+				Weight: 1,
+			}},
+		}}}
 	ad, err := kt.Transfer(context.Background(), tasks.ED, percentED(rng, 20), 6)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestTransferAblations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	fewshot := percentED(rng, 20)
 
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{}}), WithSKC(false))
+	kt := &KnowTrans{Upstream: upstream, Patches: snaps, UseAKB: true, Oracle: fixedOracle{k: &tasks.Knowledge{}}}
 	ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestTransferAblations(t *testing.T) {
 		t.Fatal("w/o SKC still runs AKB")
 	}
 
-	kt2 := NewKnowTrans(upstream, snaps, WithAKB(false))
+	kt2 := &KnowTrans{Upstream: upstream, Patches: snaps, UseSKC: true}
 	ad2, err := kt2.Transfer(context.Background(), tasks.ED, fewshot, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +117,11 @@ func TestTransferAblations(t *testing.T) {
 
 func TestTransferErrors(t *testing.T) {
 	upstream, snaps := testUpstream()
-	kt := NewKnowTrans(upstream, snaps)
+	kt := &KnowTrans{Upstream: upstream, Patches: snaps, UseSKC: true, UseAKB: true} // oracle nil
 	if _, err := kt.Transfer(context.Background(), tasks.ED, nil, 1); err == nil {
 		t.Fatal("empty few-shot must error")
 	}
 	rng := rand.New(rand.NewSource(10))
-	kt.UseAKB = true // oracle nil
 	if _, err := kt.Transfer(context.Background(), tasks.ED, percentED(rng, 5), 1); err == nil {
 		t.Fatal("AKB without oracle must error")
 	}
@@ -131,7 +131,7 @@ func TestTransferLeavesUpstreamUntouched(t *testing.T) {
 	upstream, snaps := testUpstream()
 	before := upstream.Export()
 	rng := rand.New(rand.NewSource(11))
-	kt := NewKnowTrans(upstream, snaps, WithPlainOracle(fixedOracle{k: &tasks.Knowledge{}}))
+	kt := &KnowTrans{Upstream: upstream, Patches: snaps, UseSKC: true, UseAKB: true, Oracle: fixedOracle{k: &tasks.Knowledge{}}}
 	if _, err := kt.Transfer(context.Background(), tasks.ED, percentED(rng, 20), 12); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/akb"
 	"repro/internal/baselines"
 	"repro/internal/obs"
-	"repro/internal/oracle"
 	"repro/internal/tasks"
 )
 
@@ -145,7 +144,7 @@ func runAblateOracle(z *Zoo, reps int) *Table {
 						col  string
 						temp float64
 					}{{"temp-0", 0}, {"temp-0.9", 0.9}} {
-						res := z.searchAKB(ad.Model, oracle.NewWithTemperature(ctx.Seed+771, v.temp),
+						res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, v.temp),
 							b.Kind, fewshot, nil, akb.DefaultConfig(ctx.Seed), ctx.Seed, rec)
 						cells[v.col] += akb.Evaluate(ad.Model, spec, b.DS.Test, res.Best)
 					}

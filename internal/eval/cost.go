@@ -69,10 +69,10 @@ func runTable3(z *Zoo, _ int) *Table {
 	ktPred := pred.(interface{ SearchedKnowledge() *tasks.Knowledge })
 	spec := tasks.SpecFor(b.Kind)
 	var inSum, outSum int
-	for _, in := range sample {
-		ex := tasks.BuildExample(spec, in, ktPred.SearchedKnowledge())
+	for i, ans := range pred.PredictBatch(sample) {
+		ex := tasks.BuildExample(spec, sample[i], ktPred.SearchedKnowledge())
 		inSum += text.CountTokens(ex.Prompt)
-		outSum += text.CountTokens(pred.Predict(in))
+		outSum += text.CountTokens(ans)
 	}
 	addCostRow(t, MethodKnowTrans, inSum, outSum, len(sample))
 	return t

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/datagen"
@@ -61,20 +60,13 @@ func repSeed(z *Zoo, key string, rep int) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-// observeCell records the wall time of one experiment cell repetition (one
-// method adapted and evaluated on one dataset) in the shared histogram and
-// a per-method one, the raw data of Table III's latency column.
-func observeCell(rec *obs.Recorder, method string, start time.Time) {
-	rec.ObserveSince("eval.cell_us", start)
-	rec.ObserveSince("eval.cell_us/"+method, start)
-}
-
 // methodCell builds the pool job for one (dataset, column) table cell:
 // construct the method, adapt and score it reps times on per-repetition
 // few-shot samples, return the mean. key is the cell's content-addressed
 // seed-stream key (see cellKey) — derived from names, never from execution
 // order, which is what makes the worker schedule irrelevant to the result.
-// obsName labels the per-method latency histogram (usually the column name;
+// obsName labels the per-method latency histogram eval.cell_us/<method> — the
+// wall time of one repetition, adapt plus evaluate (usually the column name;
 // Fig. 4 uses the method name across budget columns).
 func methodCell(z *Zoo, b *datagen.Bundle, key, obsName string, reps, fewshotN int, build func() baselines.Method) cellJob[float64] {
 	return cellJob[float64]{
@@ -92,7 +84,7 @@ func methodCell(z *Zoo, b *datagen.Bundle, key, obsName string, reps, fewshotN i
 					Rec:     rec,
 				})
 				sum += baselines.Evaluate(pred, b.Kind, b.DS.Test)
-				observeCell(rec, obsName, start)
+				rec.ObserveSince("eval.cell_us/"+obsName, start)
 			}
 			return sum / float64(reps)
 		},

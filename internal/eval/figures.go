@@ -165,7 +165,7 @@ func runFig7(z *Zoo, reps int) *Table {
 					}
 					cfg := akb.DefaultConfig(ctx.Seed)
 					cfg.Iterations = rounds
-					res := z.searchAKB(ad.Model, oracle.New(ctx.Seed+771), b.Kind, valHalf, probe, cfg, ctx.Seed, rec)
+					res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, oracle.PaperTemperature), b.Kind, valHalf, probe, cfg, ctx.Seed, rec)
 					last := akb.Step{TestScore: -1}
 					for r := 0; r < rounds; r++ {
 						step := last

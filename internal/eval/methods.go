@@ -117,20 +117,32 @@ func (z *Zoo) AdaptKnowTrans(ctx *baselines.AdaptContext, size Size, useSKC, use
 	return kt.Transfer(context.Background(), ctx.Bundle.Kind, ctx.FewShot, ctx.Seed)
 }
 
+// Oracle returns the simulated GPT one AKB search consults, seeded from the
+// search's cell seed. Every search the harness runs — a full Transfer, Fig. 7's
+// round sweep, the oracle ablation — and every example built on a zoo gets its
+// oracle here, so one (seed, dataset) meets one oracle stream on every path.
+// The offset keeps that stream apart from the few-shot sampler's, which is
+// seeded with the bare cell seed.
+func (z *Zoo) Oracle(cellSeed int64, temperature float64) *oracle.GPT {
+	return oracle.NewWithTemperature(cellSeed+771, temperature)
+}
+
 // knowTrans is the one place the zoo's artifacts become a core.KnowTrans:
 // the experiment grid (ktMethod.Adapt, AdaptKnowTrans), the serving layer and
 // the CLI (TransferDataset) all adapt through it, so one (seed, dataset)
 // gives one adapter on every path. A nil rec means the zoo's recorder.
-func (z *Zoo) knowTrans(backbone *model.Model, size Size, oracleSeed int64, rec *obs.Recorder, useSKC, useAKB bool, strategy lora.WeightStrategy) *core.KnowTrans {
+func (z *Zoo) knowTrans(backbone *model.Model, size Size, cellSeed int64, rec *obs.Recorder, useSKC, useAKB bool, strategy lora.WeightStrategy) *core.KnowTrans {
 	if rec == nil {
 		rec = z.Rec
 	}
-	return core.NewKnowTrans(backbone, z.Patches(size),
-		core.WithPlainOracle(oracle.New(oracleSeed+771)),
-		core.WithFaults(z.Faults),
-		core.WithSKC(useSKC),
-		core.WithAKB(useAKB),
-		core.WithSKCOptions(skc.Options{Strategy: strategy}),
-		core.WithRecorder(rec),
-	)
+	return &core.KnowTrans{
+		Upstream: backbone,
+		Patches:  z.Patches(size),
+		SKC:      skc.Options{Strategy: strategy},
+		UseSKC:   useSKC,
+		UseAKB:   useAKB,
+		Oracle:   z.Oracle(cellSeed, oracle.PaperTemperature),
+		Faults:   z.Faults,
+		Rec:      rec,
+	}
 }

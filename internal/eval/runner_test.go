@@ -213,6 +213,12 @@ func tracedTable6(t *testing.T, z *Zoo, workers int, keys []string) (*Table, flo
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// One adapt+evaluate latency per cell repetition, by method column.
+	for _, col := range tab.Columns {
+		if h := rec.Metrics.Snapshot().Histograms["eval.cell_us/"+col]; h.Count != int64(len(keys)) {
+			t.Errorf("eval.cell_us/%s holds %d observations, want one per dataset (%d)", col, h.Count, len(keys))
+		}
+	}
 	tr, err := analyze.Load(&buf)
 	if err != nil {
 		t.Fatal(err)

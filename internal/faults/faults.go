@@ -101,8 +101,8 @@ type Config struct {
 	// keeps seeded chaos tests and experiment grids wall-clock fast while
 	// still exercising the pass-through path).
 	Latency time.Duration
-	// Rec, when non-nil, counts injections (faults.injected and
-	// faults.injected/<kind>) and emits one faults.inject event per fault.
+	// Rec, when non-nil, counts injections (faults.injected) and emits one
+	// faults.inject event per fault, which carries the kind.
 	Rec *obs.Recorder
 }
 
@@ -132,7 +132,7 @@ type Injector struct {
 // [0, 1] — a misconfigured chaos harness should fail loudly, not inject a
 // silently clamped rate.
 func Wrap(inner akb.Oracle, cfg Config) *Injector {
-	if cfg.Rate < 0 || cfg.Rate > 1 {
+	if !(cfg.Rate >= 0 && cfg.Rate <= 1) {
 		panic(fmt.Sprintf("faults: rate %v outside [0,1]", cfg.Rate))
 	}
 	kinds := cfg.Kinds
@@ -172,7 +172,6 @@ func (f *Injector) draw(op string) (Kind, int, bool) {
 	kind := f.kinds[f.rng.Intn(len(f.kinds))]
 	f.schedule = append(f.schedule, Injected{Call: f.calls, Op: op, Kind: kind})
 	f.cfg.Rec.Count("faults.injected", 1)
-	f.cfg.Rec.Count("faults.injected/"+string(kind), 1)
 	f.cfg.Rec.Event("faults.inject", "call", f.calls, "op", op, "kind", string(kind))
 	return kind, f.calls, true
 }
@@ -270,15 +269,6 @@ func (f *Injector) Refine(ctx context.Context, req akb.RefineRequest) ([]*tasks.
 		}
 	}
 	return f.inner.Refine(req), nil
-}
-
-// TokenCount forwards the wrapped oracle's token meter when it has one, so
-// the resilience layer's token budget sees through the injector.
-func (f *Injector) TokenCount() (input, output int) {
-	if m, ok := f.inner.(interface{ TokenCount() (int, int) }); ok {
-		return m.TokenCount()
-	}
-	return 0, 0
 }
 
 // truncateAll simulates a response cut off mid-stream: knowledge text is

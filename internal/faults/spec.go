@@ -32,7 +32,7 @@ func ParseSpec(spec string) (Config, error) {
 		switch key {
 		case "rate":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			if err != nil || !(r >= 0 && r <= 1) { // NaN parses, and compares false both ways
 				return Config{}, fmt.Errorf("faults: rate %q must be a number in [0,1]", val)
 			}
 			cfg.Rate = r

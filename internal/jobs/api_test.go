@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -164,6 +165,9 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	hold.Store(true)
 	cid := submit(specFor(input, "out3.csv"))
 	<-entered
+	if active := m.opts.Rec.Metrics.Snapshot().Gauges["jobs.active"]; active != 1 {
+		t.Errorf("jobs.active = %v with one job parked in a predict, want 1", active)
+	}
 	if resp, blob := doReq(t, http.MethodDelete, ts.URL+"/v1/jobs/"+cid, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %d %s", resp.StatusCode, blob)
 	}
@@ -172,7 +176,11 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 		t.Fatalf("cancelled job: %+v", snap)
 	}
 	want := map[string]int64{"jobs.submitted": 4, "jobs.completed": 2, "jobs.failed": 1, "jobs.canceled": 1}
-	got := m.opts.Rec.Metrics.Snapshot().Counters
+	snapshot := m.opts.Rec.Metrics.Snapshot()
+	if active := snapshot.Gauges["jobs.active"]; active != 0 {
+		t.Errorf("jobs.active = %v after every job finished, want 0", active)
+	}
+	got := snapshot.Counters
 	for name, n := range want {
 		if got[name] != n {
 			t.Errorf("%s = %d, want %d (all counters: %v)", name, got[name], n, got)
@@ -293,5 +301,99 @@ func TestJobsHTTPDrainRefusesSubmit(t *testing.T) {
 	}
 	if resp, blob := doReq(t, http.MethodGet, ts.URL+"/v1/jobs", nil); resp.StatusCode != http.StatusOK || len(m.List()) != 0 {
 		t.Errorf("list while draining: %d %s", resp.StatusCode, blob)
+	}
+}
+
+// gateResolver answers every row with its gold candidate, except that rows
+// of the adapter "EM/held" park until gate closes (announcing the first on
+// entered) — without holding a lock, so other jobs keep running meanwhile.
+type gateResolver struct {
+	fakeResolver
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (g *gateResolver) Predict(_ context.Context, key string, in *data.Instance) (string, bool, error) {
+	if key == "EM/held" {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-g.gate
+	}
+	return in.Candidates[in.Gold], false, nil
+}
+
+// TestManagerForgetsOldFinishedJobs: a manager remembers every running job
+// and the maxFinished most recently finished ones, no more; a forgotten ID
+// answers like an unknown one, and resubmitting its spec still resumes from
+// the checkpoint log.
+func TestManagerForgetsOldFinishedJobs(t *testing.T) {
+	dir := t.TempDir()
+	input := writeInput(t, dir, 2)
+	res := &gateResolver{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	m := NewManager(res, ManagerOptions{CheckpointDir: dir})
+	submit := func(adapter, out string) string {
+		t.Helper()
+		sp, err := ParseSpec([]byte(fmt.Sprintf(`{"adapter":%q,"input":{"path":%q},"output":{"path":%q},"shards":1}`,
+			adapter, input, filepath.Join(dir, out))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, started, err := m.Submit(sp)
+		if err != nil || !started {
+			t.Fatalf("Submit(%s) = %+v, %v, %v; want a started job", out, snap, started, err)
+		}
+		return snap.ID
+	}
+	finish := func(id string) Snapshot {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			snap, ok := m.Get(id)
+			if !ok {
+				t.Fatalf("job %s forgotten while running", id)
+			}
+			if snap.State != StateRunning {
+				return snap
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job still running: %+v", snap)
+			}
+		}
+	}
+
+	held := submit("EM/held", "held.csv")
+	<-res.entered
+	const extra = 3
+	var ids []string
+	for i := 0; i < maxFinished+extra; i++ {
+		id := submit("EM/quick", fmt.Sprintf("out-%d.csv", i))
+		if snap := finish(id); snap.State != StateDone {
+			t.Fatalf("job %d: %+v", i, snap)
+		}
+		ids = append(ids, id)
+	}
+	if list := m.List(); len(list) != maxFinished+1 {
+		t.Fatalf("List() holds %d jobs after %d finished beside one running, want %d", len(list), len(ids), maxFinished+1)
+	}
+	for i, id := range ids {
+		if _, ok := m.Get(id); ok != (i >= extra) {
+			t.Errorf("finished job %d of %d: remembered = %v, want %v (the oldest %d go)", i, len(ids), ok, i >= extra, extra)
+		}
+	}
+	if snap, ok := m.Get(held); !ok || snap.State != StateRunning {
+		t.Fatalf("the running job: %+v, remembered = %v; a running job is never forgotten", snap, ok)
+	}
+
+	// A forgotten job's spec resubmits under the same ID and adopts its shard.
+	if again := submit("EM/quick", "out-0.csv"); again != ids[0] {
+		t.Fatalf("resubmitted as %s, want %s", again, ids[0])
+	}
+	if snap := finish(ids[0]); snap.State != StateDone || snap.ShardsResumed != 1 {
+		t.Fatalf("resubmitted job: %+v, want done with its shard adopted from the log", snap)
+	}
+	close(res.gate)
+	if snap := finish(held); snap.State != StateDone {
+		t.Fatalf("held job: %+v", snap)
 	}
 }

@@ -51,7 +51,7 @@ type ShardRange struct {
 
 // Plan is the resolved form of a spec against its input: rows loaded and
 // content-hashed, shard layout fixed. Planning is side-effect free (the
-// -dry-run face); the same spec and input always produce the same plan.
+// `job plan` / ?dry_run=1 face); the same spec and input always produce the same plan.
 type Plan struct {
 	Spec           *Spec        `json:"spec"`
 	ID             string       `json:"id"`
@@ -183,14 +183,13 @@ func loadInput(sp *Spec) ([]*data.Instance, string, error) {
 // Tracker is the live progress of one run, readable concurrently (the
 // /v1/jobs/{id} snapshot). Zero value is ready.
 type Tracker struct {
-	rowsTotal      atomic.Int64
-	shardsTotal    atomic.Int64
-	rowsDone       atomic.Int64
-	shardsDone     atomic.Int64
-	shardsResumed  atomic.Int64
-	shardsInflight atomic.Int64
-	retries        atomic.Int64
-	rowFailures    atomic.Int64
+	rowsTotal     atomic.Int64
+	shardsTotal   atomic.Int64
+	rowsDone      atomic.Int64
+	shardsDone    atomic.Int64
+	shardsResumed atomic.Int64
+	retries       atomic.Int64
+	rowFailures   atomic.Int64
 }
 
 // Progress is one consistent-enough reading of a Tracker.
@@ -370,10 +369,6 @@ func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers [
 	span.SetAttr("rows", sh.End-sh.Start)
 	span.SetAttr("key", p.Spec.Adapter)
 	sctx := obs.ContextWithSpan(ctx, span)
-	e.Rec.SetGauge("jobs.shards_inflight", float64(tr.shardsInflight.Add(1)))
-	defer func() {
-		e.Rec.SetGauge("jobs.shards_inflight", float64(tr.shardsInflight.Add(-1)))
-	}()
 
 	rows := sh.End - sh.Start
 	workers := p.Spec.Limits.Concurrency
@@ -405,7 +400,6 @@ func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers [
 				shardRetries.Add(retries)
 				tr.retries.Add(retries)
 				if err == nil && !answerValid(ans, in) {
-					e.Rec.Count("jobs.verify_failures", 1)
 					err = fmt.Errorf("jobs: row %s: answer %q is not among its %d candidates", in.ID, ans, len(in.Candidates))
 				}
 				if err != nil {
@@ -457,7 +451,6 @@ func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers [
 		return err
 	}
 	tr.shardsDone.Add(1)
-	e.Rec.Count("jobs.shards_committed", 1)
 	n := int(committed.Add(1))
 	if e.OnCommit != nil {
 		e.OnCommit(sh.Index, n)

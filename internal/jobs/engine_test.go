@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dataio"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -205,7 +207,9 @@ func TestRunRetriesTransient(t *testing.T) {
 	res := newFakeResolver()
 	res.failFor["row-001"] = 2 // two transient failures, then success
 	sp := testSpec(t, input, filepath.Join(dir, "out.csv"), 2)
-	eng := &Engine{Res: res, CheckpointDir: dir}
+	var trace bytes.Buffer
+	reg := obs.NewRegistry()
+	eng := &Engine{Res: res, CheckpointDir: dir, Rec: obs.NewRecorder(reg, obs.NewTracer(&trace))}
 	p, err := eng.Plan(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -219,6 +223,26 @@ func TestRunRetriesTransient(t *testing.T) {
 	}
 	if result.RowFailures != 0 {
 		t.Fatalf("row failures = %d, want 0", result.RowFailures)
+	}
+
+	// The process-wide series say what the result says, and the run left its
+	// three span kinds: one plan, and per shard one run and one commit.
+	if c := reg.Snapshot().Counters; c["jobs.retries"] != result.Retries || c["jobs.rows_done"] != 4 || c["jobs.row_failures"] != 0 {
+		t.Errorf("counters %v, want jobs.retries %d, jobs.rows_done 4, no jobs.row_failures", c, result.Retries)
+	}
+	if err := eng.Rec.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTrace(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, r := range recs {
+		spans[r.Name]++
+	}
+	if spans["job.plan"] != 1 || spans["job.shard"] != 2 || spans["job.commit"] != 2 {
+		t.Errorf("spans %v, want 1 job.plan, 2 job.shard, 2 job.commit", spans)
 	}
 }
 
@@ -258,7 +282,8 @@ func TestRunFailureBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := &Engine{Res: res2, CheckpointDir: filepath.Join(dir, "c1")}
+	reg := obs.NewRegistry()
+	eng2 := &Engine{Res: res2, CheckpointDir: filepath.Join(dir, "c1"), Rec: obs.NewRecorder(reg, nil)}
 	p2, err := eng2.Plan(sp2)
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +292,8 @@ func TestRunFailureBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.RowFailures != 1 {
-		t.Fatalf("row failures = %d, want 1", result.RowFailures)
+	if got := reg.Snapshot().Counters["jobs.row_failures"]; result.RowFailures != 1 || got != 1 {
+		t.Fatalf("row failures = %d, jobs.row_failures = %d, want 1 and 1", result.RowFailures, got)
 	}
 	blob, err := os.ReadFile(out)
 	if err != nil {

@@ -23,6 +23,12 @@ const (
 // DefaultMaxActive is ManagerOptions.MaxActive when unset.
 const DefaultMaxActive = 4
 
+// maxFinished bounds how many finished jobs a Manager remembers: the most
+// recent ones. A long-lived server otherwise holds every spec, tracker and
+// result it ever saw. An evicted ID answers like an unknown one, and its
+// checkpoint log is untouched, so resubmitting the spec still resumes.
+const maxFinished = 64
+
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
 	// CheckpointDir holds the checkpoint logs (required). It is also the one
@@ -36,16 +42,19 @@ type ManagerOptions struct {
 	Rec *obs.Recorder
 }
 
-// Manager runs jobs asynchronously and remembers them by ID: Submit is
-// idempotent on the spec hash (re-posting a running job attaches to it;
-// re-posting a finished one reruns it, which the checkpoint log turns
-// into a no-op resume). It is the state the HTTP face exposes.
+// Manager runs jobs asynchronously and remembers them by ID — every running
+// job and the maxFinished most recently finished: Submit is idempotent on the
+// spec hash (re-posting a running job attaches to it; re-posting a finished
+// one reruns it, which the checkpoint log turns into a no-op resume). It is
+// the state the HTTP face exposes.
 type Manager struct {
 	eng  *Engine
 	opts ManagerOptions
 
-	mu   sync.Mutex
-	jobs map[string]*job
+	mu       sync.Mutex
+	jobs     map[string]*job
+	active   int    // running jobs in jobs
+	finished []*job // finished jobs in jobs, oldest first
 }
 
 // job is one tracked run.
@@ -99,19 +108,17 @@ func NewManager(res serve.Resolver, opts ManagerOptions) *Manager {
 func (m *Manager) Submit(sp *Spec) (Snapshot, bool, error) {
 	id := sp.ID()
 	m.mu.Lock()
-	if j, ok := m.jobs[id]; ok && j.stateNow() == StateRunning {
+	old, known := m.jobs[id]
+	if known && old.stateNow() == StateRunning {
 		m.mu.Unlock()
-		return j.snapshot(), false, nil
+		return old.snapshot(), false, nil
 	}
-	active := 0
-	for _, j := range m.jobs {
-		if j.stateNow() == StateRunning {
-			active++
-		}
-	}
-	if active >= m.opts.MaxActive {
+	if m.active >= m.opts.MaxActive {
 		m.mu.Unlock()
-		return Snapshot{}, false, fmt.Errorf("%w: %d jobs already running (max %d)", serve.ErrOverloaded, active, m.opts.MaxActive)
+		return Snapshot{}, false, fmt.Errorf("%w: %d jobs already running (max %d)", serve.ErrOverloaded, m.active, m.opts.MaxActive)
+	}
+	if known {
+		m.finished = slices.DeleteFunc(m.finished, func(f *job) bool { return f == old })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
@@ -123,10 +130,11 @@ func (m *Manager) Submit(sp *Spec) (Snapshot, bool, error) {
 		state:   StateRunning,
 	}
 	m.jobs[id] = j
+	m.active++
+	m.opts.Rec.SetGauge("jobs.active", float64(m.active))
 	m.mu.Unlock()
 
 	m.opts.Rec.Count("jobs.submitted", 1)
-	m.setActiveGauge()
 	go m.run(ctx, j)
 	return j.snapshot(), true, nil
 }
@@ -153,11 +161,18 @@ func (m *Manager) run(ctx context.Context, j *job) {
 		state = StateFailed
 		m.opts.Rec.Count("jobs.failed", 1)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	j.mu.Lock()
 	j.wallS = time.Since(j.started).Seconds()
 	j.state, j.result, j.err = state, res, err
 	j.mu.Unlock()
-	m.setActiveGauge()
+	m.active--
+	m.opts.Rec.SetGauge("jobs.active", float64(m.active))
+	if m.finished = append(m.finished, j); len(m.finished) > maxFinished {
+		delete(m.jobs, m.finished[0].id)
+		m.finished = slices.Delete(m.finished, 0, 1) // shifts down: the array never holds a forgotten job
+	}
 }
 
 // Get returns the snapshot of one job by ID.
@@ -171,7 +186,7 @@ func (m *Manager) Get(id string) (Snapshot, bool) {
 	return j.snapshot(), true
 }
 
-// List returns every tracked job, ordered by ID (deterministic output).
+// List returns every remembered job, ordered by ID (deterministic output).
 func (m *Manager) List() []Snapshot {
 	m.mu.Lock()
 	out := make([]Snapshot, 0, len(m.jobs))
@@ -195,19 +210,6 @@ func (m *Manager) Cancel(id string) (Snapshot, bool) {
 	}
 	j.cancel()
 	return j.snapshot(), true
-}
-
-// setActiveGauge publishes the running-job count.
-func (m *Manager) setActiveGauge() {
-	m.mu.Lock()
-	active := 0
-	for _, j := range m.jobs {
-		if j.stateNow() == StateRunning {
-			active++
-		}
-	}
-	m.mu.Unlock()
-	m.opts.Rec.SetGauge("jobs.active", float64(active))
 }
 
 // stateNow reads the job's state under its lock.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,11 +31,12 @@ func TestWriteHeapAndCaptureCPU(t *testing.T) {
 func TestTriggerCapturesOnceWithCooldown(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
+	var trace syncBuffer
 	tr := &Trigger{
 		Dir:         dir,
 		CPUDuration: 5 * time.Millisecond,
 		Cooldown:    time.Hour,
-		Rec:         obs.NewRecorder(reg, nil),
+		Rec:         obs.NewRecorder(reg, obs.NewTracer(&trace)),
 	}
 	if !tr.Capture("predict") {
 		t.Fatal("first capture refused")
@@ -82,6 +84,59 @@ func TestTriggerCapturesOnceWithCooldown(t *testing.T) {
 	if !haveHeap || !haveCPU {
 		t.Errorf("capture files = %v, want heap-* and cpu-*", files)
 	}
+	// The trace says where the capture went: the handle from a slow request's
+	// timeline to the profile of that moment.
+	ev := onlyEvent(t, tr, &trace, "profile.captured")
+	if heap, _ := ev.Attrs["heap"].(string); filepath.Dir(heap) != dir || ev.Attrs["reason"] != "predict" {
+		t.Errorf("profile.captured attrs = %v, want the heap path under %s and the reason", ev.Attrs, dir)
+	}
+}
+
+// TestTriggerReportsFailure: a capture that cannot write is counted, and the
+// trace carries the error — nothing else records why it failed.
+func TestTriggerReportsFailure(t *testing.T) {
+	reg := obs.NewRegistry()
+	var trace syncBuffer
+	tr := &Trigger{
+		Dir: filepath.Join(t.TempDir(), "never-created"),
+		Rec: obs.NewRecorder(reg, obs.NewTracer(&trace)),
+	}
+	if !tr.Capture("predict") {
+		t.Fatal("capture refused")
+	}
+	for deadline := time.Now().Add(2 * time.Second); reg.Counter("profile.capture_errors").Value() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("profile.capture_errors never moved")
+		}
+	}
+	if n := reg.Counter("profile.captures").Value(); n != 0 {
+		t.Errorf("profile.captures = %d for a failed capture", n)
+	}
+	if ev := onlyEvent(t, tr, &trace, "profile.capture_failed"); ev.Attrs["error"] == nil || ev.Attrs["reason"] != "predict" {
+		t.Errorf("profile.capture_failed attrs = %v, want the error and the reason", ev.Attrs)
+	}
+}
+
+// onlyEvent closes the trigger's tracer and returns the one record named name.
+func onlyEvent(t *testing.T, tr *Trigger, trace *syncBuffer, name string) obs.SpanRecord {
+	t.Helper()
+	if err := tr.Rec.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadTrace(strings.NewReader(trace.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []obs.SpanRecord
+	for _, r := range recs {
+		if r.Name == name {
+			found = append(found, r)
+		}
+	}
+	if len(found) != 1 {
+		t.Fatalf("trace holds %d %s events, want 1 (records: %+v)", len(found), name, recs)
+	}
+	return found[0]
 }
 
 func TestTriggerNilAndUnconfigured(t *testing.T) {

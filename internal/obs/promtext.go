@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,26 @@ import (
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// MountMetrics puts the two live scrapes of reg on mux: /metrics, the
+// Prometheus text exposition, and /metrics.json, the same snapshot as JSON.
+// Both snapshot the registry per scrape, so a long run can be watched while
+// it executes. The services' API mux (serve.NewServer) and the -pprof
+// telemetry mux mount through here.
+func MountMetrics(mux *http.ServeMux, reg *Registry) {
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", PromContentType)
+		if err := WritePrometheus(w, reg.Snapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := reg.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+}
 
 // promName splits a registry metric name into a valid Prometheus metric
 // name and an optional series label value.

@@ -125,7 +125,7 @@ func (r *Recorder) ObserveEx(name string, v float64, bounds []float64, exemplar 
 //
 //	start := rec.Now()
 //	... work ...
-//	rec.ObserveSince("stage_us", start)
+//	rec.ObserveSince("serve.request_us", start)
 func (r *Recorder) Now() time.Time {
 	if r == nil || r.Metrics == nil {
 		return time.Time{}

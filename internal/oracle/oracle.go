@@ -59,9 +59,12 @@ type TokenUsage struct {
 	Calls  int
 }
 
-// New returns a simulated GPT with the paper's temperature 0.9.
+// PaperTemperature is the sampling temperature of the paper's gpt-4o runs.
+const PaperTemperature = 0.9
+
+// New returns a simulated GPT with the paper's temperature.
 func New(seed int64) *GPT {
-	return &GPT{rng: rand.New(rand.NewSource(seed)), temperature: 0.9}
+	return NewWithTemperature(seed, PaperTemperature)
 }
 
 // NewWithTemperature returns a simulated GPT with a custom temperature in
@@ -282,14 +285,6 @@ func (g *GPT) meter(prompt string) {
 
 func (g *GPT) meterOut(response string) {
 	g.Tokens.Output += text.CountTokens(response)
-}
-
-// TokenCount exposes the running totals under the token-meter convention the
-// resilience layer's budget checks (resilience.TokenMeter): a ResilientOracle
-// wrapped around this GPT — directly or through a fault injector — can cap a
-// search's simulated API spend.
-func (g *GPT) TokenCount() (input, output int) {
-	return g.Tokens.Input, g.Tokens.Output
 }
 
 func instancesOf(errs []akb.ErrorCase) []*data.Instance {

@@ -2,40 +2,25 @@ package resilience
 
 import "sync"
 
-// BreakerConfig parameterizes a Breaker. The zero value gets the same
-// defaults as Policy: trip after 5 consecutive failures, reject 3 calls
-// while open, close after 2 half-open probe successes. Threshold < 0
-// disables the breaker entirely (Allow always admits).
+// Fixed breaker policy, shared by both callers (neither ever chose another).
+const (
+	breakerThreshold = 5 // consecutive failures that trip a closed breaker open
+	breakerProbes    = 2 // consecutive half-open successes that close it; any probe failure reopens it
+)
+
+// BreakerConfig parameterizes a Breaker.
 type BreakerConfig struct {
-	// Threshold is the run of consecutive failures that trips the breaker
-	// open (default 5; <0 disables).
-	Threshold int
-	// Cooldown is how many short-circuited calls the open breaker rejects
-	// before letting a half-open probe through (default 3). Cooling down by
-	// call count instead of wall time keeps seeded runs deterministic at
-	// any speed.
+	// Cooldown is how many calls the open breaker counts off before letting
+	// one through as a half-open probe: the first Cooldown-1 are rejected,
+	// the next is the probe (3 for the oracle, 8 per router backend).
+	// Cooling down by call count instead of wall time keeps seeded runs
+	// deterministic at any speed.
 	Cooldown int
-	// Probes is the run of consecutive probe successes that closes a
-	// half-open breaker (default 2). Any probe failure reopens it.
-	Probes int
 	// OnState, when non-nil, observes every state change. OnTrip, when
 	// non-nil, fires on each closed/half-open → open transition. Both are
 	// invoked with the breaker's lock held and must not call back into it.
 	OnState func(State)
 	OnTrip  func()
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold == 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 3
-	}
-	if c.Probes <= 0 {
-		c.Probes = 2
-	}
-	return c
 }
 
 // Breaker is a three-state circuit breaker (closed → open on consecutive
@@ -54,7 +39,7 @@ type Breaker struct {
 
 // NewBreaker returns a closed breaker with the given config.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+	return &Breaker{cfg: cfg}
 }
 
 // State returns the current state.
@@ -70,7 +55,7 @@ func (b *Breaker) State() State {
 func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cfg.Threshold <= 0 || b.state != StateOpen {
+	if b.state != StateOpen {
 		return nil
 	}
 	b.cooldown--
@@ -79,7 +64,7 @@ func (b *Breaker) Allow() error {
 	}
 	// Cooled down: let this call through as a half-open probe.
 	b.setState(StateHalfOpen)
-	b.probesLeft = b.cfg.Probes
+	b.probesLeft = breakerProbes
 	return nil
 }
 
@@ -98,18 +83,16 @@ func (b *Breaker) Success() {
 }
 
 // Failure records a failed call. A failed half-open probe reopens the
-// breaker immediately; Threshold consecutive failures trip it from closed.
+// breaker immediately; breakerThreshold consecutive failures trip it from
+// closed.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.cfg.Threshold <= 0 {
-		return
-	}
 	b.consecFails++
 	switch {
 	case b.state == StateHalfOpen:
 		b.trip()
-	case b.state == StateClosed && b.consecFails >= b.cfg.Threshold:
+	case b.state == StateClosed && b.consecFails >= breakerThreshold:
 		b.trip()
 	}
 }

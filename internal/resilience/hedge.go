@@ -29,14 +29,6 @@ func IsTerminal(err error) bool {
 	return errors.As(err, &t)
 }
 
-// HedgeOptions parameterizes Hedge.
-type HedgeOptions struct {
-	// Delay is how long to wait on an in-flight attempt before issuing a
-	// backup request to the next replica (<= 0 disables time-based hedging;
-	// error-triggered failover still runs).
-	Delay time.Duration
-}
-
 // HedgeOutcome reports what a Hedge call did: how many attempts launched,
 // how many were time-triggered backups (Hedges) vs. error-triggered
 // retries (Failovers), and which attempt index won (-1 on failure).
@@ -49,14 +41,15 @@ type HedgeOutcome struct {
 
 // Hedge runs attempt(ctx, 0..n-1) with tail-latency hedging and failover:
 // attempt 0 starts immediately; whenever the newest attempt has been
-// in-flight for Delay, the next index is launched as a backup (a hedge);
+// in-flight for delay, the next index is launched as a backup (a hedge;
+// delay <= 0 disables them, error-triggered failover still runs);
 // whenever an attempt fails transiently, the next index is launched at
 // once (a failover). The first success wins and every other in-flight
 // attempt is cancelled through its context. A TerminalError from any
 // attempt aborts the whole call. When all n attempts fail, the last
 // transient error is returned. Each attempt's context is derived from
 // ctx, so cancelling ctx cancels everything.
-func Hedge[T any](ctx context.Context, n int, opts HedgeOptions, attempt func(ctx context.Context, i int) (T, error)) (T, HedgeOutcome, error) {
+func Hedge[T any](ctx context.Context, n int, delay time.Duration, attempt func(ctx context.Context, i int) (T, error)) (T, HedgeOutcome, error) {
 	var zero T
 	out := HedgeOutcome{Winner: -1}
 	if n <= 0 {
@@ -93,8 +86,8 @@ func Hedge[T any](ctx context.Context, n int, opts HedgeOptions, attempt func(ct
 	var timer *time.Timer
 	var timerC <-chan time.Time
 	arm := func() {
-		if opts.Delay > 0 && next < n {
-			timer = time.NewTimer(opts.Delay)
+		if delay > 0 && next < n {
+			timer = time.NewTimer(delay)
 			timerC = timer.C
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestHedgeFirstAttemptWins(t *testing.T) {
-	v, out, err := Hedge(context.Background(), 3, HedgeOptions{Delay: time.Second},
+	v, out, err := Hedge(context.Background(), 3, time.Second,
 		func(ctx context.Context, i int) (string, error) {
 			return fmt.Sprintf("ans-%d", i), nil
 		})
@@ -27,7 +27,7 @@ func TestHedgeFirstAttemptWins(t *testing.T) {
 
 func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 	cancelled := make(chan struct{})
-	v, out, err := Hedge(context.Background(), 2, HedgeOptions{Delay: 10 * time.Millisecond},
+	v, out, err := Hedge(context.Background(), 2, 10*time.Millisecond,
 		func(ctx context.Context, i int) (string, error) {
 			if i == 0 {
 				// Slow replica: should lose to the hedge and then observe
@@ -59,7 +59,7 @@ func TestHedgeBackupWinsAndLoserCancelled(t *testing.T) {
 }
 
 func TestHedgeFailsOverOnError(t *testing.T) {
-	v, out, err := Hedge(context.Background(), 3, HedgeOptions{Delay: time.Second},
+	v, out, err := Hedge(context.Background(), 3, time.Second,
 		func(ctx context.Context, i int) (string, error) {
 			if i == 0 {
 				return "", errors.New("connection refused")
@@ -79,7 +79,7 @@ func TestHedgeFailsOverOnError(t *testing.T) {
 
 func TestHedgeAllFailReturnsLastError(t *testing.T) {
 	wantErr := errors.New("backend 2 down")
-	_, out, err := Hedge(context.Background(), 3, HedgeOptions{Delay: time.Second},
+	_, out, err := Hedge(context.Background(), 3, time.Second,
 		func(ctx context.Context, i int) (string, error) {
 			if i == 2 {
 				return "", wantErr
@@ -97,7 +97,7 @@ func TestHedgeAllFailReturnsLastError(t *testing.T) {
 func TestHedgeTerminalErrorShortCircuits(t *testing.T) {
 	sentinel := errors.New("unknown key")
 	var attempts atomic.Int32
-	_, out, err := Hedge(context.Background(), 3, HedgeOptions{Delay: time.Second},
+	_, out, err := Hedge(context.Background(), 3, time.Second,
 		func(ctx context.Context, i int) (string, error) {
 			attempts.Add(1)
 			return "", Terminal(fmt.Errorf("replica says: %w", sentinel))
@@ -118,7 +118,7 @@ func TestHedgeTerminalErrorShortCircuits(t *testing.T) {
 
 func TestHedgeRespectsAttemptCap(t *testing.T) {
 	var attempts atomic.Int32
-	_, out, err := Hedge(context.Background(), 2, HedgeOptions{Delay: time.Millisecond},
+	_, out, err := Hedge(context.Background(), 2, time.Millisecond,
 		func(ctx context.Context, i int) (string, error) {
 			attempts.Add(1)
 			return "", errors.New("down")
@@ -140,7 +140,7 @@ func TestHedgeParentCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
-	_, _, err := Hedge(ctx, 1, HedgeOptions{},
+	_, _, err := Hedge(ctx, 1, 0,
 		func(ctx context.Context, i int) (string, error) {
 			<-ctx.Done()
 			return "", ctx.Err()
@@ -154,19 +154,20 @@ func TestBreakerStandalone(t *testing.T) {
 	var states []State
 	trips := 0
 	b := NewBreaker(BreakerConfig{
-		Threshold: 2,
-		Cooldown:  2,
-		Probes:    1,
-		OnState:   func(s State) { states = append(states, s) },
-		OnTrip:    func() { trips++ },
+		Cooldown: 2,
+		OnState:  func(s State) { states = append(states, s) },
+		OnTrip:   func() { trips++ },
 	})
 	if b.State() != StateClosed {
 		t.Fatalf("initial state = %v, want closed", b.State())
 	}
-	// Two consecutive failures trip it.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold consecutive failures trip it; one fewer does not.
+	for i := 0; i < breakerThreshold; i++ {
 		if err := b.Allow(); err != nil {
 			t.Fatalf("closed breaker rejected call %d: %v", i, err)
+		}
+		if b.State() != StateClosed {
+			t.Fatalf("state = %v after %d failures, want closed", b.State(), i)
 		}
 		b.Failure()
 	}
@@ -183,10 +184,15 @@ func TestBreakerStandalone(t *testing.T) {
 	if b.State() != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open probe", b.State())
 	}
-	// One probe success closes it (Probes: 1).
-	b.Success()
+	// breakerProbes successes close it.
+	for i := 0; i < breakerProbes; i++ {
+		if b.State() != StateHalfOpen {
+			t.Fatalf("state = %v after %d probe successes, want half-open", b.State(), i)
+		}
+		b.Success()
+	}
 	if b.State() != StateClosed {
-		t.Fatalf("state = %v, want closed after successful probe", b.State())
+		t.Fatalf("state = %v, want closed after %d successful probes", b.State(), breakerProbes)
 	}
 	want := []State{StateOpen, StateHalfOpen, StateClosed}
 	if len(states) != len(want) {
@@ -196,18 +202,5 @@ func TestBreakerStandalone(t *testing.T) {
 		if states[i] != want[i] {
 			t.Fatalf("state transitions = %v, want %v", states, want)
 		}
-	}
-}
-
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: -1})
-	for i := 0; i < 50; i++ {
-		if err := b.Allow(); err != nil {
-			t.Fatalf("disabled breaker rejected call %d: %v", i, err)
-		}
-		b.Failure()
-	}
-	if b.State() != StateClosed {
-		t.Fatalf("disabled breaker left closed state: %v", b.State())
 	}
 }

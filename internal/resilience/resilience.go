@@ -12,9 +12,8 @@
 //     akb.FallibleOracle — a remote-API client, or internal/faults' chaos
 //     injector — with a context deadline per attempt (a hung call cannot
 //     wedge a search), capped exponential backoff with decorrelated jitter
-//     between retries of transient failures, a Breaker so a dead oracle
-//     does not burn the retry budget on every round, and a per-client call
-//     and token budget bounding what one AKB search may spend.
+//     between retries of transient failures, and a Breaker so a dead oracle
+//     does not burn the retry budget on every round.
 //
 // Everything is deterministic given Policy.Seed and an injectable Sleep,
 // which is how seeded chaos runs stay reproducible and wall-clock fast.
@@ -57,95 +56,41 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int32(s))
 }
 
-// Sentinel errors. Both are terminal (never retried): an open breaker and
-// an exhausted budget say "stop calling", not "try again".
-var (
-	ErrBreakerOpen     = errors.New("resilience: circuit breaker open")
-	ErrBudgetExhausted = errors.New("resilience: oracle budget exhausted")
+// ErrBreakerOpen is terminal (never retried): an open breaker says "stop
+// calling", not "try again".
+var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
+
+// Fixed policy: no caller outside a test ever chose any of these, so none
+// is an option. A per-search call and token budget lived here too; nothing
+// armed it, and it returns with the first real remote oracle (DESIGN.md
+// "Resilience & chaos testing").
+const (
+	maxAttempts        = 3                     // tries per logical call, the first included
+	baseDelay          = 50 * time.Millisecond // floor of every backoff delay (see nextDelay)
+	maxDelay           = 2 * time.Second       // cap of every backoff delay
+	defaultCallTimeout = 10 * time.Second      // Policy.CallTimeout when zero
+	oracleCooldown     = 3                     // BreakerConfig.Cooldown of the oracle's breaker
 )
 
-// TokenMeter is implemented by oracles that meter token usage (the
-// simulated GPT does; internal/faults' injector forwards it). When the
-// wrapped oracle implements it, Policy.MaxTokens is enforced.
-type TokenMeter interface {
-	TokenCount() (input, output int)
-}
-
-// Policy parameterizes a ResilientOracle. The zero value is usable: every
-// unset field gets the default documented on it.
+// Policy parameterizes a ResilientOracle.
 type Policy struct {
-	// MaxAttempts bounds tries per logical call, first attempt included
-	// (default 3).
-	MaxAttempts int
-	// BaseDelay seeds the backoff (default 50ms); MaxDelay caps it
-	// (default 2s). Delays are decorrelated-jitter: each delay is drawn
-	// uniformly from [BaseDelay, 3×previous], then capped.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// CallTimeout is the context deadline applied to each attempt
-	// (default 10s; <0 disables).
+	// (zero: 10s; <0 disables).
 	CallTimeout time.Duration
-	// BreakerThreshold is the run of consecutive failures that trips the
-	// breaker open (default 5; <0 disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how many short-circuited calls the open breaker
-	// rejects before letting a half-open probe through (default 3). Cooling
-	// down by call count instead of wall time keeps seeded runs
-	// deterministic at any speed.
-	BreakerCooldown int
-	// HalfOpenProbes is the run of consecutive probe successes that closes
-	// a half-open breaker (default 2). Any probe failure reopens it.
-	HalfOpenProbes int
-	// MaxCalls bounds oracle attempts (retries included) per client, i.e.
-	// per AKB search in the intended one-client-per-search deployment
-	// (default 0 = unlimited).
-	MaxCalls int
-	// MaxTokens bounds input+output tokens when the wrapped oracle meters
-	// them (default 0 = unlimited).
-	MaxTokens int
 	// Seed drives the jitter; same seed, same backoff schedule.
 	Seed int64
 	// Sleep, when non-nil, replaces time.Sleep for backoff waits. Chaos
 	// harnesses pass a no-op so seeded grids run at full speed.
 	Sleep func(time.Duration)
-	// Rec, when non-nil, records retry/failure/breaker counters, the
-	// resilience.breaker_state gauge, per-attempt latency, and one
-	// akb.oracle_retry span per backoff.
+	// Rec, when non-nil, records the resilience.* series and one
+	// akb.oracle_call span per call, one akb.oracle_retry span per backoff
+	// (DESIGN.md "Telemetry catalogue").
 	Rec *obs.Recorder
 }
 
-func (p Policy) withDefaults() Policy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.CallTimeout == 0 {
-		p.CallTimeout = 10 * time.Second
-	}
-	if p.BreakerThreshold == 0 {
-		p.BreakerThreshold = 5
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = 3
-	}
-	if p.HalfOpenProbes <= 0 {
-		p.HalfOpenProbes = 2
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
 // ResilientOracle implements akb.FallibleOracle over an inner oracle with
-// retries, breaker, and budgets. Safe for concurrent use; the intended
-// deployment is one client per AKB search so budgets and breaker state are
-// per-search.
+// retries and a breaker. Safe for concurrent use; the intended deployment
+// is one client per AKB search so breaker state is per-search.
 type ResilientOracle struct {
 	inner akb.FallibleOracle
 	p     Policy
@@ -153,18 +98,20 @@ type ResilientOracle struct {
 
 	mu        sync.Mutex
 	rng       *rand.Rand
-	calls     int
 	prevDelay time.Duration
 }
 
 // New returns a resilient client around inner with the given policy.
 func New(inner akb.FallibleOracle, p Policy) *ResilientOracle {
-	p = p.withDefaults()
+	if p.CallTimeout == 0 {
+		p.CallTimeout = defaultCallTimeout
+	}
+	if p.Sleep == nil {
+		p.Sleep = time.Sleep
+	}
 	r := &ResilientOracle{inner: inner, p: p, rng: rand.New(rand.NewSource(p.Seed))}
 	r.br = NewBreaker(BreakerConfig{
-		Threshold: p.BreakerThreshold,
-		Cooldown:  p.BreakerCooldown,
-		Probes:    p.HalfOpenProbes,
+		Cooldown: oracleCooldown,
 		OnState: func(s State) {
 			p.Rec.SetGauge("resilience.breaker_state", float64(s))
 			p.Rec.Event("resilience.breaker", "state", s.String())
@@ -226,16 +173,15 @@ func (r *ResilientOracle) Refine(ctx context.Context, req akb.RefineRequest) ([]
 	return out, nil
 }
 
-// do runs one logical oracle call through admission control, the retry
-// loop, and state accounting.
+// do runs one logical oracle call through the breaker and the retry loop.
 func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.Context) error) error {
 	rec, span := r.p.Rec.StartSpan("akb.oracle_call")
 	defer span.End()
 	span.SetAttr("op", op)
 
 	var lastErr error
-	for attempt := 0; attempt < r.p.MaxAttempts; attempt++ {
-		if err := r.admit(rec); err != nil {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if err := r.br.Allow(); err != nil {
 			span.SetAttr("err", err.Error())
 			if lastErr != nil {
 				return fmt.Errorf("%w (after %v)", err, lastErr)
@@ -253,10 +199,8 @@ func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.C
 			rspan.End()
 		}
 		cctx, cancel := r.attemptCtx(ctx)
-		start := rec.Now()
 		err := call(cctx)
 		cancel()
-		rec.ObserveSince("resilience.attempt_us", start)
 		if err == nil {
 			r.br.Success()
 			span.SetAttr("attempts", attempt+1)
@@ -265,7 +209,6 @@ func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.C
 		lastErr = err
 		r.br.Failure()
 		rec.Count("resilience.failures", 1)
-		rec.Event("resilience.error", "op", op, "attempt", attempt, "err", err.Error())
 		if !transient(err) {
 			break
 		}
@@ -282,45 +225,13 @@ func (r *ResilientOracle) attemptCtx(ctx context.Context) (context.Context, cont
 	return context.WithTimeout(ctx, r.p.CallTimeout)
 }
 
-// admit gates one attempt on the budgets and the breaker, and counts it.
-func (r *ResilientOracle) admit(rec *obs.Recorder) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.p.MaxCalls > 0 && r.calls >= r.p.MaxCalls {
-		rec.Count("resilience.budget_rejected", 1)
-		return fmt.Errorf("%w: %d calls", ErrBudgetExhausted, r.calls)
-	}
-	if r.p.MaxTokens > 0 {
-		if m, ok := r.inner.(TokenMeter); ok {
-			in, out := m.TokenCount()
-			if in+out >= r.p.MaxTokens {
-				rec.Count("resilience.budget_rejected", 1)
-				return fmt.Errorf("%w: %d tokens", ErrBudgetExhausted, in+out)
-			}
-		}
-	}
-	if err := r.br.Allow(); err != nil {
-		rec.Count("resilience.breaker_rejected", 1)
-		return err
-	}
-	r.calls++
-	return nil
-}
-
 // nextDelay draws the decorrelated-jitter backoff: uniform in
-// [BaseDelay, 3×previous], capped at MaxDelay.
+// [baseDelay, 3×previous], capped at maxDelay.
 func (r *ResilientOracle) nextDelay() time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	lo := r.p.BaseDelay
-	hi := 3 * r.prevDelay
-	if hi < lo {
-		hi = lo
-	}
-	d := lo + time.Duration(r.rng.Int63n(int64(hi-lo)+1))
-	if d > r.p.MaxDelay {
-		d = r.p.MaxDelay
-	}
+	hi := max(3*r.prevDelay, baseDelay)
+	d := min(baseDelay+time.Duration(r.rng.Int63n(int64(hi-baseDelay)+1)), maxDelay)
 	r.prevDelay = d
 	return d
 }
@@ -330,13 +241,11 @@ type temporary interface{ Temporary() bool }
 
 // transient reports whether a failed attempt is worth retrying. Errors
 // that say so themselves (Temporary) are believed; cancellation and the
-// client's own terminal sentinels are not retried. Everything else is —
+// client's own terminal sentinel are not retried. Everything else is —
 // deadline expiries included: for a remote dependency a blip is the common
 // case and the attempt cap bounds the damage.
 func transient(err error) bool {
-	if errors.Is(err, context.Canceled) ||
-		errors.Is(err, ErrBreakerOpen) ||
-		errors.Is(err, ErrBudgetExhausted) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, ErrBreakerOpen) {
 		return false
 	}
 	var t temporary

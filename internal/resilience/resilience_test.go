@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -8,15 +9,15 @@ import (
 	"time"
 
 	"repro/internal/akb"
+	"repro/internal/obs"
 	"repro/internal/tasks"
 )
 
 // seqOracle fails according to a script: errs[i] is returned by call i
-// (nil past the end of the script). It also meters fake tokens.
+// (nil past the end of the script).
 type seqOracle struct {
-	errs   []error
-	calls  int
-	tokens int
+	errs  []error
+	calls int
 }
 
 type tempErr struct{ temp bool }
@@ -27,7 +28,6 @@ func (e *tempErr) Temporary() bool { return e.temp }
 func (o *seqOracle) next() error {
 	i := o.calls
 	o.calls++
-	o.tokens += 10
 	if i < len(o.errs) {
 		return o.errs[i]
 	}
@@ -55,8 +55,6 @@ func (o *seqOracle) Refine(context.Context, akb.RefineRequest) ([]*tasks.Knowled
 	return []*tasks.Knowledge{{Text: "r"}}, nil
 }
 
-func (o *seqOracle) TokenCount() (int, int) { return o.tokens, 0 }
-
 func noSleep(time.Duration) {}
 
 func policy() Policy { return Policy{Seed: 1, Sleep: noSleep} }
@@ -80,14 +78,14 @@ func TestRetriesExhausted(t *testing.T) {
 	r := New(inner, policy())
 	_, err := r.Feedback(context.Background(), akb.FeedbackRequest{})
 	if err == nil {
-		t.Fatal("three transient failures with MaxAttempts=3 should error")
+		t.Fatal("three transient failures should exhaust the three attempts")
 	}
 	var te *tempErr
 	if !errors.As(err, &te) {
 		t.Fatalf("final error should wrap the last attempt's: %v", err)
 	}
 	if inner.calls != 3 {
-		t.Fatalf("inner saw %d calls, want exactly MaxAttempts", inner.calls)
+		t.Fatalf("inner saw %d calls, want exactly maxAttempts", inner.calls)
 	}
 }
 
@@ -116,180 +114,123 @@ func TestContextCancelNotRetried(t *testing.T) {
 	}
 }
 
+// permanent scripts n permanent failures: each do() makes exactly one
+// attempt, so n calls are n consecutive breaker failures.
+func permanent(n int) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = &tempErr{temp: false}
+	}
+	return errs
+}
+
 func TestBreakerLifecycle(t *testing.T) {
-	// Script: enough permanent failures to trip the breaker (threshold 2,
-	// permanent so each do() counts exactly one failure), then successes.
-	inner := &seqOracle{errs: []error{
-		&tempErr{temp: false}, &tempErr{temp: false}, // trip at threshold 2
-	}}
-	p := policy()
-	p.BreakerThreshold = 2
-	p.BreakerCooldown = 2
-	p.HalfOpenProbes = 2
-	r := New(inner, p)
+	inner := &seqOracle{errs: permanent(breakerThreshold)} // then successes
+	r := New(inner, policy())
 	ctx := context.Background()
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
+		if r.State() != StateClosed {
+			t.Fatalf("breaker %v after %d failures, want closed below %d", r.State(), i, breakerThreshold)
+		}
 		if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil {
 			t.Fatal("scripted failure lost")
 		}
 	}
 	if r.State() != StateOpen {
-		t.Fatalf("breaker should be open after %d consecutive failures, is %v", 2, r.State())
+		t.Fatalf("breaker should be open after %d consecutive failures, is %v", breakerThreshold, r.State())
 	}
 
-	// While open, calls are rejected without touching the oracle.
+	// While open, calls are rejected without touching the oracle: the
+	// cooldown counts off oracleCooldown calls, the last of which probes.
 	before := inner.calls
-	_, err := r.Generate(ctx, akb.GenerateRequest{})
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open breaker should short-circuit: %v", err)
+	for i := 0; i < oracleCooldown-1; i++ {
+		if _, err := r.Generate(ctx, akb.GenerateRequest{}); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("open breaker should short-circuit: %v", err)
+		}
 	}
 	if inner.calls != before {
 		t.Fatal("open breaker still called the oracle")
 	}
-
-	// Cooldown=2: the first rejected call above consumed one; the next call
-	// is admitted as a half-open probe and succeeds.
-	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
-		t.Fatalf("half-open probe failed: %v", err)
-	}
-	if r.State() != StateHalfOpen {
-		t.Fatalf("one successful probe of two should leave half-open, is %v", r.State())
-	}
-	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
-		t.Fatalf("second probe failed: %v", err)
-	}
-	if r.State() != StateClosed {
-		t.Fatalf("two successful probes should close the breaker, is %v", r.State())
+	for probe := 1; probe <= breakerProbes; probe++ {
+		if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
+			t.Fatalf("half-open probe %d failed: %v", probe, err)
+		}
+		want := StateHalfOpen
+		if probe == breakerProbes {
+			want = StateClosed
+		}
+		if r.State() != want {
+			t.Fatalf("after %d of %d successful probes the breaker is %v, want %v", probe, breakerProbes, r.State(), want)
+		}
 	}
 }
 
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
-	inner := &seqOracle{errs: []error{
-		&tempErr{temp: false}, // trips (threshold 1)
-		&tempErr{temp: false}, // the failed probe
-	}}
-	p := policy()
-	p.BreakerThreshold = 1
-	p.BreakerCooldown = 1
-	r := New(inner, p)
+	inner := &seqOracle{errs: permanent(breakerThreshold + 1)} // the trip, then the failed probe
+	r := New(inner, policy())
 	ctx := context.Background()
 
-	r.Generate(ctx, akb.GenerateRequest{})
+	for i := 0; i < breakerThreshold; i++ {
+		r.Generate(ctx, akb.GenerateRequest{})
+	}
 	if r.State() != StateOpen {
 		t.Fatalf("state %v", r.State())
 	}
-	// Cooldown 1 → this call probes immediately, fails, reopens.
-	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil {
-		t.Fatal("failed probe lost")
+	for i := 0; i < oracleCooldown-1; i++ {
+		r.Generate(ctx, akb.GenerateRequest{})
+	}
+	// Cooled down → this call probes, fails, reopens.
+	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("the probe should reach the oracle and fail, got %v", err)
 	}
 	if r.State() != StateOpen {
 		t.Fatalf("failed probe should reopen the breaker, is %v", r.State())
 	}
 }
 
-func TestCallBudget(t *testing.T) {
-	inner := &seqOracle{}
-	p := policy()
-	p.MaxCalls = 2
-	r := New(inner, p)
-	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
-			t.Fatalf("call %d within budget failed: %v", i, err)
-		}
-	}
-	_, err := r.Generate(ctx, akb.GenerateRequest{})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("budget exceeded should fail fast: %v", err)
-	}
-	if inner.calls != 2 {
-		t.Fatalf("budget-rejected call reached the oracle: %d calls", inner.calls)
-	}
-}
-
-func TestTokenBudget(t *testing.T) {
-	inner := &seqOracle{} // 10 tokens per call
-	p := policy()
-	p.MaxTokens = 25
-	r := New(inner, p)
-	ctx := context.Background()
-	var err error
-	for i := 0; i < 5; i++ {
-		if _, err = r.Generate(ctx, akb.GenerateRequest{}); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("token budget never enforced: %v", err)
-	}
-	if inner.calls != 3 { // 10, 20 < 25 admitted; 30 would exceed → 3rd call admitted at 20
-		t.Fatalf("inner saw %d calls, want 3", inner.calls)
-	}
-}
-
 func TestBackoffDeterministicAndCapped(t *testing.T) {
+	// The delays the Sleep hook saw for two exhausted calls, then enough
+	// further draws for the 3× growth to reach the cap.
 	schedule := func(seed int64) []time.Duration {
 		var delays []time.Duration
-		p := Policy{
-			Seed:      seed,
-			BaseDelay: 10 * time.Millisecond,
-			MaxDelay:  40 * time.Millisecond,
-			Sleep:     func(d time.Duration) { delays = append(delays, d) },
-			// Never trip the breaker so every retry sleeps.
-			BreakerThreshold: -1,
-			MaxAttempts:      4,
-		}
 		inner := &seqOracle{errs: []error{
 			&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true},
 			&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true},
 		}}
-		r := New(inner, p)
+		r := New(inner, Policy{Seed: seed, Sleep: func(d time.Duration) { delays = append(delays, d) }})
 		r.Generate(context.Background(), akb.GenerateRequest{})
 		r.Feedback(context.Background(), akb.FeedbackRequest{})
+		if len(delays) == 0 {
+			t.Fatal("no backoff waits recorded")
+		}
+		for i := 0; i < 40; i++ {
+			delays = append(delays, r.nextDelay())
+		}
 		return delays
 	}
 	a, b := schedule(7), schedule(7)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different backoff:\n%v\n%v", a, b)
 	}
-	if len(a) == 0 {
-		t.Fatal("no backoff waits recorded")
-	}
+	capped := false
 	for i, d := range a {
-		if d < 10*time.Millisecond || d > 40*time.Millisecond {
-			t.Fatalf("delay %d = %v outside [base, max]", i, d)
+		if d < baseDelay || d > maxDelay {
+			t.Fatalf("delay %d = %v outside [%v, %v]", i, d, baseDelay, maxDelay)
 		}
+		capped = capped || d == maxDelay
+	}
+	if !capped {
+		t.Fatalf("%d delays growing 3× from %v never reached the %v cap: %v", len(a), baseDelay, maxDelay, a)
 	}
 	if c := schedule(8); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical backoff schedules")
 	}
 }
 
-func TestDisabledBreaker(t *testing.T) {
-	inner := &seqOracle{errs: []error{
-		&tempErr{temp: false}, &tempErr{temp: false}, &tempErr{temp: false},
-		&tempErr{temp: false}, &tempErr{temp: false}, &tempErr{temp: false},
-	}}
-	p := policy()
-	p.BreakerThreshold = -1
-	r := New(inner, p)
-	ctx := context.Background()
-	for i := 0; i < 6; i++ {
-		r.Generate(ctx, akb.GenerateRequest{})
-	}
-	if r.State() != StateClosed {
-		t.Fatalf("disabled breaker changed state: %v", r.State())
-	}
-	if inner.calls != 6 {
-		t.Fatalf("disabled breaker rejected calls: %d of 6", inner.calls)
-	}
-}
-
 func TestCallTimeoutApplied(t *testing.T) {
 	p := policy()
 	p.CallTimeout = time.Millisecond
-	p.MaxAttempts = 2
 	var sawDeadline bool
 	slow := fallibleFunc(func(ctx context.Context) error {
 		if _, ok := ctx.Deadline(); ok {
@@ -333,6 +274,63 @@ func TestStateString(t *testing.T) {
 	} {
 		if s.String() != want {
 			t.Fatalf("State(%d).String() = %q", s, s.String())
+		}
+	}
+}
+
+// TestTelemetry drives one client through a retry, an exhausted call and a
+// breaker trip, and reads back every resilience.* series and both spans the
+// catalogue lists for this package: each fails if its call site goes.
+func TestTelemetry(t *testing.T) {
+	var trace bytes.Buffer
+	reg := obs.NewRegistry()
+	p := policy()
+	p.Rec = obs.NewRecorder(reg, obs.NewTracer(&trace))
+	inner := &seqOracle{errs: []error{
+		&tempErr{temp: true}, nil, // call 1: one retry, then an answer
+		&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true}, // call 2: exhausted
+		&tempErr{temp: true}, &tempErr{temp: true}, // call 3: failures 4 and 5 trip the breaker
+	}}
+	r := New(inner, p)
+	ctx := context.Background()
+	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil {
+		t.Fatal("call 2 should exhaust its attempts")
+	}
+	if _, err := r.Generate(ctx, akb.GenerateRequest{}); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("call 3 should end on the open breaker: %v", err)
+	}
+	if err := p.Rec.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"resilience.retries":       4,
+		"resilience.failures":      6,
+		"resilience.exhausted":     1,
+		"resilience.breaker_trips": 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges["resilience.breaker_state"]; got != float64(StateOpen) {
+		t.Errorf("resilience.breaker_state = %v, want %d (open)", got, StateOpen)
+	}
+	recs, err := obs.ReadTrace(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, rec := range recs {
+		seen[rec.Name]++
+	}
+	for name, want := range map[string]int{"akb.oracle_call": 3, "akb.oracle_retry": 4, "resilience.breaker": 1} {
+		if seen[name] != want {
+			t.Errorf("trace holds %d %s records, want %d", seen[name], name, want)
 		}
 	}
 }

@@ -306,13 +306,11 @@ func (b *batcher) serve(ln *lane) {
 	_, span := b.rec.StartSpan("serve.batch")
 	span.SetAttr("key", b.key)
 	span.SetAttr("size", len(batch))
-	start := time.Now()
 	b.rec.Observe("serve.batch_size", float64(len(batch)), sizeBounds)
 	batchLabel := strconv.Itoa(len(batch))
 	live := ln.live[:0]
 	for _, r := range batch {
 		queueUS := b.now().Sub(r.enq).Microseconds()
-		b.rec.Observe("serve.queue_us", float64(queueUS), nil)
 		if rs := obs.SpanFromContext(r.ctx); rs != nil {
 			span.Link(rs.Context())
 			rs.SetAttr("queue_us", queueUS)
@@ -357,6 +355,5 @@ func (b *batcher) serve(ln *lane) {
 		}
 	}
 	b.rec.Count("serve.batches", 1)
-	b.rec.Observe("serve.batch_us", float64(time.Since(start).Microseconds()), nil)
 	span.End()
 }

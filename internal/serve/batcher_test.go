@@ -119,7 +119,8 @@ func TestStopFailsQueued(t *testing.T) {
 // answered with the context error without touching the model.
 func TestPredictShedsCanceled(t *testing.T) {
 	ad := &stubAdapter{key: "K", delay: 30 * time.Millisecond}
-	b := newBatcher("K", ad, 1, time.Millisecond, 1, nil)
+	metrics := obs.NewRegistry()
+	b := newBatcher("K", ad, 1, time.Millisecond, 1, obs.NewRecorder(metrics, nil))
 	defer b.stop()
 
 	// Head-of-line request keeps the only lane busy.
@@ -141,6 +142,13 @@ func TestPredictShedsCanceled(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("canceled request never returned")
+	}
+	// The caller left at once; the batcher sheds the dead request when it
+	// reaches it, behind the head-of-line forward.
+	for deadline := time.Now().Add(5 * time.Second); metrics.Snapshot().Counters["serve.shed"] != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve.shed = %d, want the canceled request counted once", metrics.Snapshot().Counters["serve.shed"])
+		}
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestStatusForMapping pins the full error→status table, wrapped and bare:
@@ -78,7 +80,8 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // to a backend that is shutting down without declaring it dead.
 func TestReadyzAndDrain(t *testing.T) {
 	reg := NewRegistry(newStubTransferer(0).transfer, Options{})
-	s := NewServer(reg, Options{})
+	metrics := obs.NewRegistry()
+	s := NewServer(reg, Options{Rec: obs.NewRecorder(metrics, nil)})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
@@ -130,6 +133,9 @@ func TestReadyzAndDrain(t *testing.T) {
 	if wresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("warm while draining: %d, want 503", wresp.StatusCode)
 	}
+	if got := metrics.Snapshot().Counters["serve.shed_draining"]; got != 2 {
+		t.Fatalf("serve.shed_draining = %d, want the predict and the warm", got)
+	}
 }
 
 // TestOverloadShed: past MaxInflight concurrent requests, predict sheds
@@ -137,7 +143,8 @@ func TestReadyzAndDrain(t *testing.T) {
 func TestOverloadShed(t *testing.T) {
 	tr := newStubTransferer(300 * time.Millisecond) // slow cold start holds the slot
 	reg := NewRegistry(tr.transfer, Options{})
-	s := NewServer(reg, Options{MaxInflight: 1})
+	metrics := obs.NewRegistry()
+	s := NewServer(reg, Options{MaxInflight: 1, Rec: obs.NewRecorder(metrics, nil)})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 
@@ -172,6 +179,9 @@ func TestOverloadShed(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 shed carries no Retry-After")
+	}
+	if got := metrics.Snapshot().Counters["serve.shed_overload"]; got != 1 {
+		t.Fatalf("serve.shed_overload = %d, want 1", got)
 	}
 	wg.Wait()
 }

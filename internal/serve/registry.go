@@ -305,7 +305,6 @@ func (r *Registry) build(reqCtx context.Context, key string, f *flight) {
 	if rs := obs.SpanFromContext(reqCtx); rs != nil {
 		span.Link(rs.Context())
 	}
-	start := time.Now()
 	defer func() {
 		cancel()
 		if p := recover(); p != nil {
@@ -325,7 +324,6 @@ func (r *Registry) build(reqCtx context.Context, key string, f *flight) {
 		r.mu.Unlock()
 		if f.err == nil {
 			r.rec.Count("serve.transfers", 1)
-			r.rec.Observe("serve.transfer_us", float64(time.Since(start).Microseconds()), nil)
 		} else {
 			r.rec.Count("serve.transfer_errors", 1)
 		}
@@ -368,7 +366,6 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		r.rec.Count("serve.registry_eviction", 1)
 		go victim.bat.stop()
 	}
-	r.rec.SetGauge("serve.adapters", float64(len(r.ready)))
 }
 
 // Snapshot reports every key the registry has seen, resident or not,
@@ -412,8 +409,6 @@ func (r *Registry) Evict(_ context.Context, key string) (bool, error) {
 	if resident {
 		delete(r.ready, key)
 		r.rec.Count("serve.registry_eviction", 1)
-		r.rec.Count("serve.evictions_explicit", 1)
-		r.rec.SetGauge("serve.adapters", float64(len(r.ready)))
 	}
 	r.mu.Unlock()
 	if resident {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/obs"
 )
 
 // stubAdapter is a deterministic in-test adapter, safe for concurrent calls
@@ -186,7 +187,8 @@ func TestColdStartCoalesces(t *testing.T) {
 // and per-key counters survive eviction.
 func TestLRUEviction(t *testing.T) {
 	tr := newStubTransferer(0)
-	r := NewRegistry(tr.transfer, Options{MaxAdapters: 2})
+	metrics := obs.NewRegistry()
+	r := NewRegistry(tr.transfer, Options{MaxAdapters: 2, Rec: obs.NewRecorder(metrics, nil)})
 	ctx := context.Background()
 	for _, key := range []string{"A", "B"} {
 		if _, _, err := r.Predict(ctx, key, inst("1")); err != nil {
@@ -220,6 +222,17 @@ func TestLRUEviction(t *testing.T) {
 	for _, st := range r.Snapshot() {
 		if st.Key == "B" && st.Transfers != 2 {
 			t.Fatalf("B stats lost across eviction: %+v", st)
+		}
+	}
+	// The process-wide series tell the same story: four cold starts (A, B,
+	// C, B again), one warm hit, two LRU victims.
+	got := metrics.Snapshot().Counters
+	for name, want := range map[string]int64{
+		"serve.registry_miss": 4, "serve.registry_hit": 1, "serve.registry_eviction": 2,
+		"serve.transfers": 4, "serve.transfer_errors": 0,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %d, want %d (all counters: %v)", name, got[name], want, got)
 		}
 	}
 }
@@ -274,7 +287,8 @@ func TestPanickingTransferFailsWaiters(t *testing.T) {
 func TestTransferErrorPropagates(t *testing.T) {
 	tr := newStubTransferer(0)
 	tr.errs["nope"] = fmt.Errorf("%w: %q", ErrUnknownKey, "nope")
-	r := NewRegistry(tr.transfer, Options{})
+	metrics := obs.NewRegistry()
+	r := NewRegistry(tr.transfer, Options{Rec: obs.NewRecorder(metrics, nil)})
 	_, _, err := r.Predict(context.Background(), "nope", inst("1"))
 	if !errors.Is(err, ErrUnknownKey) {
 		t.Fatalf("err = %v, want ErrUnknownKey", err)
@@ -286,6 +300,9 @@ func TestTransferErrorPropagates(t *testing.T) {
 		if st.Key == "nope" && st.Errors == 0 {
 			t.Fatalf("error not counted: %+v", st)
 		}
+	}
+	if c := metrics.Snapshot().Counters; c["serve.transfer_errors"] != 1 || c["serve.transfers"] != 0 {
+		t.Fatalf("counters %v, want serve.transfer_errors 1 and no serve.transfers", c)
 	}
 }
 

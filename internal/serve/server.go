@@ -81,19 +81,7 @@ func NewServer(res Resolver, opts Options) *Server {
 		s.instrument(&unknownPath, w, r)
 	})
 	if opts.Rec != nil && opts.Rec.Metrics != nil {
-		reg := opts.Rec.Metrics
-		s.mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			if err := obs.WritePrometheus(w, reg.Snapshot()); err != nil {
-				WriteErrorStatus(w, http.StatusInternalServerError, err.Error())
-			}
-		})
-		s.mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			if err := reg.WriteJSON(w); err != nil {
-				WriteErrorStatus(w, http.StatusInternalServerError, err.Error())
-			}
-		})
+		obs.MountMetrics(s.mux, opts.Rec.Metrics)
 	}
 	return s
 }
@@ -106,10 +94,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // with 503 + Retry-After while requests already in flight finish. Pair it
 // with http.Server.Shutdown for a zero-loss rolling restart.
 func (s *Server) StartDrain() {
-	if !s.draining.Swap(true) {
-		s.rec.SetGauge("serve.draining", 1)
-		s.rec.Event("serve.drain")
-	}
+	s.draining.Store(true)
 }
 
 // WireField / WireInstance are the JSON shape of a data.Instance on the

@@ -161,9 +161,18 @@ func TestConcurrentTracing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace stream corrupt: %v", err)
 	}
-	var requests, batches int
+	var requests, batches, transfers, predicts int
 	for _, r := range recs {
 		switch r.Name {
+		case "serve.transfer":
+			// A cold start is shared work too: its span links the request
+			// that triggered it.
+			transfers++
+			if len(r.Links) != 1 || !sentTraces[r.Links[0].Trace] {
+				t.Fatalf("serve.transfer span does not link the request that caused it: %+v", r)
+			}
+		case "serve.predict":
+			predicts++
 		case "serve.request":
 			requests++
 			if !sentTraces[r.Trace] {
@@ -187,8 +196,11 @@ func TestConcurrentTracing(t *testing.T) {
 	if requests != len(items) {
 		t.Fatalf("got %d serve.request spans, want %d", requests, len(items))
 	}
-	if batches == 0 {
-		t.Fatal("no serve.batch spans recorded")
+	if batches == 0 || predicts != batches {
+		t.Fatalf("%d serve.batch spans with %d serve.predict children, want one forward per batch", batches, predicts)
+	}
+	if transfers != len(keys) {
+		t.Fatalf("got %d serve.transfer spans, want one per key (%d)", transfers, len(keys))
 	}
 
 	// One request end to end, the way an operator follows a slow one: the

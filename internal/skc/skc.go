@@ -165,7 +165,6 @@ func FewShotFineTune(tr *Transferred, examples []model.TrainExample, opts Option
 	}
 	loss := model.Train(tr.Model, examples, opts.FewShot, &ps)
 	span.SetAttr("final_loss", loss)
-	opts.Rec.SetGauge("skc.fewshot.final_loss", loss)
 	recordLambdas(opts.Rec, tr.Fusion)
 	return loss
 }

@@ -28,6 +28,14 @@
 #     across processes; foreign dir refused     cmd/knowtrans TestDrillArtifacts
 #   stale / truncated artifact dirs refused     eval.TestLoadArtifactsRefuses
 #   operator mistakes exit 2, leave no files    cmd/knowtrans TestOperatorMistakesExitTwo
+#   a failed telemetry setup releases what it
+#     started                                   cmd/knowtrans TestFailedObsSetupReleasesWhatItAcquired
+#   every emitted metric, span and event is
+#     catalogued and read                       obs.TestTelemetryCatalogue (DESIGN.md "Telemetry catalogue")
+#   parsers of untrusted bytes                  obs.FuzzParseTraceparent, jobs.FuzzParseSpec (+ confine),
+#                                               jobs.FuzzReadLog, faults.FuzzParseSpec: corpora in tier-1,
+#                                               10 s of fuzzing each in tier-2
+#   a manager forgets old finished jobs only    jobs.TestManagerForgetsOldFinishedJobs
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
@@ -68,6 +76,14 @@ echo "check.sh: tier-1 gates passed"
 # per child), so tier-1's `go test` skips them unless -drill is passed.
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
+
+# The four fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# corpora). -fuzz takes one target and one package per run.
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/jobs
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
+echo "check.sh: fuzz targets passed"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
 # error through serve.WriteError, never raw http.Error; and the router and
