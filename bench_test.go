@@ -246,12 +246,12 @@ func BenchmarkFewShotTransfer(b *testing.B) {
 // TestAllocationBudgets is the allocation gate: the two predict benchmarks and
 // the Transfer benchmark, run in process, may not allocate more per op than the
 // limits below. All three make one untimed call first, so what is counted is
-// the steady state and does not depend on b.N. Measured on go1.24, twenty runs
-// each, the same at -cpu 1, 2, 4 and 8:
+// the steady state and does not depend on b.N. Measured on go1.24, seven runs
+// each, the same at -cpu 1, 2 and 4:
 //
-//	ServePredict     370 allocs/op in 20/20, 13,759-13,760 B/op
-//	ServePredictOne  377 allocs/op in 20/20, 13,759-13,760 B/op
-//	FewShotTransfer  22,589-22,593 allocs/op, 35,649,988-35,652,053 B/op
+//	ServePredict     362 allocs/op in 7/7, 13,664 B/op
+//	ServePredictOne  369 allocs/op in 7/7, 13,664-13,666 B/op
+//	FewShotTransfer  22,341-22,345 allocs/op, 35,611,132-35,614,855 B/op
 //
 // The predict counts are the limits themselves: one more allocation per batch
 // (+1) or per row (+8) fails. The Transfer row gets 1% headroom, far more than
@@ -272,9 +272,9 @@ func TestAllocationBudgets(t *testing.T) {
 		bench               func(*testing.B)
 		maxAllocs, maxBytes int64
 	}{
-		{"ServePredict", BenchmarkServePredict, 370, 15_100},
-		{"ServePredictOne", BenchmarkServePredictOne, 377, 15_100},
-		{"FewShotTransfer", BenchmarkFewShotTransfer, 22_820, 36_010_000},
+		{"ServePredict", BenchmarkServePredict, 362, 15_100},
+		{"ServePredictOne", BenchmarkServePredictOne, 369, 15_100},
+		{"FewShotTransfer", BenchmarkFewShotTransfer, 22_574, 35_972_000},
 	} {
 		r := testing.Benchmark(tc.bench)
 		if r.N == 0 {

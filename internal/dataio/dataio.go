@@ -226,11 +226,18 @@ func EncodeJSON(ds *data.Dataset, seedKnowledge string, w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// DecodeJSON parses a dataset previously written by EncodeJSON / dpgen.
+// DecodeJSON parses a dataset previously written by EncodeJSON / dpgen. The
+// stream must hold exactly one dataset: anything but whitespace after it is
+// an error, so two concatenated datasets are refused rather than silently
+// cut to the first.
 func DecodeJSON(r io.Reader) (*data.Dataset, error) {
 	var in JSONDataset
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("dataio: decoding dataset: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("dataio: decoding dataset: trailing data after the value")
 	}
 	ds := &data.Dataset{Name: in.Name, Task: in.Task}
 	var err error

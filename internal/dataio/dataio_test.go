@@ -197,6 +197,31 @@ func TestJSONRoundTripGeneratedDataset(t *testing.T) {
 	}
 }
 
+const oneDataset = `{"name":"x","task":"ED","train":[],"test":[{"id":"1","fields":[],"candidates":["yes","no"],"gold":1}]}`
+
+// A job input holding two concatenated datasets must not run only the first
+// under a hash that covers both.
+func TestDecodeJSONRejectsTrailingBytes(t *testing.T) {
+	for _, tail := range []string{" trailing garbage {{{", oneDataset, "\n" + oneDataset + "\n", "]", " null"} {
+		if _, err := DecodeJSON(strings.NewReader(oneDataset + tail)); err == nil {
+			t.Fatalf("accepted trailing bytes %q", tail)
+		}
+	}
+}
+
+// Trailing whitespace, such as the newline EncodeJSON ends with, is not data.
+func TestDecodeJSONAcceptsTrailingWhitespace(t *testing.T) {
+	for _, tail := range []string{"\n", " \t\r\n\n"} {
+		ds, err := DecodeJSON(strings.NewReader(oneDataset + tail))
+		if err != nil {
+			t.Fatalf("tail %q: %v", tail, err)
+		}
+		if len(ds.Test) != 1 {
+			t.Fatalf("tail %q: decoded %d test rows, want 1", tail, len(ds.Test))
+		}
+	}
+}
+
 func TestDecodeJSONRejectsBadGold(t *testing.T) {
 	bad := `{"name":"x","task":"ED","train":[{"id":"1","fields":[],"candidates":["yes"],"gold":5}],"test":[]}`
 	if _, err := DecodeJSON(strings.NewReader(bad)); err == nil {

@@ -58,6 +58,19 @@ func TestBuildExampleIntoMatchesBuildExample(t *testing.T) {
 	}
 }
 
+// TestTaskLabel: the task-identity segment is "task " + kind for every kind,
+// the seven from the table without allocating, any other by concatenation.
+func TestTaskLabel(t *testing.T) {
+	for _, k := range append(All(), "XX") {
+		if got := taskLabel(k); got != "task "+string(k) {
+			t.Fatalf("taskLabel(%s) = %q", k, got)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = taskLabel(CTA) }); n != 0 {
+		t.Fatalf("taskLabel(CTA) allocates %.0f objects", n)
+	}
+}
+
 // TestAlignMemoDoesNotPinInstances: rows decoded for one request or one job
 // must be collectable once the caller drops them. A process-wide memo keyed
 // by instance pointer kept every row ever serialized alive (100 MiB over a

@@ -64,7 +64,7 @@ func BuildExampleInto(ex *Example, spec Spec, in *data.Instance, k *Knowledge) {
 	ex.Prompt = ""
 	fields, weights := k.ApplySerial(in.Fields)
 
-	segs := append(ex.Segments[:0], text.Segment{Text: "task " + string(spec.Kind), Weight: wDescription})
+	segs := append(ex.Segments[:0], text.Segment{Text: taskLabel(spec.Kind), Weight: wDescription})
 	segs = append(segs, text.Segment{Text: spec.Description, Weight: wDescription})
 	if k != nil && k.Text != "" {
 		segs = append(segs, text.Segment{Field: "knowledge", Text: k.Text, Weight: wKnowledge, Isolated: true})
@@ -93,6 +93,24 @@ func BuildExampleInto(ex *Example, spec Spec, in *data.Instance, k *Knowledge) {
 	segs = appendAlignSegments(segs, in)
 	segs = append(segs, text.Segment{Text: spec.Question, Weight: wQuestion})
 	ex.Segments = segs
+}
+
+// taskLabels holds the task-identity segment text of each of the seven
+// kinds, built once, so a row does not allocate the concatenation.
+var taskLabels = func() map[Kind]string {
+	m := make(map[Kind]string, len(All()))
+	for _, k := range All() {
+		m[k] = "task " + string(k)
+	}
+	return m
+}()
+
+// taskLabel returns "task " + k, from taskLabels for the seven kinds.
+func taskLabel(k Kind) string {
+	if s, ok := taskLabels[k]; ok {
+		return s
+	}
+	return "task " + string(k)
 }
 
 // formatSignature describes the surface form of a value in a few tokens.

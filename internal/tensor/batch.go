@@ -47,15 +47,12 @@ func MatMulNN(a, b, c *Mat) {
 	c.Zero()
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := Vec(c.Data[i*c.Cols : (i+1)*c.Cols])
+		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
 		for t, x := range arow {
 			if x == 0 {
 				continue
 			}
-			brow := b.Data[t*b.Cols : (t+1)*b.Cols]
-			for j, w := range brow {
-				crow[j] += x * w
-			}
+			axpy(x, b.Data[t*b.Cols:(t+1)*b.Cols], crow)
 		}
 	}
 }

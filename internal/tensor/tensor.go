@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -54,8 +55,27 @@ func (v Vec) Axpy(a float64, w Vec) {
 	if a == 0 {
 		return
 	}
-	for i, x := range w {
-		v[i] += a * x
+	axpy(a, w, v)
+}
+
+// axpy performs y[i] += a*x[i] for every i < len(x); y must be at least as
+// long as x. It is the one inner loop under Vec.Axpy, MulVecT, RankOne and
+// MatMulNN, unrolled four ways. Each element is still its own multiply and
+// add, so the result is bit-identical to the plain loop; the zero-coefficient
+// skips stay with the callers.
+func axpy(a float64, x, y []float64) {
+	y = y[:len(x)]
+	n := len(x) &^ 3
+	for i := 0; i < n; i += 4 {
+		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	x, y = x[n:], y[n:]
+	for i, v := range x {
+		y[i] += a * v
 	}
 }
 
@@ -131,16 +151,6 @@ func (m *Mat) Copy(src *Mat) {
 	copy(m.Data, src.Data)
 }
 
-// AddScaled performs m += a*other in place. It panics on shape mismatch.
-func (m *Mat) AddScaled(a float64, other *Mat) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	for i, x := range other.Data {
-		m.Data[i] += a * x
-	}
-}
-
 // MulVec computes y = m * x for dense x. y must have length Rows and x
 // length Cols.
 func (m *Mat) MulVec(x, y Vec) {
@@ -168,10 +178,7 @@ func (m *Mat) MulVecT(x, y Vec) {
 		if a == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			y[j] += a * w
-		}
+		axpy(a, m.Data[i*m.Cols:(i+1)*m.Cols], y)
 	}
 }
 
@@ -189,10 +196,7 @@ func (m *Mat) RankOne(a float64, u, v Vec) {
 		if s == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range v {
-			row[j] += s * x
-		}
+		axpy(s, v, m.Data[i*m.Cols:(i+1)*m.Cols])
 	}
 }
 
@@ -270,96 +274,51 @@ func (s *Sparse) Dot(o *Sparse) float64 {
 
 // DenseBuilder accumulates (index, value) contributions, merging duplicate
 // indices, and produces a sorted Sparse: the bridge from feature hashing to
-// the encoder input. Contributions accumulate into a dim-sized array with a
-// generation stamp per slot, so Add is two array writes and BuildInto sorts a
-// plain touched-index list. Accumulation at each index happens in Add-call
-// order starting from an explicit zero. The dense scratch costs 12 bytes per
-// dimension, so this type is for persistent builders (one per text.Encoder).
+// the encoder input. Contributions accumulate into a dim-sized array with one
+// bit per slot marking the slots this build touched, so Add is a bit test and
+// two array writes, and BuildInto walks the set bits in ascending order — no
+// sort. Accumulation at each index happens in Add-call order starting from an
+// explicit zero. The dense scratch costs 8 bytes plus 1 bit per dimension, so
+// this type is for persistent builders (one per text.Encoder).
 type DenseBuilder struct {
-	val     []float64
-	gen     []uint32
-	cur     uint32
-	touched []int32
+	val  []float64
+	used []uint64 // bit i%64 of word i/64: val[i] holds this build's sum
 }
 
 // NewDenseBuilder returns an empty builder over [0, dim) indices.
 func NewDenseBuilder(dim int) *DenseBuilder {
-	return &DenseBuilder{val: make([]float64, dim), gen: make([]uint32, dim), cur: 1}
+	return &DenseBuilder{val: make([]float64, dim), used: make([]uint64, (dim+63)/64)}
 }
 
 // Add accumulates v at index idx.
 func (b *DenseBuilder) Add(idx int32, v float64) {
-	if b.gen[idx] != b.cur {
-		b.gen[idx] = b.cur
+	w, bit := idx>>6, uint64(1)<<(idx&63)
+	if b.used[w]&bit == 0 {
+		b.used[w] |= bit
 		// Start from an explicit 0 + v so a -0 contribution lands as +0.
 		b.val[idx] = 0
-		b.touched = append(b.touched, idx)
 	}
 	b.val[idx] += v
 }
 
 // BuildInto fills dst with the sorted sparse vector, reusing dst's backing
-// slices, and resets the builder in O(touched). Entries that cancelled to
-// exactly zero (rare sign-hash cancellations) are dropped.
+// slices, and clears the touched bits as it reads them, leaving the builder
+// empty. Entries that cancelled to exactly zero (rare sign-hash
+// cancellations) are dropped.
 func (b *DenseBuilder) BuildInto(dst *Sparse) {
-	sortInt32(b.touched)
 	dst.Idx = dst.Idx[:0]
 	dst.Val = dst.Val[:0]
-	for _, idx := range b.touched {
-		if v := b.val[idx]; v != 0 {
-			dst.Idx = append(dst.Idx, idx)
-			dst.Val = append(dst.Val, v)
+	for w, word := range b.used {
+		if word == 0 {
+			continue
 		}
-	}
-	b.Reset()
-}
-
-// Reset drops the accumulated contributions by bumping the generation stamp;
-// the dense arrays are reused, not cleared.
-func (b *DenseBuilder) Reset() {
-	b.touched = b.touched[:0]
-	b.cur++
-	if b.cur == 0 { // stamp wrapped: invalidate every slot the slow way
-		clear(b.gen)
-		b.cur = 1
-	}
-}
-
-func sortInt32(a []int32) {
-	// Simple bottom-up quicksort avoids importing sort for a []int32 adapter.
-	var qs func(lo, hi int)
-	qs = func(lo, hi int) {
-		for hi-lo > 12 {
-			p := a[(lo+hi)/2]
-			i, j := lo, hi
-			for i <= j {
-				for a[i] < p {
-					i++
-				}
-				for a[j] > p {
-					j--
-				}
-				if i <= j {
-					a[i], a[j] = a[j], a[i]
-					i++
-					j--
-				}
-			}
-			if j-lo < hi-i {
-				qs(lo, j)
-				lo = i
-			} else {
-				qs(i, hi)
-				hi = j
+		b.used[w] = 0
+		for ; word != 0; word &= word - 1 {
+			idx := int32(w<<6 | bits.TrailingZeros64(word))
+			if v := b.val[idx]; v != 0 {
+				dst.Idx = append(dst.Idx, idx)
+				dst.Val = append(dst.Val, v)
 			}
 		}
-		for i := lo + 1; i <= hi; i++ {
-			for j := i; j > lo && a[j] < a[j-1]; j-- {
-				a[j], a[j-1] = a[j-1], a[j]
-			}
-		}
-	}
-	if len(a) > 1 {
-		qs(0, len(a)-1)
 	}
 }

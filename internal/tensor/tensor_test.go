@@ -202,35 +202,6 @@ func TestSparseNormalize(t *testing.T) {
 	}
 }
 
-func TestSortInt32Property(t *testing.T) {
-	f := func(in []int32) bool {
-		a := append([]int32(nil), in...)
-		sortInt32(a)
-		for i := 1; i < len(a); i++ {
-			if a[i-1] > a[i] {
-				return false
-			}
-		}
-		// Same multiset: count via map.
-		count := map[int32]int{}
-		for _, v := range in {
-			count[v]++
-		}
-		for _, v := range a {
-			count[v]--
-		}
-		for _, c := range count {
-			if c != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMatFillGaussianDeterministic(t *testing.T) {
 	m1 := NewMat(4, 4)
 	m1.FillGaussian(rand.New(rand.NewSource(42)), 0.1)
@@ -239,20 +210,6 @@ func TestMatFillGaussianDeterministic(t *testing.T) {
 	for i := range m1.Data {
 		if m1.Data[i] != m2.Data[i] {
 			t.Fatal("same seed must give identical init")
-		}
-	}
-}
-
-func TestMatAddScaled(t *testing.T) {
-	a := NewMat(2, 2)
-	copy(a.Data, []float64{1, 2, 3, 4})
-	b := NewMat(2, 2)
-	copy(b.Data, []float64{10, 20, 30, 40})
-	a.AddScaled(0.5, b)
-	want := []float64{6, 12, 18, 24}
-	for i := range want {
-		if a.Data[i] != want[i] {
-			t.Fatalf("addscaled = %v, want %v", a.Data, want)
 		}
 	}
 }

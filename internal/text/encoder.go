@@ -82,8 +82,8 @@ type Encoder struct {
 }
 
 // NewEncoder returns an Encoder over h's feature space. Its dense builder
-// holds 12 bytes per hash dimension of resident scratch, so an Encoder is
-// meant to be kept: one per model, one per predictor.
+// holds 8 bytes plus 1 bit per hash dimension of resident scratch, so an
+// Encoder is meant to be kept: one per model, one per predictor.
 func NewEncoder(h *Hasher) *Encoder {
 	return &Encoder{h: h, b: tensor.NewDenseBuilder(h.dim)}
 }

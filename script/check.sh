@@ -35,6 +35,11 @@
 #   parsers of untrusted bytes                  obs.FuzzParseTraceparent, jobs.FuzzParseSpec (+ confine),
 #                                               jobs.FuzzReadLog, faults.FuzzParseSpec: corpora in tier-1,
 #                                               10 s of fuzzing each in tier-2
+#   sparse features == reference hasher         text.FuzzEncoderEquivalence, tensor.FuzzDenseBuilder
+#                                               (corpora in tier-1, 10 s of fuzzing each in tier-2)
+#   kernels == naive loops, bitwise             tensor.TestKernelsMatchNaiveLoops
+#   dataset decode refuses trailing bytes       dataio.TestDecodeJSONRejectsTrailingBytes, dataio.FuzzDecodeJSON
+#                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
 #   a manager forgets old finished jobs only    jobs.TestManagerForgetsOldFinishedJobs
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
@@ -77,12 +82,15 @@ echo "check.sh: tier-1 gates passed"
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
-# The four fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The seven fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
+go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s ./internal/dataio
+go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
+go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
 echo "check.sh: fuzz targets passed"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
