@@ -35,9 +35,10 @@ import (
 //
 // Each starts the real binary as child processes — `serve` fleets driven over
 // HTTP and compared answer by answer with the direct path, or one-shot
-// subcommands compared by their output; together they take about 75 s and
-// build a zoo per child, so plain `go test ./...` skips them.
-var drill = flag.Bool("drill", false, "run the serve, route, job, table6 and artifacts drills (about 75 s)")
+// subcommands compared by their output; together they take about 150 s, half
+// of it TestDrillPaperTables, and build a zoo per child, so plain
+// `go test ./...` skips them.
+var drill = flag.Bool("drill", false, "run the serve, route, job, table6, artifacts and paper-table drills (about 150 s)")
 
 func needDrill(t *testing.T) {
 	t.Helper()
@@ -550,6 +551,51 @@ func TestDrillTable6AcrossProcesses(t *testing.T) {
 	serial, parallel := tables("1"), tables("4")
 	if !strings.Contains(serial, "Average (all)") || serial != parallel {
 		t.Fatalf("table6 differs between -workers 1 and -workers 4:\n%s\n---\n%s", serial, parallel)
+	}
+}
+
+// recordedSettings are the flags results_full.txt was recorded at.
+var recordedSettings = []string{"-scale", "0.1", "-reps", "2", "-seed", "1"}
+
+// timingLine matches the "(table2 in 27.1s, scale=0.10, reps=2, seed=1)" line
+// that follows each table: wall time, the one thing a rerun may change.
+var timingLine = regexp.MustCompile(`^\([a-z0-9-]+ in [0-9.]+s, `)
+
+// TestDrillPaperTables is the paper as a gate: `experiment all` at the
+// recorded settings prints results_full.txt byte for byte, but for the timing
+// line after each table. Every table and figure of the reproduction runs
+// through it, Table II's MELD column through one-example StepBatch windows
+// included, so any change to the arithmetic of training, fusion, search or
+// answering fails here unless the file is re-recorded with it.
+func TestDrillPaperTables(t *testing.T) {
+	needDrill(t)
+	want, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	out, stderr, exit := knowtrans(t, append([]string{"experiment", "all"}, recordedSettings...)...)
+	if exit != 0 {
+		t.Fatalf("experiment all %v: exit %d\n%s", recordedSettings, exit, stderr)
+	}
+	t.Logf("experiment all %v: %.1fs", recordedSettings, time.Since(start).Seconds())
+	tables := func(s string) []string {
+		var kept []string
+		for _, line := range strings.Split(s, "\n") {
+			if !timingLine.MatchString(line) {
+				kept = append(kept, line)
+			}
+		}
+		return kept
+	}
+	got, rec := tables(out), tables(string(want))
+	for i := range min(len(got), len(rec)) {
+		if got[i] != rec[i] {
+			t.Fatalf("with timing lines dropped, line %d differs from results_full.txt:\n got %q\nwant %q", i+1, got[i], rec[i])
+		}
+	}
+	if len(got) != len(rec) {
+		t.Fatalf("experiment all printed %d lines, results_full.txt holds %d (timing lines dropped)", len(got), len(rec))
 	}
 }
 

@@ -113,7 +113,8 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 	ps.Add(shared.Params()...)
 	examples := model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil)
 	// Route per example during training: the gate must be set before each
-	// step, so the loop is manual (gradient-accumulated like model.Train).
+	// example's step, so the loop is manual — one-example StepBatch calls,
+	// gradient-accumulated like model.Train.
 	defer ps.ReleaseGrads()
 	opt := nn.NewAdam(tc.LR)
 	opt.WeightDecay = tc.WeightDecay
@@ -123,6 +124,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 		batch = 4
 	}
 	var ex tasks.Example
+	one := []*tasks.Example{&ex}
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
 		perm := order.Perm(len(examples))
 		ps.ZeroGrad()
@@ -131,7 +133,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 			te := examples[idx]
 			p.route(te.Instance)
 			tasks.BuildExampleInto(&ex, te.Spec, te.Instance, te.Knowledge)
-			host.Step(&ex)
+			host.StepBatch(one, 0)
 			if pending++; pending == batch {
 				ps.ClipGradNorm(tc.Clip)
 				opt.Step(&ps)

@@ -85,11 +85,12 @@ func TestLoadArtifactsTableOrder(t *testing.T) {
 
 // TestLoadArtifactsRefuses: a directory this zoo did not write — absent,
 // empty, from another seed, scale or tier, without a manifest, short a patch,
-// or with a truncated file — is refused with one of the two named errors and
-// leaves the zoo with nothing loaded.
+// with a truncated file, or with an upstream snapshot that decodes but cannot
+// be a model — is refused with one of the two named errors, never a panic,
+// and leaves the zoo with nothing loaded.
 func TestLoadArtifactsRefuses(t *testing.T) {
 	good := t.TempDir()
-	src, _, _ := tinyArtifactZoo(3, 0.5)
+	src, up, _ := tinyArtifactZoo(3, 0.5)
 	if err := src.SaveArtifacts(good, Size7B); err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +110,18 @@ func TestLoadArtifactsRefuses(t *testing.T) {
 	}
 	remove := func(name string) func(string) error {
 		return func(dir string) error { return os.Remove(filepath.Join(dir, name)) }
+	}
+	// upstream rewrites the upstream file as a well-formed gob of a changed snapshot.
+	upstream := func(change func(*model.Snapshot)) func(string) error {
+		return func(dir string) error {
+			s := up.Export()
+			change(s)
+			blob, err := s.Encode()
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, upstreamFile(Size7B)), blob, 0o644)
+		}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -131,6 +144,11 @@ func TestLoadArtifactsRefuses(t *testing.T) {
 		{"truncated upstream", damaged(truncate(upstreamFile(Size7B))), 3, 0.5, Size7B, ErrArtifactMismatch},
 		{"truncated patch", damaged(truncate("patch-DI-Buy.gob")), 3, 0.5, Size7B, ErrArtifactMismatch},
 		{"missing patch", damaged(remove("patch-DI-Buy.gob")), 3, 0.5, Size7B, ErrArtifactMismatch},
+		{"upstream dim -1", damaged(upstream(func(s *model.Snapshot) { s.Cfg.Dim = -1 })), 3, 0.5, Size7B, ErrArtifactMismatch},
+		{"upstream dim 2^40", damaged(upstream(func(s *model.Snapshot) { s.Cfg.Dim = 1 << 40 })), 3, 0.5, Size7B, ErrArtifactMismatch},
+		{"upstream matrix short", damaged(upstream(func(s *model.Snapshot) {
+			s.Mats["cand.dense.W"] = s.Mats["cand.dense.W"][1:]
+		})), 3, 0.5, Size7B, ErrArtifactMismatch},
 	} {
 		z := NewZoo(tc.seed, tc.scale)
 		err := z.LoadArtifacts(tc.dir, tc.size)

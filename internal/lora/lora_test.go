@@ -130,13 +130,19 @@ func crossLayouts(t *testing.T) {
 	if err := first.Load(snap); err != nil {
 		t.Fatal(err)
 	}
-	x := &tensor.Sparse{Idx: []int32{2, 9, 30}, Val: []float64{0.5, -1, 0.25}}
-	h, h2 := e.Forward(x), e2.Forward(x)
-	if !slices.Equal(h, h2) {
-		t.Fatalf("embedding forwards differ: %v vs %v", h, h2)
+	xs := []*tensor.Sparse{{Idx: []int32{2, 9, 30}, Val: []float64{0.5, -1, 0.25}}}
+	var pool tensor.Pool
+	h, h2 := tensor.NewMat(1, 6), tensor.NewMat(1, 6)
+	e.ForwardBatch(xs, h, &pool)
+	e2.ForwardBatch(xs, h2, &pool)
+	if !slices.Equal(h.Data, h2.Data) {
+		t.Fatalf("embedding forwards differ: %v vs %v", h.Data, h2.Data)
 	}
-	if y, y2 := d.Forward(h), d2.Forward(h2); !slices.Equal(y, y2) {
-		t.Fatalf("dense forwards differ: %v vs %v", y, y2)
+	y, y2 := tensor.NewMat(1, 4), tensor.NewMat(1, 4)
+	d.ForwardBatch(h, y, &pool)
+	d2.ForwardBatch(h2, y2, &pool)
+	if !slices.Equal(y.Data, y2.Data) {
+		t.Fatalf("dense forwards differ: %v vs %v", y.Data, y2.Data)
 	}
 }
 

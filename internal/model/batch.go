@@ -11,21 +11,23 @@ import (
 	"repro/internal/text"
 )
 
-// This file is the inference path, for any batch size n ≥ 1: one forward pass
-// over a whole micro-batch of examples, with the union of candidate strings
-// encoded once and each layer's matmul done once for the batch. Row by row it
-// performs the float64 arithmetic of the training forward (forwardInput /
-// forwardCand) in the same order; the reference kernel in the tests is built
-// from that forward and the equivalence suite compares bit for bit.
+// This file is the one forward, for inference and training alike and for any
+// batch size n ≥ 1: one pass over a whole micro-batch of examples, with the
+// union of candidate strings encoded and forwarded once and each layer's
+// matmul done once for the batch. Row by row it performs the float64
+// arithmetic of each example sent through alone, in the same order; the
+// reference kernel in the tests runs every example and every candidate as a
+// one-row batch, and the equivalence suite compares bit for bit.
 
 // evalBatch bounds the internal batch size of PredictBatchWith so scratch
 // matrices stay small regardless of dataset size.
 const evalBatch = 64
 
-// batchScratch is the unit of ownership of the inference path: everything a
-// forward mutates — the streaming encoder, the candidate-encoding memo, the
-// tensor pool and the example/score/index buffers — lives here, one scratch
-// per call in flight, while the weights it reads stay shared on the Model.
+// batchScratch is the unit of ownership of a forward: everything one mutates —
+// the streaming encoder, the candidate-encoding memo, the tensor pool, the
+// example/score/index buffers and the activations a forward leaves for a
+// backward — lives here, one scratch per call in flight, while the weights it
+// reads stay shared on the Model.
 type batchScratch struct {
 	pool  tensor.Pool
 	enc   *text.Encoder
@@ -40,6 +42,38 @@ type batchScratch struct {
 	idxs   []int           // predictBatch result scratch
 	exs    []tasks.Example // PredictBatchWith example scratch
 	exptrs []*tasks.Example
+
+	// acts is what the forward leaves for a backward; held lists every pool
+	// matrix the call holds until release hands them back.
+	acts  activations
+	held  []*tensor.Mat
+	pairs []pair
+	xs    []*tensor.Sparse // per pair, the candidate's encoding
+}
+
+// activations is what a forward leaves for StepBatch's backward: each tower's
+// two tanh outputs and each layer's tape (see nn.Embedding.ForwardTape).
+type activations struct {
+	h, f, ch, g *tensor.Mat
+	tapes       [4]*tensor.Mat // in.emb, in.dense, cand.emb, cand.dense
+}
+
+// keep lists m, a pool matrix, for release.
+func (b *batchScratch) keep(m *tensor.Mat) *tensor.Mat {
+	b.held = append(b.held, m)
+	return m
+}
+
+// hold draws a rows x cols matrix from the pool until release.
+func (b *batchScratch) hold(rows, cols int) *tensor.Mat { return b.keep(b.pool.GetMat(rows, cols)) }
+
+// release hands every held matrix back to the pool.
+func (b *batchScratch) release() {
+	for _, m := range b.held {
+		b.pool.PutMat(m)
+	}
+	clear(b.held)
+	b.held = b.held[:0]
 }
 
 // checkout takes a scratch off the model's free list, making one only when
@@ -124,13 +158,24 @@ func (m *Model) ScoresBatch(exs []*tasks.Example) [][]float64 {
 }
 
 func (m *Model) scoresBatch(b *batchScratch, exs []*tasks.Example) [][]float64 {
-	n := len(exs)
-	if n == 0 {
+	if len(exs) == 0 {
 		return nil
 	}
-	m.Rec.Count("model.forward", int64(n))
+	m.Rec.Count("model.forward", int64(len(exs)))
 	m.Rec.Count("model.batch_forward", 1)
-	h := m.Cfg.Hidden
+	scores := m.scores(b, exs, m.forward(b, exs))
+	b.release()
+	return scores
+}
+
+// forward runs exs through both towers and returns S, one row per example of
+// its dot with every unique candidate: b.cands in first-seen order, candidate
+// string c in column b.uniq[c]; b.encs[:n] hold the inputs' encodings. What a
+// backward reads stays in b.acts; every matrix, S included, is held until the
+// caller's release — inference releases once the scores are read, a training
+// step once its backward is done.
+func (m *Model) forward(b *batchScratch, exs []*tasks.Example) *tensor.Mat {
+	n, h, pool, a := len(exs), m.Cfg.Hidden, &b.pool, &b.acts
 
 	// Encode every input into reused per-slot sparse vectors.
 	for len(b.encs) < n {
@@ -144,21 +189,19 @@ func (m *Model) scoresBatch(b *batchScratch, exs []*tasks.Example) [][]float64 {
 	}
 
 	// Input tower, one matmul per layer for the whole batch.
-	H := b.pool.GetMat(n, h)
-	m.inEmb.ForwardBatch(b.encs[:n], H, &b.pool)
-	nn.TanhMat(H)
-	F := b.pool.GetMat(n, h)
-	m.inDense.ForwardBatch(H, F, &b.pool)
-	nn.TanhMat(F)
-	b.pool.PutMat(H)
+	a.h, a.f = b.hold(n, h), b.hold(n, h)
+	a.tapes[0] = b.keep(m.inEmb.ForwardTape(b.encs[:n], a.h, pool))
+	nn.TanhMat(a.h)
+	a.tapes[1] = b.keep(m.inDense.ForwardTape(a.h, a.f, pool))
+	nn.TanhMat(a.f)
 
 	// Deduplicate the union of candidate strings across the batch and encode
-	// each unique candidate once (through the scratch's memo).
+	// each unique candidate once (through the scratch's memo). A repeated
+	// forward would give the same bits, so a candidate shared by several
+	// examples is one row.
 	clear(b.uniq)
 	b.cands = b.cands[:0]
-	total := 0
 	for _, ex := range exs {
-		total += len(ex.Candidates)
 		for _, c := range ex.Candidates {
 			if _, ok := b.uniq[c]; !ok {
 				b.uniq[c] = len(b.cands)
@@ -167,23 +210,26 @@ func (m *Model) scoresBatch(b *batchScratch, exs []*tasks.Example) [][]float64 {
 		}
 	}
 	u := len(b.cands)
-	CH := b.pool.GetMat(u, h)
-	m.candEmb.ForwardBatch(b.cands, CH, &b.pool)
-	nn.TanhMat(CH)
-	G := b.pool.GetMat(u, h)
-	m.candDense.ForwardBatch(CH, G, &b.pool)
-	nn.TanhMat(G)
-	b.pool.PutMat(CH)
+	a.ch, a.g = b.hold(u, h), b.hold(u, h)
+	a.tapes[2] = b.keep(m.candEmb.ForwardTape(b.cands, a.ch, pool))
+	nn.TanhMat(a.ch)
+	a.tapes[3] = b.keep(m.candDense.ForwardTape(a.ch, a.g, pool))
+	nn.TanhMat(a.g)
 
 	// One Gram product scores every (input, unique candidate) pair; each
-	// entry is the same register-accumulated dot Step computes.
-	S := b.pool.GetMat(n, u)
-	tensor.MatMulNT(F, G, S)
-	b.pool.PutMat(F)
-	b.pool.PutMat(G)
+	// entry is the register-accumulated dot Vec.Dot computes.
+	S := b.hold(n, u)
+	tensor.MatMulNT(a.f, a.g, S)
+	return S
+}
 
-	// Gather per-example rows in Step's op order: dot, then *inv, then
-	// + trust·hint.
+// scores lays S out as one score slice per example, views into the scratch,
+// each score in its fixed op order: dot, then *inv, then + trust·hint.
+func (m *Model) scores(b *batchScratch, exs []*tasks.Example, S *tensor.Mat) [][]float64 {
+	total := 0
+	for _, ex := range exs {
+		total += len(ex.Candidates)
+	}
 	inv := 1 / math.Sqrt(float64(m.Cfg.Hidden))
 	if cap(b.flat) < total {
 		b.flat = tensor.NewVec(total)
@@ -202,7 +248,6 @@ func (m *Model) scoresBatch(b *batchScratch, exs []*tasks.Example) [][]float64 {
 		}
 		b.scores = append(b.scores, flat[lo:len(flat):len(flat)])
 	}
-	b.pool.PutMat(S)
 	return b.scores
 }
 

@@ -51,8 +51,62 @@ func TestTrainLearnsSeparableTask(t *testing.T) {
 	}
 }
 
-// Gradient check through the full model including the trust scalar and
-// knowledge hints.
+// windowLoss is the summed referenceLoss of a window — the function whose
+// gradient one StepBatch over the window accumulates.
+func windowLoss(m *Model, exs []*tasks.Example) float64 {
+	var l float64
+	for _, ex := range exs {
+		l += referenceLoss(m, ex)
+	}
+	return l
+}
+
+// checkWindowGradients compares every gradient StepBatch left in ps (every
+// element, or three per block when sample is set) with central finite
+// differences of windowLoss to within tol·(1+|numeric|), and the trust
+// gradient to within 1e-6·(1+|numeric|).
+func checkWindowGradients(t *testing.T, m *Model, ps nn.ParamSet, exs []*tasks.Example, sample bool, tol float64) {
+	t.Helper()
+	const eps = 1e-5
+	for _, b := range ps.Mats {
+		p := b.P
+		ks := []int{0, b.NumParams() / 2, b.NumParams() - 1}
+		if !sample {
+			ks = ks[:0]
+			for k := 0; k < b.NumParams(); k++ {
+				ks = append(ks, k)
+			}
+		}
+		for _, k := range ks {
+			i := flatIndex(b, k)
+			orig := p.W.Data[i]
+			p.W.Data[i] = orig + eps
+			lp := windowLoss(m, exs)
+			p.W.Data[i] = orig - eps
+			lm := windowLoss(m, exs)
+			p.W.Data[i] = orig
+			num := (lp - lm) / (2 * eps)
+			if ana := p.Grad().Data[i]; math.Abs(num-ana) > tol*(1+math.Abs(num)) {
+				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
+			}
+		}
+	}
+	if m.Trust.Frozen {
+		return
+	}
+	orig := m.Trust.Val
+	m.Trust.Val = orig + eps
+	lp := windowLoss(m, exs)
+	m.Trust.Val = orig - eps
+	lm := windowLoss(m, exs)
+	m.Trust.Val = orig
+	if num := (lp - lm) / (2 * eps); math.Abs(num-m.Trust.Grad) > 1e-6*(1+math.Abs(num)) {
+		t.Fatalf("trust: analytic %g vs numeric %g", m.Trust.Grad, num)
+	}
+}
+
+// Gradient check through the full model, trust scalar and knowledge hints
+// included, over a 3-example window.
 func TestModelStepGradientCheck(t *testing.T) {
 	m := New(tinyConfig())
 	m.Trust.Val = 0.4
@@ -61,46 +115,20 @@ func TestModelStepGradientCheck(t *testing.T) {
 		Answer: tasks.Answer{Literal: tasks.AnswerYes},
 		Weight: 1,
 	}}}
-	in := toyED(1, 9)[0]
-	in.Fields[0].Value = "0.07%"
-	in.Gold = 0
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, k)
-	if ex.Hints[0] == 0 {
+	ins := toyED(3, 9)
+	ins[0].Fields[0].Value = "0.07%"
+	ins[0].Gold = 0
+	exs := make([]*tasks.Example, len(ins))
+	for i, in := range ins {
+		exs[i] = tasks.BuildExample(tasks.SpecFor(tasks.ED), in, k)
+	}
+	if exs[0].Hints[0] == 0 {
 		t.Fatal("test setup: rule should fire")
 	}
 	ps := m.Params()
 	ps.ZeroGrad()
-	m.Step(ex)
-
-	const eps = 1e-5
-	// Spot-check a sample of weights in each matrix plus the trust scalar.
-	for _, b := range ps.Mats {
-		p := b.P
-		for _, k := range []int{0, b.NumParams() / 2, b.NumParams() - 1} {
-			i := flatIndex(b, k)
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + eps
-			lp := referenceLoss(m, ex)
-			p.W.Data[i] = orig - eps
-			lm := referenceLoss(m, ex)
-			p.W.Data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			ana := p.Grad().Data[i]
-			if math.Abs(num-ana) > 1e-5*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
-			}
-		}
-	}
-	orig := m.Trust.Val
-	m.Trust.Val = orig + eps
-	lp := referenceLoss(m, ex)
-	m.Trust.Val = orig - eps
-	lm := referenceLoss(m, ex)
-	m.Trust.Val = orig
-	num := (lp - lm) / (2 * eps)
-	if math.Abs(num-m.Trust.Grad) > 1e-6*(1+math.Abs(num)) {
-		t.Fatalf("trust: analytic %g vs numeric %g", m.Trust.Grad, num)
-	}
+	m.StepBatch(exs, 0)
+	checkWindowGradients(t, m, ps, exs, true, 1e-5)
 }
 
 func TestTrustLearnsToFollowRules(t *testing.T) {
@@ -191,6 +219,24 @@ func TestLoadSnapshotShapeMismatch(t *testing.T) {
 	}
 }
 
+// backboneShapes is BaseParams' layout without a model: the same names and
+// lengths, in the same order, for any config newModel builds.
+func TestBackboneShapes(t *testing.T) {
+	for _, cfg := range []Config{tinyConfig(), {Dim: 1 << 8, Hidden: 10}, {}} {
+		m := New(cfg)
+		ps, want := m.BaseParams(), backboneShapes(m.Cfg)
+		if len(ps) != len(want) {
+			t.Fatalf("%+v: %d backbone matrices, backboneShapes lists %d", m.Cfg, len(ps), len(want))
+		}
+		for i, p := range ps {
+			if p.Name != want[i].name || len(p.W.Data) != want[i].n {
+				t.Fatalf("%+v: BaseParams[%d] is %s with %d values, backboneShapes says %s with %d",
+					m.Cfg, i, p.Name, len(p.W.Data), want[i].name, want[i].n)
+			}
+		}
+	}
+}
+
 // LoRA patch fine-tuning with frozen base must change predictions without
 // changing base weights — the mechanics SKC stage 1 relies on.
 func TestPatchOnlyFineTune(t *testing.T) {
@@ -269,22 +315,26 @@ func fusedModel(n int) (*Model, nn.ParamSet) {
 	return m, f.TrainableParams()
 }
 
-// A warm training step on a fused model — forward, backward, clip, Adam,
-// zero — must not allocate: every buffer is layer or model scratch.
+// A warm training window on a fused model — StepBatch, clip, Adam, zero —
+// must not allocate: every buffer is pooled or scratch the model keeps.
 func TestWarmStepAllocatesNothing(t *testing.T) {
 	m, ps := fusedModel(3)
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
+	spec := tasks.SpecFor(tasks.ED)
+	var window []*tasks.Example
+	for _, in := range toyED(4, 5) {
+		window = append(window, tasks.BuildExample(spec, in, hintKnowledge()))
+	}
 	opt := nn.NewAdam(0.01)
 	opt.WeightDecay = 3e-4
 	step := func() {
-		m.Step(ex)
+		m.StepBatch(window, 0)
 		ps.ClipGradNorm(0.01)
 		opt.Step(&ps)
 		ps.ZeroGrad()
 	}
-	step() // warm: gradient buffers, moments, activation records, encoder
+	step() // warm: gradient buffers, moments, pool, encoder
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-		t.Fatalf("warm Step+clip+Adam allocated %v times per run, want 0", allocs)
+		t.Fatalf("warm StepBatch+clip+Adam allocated %v times per run, want 0", allocs)
 	}
 }
 
@@ -294,34 +344,23 @@ func flatIndex(b *nn.Block, k int) int {
 	return k/b.Cols()*b.P.W.Cols + b.Lo + k%b.Cols()
 }
 
-// Step must backprop each candidate through the activations of ITS forward
-// pass, not the last candidate's: with four candidates on a fused model every
-// analytic gradient still matches central finite differences.
+// StepBatch must backprop each (example, candidate) pair through the
+// activations of ITS forward row, not another's: with four candidates per
+// example, some shared across the window and in different orders, on a fused
+// model every analytic gradient still matches central finite differences.
 func TestStepKeepsPerCandidateActivations(t *testing.T) {
 	m, ps := fusedModel(2)
-	in := toyED(1, 5)[0]
-	in.Candidates = []string{tasks.AnswerYes, tasks.AnswerNo, "maybe", "0.05"}
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
-	ps.ZeroGrad()
-	m.Step(ex)
-
-	const eps = 1e-5
-	for _, b := range ps.Mats {
-		p := b.P
-		for k := 0; k < b.NumParams(); k++ {
-			i := flatIndex(b, k)
-			orig := p.W.Data[i]
-			p.W.Data[i] = orig + eps
-			lp := referenceLoss(m, ex)
-			p.W.Data[i] = orig - eps
-			lm := referenceLoss(m, ex)
-			p.W.Data[i] = orig
-			num := (lp - lm) / (2 * eps)
-			if ana := p.Grad().Data[i]; math.Abs(num-ana) > 1e-6*(1+math.Abs(num)) {
-				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
-			}
-		}
+	ins := toyED(2, 5)
+	ins[0].Candidates = []string{tasks.AnswerYes, tasks.AnswerNo, "maybe", "0.05"}
+	ins[1].Candidates = []string{"0.05", "maybe", tasks.AnswerNo, "0.05%"}
+	ins[1].Gold = 3
+	exs := []*tasks.Example{
+		tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[0], nil),
+		tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[1], nil),
 	}
+	ps.ZeroGrad()
+	m.StepBatch(exs, 0)
+	checkWindowGradients(t, m, ps, exs, false, 1e-6)
 }
 
 // Clone copies the backbone and nothing else: equal weights in independent

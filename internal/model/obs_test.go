@@ -63,8 +63,9 @@ func TestPredictCountsWithRecorder(t *testing.T) {
 	}
 }
 
-// TestTrainEmitsTelemetry checks step counters, step-time histograms, and
-// the per-epoch loss gauge under a custom metric tag.
+// TestTrainEmitsTelemetry checks the example counter, one step-time
+// observation per accumulation window, and the per-epoch loss gauge under a
+// custom metric tag.
 func TestTrainEmitsTelemetry(t *testing.T) {
 	m := New(tinyConfig())
 	reg := obs.NewRegistry()
@@ -76,9 +77,10 @@ func TestTrainEmitsTelemetry(t *testing.T) {
 	if got := reg.Counter("model.train_step").Value(); got != int64(2*len(train)) {
 		t.Fatalf("model.train_step = %d, want %d", got, 2*len(train))
 	}
+	windows := (len(train) + 7) / 8 // the default window is 8 examples
 	h := reg.Histogram("skc.fewshot.step_us", nil)
-	if h.Count() != int64(2*len(train)) {
-		t.Fatalf("step_us observations = %d, want %d", h.Count(), 2*len(train))
+	if h.Count() != int64(2*windows) {
+		t.Fatalf("step_us observations = %d, want %d (%d windows per epoch)", h.Count(), 2*windows, windows)
 	}
 	if g := reg.Gauge("skc.fewshot.epoch_loss").Value(); g != loss {
 		t.Fatalf("epoch_loss gauge = %v, want final loss %v", g, loss)

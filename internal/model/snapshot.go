@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // Snapshot is the serializable state of a model's backbone: configuration,
@@ -31,17 +32,24 @@ func (m *Model) LoadSnapshot(s *Snapshot) error {
 		return fmt.Errorf("model: snapshot shape %d/%d does not match model %d/%d",
 			s.Cfg.Dim, s.Cfg.Hidden, m.Cfg.Dim, m.Cfg.Hidden)
 	}
+	if err := s.checkMats(); err != nil {
+		return err
+	}
 	for _, p := range m.BaseParams() {
-		src, ok := s.Mats[p.Name]
-		if !ok {
-			return fmt.Errorf("model: snapshot missing %q", p.Name)
-		}
-		if len(src) != len(p.W.Data) {
-			return fmt.Errorf("model: snapshot %q has %d values, want %d", p.Name, len(src), len(p.W.Data))
-		}
-		copy(p.W.Data, src)
+		copy(p.W.Data, s.Mats[p.Name])
 	}
 	m.Trust.Val = s.Trust
+	return nil
+}
+
+// checkMats reports the first backbone matrix of s's config that s lacks or
+// holds with the wrong number of values.
+func (s *Snapshot) checkMats() error {
+	for _, m := range backboneShapes(s.Cfg) {
+		if got := len(s.Mats[m.name]); got != m.n {
+			return fmt.Errorf("model: snapshot %q has %d values, want %d", m.name, got, m.n)
+		}
+	}
 	return nil
 }
 
@@ -70,11 +78,23 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSnapshot deserializes a snapshot.
+// DecodeSnapshot deserializes a snapshot and refuses one that cannot be a
+// backbone: New must be able to build its config (Dim a positive power of
+// two, Hidden positive) and every backbone matrix must be there with exactly
+// its shape's length. A snapshot it returns therefore builds a model and
+// loads into it; a corrupt or hostile one is an error before anything is
+// allocated for the model, never a panic.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("model: decode snapshot: %w", err)
+	}
+	d, h := s.Cfg.Dim, s.Cfg.Hidden
+	if d <= 0 || d&(d-1) != 0 || h <= 0 || d > math.MaxInt/h || h > math.MaxInt/h {
+		return nil, fmt.Errorf("model: snapshot shape %d/%d builds no model", d, h)
+	}
+	if err := s.checkMats(); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

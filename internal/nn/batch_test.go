@@ -8,16 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestForwardBatchMatchesSerial pins the batched tower against the serial
-// one bit for bit, patches included (one live, one frozen-at-zero that must
-// be skipped by both paths).
-func TestForwardBatchMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const dim, hidden, out = 64, 10, 7
+// batchLayers builds an embedding and a dense layer with one live patch and
+// one frozen-at-zero patch (which every pass must skip) each.
+func batchLayers(rng *rand.Rand, dim, hidden, out int) (*Embedding, *Dense) {
 	emb := NewEmbedding("e", dim, hidden, rng)
 	live := &Scalar{Name: "lam", Val: 0.7}
-	frozen := &Scalar{Name: "lam0"}
-	frozen.Frozen = true
+	frozen := &Scalar{Name: "lam0", Frozen: true}
 	emb.Attach("e.p", 3, 2, live, rng)
 	emb.Attach("e.p0", 3, 2, frozen, rng)
 	den := NewDense("d", out, hidden, rng)
@@ -27,77 +23,93 @@ func TestForwardBatchMatchesSerial(t *testing.T) {
 	for _, at := range append(emb.Patches, den.Patches...) {
 		at.A.W.FillGaussian(rng, 0.3)
 	}
+	return emb, den
+}
 
+// TestForwardBatchMatchesSerial: a batch of rows through both layers and
+// tanh gives, row for row, the bits of each row sent through alone as a batch
+// of one — patches included.
+func TestForwardBatchMatchesSerial(t *testing.T) {
+	const dim, hidden, out = 64, 10, 7
+	emb, den := batchLayers(rand.New(rand.NewSource(3)), dim, hidden, out)
 	xs := []*tensor.Sparse{
 		{Idx: []int32{1, 7, 33}, Val: []float64{0.5, -1.2, 2}},
 		{Idx: []int32{0}, Val: []float64{1}},
 		{Idx: []int32{5, 6, 7, 60}, Val: []float64{0.1, 0.2, 0.3, -0.4}},
 	}
-	n := len(xs)
 	var pool tensor.Pool
-	H := tensor.NewMat(n, hidden)
-	emb.ForwardBatch(xs, H, &pool)
-	Y := tensor.NewMat(n, out)
-	// Serial reference must run BEFORE TanhMat mutates H in place.
-	serialH := make([]tensor.Vec, n)
-	serialY := make([]tensor.Vec, n)
+	tower := func(xs []*tensor.Sparse) *tensor.Mat {
+		H, Y := tensor.NewMat(len(xs), hidden), tensor.NewMat(len(xs), out)
+		emb.ForwardBatch(xs, H, &pool)
+		TanhMat(H)
+		den.ForwardBatch(H, Y, &pool)
+		TanhMat(Y)
+		return Y
+	}
+	Y := tower(xs)
 	for i, x := range xs {
-		serialH[i] = emb.Forward(x).Clone()
-		for j := range serialH[i] {
-			if math.Float64bits(serialH[i][j]) != math.Float64bits(H.At(i, j)) {
-				t.Fatalf("embedding row %d col %d: %v vs %v", i, j, serialH[i][j], H.At(i, j))
-			}
-		}
-	}
-	den.ForwardBatch(H, Y, &pool)
-	for i := range xs {
-		serialY[i] = den.Forward(serialH[i]).Clone()
-		for j := range serialY[i] {
-			if math.Float64bits(serialY[i][j]) != math.Float64bits(Y.At(i, j)) {
-				t.Fatalf("dense row %d col %d: %v vs %v", i, j, serialY[i][j], Y.At(i, j))
-			}
-		}
-	}
-	var act Tanh
-	TanhMat(Y)
-	for i := range xs {
-		want := act.Forward(serialY[i])
+		want := tower([]*tensor.Sparse{x}).Row(0)
 		for j := range want {
 			if math.Float64bits(want[j]) != math.Float64bits(Y.At(i, j)) {
-				t.Fatalf("tanh row %d col %d: %v vs %v", i, j, want[j], Y.At(i, j))
+				t.Fatalf("row %d col %d: batched %v, alone %v", i, j, Y.At(i, j), want[j])
 			}
 		}
 	}
 }
 
-// TestForwardBatchLeavesTrainingCachesAlone: the batched pass must not
-// disturb the serial layers' cached activations (Backward depends on them).
+// TestForwardBatchLeavesTrainingCachesAlone: layers hold weights only, so an
+// inference ForwardBatch run between a training forward and its backward, on
+// the same pool, leaves every gradient and λ term of that backward unchanged.
 func TestForwardBatchLeavesTrainingCachesAlone(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	den := NewDense("d", 4, 6, rng)
-	u := tensor.NewVec(6)
-	for i := range u {
-		u[i] = rng.NormFloat64()
+	const dim, hidden, out = 32, 6, 4
+	grads := func(interleave bool) []float64 {
+		rng := rand.New(rand.NewSource(5))
+		emb, den := batchLayers(rng, dim, hidden, out)
+		xs := []*tensor.Sparse{{Idx: []int32{2, 9}, Val: []float64{1, -0.5}}, {Idx: []int32{30}, Val: []float64{2}}}
+		var pool tensor.Pool
+		H, Y := tensor.NewMat(2, hidden), tensor.NewMat(2, out)
+		tE := emb.ForwardTape(xs, H, &pool)
+		tD := den.ForwardTape(H, Y, &pool)
+		if interleave {
+			other := []*tensor.Sparse{{Idx: []int32{1, 2, 3}, Val: []float64{3, 3, 3}}}
+			H2, Y2 := tensor.NewMat(1, hidden), tensor.NewMat(1, out)
+			emb.ForwardBatch(other, H2, &pool)
+			den.ForwardBatch(H2, Y2, &pool)
+		}
+		dY, dH := tensor.NewMat(2, out), tensor.NewMat(2, hidden)
+		dY.FillGaussian(rng, 1)
+		lamE, lamD := tensor.NewMat(2, 2), tensor.NewMat(2, 2)
+		den.BackwardBatch(H, tD, dY, dH, lamD, &pool)
+		emb.BackwardBatch(xs, tE, dH, lamE, &pool)
+		var got []float64
+		for _, b := range append(emb.Params(), den.Params()...) {
+			got = append(got, b.P.Grad().Data...)
+		}
+		return append(append(append(got, dH.Data...), lamE.Row(0)[0], lamE.Row(1)[0]), lamD.Row(0)[0], lamD.Row(1)[0])
 	}
-	serial := den.Forward(u).Clone()
-	cached := den.out.Clone()
-
-	var pool tensor.Pool
-	U := tensor.NewMat(2, 6)
-	U.Row(0).Axpy(1, u)
-	for i := range u {
-		U.Set(1, i, rng.NormFloat64())
-	}
-	Y := tensor.NewMat(2, 4)
-	den.ForwardBatch(U, Y, &pool)
-	for i := range cached {
-		if den.out[i] != cached[i] {
-			t.Fatal("ForwardBatch overwrote the serial output cache")
+	want, got := grads(false), grads(true)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("value %d: %v with an inference forward in between, %v without", i, got[i], want[i])
 		}
 	}
-	for j := range serial {
-		if math.Float64bits(serial[j]) != math.Float64bits(Y.At(0, j)) {
-			t.Fatalf("row 0 mismatch at %d", j)
+}
+
+// TestTanhBackwardMatchesDerivative: TanhBackward is d·(1 − tanh(u)²).
+func TestTanhBackwardMatchesDerivative(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	u, d := tensor.NewMat(3, 4), tensor.NewMat(3, 4)
+	u.FillGaussian(rng, 2)
+	d.FillGaussian(rng, 1)
+	want := d.Clone()
+	for i, v := range u.Data {
+		want.Data[i] *= 1 - math.Tanh(v)*math.Tanh(v)
+	}
+	TanhMat(u)
+	TanhBackward(d, u)
+	for i := range want.Data {
+		if math.Float64bits(d.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: %v, want %v", i, d.Data[i], want.Data[i])
 		}
 	}
 }

@@ -8,20 +8,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// tinyNet is a minimal Embedding→Tanh→Dense network used for gradient
+// tinyNet is a minimal Embedding→tanh→Dense network used for gradient
 // checking, with one trainable LoRA patch on each layer.
 type tinyNet struct {
 	emb   *Embedding
-	tanh  *Tanh
 	dense *Dense
 	coef  *Scalar
 	ps    ParamSet
+	pool  tensor.Pool
 }
 
 func newTinyNet(rng *rand.Rand) *tinyNet {
 	n := &tinyNet{
 		emb:  NewEmbedding("emb", 16, 5, rng),
-		tanh: &Tanh{},
 		coef: &Scalar{Name: "lambda", Val: 0.7},
 	}
 	n.dense = NewDense("dense", 4, 5, rng)
@@ -38,23 +37,47 @@ func newTinyNet(rng *rand.Rand) *tinyNet {
 }
 
 func (n *tinyNet) loss(x *tensor.Sparse, gold int) float64 {
-	h := n.emb.Forward(x)
-	h = n.tanh.Forward(h)
-	y := n.dense.Forward(h)
-	d := tensor.NewVec(len(y))
-	return SoftmaxCE(y, gold, d)
+	h := tensor.NewMat(1, 5)
+	n.emb.ForwardBatch([]*tensor.Sparse{x}, h, &n.pool)
+	TanhMat(h)
+	return SoftmaxCE(denseRow(n.dense, h.Row(0)), gold, tensor.NewVec(4))
 }
 
 func (n *tinyNet) lossAndBackward(x *tensor.Sparse, gold int) float64 {
-	h := n.emb.Forward(x)
-	h = n.tanh.Forward(h)
-	y := n.dense.Forward(h)
-	d := tensor.NewVec(len(y))
-	loss := SoftmaxCE(y, gold, d)
-	dh := n.dense.Backward(d)
-	dh = n.tanh.Backward(dh)
-	n.emb.Backward(dh)
+	xs := []*tensor.Sparse{x}
+	h, y := tensor.NewMat(1, 5), tensor.NewMat(1, 4)
+	tE := n.emb.ForwardTape(xs, h, &n.pool)
+	TanhMat(h)
+	tD := n.dense.ForwardTape(h, y, &n.pool)
+	d, dh := tensor.NewMat(1, 4), tensor.NewMat(1, 5)
+	loss := SoftmaxCE(y.Row(0), gold, d.Row(0))
+	lamD, lamE := tensor.NewMat(1, 1), tensor.NewMat(1, 1)
+	n.dense.BackwardBatch(h, tD, d, dh, lamD, &n.pool)
+	TanhBackward(dh, h)
+	n.emb.BackwardBatch(xs, tE, dh, lamE, &n.pool)
+	n.dense.AddCoefGrads(lamD.Row(0))
+	n.emb.AddCoefGrads(lamE.Row(0))
 	return loss
+}
+
+// denseRow runs one input through d as a batch of one.
+func denseRow(d *Dense, u tensor.Vec) tensor.Vec {
+	y := tensor.NewMat(1, d.Out())
+	d.ForwardBatch(&tensor.Mat{Rows: 1, Cols: len(u), Data: u}, y, &tensor.Pool{})
+	return y.Row(0)
+}
+
+// denseStep runs one input forward and dy backward through d; it returns the
+// output and the input gradient.
+func denseStep(d *Dense, u, dy tensor.Vec) (y, du tensor.Vec) {
+	var pool tensor.Pool
+	U := &tensor.Mat{Rows: 1, Cols: len(u), Data: u}
+	Y, dU := tensor.NewMat(1, d.Out()), tensor.NewMat(1, d.In())
+	tape := d.ForwardTape(U, Y, &pool)
+	lam := tensor.NewMat(1, len(d.Patches))
+	d.BackwardBatch(U, tape, &tensor.Mat{Rows: 1, Cols: len(dy), Data: dy}, dU, lam, &pool)
+	d.AddCoefGrads(lam.Row(0))
+	return Y.Row(0), dU.Row(0)
 }
 
 func testInput() *tensor.Sparse {
@@ -136,18 +159,17 @@ func TestZeroFrozenCoefIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dense := NewDense("d", 3, 4, rng)
 	u := tensor.Vec{0.1, -0.2, 0.3, 0.4}
-	base := dense.Forward(u).Clone()
+	base := denseRow(dense, u)
 	coef := &Scalar{Val: 0, Frozen: true}
 	at := dense.Attach("p", 2, 2, coef, rng)
 	at.A.W.FillGaussian(rng, 1)
-	got := dense.Forward(u)
+	// The backward must not panic even though the forward skipped the patch.
+	got, _ := denseStep(dense, u, tensor.Vec{1, 1, 1})
 	for i := range base {
 		if got[i] != base[i] {
 			t.Fatalf("frozen zero-λ patch changed output: %v vs %v", got, base)
 		}
 	}
-	// Backward must not panic even though Forward skipped the patch.
-	dense.Backward(tensor.Vec{1, 1, 1})
 }
 
 // TestZeroInitPatchIsIdentity: per Eq. 2, a freshly attached patch has A = 0
@@ -156,10 +178,10 @@ func TestZeroInitPatchIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	dense := NewDense("d", 3, 4, rng)
 	u := tensor.Vec{0.5, 0.5, -0.5, 1}
-	base := dense.Forward(u).Clone()
+	base := denseRow(dense, u)
 	coef := &Scalar{Val: 1}
 	dense.Attach("p", 2, 2, coef, rng) // A stays zero
-	got := dense.Forward(u)
+	got := denseRow(dense, u)
 	for i := range base {
 		if math.Abs(got[i]-base[i]) > 1e-15 {
 			t.Fatalf("zero-init patch changed output: %v vs %v", got, base)
@@ -179,7 +201,7 @@ func TestPatchEquivalentToMaterializedDelta(t *testing.T) {
 	for i := range u {
 		u[i] = rng.NormFloat64()
 	}
-	got := dense.Forward(u).Clone()
+	got := denseRow(dense, u)
 
 	// Materialize W + α·λ·B·A and compare.
 	eff := dense.W.W.Clone()
@@ -283,7 +305,7 @@ func TestAdamConvergesOnToyProblem(t *testing.T) {
 	var loss float64
 	for i := 0; i < 400; i++ {
 		ps.ZeroGrad()
-		y := dense.Forward(u)
+		y := denseRow(dense, u)
 		dy := tensor.NewVec(2)
 		loss = 0
 		for j := range y {
@@ -291,7 +313,7 @@ func TestAdamConvergesOnToyProblem(t *testing.T) {
 			loss += 0.5 * diff * diff
 			dy[j] = diff
 		}
-		dense.Backward(dy)
+		denseStep(dense, u, dy)
 		opt.Step(&ps)
 	}
 	if loss > 1e-4 {

@@ -1,11 +1,13 @@
 // Package nn is the neural substrate of the reproduction: parameters,
-// layers with explicit Forward/Backward passes, LoRA attachments, and
-// optimizers. It replaces the PyTorch + PEFT stack the paper uses.
+// layers with explicit batched forward and backward passes, LoRA
+// attachments, and optimizers. It replaces the PyTorch + PEFT stack the paper
+// uses.
 //
 // Design notes:
 //
-//   - Layers are stateful: Forward caches the activations Backward needs, so
-//     a layer instance must be used by one goroutine at a time.
+//   - Layers hold weights only. A forward reads them and leaves what its
+//     backward needs in a tape drawn from the caller's pool (see batch.go);
+//     a backward writes gradients, so it has one caller at a time.
 //   - LoRA patches are never materialized; ΔW·x is computed as B(Ax), which
 //     is what makes dozens of per-dataset patches affordable (Section V-A).
 //   - Fusion coefficients λ (Eq. 4) are Scalars shared across layers: every

@@ -9,11 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file keeps the per-patch arithmetic the factor bank replaced, as the
-// reference the bank is compared against bit for bit: every patch owns a
-// private out x rank B parameter — on an embedding with its own touched-row
-// list — so each per-feature loop, each norm term and each Adam update runs
-// once per patch over rank-wide rows. Nothing outside the tests calls it.
+// This file keeps the arithmetic the batched passes and the factor bank
+// replaced, as the reference both are compared against bit for bit: one row
+// at a time, a Forward that caches its activations and a Backward that reads
+// them, and every patch owning a private out x rank B parameter — on an
+// embedding with its own touched-row list — so each per-feature loop, each
+// norm term and each Adam update runs once per patch over rank-wide rows.
+// Nothing outside the tests calls it.
 
 type refPatch struct {
 	B, A  *Param
@@ -398,11 +400,14 @@ func (c *bankCase) checkBatches(t *testing.T, rng *rand.Rand, when string) {
 }
 
 // TestBankMatchesPerPatchReference drives the bank and the per-patch
-// reference through the same three accumulation windows (1–3 examples each,
-// so windows end partial), clip and Adam step, over a few hundred seeded
-// configurations, and requires equal bits everywhere: Forward and
-// ForwardBatch outputs, the input gradient, every parameter gradient before
-// and after the clip, GradNorm, and every weight after each Adam step.
+// reference through the same three accumulation windows (1–3 rows each, so
+// windows end partial), clip and Adam step, over a few hundred seeded
+// configurations, and requires equal bits everywhere. The bank side runs each
+// window as one ForwardTape + BackwardBatch per layer and folds the λ terms
+// row by row; the reference runs every row alone, forward then backward, and
+// adds its λ terms as it goes. Compared: ForwardTape and ForwardBatch
+// outputs, the input gradient, every parameter gradient and λ before and
+// after the clip, GradNorm, and every weight after each Adam step.
 func TestBankMatchesPerPatchReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		c := newBankCase(seed)
@@ -411,19 +416,36 @@ func TestBankMatchesPerPatchReference(t *testing.T) {
 		if seed%2 == 0 {
 			opt.WeightDecay, refOpt.WeightDecay = 1e-2, 1e-2
 		}
+		var pool tensor.Pool
 		c.checkBatches(t, rng, fmt.Sprintf("seed %d before training", seed))
 		for step := 0; step < 3; step++ {
 			when := fmt.Sprintf("seed %d step %d", seed, step)
 			c.ps.ZeroGrad()
 			c.refPS.ZeroGrad()
-			for ex := 1 + rng.Intn(3); ex > 0; ex-- {
-				x, u := randSparse(rng), randVec(rng, refHidden)
-				sameBits(t, when+": embedding Forward", c.emb.Forward(x), c.refEmb.Forward(x))
-				sameBits(t, when+": dense Forward", c.den.Forward(u), c.refDen.Forward(u))
-				dh, dy := randVec(rng, refHidden), randVec(rng, refOut)
-				c.emb.Backward(dh)
-				c.refEmb.Backward(dh)
-				sameBits(t, when+": dense input gradient", c.den.Backward(dy), c.refDen.Backward(dy))
+			n := 1 + rng.Intn(3)
+			xs := make([]*tensor.Sparse, n)
+			U, dH, dY := tensor.NewMat(n, refHidden), tensor.NewMat(n, refHidden), tensor.NewMat(n, refOut)
+			for i := range xs {
+				xs[i] = randSparse(rng)
+				copy(U.Row(i), randVec(rng, refHidden))
+				copy(dH.Row(i), randVec(rng, refHidden))
+				copy(dY.Row(i), randVec(rng, refOut))
+			}
+			H, Y, dU := tensor.NewMat(n, refHidden), tensor.NewMat(n, refOut), tensor.NewMat(n, refHidden)
+			tE, tD := c.emb.ForwardTape(xs, H, &pool), c.den.ForwardTape(U, Y, &pool)
+			lamE, lamD := tensor.NewMat(n, len(c.emb.Patches)), tensor.NewMat(n, len(c.den.Patches))
+			c.emb.BackwardBatch(xs, tE, dH, lamE, &pool)
+			c.den.BackwardBatch(U, tD, dY, dU, lamD, &pool)
+			pool.PutMat(tE)
+			pool.PutMat(tD)
+			for i, x := range xs {
+				row := fmt.Sprintf("%s row %d", when, i)
+				sameBits(t, row+": embedding forward", H.Row(i), c.refEmb.Forward(x))
+				sameBits(t, row+": dense forward", Y.Row(i), c.refDen.Forward(U.Row(i)))
+				c.refEmb.Backward(dH.Row(i))
+				sameBits(t, row+": dense input gradient", dU.Row(i), c.refDen.Backward(dY.Row(i)))
+				c.emb.AddCoefGrads(lamE.Row(i))
+				c.den.AddCoefGrads(lamD.Row(i))
 			}
 			c.compare(t, when+" after backward")
 			norm, refNorm := c.ps.GradNorm(), c.refPS.GradNorm()

@@ -5,6 +5,12 @@
 # commits are benchmark/'s job (BENCHMARK.json).
 #
 #   gate                                        owner
+#   the paper: `experiment all` prints
+#     results_full.txt byte for byte            cmd/knowtrans TestDrillPaperTables (tier-2)
+#   training arithmetic bitwise                 skc.TestGoldenBitIdentity, TestTransferDigest (root package)
+#   a StepBatch window == its examples one at
+#     a time: gradients, touched rows, λ, loss  model.TestStepBatchMatchesOneExampleWindows
+#   batched passes == one row at a time         nn.TestBankMatchesPerPatchReference
 #   determinism in process, every cell bitwise  eval.TestTable6SerialParallelDeterminism
 #   determinism across processes                cmd/knowtrans TestDrillTable6AcrossProcesses
 #   self-time coverage of a real trace          eval.TestTable6SerialParallelDeterminism
@@ -26,7 +32,10 @@
 #   loaded zoo == trained zoo, 13 keys bitwise  TestTransferDigest (root package)
 #   build -> transfer -artifacts == transfer,
 #     across processes; foreign dir refused     cmd/knowtrans TestDrillArtifacts
-#   stale / truncated artifact dirs refused     eval.TestLoadArtifactsRefuses
+#   stale / truncated / corrupt artifact dirs
+#     refused, never a panic                    eval.TestLoadArtifactsRefuses, model.FuzzDecodeSnapshot,
+#                                               lora.FuzzDecodeSnapshot (corpora in tier-1, 10 s of
+#                                               fuzzing each in tier-2)
 #   operator mistakes exit 2, leave no files    cmd/knowtrans TestOperatorMistakesExitTwo
 #   a failed telemetry setup releases what it
 #     started                                   cmd/knowtrans TestFailedObsSetupReleasesWhatItAcquired
@@ -77,12 +86,13 @@ go test -race -cpu 1,4 ./internal/serve/... ./internal/model/...
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: the drills ------------------------------------------------------
-# Go tests that start the real binary as child processes (about 75 s, a zoo
-# per child), so tier-1's `go test` skips them unless -drill is passed.
+# Go tests that start the real binary as child processes (about 150 s, half of
+# it the paper tables, a zoo per child), so tier-1's `go test` skips them
+# unless -drill is passed.
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
-# The seven fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The nine fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
@@ -91,6 +101,8 @@ go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
 go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s ./internal/dataio
 go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
+go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/lora
 echo "check.sh: fuzz targets passed"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
