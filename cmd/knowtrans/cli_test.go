@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dataio"
+	"repro/internal/obs"
 	"repro/internal/obs/profile"
 )
 
@@ -41,10 +42,20 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "no-such-file.jsonl")
 	obsFiles := []string{"-trace", filepath.Join(dir, "t.jsonl"), "-cpuprofile", filepath.Join(dir, "c.pprof")}
+	// A trace recorded without -sample holds no runtime samples to summarize.
+	unsampled := filepath.Join(t.TempDir(), "unsampled.jsonl")
+	if err := os.WriteFile(unsampled, []byte(`{"span":1,"name":"experiment","start_us":0,"dur_us":5}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	mistakes := [][]string{
 		{"obs", "trace", missing},
 		{"obs", "prof", missing},
 		{"obs", "prof", missing, "-gate"},
+		{"obs", "prof", unsampled, "-gate"},
+		// Removed: no caller set the window count; it is 4.
+		{"obs", "prof", unsampled, "-windows", "4"},
+		// Removed: runtime samples ride the -trace file.
+		{"transfer", "-dataset", "ED/Beer", "-scale", "0.05", "-sample", "1ms", "-timeline", filepath.Join(dir, "runtime.jsonl")},
 		{"obs", "diff", missing, missing}, // removed: numbers are compared by benchmark/ only
 		{"obs", "frobnicate"},
 		{"obs"},
@@ -93,7 +104,7 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 // TestFailedObsSetupReleasesWhatItAcquired: when a late step of the telemetry
 // setup fails (-profdir under a regular file), what the earlier steps started
 // is stopped before the exit 1 — the CPU profile is a complete gzip stream
-// and the timeline ends on the sampler's final row, not wherever a goroutine
+// and the trace ends on the sampler's final sample, not wherever a goroutine
 // still running at os.Exit happened to be.
 func TestFailedObsSetupReleasesWhatItAcquired(t *testing.T) {
 	dir := t.TempDir()
@@ -101,9 +112,9 @@ func TestFailedObsSetupReleasesWhatItAcquired(t *testing.T) {
 	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cpu, timeline := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "runtime.jsonl")
+	cpu, trace := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "t.jsonl")
 	stdout, stderr, exit := knowtrans(t, "route", "-backends", "http://127.0.0.1:1",
-		"-cpuprofile", cpu, "-sample", "1ms", "-timeline", timeline, "-trace", filepath.Join(dir, "t.jsonl"),
+		"-cpuprofile", cpu, "-sample", "1ms", "-trace", trace,
 		"-metrics", filepath.Join(dir, "m.json"), "-profdir", filepath.Join(notADir, "sub"))
 	if exit != 1 || !strings.Contains(stderr, "create profile dir") || stdout != "" {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 naming the profile dir", exit, stdout, stderr)
@@ -120,13 +131,20 @@ func TestFailedObsSetupReleasesWhatItAcquired(t *testing.T) {
 	if err != nil {
 		t.Errorf("-cpuprofile is not a complete gzip'd profile (the profiler was never stopped): %v", err)
 	}
-	tl, err := os.Open(timeline)
+	tf, err := os.Open(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.Close()
-	if rows, err := profile.ReadTimeline(tl); err != nil || len(rows) < 2 {
-		t.Errorf("timeline holds %d rows (%v); want the first sample and the one Stop takes", len(rows), err)
+	defer tf.Close()
+	recs, err := obs.ReadTrace(tf)
+	var samples []obs.SpanRecord
+	for _, r := range recs {
+		if r.IsEvent() && r.Name == profile.EventSample {
+			samples = append(samples, r)
+		}
+	}
+	if err != nil || len(samples) < 2 || samples[len(samples)-1].Attrs["final"] != true {
+		t.Errorf("trace holds %d samples (%v); want the first sample and, last, the final one Stop takes", len(samples), err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "m.json")); err == nil {
 		t.Error("a failed setup wrote the at-exit -metrics file")

@@ -67,7 +67,7 @@ func adapterStats(t *testing.T, url string) []serve.KeyStats {
 // several cold adapters. Every served answer is byte-identical to the direct
 // path, cold starts coalesce to exactly one Transfer per key, and the child
 // leaves with 0 on SIGTERM — so what the instrumented case then reads (the
-// trace, the runtime timeline, the CPU profile) was flushed by the path an
+// trace with its runtime samples, the CPU profile) was flushed by the path an
 // operator's SIGTERM takes.
 func TestDrillServe(t *testing.T) {
 	needDrill(t)
@@ -104,10 +104,9 @@ func TestDrillServe(t *testing.T) {
 
 			dir := t.TempDir()
 			trace := filepath.Join(dir, "serve.jsonl")
-			timeline := filepath.Join(dir, "serve.runtime.jsonl")
 			cpuprofile := filepath.Join(dir, "serve.cpu.pprof")
 			if tc.instrumented {
-				args = append(args, "-trace", trace, "-sample", "10ms", "-timeline", timeline,
+				args = append(args, "-trace", trace, "-sample", "10ms",
 					"-cpuprofile", cpuprofile, "-access-log", filepath.Join(dir, "access.log"))
 			}
 			fl := mustSpawn(t, "main", 1, args...)
@@ -155,8 +154,10 @@ func TestDrillServe(t *testing.T) {
 
 			// What the drained child left behind reads as a healthy run, a
 			// valid profile, and a trace that holds the slowest request.
-			if out, stderr, exit := knowtrans(t, "obs", "prof", timeline, "-gate"); exit != 0 {
+			if out, stderr, exit := knowtrans(t, "obs", "prof", trace, "-gate"); exit != 0 {
 				t.Errorf("obs prof -gate: exit %d\n%s%s", exit, out, stderr)
+			} else {
+				t.Logf("obs prof -gate:\n%s", out)
 			}
 			if out, err := exec.Command("go", "tool", "pprof", "-raw", cpuprofile).CombinedOutput(); err != nil {
 				t.Errorf("go tool pprof -raw: %v\n%s", err, out)

@@ -84,11 +84,11 @@ func usage() {
   knowtrans job [run|plan|resume] -spec FILE.json [flags]   (plan prints the shard layout and runs nothing)
   knowtrans obs trace FILE.jsonl [flags]
   knowtrans obs top [-n N] [flags]                          (-n 1: one look)
-  knowtrans obs prof TIMELINE.jsonl [flags]
+  knowtrans obs prof FILE.jsonl [flags]                     (a trace recorded with -sample)
 
 knowtrans <subcommand> -h lists its flags and their defaults; all but list and
-obs take the observability flags (-trace -metrics -pprof -sample -timeline
--cpuprofile -memprofile -profdir).`)
+obs take the observability flags (-trace -metrics -pprof -sample -cpuprofile
+-memprofile -profdir).`)
 }
 
 // newFlagSet returns a flag set that reports parse errors to the caller

@@ -11,17 +11,17 @@ import (
 )
 
 // The obs subcommand family is the consumption side of the -trace, -sample
-// and -pprof flags: offline analysis of the JSONL span traces and runtime
-// timelines an instrumented run leaves behind, and a live view of a server.
-// It compares nothing: numbers from two commits meet only in benchmark/.
+// and -pprof flags: offline analysis of the JSONL span trace an instrumented
+// run leaves behind (its spans, and the runtime samples -sample adds), and a
+// live view of a server. It compares nothing: numbers from two commits meet
+// only in benchmark/.
 //
 //	knowtrans obs trace t.jsonl [-top 10] [-json] [-trace-id ID] [-follow]
 //	knowtrans obs top [-url URL] [-n N]
-//	knowtrans obs prof timeline.jsonl [-windows 4] [-gate] [-json]
+//	knowtrans obs prof t.jsonl [-gate] [-json]
 func runObs(args []string) {
 	if len(args) == 0 {
-		obsUsage()
-		os.Exit(2)
+		obsMistake("obs needs a subcommand")
 	}
 	switch args[0] {
 	case "trace":
@@ -31,10 +31,33 @@ func runObs(args []string) {
 	case "prof":
 		runObsProf(args[1:])
 	default:
-		fmt.Fprintf(os.Stderr, "knowtrans: unknown obs subcommand %q\n", args[0])
-		obsUsage()
-		os.Exit(2)
+		obsMistake("unknown obs subcommand %q", args[0])
 	}
+}
+
+// obsMistake refuses an obs invocation the operator must correct — a missing
+// argument, or an input file that is missing, unreadable or holds nothing to
+// analyze, is one, not a crash: explanation, usage, exit 2.
+func obsMistake(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "knowtrans: "+format+"\n", args...)
+	obsUsage()
+	os.Exit(2)
+}
+
+// traceArgs splits `obs trace|prof FILE [flags]` into the file and the flags.
+func traceArgs(sub string, args []string) (string, []string) {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		obsMistake("obs %s needs a trace file", sub)
+	}
+	return args[0], args[1:]
+}
+
+func loadTrace(path string) *analyze.Trace {
+	tr, err := analyze.LoadFile(path)
+	if err != nil {
+		obsMistake("%v", err)
+	}
+	return tr
 }
 
 func obsUsage() {
@@ -48,10 +71,11 @@ func obsUsage() {
   knowtrans obs top [-url URL] [-interval D] [-n N]
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
-  knowtrans obs prof TIMELINE.jsonl [-windows N] [-json] [-gate]
-      summarize a runtime-metrics timeline recorded with -sample: heap
-      growth slope, GC pause p50/p95, goroutine-leak detection across
-      windows, alloc rate. -gate exits 1 on a suspected leak`)
+  knowtrans obs prof FILE.jsonl [-json] [-gate]
+      summarize the runtime samples of a trace recorded with -trace and
+      -sample: heap growth slope, GC pause p50/p95, goroutine-leak detection
+      across four windows and at the final sample, alloc rate. -gate exits 1
+      on a suspected leak`)
 }
 
 func runObsTrace(args []string) {
@@ -61,26 +85,8 @@ func runObsTrace(args []string) {
 	traceID := fs.String("trace-id", "", "reassemble one request's end-to-end path by trace `id`")
 	follow := fs.Bool("follow", false, "tail the file: re-render as new records land")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll interval in -follow mode")
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		fmt.Fprintln(os.Stderr, "knowtrans: obs trace needs a trace file")
-		obsUsage()
-		os.Exit(2)
-	}
-	path := args[0]
-	parseOrExit(fs, args[1:])
-
-	load := func() *analyze.Trace {
-		tr, err := analyze.LoadFile(path)
-		if err != nil {
-			// A missing or unreadable trace file is an operator mistake, not a
-			// crash: explain, show usage, exit 2 like any other bad invocation.
-			fmt.Fprintf(os.Stderr, "knowtrans: %v\n", err)
-			obsUsage()
-			runObsCleanup()
-			os.Exit(2)
-		}
-		return tr
-	}
+	path, flags := traceArgs("trace", args)
+	parseOrExit(fs, flags)
 
 	render := func(tr *analyze.Trace) error {
 		if *traceID != "" {
@@ -100,7 +106,7 @@ func runObsTrace(args []string) {
 	}
 
 	if !*follow {
-		tr := load()
+		tr := loadTrace(path)
 		if err := render(tr); err != nil {
 			fatal(err)
 		}
@@ -117,7 +123,7 @@ func runObsTrace(args []string) {
 	lastCount := -1
 	stableFor := 0
 	for {
-		tr := load()
+		tr := loadTrace(path)
 		n := len(tr.Records)
 		if n != lastCount {
 			lastCount = n
@@ -137,31 +143,21 @@ func runObsTrace(args []string) {
 	}
 }
 
-// runObsProf summarizes a runtime-metrics timeline (the JSONL the
-// -sample flag records); -gate fails on the timeline's own leak verdicts.
+// runObsProf summarizes the runtime samples of a trace (the events -sample
+// writes beside -trace's spans); -gate fails on the samples' own leak
+// verdicts.
 func runObsProf(args []string) {
 	fs := newFlagSet("obs prof")
-	windows := fs.Int("windows", 4, "analysis windows for leak detection")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
-	gate := fs.Bool("gate", false, "exit 1 when the timeline shows a goroutine leak or unbounded heap growth")
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
-		fmt.Fprintln(os.Stderr, "knowtrans: obs prof needs a runtime timeline file")
-		obsUsage()
-		os.Exit(2)
-	}
-	path := args[0]
-	parseOrExit(fs, args[1:])
+	gate := fs.Bool("gate", false, "exit 1 when the samples show a goroutine leak or unbounded heap growth")
+	path, flags := traceArgs("prof", args)
+	parseOrExit(fs, flags)
 
-	rows, err := analyze.LoadTimeline(path)
-	if err != nil {
-		// Same contract as obs trace: an unreadable input is an operator
-		// mistake — explain, show usage, exit 2.
-		fmt.Fprintf(os.Stderr, "knowtrans: %v\n", err)
-		obsUsage()
-		runObsCleanup()
-		os.Exit(2)
+	rep := analyze.NewProfReport(loadTrace(path))
+	if rep.Samples == 0 {
+		obsMistake("%s holds no runtime.sample events (record them with -trace and -sample)", path)
 	}
-	rep := analyze.NewProfReport(rows, *windows)
+	var err error
 	if *asJSON {
 		err = rep.WriteJSON(os.Stdout)
 	} else {

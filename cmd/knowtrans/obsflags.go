@@ -26,9 +26,8 @@ import (
 //	                    /metrics.json on ADDR (dedicated mux; bind failure
 //	                    is a startup error, shutdown is graceful at exit)
 //	-sample D           poll runtime/metrics every D into the metrics
-//	                    registry and a JSONL timeline (0 disables)
-//	-timeline FILE      where -sample writes the timeline (default: next
-//	                    to the trace file, else runtime.jsonl)
+//	                    registry and, with -trace, a runtime.sample event
+//	                    in the trace (0 disables)
 //	-cpuprofile FILE    whole-run CPU profile
 //	-memprofile FILE    heap profile written at exit
 //	-profdir DIR        slow-request-triggered CPU/heap captures (serve)
@@ -39,7 +38,6 @@ type obsFlags struct {
 	metrics    string
 	pprof      string
 	sample     time.Duration
-	timeline   string
 	cpuprofile string
 	memprofile string
 	profdir    string
@@ -54,8 +52,7 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL span trace to `file`")
 	fs.StringVar(&o.metrics, "metrics", "", "write a metrics JSON snapshot to `file` at exit")
 	fs.StringVar(&o.pprof, "pprof", "", "serve pprof + live /metrics on `addr` (e.g. localhost:6060)")
-	fs.DurationVar(&o.sample, "sample", 0, "poll runtime/metrics every `interval` into the registry and a JSONL timeline (0 disables)")
-	fs.StringVar(&o.timeline, "timeline", "", "runtime timeline `file` for -sample (default: TRACE.runtime.jsonl, else runtime.jsonl)")
+	fs.DurationVar(&o.sample, "sample", 0, "poll runtime/metrics every `interval` into the registry and, with -trace, the trace (0 disables)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a whole-run CPU profile to `file`")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to `file` at exit")
 	fs.StringVar(&o.profdir, "profdir", "", "write slow-request-triggered CPU/heap captures under `dir`")
@@ -82,19 +79,6 @@ func runObsCleanup() {
 	if err := f(); err != nil {
 		fmt.Fprintf(os.Stderr, "knowtrans: observability shutdown: %v\n", err)
 	}
-}
-
-// timelinePath resolves where the -sample timeline goes: an explicit
-// -timeline wins, otherwise it lands next to the trace file, otherwise
-// runtime.jsonl in the working directory.
-func (o *obsFlags) timelinePath() string {
-	if o.timeline != "" {
-		return o.timeline
-	}
-	if o.trace != "" {
-		return o.trace + ".runtime.jsonl"
-	}
-	return "runtime.jsonl"
 }
 
 // enabled reports whether any observability flag asked for anything.
@@ -253,17 +237,12 @@ func (o *obsFlags) setup() (_ *obs.Recorder, _ func() error, err error) {
 		releases = append(releases, func() error { rtpprof.StopCPUProfile(); return nil })
 	}
 
-	// Continuous runtime sampling: registry gauges plus the JSONL timeline
-	// `knowtrans obs prof` consumes. Released first: the sampler's final
-	// sample is the timeline's last row.
+	// Continuous runtime sampling: registry gauges plus the runtime.sample
+	// trace events `knowtrans obs prof` reads. Released first, before the
+	// tracer closes: Stop's final sample is the trace's last one.
 	if o.sample > 0 {
-		f, err := os.Create(o.timelinePath())
-		if err != nil {
-			return nil, nil, fmt.Errorf("open runtime timeline: %w", err)
-		}
-		releases = append(releases, f.Close)
-		sampler := profile.Start(profile.Config{Interval: o.sample, Rec: rec, W: f})
-		releases = append(releases, func() error { sampler.Stop(); return sampler.Err() })
+		sampler := profile.Start(profile.Config{Interval: o.sample, Rec: rec})
+		releases = append(releases, func() error { sampler.Stop(); return nil })
 	}
 
 	if o.profdir != "" {

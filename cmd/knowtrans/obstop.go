@@ -41,7 +41,6 @@ func runObsTop(args []string) {
 			// A server that is down mid-watch is a finding, not a crash.
 			fmt.Fprintf(os.Stderr, "knowtrans: obs top: %v\n", err)
 			if i == 0 {
-				runObsCleanup()
 				os.Exit(1)
 			}
 			continue

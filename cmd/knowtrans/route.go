@@ -43,7 +43,6 @@ func runRoute(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	defer r.Close()
 	sf.serve(r, of, func(bound net.Addr) {
 		fmt.Printf("knowtrans route on http://%s (%d backends, replication=%d, hedge-delay=%s)\n",
 			bound, len(copts.Backends), copts.Replication, copts.HedgeDelay)
@@ -51,6 +50,8 @@ func runRoute(args []string) {
 			fmt.Printf("  backend %s\n", b)
 		}
 	})
+	// Drained: stop probing before finish takes the sampler's final sample.
+	r.Close()
 	finish()
 }
 

@@ -28,7 +28,8 @@ func runServe(args []string) {
 
 	z, rec, finish := zf.open(of, true)
 	opts.Rec = rec
-	sf.serve(serve.NewRegistry(zooTransferer(z), opts), of, func(bound net.Addr) {
+	reg := serve.NewRegistry(zooTransferer(z), opts)
+	sf.serve(reg, of, func(bound net.Addr) {
 		// The bound address is printed first and alone on its line: whoever
 		// starts a backend on 127.0.0.1:0 (the drills do) parses this line
 		// for the kernel-assigned port.
@@ -42,6 +43,9 @@ func runServe(args []string) {
 		fmt.Printf("adapter keys: %d downstream datasets (GET /v1/adapters after a warm, or `knowtrans list`)\n",
 			len(z.DownstreamKeys()))
 	})
+	// Drained: stop every resident batcher before finish takes the
+	// sampler's final sample, which `obs prof -gate` compares to the first.
+	reg.Close()
 	finish()
 }
 

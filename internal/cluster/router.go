@@ -161,10 +161,13 @@ func New(opts Options) (*Router, error) {
 	return r, nil
 }
 
-// Close stops the probe loops. In-flight requests finish normally.
+// Close stops the probe loops and closes the idle backend connections, so a
+// drained router holds none of their goroutines. In-flight requests finish
+// normally.
 func (r *Router) Close() {
 	close(r.stopc)
 	r.wg.Wait()
+	r.client.CloseIdleConnections()
 }
 
 // Ready implements serve.ReadyChecker: the router is ready while at least

@@ -1,9 +1,9 @@
 // Package analyze is the consumption side of the observability layer: it
-// loads the JSONL span traces and runtime timelines that internal/obs and
-// internal/obs/profile record, rebuilds the span tree, and answers the
-// questions the raw records cannot — which stage dominates wall time, what
-// the critical path through a run was, what one request's path through
-// shared batches was, whether a process is leaking.
+// loads the JSONL span traces internal/obs records (with the runtime.sample
+// events internal/obs/profile writes into them), rebuilds the span tree,
+// and answers the questions the raw records cannot — which stage dominates
+// wall time, what the critical path through a run was, what one request's
+// path through shared batches was, whether a process is leaking.
 //
 // The package is pure analysis of one run: it never writes telemetry, so it
 // can be linked into tooling (the `knowtrans obs` subcommands, tests)

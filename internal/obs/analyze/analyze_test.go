@@ -172,6 +172,10 @@ func TestTruncatedFinalLine(t *testing.T) {
 	if _, err := Load(strings.NewReader(bad)); err == nil {
 		t.Error("mid-stream garbage should be a hard error")
 	}
+	// A lone unparsable line is a tail with nothing before it.
+	if tr, err := Load(strings.NewReader("not json")); err != nil || len(tr.Records) != 0 || !tr.Truncated {
+		t.Errorf("lone malformed line = %v, %v; want an empty, truncated trace", tr, err)
+	}
 }
 
 // TestRealTracerRoundTrip drives the actual Tracer/Recorder (spans plus

@@ -4,32 +4,68 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/obs/profile"
 )
 
-// Resource-timeline analysis: the consumption side of the runtime sampler
-// (internal/obs/profile). LoadTimeline reads the JSONL resource record a
-// sampled run leaves behind; NewProfReport summarizes it (heap growth
-// slope, GC pauses, goroutine-leak detection, alloc rates per window) and
-// Unhealthy is the verdict `knowtrans obs prof -gate` exits on.
+// Runtime-sample analysis: the consumption side of the runtime sampler
+// (internal/obs/profile). NewProfReport reads the runtime.sample events a
+// run traced with -trace and -sample leaves in its trace, summarizes them
+// (heap growth slope, GC pauses, goroutine-leak detection, alloc rates per
+// window), and Unhealthy is the verdict `knowtrans obs prof -gate` exits on.
 
-// LoadTimeline reads one runtime-metrics timeline file.
-func LoadTimeline(path string) ([]profile.Sample, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
+// profWindowCount is how many equal-duration windows the leak detector
+// splits a run into.
+const profWindowCount = 4
+
+// finalGoroutineSlack is how many goroutines a run's final sample may hold
+// above its first before the run counts as leaking. A drain stops what the
+// run started (serve.Registry.Close, cluster.Router.Close), so the serve
+// drill ends 0–2 above its start at GOMAXPROCS 2 and 16 alike; one parked
+// goroutine per request ends hundreds above.
+const finalGoroutineSlack = 32
+
+// profSample is one runtime.sample event's readings.
+type profSample struct {
+	TMS             int64 // milliseconds since the tracer started
+	Goroutines      int64
+	HeapLiveBytes   uint64
+	TotalAllocBytes uint64
+	GCCycles        uint64
+	GCPauseP50US    float64
+	GCPauseP95US    float64
+	SchedLatP95US   float64
+	Final           bool
+}
+
+// profSamples returns the trace's runtime.sample events in file order. A
+// reading that is missing, not a number or negative loads as zero.
+func profSamples(t *Trace) []profSample {
+	var out []profSample
+	for _, e := range t.Events {
+		if e.Name != profile.EventSample {
+			continue
+		}
+		num := func(key string) float64 {
+			if v, ok := e.Attrs[key].(float64); ok && v > 0 {
+				return v
+			}
+			return 0
+		}
+		final, _ := e.Attrs["final"].(bool)
+		out = append(out, profSample{
+			TMS:             e.StartUS / 1000,
+			Goroutines:      int64(num("goroutines")),
+			HeapLiveBytes:   uint64(num("heap_live_bytes")),
+			TotalAllocBytes: uint64(num("total_alloc_bytes")),
+			GCCycles:        uint64(num("gc_cycles")),
+			GCPauseP50US:    num("gc_pause_p50_us"),
+			GCPauseP95US:    num("gc_pause_p95_us"),
+			SchedLatP95US:   num("sched_lat_p95_us"),
+			Final:           final,
+		})
 	}
-	defer f.Close()
-	rows, err := profile.ReadTimeline(f)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %s: %w", path, err)
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("analyze: %s: empty timeline", path)
-	}
-	return rows, nil
+	return out
 }
 
 // ProfWindow summarizes one of the report's equal-duration windows; the
@@ -46,7 +82,7 @@ type ProfWindow struct {
 	GCCyclesDelta uint64  `json:"gc_cycles_delta"`
 }
 
-// ProfReport is the summary of one runtime timeline.
+// ProfReport is the summary of one run's runtime samples.
 type ProfReport struct {
 	Samples   int     `json:"samples"`
 	DurationS float64 `json:"duration_s"`
@@ -66,10 +102,13 @@ type ProfReport struct {
 	GoroutineStart int64 `json:"goroutine_start"`
 	GoroutineEnd   int64 `json:"goroutine_end"`
 	GoroutineMax   int64 `json:"goroutine_max"`
-	// GoroutineLeak flags monotonic per-window growth of the goroutine
-	// floor: the count's minimum rises window over window, which steady
-	// traffic does not do but an accumulating leak must.
-	GoroutineLeak bool `json:"goroutine_leak"`
+	// GoroutineLeak flags either of two shapes, and GoroutineLeakRule names
+	// the first that fired: the per-window goroutine floor rises window over
+	// window (an accumulating leak, seen while it grows), or the final sample
+	// Stop took holds more than finalGoroutineSlack goroutines above the
+	// first (a leak that built during the load and then stayed flat).
+	GoroutineLeak     bool   `json:"goroutine_leak"`
+	GoroutineLeakRule string `json:"goroutine_leak_rule,omitempty"`
 
 	AllocTotalBytes uint64  `json:"alloc_total_bytes"`
 	AllocRateBPS    float64 `json:"alloc_rate_bps"`
@@ -81,10 +120,11 @@ type ProfReport struct {
 	Windows []ProfWindow `json:"windows,omitempty"`
 }
 
-// NewProfReport summarizes a timeline over the given number of analysis
-// windows (default 4; clamped so every window holds at least two
-// samples when possible).
-func NewProfReport(rows []profile.Sample, windows int) *ProfReport {
+// NewProfReport summarizes the trace's runtime.sample events over
+// profWindowCount analysis windows (fewer when a window would hold less than
+// two samples). A trace without samples gives a report of zero Samples.
+func NewProfReport(t *Trace) *ProfReport {
+	rows := profSamples(t)
 	r := &ProfReport{Samples: len(rows)}
 	if len(rows) == 0 {
 		return r
@@ -112,10 +152,16 @@ func NewProfReport(rows []profile.Sample, windows int) *ProfReport {
 		}
 	}
 	r.HeapSlopeBPS = heapSlope(rows)
-	r.Windows = profWindows(rows, windows)
-	r.GoroutineLeak = monotonicWindows(r.Windows,
+	r.Windows = profWindows(rows, profWindowCount)
+	switch d := last.Goroutines - first.Goroutines; {
+	case monotonicWindows(r.Windows,
 		func(w ProfWindow) float64 { return float64(w.GoroutineMin) },
-		func(w ProfWindow) float64 { return float64(w.GoroutineMax) }, 8, 0.10)
+		func(w ProfWindow) float64 { return float64(w.GoroutineMax) }, 8, 0.10):
+		r.GoroutineLeakRule = "per-window goroutine floor grows monotonically"
+	case last.Final && d > finalGoroutineSlack:
+		r.GoroutineLeakRule = fmt.Sprintf("the final sample holds %d goroutines above the first (slack %d)", d, finalGoroutineSlack)
+	}
+	r.GoroutineLeak = r.GoroutineLeakRule != ""
 	r.HeapGrowth = monotonicWindows(r.Windows,
 		func(w ProfWindow) float64 { return float64(w.HeapMinBytes) },
 		func(w ProfWindow) float64 { return float64(w.HeapMaxBytes) }, 1<<20, 0.10)
@@ -123,8 +169,8 @@ func NewProfReport(rows []profile.Sample, windows int) *ProfReport {
 }
 
 // heapSlope fits live-heap bytes against time by least squares and
-// returns bytes/second (0 for degenerate timelines).
-func heapSlope(rows []profile.Sample) float64 {
+// returns bytes/second (0 for degenerate runs).
+func heapSlope(rows []profSample) float64 {
 	if len(rows) < 2 {
 		return 0
 	}
@@ -145,11 +191,8 @@ func heapSlope(rows []profile.Sample) float64 {
 	return (n*sxy - sx*sy) / den
 }
 
-// profWindows splits the timeline into up to n equal-duration windows.
-func profWindows(rows []profile.Sample, n int) []ProfWindow {
-	if n <= 0 {
-		n = 4
-	}
+// profWindows splits the samples into up to n equal-duration windows.
+func profWindows(rows []profSample, n int) []ProfWindow {
 	for n > 1 && len(rows)/n < 2 {
 		n--
 	}
@@ -245,7 +288,7 @@ func fmtBytes(b float64) string {
 func (r *ProfReport) WriteText(w io.Writer) error {
 	var out []byte
 	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)...) }
-	add("runtime timeline: %d samples over %.2fs\n", r.Samples, r.DurationS)
+	add("runtime samples: %d over %.2fs\n", r.Samples, r.DurationS)
 	add("heap live: start %s, end %s, max %s, slope %s/s\n",
 		fmtBytes(float64(r.HeapStartBytes)), fmtBytes(float64(r.HeapEndBytes)),
 		fmtBytes(float64(r.HeapMaxBytes)), fmtBytes(r.HeapSlopeBPS))
@@ -254,7 +297,7 @@ func (r *ProfReport) WriteText(w io.Writer) error {
 	add("gc: %d cycles, pause p50 %s p95 %s; sched latency p95 %s\n",
 		r.GCCycles, fmtUSf(r.GCPauseP50US), fmtUSf(r.GCPauseP95US), fmtUSf(r.SchedLatP95US))
 	if r.GoroutineLeak {
-		add("WARNING: goroutine leak suspected — per-window goroutine floor grows monotonically\n")
+		add("WARNING: goroutine leak suspected — %s\n", r.GoroutineLeakRule)
 	}
 	if r.HeapGrowth {
 		add("WARNING: unbounded heap growth suspected — per-window heap floor grows monotonically\n")

@@ -273,10 +273,12 @@ func TestTelemetryCatalogue(t *testing.T) {
 }
 
 // readers is what a reader cell is checked against: test sources by the Test
-// functions they declare, `obs top`'s source, the benchmark's.
+// functions they declare, the names `obs top`'s and `obs prof`'s code uses,
+// the benchmark's sources.
 type readers struct {
 	tests     map[string]string // Test function name → source of its file
-	top       string            // internal/obs/analyze/top.go
+	top       string            // codeNames of internal/obs/analyze/top.go
+	prof      string            // codeNames of internal/obs/analyze/prof.go
 	benchmark string            // benchmark/*.go
 }
 
@@ -284,6 +286,8 @@ func readerSources(t *testing.T) readers {
 	t.Helper()
 	rs := readers{tests: map[string]string{}}
 	funcDecl := regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]+)\(`)
+	consts := map[string]string{} // "pkg.Name" → value of a string constant under internal/
+	views := map[string]*ast.File{}
 	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -301,23 +305,75 @@ func readerSources(t *testing.T) readers {
 			for _, m := range funcDecl.FindAllStringSubmatch(src, -1) {
 				rs.tests[m[1]] += src
 			}
-		case rel == "internal/obs/analyze/top.go":
-			rs.top = src
+		case strings.HasPrefix(rel, "internal/"):
+			f, err := parser.ParseFile(token.NewFileSet(), path, blob, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			pkg := filepath.Base(filepath.Dir(path))
+			for _, decl := range f.Decls {
+				if g, ok := decl.(*ast.GenDecl); ok && g.Tok == token.CONST {
+					for _, spec := range g.Specs {
+						v := spec.(*ast.ValueSpec)
+						for i, name := range v.Names {
+							if i < len(v.Values) {
+								if s, ok := namePattern(v.Values[i], nil); ok {
+									consts[pkg+"."+name.Name] = s
+								}
+							}
+						}
+					}
+				}
+			}
+			views[rel] = f
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs.top = codeNames(views["internal/obs/analyze/top.go"], consts)
+	rs.prof = codeNames(views["internal/obs/analyze/prof.go"], consts)
 	return rs
+}
+
+// codeNames returns, one a line, the strings a file's code can name
+// telemetry with: its string literals, and the values of the string
+// constants it refers to — a bare identifier of its own package, pkg.Name of
+// another. Comments do not count: a view that only talks about a name does
+// not read it.
+func codeNames(f *ast.File, consts map[string]string) string {
+	if f == nil {
+		return ""
+	}
+	var b strings.Builder
+	ast.Inspect(f, func(n ast.Node) bool {
+		var s string
+		switch n := n.(type) {
+		case *ast.BasicLit:
+			s, _ = namePattern(n, nil)
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); ok {
+				s = consts[x.Name+"."+n.Sel.Name]
+			}
+		case *ast.Ident:
+			s = consts[f.Name.Name+"."+n.Name]
+		}
+		if s != "" {
+			b.WriteString(s + "\n")
+		}
+		return true
+	})
+	return b.String()
 }
 
 // checkReader verifies a row's reader cell names at least one reader, and
 // that each named reader exists and knows the row's name (its literal part,
-// for a pattern): a Go test whose file mentions it, `obs top` when top.go
-// does, the benchmark when benchmark/*.go does. `obs trace` reads every span
-// and event by name — its per-stage table and event counts are generic — so
-// it is a reader of those kinds only.
+// for a pattern): a Go test whose file mentions it, `obs top` or `obs prof`
+// when the code of top.go or prof.go uses it (codeNames), the benchmark when
+// benchmark/*.go mentions it. `obs trace` reads every span and event by name
+// — its per-stage table and event counts are generic — so it is a reader of
+// those kinds only.
 func checkReader(r catalogueRow, rs readers) error {
 	stem := strings.Trim(r.name, "*")
 	found := false
@@ -333,7 +389,13 @@ func checkReader(r catalogueRow, rs readers) error {
 	}
 	if strings.Contains(r.reader, "`obs top`") {
 		if !strings.Contains(rs.top, stem) {
-			return fmt.Errorf("reader is `obs top`, but analyze/top.go never mentions %q", stem)
+			return fmt.Errorf("reader is `obs top`, but analyze/top.go's code never uses %q", stem)
+		}
+		found = true
+	}
+	if strings.Contains(r.reader, "`obs prof`") {
+		if !strings.Contains(rs.prof, stem) {
+			return fmt.Errorf("reader is `obs prof`, but analyze/prof.go's code never uses %q", stem)
 		}
 		found = true
 	}

@@ -11,17 +11,11 @@ import (
 // the same alternating key/value (or slog.Attr) argument forms as
 // slog.Logger.
 
-// Event writes one structured event under the given parent span id (0 for a
-// top-level event). args are slog-style attributes: alternating key/value
-// pairs, slog.Attr values, or slog groups. The event carries no trace id;
-// use EventIn when the enclosing span's trace should be attributable.
-func (t *Tracer) Event(parent uint64, name string, args ...any) {
-	t.EventIn(SpanContext{Span: parent}, name, args...)
-}
-
-// EventIn writes one structured event under a parent span context, stamping
-// the parent's trace id on the record so trace-id filtering picks the event
-// up alongside its span.
+// EventIn writes one structured event under a parent span context (the zero
+// context for a top-level event), stamping the parent's trace id on the
+// record so trace-id filtering picks the event up alongside its span. args
+// are slog-style attributes: alternating key/value pairs, slog.Attr values,
+// or slog groups.
 func (t *Tracer) EventIn(parent SpanContext, name string, args ...any) {
 	if t == nil {
 		return

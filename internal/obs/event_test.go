@@ -46,7 +46,7 @@ func TestEventNilSafety(t *testing.T) {
 	var rec *Recorder
 	rec.Event("ghost", "k", 1) // must not panic
 	var tr *Tracer
-	tr.Event(0, "ghost")
+	tr.EventIn(SpanContext{}, "ghost")
 	metricsOnly := NewRecorder(NewRegistry(), nil)
 	metricsOnly.Event("ghost", "k", 1)
 }
@@ -54,7 +54,7 @@ func TestEventNilSafety(t *testing.T) {
 func TestEventGroupFlattening(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.Event(0, "e", slog.Group("g", slog.Int("x", 1), slog.Group("h", slog.Int("y", 2))))
+	tr.EventIn(SpanContext{}, "e", slog.Group("g", slog.Int("x", 1), slog.Group("h", slog.Int("y", 2))))
 	recs, err := ReadTrace(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTracerClose(t *testing.T) {
 	n := buf.Len()
 	// Writes after Close are dropped, not errors.
 	tr.StartSpan("late").End()
-	tr.Event(0, "late-event")
+	tr.EventIn(SpanContext{}, "late-event")
 	if buf.Len() != n {
 		t.Error("write after Close reached the buffer")
 	}

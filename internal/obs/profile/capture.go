@@ -104,9 +104,11 @@ func (t *Trigger) run(n int64, reason string) {
 	heapPath := filepath.Join(t.Dir, "heap-"+base+".pprof")
 	cpuPath := filepath.Join(t.Dir, "cpu-"+base+".pprof")
 
+	// The event is written before the counter moves, so a reader that saw
+	// the count finds the event in the trace.
 	fail := func(err error) {
-		t.Rec.Count("profile.capture_errors", 1)
 		t.Rec.Event("profile.capture_failed", "reason", reason, "error", err.Error())
+		t.Rec.Count("profile.capture_errors", 1)
 	}
 	hf, err := os.Create(heapPath)
 	if err != nil {
@@ -141,8 +143,8 @@ func (t *Trigger) run(n int64, reason string) {
 		os.Remove(cpuPath)
 		cpuPath = ""
 	}
-	t.Rec.Count("profile.captures", 1)
 	t.Rec.Event("profile.captured", "reason", reason, "heap", heapPath, "cpu", cpuPath)
+	t.Rec.Count("profile.captures", 1)
 }
 
 // sanitizeReason keeps capture file names shell- and filesystem-safe.

@@ -5,11 +5,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
+
+// syncBuffer lets a test read the trace while a capture goroutine may still
+// be writing — the race detector keeps us honest.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 func TestWriteHeapAndCaptureCPU(t *testing.T) {
 	var heap bytes.Buffer

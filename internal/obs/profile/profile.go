@@ -8,8 +8,8 @@
 //   - Sampler: a background poller over runtime/metrics (heap live bytes
 //     and objects, cumulative allocations, GC pause distribution,
 //     goroutine count, scheduler latency) that feeds the obs metrics
-//     registry live and appends a JSONL timeline — the machine-readable
-//     resource record `knowtrans obs prof` analyzes.
+//     registry live and writes one runtime.sample event per tick into the
+//     span trace — the resource record `knowtrans obs prof` analyzes.
 //   - pprof label plumbing (Do): the serve path runs request handling,
 //     batches, and cold-start Transfers under pprof labels (route, key,
 //     batch, phase) and eval labels its worker cells, so a captured CPU
@@ -44,6 +44,13 @@ const (
 	MetricGCPauseHist   = "runtime.gc_pause_us"
 	MetricSamples       = "runtime.samples"
 )
+
+// EventSample is the trace event the Sampler writes on every tick. Its
+// attributes are the readings `obs prof` summarizes (goroutines,
+// heap_live_bytes, total_alloc_bytes, gc_cycles, gc_pause_p50_us,
+// gc_pause_p95_us, sched_lat_p95_us); the sample Stop takes also carries
+// final=true.
+const EventSample = "runtime.sample"
 
 // Label keys of the serving and eval paths. A CPU profile captured during
 // a load (`-cpuprofile`, /debug/pprof/profile, or a slow-request capture)

@@ -5,41 +5,21 @@ import (
 	"context"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// syncBuffer lets the test read the timeline while the sampler goroutine
-// may still be writing — the race detector keeps us honest.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
-}
-
 // TestSamplerTimelineAndRegistry runs the sampler over a busy interval
-// and checks the two outputs agree: a parseable monotonic JSONL timeline
-// and live runtime gauges in the registry.
+// and checks its two outputs: one runtime.sample event per sample in the
+// trace, in time order, with final on Stop's only, and live runtime gauges
+// in the registry.
 func TestSamplerTimelineAndRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(reg, nil)
-	var buf syncBuffer
-	s := Start(Config{Interval: 2 * time.Millisecond, Rec: rec, W: &buf})
+	var buf bytes.Buffer
+	tracer := obs.NewTracer(&buf)
+	s := Start(Config{Interval: 2 * time.Millisecond, Rec: obs.NewRecorder(reg, tracer)})
 
 	// Generate allocation traffic so the deltas are non-trivial.
 	sink := make([][]byte, 0, 256)
@@ -53,32 +33,45 @@ func TestSamplerTimelineAndRegistry(t *testing.T) {
 	_ = sink
 	s.Stop()
 	s.Stop() // idempotent
-	if err := s.Err(); err != nil {
-		t.Fatalf("sampler error: %v", err)
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	rows, err := ReadTimeline(strings.NewReader(buf.String()))
+	recs, err := obs.ReadTrace(&buf)
 	if err != nil {
-		t.Fatalf("ReadTimeline: %v", err)
+		t.Fatal(err)
 	}
-	if len(rows) < 2 {
-		t.Fatalf("want >= 2 samples, got %d", len(rows))
+	var events []obs.SpanRecord
+	for _, r := range recs {
+		if r.IsEvent() && r.Name == EventSample {
+			events = append(events, r)
+		}
 	}
-	if int64(len(rows)) != s.Samples() {
-		t.Errorf("timeline rows %d != Samples() %d", len(rows), s.Samples())
+	if len(events) < 2 || len(events) != len(recs) {
+		t.Fatalf("trace holds %d records, %d of them %s events; want >= 2, all samples", len(recs), len(events), EventSample)
 	}
-	for i, r := range rows {
-		if r.Seq != int64(i+1) {
-			t.Fatalf("row %d: seq %d", i, r.Seq)
+	if int64(len(events)) != s.Samples() {
+		t.Errorf("%d %s events != Samples() %d", len(events), EventSample, s.Samples())
+	}
+	for i, e := range events {
+		if i > 0 && e.StartUS < events[i-1].StartUS {
+			t.Errorf("sample %d: start_us went backwards (%d < %d)", i, e.StartUS, events[i-1].StartUS)
 		}
-		if i > 0 && r.TMS < rows[i-1].TMS {
-			t.Errorf("row %d: t_ms went backwards (%d < %d)", i, r.TMS, rows[i-1].TMS)
+		if final := e.Attrs["final"] == true; final != (i == len(events)-1) {
+			t.Errorf("sample %d of %d: final = %v", i, len(events), final)
 		}
-		if r.Goroutines <= 0 || r.HeapLiveBytes == 0 || r.TotalAllocBytes == 0 {
-			t.Errorf("row %d: implausible reading %+v", i, r)
+		for _, key := range []string{"goroutines", "heap_live_bytes", "total_alloc_bytes"} {
+			if v, _ := e.Attrs[key].(float64); v <= 0 {
+				t.Errorf("sample %d: %s = %v", i, key, e.Attrs[key])
+			}
 		}
-		if i > 0 && r.TotalAllocBytes < rows[i-1].TotalAllocBytes {
-			t.Errorf("row %d: cumulative allocs shrank", i)
+		for _, key := range []string{"gc_cycles", "gc_pause_p50_us", "gc_pause_p95_us", "sched_lat_p95_us"} {
+			if _, ok := e.Attrs[key].(float64); !ok {
+				t.Errorf("sample %d: %s = %v, want a number", i, key, e.Attrs[key])
+			}
+		}
+		if i > 0 && e.Attrs["total_alloc_bytes"].(float64) < events[i-1].Attrs["total_alloc_bytes"].(float64) {
+			t.Errorf("sample %d: cumulative allocs shrank", i)
 		}
 	}
 
@@ -126,9 +119,6 @@ func TestSamplerStopLeavesNoGoroutine(t *testing.T) {
 func TestSamplerNilSafety(t *testing.T) {
 	var s *Sampler
 	s.Stop()
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if n := s.Samples(); n != 0 {
 		t.Fatalf("nil Samples = %d", n)
 	}
@@ -139,42 +129,18 @@ func TestReadStats(t *testing.T) {
 	if st.Goroutines <= 0 {
 		t.Errorf("Goroutines = %d", st.Goroutines)
 	}
-	if st.HeapLiveBytes == 0 || st.TotalAllocBytes == 0 || st.TotalAllocObjects == 0 {
+	if st.HeapLiveBytes == 0 || st.TotalAllocBytes == 0 {
 		t.Errorf("zero memory readings: %+v", st)
 	}
 	// Allocate, read again: cumulative counters move forward.
 	waste := make([]byte, 1<<20)
 	_ = waste
-	st2 := ReadStats()
-	d := st2.Delta(st)
-	if d.AllocBytes == 0 {
-		t.Error("no alloc delta after allocating 1MB")
+	if d := ReadStats().TotalAllocBytes - st.TotalAllocBytes; d < 1<<20 {
+		t.Errorf("alloc delta %d bytes after allocating 1MB", d)
 	}
 	g, h := QuickReadings()
 	if g <= 0 || h == 0 {
 		t.Errorf("QuickReadings = %d, %d", g, h)
-	}
-}
-
-func TestReadTimelineTruncatedTail(t *testing.T) {
-	whole := `{"t_ms":1,"seq":1,"goroutines":5}` + "\n" + `{"t_ms":2,"seq":2,"gorou`
-	rows, err := ReadTimeline(strings.NewReader(whole))
-	if err != nil {
-		t.Fatalf("truncated tail should be tolerated: %v", err)
-	}
-	if len(rows) != 1 || rows[0].Goroutines != 5 {
-		t.Fatalf("rows = %+v", rows)
-	}
-	// Garbage with a line after it is corruption, not a tail (the old reader
-	// returned the prefix and swallowed it).
-	garbled := `{"t_ms":1,"seq":1}` + "\nnot json\n" + `{"t_ms":3,"seq":3}` + "\n"
-	if _, err := ReadTimeline(strings.NewReader(garbled)); err == nil {
-		t.Error("mid-stream garbage should be a hard error")
-	}
-	// A lone unparsable line is a tail with nothing before it: no rows,
-	// which analyze.LoadTimeline reports as an empty timeline.
-	if rows, err := ReadTimeline(strings.NewReader("not json")); err != nil || len(rows) != 0 {
-		t.Errorf("lone malformed line = %d rows, %v; want 0 rows, nil", len(rows), err)
 	}
 }
 

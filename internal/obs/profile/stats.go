@@ -15,28 +15,25 @@ const (
 	rmHeapLive   = "/memory/classes/heap/objects:bytes"
 	rmHeapObjs   = "/gc/heap/objects:objects"
 	rmAllocBytes = "/gc/heap/allocs:bytes"
-	rmAllocObjs  = "/gc/heap/allocs:objects"
 	rmGCCycles   = "/gc/cycles/total:gc-cycles"
 	rmGCPauses   = "/gc/pauses:seconds"
 	rmSchedLat   = "/sched/latencies:seconds"
 )
 
 // Stats is one point-in-time reading of the process's resource state.
-// Total* fields are cumulative since process start, so rates come from
-// deltas between two readings (Delta). Pause and latency quantiles are
-// over the cumulative runtime-maintained distributions.
+// TotalAllocBytes and GCCycles are cumulative since process start, so
+// rates come from the difference of two readings. Pause and latency
+// quantiles are over the cumulative runtime-maintained distributions.
 type Stats struct {
-	Goroutines        int64
-	HeapLiveBytes     uint64
-	HeapObjects       uint64
-	TotalAllocBytes   uint64
-	TotalAllocObjects uint64
-	GCCycles          uint64
-	GCPauseTotalUS    float64 // approximate: Σ bucket-count × bucket midpoint
-	GCPauseP50US      float64
-	GCPauseP95US      float64
-	SchedLatP50US     float64
-	SchedLatP95US     float64
+	Goroutines      int64
+	HeapLiveBytes   uint64
+	HeapObjects     uint64
+	TotalAllocBytes uint64
+	GCCycles        uint64
+	GCPauseP50US    float64
+	GCPauseP95US    float64
+	SchedLatP50US   float64
+	SchedLatP95US   float64
 
 	// gcPauseCounts keeps the raw cumulative pause bucket counts so a
 	// Sampler can feed per-interval pause observations into an obs
@@ -54,7 +51,6 @@ func ReadStats() Stats {
 		{Name: rmHeapLive},
 		{Name: rmHeapObjs},
 		{Name: rmAllocBytes},
-		{Name: rmAllocObjs},
 		{Name: rmGCCycles},
 		{Name: rmGCPauses},
 		{Name: rmSchedLat},
@@ -65,16 +61,14 @@ func ReadStats() Stats {
 	st.HeapLiveBytes = sampleUint64(&samples[1])
 	st.HeapObjects = sampleUint64(&samples[2])
 	st.TotalAllocBytes = sampleUint64(&samples[3])
-	st.TotalAllocObjects = sampleUint64(&samples[4])
-	st.GCCycles = sampleUint64(&samples[5])
-	if h := sampleHist(&samples[6]); h != nil {
-		st.GCPauseTotalUS = histSumSeconds(h) * 1e6
+	st.GCCycles = sampleUint64(&samples[4])
+	if h := sampleHist(&samples[5]); h != nil {
 		st.GCPauseP50US = histQuantileSeconds(h, 0.50) * 1e6
 		st.GCPauseP95US = histQuantileSeconds(h, 0.95) * 1e6
 		st.gcPauseCounts = append([]uint64(nil), h.Counts...)
 		st.gcPauseBounds = h.Buckets
 	}
-	if h := sampleHist(&samples[7]); h != nil {
+	if h := sampleHist(&samples[6]); h != nil {
 		st.SchedLatP50US = histQuantileSeconds(h, 0.50) * 1e6
 		st.SchedLatP95US = histQuantileSeconds(h, 0.95) * 1e6
 	}
@@ -122,20 +116,6 @@ func bucketMid(buckets []float64, i int) float64 {
 	}
 }
 
-// histSumSeconds approximates the distribution's total as Σ count × bucket
-// midpoint — exact enough for "total GC pause milliseconds" reporting,
-// which only needs to be stable across runs, not nanosecond-true.
-func histSumSeconds(h *metrics.Float64Histogram) float64 {
-	var sum float64
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		sum += float64(c) * bucketMid(h.Buckets, i)
-	}
-	return sum
-}
-
 // histQuantileSeconds estimates the q-quantile of a runtime histogram
 // (obs.BucketQuantile; edge rule: -Inf reads as 0, a +Inf upper edge
 // collapses the bucket onto its lower one).
@@ -150,34 +130,4 @@ func histQuantileSeconds(h *metrics.Float64Histogram, q float64) float64 {
 		}
 		return lo, hi
 	})
-}
-
-// Delta returns the cumulative-counter movement from prev to st. Callers
-// divide by an op count or a duration to get per-op or per-second rates.
-type StatsDelta struct {
-	AllocBytes   uint64
-	AllocObjects uint64
-	GCCycles     uint64
-	GCPauseUS    float64
-}
-
-// Delta computes st - prev over the cumulative fields, clamping at zero
-// (a counter can only appear to shrink across a process restart, which
-// two readings from one process never see).
-func (st Stats) Delta(prev Stats) StatsDelta {
-	sub := func(a, b uint64) uint64 {
-		if a < b {
-			return 0
-		}
-		return a - b
-	}
-	d := StatsDelta{
-		AllocBytes:   sub(st.TotalAllocBytes, prev.TotalAllocBytes),
-		AllocObjects: sub(st.TotalAllocObjects, prev.TotalAllocObjects),
-		GCCycles:     sub(st.GCCycles, prev.GCCycles),
-	}
-	if st.GCPauseTotalUS > prev.GCPauseTotalUS {
-		d.GCPauseUS = st.GCPauseTotalUS - prev.GCPauseTotalUS
-	}
-	return d
 }

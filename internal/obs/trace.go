@@ -475,7 +475,7 @@ func CanonicalTrace(recs []SpanRecord) []SpanRecord {
 }
 
 // ReadJSONL decodes one T per non-blank line of r, in file order — the one
-// reader under traces and runtime timelines. A final line that does not
+// reader under span traces. A final line that does not
 // parse is a truncated tail (the writer was killed mid-line): it is
 // skipped and reported. An unparsable line with another line after it is
 // corruption and a hard error.

@@ -422,3 +422,18 @@ func (r *Registry) Evict(_ context.Context, key string) (bool, error) {
 	}
 	return resident, nil
 }
+
+// Close stops the batcher of every resident adapter and waits for its
+// goroutines to exit: the last step of a drain, once no request is in
+// flight, so a drained process holds no serving goroutines whatever its core
+// count or adapter count. Per-key counters survive, as on eviction; a later
+// request would simply cold-start again.
+func (r *Registry) Close() {
+	r.mu.Lock()
+	ready := r.ready
+	r.ready = map[string]*entry{}
+	r.mu.Unlock()
+	for _, e := range ready {
+		e.bat.stop()
+	}
+}

@@ -237,6 +237,53 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCloseStopsEveryBatcher: Close, a drain's last step, stops the
+// dispatcher and every lane of every resident adapter, so the process is back
+// at its goroutine count from before the registry — with GOMAXPROCS lanes per
+// adapter, that is what keeps `obs prof -gate`'s final-sample rule
+// independent of core and adapter count. A key asked for afterwards
+// cold-starts again and keeps its counters.
+func TestCloseStopsEveryBatcher(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	before := runtime.NumGoroutine()
+	tr := newStubTransferer(0)
+	metrics := obs.NewRegistry()
+	r := NewRegistry(tr.transfer, Options{Rec: obs.NewRecorder(metrics, nil)})
+	ctx := context.Background()
+	keys := []string{"A", "B", "C", "D"}
+	for _, key := range keys {
+		if _, _, err := r.Predict(ctx, key, inst("1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := runtime.NumGoroutine()-before, len(keys)*(8+1); got < want {
+		t.Fatalf("%d goroutines above the start with %d adapters resident, want >= %d", got, len(keys), want)
+	}
+	r.Close()
+	if got := r.Resident(); got != 0 {
+		t.Fatalf("resident = %d after Close, want 0", got)
+	}
+	for _, g := range []string{"serve.queue_depth/A", "serve.queue_depth/D"} {
+		if _, ok := metrics.Snapshot().Gauges[g]; ok {
+			t.Errorf("gauge %s survives Close", g)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Close, %d before the registry", got, before)
+	}
+	if _, cold, err := r.Predict(ctx, "A", inst("2")); err != nil || !cold {
+		t.Fatalf("predict after Close: cold=%v err=%v, want a cold start", cold, err)
+	}
+	if got := tr.buildCount("A"); got != 2 {
+		t.Fatalf("A built %d times, want 2 (before and after Close)", got)
+	}
+	r.Close()
+}
+
 // TestPanickingTransferFailsWaiters: a Transfer that panics must fail every
 // coalesced waiter with an error — and must not wedge the key for later
 // requests.

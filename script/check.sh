@@ -18,7 +18,15 @@
 #   chaos: 30% faults complete and are counted  eval.TestFaultsChaosGridCompletes, faults/chaos_test.go
 #   access log, trace IDs, batch links, path    serve.TestConcurrentTracing
 #   served == direct answers, 1 Transfer/key    cmd/knowtrans TestDrillServe (default, max-batch-1, faults)
-#   no leak in a healthy run (obs prof -gate)   cmd/knowtrans TestDrillServe/default
+#   no leak in a healthy run (obs prof -gate
+#     over the trace's runtime samples)         cmd/knowtrans TestDrillServe/default
+#   a drain stops every resident batcher        serve.TestCloseStopsEveryBatcher
+#   the leak gate bites: a growing or a burst
+#     leak is flagged; warmup, plateau jitter,
+#     a drained or a truncated run are not      analyze.TestProfReportDetectsLeaks,
+#                                               analyze.TestProfReportFinalSampleRule,
+#                                               analyze.TestProfReportWarmupIsNotALeak,
+#                                               analyze.TestProfReportPlateauJitterIsNotALeak
 #   the CPU profile is valid pprof              cmd/knowtrans TestDrillServe/default
 #   a real serve child: ready, envelope, exit 0 cmd/knowtrans TestServeChildEnvelopeDrainMetrics
 #   a real route child: banner, healthz, readyz,
