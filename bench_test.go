@@ -436,7 +436,7 @@ func TestTransferDigest(t *testing.T) {
 	if err := loaded.Rec.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadTrace(&trace)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&trace)
 	if err != nil {
 		t.Fatal(err)
 	}

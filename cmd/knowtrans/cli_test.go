@@ -136,7 +136,7 @@ func TestFailedObsSetupReleasesWhatItAcquired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	recs, err := obs.ReadTrace(tf)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](tf)
 	var samples []obs.SpanRecord
 	for _, r := range recs {
 		if r.IsEvent() && r.Name == profile.EventSample {

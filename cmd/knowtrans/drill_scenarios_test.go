@@ -25,6 +25,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/faults"
 	"repro/internal/jobs"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -110,7 +111,7 @@ func TestDrillServe(t *testing.T) {
 					"-cpuprofile", cpuprofile, "-access-log", filepath.Join(dir, "access.log"))
 			}
 			fl := mustSpawn(t, "main", 1, args...)
-			rep, err := serve.RunLoad(context.Background(), fl[0].url, items, serve.LoadOptions{
+			rep, err := loadgen.Run(context.Background(), fl[0].url, items, loadgen.Options{
 				Concurrency: tc.concurrency,
 				TraceSeed:   drillSeed,
 			})
@@ -230,7 +231,7 @@ func TestDrillRoute(t *testing.T) {
 	}
 
 	// Phase 1: full fleet, hedging router.
-	p1, err := serve.RunLoad(context.Background(), hedgeURL, items, serve.LoadOptions{
+	p1, err := loadgen.Run(context.Background(), hedgeURL, items, loadgen.Options{
 		Concurrency: concurrency,
 		TraceSeed:   drillSeed,
 	})
@@ -241,7 +242,7 @@ func TestDrillRoute(t *testing.T) {
 	// Phase 2: same load through the failover router, and when a quarter
 	// of it has completed, SIGKILL the primary owner of the first key.
 	victim := rFail.Owners(keys[0])[0]
-	p2, err := serve.RunLoad(context.Background(), failURL, items, serve.LoadOptions{
+	p2, err := loadgen.Run(context.Background(), failURL, items, loadgen.Options{
 		Concurrency: concurrency,
 		TraceSeed:   drillSeed + 1,
 		AtCount:     len(items) / 4,
@@ -280,7 +281,7 @@ func TestDrillRoute(t *testing.T) {
 	// Rebalance: every key the victim owned must now be served by its
 	// replica — same answer, no error, straight through the router. One
 	// item per such key goes through the loader, which checks all three.
-	var probes []serve.LoadItem
+	var probes []loadgen.Item
 	probed := map[string]bool{}
 	for _, it := range items {
 		if !probed[it.Key] && slices.Contains(rFail.Owners(it.Key), victim) {
@@ -291,7 +292,7 @@ func TestDrillRoute(t *testing.T) {
 	if len(probes) == 0 {
 		t.Fatalf("victim %s owned no keys — rebalance went unexercised", victim)
 	}
-	p3, err := serve.RunLoad(context.Background(), failURL, probes, serve.LoadOptions{TraceSeed: drillSeed + 2})
+	p3, err := loadgen.Run(context.Background(), failURL, probes, loadgen.Options{TraceSeed: drillSeed + 2})
 	if err != nil {
 		t.Fatalf("post-ejection load: %v", err)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/eval"
+	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -329,8 +330,8 @@ func (f fleet) close() {
 // service's seed, so Want is Transfer + Predict with no serving code in
 // between. The items are shuffled so cold starts race each other and hot
 // batches interleave across adapters — the shape multi-tenant traffic has.
-func referenceLoad(ref *eval.Zoo, keys []string, n int, seed int64) ([]serve.LoadItem, error) {
-	items := make([]serve.LoadItem, 0, n)
+func referenceLoad(ref *eval.Zoo, keys []string, n int, seed int64) ([]loadgen.Item, error) {
+	items := make([]loadgen.Item, 0, n)
 	perKey := (n + len(keys) - 1) / len(keys)
 	for _, key := range keys {
 		ad, err := ref.TransferDataset(context.Background(), key, eval.Size7B)
@@ -340,7 +341,7 @@ func referenceLoad(ref *eval.Zoo, keys []string, n int, seed int64) ([]serve.Loa
 		b, _ := ref.FindDownstream(key)
 		for i := 0; i < perKey && len(items) < n; i++ {
 			in := b.DS.Test[i%len(b.DS.Test)]
-			items = append(items, serve.LoadItem{
+			items = append(items, loadgen.Item{
 				Key:  key,
 				In:   serve.WireFrom(in),
 				Want: ad.Predict(context.Background(), in),
@@ -358,8 +359,8 @@ func referenceLoad(ref *eval.Zoo, keys []string, n int, seed int64) ([]serve.Loa
 // so even a chaos run must match its reference, and an injected fault may
 // cost availability but never the API's shape. Plain non-2xx responses are
 // fatal unless the caller armed faults that make them legitimate.
-func loadVerdict(tier string, non2xxOK bool, reps ...*serve.LoadReport) error {
-	var sum serve.LoadReport
+func loadVerdict(tier string, non2xxOK bool, reps ...*loadgen.Report) error {
+	var sum loadgen.Report
 	for _, r := range reps {
 		sum.Mismatches += r.Mismatches
 		sum.EnvelopeMisses += r.EnvelopeMisses
@@ -618,23 +619,23 @@ func TestParseServeURL(t *testing.T) {
 }
 
 func TestLoadVerdict(t *testing.T) {
-	clean := &serve.LoadReport{Requests: 8}
-	shed := &serve.LoadReport{Requests: 8, Non2xx: 2, ErrorCodes: map[string]int{serve.CodeInternal: 2}, FirstError: "HTTP 500"}
-	raw := &serve.LoadReport{Requests: 8, Non2xx: 1, EnvelopeMisses: 1, FirstError: "HTTP 500 (not the error envelope)"}
-	wrong := &serve.LoadReport{Requests: 8, Mismatches: 1, FirstError: "served x"}
-	deaf := &serve.LoadReport{Requests: 8, TraceEchoMisses: 1, FirstError: "no echo"}
+	clean := &loadgen.Report{Requests: 8}
+	shed := &loadgen.Report{Requests: 8, Non2xx: 2, ErrorCodes: map[string]int{serve.CodeInternal: 2}, FirstError: "HTTP 500"}
+	raw := &loadgen.Report{Requests: 8, Non2xx: 1, EnvelopeMisses: 1, FirstError: "HTTP 500 (not the error envelope)"}
+	wrong := &loadgen.Report{Requests: 8, Mismatches: 1, FirstError: "served x"}
+	deaf := &loadgen.Report{Requests: 8, TraceEchoMisses: 1, FirstError: "no echo"}
 	for _, tc := range []struct {
 		name     string
 		non2xxOK bool
-		reps     []*serve.LoadReport
+		reps     []*loadgen.Report
 		want     string // substring of the error, "" for a pass
 	}{
-		{"clean", false, []*serve.LoadReport{clean, clean}, ""},
-		{"enveloped failures, no faults armed", false, []*serve.LoadReport{clean, shed}, "2 non-2xx"},
-		{"enveloped failures under faults", true, []*serve.LoadReport{shed}, ""},
-		{"raw body under faults", true, []*serve.LoadReport{clean, raw}, "not the error envelope"},
-		{"mismatch under faults", true, []*serve.LoadReport{wrong, shed}, "diverged"},
-		{"lost echo", true, []*serve.LoadReport{deaf}, "traceparent"},
+		{"clean", false, []*loadgen.Report{clean, clean}, ""},
+		{"enveloped failures, no faults armed", false, []*loadgen.Report{clean, shed}, "2 non-2xx"},
+		{"enveloped failures under faults", true, []*loadgen.Report{shed}, ""},
+		{"raw body under faults", true, []*loadgen.Report{clean, raw}, "not the error envelope"},
+		{"mismatch under faults", true, []*loadgen.Report{wrong, shed}, "diverged"},
+		{"lost echo", true, []*loadgen.Report{deaf}, "traceparent"},
 	} {
 		err := loadVerdict("drill", tc.non2xxOK, tc.reps...)
 		switch {

@@ -126,7 +126,7 @@ func TestSearchDegradesOnRefineFailure(t *testing.T) {
 	}
 	// The telemetry owns up to each skipped round too: the counter, and one
 	// akb.degraded event carrying the error.
-	recs, err := obs.ReadTrace(&trace)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&trace)
 	if err != nil {
 		t.Fatal(err)
 	}

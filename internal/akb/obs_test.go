@@ -45,7 +45,7 @@ func TestSearchRecordsTelemetry(t *testing.T) {
 		t.Errorf("akb.best_score gauge = %v, want 100", best)
 	}
 
-	recs, err := obs.ReadTrace(&buf)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func (d *profileDetector) Predict(in *data.Instance) string {
 	// Unknown value close to a known one looks like a typo.
 	if dict := d.dicts[in.Target]; len(dict) >= 3 && !dict[strings.ToLower(v)] {
 		for w := range dict {
-			if dist := leven(strings.ToLower(v), w); dist > 0 && dist <= 2 {
+			if dist := tasks.EditDistance(strings.ToLower(v), w, 32); dist > 0 && dist <= 2 {
 				return tasks.AnswerYes
 			}
 		}
@@ -162,7 +162,7 @@ func (m *memoCorrector) Predict(in *data.Instance) string {
 		if c == tasks.AnswerNA || c == "-1" {
 			continue
 		}
-		if d := leven(strings.ToLower(c), strings.ToLower(dirty)); d < bestDist {
+		if d := tasks.EditDistance(strings.ToLower(c), strings.ToLower(dirty), 32); d < bestDist {
 			best, bestDist = c, d
 		}
 	}
@@ -378,38 +378,4 @@ func (v *vocabTagger) Predict(in *data.Instance) string {
 		}
 	}
 	return tasks.AnswerNA
-}
-
-// leven is a budgeted Levenshtein distance.
-func leven(a, b string) int {
-	if len(a) > 32 || len(b) > 32 {
-		if a == b {
-			return 0
-		}
-		return 33
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1
-			if cur[j-1]+1 < m {
-				m = cur[j-1] + 1
-			}
-			if prev[j-1]+cost < m {
-				m = prev[j-1] + cost
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }

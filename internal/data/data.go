@@ -33,16 +33,6 @@ func (t *Table) Append(row ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Cell returns the value at (row, attr); it panics on an unknown attribute.
-func (t *Table) Cell(row int, attr string) string {
-	for j, a := range t.Attrs {
-		if a == attr {
-			return t.Rows[row][j]
-		}
-	}
-	panic(fmt.Sprintf("data: unknown attribute %q in table %q", attr, t.Name))
-}
-
 // Field is one (attribute, value) pair of an instance's record context.
 // Entity distinguishes the two sides of a matching pair ("A"/"B"); it is
 // empty for single-record tasks.

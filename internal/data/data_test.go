@@ -26,8 +26,8 @@ func binaryInstances(n, posEvery int) []*Instance {
 func TestTableAppendAndCell(t *testing.T) {
 	tb := NewTable("t", "a", "b")
 	tb.Append("1", "2")
-	if tb.Cell(0, "b") != "2" {
-		t.Fatalf("cell = %q", tb.Cell(0, "b"))
+	if tb.Rows[0][1] != "2" {
+		t.Fatalf("cell = %q", tb.Rows[0][1])
 	}
 	defer func() {
 		if recover() == nil {
@@ -35,17 +35,6 @@ func TestTableAppendAndCell(t *testing.T) {
 		}
 	}()
 	tb.Append("only-one")
-}
-
-func TestTableUnknownAttrPanics(t *testing.T) {
-	tb := NewTable("t", "a")
-	tb.Append("1")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown attribute must panic")
-		}
-	}()
-	tb.Cell(0, "zz")
 }
 
 func TestInstanceGoldText(t *testing.T) {

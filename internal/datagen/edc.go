@@ -348,7 +348,7 @@ func dcProposals(rng *rand.Rand, dirty, gold string, dict []string) ([]string, i
 	}
 	var close []cand
 	for _, w := range dict {
-		d := editDist(strings.ToLower(dirty), strings.ToLower(w))
+		d := tasks.EditDistance(strings.ToLower(dirty), strings.ToLower(w), 32)
 		if d > 0 && d <= 3 {
 			close = append(close, cand{w, d})
 		}
@@ -423,41 +423,6 @@ func tryDateISO(v string) (string, bool) {
 		}
 	}
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, d), true
-}
-
-// editDist duplicates the tasks package's Levenshtein for proposal ranking
-// without exporting an internal detail from tasks.
-func editDist(a, b string) int {
-	if len(a) > 32 || len(b) > 32 {
-		if a == b {
-			return 0
-		}
-		return 33
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1
-			if cur[j-1]+1 < m {
-				m = cur[j-1] + 1
-			}
-			if prev[j-1]+cost < m {
-				m = prev[j-1] + cost
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
 }
 
 // dcDataset builds a data-cleaning dataset from the same record pipeline as

@@ -126,32 +126,32 @@ func EMInstances(t *data.Table, labelCol string) ([]*data.Instance, error) {
 // DIInstances lifts a table into data-imputation instances: target is the
 // column to impute; every row's target value becomes the gold answer and
 // candidates are the distinct values of the target column (closed-world
-// imputation) plus n/a.
+// imputation) plus n/a. Values are compared trimmed and case-insensitively,
+// so " Sony" and "sony" are the candidate "Sony". A row whose target is
+// empty (after trimming) has no gold answer and yields no instance.
 func DIInstances(t *data.Table, target string) ([]*data.Instance, error) {
 	ti, err := colIndex(t, target)
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
+	// index maps a value's lowered form to its candidate: the first
+	// spelling seen stands for every spelling, and every row's gold.
+	index := map[string]int{}
 	var vocab []string
 	for _, row := range t.Rows {
 		v := strings.TrimSpace(row[ti])
-		if v == "" || seen[strings.ToLower(v)] {
+		key := strings.ToLower(v)
+		if _, dup := index[key]; v == "" || dup {
 			continue
 		}
-		seen[strings.ToLower(v)] = true
+		index[key] = len(vocab)
 		vocab = append(vocab, v)
 	}
 	vocab = append(vocab, tasks.AnswerNA)
 	var out []*data.Instance
 	for i, row := range t.Rows {
-		gold := -1
-		for k, v := range vocab {
-			if strings.EqualFold(v, row[ti]) {
-				gold = k
-			}
-		}
-		if gold < 0 {
+		gold, ok := index[strings.ToLower(strings.TrimSpace(row[ti]))]
+		if !ok {
 			continue
 		}
 		in := &data.Instance{

@@ -24,8 +24,8 @@ func TestReadCSV(t *testing.T) {
 	if len(tb.Attrs) != 4 || len(tb.Rows) != 3 {
 		t.Fatalf("shape = %d cols x %d rows", len(tb.Attrs), len(tb.Rows))
 	}
-	if tb.Cell(1, "abv") != "0.07%" {
-		t.Fatalf("cell = %q", tb.Cell(1, "abv"))
+	if tb.Rows[1][1] != "0.07%" {
+		t.Fatalf("cell = %q", tb.Rows[1][1])
 	}
 }
 
@@ -151,6 +151,29 @@ func TestDIInstances(t *testing.T) {
 	// Candidates = distinct brands + n/a.
 	if len(ins[0].Candidates) != 3 {
 		t.Fatalf("candidates = %v", ins[0].Candidates)
+	}
+
+	// Padded and case-differing values are their trimmed candidate; an
+	// empty target has no gold and yields no instance.
+	csv = "name,brand\nx, Sony\ny,Apple\nz,\nw,sony \nv,APPLE\n"
+	tb, _ = ReadCSV("padded", strings.NewReader(csv))
+	ins, err = DIInstances(tb, "brand")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct{ id, gold string }{
+		{"padded-0", "Sony"}, {"padded-1", "Apple"}, {"padded-3", "Sony"}, {"padded-4", "Apple"},
+	}
+	if len(ins) != len(want) {
+		t.Fatalf("got %d instances from 5 rows (one empty), want %d", len(ins), len(want))
+	}
+	for i, w := range want {
+		if ins[i].ID != w.id || ins[i].GoldText() != w.gold {
+			t.Fatalf("instance %d = %s gold %q, want %s gold %q", i, ins[i].ID, ins[i].GoldText(), w.id, w.gold)
+		}
+	}
+	if got := ins[0].Candidates; len(got) != 3 || got[0] != "Sony" || got[1] != "Apple" || got[2] != tasks.AnswerNA {
+		t.Fatalf("candidates = %q, want [Sony Apple %s]", got, tasks.AnswerNA)
 	}
 }
 

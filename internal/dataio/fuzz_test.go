@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -69,4 +70,72 @@ func sameInstance(a, b *data.Instance) bool {
 	return a.ID == b.ID && a.Target == b.Target && a.Gold == b.Gold &&
 		slices.Equal(a.Fields, b.Fields) && slices.Equal(a.Candidates, b.Candidates) &&
 		maps.Equal(a.Meta, b.Meta)
+}
+
+// FuzzReadCSV: a job's CSV input is untrusted bytes. ReadCSV and the three
+// lifters never panic; every row ReadCSV accepts has the header's arity;
+// every instance's Gold indexes its Candidates; and DIInstances yields
+// exactly one instance per row whose trimmed target is non-empty. Every
+// column is tried as the target, the last one as the label.
+func FuzzReadCSV(f *testing.F) {
+	for _, s := range []string{
+		beerCSV,
+		pairCSV,
+		"name,brand\nx, Sony\ny,Apple\nz,\n",
+		"name,brand\nphone one,Acme\nphone two,acme \nphone three,ACME\n",
+		"x,brand\n1,n/a\n2,N/A\n",
+		"a,A\n1,2\n",
+		"a,b\n1\n",
+		"\"unterminated\n",
+		"a\n\n\n",
+		"left_t,right_t,label\nx,y,yes\nx,z,maybe\n",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		tb, err := ReadCSV("fuzz", bytes.NewReader(blob))
+		if err != nil {
+			if tb != nil {
+				t.Fatalf("ReadCSV failed (%v) but returned a table", err)
+			}
+			return
+		}
+		for i, row := range tb.Rows {
+			if len(row) != len(tb.Attrs) {
+				t.Fatalf("row %d has %d fields, header has %d", i, len(row), len(tb.Attrs))
+			}
+		}
+		goldOK := func(lifter string, ins []*data.Instance) {
+			for _, in := range ins {
+				if in.Gold < 0 || in.Gold >= len(in.Candidates) {
+					t.Fatalf("%s: %s has gold %d over %d candidates", lifter, in.ID, in.Gold, len(in.Candidates))
+				}
+			}
+		}
+		label := tb.Attrs[len(tb.Attrs)-1]
+		if ins, err := EMInstances(tb, label); err == nil {
+			goldOK("EMInstances", ins)
+		}
+		for _, target := range tb.Attrs {
+			if ins, err := EDInstances(tb, target, label); err == nil {
+				goldOK("EDInstances", ins)
+			}
+			ins, err := DIInstances(tb, target)
+			if err != nil {
+				t.Fatalf("DIInstances(%q): %v", target, err)
+			}
+			goldOK("DIInstances", ins)
+			ti, _ := colIndex(tb, target)
+			want := 0
+			for _, row := range tb.Rows {
+				if strings.TrimSpace(row[ti]) != "" {
+					want++
+				}
+			}
+			if len(ins) != want {
+				t.Fatalf("DIInstances(%q) gave %d instances, %d rows have a non-empty target", target, len(ins), want)
+			}
+		}
+	})
 }

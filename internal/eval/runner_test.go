@@ -162,7 +162,7 @@ func TestRunCellsRecordsWorkerTelemetry(t *testing.T) {
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadTrace(strings.NewReader(buf.String()))
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

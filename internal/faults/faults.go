@@ -10,9 +10,9 @@
 // produces the same fault schedule call-for-call, so two chaos runs
 // compare byte for byte, and (b) at Rate 0 the wrapped oracle
 // sees exactly the call sequence it would have seen unwrapped, byte-
-// identical results included. The schedule each injector actually executed
-// is recorded and retrievable via Schedule for assertions and offline
-// analysis.
+// identical results included. The injector keeps no record of what it
+// injected: each fault is one faults.inject event (call, op, kind) on the
+// trace and one tick of the faults.injected counter.
 package faults
 
 import (
@@ -106,13 +106,6 @@ type Config struct {
 	Rec *obs.Recorder
 }
 
-// Injected is one entry of an injector's executed fault schedule.
-type Injected struct {
-	Call int    // 1-based oracle call index
-	Op   string // generate | feedback | refine
-	Kind Kind
-}
-
 // Injector wraps an akb.Oracle and implements akb.FallibleOracle with
 // fault injection. Safe for concurrent use (a single lock orders the
 // schedule), though the intended deployment is one injector per AKB search
@@ -122,10 +115,9 @@ type Injector struct {
 	cfg   Config
 	kinds []Kind
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	calls    int
-	schedule []Injected
+	mu    sync.Mutex
+	rng   *rand.Rand
+	calls int
 }
 
 // Wrap returns an injector around inner. It panics on a Rate outside
@@ -149,15 +141,6 @@ func Wrap(inner akb.Oracle, cfg Config) *Injector {
 
 var _ akb.FallibleOracle = (*Injector)(nil)
 
-// Schedule returns a copy of the executed fault schedule: one entry per
-// injected fault, in call order. Two runs with the same seed and the same
-// call sequence produce identical schedules.
-func (f *Injector) Schedule() []Injected {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]Injected(nil), f.schedule...)
-}
-
 // draw advances the call counter and decides whether — and which — fault
 // this call suffers. The two rng draws happen on every call (even below
 // the rate threshold only the first is consumed), keeping the schedule a
@@ -170,7 +153,6 @@ func (f *Injector) draw(op string) (Kind, int, bool) {
 		return "", f.calls, false
 	}
 	kind := f.kinds[f.rng.Intn(len(f.kinds))]
-	f.schedule = append(f.schedule, Injected{Call: f.calls, Op: op, Kind: kind})
 	f.cfg.Rec.Count("faults.injected", 1)
 	f.cfg.Rec.Event("faults.inject", "call", f.calls, "op", op, "kind", string(kind))
 	return kind, f.calls, true

@@ -1,14 +1,17 @@
 package faults
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/akb"
+	"repro/internal/obs"
 	"repro/internal/tasks"
 )
 
@@ -53,9 +56,23 @@ func allCalls(f *Injector, n int) ([][]*tasks.Knowledge, []error) {
 	return outs, errs
 }
 
+// InjectionsOf reads the executed fault schedule back from a trace: one
+// "call/op/kind" entry per faults.inject event, in call order. It is
+// exported to the external chaos tests and exists only in the test binary.
+func InjectionsOf(recs []obs.SpanRecord) []string {
+	var out []string
+	for _, r := range recs {
+		if r.Name == "faults.inject" {
+			out = append(out, fmt.Sprintf("%v/%v/%v", r.Attrs["call"], r.Attrs["op"], r.Attrs["kind"]))
+		}
+	}
+	return out
+}
+
 func TestRateZeroIsTransparent(t *testing.T) {
 	inner := &scriptOracle{}
-	f := Wrap(inner, Config{Rate: 0, Seed: 1})
+	rec := obs.NewRecorder(obs.NewRegistry(), nil)
+	f := Wrap(inner, Config{Rate: 0, Seed: 1, Rec: rec})
 	outs, errs := allCalls(f, 50)
 	for i := range outs {
 		if errs[i] != nil {
@@ -68,21 +85,30 @@ func TestRateZeroIsTransparent(t *testing.T) {
 	if inner.generate != 50 {
 		t.Fatalf("inner saw %d calls, want 50", inner.generate)
 	}
-	if len(f.Schedule()) != 0 {
-		t.Fatalf("rate 0 produced a schedule: %+v", f.Schedule())
+	if n := rec.Metrics.Snapshot().Counters["faults.injected"]; n != 0 {
+		t.Fatalf("rate 0 injected %d faults", n)
 	}
 }
 
 func TestScheduleIsSeedDeterministic(t *testing.T) {
-	run := func(seed int64) []Injected {
-		f := Wrap(&scriptOracle{}, Config{Rate: 0.4, Seed: seed})
+	run := func(seed int64) []string {
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf)
+		f := Wrap(&scriptOracle{}, Config{Rate: 0.4, Seed: seed, Rec: obs.NewRecorder(nil, tr)})
 		ctx := context.Background()
 		for i := 0; i < 30; i++ {
 			f.Generate(ctx, akb.GenerateRequest{})
 			f.Feedback(ctx, akb.FeedbackRequest{})
 			f.Refine(ctx, akb.RefineRequest{})
 		}
-		return f.Schedule()
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, _, err := obs.ReadJSONL[obs.SpanRecord](&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return InjectionsOf(recs)
 	}
 	a, b := run(7), run(7)
 	if !reflect.DeepEqual(a, b) {

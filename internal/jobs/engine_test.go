@@ -233,7 +233,7 @@ func TestRunRetriesTransient(t *testing.T) {
 	if err := eng.Rec.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadTrace(&trace)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&trace)
 	if err != nil {
 		t.Fatal(err)
 	}

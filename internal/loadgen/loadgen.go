@@ -1,8 +1,15 @@
-package serve
+// Package loadgen is the closed-loop HTTP load generator the drills aim at a
+// running server: a fixed pool of workers posts predicts, checks each answer
+// against the direct path, and counts what went wrong. It is a conformance
+// checker, not a client — it reads raw bodies and the echoed traceparent
+// instead of going through serve.Call. No binary links it (a test in this
+// package pins that); latency and throughput are benchmark/'s to measure.
+package loadgen
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,19 +19,20 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
-// LoadItem is one request of a load run: the adapter key, the instance,
-// and (optionally) the answer the direct Adapted.Predict path produced at
-// the same seed — when non-empty, the generator asserts byte-identity.
-type LoadItem struct {
+// Item is one request of a load run: the adapter key, the instance, and
+// (optionally) the answer the direct Adapted.Predict path produced at the
+// same seed — when non-empty, the generator asserts byte-identity.
+type Item struct {
 	Key  string
-	In   WireInstance
+	In   serve.WireInstance
 	Want string
 }
 
-// LoadOptions configures RunLoad.
-type LoadOptions struct {
+// Options configures Run.
+type Options struct {
 	// Concurrency is the number of in-flight requests the generator keeps
 	// open. Default 64.
 	Concurrency int
@@ -43,7 +51,7 @@ type LoadOptions struct {
 	OnCount func()
 }
 
-func (o LoadOptions) withDefaults() LoadOptions {
+func (o Options) withDefaults() Options {
 	if o.Concurrency <= 0 {
 		o.Concurrency = 64
 	}
@@ -53,9 +61,8 @@ func (o LoadOptions) withDefaults() LoadOptions {
 	return o
 }
 
-// LoadReport is what a verdict reads of one load run: counts, never
-// timings (latency and throughput are benchmark/'s to measure).
-type LoadReport struct {
+// Report is what a verdict reads of one load run: counts, never timings.
+type Report struct {
 	Requests    int `json:"requests"`
 	Non2xx      int `json:"non_2xx"`
 	Mismatches  int `json:"mismatches"`
@@ -77,15 +84,15 @@ type LoadReport struct {
 	FirstError string `json:"first_error,omitempty"`
 }
 
-// RunLoad drives items against a running server at baseURL with a fixed
-// pool of workers, so up to Concurrency predicts are in flight at once. It
-// never aborts on a failed request — failures are counted (Non2xx,
-// Mismatches) and the first one is kept verbatim — so a chaos-mode run
-// reports degradation instead of dying on it.
-func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOptions) (*LoadReport, error) {
+// Run drives items against a running server at baseURL with a fixed pool
+// of workers, so up to Concurrency predicts are in flight at once. It never
+// aborts on a failed request — failures are counted (Non2xx, Mismatches)
+// and the first one is kept verbatim — so a chaos-mode run reports
+// degradation instead of dying on it.
+func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	if len(items) == 0 {
-		return nil, fmt.Errorf("serve: load run needs items")
+		return nil, fmt.Errorf("loadgen: load run needs items")
 	}
 	client := &http.Client{Timeout: opts.Timeout}
 	workers := opts.Concurrency
@@ -97,9 +104,6 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		seed = time.Now().UnixNano()
 	}
 	ids := obs.NewIDSource(seed)
-	traceFor := func(i int) obs.SpanContext {
-		return obs.SpanContext{Trace: ids.At(uint64(i + 1)), Span: ids.SpanIDAt(uint64(i + 1))}
-	}
 
 	var (
 		next       atomic.Int64
@@ -126,7 +130,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 
 	doItem := func(i int) {
 		it := items[i]
-		body, _ := json.Marshal(PredictRequest{Adapter: it.Key, Instance: it.In})
+		body, _ := json.Marshal(serve.PredictRequest{Adapter: it.Key, Instance: it.In})
 		t0 := time.Now()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/predict", bytes.NewReader(body))
 		if err != nil {
@@ -135,7 +139,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		sent := traceFor(i)
+		sent := remoteParent(ids, i)
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
 		resp, err := client.Do(req)
 		latUs[i] = float64(time.Since(t0).Microseconds())
@@ -148,7 +152,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		resp.Body.Close()
 		if resp.StatusCode/100 != 2 {
 			non2xx.Add(1)
-			if eb, ok := ParseErrorEnvelope(payload); ok {
+			if eb, ok := serve.ParseErrorEnvelope(payload); ok {
 				mu.Lock()
 				if errorCodes == nil {
 					errorCodes = map[string]int{}
@@ -169,7 +173,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			fail(fmt.Sprintf("request %d (%s): traceparent not echoed (sent trace %s, got %q)",
 				i, it.Key, sent.Trace, resp.Header.Get(obs.TraceparentHeader)))
 		}
-		var pr PredictResponse
+		var pr serve.PredictResponse
 		if err := json.Unmarshal(payload, &pr); err != nil {
 			non2xx.Add(1)
 			fail(fmt.Sprintf("request %d (%s): bad response body: %v", i, it.Key, err))
@@ -212,7 +216,7 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 			slowest = i
 		}
 	}
-	return &LoadReport{
+	return &Report{
 		Requests:        len(items),
 		Non2xx:          int(non2xx.Load()),
 		Mismatches:      int(mismatches.Load()),
@@ -221,7 +225,16 @@ func RunLoad(ctx context.Context, baseURL string, items []LoadItem, opts LoadOpt
 		TraceEchoMisses: int(echoMiss.Load()),
 		ErrorCodes:      errorCodes,
 		EnvelopeMisses:  int(envMiss.Load()),
-		SampleTrace:     traceFor(slowest).Trace.String(),
+		SampleTrace:     remoteParent(ids, slowest).Trace.String(),
 		FirstError:      firstErr,
 	}, nil
+}
+
+// remoteParent is the traceparent Run sends with item i: the (i+1)-th trace
+// ID of the seeded stream, independent of worker scheduling, under a span ID
+// taken from that ID's low half — high-entropy, so it cannot collide with the
+// small sequential span IDs a server's Tracer assigns.
+func remoteParent(ids *obs.IDSource, i int) obs.SpanContext {
+	trace := ids.At(uint64(i + 1))
+	return obs.SpanContext{Trace: trace, Span: binary.BigEndian.Uint64(trace[8:]) | 1}
 }

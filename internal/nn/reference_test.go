@@ -248,11 +248,11 @@ func newBankCase(seed int64) *bankCase {
 	c.den.B.W.FillGaussian(init, 0.2)
 	c.refEmb = &refEmbedding{E: NewParam("e.E", refDim, refHidden), out: tensor.NewVec(refHidden)}
 	c.refEmb.E.TrackRows()
-	c.refEmb.E.W.Copy(c.emb.E.W)
+	copy(c.refEmb.E.W.Data, c.emb.E.W.Data)
 	c.refDen = &refDense{W: NewParam("d.W", refOut, refHidden), B: NewParam("d.b", 1, refOut),
 		out: tensor.NewVec(refOut), din: tensor.NewVec(refHidden), tmp: tensor.NewVec(refHidden)}
-	c.refDen.W.W.Copy(c.den.W.W)
-	c.refDen.B.W.Copy(c.den.B.W)
+	copy(c.refDen.W.W.Data, c.den.W.W.Data)
+	copy(c.refDen.B.W.Data, c.den.B.W.Data)
 	trainBase := rng.Intn(2) == 0
 	for _, p := range []*Param{c.emb.E, c.den.W, c.den.B, c.refEmb.E, c.refDen.W, c.refDen.B} {
 		p.Frozen = !trainBase
@@ -299,7 +299,7 @@ func newBankCase(seed int64) *bankCase {
 		c.refDen.Patches = append(c.refDen.Patches, rd)
 		for _, pair := range [][2]*Param{{ea.A, re.A}, {da.A, rd.A}} {
 			pair[0].W.FillGaussian(rng, 0.4)
-			pair[1].W.Copy(pair[0].W)
+			copy(pair[1].W.Data, pair[0].W.Data)
 		}
 		switch kind {
 		case 1: // frozen

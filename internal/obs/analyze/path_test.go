@@ -19,8 +19,8 @@ func serveLikeTrace(t *testing.T) *Trace {
 	tr.SeedTraceIDs(11)
 	ids := obs.NewIDSource(99)
 
-	reqA := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(1), Span: ids.SpanIDAt(1)})
-	reqB := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(2), Span: ids.SpanIDAt(2)})
+	reqA := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(1), Span: 1<<40 + 1})
+	reqB := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(2), Span: 1<<40 + 2})
 	tr.EventIn(reqA.Context(), "serve.enqueue", "key", "em/abt")
 
 	batch := tr.StartSpan("serve.batch")

@@ -17,7 +17,7 @@ func TestTracerEvent(t *testing.T) {
 	r2.Event("akb.candidate", "score", 91.5, "accepted", true, slog.Int("iter", 2))
 	sp.End()
 
-	recs, err := ReadTrace(strings.NewReader(buf.String()))
+	recs, _, err := ReadJSONL[SpanRecord](strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestEventGroupFlattening(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	tr.EventIn(SpanContext{}, "e", slog.Group("g", slog.Int("x", 1), slog.Group("h", slog.Int("y", 2))))
-	recs, err := ReadTrace(strings.NewReader(buf.String()))
+	recs, _, err := ReadJSONL[SpanRecord](strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,13 +130,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the buckets
-// (BucketQuantile under the observed-min/max edge rule of bucketRange). It
-// returns 0 when the histogram is empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	return BucketQuantile(h.loadCounts(), q, h.bucketRange)
-}
-
 func (h *Histogram) loadCounts() []int64 {
 	counts := make([]int64, len(h.counts))
 	for i := range h.counts {

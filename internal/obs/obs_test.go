@@ -72,11 +72,11 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestHistogramEmptyAndOverflow(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
-	if q := h.Quantile(0.5); q != 0 {
+	if q := h.Snapshot().P50; q != 0 {
 		t.Errorf("empty quantile = %g, want 0", q)
 	}
 	h.Observe(50) // overflow bucket
-	if q := h.Quantile(0.99); q != 50 {
+	if q := h.Snapshot().P99; q != 50 {
 		t.Errorf("overflow quantile = %g, want 50", q)
 	}
 }
@@ -96,7 +96,7 @@ func TestSpanNesting(t *testing.T) {
 	stage.End()
 	root.End()
 
-	recs, err := ReadTrace(&buf)
+	recs, _, err := ReadJSONL[SpanRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if n := strings.Count(buf.String(), "\n"); n != 1 {
 		t.Fatalf("got %d lines, want 1", n)
 	}
-	recs, err := ReadTrace(strings.NewReader(buf.String()))
+	recs, _, err := ReadJSONL[SpanRecord](strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

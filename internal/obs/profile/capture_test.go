@@ -143,7 +143,7 @@ func onlyEvent(t *testing.T, tr *Trigger, trace *syncBuffer, name string) obs.Sp
 	if err := tr.Rec.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadTrace(strings.NewReader(trace.String()))
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](strings.NewReader(trace.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestSamplerTimelineAndRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := obs.ReadTrace(&buf)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

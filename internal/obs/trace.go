@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,8 +50,8 @@ const tracerSeedSalt = 0x7C1A5E21D0B5F3E9
 
 // SeedTraceIDs replaces the tracer's trace-ID source with a deterministic
 // one: same seed + same mint order = same IDs. Serial seeded runs become
-// byte-reproducible up to CanonicalTrace; concurrent runs still need the
-// canonical remapping because mint order races. The stream is
+// byte-reproducible up to timings; concurrent runs also need trace IDs
+// remapped to a canonical order because mint order races. The stream is
 // domain-separated from NewIDSource(seed) so equally-seeded clients never
 // mint a colliding trace ID.
 func (t *Tracer) SeedTraceIDs(seed int64) {
@@ -142,17 +141,6 @@ func (s *IDSource) At(n uint64) TraceID {
 		id[15] = 1
 	}
 	return id
-}
-
-// SpanIDAt returns a deterministic nonzero span ID for the n-th remote
-// parent of the stream. The high-entropy value cannot collide with the
-// small sequential IDs a local Tracer assigns.
-func (s *IDSource) SpanIDAt(n uint64) uint64 {
-	v := splitmix64((s.seed ^ 0xD1B54A32D192ED03) + n)
-	if v == 0 {
-		v = 1
-	}
-	return v
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
@@ -413,67 +401,6 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// CanonicalTrace rewrites trace records into a timing-free canonical form
-// for byte-comparison across runs: StartUS and DurUS are zeroed,
-// wall-clock-valued attributes (key suffix "_us" or "_s") are dropped, and
-// trace IDs — whose raw values depend on the mint seed and order — are
-// remapped to "t1", "t2", ... in order of first appearance, both on the
-// records and inside their links (links are also sorted, since batch
-// membership order races under concurrency). Span ids, parentage, names,
-// and the remaining attributes are untouched — for a seeded serial
-// workload they are deterministic, so two runs produce byte-identical
-// canonical traces even though every raw timestamp and trace ID differs.
-// This is what the chaos tests pin fault-schedule reproducibility with.
-// The input is not mutated.
-func CanonicalTrace(recs []SpanRecord) []SpanRecord {
-	out := make([]SpanRecord, len(recs))
-	canon := map[string]string{}
-	canonID := func(tr string) string {
-		if tr == "" {
-			return ""
-		}
-		c, ok := canon[tr]
-		if !ok {
-			c = fmt.Sprintf("t%d", len(canon)+1)
-			canon[tr] = c
-		}
-		return c
-	}
-	for i, r := range recs {
-		r.StartUS, r.DurUS = 0, 0
-		r.Trace = canonID(r.Trace)
-		if len(r.Links) > 0 {
-			links := make([]SpanLink, len(r.Links))
-			for j, l := range r.Links {
-				l.Trace = canonID(l.Trace)
-				links[j] = l
-			}
-			sort.Slice(links, func(a, b int) bool {
-				if links[a].Trace != links[b].Trace {
-					return links[a].Trace < links[b].Trace
-				}
-				return links[a].Span < links[b].Span
-			})
-			r.Links = links
-		}
-		if len(r.Attrs) > 0 {
-			attrs := make(map[string]any, len(r.Attrs))
-			for k, v := range r.Attrs {
-				if strings.HasSuffix(k, "_us") || strings.HasSuffix(k, "_s") {
-					continue
-				}
-				attrs[k] = v
-			}
-			if len(attrs) == 0 {
-				attrs = nil
-			}
-			r.Attrs = attrs
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // ReadJSONL decodes one T per non-blank line of r, in file order — the one
 // reader under span traces. A final line that does not
 // parse is a truncated tail (the writer was killed mid-line): it is
@@ -502,11 +429,4 @@ func ReadJSONL[T any](r io.Reader) (rows []T, truncated bool, err error) {
 		return nil, false, fmt.Errorf("obs: read: %w", err)
 	}
 	return rows, bad != 0, nil
-}
-
-// ReadTrace parses a JSONL trace stream back into records, in file order
-// (i.e. span-end order): the inverse of the Tracer's serialization.
-func ReadTrace(r io.Reader) ([]SpanRecord, error) {
-	recs, _, err := ReadJSONL[SpanRecord](r)
-	return recs, err
 }

@@ -320,7 +320,7 @@ func TestTelemetry(t *testing.T) {
 	if got := snap.Gauges["resilience.breaker_state"]; got != float64(StateOpen) {
 		t.Errorf("resilience.breaker_state = %v, want %d (open)", got, StateOpen)
 	}
-	recs, err := obs.ReadTrace(&trace)
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](&trace)
 	if err != nil {
 		t.Fatal(err)
 	}

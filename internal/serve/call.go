@@ -29,8 +29,8 @@ func (e *WireError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.Status,
 // transport failure or an undecodable 2xx body is a plain error — the peer
 // misbehaved, the request was not judged.
 //
-// RunLoad does not use Call: it is a conformance checker that must see raw
-// bodies and the echoed traceparent.
+// The load generator (internal/loadgen) does not use Call: it is a conformance
+// checker that must see raw bodies and the echoed traceparent.
 func Call(ctx context.Context, client *http.Client, method, url string, header http.Header, in, out any) error {
 	var body io.Reader
 	if in != nil {

@@ -145,7 +145,7 @@ func WriteErrorStatus(w http.ResponseWriter, status int, msg string) {
 }
 
 // ParseErrorEnvelope decodes an error payload if it is the versioned
-// envelope. Callers (RunLoad, the cluster router) use it to surface the
+// envelope. Callers (Call, the load generator) use it to surface the
 // code and message instead of a raw byte dump.
 func ParseErrorEnvelope(payload []byte) (ErrorBody, bool) {
 	var env ErrorEnvelope

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -198,75 +197,5 @@ func TestRequestTimeout(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
-	}
-}
-
-func TestRunLoadAgainstServer(t *testing.T) {
-	tr := newStubTransferer(time.Millisecond)
-	srv, reg := newTestServer(t, tr, Options{MaxBatch: 4, MaxWait: time.Millisecond})
-	keys := []string{"EM/A", "EM/B", "ED/C", "ED/D"}
-	var items []LoadItem
-	for i := 0; i < 128; i++ {
-		key := keys[i%len(keys)]
-		id := fmt.Sprint(i)
-		items = append(items, LoadItem{
-			Key:  key,
-			In:   WireInstance{ID: id, Candidates: []string{"yes", "no"}},
-			Want: key + ":" + id, // the stub's deterministic direct-path answer
-		})
-	}
-	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Non2xx != 0 || rep.Mismatches != 0 || rep.TraceEchoMisses != 0 {
-		t.Fatalf("report = %+v (first error: %s)", rep, rep.FirstError)
-	}
-	if rep.SampleTrace == "" {
-		t.Fatal("load report carries no sample trace")
-	}
-	if rep.Requests != 128 {
-		t.Fatalf("implausible report %+v", rep)
-	}
-	for _, st := range reg.Snapshot() {
-		if st.Transfers != 1 {
-			t.Fatalf("key %s transferred %d times under coalesced load, want 1", st.Key, st.Transfers)
-		}
-	}
-}
-
-// TestRunLoadCountsMismatches: the byte-identity check actually fires.
-func TestRunLoadCountsMismatches(t *testing.T) {
-	srv, _ := newTestServer(t, newStubTransferer(0), Options{})
-	items := []LoadItem{{
-		Key:  "EM/A",
-		In:   WireInstance{ID: "1", Candidates: []string{"yes", "no"}},
-		Want: "something else",
-	}}
-	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Mismatches != 1 || rep.FirstError == "" {
-		t.Fatalf("report = %+v, want one mismatch", rep)
-	}
-}
-
-// TestRunLoadCountsEnvelopeMisses: a non-2xx body that is not the error
-// envelope is counted apart from enveloped failures — the counter the
-// drills make fatal at any fault rate.
-func TestRunLoadCountsEnvelopeMisses(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintln(w, "boom")
-	}))
-	defer srv.Close()
-	items := []LoadItem{{Key: "EM/A", In: WireInstance{ID: "1", Candidates: []string{"yes", "no"}}}}
-	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.EnvelopeMisses != 1 || rep.Non2xx != 1 || len(rep.ErrorCodes) != 0 {
-		t.Fatalf("report = %+v, want one envelope miss and no error codes", rep)
 	}
 }

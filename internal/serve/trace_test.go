@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -57,33 +56,69 @@ func TestConcurrentTracing(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, opts))
 	defer srv.Close()
 
+	// 64 predicts at once over 4 adapters. Request i carries the i-th trace
+	// ID of a seeded stream as its remote parent, so the test knows every
+	// trace it sent; the slowest request is followed end to end below.
 	keys := []string{"EM/A", "EM/B", "ED/C", "ED/D"}
-	var items []LoadItem
-	for i := 0; i < 64; i++ {
-		key := keys[i%len(keys)]
-		id := fmt.Sprint(i)
-		items = append(items, LoadItem{
-			Key:  key,
-			In:   WireInstance{ID: id, Candidates: []string{"yes", "no"}},
-			Want: key + ":" + id,
-		})
+	const n = 64
+	ids := obs.NewIDSource(7)
+	lat := make([]time.Duration, n)
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			key, id := keys[i%len(keys)], fmt.Sprint(i)
+			body, _ := json.Marshal(PredictRequest{Adapter: key, Instance: WireInstance{ID: id, Candidates: []string{"yes", "no"}}})
+			req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/predict", bytes.NewReader(body))
+			if err != nil {
+				errs <- err
+				return
+			}
+			// A high span ID cannot collide with the tracer's sequential ones.
+			sent := obs.SpanContext{Trace: ids.At(uint64(i + 1)), Span: 1<<40 + uint64(i)}
+			req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
+			t0 := time.Now()
+			resp, err := srv.Client().Do(req)
+			lat[i] = time.Since(t0)
+			if err != nil {
+				errs <- fmt.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var pr PredictResponse
+			if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&pr) != nil || pr.Answer != key+":"+id {
+				errs <- fmt.Errorf("request %d: status %d, answer %q, want %q", i, resp.StatusCode, pr.Answer, key+":"+id)
+				return
+			}
+			if echo, err := obs.ParseTraceparent(resp.Header.Get(obs.TraceparentHeader)); err != nil || echo.Trace != sent.Trace {
+				errs <- fmt.Errorf("request %d: traceparent not echoed (sent trace %s, got %q)",
+					i, sent.Trace, resp.Header.Get(obs.TraceparentHeader))
+			}
+		}(i)
 	}
-	rep, err := RunLoad(context.Background(), srv.URL, items, LoadOptions{Concurrency: 64, TraceSeed: 7})
-	if err != nil {
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatal(err)
 	}
-	if rep.Non2xx != 0 || rep.Mismatches != 0 || rep.TraceEchoMisses != 0 {
-		t.Fatalf("load report = %+v (first error: %s)", rep, rep.FirstError)
+	slowest := 0
+	for i := range lat {
+		if lat[i] > lat[slowest] {
+			slowest = i
+		}
 	}
+	sampleTrace := ids.At(uint64(slowest + 1)).String()
 	srv.Close() // drain handlers so every request span and log line has flushed
 
 	// A batch span ends moments *after* its last member's response is
 	// delivered, so give the batcher goroutines a beat to flush before
-	// freezing the stream. A mid-write read fails ReadTrace and just retries.
+	// freezing the stream. A read that catches a line mid-write just retries.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		recs, err := obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
-		ok := err == nil
+		recs, truncated, err := obs.ReadJSONL[obs.SpanRecord](bytes.NewReader(traceBuf.Bytes()))
+		ok := err == nil && !truncated
 		var nreq, nbat int
 		for _, r := range recs {
 			switch r.Name {
@@ -93,7 +128,7 @@ func TestConcurrentTracing(t *testing.T) {
 				nbat++
 			}
 		}
-		if ok && nreq == len(items) && nbat > 0 {
+		if ok && nreq == n && nbat > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -107,10 +142,9 @@ func TestConcurrentTracing(t *testing.T) {
 
 	// Access log: exactly one valid JSON line per request, each with a
 	// non-empty trace ID, and the set of trace IDs matches what the load
-	// generator sent.
+	// test sent.
 	sentTraces := map[string]bool{}
-	ids := obs.NewIDSource(7)
-	for i := range items {
+	for i := 0; i < n; i++ {
 		sentTraces[ids.At(uint64(i+1)).String()] = true
 	}
 	var logLines int
@@ -150,14 +184,14 @@ func TestConcurrentTracing(t *testing.T) {
 			t.Fatalf("access-log entry without adapter key: %s", line)
 		}
 	}
-	if logLines != len(items) {
-		t.Fatalf("got %d access-log lines, want exactly %d", logLines, len(items))
+	if logLines != n {
+		t.Fatalf("got %d access-log lines, want exactly %d", logLines, n)
 	}
 
 	// Trace stream: parses whole (no interleaving corruption), every
 	// serve.batch span links >= 1 request span, and every request span is
 	// in the trace the client minted for it.
-	recs, err := obs.ReadTrace(bytes.NewReader(traceBuf.Bytes()))
+	recs, _, err := obs.ReadJSONL[obs.SpanRecord](bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatalf("trace stream corrupt: %v", err)
 	}
@@ -193,8 +227,8 @@ func TestConcurrentTracing(t *testing.T) {
 			}
 		}
 	}
-	if requests != len(items) {
-		t.Fatalf("got %d serve.request spans, want %d", requests, len(items))
+	if requests != n {
+		t.Fatalf("got %d serve.request spans, want %d", requests, n)
 	}
 	if batches == 0 || predicts != batches {
 		t.Fatalf("%d serve.batch spans with %d serve.predict children, want one forward per batch", batches, predicts)
@@ -204,14 +238,14 @@ func TestConcurrentTracing(t *testing.T) {
 	}
 
 	// One request end to end, the way an operator follows a slow one: the
-	// load report's slowest trace ID must reassemble (what `knowtrans obs
+	// slowest request's trace ID must reassemble (what `knowtrans obs
 	// trace -trace-id` prints) into its own serve.request span plus the
 	// linked serve.batch that answered it.
 	tr, err := analyze.Load(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := tr.FilterTrace(rep.SampleTrace)
+	path := tr.FilterTrace(sampleTrace)
 	var text bytes.Buffer
 	if err := path.WriteText(&text); err != nil {
 		t.Fatal(err)
@@ -226,7 +260,7 @@ func TestConcurrentTracing(t *testing.T) {
 	}
 	if !hasSpan(path.Direct, "serve.request") || !hasSpan(path.Linked, "serve.batch") {
 		t.Fatalf("slowest request %s does not reconstruct to serve.request + linked serve.batch:\n%s",
-			rep.SampleTrace, text.String())
+			sampleTrace, text.String())
 	}
 
 	// The registry metrics side: inflight settled back to zero and the

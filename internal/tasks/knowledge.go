@@ -439,7 +439,7 @@ func (c Condition) Eval(in *data.Instance) bool {
 				return false
 			}
 			for w := range dict {
-				if d := editDistance(norm(v), w); d > 0 && d <= 2 {
+				if d := EditDistance(norm(v), w, 24); d > 0 && d <= 2 {
 					return true
 				}
 			}
@@ -560,7 +560,7 @@ func (a Answer) Resolve(in *data.Instance) (string, bool) {
 			if w == "" {
 				continue
 			}
-			d := editDistance(strings.ToLower(target), strings.ToLower(w))
+			d := EditDistance(strings.ToLower(target), strings.ToLower(w), 24)
 			if d > 0 && d < bestDist {
 				best, bestDist = w, d
 			}
@@ -610,13 +610,15 @@ func fmtISO(y, m, d int) string {
 	return pad(y, 4) + "-" + pad(m, 2) + "-" + pad(d, 2)
 }
 
-// editDistance is the Levenshtein distance, early-exiting on long strings.
-func editDistance(a, b string) int {
-	if len(a) > 24 || len(b) > 24 {
+// EditDistance is the byte-wise Levenshtein distance of a and b under a
+// length budget: when either string is longer than budget bytes it skips
+// the table and returns 0 for equal strings, budget+1 otherwise.
+func EditDistance(a, b string, budget int) int {
+	if len(a) > budget || len(b) > budget {
 		if a == b {
 			return 0
 		}
-		return 25
+		return budget + 1
 	}
 	la, lb := len(a), len(b)
 	prev := make([]int, lb+1)

@@ -1,6 +1,7 @@
 package tasks
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -223,18 +224,26 @@ func TestApplySerial(t *testing.T) {
 }
 
 func TestEditDistance(t *testing.T) {
+	long := strings.Repeat("a", 30)
 	cases := []struct {
-		a, b string
-		want int
+		a, b   string
+		budget int
+		want   int
 	}{
-		{"", "", 0},
-		{"abc", "abc", 0},
-		{"kitten", "sitting", 3},
-		{"fransico", "francisco", 2},
+		{"", "", 24, 0},
+		{"abc", "abc", 24, 0},
+		{"kitten", "sitting", 24, 3},
+		{"fransico", "francisco", 24, 2},
+		// Over budget: equal strings are 0, any other pair budget+1.
+		{long, long, 24, 0},
+		{long, long[1:] + "b", 24, 25},
+		{long, "a", 24, 25},
+		// The same pair inside a larger budget gets the real distance.
+		{long, long[1:] + "b", 32, 1},
 	}
 	for _, c := range cases {
-		if got := editDistance(c.a, c.b); got != c.want {
-			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := EditDistance(c.a, c.b, c.budget); got != c.want {
+			t.Errorf("EditDistance(%q, %q, %d) = %d, want %d", c.a, c.b, c.budget, got, c.want)
 		}
 	}
 }

@@ -97,10 +97,7 @@ func TestKindClassification(t *testing.T) {
 	if !EM.IsBinary() || !SM.IsBinary() || !ED.IsBinary() {
 		t.Fatal("EM/SM/ED are binary")
 	}
-	if !DI.IsGeneration() || !DC.IsGeneration() || !AVE.IsGeneration() {
-		t.Fatal("DI/DC/AVE are generation")
-	}
-	if CTA.IsBinary() || CTA.IsGeneration() {
+	if CTA.IsBinary() {
 		t.Fatal("CTA is multi-class")
 	}
 }

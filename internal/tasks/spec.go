@@ -122,7 +122,3 @@ func (k Kind) Spec() Spec { return SpecFor(k) }
 
 // IsBinary reports whether the task is a yes/no classification.
 func (k Kind) IsBinary() bool { return k == EM || k == SM || k == ED }
-
-// IsGeneration reports whether the task is open-domain generation in the
-// paper's taxonomy (realized as candidate ranking here).
-func (k Kind) IsGeneration() bool { return k == DI || k == DC || k == AVE }

@@ -143,14 +143,6 @@ func (m *Mat) Zero() {
 	}
 }
 
-// Copy overwrites m with src. It panics on shape mismatch.
-func (m *Mat) Copy(src *Mat) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: copy shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, src.Rows, src.Cols))
-	}
-	copy(m.Data, src.Data)
-}
-
 // MulVec computes y = m * x for dense x. y must have length Rows and x
 // length Cols.
 func (m *Mat) MulVec(x, y Vec) {
@@ -222,9 +214,6 @@ type Sparse struct {
 	Idx []int32
 	Val []float64
 }
-
-// NNZ returns the number of stored (index, value) pairs.
-func (s *Sparse) NNZ() int { return len(s.Idx) }
 
 // Norm returns the Euclidean norm of s.
 func (s *Sparse) Norm() float64 {

@@ -175,8 +175,8 @@ func TestDenseBuilderMergesAndSorts(t *testing.T) {
 	b.Add(9, 1) // cancels to zero, should be dropped
 	s := &Sparse{}
 	b.BuildInto(s)
-	if s.NNZ() != 2 {
-		t.Fatalf("nnz = %d, want 2", s.NNZ())
+	if len(s.Idx) != 2 || len(s.Val) != 2 {
+		t.Fatalf("nnz = %d/%d, want 2", len(s.Idx), len(s.Val))
 	}
 	if s.Idx[0] != 2 || s.Idx[1] != 5 {
 		t.Fatalf("idx = %v, want [2 5]", s.Idx)
@@ -187,7 +187,7 @@ func TestDenseBuilderMergesAndSorts(t *testing.T) {
 	// Builder must be reusable after BuildInto.
 	b.Add(1, 1)
 	s2 := &Sparse{}
-	if b.BuildInto(s2); s2.NNZ() != 1 || s2.Idx[0] != 1 {
+	if b.BuildInto(s2); len(s2.Idx) != 1 || s2.Idx[0] != 1 {
 		t.Fatalf("builder not reset correctly: %+v", s2)
 	}
 }

@@ -74,7 +74,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	e := NewEncoder(NewHasher(1 << 10))
 	a := e.Encode([]Segment{{Text: "the quick brown fox", Weight: 1}})
 	b := e.Encode([]Segment{{Text: "the quick brown fox", Weight: 1}})
-	if a.NNZ() != b.NNZ() {
+	if len(a.Idx) != len(b.Idx) {
 		t.Fatal("same text must produce same encoding")
 	}
 	for i := range a.Idx {
@@ -157,8 +157,8 @@ func TestCountTokens(t *testing.T) {
 func TestEmptyEncode(t *testing.T) {
 	e := NewEncoder(NewHasher(1 << 10))
 	v := e.Encode([]Segment{{Text: "", Weight: 1}})
-	if v.NNZ() != 0 {
-		t.Fatalf("empty text should produce empty vector, nnz=%d", v.NNZ())
+	if len(v.Idx) != 0 {
+		t.Fatalf("empty text should produce empty vector, nnz=%d", len(v.Idx))
 	}
 	if v.Norm() != 0 {
 		t.Fatalf("empty vector norm = %v", v.Norm())

@@ -57,6 +57,14 @@
 #   kernels == naive loops, bitwise             tensor.TestKernelsMatchNaiveLoops
 #   dataset decode refuses trailing bytes       dataio.TestDecodeJSONRejectsTrailingBytes, dataio.FuzzDecodeJSON
 #                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
+#   CSV input: no panic, rows at header arity,
+#     gold indexes candidates, one DI instance
+#     per row with a non-empty trimmed target   dataio.FuzzReadCSV (corpus in tier-1, 10 s in tier-2)
+#   a peer's error answer: the WireError Call
+#     builds never panics, its retry and 404
+#     verdicts come from the status alone       serve.FuzzParseErrorEnvelope (corpus in tier-1, 10 s in tier-2)
+#   the load generator is not linked by the
+#     binaries or the examples                  loadgen.TestNotLinkedByProduct
 #   a manager forgets old finished jobs only    jobs.TestManagerForgetsOldFinishedJobs
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
@@ -89,8 +97,9 @@ go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/tasks/... ./internal/cluster/... ./internal/jobs/... \
 	./cmd/knowtrans/...
 # A batcher runs GOMAXPROCS lanes and a model answers that many callers at
-# once, so these two are raced on one core and on several.
-go test -race -cpu 1,4 ./internal/serve/... ./internal/model/...
+# once, so these two are raced on one core and on several, with the load
+# generator's tests that aim 64 concurrent requests at a real server.
+go test -race -cpu 1,4 ./internal/serve/... ./internal/model/... ./internal/loadgen/...
 echo "check.sh: tier-1 gates passed"
 
 # --- tier-2: the drills ------------------------------------------------------
@@ -100,13 +109,15 @@ echo "check.sh: tier-1 gates passed"
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
-# The nine fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The eleven fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
 go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s ./internal/dataio
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataio
+go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
