@@ -45,9 +45,9 @@ type AdaptContext struct {
 	FewShot []*data.Instance
 	Seed    int64
 	// Rec, when non-nil, is the recorder of the enclosing experiment cell;
-	// methods thread it into the backbone clones they train so telemetry
-	// nests under the cell's span (the parallel harness derives one
-	// recorder per cell). Nil leaves each clone's inherited recorder alone.
+	// methods thread it into the models they adapt so telemetry nests
+	// under the cell's span (the parallel harness derives one recorder per
+	// cell). Nil leaves each model's inherited recorder alone.
 	Rec *obs.Recorder
 }
 

@@ -125,7 +125,7 @@ func TestMELDRoutesAndPredicts(t *testing.T) {
 	}
 	snaps := skc.ExtractPatches(base, sources, skc.Options{Seed: 6})
 	m := &MELD{
-		Backbone:  func() *model.Model { return base.Clone() },
+		Backbone:  func() *model.Model { return base },
 		Snaps:     snaps,
 		Centroids: cents,
 		TopK:      2,

@@ -17,8 +17,10 @@ import (
 // This is the protocol behind Jellyfish-ICL and the GPT tiers.
 type ICL struct {
 	MethodName string
-	Backbone   func() *model.Model
-	K          int
+	// Backbone returns the model each adaptation shares (model.Model.Share):
+	// read in place, never written.
+	Backbone func() *model.Model
+	K        int
 	// VoteWeight scales the neighbor-vote score bonus. Wider models rely on
 	// demonstrations more effectively; the zoo sets this per tier.
 	VoteWeight float64
@@ -30,7 +32,7 @@ func (c *ICL) Name() string { return c.MethodName }
 // Adapt implements Method. No gradient updates happen: the model is used
 // frozen, exactly like an API model.
 func (c *ICL) Adapt(ctx *AdaptContext) Predictor {
-	m := c.Backbone()
+	m := c.Backbone().Share()
 	if ctx.Rec != nil {
 		m.Rec = ctx.Rec
 	}

@@ -22,6 +22,8 @@ import (
 // is recomputed per record and never learns a dataset-level weighting from
 // the few-shot data. Only a small shared adapter is fine-tuned.
 type MELD struct {
+	// Backbone returns the model whose backbone each adaptation shares
+	// (model.Model.Share): read in place, never written.
 	Backbone  func() *model.Model
 	Snaps     []*skc.NamedSnapshot
 	Centroids []Centroid
@@ -64,11 +66,10 @@ func (m *MELD) Name() string { return "MELD" }
 // Adapt implements Method: attach the expert patches with gate-controlled
 // coefficients, fine-tune only a fresh shared adapter on the few-shot data.
 func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
-	host := m.Backbone()
+	host := m.Backbone().Share()
 	if ctx.Rec != nil {
 		host.Rec = ctx.Rec
 	}
-	host.SetBaseFrozen(true)
 	host.Trust.Frozen = true
 	rng := rand.New(rand.NewSource(ctx.Seed + 333))
 	cfg := lora.DefaultConfig()

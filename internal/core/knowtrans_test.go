@@ -2,12 +2,19 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/akb"
 	"repro/internal/data"
 	"repro/internal/model"
+	"repro/internal/nn"
 	"repro/internal/skc"
 	"repro/internal/tasks"
 )
@@ -140,6 +147,131 @@ func TestTransferLeavesUpstreamUntouched(t *testing.T) {
 		for i := range w {
 			if after.Mats[name][i] != w[i] {
 				t.Fatal("Transfer mutated the shared upstream model")
+			}
+		}
+	}
+}
+
+// TestConcurrentTransfersShareOneBackbone: every adapted model reads the
+// upstream's backbone in place. Four keys transfer at once while two resident
+// adapters keep answering, and every answer and λ equals a serial run's; the
+// upstream's bytes do not move; each adapted model's backbone is the
+// upstream's storage, not a copy; and no ParamSet an adapted model builds
+// lists a backbone block. check.sh runs it under -race, where a shared
+// parameter reaching two optimizers is a reported race.
+func TestConcurrentTransfersShareOneBackbone(t *testing.T) {
+	upstream, snaps := testUpstream()
+	kt := &KnowTrans{Upstream: upstream, Patches: snaps, UseSKC: true, UseAKB: true, Oracle: fixedOracle{k: &tasks.Knowledge{
+		Rules: []tasks.Rule{{Cond: tasks.Condition{Pred: tasks.PredFormat, Arg: tasks.FormatPercent},
+			Answer: tasks.Answer{Literal: tasks.AnswerYes}, Weight: 1}},
+	}}}
+	test := percentED(rand.New(rand.NewSource(30)), 24)
+	type outcome struct {
+		answers []string
+		lambdas []float64
+	}
+	transfer := func(key int) (*Adapted, outcome) {
+		fewshot := percentED(rand.New(rand.NewSource(int64(40+key))), 12)
+		ad, err := kt.Transfer(context.Background(), tasks.ED, fewshot, int64(50+key))
+		if err != nil {
+			t.Error(err)
+			return nil, outcome{}
+		}
+		return ad, outcome{ad.PredictBatch(context.Background(), test), ad.Fusion.Weights()}
+	}
+	same := func(what string, got, want outcome) {
+		if !slices.Equal(got.answers, want.answers) {
+			t.Errorf("%s: answers %v, serial %v", what, got.answers, want.answers)
+		}
+		if len(got.lambdas) != len(want.lambdas) {
+			t.Errorf("%s: %d λ, serial %d", what, len(got.lambdas), len(want.lambdas))
+			return
+		}
+		for i := range want.lambdas {
+			if math.Float64bits(got.lambdas[i]) != math.Float64bits(want.lambdas[i]) {
+				t.Errorf("%s: λ%d %v, serial %v", what, i, got.lambdas[i], want.lambdas[i])
+			}
+		}
+	}
+	digest := func() uint64 {
+		snap := upstream.Export()
+		names := make([]string, 0, len(snap.Mats))
+		for name := range snap.Mats {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		h := fnv.New64a()
+		for _, name := range names {
+			for _, v := range snap.Mats[name] {
+				binary.Write(h, binary.LittleEndian, v)
+			}
+		}
+		return h.Sum64()
+	}
+	before := digest()
+
+	const keys, resident = 4, 2
+	serial := make([]outcome, keys+resident)
+	adapters := make([]*Adapted, keys+resident)
+	for k := range serial {
+		adapters[k], serial[k] = transfer(k)
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := keys; r < keys+resident; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				same(fmt.Sprintf("resident %d", r), outcome{adapters[r].PredictBatch(context.Background(), test), adapters[r].Fusion.Weights()}, serial[r])
+			}
+		}()
+	}
+	var xfers sync.WaitGroup
+	for k := 0; k < keys; k++ {
+		xfers.Add(1)
+		go func() {
+			defer xfers.Done()
+			ad, got := transfer(k)
+			adapters[k] = ad
+			same(fmt.Sprintf("key %d", k), got, serial[k])
+		}()
+	}
+	xfers.Wait()
+	close(done)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if after := digest(); after != before {
+		t.Fatalf("upstream backbone digest %x after the transfers, %x before", after, before)
+	}
+	backbone := upstream.Params().Mats
+	for k, ad := range adapters {
+		fused := ad.Fusion.TrainableParams()
+		for _, ps := range []nn.ParamSet{ad.Model.Params(), fused} {
+			for _, b := range ps.Mats {
+				for _, u := range backbone {
+					if b.P == u.P || b.P.W == u.P.W {
+						t.Fatalf("adapter %d: a ParamSet lists backbone block %s", k, u.P.Name)
+					}
+				}
+			}
+		}
+		// A write to the upstream's storage shows through the adapted model.
+		for _, u := range backbone {
+			u.P.W.Data[0]++
+			seen := ad.Model.Export().Mats[u.P.Name][0]
+			u.P.W.Data[0]--
+			if seen != u.P.W.Data[0]+1 {
+				t.Fatalf("adapter %d reads a copy of %s, not the upstream's", k, u.P.Name)
 			}
 		}
 	}

@@ -92,8 +92,9 @@ func runAblateSubstrate(z *Zoo, reps int) *Table {
 						cells["no-rules"] += score(nil)
 						cells["no-text"] += score(nil)
 					}
-					// ad.Model is this cell's private adapted clone, so the
-					// trust toggle never races with other cells.
+					// ad.Model is this cell's private adapted model, with a
+					// trust scalar of its own, so the toggle never races with
+					// other cells.
 					trust := ad.Model.Trust.Val
 					ad.Model.Trust.Val = 0
 					cells["trust-off"] += score(k)

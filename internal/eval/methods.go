@@ -38,22 +38,22 @@ func (z *Zoo) Method(name string) baselines.Method {
 		return &baselines.FineTuned{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeTable).Clone() }}
 	case MethodMELD:
 		return &baselines.MELD{
-			Backbone:  func() *model.Model { return z.Upstream(Size7B).Clone() },
+			Backbone:  func() *model.Model { return z.Upstream(Size7B) },
 			Snaps:     z.Patches(Size7B),
 			Centroids: z.Centroids(Size7B),
 		}
 	case MethodJellyfish:
 		return &baselines.FineTuned{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B).Clone() }}
 	case MethodJellyfishICL:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B).Clone() }, K: 10, VoteWeight: 0.6}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B) }, K: 10, VoteWeight: 0.6}
 	case MethodKnowTrans:
 		return z.KnowTransMethod(Size7B, true, true, lora.StrategyAdaptive)
 	case MethodGPT35:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT35).Clone() }, K: 10, VoteWeight: 1.0}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT35) }, K: 10, VoteWeight: 1.0}
 	case MethodGPT4:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4).Clone() }, K: 10, VoteWeight: 1.2}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4) }, K: 10, VoteWeight: 1.2}
 	case MethodGPT4o:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4o).Clone() }, K: 10, VoteWeight: 1.2}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4o) }, K: 10, VoteWeight: 1.2}
 	default:
 		panic("eval: unknown method " + name)
 	}

@@ -73,10 +73,10 @@ func (s Size) pretrainSamples() int {
 // Zoo builds and caches every artifact the experiments share: generated
 // datasets, pretrained bases, upstream-SFT'd DP-LLMs, extracted patch
 // libraries, and MELD centroids. All artifacts are deterministic in
-// (Seed, Scale) and immutable once built (methods clone models before
-// training them), so the cache is safe to hit from many experiment cells
-// at once: concurrent requests for an artifact being built sleep on a
-// condition variable until the builder publishes it.
+// (Seed, Scale) and immutable once built (methods train a clone's backbone
+// or a share's patches, never a zoo model), so the cache is safe to hit
+// from many experiment cells at once: concurrent requests for an artifact
+// being built sleep on a condition variable until the builder publishes it.
 type Zoo struct {
 	Seed  int64
 	Scale float64

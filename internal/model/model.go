@@ -21,6 +21,7 @@ package model
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/data"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tasks"
+	"repro/internal/tensor"
 	"repro/internal/text"
 )
 
@@ -64,9 +66,18 @@ const DefaultDim = text.DefaultDim
 // (StepBatch, Train, attaching patches, LoadSnapshot) and the two methods that
 // hand back views into scratch the owner keeps (ScoresBatch, PredictBatch).
 // The layers themselves hold weights only; a forward's activations live in
-// the scratch it checked out (see batch.go). An experiment cell adapts and
-// evaluates its own clone; on the serve path Transfer owns the model until it
-// is published, and from then on the batcher's lanes only call
+// the scratch it checked out (see batch.go).
+//
+// A model built by New or Clone owns its backbone. One built by Share —
+// every adapted model: SKC's fusion, patch extraction's host, MELD's, ICL's
+// — reads the backbone of the model it was shared from and owns only its
+// patches and its trust scalar. The shared matrices are held by its layers
+// where no nn.ParamSet can list them (see nn.Embedding), so any number of
+// shares train and serve at once over one backbone, the way a multi-LoRA
+// server keeps one base and many adapters. Code that trains a backbone
+// clones it first (the FT baselines, KnowTrans without SKC,
+// eval.Zoo.Upstream). On the serve path Transfer owns the adapted model until
+// it is published, and from then on the batcher's lanes only call
 // PredictBatchWith.
 type Model struct {
 	Cfg    Config
@@ -110,8 +121,9 @@ func newModel(cfg Config, rng *rand.Rand) *Model {
 	return m
 }
 
-// Params returns the base parameters including every attached patch factor
-// and the trust scalar. Frozen flags are respected by the optimizer.
+// Params returns what the model trains: each layer's own backbone matrices
+// (none on a model built by Share) and every attached patch factor, layer by
+// layer, then the trust scalar. Frozen flags are respected by the optimizer.
 func (m *Model) Params() nn.ParamSet {
 	var ps nn.ParamSet
 	ps.Add(m.inEmb.Params()...)
@@ -122,10 +134,23 @@ func (m *Model) Params() nn.ParamSet {
 	return ps
 }
 
-// BaseParams returns only the backbone matrices (no patches), used for
-// freezing and for snapshotting.
-func (m *Model) BaseParams() []*nn.Param {
-	return []*nn.Param{m.inEmb.E, m.inDense.W, m.inDense.B, m.candEmb.E, m.candDense.W, m.candDense.B}
+// Share returns an adapter of m: a model that reads m's backbone without
+// copying it, with no patches, its own scratch and its own trust scalar at
+// m's value. Its Params are its patches and trust only. m's owner must not
+// write m's backbone while a share is in use; shares never do.
+func (m *Model) Share() *Model {
+	return &Model{
+		Cfg: m.Cfg, Hasher: m.Hasher, Rec: m.Rec,
+		Trust: &nn.Scalar{Name: "trust", Val: m.Trust.Val},
+		inEmb: m.inEmb.Share(), inDense: m.inDense.Share(),
+		candEmb: m.candEmb.Share(), candDense: m.candDense.Share(),
+	}
+}
+
+// backbone returns the six backbone matrices as the forward reads them, owned
+// or shared, in backboneShapes' order.
+func (m *Model) backbone() []*tensor.Mat {
+	return slices.Concat(m.inEmb.Weights(), m.inDense.Weights(), m.candEmb.Weights(), m.candDense.Weights())
 }
 
 // matShape is one backbone matrix: its parameter name and element count.
@@ -134,7 +159,7 @@ type matShape struct {
 	n    int
 }
 
-// backboneShapes is what BaseParams returns for a cfg-shaped model, without
+// backboneShapes is what backbone returns for a cfg-shaped model, without
 // building one: each matrix's name and length, in order. Every snapshot is
 // checked against it — by DecodeSnapshot before a model is allocated for it,
 // by LoadSnapshot before copying. TestBackboneShapes holds it to newModel.
@@ -143,13 +168,6 @@ func backboneShapes(cfg Config) []matShape {
 	return []matShape{
 		{"in.emb.E", d * h}, {"in.dense.W", h * h}, {"in.dense.b", h},
 		{"cand.emb.E", d * h}, {"cand.dense.W", h * h}, {"cand.dense.b", h},
-	}
-}
-
-// SetBaseFrozen freezes or unfreezes the backbone (not patches, not trust).
-func (m *Model) SetBaseFrozen(frozen bool) {
-	for _, p := range m.BaseParams() {
-		p.Frozen = frozen
 	}
 }
 

@@ -86,7 +86,7 @@ func checkWindowGradients(t *testing.T, m *Model, ps nn.ParamSet, exs []*tasks.E
 			lm := windowLoss(m, exs)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			if ana := p.Grad().Data[i]; math.Abs(num-ana) > tol*(1+math.Abs(num)) {
+			if ana := gradOf(p)[i]; math.Abs(num-ana) > tol*(1+math.Abs(num)) {
 				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
 			}
 		}
@@ -219,30 +219,30 @@ func TestLoadSnapshotShapeMismatch(t *testing.T) {
 	}
 }
 
-// backboneShapes is BaseParams' layout without a model: the same names and
-// lengths, in the same order, for any config newModel builds.
+// backboneShapes is backbone's layout without a model: the names of the
+// parameters a patch-free owner trains, and their lengths, in the same order,
+// for any config newModel builds.
 func TestBackboneShapes(t *testing.T) {
 	for _, cfg := range []Config{tinyConfig(), {Dim: 1 << 8, Hidden: 10}, {}} {
 		m := New(cfg)
-		ps, want := m.BaseParams(), backboneShapes(m.Cfg)
-		if len(ps) != len(want) {
-			t.Fatalf("%+v: %d backbone matrices, backboneShapes lists %d", m.Cfg, len(ps), len(want))
+		ps, mats, want := m.Params().Mats, m.backbone(), backboneShapes(m.Cfg)
+		if len(ps) != len(want) || len(mats) != len(want) {
+			t.Fatalf("%+v: %d parameters and %d backbone matrices, backboneShapes lists %d", m.Cfg, len(ps), len(mats), len(want))
 		}
-		for i, p := range ps {
-			if p.Name != want[i].name || len(p.W.Data) != want[i].n {
-				t.Fatalf("%+v: BaseParams[%d] is %s with %d values, backboneShapes says %s with %d",
-					m.Cfg, i, p.Name, len(p.W.Data), want[i].name, want[i].n)
+		for i, b := range ps {
+			if b.P.Name != want[i].name || b.P.W != mats[i] || len(mats[i].Data) != want[i].n {
+				t.Fatalf("%+v: parameter %d is %s with %d values, backboneShapes says %s with %d",
+					m.Cfg, i, b.P.Name, len(mats[i].Data), want[i].name, want[i].n)
 			}
 		}
 	}
 }
 
-// LoRA patch fine-tuning with frozen base must change predictions without
+// LoRA patch fine-tuning on a shared base must change predictions without
 // changing base weights — the mechanics SKC stage 1 relies on.
 func TestPatchOnlyFineTune(t *testing.T) {
-	m := New(tinyConfig())
+	m := New(tinyConfig()).Share()
 	base := m.Export()
-	m.SetBaseFrozen(true)
 	m.Trust.Frozen = true
 	rng := rand.New(rand.NewSource(4))
 	coef := &nn.Scalar{Name: "λ", Val: 1, Frozen: true}
@@ -294,11 +294,10 @@ func TestScoresPanicsWithoutCandidates(t *testing.T) {
 	m.ScoresBatch(one(&tasks.Example{}))
 }
 
-// fusedModel builds what few-shot fine-tuning trains: a frozen backbone with
+// fusedModel builds what few-shot fine-tuning trains: a shared backbone with
 // n loaded patches under trainable λ plus a fresh shared patch.
 func fusedModel(n int) (*Model, nn.ParamSet) {
-	m := New(tinyConfig())
-	m.SetBaseFrozen(true)
+	m := New(tinyConfig()).Share()
 	m.Trust.Frozen = true
 	rng := rand.New(rand.NewSource(9))
 	f := &lora.Fusion{}
@@ -363,43 +362,58 @@ func TestStepKeepsPerCandidateActivations(t *testing.T) {
 	checkWindowGradients(t, m, ps, exs, false, 1e-6)
 }
 
-// Clone copies the backbone and nothing else: equal weights in independent
-// storage, no patches, and an Export/LoadSnapshot round trip that still works.
+// Clone copies the backbone — here a shared one — and nothing else: equal
+// weights in independent storage, no patches, and an Export/LoadSnapshot
+// round trip that still works.
 func TestCloneCopiesBackboneOnly(t *testing.T) {
 	m, _ := fusedModel(2)
 	m.Trust.Val = 0.25
 	c := m.Clone()
-	cp := c.BaseParams()
-	for i, p := range m.BaseParams() {
-		if &p.W.Data[0] == &cp[i].W.Data[0] {
-			t.Fatalf("%s shares storage with the original", p.Name)
+	names := backboneShapes(m.Cfg)
+	cp := c.backbone()
+	for i, w := range m.backbone() {
+		if &w.Data[0] == &cp[i].Data[0] {
+			t.Fatalf("%s shares storage with the original", names[i].name)
 		}
-		for j, w := range p.W.Data {
-			if cp[i].W.Data[j] != w {
-				t.Fatalf("%s[%d] = %v, want %v", p.Name, j, cp[i].W.Data[j], w)
+		for j, v := range w.Data {
+			if cp[i].Data[j] != v {
+				t.Fatalf("%s[%d] = %v, want %v", names[i].name, j, cp[i].Data[j], v)
 			}
 		}
 	}
 	if c.Trust.Val != 0.25 {
 		t.Fatalf("trust %v not copied", c.Trust.Val)
 	}
-	if got, want := len(c.Params().Mats), len(c.BaseParams()); got != want {
+	if got, want := len(c.Params().Mats), len(c.backbone()); got != want {
 		t.Fatalf("clone carries %d matrices, want the %d backbone ones (no patches)", got, want)
 	}
 	viaSnapshot := New(m.Cfg)
 	if err := viaSnapshot.LoadSnapshot(m.Export()); err != nil {
 		t.Fatal(err)
 	}
-	sp := viaSnapshot.BaseParams()
-	for i, p := range cp {
-		for j, w := range p.W.Data {
-			if sp[i].W.Data[j] != w {
-				t.Fatalf("Clone and Export/LoadSnapshot disagree at %s[%d]", p.Name, j)
+	sp := viaSnapshot.backbone()
+	for i, w := range cp {
+		for j, v := range w.Data {
+			if sp[i].Data[j] != v {
+				t.Fatalf("Clone and Export/LoadSnapshot disagree at %s[%d]", names[i].name, j)
 			}
 		}
 	}
-	cp[0].W.Data[0]++
-	if m.BaseParams()[0].W.Data[0] == cp[0].W.Data[0] {
+	cp[0].Data[0]++
+	if m.backbone()[0].Data[0] == cp[0].Data[0] {
 		t.Fatal("writing the clone changed the original")
 	}
+	if err := m.LoadSnapshot(m.Export()); err == nil {
+		t.Fatal("a shared model loaded a snapshot into the backbone it reads")
+	}
+}
+
+// gradOf is p's whole gradient as a dense row-major slice, read through
+// GradRow: zero where no gradient reached a row.
+func gradOf(p *nn.Param) []float64 {
+	out := make([]float64, len(p.W.Data))
+	for r := 0; r < p.W.Rows; r++ {
+		copy(out[r*p.W.Cols:], p.GradRow(r))
+	}
+	return out
 }

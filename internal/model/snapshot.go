@@ -17,17 +17,22 @@ type Snapshot struct {
 	Trust float64
 }
 
-// Export captures the backbone state.
+// Export captures the backbone state, owned or shared.
 func (m *Model) Export() *Snapshot {
 	s := &Snapshot{Cfg: m.Cfg, Trust: m.Trust.Val, Mats: map[string][]float64{}}
-	for _, p := range m.BaseParams() {
-		s.Mats[p.Name] = append([]float64(nil), p.W.Data...)
+	shapes := backboneShapes(m.Cfg)
+	for i, w := range m.backbone() {
+		s.Mats[shapes[i].name] = append([]float64(nil), w.Data...)
 	}
 	return s
 }
 
-// LoadSnapshot overwrites the backbone from a snapshot; shapes must match.
+// LoadSnapshot overwrites the backbone from a snapshot; shapes must match. A
+// model built by Share owns no backbone to overwrite and refuses.
 func (m *Model) LoadSnapshot(s *Snapshot) error {
+	if m.inEmb.E == nil { // built by Share
+		return fmt.Errorf("model: %s shares its backbone; load into the model it was shared from", m.Cfg.Name)
+	}
 	if s.Cfg.Dim != m.Cfg.Dim || s.Cfg.Hidden != m.Cfg.Hidden {
 		return fmt.Errorf("model: snapshot shape %d/%d does not match model %d/%d",
 			s.Cfg.Dim, s.Cfg.Hidden, m.Cfg.Dim, m.Cfg.Hidden)
@@ -35,8 +40,8 @@ func (m *Model) LoadSnapshot(s *Snapshot) error {
 	if err := s.checkMats(); err != nil {
 		return err
 	}
-	for _, p := range m.BaseParams() {
-		copy(p.W.Data, s.Mats[p.Name])
+	for i, w := range m.backbone() {
+		copy(w.Data, s.Mats[backboneShapes(m.Cfg)[i].name])
 	}
 	m.Trust.Val = s.Trust
 	return nil
@@ -53,16 +58,17 @@ func (s *Snapshot) checkMats() error {
 	return nil
 }
 
-// Clone returns a fresh model with identical backbone weights and no
-// patches. The clone shares no scratch with the original, so the two can be
-// trained independently (each by its own single owner). The clone inherits
-// the recorder: observability follows the model through the pipeline's
+// Clone returns a fresh model that owns a copy of m's backbone (owned or
+// shared) and has no patches: what code that trains a backbone starts from.
+// The clone shares nothing with the original, so the two can be trained
+// independently (each by its own single owner). The clone inherits the
+// recorder: observability follows the model through the pipeline's
 // clone-then-fine-tune pattern.
 func (m *Model) Clone() *Model {
 	c := newModel(m.Cfg, nil)
-	src := m.BaseParams()
-	for i, p := range c.BaseParams() {
-		copy(p.W.Data, src[i].W.Data)
+	src := m.backbone()
+	for i, w := range c.backbone() {
+		copy(w.Data, src[i].Data)
 	}
 	c.Trust.Val = m.Trust.Val
 	c.Rec = m.Rec

@@ -129,7 +129,7 @@ func TestStepBatchMatchesOneExampleWindows(t *testing.T) {
 			}
 			sameBits(t, when+": running loss", []float64{wloss}, []float64{aloss})
 			for i, b := range wps.Mats {
-				sameBits(t, fmt.Sprintf("%s: gradient of %s", when, b.P.Name), b.P.Grad().Data, aps.Mats[i].P.Grad().Data)
+				sameBits(t, fmt.Sprintf("%s: gradient of %s", when, b.P.Name), gradOf(b.P), gradOf(aps.Mats[i].P))
 			}
 			for i, s := range wps.Scalars {
 				sameBits(t, fmt.Sprintf("%s: gradient of %s", when, s.Name), []float64{s.Grad}, []float64{aps.Scalars[i].Grad})

@@ -50,7 +50,7 @@ func (l *Embedding) ForwardTape(xs []*tensor.Sparse, y *tensor.Mat, pool *tensor
 		row := y.Row(b)
 		row.Zero()
 		for i, idx := range x.Idx {
-			row.Axpy(x.Val[i], l.E.W.Row(int(idx)))
+			row.Axpy(x.Val[i], l.table.Row(int(idx)))
 		}
 		if len(l.Patches) == 0 {
 			continue
@@ -89,11 +89,9 @@ func (l *Embedding) BackwardBatch(xs []*tensor.Sparse, tape, dy, dlam *tensor.Ma
 	du, ua := pool.GetVec(l.bank.W.Cols), pool.GetVec(h)
 	for b, x := range xs {
 		dyb := dy.Row(b)
-		if !l.E.Frozen {
-			g := l.E.Grad()
+		if l.E != nil && !l.E.Frozen {
 			for i, idx := range x.Idx {
-				g.Row(int(idx)).Axpy(x.Val[i], dyb)
-				l.E.TouchRow(int(idx))
+				l.E.touch(int(idx)).Axpy(x.Val[i], dyb)
 			}
 		}
 		if len(l.Patches) == 0 {
@@ -128,10 +126,8 @@ func (l *Embedding) BackwardBatch(xs []*tensor.Sparse, tape, dy, dlam *tensor.Ma
 		if !reached {
 			continue
 		}
-		g := l.bank.Grad()
 		for i, idx := range x.Idx {
-			g.Row(int(idx)).Axpy(x.Val[i], du)
-			l.bank.TouchRow(int(idx))
+			l.bank.touch(int(idx)).Axpy(x.Val[i], du)
 		}
 	}
 	pool.PutVec(ua)
@@ -150,8 +146,8 @@ func (l *Dense) ForwardTape(u, y *tensor.Mat, pool *tensor.Pool) *tensor.Mat {
 	if u.Cols != l.In() || y.Rows != u.Rows || y.Cols != l.Out() {
 		panic("nn: dense forward shape mismatch")
 	}
-	tensor.MatMulNT(u, l.W.W, y)
-	bias := l.B.W.Row(0)
+	tensor.MatMulNT(u, l.w, y)
+	bias := l.b.Row(0)
 	tape, bz := pool.GetMat(u.Rows, l.bank.W.Cols), pool.GetVec(l.Out())
 	for b := 0; b < u.Rows; b++ {
 		row, zs := y.Row(b), tape.Row(b)
@@ -178,16 +174,16 @@ func (l *Dense) BackwardBatch(u, tape, dy, du, dlam *tensor.Mat, pool *tensor.Po
 	if u.Cols != l.In() || dy.Rows != n || dy.Cols != l.Out() || tape.Rows != n || dlam.Rows != n || dlam.Cols != len(l.Patches) {
 		panic("nn: dense backward shape mismatch")
 	}
-	tensor.MatMulNN(dy, l.W.W, du) // du.Row(b) = Wᵀ·dy.Row(b)
+	tensor.MatMulNN(dy, l.w, du) // du.Row(b) = Wᵀ·dy.Row(b)
 	// One pass over the bank gives Bₚᵀdy for every patch (needed for both dA
 	// and du); each is scaled in its own block below.
 	dzs, tmp, bz := pool.GetVec(l.bank.W.Cols), pool.GetVec(l.In()), pool.GetVec(l.Out())
 	for b := 0; b < n; b++ {
 		in, dyb, dub := u.Row(b), dy.Row(b), du.Row(b)
-		if !l.W.Frozen {
+		if l.W != nil && !l.W.Frozen {
 			l.W.Grad().RankOne(1, dyb, in)
 		}
-		if !l.B.Frozen {
+		if l.B != nil && !l.B.Frozen {
 			l.B.Grad().Row(0).Axpy(1, dyb)
 		}
 		if len(l.Patches) == 0 {

@@ -38,7 +38,9 @@ func (at *Attachment) Params() []*Block { return []*Block{at.B, &at.A.Block} }
 // one out x R matrix, R = Σ rank, that stores their B factors interleaved —
 // row j holds B₀[j,:], B₁[j,:], … — so whatever a layer does per output row
 // (per active feature, on an embedding) it does once over an R-wide row, not
-// once per patch. Gradient and Adam moments take the same shape.
+// once per patch. On an embedding the bank tracks rows sparsely, so its
+// gradient and Adam moments hold only the rows a training run reaches; on a
+// dense layer they take the bank's shape.
 type patchBank struct {
 	Patches []*Attachment
 
@@ -65,7 +67,15 @@ func (pb *patchBank) Reserve(cols int) {
 		copy(w.Row(r), old.Row(r))
 	}
 	pb.bank.W, pb.bank.Hi = w, w.Cols
-	pb.bank.g, pb.bank.mark, pb.bank.touched = nil, nil, nil // shaped like the old bank
+	b := pb.bank // training state was shaped like the old bank
+	b.g, b.state, b.stepper, b.slots, b.nslots, b.touched = nil, nil, nil, nil, 0, nil
+}
+
+// empty returns a bank of pb's name, height and row tracking with no patches.
+func (pb *patchBank) empty() patchBank {
+	bank := NewParam(pb.bank.Name, pb.bank.W.Rows, 0)
+	bank.sparse = pb.bank.sparse
+	return patchBank{bank: bank}
 }
 
 // attach claims the next rank columns for a new patch whose A factor is
@@ -116,8 +126,14 @@ func (pb *patchBank) AddCoefGrads(terms tensor.Vec) {
 // Embedding maps a sparse feature vector to a dense hidden vector:
 // y = Eᵀx (+ LoRA patches). E has one row per feature bucket, so a row is an
 // embedding and sparse input makes the pass O(nnz·h).
+//
+// A layer built by NewEmbedding owns E. One built by Share reads another
+// layer's table and owns only its patches: its E is nil, and the shared table
+// sits in a field no Block is made of, so no ParamSet can list it and nothing
+// can unfreeze it — the backbone is frozen by the layer's type, not a flag.
 type Embedding struct {
-	E *Param // Dim x Hidden
+	E     *Param      // Dim x Hidden; nil on a layer built by Share
+	table *tensor.Mat // what the passes read: E.W, or the shared table
 	patchBank
 }
 
@@ -131,11 +147,18 @@ func NewEmbedding(name string, dim, hidden int, rng *rand.Rand) *Embedding {
 		e.W.FillGaussian(rng, 1/math.Sqrt(float64(hidden)))
 	}
 	e.TrackRows()
-	return &Embedding{E: e, patchBank: newPatchBank(name, dim, true)}
+	return &Embedding{E: e, table: e.W, patchBank: newPatchBank(name, dim, true)}
+}
+
+// Share returns a layer that reads l's table, never copying or training it,
+// and carries patches of its own, none yet: one backbone, many adapters.
+// Whoever owns l must not write its table while the share is in use.
+func (l *Embedding) Share() *Embedding {
+	return &Embedding{table: l.table, patchBank: l.patchBank.empty()}
 }
 
 // Hidden returns the output dimensionality.
-func (l *Embedding) Hidden() int { return l.E.W.Cols }
+func (l *Embedding) Hidden() int { return l.table.Cols }
 
 // Attach adds a LoRA patch with the given rank. For an embedding the factor
 // shapes are B: Dim x r and A: r x Hidden, so ΔE = B·A matches E's shape.
@@ -143,12 +166,23 @@ func (l *Embedding) Attach(name string, rank int, alpha float64, coef *Scalar, r
 	return l.attach(name, l.Hidden(), rank, alpha, coef, rng)
 }
 
-// Params returns the layer's own parameters plus all patch factors.
-func (l *Embedding) Params() []*Block { return l.params(&l.E.Block) }
+// Params returns the layer's own parameters — E unless the table is shared —
+// plus all patch factors.
+func (l *Embedding) Params() []*Block {
+	if l.E == nil {
+		return l.params()
+	}
+	return l.params(&l.E.Block)
+}
 
-// Dense is a fully connected layer y = W·u + b (+ LoRA patches).
+// Weights returns the table the passes read, owned or shared, for reading.
+func (l *Embedding) Weights() []*tensor.Mat { return []*tensor.Mat{l.table} }
+
+// Dense is a fully connected layer y = W·u + b (+ LoRA patches). Like an
+// Embedding, it owns W and B or, built by Share, reads another layer's.
 type Dense struct {
-	W, B *Param // W: out x in, B: 1 x out
+	W, B *Param      // W: out x in, B: 1 x out; nil on a layer built by Share
+	w, b *tensor.Mat // what the passes read: W.W and B.W, or the shared ones
 	patchBank
 }
 
@@ -159,20 +193,37 @@ func NewDense(name string, out, in int, rng *rand.Rand) *Dense {
 	if rng != nil {
 		w.W.FillGaussian(rng, math.Sqrt(2/float64(in+out)))
 	}
-	return &Dense{W: w, B: NewParam(name+".b", 1, out), patchBank: newPatchBank(name, out, false)}
+	b := NewParam(name+".b", 1, out)
+	return &Dense{W: w, B: b, w: w.W, b: b.W, patchBank: newPatchBank(name, out, false)}
+}
+
+// Share returns a layer that reads l's W and b, never copying or training
+// them, with patches of its own, none yet (see Embedding.Share).
+func (l *Dense) Share() *Dense {
+	return &Dense{w: l.w, b: l.b, patchBank: l.patchBank.empty()}
 }
 
 // In returns the input size; Out the output size.
-func (l *Dense) In() int  { return l.W.W.Cols }
-func (l *Dense) Out() int { return l.W.W.Rows }
+func (l *Dense) In() int  { return l.w.Cols }
+func (l *Dense) Out() int { return l.w.Rows }
 
 // Attach adds a LoRA patch: B: out x r, A: r x in.
 func (l *Dense) Attach(name string, rank int, alpha float64, coef *Scalar, rng *rand.Rand) *Attachment {
 	return l.attach(name, l.In(), rank, alpha, coef, rng)
 }
 
-// Params returns the layer's own parameters plus all patch factors.
-func (l *Dense) Params() []*Block { return l.params(&l.W.Block, &l.B.Block) }
+// Params returns the layer's own parameters — W and B unless they are shared
+// — plus all patch factors.
+func (l *Dense) Params() []*Block {
+	if l.W == nil {
+		return l.params()
+	}
+	return l.params(&l.W.Block, &l.B.Block)
+}
+
+// Weights returns W and b as the passes read them, owned or shared, for
+// reading.
+func (l *Dense) Weights() []*tensor.Mat { return []*tensor.Mat{l.w, l.b} }
 
 // mulB computes bz = Bₚ·z for the patch owning block b of the bank: each
 // bz[j] is the register-accumulated dot of the block's stretch of row j with

@@ -109,7 +109,7 @@ func TestGradientCheck(t *testing.T) {
 			lm := net.loss(x, gold)
 			p.W.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
-			ana := p.Grad().Data[i]
+			ana := gradDense(p)[i]
 			if math.Abs(num-ana) > 1e-6*(1+math.Abs(num)) {
 				t.Fatalf("%s[%d]: analytic %g vs numeric %g", p.Name, i, ana, num)
 			}

@@ -92,10 +92,10 @@ func SetBlocks(blocks []*Block, srcs [][]float64) {
 // the running sum. The order is what keeps the clip scale's bits fixed.
 func (b *Block) addSqNorm(t float64) float64 {
 	p := b.P
-	if p.g == nil {
-		return t
-	}
 	if !p.sparse {
+		if p.g == nil {
+			return t
+		}
 		for r := 0; r < p.W.Rows; r++ {
 			for _, g := range b.row(p.g, r) {
 				t += g * g
@@ -107,40 +107,78 @@ func (b *Block) addSqNorm(t float64) float64 {
 		return t
 	}
 	for _, r := range p.touchedRows() {
-		for _, g := range b.row(p.g, int(r)) {
+		g, _, _ := p.slotRow(r)
+		for _, g := range g[b.Lo:b.Hi] {
 			t += g * g
 		}
 	}
 	return t
 }
 
-// Param is a trainable matrix. Its gradient is training state: the buffer
-// appears on the first backward pass that reaches the parameter unfrozen
-// (Grad) and goes away with ParamSet.ReleaseGrads when training ends, so a
-// model that is only served carries weights and nothing else.
+// Param is a trainable matrix. Its gradient and its Adam moments are
+// training state: they appear on the first backward pass that reaches the
+// parameter unfrozen and go away with ParamSet.ReleaseGrads when training
+// ends, so a model that is only served carries weights and nothing else.
 //
 // Parameters whose gradients touch only a few rows per step (embedding
 // tables and the banks of their LoRA B factors — the rows of the active input
-// features) opt into sparse-row tracking via TrackRows: Backward records
-// touched rows with TouchRow, and ZeroGrad / gradient norms / Adam then visit
-// only those rows. This is the standard "sparse Adam" approximation (moments
-// of untouched rows do not decay on steps that skip them).
+// features) opt into sparse-row tracking via TrackRows. Such a parameter has
+// no dense gradient: a row gets a slot on its first touch, and the row's
+// gradient and moments live in that slot (see slabRows), so what a training
+// run allocates follows the rows it reaches, not the table — a few-shot
+// Transfer reaches about a fifth of the input bank's 8192 rows and a handful
+// of the candidate bank's. The backward records touched rows, and ZeroGrad /
+// gradient norms / Adam visit only those. This is the standard "sparse Adam"
+// approximation (moments of untouched rows do not decay on steps that skip
+// them).
 type Param struct {
 	Block // the parameter as one block: every column; Frozen freezes all of it
 
 	Name string
 	W    *tensor.Mat
 
-	g *tensor.Mat // gradient; nil outside training
+	g       *tensor.Mat // dense gradient, a view of state[0]; nil outside training and when sparse
+	state   [][]float64 // gradient and moments in chunks, see slabRows
+	stepper *Adam       // the optimizer whose moments state holds
 
-	// Sparse-row tracking: touched lists each row with mark[r] set exactly
-	// once, in first-touch order until touchedRows sorts it.
+	// Sparse-row tracking. slots[r] is 0 until row r's first touch, then
+	// slot+1, negated while the row is touched in the current window; touched
+	// lists each negated row exactly once, in first-touch order until
+	// touchedRows sorts it.
 	sparse  bool
-	mark    []bool
+	slots   []int32
+	nslots  int
 	touched []int32
 	sorted  bool
 
 	runs []colRun // ParamSet.sweep's scratch: the columns the pass visits
+}
+
+// A Param's training state is a list of chunks. A chunk of n rows holds the
+// gradient of those rows, then Adam's first moment of the same rows, then
+// its second: one allocation for all three, and a stretch of one is the same
+// stretch of the others a third of the chunk further on. A dense parameter has
+// one chunk of all its rows. A sparse-tracked one has a chunk per slabRows
+// slots, appended when the first of them is given out, so growing never moves
+// a row and a new slot's gradient and moments start at zero.
+const slabRows = 64 // 64 rows of a 52-column bank: 78 KiB for all three
+
+// at splits the stretch [lo, hi) of chunk c's gradient into gradient and
+// moments.
+func (p *Param) at(c, lo, hi int) (g, m, v []float64) {
+	ch := p.state[c]
+	n := len(ch) / 3
+	return ch[lo:hi], ch[n+lo : n+hi], ch[2*n+lo : 2*n+hi]
+}
+
+// slotRow returns the gradient and moments of row r, which has a slot.
+func (p *Param) slotRow(r int32) (g, m, v []float64) {
+	s, cols := p.slots[r], p.W.Cols
+	if s < 0 {
+		s = -s
+	}
+	off := int(s-1) % slabRows * cols
+	return p.at(int(s-1)/slabRows, off, off+cols)
 }
 
 // colRun is a run of columns [lo, hi).
@@ -153,33 +191,64 @@ func NewParam(name string, rows, cols int) *Param {
 	return p
 }
 
-// Grad returns the gradient accumulator, allocating it zeroed on first use.
+// Grad returns the dense gradient accumulator, allocating it — with the
+// moments beside it — zeroed on first use. A sparse-tracked parameter has none
+// (see GradRow).
 func (p *Param) Grad() *tensor.Mat {
+	if p.sparse {
+		panic("nn: dense gradient of sparse-tracked parameter " + p.Name)
+	}
 	if p.g == nil {
-		p.g = tensor.NewMat(p.W.Rows, p.W.Cols)
-		if p.sparse {
-			p.mark = make([]bool, p.W.Rows)
-		}
+		n := len(p.W.Data)
+		p.state = [][]float64{make([]float64, 3*n)}
+		p.g = &tensor.Mat{Rows: p.W.Rows, Cols: p.W.Cols, Data: p.state[0][:n:n]}
 	}
 	return p.g
+}
+
+// GradRow returns row r of the gradient, or nil where no gradient has been
+// taken: before the first backward, or on a sparse-tracked row that has no
+// slot yet. The view is the live row; it reads as zero after ZeroGrad.
+func (p *Param) GradRow(r int) tensor.Vec {
+	if !p.sparse {
+		if p.g == nil {
+			return nil
+		}
+		return p.g.Row(r)
+	}
+	if p.slots == nil || p.slots[r] == 0 {
+		return nil
+	}
+	g, _, _ := p.slotRow(int32(r))
+	return g
 }
 
 // TrackRows switches the parameter to sparse-row gradient tracking.
 func (p *Param) TrackRows() { p.sparse = true }
 
-// TouchRow records that row r received gradient since the last ZeroGrad. It
-// is a no-op for dense parameters.
-func (p *Param) TouchRow(r int) {
-	if !p.sparse {
-		return
+// touch records that row r of a sparse-tracked parameter receives gradient in
+// this window and returns the row's gradient to add into, giving the row a
+// zeroed slot on its first touch.
+func (p *Param) touch(r int) tensor.Vec {
+	if p.slots == nil {
+		p.slots = make([]int32, p.W.Rows)
 	}
-	p.Grad()
-	p.dirty = true
-	if !p.mark[r] {
-		p.mark[r] = true
+	s := p.slots[r]
+	if s == 0 {
+		if p.nslots%slabRows == 0 {
+			p.state = append(p.state, make([]float64, 3*slabRows*p.W.Cols))
+		}
+		p.nslots++
+		s = int32(p.nslots)
+	}
+	if s > 0 {
+		p.slots[r] = -s
 		p.touched = append(p.touched, int32(r))
 		p.sorted = false
+		p.dirty = true
 	}
+	g, _, _ := p.slotRow(int32(r))
+	return g
 }
 
 // touchedRows returns the touched-row indices in ascending order, sorting at
@@ -195,26 +264,32 @@ func (p *Param) touchedRows() []int32 {
 	return p.touched
 }
 
-// spans calls f with every contiguous stretch [lo, hi) of the parameter's
-// flat storage that p.runs covers — on a sparse-tracked parameter within the
-// touched rows only. Elementwise passes (zero, rescale, Adam) run over these.
-func (p *Param) spans(f func(lo, hi int)) {
+// spans calls f with every stretch of the parameter that p.runs covers — on a
+// sparse-tracked parameter within the touched rows only — as the stretch w of
+// its weights and the same stretch of its gradient and of both moments.
+// Elementwise passes (zero, rescale, Adam) run over these.
+func (p *Param) spans(f func(w, g, m, v []float64)) {
 	cols := p.W.Cols
 	if !p.sparse {
 		if len(p.runs) == 1 && p.runs[0] == (colRun{0, cols}) {
-			f(0, len(p.W.Data))
+			g, m, v := p.at(0, 0, len(p.W.Data))
+			f(p.W.Data, g, m, v)
 			return
 		}
 		for r := 0; r < p.W.Rows; r++ {
 			for _, run := range p.runs {
-				f(r*cols+run.lo, r*cols+run.hi)
+				lo, hi := r*cols+run.lo, r*cols+run.hi
+				g, m, v := p.at(0, lo, hi)
+				f(p.W.Data[lo:hi], g, m, v)
 			}
 		}
 		return
 	}
 	for _, r := range p.touchedRows() {
+		w := p.W.Row(int(r))
+		g, m, v := p.slotRow(r)
 		for _, run := range p.runs {
-			f(int(r)*cols+run.lo, int(r)*cols+run.hi)
+			f(w[run.lo:run.hi], g[run.lo:run.hi], m[run.lo:run.hi], v[run.lo:run.hi])
 		}
 	}
 }
@@ -277,14 +352,15 @@ func (ps *ParamSet) sweep(all bool, visit func(p *Param)) {
 
 // ZeroGrad clears all gradients (only the touched rows of sparse-tracked
 // parameters) and ends the accumulation window: touched-row lists are emptied.
+// A row keeps its slot, so its moments stay as the optimizer left them.
 func (ps *ParamSet) ZeroGrad() {
 	ps.sweep(true, func(p *Param) {
-		if p.g == nil {
+		if p.state == nil {
 			return
 		}
-		p.spans(func(lo, hi int) { clear(p.g.Data[lo:hi]) })
+		p.spans(func(_, g, _, _ []float64) { clear(g) })
 		for _, r := range p.touched {
-			p.mark[r] = false
+			p.slots[r] = -p.slots[r]
 		}
 		p.touched = p.touched[:0]
 	})
@@ -296,12 +372,12 @@ func (ps *ParamSet) ZeroGrad() {
 	}
 }
 
-// ReleaseGrads drops every gradient buffer and row-tracking list, returning
+// ReleaseGrads drops every gradient, moment and row-tracking table, returning
 // the parameters to their served state. Training loops call it when done.
 func (ps *ParamSet) ReleaseGrads() {
 	for _, b := range ps.Mats {
 		p := b.P
-		p.g, p.mark, p.touched, p.runs = nil, nil, nil, nil
+		p.g, p.state, p.stepper, p.slots, p.nslots, p.touched, p.runs = nil, nil, nil, nil, 0, nil, nil
 		b.dirty, p.dirty = false, false
 	}
 }
@@ -335,8 +411,8 @@ func (ps *ParamSet) ClipGradNorm(max float64) float64 {
 	}
 	scale := max / n
 	ps.sweep(false, func(p *Param) {
-		if p.g != nil {
-			p.spans(func(lo, hi int) { tensor.Vec(p.g.Data[lo:hi]).Scale(scale) })
+		if p.state != nil {
+			p.spans(func(_, g, _, _ []float64) { tensor.Vec(g).Scale(scale) })
 		}
 	})
 	for _, s := range ps.Scalars {
@@ -364,9 +440,12 @@ func (ps *ParamSet) NumParams() int {
 }
 
 // Adam is the Adam optimizer (Kingma & Ba) with optional weight decay,
-// matching the fine-tuning recipe in Section VII-A. The first/second moments
-// live in the optimizer, keyed by parameter and shaped like it, so they are
-// freed with it: one Adam value serves one training run.
+// matching the fine-tuning recipe in Section VII-A. A matrix parameter's
+// first/second moments sit beside its gradient, laid out like it — dense, or
+// one row per slot of a sparse-tracked parameter — and go away with it at
+// ParamSet.ReleaseGrads. The first step an Adam takes on a parameter starts
+// the moments at zero, so one Adam value serves one training run and a second
+// one inherits nothing.
 type Adam struct {
 	LR          float64
 	Beta1       float64
@@ -375,19 +454,14 @@ type Adam struct {
 	WeightDecay float64
 
 	step    int
-	mats    map[*Param]*moments
 	scalars map[*Scalar]*scalarMoments
 }
-
-// moments holds Adam's first and second moment for one matrix parameter.
-type moments struct{ m, v []float64 }
 
 type scalarMoments struct{ m, v float64 }
 
 // NewAdam returns an Adam optimizer with standard betas.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		mats: map[*Param]*moments{}, scalars: map[*Scalar]*scalarMoments{}}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, scalars: map[*Scalar]*scalarMoments{}}
 }
 
 // Step applies one update to every listed, non-frozen block and clears
@@ -401,15 +475,16 @@ func (a *Adam) Step(ps *ParamSet) {
 	b1c := 1 - math.Pow(a.Beta1, float64(a.step))
 	b2c := 1 - math.Pow(a.Beta2, float64(a.step))
 	ps.sweep(false, func(p *Param) {
-		mo := a.mats[p]
-		if mo == nil {
-			mo = &moments{m: make([]float64, len(p.W.Data)), v: make([]float64, len(p.W.Data))}
-			a.mats[p] = mo
+		if !p.sparse {
+			p.Grad()
 		}
-		g, w := p.Grad().Data, p.W.Data
-		p.spans(func(lo, hi int) {
-			a.update(g[lo:hi], w[lo:hi], mo.m[lo:hi], mo.v[lo:hi], b1c, b2c)
-		})
+		if p.stepper != a {
+			for _, ch := range p.state {
+				clear(ch[len(ch)/3:])
+			}
+			p.stepper = a
+		}
+		p.spans(func(w, g, m, v []float64) { a.update(g, w, m, v, b1c, b2c) })
 	})
 	for _, s := range ps.Scalars {
 		if s.Frozen {

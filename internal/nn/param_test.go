@@ -23,11 +23,11 @@ func (r rowRef) sorted() []int32 {
 	return out
 }
 
-// TestSparseRowTrackingMatchesReference drives random TouchRow / ZeroGrad /
+// TestSparseRowTrackingMatchesReference drives random touch / ZeroGrad /
 // ClipGradNorm / Adam.Step sequences over a sparse and a dense parameter and
 // checks every observable against the map+sort reference: touched rows and
 // their order, GradNorm bits, the clip rescale, the Adam update, and that
-// ZeroGrad zeroes exactly the touched rows and clears every mark.
+// ZeroGrad zeroes exactly the touched rows and unmarks every one.
 func TestSparseRowTrackingMatchesReference(t *testing.T) {
 	const rows, cols = 64, 3
 	for seed := int64(0); seed < 20; seed++ {
@@ -75,15 +75,15 @@ func TestSparseRowTrackingMatchesReference(t *testing.T) {
 				}
 			}
 			marks := 0
-			for _, m := range sp.mark {
-				if m {
+			for _, s := range sp.slots {
+				if s < 0 {
 					marks++
 				}
 			}
 			if marks != len(want) {
-				t.Fatalf("seed %d after %s: %d marks set, want %d", seed, op, marks, len(want))
+				t.Fatalf("seed %d after %s: %d rows marked touched, want %d", seed, op, marks, len(want))
 			}
-			for i, g := range sp.Grad().Data {
+			for i, g := range gradDense(sp) {
 				if math.Float64bits(g) != math.Float64bits(refG.Data[i]) {
 					t.Fatalf("seed %d after %s: G[%d] = %v, want %v", seed, op, i, g, refG.Data[i])
 				}
@@ -98,8 +98,7 @@ func TestSparseRowTrackingMatchesReference(t *testing.T) {
 			case op < 6: // backward: gradient lands in a row, the row is touched
 				r := rng.Intn(rows)
 				g := rng.NormFloat64()
-				sp.Grad().Row(r).Axpy(g, tensor.Vec{1, -2, 0.5})
-				sp.TouchRow(r)
+				sp.touch(r).Axpy(g, tensor.Vec{1, -2, 0.5})
 				refG.Row(r).Axpy(g, tensor.Vec{1, -2, 0.5})
 				ref[int32(r)] = true
 				dn.Grad().Data[rng.Intn(2*cols)] += rng.NormFloat64()
@@ -138,7 +137,7 @@ func TestSparseRowTrackingMatchesReference(t *testing.T) {
 				ps.ZeroGrad()
 				refG.Zero()
 				clear(ref)
-				for i, g := range sp.Grad().Data {
+				for i, g := range gradDense(sp) {
 					if g != 0 {
 						t.Fatalf("seed %d: ZeroGrad left G[%d] = %v", seed, i, g)
 					}
@@ -147,7 +146,7 @@ func TestSparseRowTrackingMatchesReference(t *testing.T) {
 			}
 		}
 		ps.ReleaseGrads()
-		if sp.g != nil || sp.mark != nil || sp.touched != nil || dn.g != nil {
+		if sp.state != nil || sp.slots != nil || sp.touched != nil || dn.g != nil || dn.state != nil {
 			t.Fatalf("seed %d: ReleaseGrads left training state behind", seed)
 		}
 	}

@@ -71,10 +71,8 @@ func (l *refEmbedding) Forward(x *tensor.Sparse) tensor.Vec {
 func (l *refEmbedding) Backward(dy tensor.Vec) {
 	x := l.x
 	if !l.E.Frozen {
-		g := l.E.Grad()
 		for i, idx := range x.Idx {
-			g.Row(int(idx)).Axpy(x.Val[i], dy)
-			l.E.TouchRow(int(idx))
+			l.E.touch(int(idx)).Axpy(x.Val[i], dy)
 		}
 	}
 	for _, at := range l.Patches {
@@ -93,10 +91,8 @@ func (l *refEmbedding) Backward(dy tensor.Vec) {
 			du := at.dz
 			at.A.W.MulVec(dy, du)
 			du.Scale(scale)
-			g := at.B.Grad()
 			for i, idx := range x.Idx {
-				g.Row(int(idx)).Axpy(x.Val[i], du)
-				at.B.TouchRow(int(idx))
+				at.B.touch(int(idx)).Axpy(x.Val[i], du)
 			}
 		}
 	}
@@ -327,15 +323,22 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// gradValues gathers a block's gradient as Values gathers its weights.
+// gradValues gathers a block's gradient as Values gathers its weights, zero
+// where GradRow has none.
 func gradValues(b *Block) []float64 {
-	g := b.P.Grad()
 	out := make([]float64, 0, b.NumParams())
 	for r := 0; r < b.Rows(); r++ {
-		out = append(out, b.row(g, r)...)
+		if g := b.P.GradRow(r); g != nil {
+			out = append(out, g[b.Lo:b.Hi]...)
+		} else {
+			out = append(out, make([]float64, b.Cols())...)
+		}
 	}
 	return out
 }
+
+// gradDense is a parameter's whole gradient as a dense row-major slice.
+func gradDense(p *Param) []float64 { return gradValues(&p.Block) }
 
 // compare checks every weight, every gradient and every coefficient of the
 // two sides against each other.
@@ -344,7 +347,7 @@ func (c *bankCase) compare(t *testing.T, when string) {
 	for i, b := range c.ps.Mats {
 		rb := c.refPS.Mats[i]
 		sameBits(t, fmt.Sprintf("%s: weights of block %d (%s)", when, i, rb.P.Name), b.Values(), rb.Values())
-		if rb.P.g != nil || b.P.g != nil {
+		if rb.P.state != nil || b.P.state != nil {
 			sameBits(t, fmt.Sprintf("%s: gradient of block %d (%s)", when, i, rb.P.Name), gradValues(b), gradValues(rb))
 		}
 	}
@@ -463,5 +466,148 @@ func TestBankMatchesPerPatchReference(t *testing.T) {
 			c.compare(t, when+" after Adam")
 		}
 		c.checkBatches(t, rng, fmt.Sprintf("seed %d after training", seed))
+	}
+}
+
+// denseOracle is the optimizer state of one sparse-tracked parameter as it was
+// kept before slots: gradient and both Adam moments shaped like W, touched
+// rows a set sorted on every read, and the Adam rule, the clip and ZeroGrad
+// written out over them. Slot storage must leave exactly its bits.
+type denseOracle struct {
+	w, g, m, v *tensor.Mat
+	rows       rowRef
+	step       int
+}
+
+func newDenseOracle(p *Param) *denseOracle {
+	r, c := p.W.Rows, p.W.Cols
+	return &denseOracle{w: p.W.Clone(), g: tensor.NewMat(r, c), m: tensor.NewMat(r, c), v: tensor.NewMat(r, c), rows: rowRef{}}
+}
+
+func (o *denseOracle) touch(r int, scale float64, dir tensor.Vec) {
+	o.g.Row(r).Axpy(scale, dir)
+	o.rows[int32(r)] = true
+}
+
+// addSqNorm adds the squares of the touched rows' gradient, rows ascending.
+func (o *denseOracle) addSqNorm(t float64) float64 {
+	for _, r := range o.rows.sorted() {
+		for _, g := range o.g.Row(int(r)) {
+			t += g * g
+		}
+	}
+	return t
+}
+
+func (o *denseOracle) scale(s float64) {
+	for _, r := range o.rows.sorted() {
+		o.g.Row(int(r)).Scale(s)
+	}
+}
+
+// adam is one Adam step with opt's hyper-parameters over the touched rows.
+func (o *denseOracle) adam(opt *Adam) {
+	o.step++
+	b1c := 1 - math.Pow(opt.Beta1, float64(o.step))
+	b2c := 1 - math.Pow(opt.Beta2, float64(o.step))
+	for _, r := range o.rows.sorted() {
+		w, g, m, v := o.w.Row(int(r)), o.g.Row(int(r)), o.m.Row(int(r)), o.v.Row(int(r))
+		for i, gi := range g {
+			if opt.WeightDecay != 0 {
+				gi += opt.WeightDecay * w[i]
+			}
+			m[i] = opt.Beta1*m[i] + (1-opt.Beta1)*gi
+			v[i] = opt.Beta2*v[i] + (1-opt.Beta2)*gi*gi
+			mh := m[i] / b1c
+			vh := v[i] / b2c
+			w[i] -= opt.LR * mh / (math.Sqrt(vh) + opt.Eps)
+		}
+	}
+}
+
+func (o *denseOracle) zero() {
+	o.g.Zero()
+	clear(o.rows)
+}
+
+// TestSlotStateMatchesDenseOracle drives a sparse-tracked parameter of 200
+// rows (four slab chunks) and a dense one through seeded windows — 1–90
+// touches each in random row order, rows repeated within and across windows —
+// with weight decay on or off per seed and a clip threshold that every other
+// window sits below the norm. After each window's backward, clip, Adam step
+// and ZeroGrad it requires the dense oracle's bits: the gradient, GradNorm,
+// the weights, and Adam's m and v, read through the row's slot (zero for a
+// row without one).
+func TestSlotStateMatchesDenseOracle(t *testing.T) {
+	const rows, cols = 200, 3
+	chunked := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp, dn := NewParam("sparse", rows, cols), NewParam("dense", 2, cols)
+		sp.TrackRows()
+		sp.W.FillGaussian(rng, 1)
+		dn.W.FillGaussian(rng, 1)
+		ps := ParamSet{Mats: []*Block{&sp.Block, &dn.Block}}
+		opt := NewAdam(0.01)
+		if seed%2 == 0 {
+			opt.WeightDecay = 1e-3
+		}
+		o := newDenseOracle(sp)
+		moments := func(r int) (m, v []float64) {
+			if sp.slots[r] == 0 {
+				return make([]float64, cols), make([]float64, cols)
+			}
+			_, m, v = sp.slotRow(int32(r))
+			return m, v
+		}
+		check := func(when string) {
+			t.Helper()
+			sameBits(t, when+": gradient", gradDense(sp), o.g.Data)
+			sameBits(t, when+": weights", sp.W.Data, o.w.Data)
+			want := o.addSqNorm(0)
+			for _, g := range dn.Grad().Data {
+				want += g * g
+			}
+			sameBits(t, when+": GradNorm", []float64{ps.GradNorm()}, []float64{math.Sqrt(want)})
+		}
+		for window := 0; window < 8; window++ {
+			when := fmt.Sprintf("seed %d window %d", seed, window)
+			for n := 1 + rng.Intn(90); n > 0; n-- {
+				r, s := rng.Intn(rows), rng.NormFloat64()
+				dir := tensor.Vec{rng.NormFloat64(), 1, -0.5}
+				sp.touch(r).Axpy(s, dir)
+				o.touch(r, s, dir)
+				dn.Grad().Data[rng.Intn(2*cols)] += rng.NormFloat64()
+			}
+			check(when + " after backward")
+			norm := ps.GradNorm()
+			max := 2 * norm
+			if window%2 == int(seed%2) {
+				max = norm / 3
+				o.scale(max / norm)
+			}
+			ps.ClipGradNorm(max)
+			check(when + " after clip")
+			opt.Step(&ps)
+			o.adam(opt)
+			check(when + " after Adam")
+			for r := 0; r < rows; r++ {
+				m, v := moments(r)
+				sameBits(t, fmt.Sprintf("%s: m of row %d", when, r), m, o.m.Row(r))
+				sameBits(t, fmt.Sprintf("%s: v of row %d", when, r), v, o.v.Row(r))
+			}
+			ps.ZeroGrad()
+			o.zero()
+			check(when + " after ZeroGrad")
+		}
+		if len(sp.state) != (sp.nslots+slabRows-1)/slabRows {
+			t.Fatalf("seed %d: %d slots in %d chunks", seed, sp.nslots, len(sp.state))
+		}
+		if sp.nslots > slabRows {
+			chunked++
+		}
+	}
+	if chunked == 0 {
+		t.Fatal("no seed gave out more slots than one chunk holds")
 	}
 }

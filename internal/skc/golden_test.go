@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -44,6 +45,48 @@ func (d digest) params(ps nn.ParamSet) {
 	for _, s := range ps.Scalars {
 		d.floats(s.Val)
 	}
+}
+
+// layers lists the model's layers in Params order, each with the backbone
+// matrices it reads.
+var layers = []struct {
+	key  string
+	base []string
+}{
+	{"in.emb", []string{"in.emb.E"}},
+	{"in.dense", []string{"in.dense.W", "in.dense.b"}},
+	{"cand.emb", []string{"cand.emb.E"}},
+	{"cand.dense", []string{"cand.dense.W", "cand.dense.b"}},
+}
+
+// adapted digests an adapted model in the order its Params listed it when
+// the model held a copy of the backbone: per layer, the layer's backbone
+// matrices (which it now shares, read through Export), then its patch blocks;
+// then the scalars.
+func (d digest) adapted(t *testing.T, m *model.Model) {
+	snap, ps := m.Export(), m.Params()
+	i := 0
+	for _, l := range layers {
+		for _, name := range l.base {
+			d.floats(snap.Mats[name]...)
+		}
+		for ; i < len(ps.Mats) && layerOf(ps.Mats[i].P.Name) == l.key; i++ {
+			d.floats(ps.Mats[i].Values()...)
+		}
+	}
+	if i != len(ps.Mats) {
+		t.Fatalf("parameter %s belongs to no layer", ps.Mats[i].P.Name)
+	}
+	for _, s := range ps.Scalars {
+		d.floats(s.Val)
+	}
+}
+
+// layerOf names the layer of a patch factor: a bank "<layer>.B" or an A
+// factor "<patch>/<layer>.A".
+func layerOf(name string) string {
+	name = name[strings.LastIndex(name, "/")+1:]
+	return strings.TrimSuffix(strings.TrimSuffix(name, ".A"), ".B")
 }
 
 // TestGoldenBitIdentity pins the training step's arithmetic end to end on a
@@ -100,7 +143,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 			d.floats(ns.Snap.A[k].Data...)
 		}
 	}
-	d.params(tr.Model.Params())
+	d.adapted(t, tr.Model)
 	d.floats(tr.Fusion.Weights()...)
 	spec := tasks.SpecFor(tasks.ED)
 	for _, in := range markerDataset(rng, 10, "%", "") {

@@ -69,8 +69,8 @@ func (o Options) withDefaults() Options {
 }
 
 // ExtractPatches runs Stage 1: one LoRA patch per upstream source, trained
-// on a clone of the base model with the backbone and trust frozen. The base
-// model is left untouched.
+// on a share of the base model (model.Model.Share), which cannot train the
+// backbone it reads, with trust frozen. The base model is left untouched.
 func ExtractPatches(base *model.Model, sources []Source, opts Options) []*NamedSnapshot {
 	opts = opts.withDefaults()
 	rec, span := opts.Rec.StartSpan("skc.extract")
@@ -81,8 +81,7 @@ func ExtractPatches(base *model.Model, sources []Source, opts Options) []*NamedS
 		_, ps2 := rec.StartSpan("skc.extract.patch")
 		ps2.SetAttr("source", src.Name)
 		ps2.SetAttr("examples", len(src.Examples))
-		host := base.Clone()
-		host.SetBaseFrozen(true)
+		host := base.Share()
 		host.Trust.Frozen = true
 		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*31 + 17))
 		coef := &nn.Scalar{Name: "extract", Val: 1, Frozen: true}
@@ -109,17 +108,18 @@ type Transferred struct {
 	Fusion *lora.Fusion
 }
 
-// BuildFusion runs Stage 2: it clones the upstream model, attaches every
-// extracted patch under the configured weight strategy plus the fresh shared
-// patch, and returns the fused model ready for few-shot fine-tuning.
+// BuildFusion runs Stage 2: on a share of the upstream model — its backbone
+// read in place, never copied, and out of reach of any optimizer — it
+// attaches every extracted patch under the configured weight strategy plus
+// the fresh shared patch, and returns the fused model ready for few-shot
+// fine-tuning. The fused model owns only its patches and trust.
 func BuildFusion(upstream *model.Model, snaps []*NamedSnapshot, opts Options) (*Transferred, error) {
 	opts = opts.withDefaults()
 	_, span := opts.Rec.StartSpan("skc.fuse")
 	defer span.End()
 	span.SetAttr("patches", len(snaps))
 	span.SetAttr("strategy", opts.Strategy.String())
-	m := upstream.Clone()
-	m.SetBaseFrozen(true)
+	m := upstream.Share()
 	m.Trust.Frozen = true
 	rng := rand.New(rand.NewSource(opts.Seed + 911))
 	fusion := &lora.Fusion{}

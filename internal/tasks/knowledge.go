@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/data"
 )
@@ -178,13 +179,84 @@ type Rule struct {
 // ---------------------------------------------------------------------------
 // Rule evaluation
 
-// IsMissingValue reports whether a cell value is a missing marker.
+// IsMissingValue reports whether a cell value is a missing marker. It runs
+// on every cell of every example, so an ASCII value is lowered into a stack
+// buffer, not a new string.
 func IsMissingValue(v string) bool {
-	switch strings.ToLower(strings.TrimSpace(v)) {
+	v = strings.TrimSpace(v)
+	var buf [len("missing")]byte
+	lv, ok := lowerASCII(buf[:], v)
+	if !ok {
+		if len(v) > len(buf) && isASCII(v) {
+			return false // lowering keeps an ASCII value's length: too long for a marker
+		}
+		lv = []byte(strings.ToLower(v)) // a non-ASCII rune may lower to an ASCII one
+	}
+	switch string(lv) {
 	case "", "nan", "n/a", "na", "null", "none", "missing", "-":
 		return true
 	}
 	return false
+}
+
+// lowerASCII writes strings.ToLower(s) into buf and returns it, for an ASCII
+// s that fits — there ToLower maps byte for byte. ok is false when s is longer
+// than buf or holds a non-ASCII byte.
+func lowerASCII(buf []byte, s string) (lower []byte, ok bool) {
+	if len(s) > len(buf) {
+		return nil, false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return nil, false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return buf[:len(s)], true
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// isFloat reports whether strconv.ParseFloat accepts v. Most cells are not
+// numbers, and every refusal from ParseFloat allocates its error, so a screen
+// turns away first what cannot parse: a string with a byte no float literal,
+// "Inf", "Infinity" or "NaN" (any case) uses, or one not opening — after an
+// optional sign — with a digit, a point, or the first letter of Inf or NaN.
+// FuzzNumberScreen holds isFloat to ParseFloat.
+func isFloat(v string) bool {
+	s := v
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c|0x20 == 'i', c|0x20 == 'n':
+	default:
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', c == '.', c == '_', c == '+', c == '-':
+		case strings.IndexByte("abcdefinptxy", c|0x20) >= 0:
+		default:
+			return false
+		}
+	}
+	_, err := strconv.ParseFloat(v, 64)
+	return err == nil
 }
 
 // MatchesFormat applies the named format detector.
@@ -192,11 +264,7 @@ func MatchesFormat(format, v string) bool {
 	v = strings.TrimSpace(v)
 	switch format {
 	case FormatDecimal:
-		if !strings.Contains(v, ".") {
-			return false
-		}
-		_, err := strconv.ParseFloat(v, 64)
-		return err == nil
+		return strings.Contains(v, ".") && isFloat(v)
 	case FormatInteger:
 		if v == "" {
 			return false
@@ -220,8 +288,7 @@ func MatchesFormat(format, v string) bool {
 	case FormatNumeric:
 		// Strict: "0.05%" is NOT numeric — validity rules built on this
 		// detector must not whitelist percent-contaminated values.
-		_, err := strconv.ParseFloat(v, 64)
-		return err == nil
+		return isFloat(v)
 	default:
 		return false
 	}
@@ -289,6 +356,12 @@ func isSlashDate(v string) bool {
 }
 
 func isTimeAMPM(v string) bool {
+	// Lowered, v holds "a.m." or "p.m." only if it holds ".m." or ".M.":
+	// lowering maps no other rune to an ASCII point or m. Most values fail
+	// here, before ToLower allocates.
+	if !strings.Contains(v, ".m.") && !strings.Contains(v, ".M.") {
+		return false
+	}
 	lv := strings.ToLower(v)
 	if !strings.Contains(lv, "a.m.") && !strings.Contains(lv, "p.m.") {
 		return false

@@ -11,6 +11,11 @@
 #   a StepBatch window == its examples one at
 #     a time: gradients, touched rows, λ, loss  model.TestStepBatchMatchesOneExampleWindows
 #   batched passes == one row at a time         nn.TestBankMatchesPerPatchReference
+#   slot-held gradient and moments == a dense
+#     Adam / clip / ZeroGrad oracle, bitwise    nn.TestSlotStateMatchesDenseOracle
+#   adapters share one backbone: concurrent
+#     Transfers == serial, upstream unchanged,
+#     no backbone in any adapter's ParamSet     core.TestConcurrentTransfersShareOneBackbone (-race)
 #   determinism in process, every cell bitwise  eval.TestTable6SerialParallelDeterminism
 #   determinism across processes                cmd/knowtrans TestDrillTable6AcrossProcesses
 #   self-time coverage of a real trace          eval.TestTable6SerialParallelDeterminism
@@ -57,6 +62,8 @@
 #   kernels == naive loops, bitwise             tensor.TestKernelsMatchNaiveLoops
 #   dataset decode refuses trailing bytes       dataio.TestDecodeJSONRejectsTrailingBytes, dataio.FuzzDecodeJSON
 #                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
+#   the float screen rejects only what
+#     strconv.ParseFloat rejects                tasks.FuzzNumberScreen (corpus in tier-1, 10 s in tier-2)
 #   CSV input: no panic, rows at header arity,
 #     gold indexes candidates, one DI instance
 #     per row with a non-empty trimmed target   dataio.FuzzReadCSV (corpus in tier-1, 10 s in tier-2)
@@ -109,7 +116,7 @@ echo "check.sh: tier-1 gates passed"
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
-# The eleven fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The twelve fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
@@ -122,6 +129,7 @@ go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/lora
+go test -run '^$' -fuzz '^FuzzNumberScreen$' -fuzztime 10s ./internal/tasks
 echo "check.sh: fuzz targets passed"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
