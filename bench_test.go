@@ -308,9 +308,10 @@ type warmResolver struct{}
 func (warmResolver) Predict(context.Context, string, *data.Instance) (string, bool, error) {
 	return "yes", false, nil
 }
-func (warmResolver) Warm(context.Context, string) (bool, error) { return false, nil }
-func (warmResolver) Snapshot() []serve.KeyStats                 { return nil }
-func (warmResolver) Resident() int                              { return 0 }
+func (warmResolver) Warm(context.Context, string) (bool, error)  { return false, nil }
+func (warmResolver) Snapshot() []serve.KeyStats                  { return nil }
+func (warmResolver) Resident() int                               { return 0 }
+func (warmResolver) Evict(context.Context, string) (bool, error) { return false, nil }
 
 // discardWriter is a ResponseWriter that keeps nothing between requests.
 type discardWriter struct{ h http.Header }
@@ -548,7 +549,7 @@ func BenchmarkAKBSearch(b *testing.B) {
 	fewshot := bundle.DS.FewShot(rand.New(rand.NewSource(4)), eval.FewShotN)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		akb.Search(upstream, oracle.New(int64(i)), bundle.Kind, fewshot, nil, akb.DefaultConfig(int64(i)))
+		akb.SearchFallible(context.Background(), upstream, akb.AsFallible(oracle.New(int64(i))), bundle.Kind, fewshot, nil, akb.DefaultConfig(int64(i)))
 	}
 }
 

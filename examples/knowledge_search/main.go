@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -45,7 +46,7 @@ func main() {
 	cfg := akb.DefaultConfig(seed)
 	cfg.Iterations = 5
 	gpt := z.Oracle(seed, oracle.PaperTemperature)
-	res := akb.Search(ad.Model, gpt, tasks.ED, fewshot, probe, cfg)
+	res := akb.SearchFallible(context.Background(), ad.Model, akb.AsFallible(gpt), tasks.ED, fewshot, probe, cfg)
 
 	fmt.Println("\nsearch trace:")
 	for _, s := range res.Steps {

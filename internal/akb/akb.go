@@ -100,9 +100,10 @@ func DefaultConfig(seed int64) Config {
 // Normalize fills every unset (zero) field of the config with the paper
 // default of DefaultConfig, preserving fields the caller did set. It
 // replaces the old all-or-nothing sentinel (Iterations == 0 used to clobber
-// an explicitly populated Config with DefaultConfig wholesale); Search
-// normalizes its config on entry, so a Config{Iterations: 7} now means
-// "7 iterations, paper defaults for the rest".
+// an explicitly populated Config with DefaultConfig wholesale);
+// SearchFallible normalizes its config on entry, so a
+// Config{Iterations: 7} now means "7 iterations, paper defaults for the
+// rest".
 func (c Config) Normalize() Config {
 	d := DefaultConfig(c.Seed)
 	if c.Iterations == 0 {
@@ -151,21 +152,14 @@ type Result struct {
 // Degraded reports whether any oracle interaction of the search failed.
 func (r *Result) Degraded() bool { return r.DegradedRounds > 0 }
 
-// Search runs Algorithm 2. valid is the validation split (the paper reuses
-// the few-shot set D'_i); probe, when non-nil, is an extra held-out set
-// scored each iteration purely for reporting (Fig. 7's test curves) — it
-// never influences the search.
+// SearchFallible runs Algorithm 2. valid is the validation split (the paper
+// reuses the few-shot set D'_i); probe, when non-nil, is an extra held-out
+// set scored each iteration purely for reporting (Fig. 7's test curves) — it
+// never influences the search. An infallible in-process oracle enters
+// through AsFallible.
 //
-// Search assumes an infallible oracle (the in-process simulation); use
-// SearchFallible for an oracle that can time out, rate-limit or return
-// garbage — a remote API, or anything wrapped by internal/faults and
-// internal/resilience.
-func Search(pred Predictor, oracle Oracle, kind tasks.Kind, valid []*data.Instance, probe []*data.Instance, cfg Config) *Result {
-	return SearchFallible(context.Background(), pred, AsFallible(oracle), kind, valid, probe, cfg)
-}
-
-// SearchFallible runs Algorithm 2 against an oracle that may fail. A failed
-// or exhausted Generation / Feedback / Refinement round is skipped rather
+// The oracle may fail: time out, rate-limit or return garbage. A failed or
+// exhausted Generation / Feedback / Refinement round is skipped rather
 // than fatal: the search keeps its best-so-far knowledge, records a
 // degraded Step, and the Result reports how many rounds degraded.
 // Candidates returned by the oracle are sanitized (SanitizeCandidates)
@@ -257,7 +251,7 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 		if len(pool) == 0 {
 			// Defensive: selection must never run on an empty pool (an
 			// oracle returning nothing leaves at least the nil baseline,
-			// but external callers could hand Search a drained pool path).
+			// but external callers could hand the search a drained pool).
 			pool = []*tasks.Knowledge{nil}
 		}
 		// Line 5: select the best candidate under the task metric (Eq. 8).

@@ -1,12 +1,19 @@
 package akb
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/tasks"
 )
+
+// search runs SearchFallible over an infallible oracle, the way every
+// in-process caller does.
+func search(pred Predictor, o Oracle, kind tasks.Kind, valid, probe []*data.Instance, cfg Config) *Result {
+	return SearchFallible(context.Background(), pred, AsFallible(o), kind, valid, probe, cfg)
+}
 
 // fakePredictor answers by applying the knowledge's rules if any fire,
 // otherwise always "no" — a stand-in DP-LLM with a known knowledge gap.
@@ -88,7 +95,7 @@ func TestSearchPicksBestCandidate(t *testing.T) {
 		perfect: percentRule(),
 		useless: &tasks.Knowledge{Text: "no signal here"},
 	}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(1))
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(1))
 	if res.Best != o.perfect {
 		t.Fatalf("search should select the perfect knowledge, got %+v", res.Best)
 	}
@@ -108,7 +115,7 @@ func TestSearchStopsWhenNoErrors(t *testing.T) {
 	o := &fakeOracle{perfect: percentRule(), useless: &tasks.Knowledge{}}
 	cfg := DefaultConfig(2)
 	cfg.Iterations = 5
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
 	// Perfect knowledge found in iteration 0 → error set empty → converged.
 	if o.refineCalls != 0 {
 		t.Fatalf("refinement should be skipped after convergence, got %d calls", o.refineCalls)
@@ -126,7 +133,7 @@ func TestSearchUsesRefinement(t *testing.T) {
 		useless: &tasks.Knowledge{},
 		refined: percentRule(),
 	}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(3))
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(3))
 	if o.refineCalls == 0 {
 		t.Fatal("refinement never invoked")
 	}
@@ -139,7 +146,7 @@ func TestSearchRecordsProbeScores(t *testing.T) {
 	valid := percentInstances(10)
 	probe := percentInstances(30)
 	o := &fakeOracle{perfect: percentRule(), useless: &tasks.Knowledge{}}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, probe, DefaultConfig(4))
+	res := search(fakePredictor{}, o, tasks.ED, valid, probe, DefaultConfig(4))
 	for _, s := range res.Steps {
 		if s.TestScore < 0 {
 			t.Fatalf("probe scores missing: %+v", s)
@@ -181,7 +188,7 @@ func TestNilKnowledgeAlwaysInPool(t *testing.T) {
 	// baseline as the selected candidate.
 	valid := percentInstances(6)
 	o := &fakeOracle{perfect: &tasks.Knowledge{}, useless: &tasks.Knowledge{}}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(5))
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(5))
 	if res.Best == nil {
 		// nil (no knowledge) is an acceptable winner; the point is Search
 		// completed and scored it.

@@ -9,14 +9,13 @@ import (
 
 // FallibleOracle is the error-returning face of the closed-source LLM: the
 // interface a production client backed by a remote API implements. Every
-// method takes a context (the resilience layer applies per-call deadlines)
-// and may fail — Search degrades gracefully instead of assuming the oracle
-// is infallible the way the plain Oracle interface does.
+// method takes a context and may fail — SearchFallible degrades gracefully
+// instead of assuming the oracle is infallible the way the plain Oracle
+// interface does.
 //
-// internal/resilience wraps any FallibleOracle with retries, a circuit
-// breaker and call/token budgets; internal/faults turns an infallible
-// Oracle into a FallibleOracle that injects a deterministic fault schedule
-// for chaos testing.
+// internal/resilience wraps any FallibleOracle with retries and a circuit
+// breaker; internal/faults turns an infallible Oracle into a FallibleOracle
+// that injects a deterministic fault schedule for chaos testing.
 type FallibleOracle interface {
 	Generate(ctx context.Context, req GenerateRequest) ([]*tasks.Knowledge, error)
 	Feedback(ctx context.Context, req FeedbackRequest) (string, error)
@@ -24,7 +23,7 @@ type FallibleOracle interface {
 }
 
 // infallible adapts a plain Oracle (which cannot fail) to FallibleOracle,
-// so Search has a single error-aware code path.
+// so the search has a single error-aware code path.
 type infallible struct{ o Oracle }
 
 func (a infallible) Generate(_ context.Context, req GenerateRequest) ([]*tasks.Knowledge, error) {

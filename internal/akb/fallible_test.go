@@ -68,7 +68,7 @@ func TestNormalizePreservesCallerFields(t *testing.T) {
 
 // TestSearchPreservesPartialConfig is the regression test for the old
 // Iterations==0 sentinel: a Config with only some fields set used to be
-// replaced wholesale by DefaultConfig inside Search.
+// replaced wholesale by DefaultConfig inside the search.
 func TestSearchPreservesPartialConfig(t *testing.T) {
 	valid := percentInstances(20)
 	o := &flakyOracle{generated: []*tasks.Knowledge{percentRule()}, failFeedback: true}
@@ -224,12 +224,12 @@ func TestSearchEmptyValidDoesNotPanic(t *testing.T) {
 	}
 }
 
-// TestSearchInfallibleAdapter pins that the plain-Oracle entry point routes
-// through the same degradation-aware loop (and therefore sanitization).
+// TestSearchInfallibleAdapter pins that a plain Oracle lifted by AsFallible
+// runs the same degradation-aware loop (and therefore sanitization).
 func TestSearchInfallibleAdapter(t *testing.T) {
 	valid := percentInstances(10)
 	o := &fakeOracle{perfect: percentRule(), useless: &tasks.Knowledge{Text: "x"}}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(5))
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(5))
 	if res.Degraded() || res.Rejected != 0 {
 		t.Fatalf("infallible oracle must never degrade: %+v", res)
 	}

@@ -25,7 +25,7 @@ func TestSearchRecordsTelemetry(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Rec = obs.NewRecorder(reg, obs.NewTracer(&buf))
 
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
 	if res.BestScore != 100 {
 		t.Fatalf("instrumentation changed the search outcome: score %v", res.BestScore)
 	}
@@ -96,7 +96,7 @@ func TestSearchResultUnchangedByRecorder(t *testing.T) {
 		o := &fakeOracle{perfect: percentRule(), useless: &tasks.Knowledge{Text: "no signal"}}
 		cfg := DefaultConfig(7)
 		cfg.Rec = rec
-		return Search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
+		return search(fakePredictor{}, o, tasks.ED, valid, nil, cfg)
 	}
 	plain := mk(nil)
 	traced := mk(obs.NewRecorder(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{})))

@@ -36,7 +36,7 @@ func TestTieBreakPrefersInformativeKnowledge(t *testing.T) {
 	}
 	rich := percentRule()
 	o := &fakeOracle{perfect: rich, useless: &tasks.Knowledge{Text: "prose only"}}
-	res := Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(9))
+	res := search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(9))
 	if res.Best != rich {
 		t.Fatal("rule-bearing candidate should win ties over prose-only and nil")
 	}
@@ -46,7 +46,7 @@ func TestSearchDeterministicGivenSeed(t *testing.T) {
 	valid := percentInstances(16)
 	run := func() float64 {
 		o := &fakeOracle{perfect: percentRule(), useless: &tasks.Knowledge{}}
-		return Search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(4)).BestScore
+		return search(fakePredictor{}, o, tasks.ED, valid, nil, DefaultConfig(4)).BestScore
 	}
 	if run() != run() {
 		t.Fatal("search must be deterministic given the seed")

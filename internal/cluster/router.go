@@ -356,9 +356,7 @@ func (r *Router) Warm(ctx context.Context, key string) (bool, error) {
 	return cold, nil
 }
 
-var _ serve.Evicter = (*Router)(nil)
-
-// Evict implements serve.Evicter by fanning DELETE /v1/adapters/{key} to
+// Evict implements serve.Resolver by fanning DELETE /v1/adapters/{key} to
 // every owner (no budget here: a partial eviction would leave stale
 // replicas serving a key an operator asked to drop). Evicted is true if
 // any owner dropped a resident adapter; ErrUnknownKey only when no owner

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/data"
@@ -40,7 +39,6 @@ type KnowTrans struct {
 	Patches  []*skc.NamedSnapshot
 
 	SKC skc.Options
-	AKB akb.Config
 
 	UseSKC bool
 	UseAKB bool
@@ -56,7 +54,7 @@ type KnowTrans struct {
 
 	// Rec, when non-nil, wraps every Transfer in a root span and threads
 	// observability down into the SKC and AKB stages (overriding any
-	// Rec already set on kt.SKC / kt.AKB so the spans nest correctly).
+	// Rec already set on kt.SKC so the spans nest correctly).
 	Rec *obs.Recorder
 }
 
@@ -66,13 +64,12 @@ type KnowTrans struct {
 //
 //	plain oracle → faults.Injector → resilience.ResilientOracle
 //
-// with the injector's schedule and the client's backoff jitter seeded from
-// (spec.Seed, cellSeed) — content-addressed like every other seed in the
-// repo, so chaos runs reproduce exactly regardless of concurrency. Backoff
-// waits are elided and per-attempt deadlines disabled: the simulated oracle
-// cannot hang, so injected timeouts arrive as instantaneous errors and
-// sleeping between retries would only slow callers without changing any
-// decision the chain makes.
+// with the injector's schedule seeded from (spec.Seed, cellSeed) —
+// content-addressed like every other seed in the repo, so chaos runs
+// reproduce exactly regardless of concurrency. The client retries at once:
+// the simulated oracle cannot hang, so injected timeouts arrive as
+// instantaneous errors and a wait between retries would change no decision
+// the chain makes.
 func OracleChain(g akb.Oracle, spec *faults.Config, cellSeed int64, rec *obs.Recorder) akb.FallibleOracle {
 	if spec == nil {
 		return akb.AsFallible(g)
@@ -80,12 +77,7 @@ func OracleChain(g akb.Oracle, spec *faults.Config, cellSeed int64, rec *obs.Rec
 	fcfg := *spec
 	fcfg.Seed = faults.DeriveSeed(spec.Seed, cellSeed)
 	fcfg.Rec = rec
-	return resilience.New(faults.Wrap(g, fcfg), resilience.Policy{
-		Seed:        faults.DeriveSeed(spec.Seed+1, cellSeed),
-		Sleep:       func(time.Duration) {},
-		CallTimeout: -1,
-		Rec:         rec,
-	})
+	return resilience.New(faults.Wrap(g, fcfg), rec)
 }
 
 // Adapted is a model transferred to one downstream dataset: the fine-tuned
@@ -150,9 +142,8 @@ func (a *Adapted) Evaluate(test []*data.Instance) float64 {
 // few-shot sample, per Fig. 2: SKC first (training time), then AKB
 // (inference time) searching knowledge with the fine-tuned model in the
 // loop. The context bounds the whole adaptation: cancellation is checked
-// between stages and threaded into the AKB search (whose oracle calls
-// honor per-call deadlines), so a serving layer can abandon a transfer
-// whose requester went away.
+// between stages and threaded into the AKB search and its oracle calls, so
+// a serving layer can abandon a transfer whose requester went away.
 func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*data.Instance, seed int64) (*Adapted, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -202,13 +193,8 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		if kt.Oracle == nil {
 			return nil, fmt.Errorf("core: AKB enabled but no oracle configured")
 		}
-		// SearchFallible normalizes the config (unset fields get the paper
-		// defaults, caller-set fields survive).
-		cfg := kt.AKB
-		cfg.Seed = seed
-		if rec != nil {
-			cfg.Rec = rec
-		}
+		cfg := akb.DefaultConfig(seed)
+		cfg.Rec = rec
 		res := akb.SearchFallible(ctx, ad.Model, OracleChain(kt.Oracle, kt.Faults, seed, rec), kind, fewshot, nil, cfg)
 		ad.Knowledge, ad.AKBResult = res.Best, res
 	}

@@ -100,34 +100,27 @@ func bundlesByKey(z *Zoo, keys []string) []*datagen.Bundle {
 	return out
 }
 
-// assembleRows fills t with one row per bundle from the flat scores slice,
-// which runCells produced in the same bundle-major, column-minor order the
-// jobs were declared in.
-func assembleRows(t *Table, bundles []*datagen.Bundle, columns []string, scores []float64) {
-	i := 0
+// runGrid fills t with one row per bundle and one cell per column: each
+// cell adapts and scores method(column) over reps repetitions at the
+// paper's few-shot budget, on the zoo's worker pool. Rows keep bundle
+// order; the result carries the per-task averages.
+func runGrid(z *Zoo, t *Table, bundles []*datagen.Bundle, reps int, method func(col string) baselines.Method) *Table {
+	jobs := make([]cellJob[float64], 0, len(bundles)*len(t.Columns))
 	for _, b := range bundles {
-		cells := map[string]float64{}
-		for _, c := range columns {
-			cells[c] = scores[i]
-			i++
+		for _, col := range t.Columns {
+			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), col), col, reps, FewShotN,
+				func() baselines.Method { return method(col) }))
+		}
+	}
+	scores := runCells(z, jobs)
+	for _, b := range bundles {
+		cells := make(map[string]float64, len(t.Columns))
+		for _, col := range t.Columns {
+			cells[col], scores = scores[0], scores[1:]
 		}
 		t.AddRow(string(b.Kind), b.DS.Name, cells)
 	}
-}
-
-// runMethodsOn evaluates the named methods on the bundles, averaging scores
-// over reps repetitions with per-repetition few-shot samples.
-func runMethodsOn(z *Zoo, bundles []*datagen.Bundle, methodNames []string, reps int, fewshotN int) *Table {
-	t := &Table{Columns: methodNames}
-	jobs := make([]cellJob[float64], 0, len(bundles)*len(methodNames))
-	for _, b := range bundles {
-		for _, name := range methodNames {
-			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), name), name, reps, fewshotN,
-				func() baselines.Method { return z.Method(name) }))
-		}
-	}
-	assembleRows(t, bundles, methodNames, runCells(z, jobs))
-	return t
+	return t.WithAverages()
 }
 
 // --- Table I / Table VII: dataset statistics ---------------------------------
@@ -179,32 +172,22 @@ func runTable2(z *Zoo, reps int) *Table {
 		MethodNonLLM, MethodMistral, MethodTableLLaMA, MethodMELD,
 		MethodJellyfish, MethodJellyfishICL, MethodKnowTrans,
 	}
-	t := runMethodsOn(z, z.Downstream(), methods, reps, FewShotN)
-	t.ID, t.Title = "table2", "Comparison of 7B open-source DP-LLMs and non-LLM methods (few-shot)"
-	return t.WithAverages()
+	t := &Table{ID: "table2", Title: "Comparison of 7B open-source DP-LLMs and non-LLM methods (few-shot)", Columns: methods}
+	return runGrid(z, t, z.Downstream(), reps, z.Method)
 }
 
 // --- Table IV: closed-source LLMs vs KnowTrans sizes --------------------------
 
 func runTable4(z *Zoo, reps int) *Table {
-	columns := []string{MethodGPT35, MethodGPT4, MethodGPT4o, "KnowTrans-7B", "KnowTrans-8B", "KnowTrans-13B"}
-	t := &Table{ID: "table4", Title: "Comparison with closed-source LLMs (few-shot)", Columns: columns}
+	t := &Table{ID: "table4", Title: "Comparison with closed-source LLMs (few-shot)",
+		Columns: []string{MethodGPT35, MethodGPT4, MethodGPT4o, "KnowTrans-7B", "KnowTrans-8B", "KnowTrans-13B"}}
 	sizes := map[string]Size{"KnowTrans-7B": Size7B, "KnowTrans-8B": Size8B, "KnowTrans-13B": Size13B}
-	bundles := z.Downstream()
-	var jobs []cellJob[float64]
-	for _, b := range bundles {
-		for _, name := range columns {
-			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), name), name, reps, FewShotN,
-				func() baselines.Method {
-					if size, ok := sizes[name]; ok {
-						return z.KnowTransMethod(size, true, true, lora.StrategyAdaptive)
-					}
-					return z.Method(name)
-				}))
+	return runGrid(z, t, z.Downstream(), reps, func(col string) baselines.Method {
+		if size, ok := sizes[col]; ok {
+			return z.KnowTransMethod(size, true, true, lora.StrategyAdaptive)
 		}
-	}
-	assembleRows(t, bundles, columns, runCells(z, jobs))
-	return t.WithAverages()
+		return z.Method(col)
+	})
 }
 
 // --- Table V: ablation ---------------------------------------------------------
@@ -215,25 +198,18 @@ var table5Datasets = []string{
 }
 
 func runTable5(z *Zoo, reps int) *Table {
-	columns := []string{"w/o SKC & AKB", "w/o SKC", "w/o AKB", "KnowTrans"}
 	configs := map[string][2]bool{ // {useSKC, useAKB}
 		"w/o SKC & AKB": {false, false},
 		"w/o SKC":       {false, true},
 		"w/o AKB":       {true, false},
 		"KnowTrans":     {true, true},
 	}
-	t := &Table{ID: "table5", Title: "Ablation study of SKC and AKB (KnowTrans-7B)", Columns: columns}
-	bundles := bundlesByKey(z, table5Datasets)
-	var jobs []cellJob[float64]
-	for _, b := range bundles {
-		for _, name := range columns {
-			cfg := configs[name]
-			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), name), name, reps, FewShotN,
-				func() baselines.Method { return z.KnowTransMethod(Size7B, cfg[0], cfg[1], lora.StrategyAdaptive) }))
-		}
-	}
-	assembleRows(t, bundles, columns, runCells(z, jobs))
-	return t.WithAverages()
+	t := &Table{ID: "table5", Title: "Ablation study of SKC and AKB (KnowTrans-7B)",
+		Columns: []string{"w/o SKC & AKB", "w/o SKC", "w/o AKB", "KnowTrans"}}
+	return runGrid(z, t, bundlesByKey(z, table5Datasets), reps, func(col string) baselines.Method {
+		cfg := configs[col]
+		return z.KnowTransMethod(Size7B, cfg[0], cfg[1], lora.StrategyAdaptive)
+	})
 }
 
 // --- Table VI: weight strategies -----------------------------------------------
@@ -246,28 +222,19 @@ func runTable6(z *Zoo, reps int) *Table { return runTable6On(z, reps, table6Data
 // keys: the full Table VI list normally, a smaller grid in the
 // serial-vs-parallel determinism test.
 func runTable6On(z *Zoo, reps int, keys []string) *Table {
-	columns := []string{"Single", "Uniform", "Adaptive", "KnowTrans"}
-	t := &Table{ID: "table6", Title: "Weight strategies for upstream knowledge patches (KnowTrans-7B)", Columns: columns}
-	bundles := bundlesByKey(z, keys)
-	var jobs []cellJob[float64]
-	for _, b := range bundles {
-		for _, name := range columns {
-			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), name), name, reps, FewShotN,
-				func() baselines.Method {
-					switch name {
-					case "Single":
-						// No upstream patches, no AKB: the bare shared-patch model.
-						return z.KnowTransMethod(Size7B, true, false, lora.StrategySingle)
-					case "Uniform":
-						return z.KnowTransMethod(Size7B, true, false, lora.StrategyUniform)
-					case "Adaptive":
-						return z.KnowTransMethod(Size7B, true, false, lora.StrategyAdaptive)
-					default: // KnowTrans = adaptive + AKB
-						return z.KnowTransMethod(Size7B, true, true, lora.StrategyAdaptive)
-					}
-				}))
+	t := &Table{ID: "table6", Title: "Weight strategies for upstream knowledge patches (KnowTrans-7B)",
+		Columns: []string{"Single", "Uniform", "Adaptive", "KnowTrans"}}
+	return runGrid(z, t, bundlesByKey(z, keys), reps, func(col string) baselines.Method {
+		switch col {
+		case "Single":
+			// No upstream patches, no AKB: the bare shared-patch model.
+			return z.KnowTransMethod(Size7B, true, false, lora.StrategySingle)
+		case "Uniform":
+			return z.KnowTransMethod(Size7B, true, false, lora.StrategyUniform)
+		case "Adaptive":
+			return z.KnowTransMethod(Size7B, true, false, lora.StrategyAdaptive)
+		default: // KnowTrans = adaptive + AKB
+			return z.KnowTransMethod(Size7B, true, true, lora.StrategyAdaptive)
 		}
-	}
-	assembleRows(t, bundles, columns, runCells(z, jobs))
-	return t.WithAverages()
+	})
 }

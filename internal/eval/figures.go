@@ -92,20 +92,13 @@ func upstreamClone(z *Zoo, size Size) func() *model.Model {
 func runBackboneFigure(z *Zoo, reps int, id, title string, keys []string) *Table {
 	variants := backboneVariants(z)
 	columns := make([]string, 0, len(variants))
+	methods := make(map[string]baselines.Method, len(variants))
 	for _, v := range variants {
 		columns = append(columns, v.column)
+		methods[v.column] = v.method
 	}
 	t := &Table{ID: id, Title: title, Columns: columns}
-	bundles := bundlesByKey(z, keys)
-	var jobs []cellJob[float64]
-	for _, b := range bundles {
-		for _, v := range variants {
-			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), v.column), v.column, reps, FewShotN,
-				func() baselines.Method { return v.method }))
-		}
-	}
-	assembleRows(t, bundles, columns, runCells(z, jobs))
-	return t.WithAverages()
+	return runGrid(z, t, bundlesByKey(z, keys), reps, func(col string) baselines.Method { return methods[col] })
 }
 
 func runFig5(z *Zoo, reps int) *Table {

@@ -98,7 +98,7 @@ type Zoo struct {
 
 	// Faults, when non-nil, arms chaos injection on the oracle path: every
 	// AKB search runs against the simulated oracle wrapped in a seeded
-	// faults.Injector and a resilience.ResilientOracle (see fallibleOracle).
+	// faults.Injector and a resilience.ResilientOracle (core.OracleChain).
 	// The spec's Seed is a base that each cell folds its own seed into, so
 	// fault schedules are reproducible and worker-order independent. Nil —
 	// the default — is the unwrapped, byte-identical production path.

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/data"
@@ -75,16 +74,10 @@ func (hintPredictor) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *
 }
 
 // chaosChain builds the production fault chain (the same shape
-// eval.(*Zoo).fallibleOracle assembles): simulated GPT → injector →
-// resilient client with elided sleeps.
+// core.OracleChain assembles): simulated GPT → injector → resilient client.
 func chaosChain(rate float64, seed int64, kinds []faults.Kind, rec *obs.Recorder) akb.FallibleOracle {
 	inj := faults.Wrap(oracle.New(seed+771), faults.Config{Rate: rate, Seed: seed, Kinds: kinds, Rec: rec})
-	return resilience.New(inj, resilience.Policy{
-		Seed:        seed + 1,
-		Sleep:       func(time.Duration) {},
-		CallTimeout: -1,
-		Rec:         rec,
-	})
+	return resilience.New(inj, rec)
 }
 
 func runChaosSearch(t *testing.T, rate float64, seed int64, rec *obs.Recorder) *akb.Result {

@@ -45,9 +45,10 @@ func (f *fakeResolver) Predict(_ context.Context, _ string, in *data.Instance) (
 	return in.Candidates[in.Gold], false, nil
 }
 
-func (f *fakeResolver) Warm(context.Context, string) (bool, error) { return false, nil }
-func (f *fakeResolver) Snapshot() []serve.KeyStats                 { return nil }
-func (f *fakeResolver) Resident() int                              { return 0 }
+func (f *fakeResolver) Warm(context.Context, string) (bool, error)  { return false, nil }
+func (f *fakeResolver) Snapshot() []serve.KeyStats                  { return nil }
+func (f *fakeResolver) Resident() int                               { return 0 }
+func (f *fakeResolver) Evict(context.Context, string) (bool, error) { return false, nil }
 
 func (f *fakeResolver) count(id string) int {
 	f.mu.Lock()

@@ -29,14 +29,12 @@ func IsTerminal(err error) bool {
 	return errors.As(err, &t)
 }
 
-// HedgeOutcome reports what a Hedge call did: how many attempts launched,
-// how many were time-triggered backups (Hedges) vs. error-triggered
-// retries (Failovers), and which attempt index won (-1 on failure).
+// HedgeOutcome reports what a Hedge call launched past its first attempt:
+// time-triggered backups (Hedges) and error-triggered retries (Failovers).
+// A call made 1 + Hedges + Failovers attempts.
 type HedgeOutcome struct {
-	Attempts  int
 	Hedges    int
 	Failovers int
-	Winner    int
 }
 
 // Hedge runs attempt(ctx, 0..n-1) with tail-latency hedging and failover:
@@ -51,13 +49,12 @@ type HedgeOutcome struct {
 // ctx, so cancelling ctx cancels everything.
 func Hedge[T any](ctx context.Context, n int, delay time.Duration, attempt func(ctx context.Context, i int) (T, error)) (T, HedgeOutcome, error) {
 	var zero T
-	out := HedgeOutcome{Winner: -1}
+	var out HedgeOutcome
 	if n <= 0 {
 		return zero, out, errors.New("resilience: hedge: no attempts available")
 	}
 
 	type result struct {
-		i   int
 		v   T
 		err error
 	}
@@ -74,12 +71,11 @@ func Hedge[T any](ctx context.Context, n int, delay time.Duration, attempt func(
 	launch := func() {
 		i := next
 		next++
-		out.Attempts++
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		go func() {
 			v, err := attempt(actx, i)
-			results <- result{i: i, v: v, err: err}
+			results <- result{v: v, err: err}
 		}()
 	}
 
@@ -116,7 +112,6 @@ func Hedge[T any](ctx context.Context, n int, delay time.Duration, attempt func(
 			arm()
 		case res := <-results:
 			if res.err == nil {
-				out.Winner = res.i
 				return res.v, out, nil
 			}
 			if ctx.Err() != nil {

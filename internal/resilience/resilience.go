@@ -9,25 +9,20 @@
 //   - Hedge, timer hedges and error failovers over a list of replicas
 //     (cluster.Router's attempt loop).
 //   - ResilientOracle, which hardens AKB's oracle path. It wraps any
-//     akb.FallibleOracle — a remote-API client, or internal/faults' chaos
-//     injector — with a context deadline per attempt (a hung call cannot
-//     wedge a search), capped exponential backoff with decorrelated jitter
-//     between retries of transient failures, and a Breaker so a dead oracle
-//     does not burn the retry budget on every round.
+//     akb.FallibleOracle — internal/faults' chaos injector today — with
+//     immediate retries of transient failures and a Breaker so a dead
+//     oracle does not burn the retry budget on every round.
 //
-// Everything is deterministic given Policy.Seed and an injectable Sleep,
-// which is how seeded chaos runs stay reproducible and wall-clock fast.
-// All oracle failures surface as errors to akb.SearchFallible, which
-// degrades gracefully instead of aborting the search.
+// The oracle client holds no clock and no randomness, so seeded chaos runs
+// reproduce exactly and run at full speed. All oracle failures surface as
+// errors to akb.SearchFallible, which degrades gracefully instead of
+// aborting the search.
 package resilience
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/obs"
@@ -60,151 +55,88 @@ func (s State) String() string {
 // calling", not "try again".
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
-// Fixed policy: no caller outside a test ever chose any of these, so none
-// is an option. A per-search call and token budget lived here too; nothing
-// armed it, and it returns with the first real remote oracle (DESIGN.md
+// Fixed policy: no caller outside a test ever chose either, so neither is
+// an option. A per-search call and token budget, backoff between retries
+// and a per-attempt deadline lived here too; no product run armed any of
+// them, and they return with the first real remote oracle (DESIGN.md
 // "Resilience & chaos testing").
 const (
-	maxAttempts        = 3                     // tries per logical call, the first included
-	baseDelay          = 50 * time.Millisecond // floor of every backoff delay (see nextDelay)
-	maxDelay           = 2 * time.Second       // cap of every backoff delay
-	defaultCallTimeout = 10 * time.Second      // Policy.CallTimeout when zero
-	oracleCooldown     = 3                     // BreakerConfig.Cooldown of the oracle's breaker
+	maxAttempts    = 3 // tries per logical call, the first included
+	oracleCooldown = 3 // BreakerConfig.Cooldown of the oracle's breaker
 )
-
-// Policy parameterizes a ResilientOracle.
-type Policy struct {
-	// CallTimeout is the context deadline applied to each attempt
-	// (zero: 10s; <0 disables).
-	CallTimeout time.Duration
-	// Seed drives the jitter; same seed, same backoff schedule.
-	Seed int64
-	// Sleep, when non-nil, replaces time.Sleep for backoff waits. Chaos
-	// harnesses pass a no-op so seeded grids run at full speed.
-	Sleep func(time.Duration)
-	// Rec, when non-nil, records the resilience.* series and one
-	// akb.oracle_call span per call, one akb.oracle_retry span per backoff
-	// (DESIGN.md "Telemetry catalogue").
-	Rec *obs.Recorder
-}
 
 // ResilientOracle implements akb.FallibleOracle over an inner oracle with
 // retries and a breaker. Safe for concurrent use; the intended deployment
 // is one client per AKB search so breaker state is per-search.
 type ResilientOracle struct {
 	inner akb.FallibleOracle
-	p     Policy
+	rec   *obs.Recorder
 	br    *Breaker
-
-	mu        sync.Mutex
-	rng       *rand.Rand
-	prevDelay time.Duration
 }
 
-// New returns a resilient client around inner with the given policy.
-func New(inner akb.FallibleOracle, p Policy) *ResilientOracle {
-	if p.CallTimeout == 0 {
-		p.CallTimeout = defaultCallTimeout
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	r := &ResilientOracle{inner: inner, p: p, rng: rand.New(rand.NewSource(p.Seed))}
+// New returns a resilient client around inner. rec, when non-nil, records
+// the resilience.* series and one akb.oracle_call span per call (DESIGN.md
+// "Telemetry catalogue").
+func New(inner akb.FallibleOracle, rec *obs.Recorder) *ResilientOracle {
+	r := &ResilientOracle{inner: inner, rec: rec}
 	r.br = NewBreaker(BreakerConfig{
 		Cooldown: oracleCooldown,
 		OnState: func(s State) {
-			p.Rec.SetGauge("resilience.breaker_state", float64(s))
-			p.Rec.Event("resilience.breaker", "state", s.String())
+			rec.SetGauge("resilience.breaker_state", float64(s))
+			rec.Event("resilience.breaker", "state", s.String())
 		},
 		OnTrip: func() {
-			p.Rec.Count("resilience.breaker_trips", 1)
+			rec.Count("resilience.breaker_trips", 1)
 		},
 	})
-	p.Rec.SetGauge("resilience.breaker_state", float64(StateClosed))
+	rec.SetGauge("resilience.breaker_state", float64(StateClosed))
 	return r
 }
 
 var _ akb.FallibleOracle = (*ResilientOracle)(nil)
 
-// State returns the breaker's current state.
-func (r *ResilientOracle) State() State {
-	return r.br.State()
-}
-
 // Generate implements akb.FallibleOracle.
 func (r *ResilientOracle) Generate(ctx context.Context, req akb.GenerateRequest) ([]*tasks.Knowledge, error) {
-	var out []*tasks.Knowledge
-	err := r.do(ctx, "generate", func(cctx context.Context) error {
-		ks, err := r.inner.Generate(cctx, req)
-		out = ks
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return do(r, "generate", func() ([]*tasks.Knowledge, error) { return r.inner.Generate(ctx, req) })
 }
 
 // Feedback implements akb.FallibleOracle.
 func (r *ResilientOracle) Feedback(ctx context.Context, req akb.FeedbackRequest) (string, error) {
-	var out string
-	err := r.do(ctx, "feedback", func(cctx context.Context) error {
-		fb, err := r.inner.Feedback(cctx, req)
-		out = fb
-		return err
-	})
-	if err != nil {
-		return "", err
-	}
-	return out, nil
+	return do(r, "feedback", func() (string, error) { return r.inner.Feedback(ctx, req) })
 }
 
 // Refine implements akb.FallibleOracle.
 func (r *ResilientOracle) Refine(ctx context.Context, req akb.RefineRequest) ([]*tasks.Knowledge, error) {
-	var out []*tasks.Knowledge
-	err := r.do(ctx, "refine", func(cctx context.Context) error {
-		ks, err := r.inner.Refine(cctx, req)
-		out = ks
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return do(r, "refine", func() ([]*tasks.Knowledge, error) { return r.inner.Refine(ctx, req) })
 }
 
 // do runs one logical oracle call through the breaker and the retry loop.
-func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.Context) error) error {
-	rec, span := r.p.Rec.StartSpan("akb.oracle_call")
+// A failed call returns the zero T.
+func do[T any](r *ResilientOracle, op string, call func() (T, error)) (T, error) {
+	var zero T
+	rec, span := r.rec.StartSpan("akb.oracle_call")
 	defer span.End()
 	span.SetAttr("op", op)
+	attempt := 0 // tries made, whatever the outcome
+	defer func() { span.SetAttr("attempts", attempt) }()
 
 	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	for attempt < maxAttempts {
 		if err := r.br.Allow(); err != nil {
 			span.SetAttr("err", err.Error())
 			if lastErr != nil {
-				return fmt.Errorf("%w (after %v)", err, lastErr)
+				return zero, fmt.Errorf("%w (after %v)", err, lastErr)
 			}
-			return err
+			return zero, err
 		}
 		if attempt > 0 {
 			rec.Count("resilience.retries", 1)
-			_, rspan := rec.StartSpan("akb.oracle_retry")
-			rspan.SetAttr("op", op)
-			rspan.SetAttr("attempt", attempt)
-			d := r.nextDelay()
-			rspan.SetAttr("backoff_us", d.Microseconds())
-			r.p.Sleep(d)
-			rspan.End()
 		}
-		cctx, cancel := r.attemptCtx(ctx)
-		err := call(cctx)
-		cancel()
+		attempt++
+		v, err := call()
 		if err == nil {
 			r.br.Success()
-			span.SetAttr("attempts", attempt+1)
-			return nil
+			return v, nil
 		}
 		lastErr = err
 		r.br.Failure()
@@ -215,25 +147,7 @@ func (r *ResilientOracle) do(ctx context.Context, op string, call func(context.C
 	}
 	rec.Count("resilience.exhausted", 1)
 	span.SetAttr("err", lastErr.Error())
-	return fmt.Errorf("resilience: %s gave up: %w", op, lastErr)
-}
-
-func (r *ResilientOracle) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if r.p.CallTimeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, r.p.CallTimeout)
-}
-
-// nextDelay draws the decorrelated-jitter backoff: uniform in
-// [baseDelay, 3×previous], capped at maxDelay.
-func (r *ResilientOracle) nextDelay() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hi := max(3*r.prevDelay, baseDelay)
-	d := min(baseDelay+time.Duration(r.rng.Int63n(int64(hi-baseDelay)+1)), maxDelay)
-	r.prevDelay = d
-	return d
+	return zero, fmt.Errorf("resilience: %s gave up: %w", op, lastErr)
 }
 
 // temporary matches the convention of net.Error and internal/faults.Error.

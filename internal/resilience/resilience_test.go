@@ -6,7 +6,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/obs"
@@ -55,13 +54,9 @@ func (o *seqOracle) Refine(context.Context, akb.RefineRequest) ([]*tasks.Knowled
 	return []*tasks.Knowledge{{Text: "r"}}, nil
 }
 
-func noSleep(time.Duration) {}
-
-func policy() Policy { return Policy{Seed: 1, Sleep: noSleep} }
-
 func TestRetryUntilSuccess(t *testing.T) {
 	inner := &seqOracle{errs: []error{&tempErr{temp: true}, &tempErr{temp: true}}}
-	r := New(inner, policy())
+	r := New(inner, nil)
 	ks, err := r.Generate(context.Background(), akb.GenerateRequest{})
 	if err != nil || len(ks) != 1 {
 		t.Fatalf("third attempt should succeed: ks=%v err=%v", ks, err)
@@ -75,7 +70,7 @@ func TestRetriesExhausted(t *testing.T) {
 	inner := &seqOracle{errs: []error{
 		&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true},
 	}}
-	r := New(inner, policy())
+	r := New(inner, nil)
 	_, err := r.Feedback(context.Background(), akb.FeedbackRequest{})
 	if err == nil {
 		t.Fatal("three transient failures should exhaust the three attempts")
@@ -91,7 +86,7 @@ func TestRetriesExhausted(t *testing.T) {
 
 func TestNonTransientNotRetried(t *testing.T) {
 	inner := &seqOracle{errs: []error{&tempErr{temp: false}}}
-	r := New(inner, policy())
+	r := New(inner, nil)
 	_, err := r.Generate(context.Background(), akb.GenerateRequest{})
 	if err == nil {
 		t.Fatal("permanent failure should surface")
@@ -105,7 +100,7 @@ func TestContextCancelNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	inner := &seqOracle{errs: []error{ctx.Err(), ctx.Err(), ctx.Err()}}
-	r := New(inner, policy())
+	r := New(inner, nil)
 	if _, err := r.Refine(ctx, akb.RefineRequest{}); err == nil {
 		t.Fatal("cancellation should surface")
 	}
@@ -126,19 +121,19 @@ func permanent(n int) []error {
 
 func TestBreakerLifecycle(t *testing.T) {
 	inner := &seqOracle{errs: permanent(breakerThreshold)} // then successes
-	r := New(inner, policy())
+	r := New(inner, nil)
 	ctx := context.Background()
 
 	for i := 0; i < breakerThreshold; i++ {
-		if r.State() != StateClosed {
-			t.Fatalf("breaker %v after %d failures, want closed below %d", r.State(), i, breakerThreshold)
+		if r.br.State() != StateClosed {
+			t.Fatalf("breaker %v after %d failures, want closed below %d", r.br.State(), i, breakerThreshold)
 		}
 		if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil {
 			t.Fatal("scripted failure lost")
 		}
 	}
-	if r.State() != StateOpen {
-		t.Fatalf("breaker should be open after %d consecutive failures, is %v", breakerThreshold, r.State())
+	if r.br.State() != StateOpen {
+		t.Fatalf("breaker should be open after %d consecutive failures, is %v", breakerThreshold, r.br.State())
 	}
 
 	// While open, calls are rejected without touching the oracle: the
@@ -160,22 +155,22 @@ func TestBreakerLifecycle(t *testing.T) {
 		if probe == breakerProbes {
 			want = StateClosed
 		}
-		if r.State() != want {
-			t.Fatalf("after %d of %d successful probes the breaker is %v, want %v", probe, breakerProbes, r.State(), want)
+		if r.br.State() != want {
+			t.Fatalf("after %d of %d successful probes the breaker is %v, want %v", probe, breakerProbes, r.br.State(), want)
 		}
 	}
 }
 
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	inner := &seqOracle{errs: permanent(breakerThreshold + 1)} // the trip, then the failed probe
-	r := New(inner, policy())
+	r := New(inner, nil)
 	ctx := context.Background()
 
 	for i := 0; i < breakerThreshold; i++ {
 		r.Generate(ctx, akb.GenerateRequest{})
 	}
-	if r.State() != StateOpen {
-		t.Fatalf("state %v", r.State())
+	if r.br.State() != StateOpen {
+		t.Fatalf("state %v", r.br.State())
 	}
 	for i := 0; i < oracleCooldown-1; i++ {
 		r.Generate(ctx, akb.GenerateRequest{})
@@ -184,88 +179,9 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err == nil || errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("the probe should reach the oracle and fail, got %v", err)
 	}
-	if r.State() != StateOpen {
-		t.Fatalf("failed probe should reopen the breaker, is %v", r.State())
+	if r.br.State() != StateOpen {
+		t.Fatalf("failed probe should reopen the breaker, is %v", r.br.State())
 	}
-}
-
-func TestBackoffDeterministicAndCapped(t *testing.T) {
-	// The delays the Sleep hook saw for two exhausted calls, then enough
-	// further draws for the 3× growth to reach the cap.
-	schedule := func(seed int64) []time.Duration {
-		var delays []time.Duration
-		inner := &seqOracle{errs: []error{
-			&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true},
-			&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true},
-		}}
-		r := New(inner, Policy{Seed: seed, Sleep: func(d time.Duration) { delays = append(delays, d) }})
-		r.Generate(context.Background(), akb.GenerateRequest{})
-		r.Feedback(context.Background(), akb.FeedbackRequest{})
-		if len(delays) == 0 {
-			t.Fatal("no backoff waits recorded")
-		}
-		for i := 0; i < 40; i++ {
-			delays = append(delays, r.nextDelay())
-		}
-		return delays
-	}
-	a, b := schedule(7), schedule(7)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different backoff:\n%v\n%v", a, b)
-	}
-	capped := false
-	for i, d := range a {
-		if d < baseDelay || d > maxDelay {
-			t.Fatalf("delay %d = %v outside [%v, %v]", i, d, baseDelay, maxDelay)
-		}
-		capped = capped || d == maxDelay
-	}
-	if !capped {
-		t.Fatalf("%d delays growing 3× from %v never reached the %v cap: %v", len(a), baseDelay, maxDelay, a)
-	}
-	if c := schedule(8); reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical backoff schedules")
-	}
-}
-
-func TestCallTimeoutApplied(t *testing.T) {
-	p := policy()
-	p.CallTimeout = time.Millisecond
-	var sawDeadline bool
-	slow := fallibleFunc(func(ctx context.Context) error {
-		if _, ok := ctx.Deadline(); ok {
-			sawDeadline = true
-		}
-		<-ctx.Done()
-		return ctx.Err()
-	})
-	r := New(slow, p)
-	_, err := r.Generate(context.Background(), akb.GenerateRequest{})
-	if err == nil {
-		t.Fatal("timing-out oracle should error")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want deadline expiry, got %v", err)
-	}
-	if !sawDeadline {
-		t.Fatal("per-attempt deadline not set on the context")
-	}
-}
-
-// fallibleFunc adapts one ctx-consuming function to all three oracle
-// methods, for deadline tests.
-type fallibleFunc func(context.Context) error
-
-func (f fallibleFunc) Generate(ctx context.Context, _ akb.GenerateRequest) ([]*tasks.Knowledge, error) {
-	return nil, f(ctx)
-}
-
-func (f fallibleFunc) Feedback(ctx context.Context, _ akb.FeedbackRequest) (string, error) {
-	return "", f(ctx)
-}
-
-func (f fallibleFunc) Refine(ctx context.Context, _ akb.RefineRequest) ([]*tasks.Knowledge, error) {
-	return nil, f(ctx)
 }
 
 func TestStateString(t *testing.T) {
@@ -279,19 +195,18 @@ func TestStateString(t *testing.T) {
 }
 
 // TestTelemetry drives one client through a retry, an exhausted call and a
-// breaker trip, and reads back every resilience.* series and both spans the
-// catalogue lists for this package: each fails if its call site goes.
+// breaker trip, and reads back every resilience.* series, the span and the
+// event the catalogue lists for this package: each fails if its call site goes.
 func TestTelemetry(t *testing.T) {
 	var trace bytes.Buffer
 	reg := obs.NewRegistry()
-	p := policy()
-	p.Rec = obs.NewRecorder(reg, obs.NewTracer(&trace))
+	rec := obs.NewRecorder(reg, obs.NewTracer(&trace))
 	inner := &seqOracle{errs: []error{
 		&tempErr{temp: true}, nil, // call 1: one retry, then an answer
 		&tempErr{temp: true}, &tempErr{temp: true}, &tempErr{temp: true}, // call 2: exhausted
 		&tempErr{temp: true}, &tempErr{temp: true}, // call 3: failures 4 and 5 trip the breaker
 	}}
-	r := New(inner, p)
+	r := New(inner, rec)
 	ctx := context.Background()
 	if _, err := r.Generate(ctx, akb.GenerateRequest{}); err != nil {
 		t.Fatal(err)
@@ -302,7 +217,7 @@ func TestTelemetry(t *testing.T) {
 	if _, err := r.Generate(ctx, akb.GenerateRequest{}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("call 3 should end on the open breaker: %v", err)
 	}
-	if err := p.Rec.Tracer.Close(); err != nil {
+	if err := rec.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -325,12 +240,21 @@ func TestTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
+	var attempts []any
 	for _, rec := range recs {
 		seen[rec.Name]++
+		if rec.Name == "akb.oracle_call" {
+			attempts = append(attempts, rec.Attrs["attempts"])
+		}
 	}
-	for name, want := range map[string]int{"akb.oracle_call": 3, "akb.oracle_retry": 4, "resilience.breaker": 1} {
+	for name, want := range map[string]int{"akb.oracle_call": 3, "resilience.breaker": 1} {
 		if seen[name] != want {
 			t.Errorf("trace holds %d %s records, want %d", seen[name], name, want)
 		}
+	}
+	// Every outcome says how many tries it took: the answer after one
+	// retry, the exhausted call, and the call the breaker cut short.
+	if want := []any{2.0, 3.0, 2.0}; !reflect.DeepEqual(attempts, want) {
+		t.Errorf("akb.oracle_call attempts = %v, want %v", attempts, want)
 	}
 }

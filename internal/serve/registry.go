@@ -391,8 +391,6 @@ func (r *Registry) Resident() int {
 	return len(r.ready)
 }
 
-var _ Evicter = (*Registry)(nil)
-
 // Evict drops key's resident adapter on demand (DELETE /v1/adapters/{key}).
 // The per-key counters survive, exactly as they do across LRU eviction, so
 // "one Transfer per adapter" stays provable after an explicit drop; a later

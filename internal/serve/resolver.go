@@ -24,6 +24,12 @@ type Resolver interface {
 	Snapshot() []KeyStats
 	// Resident counts adapters resident right now.
 	Resident() int
+	// Evict drops key's resident adapter on demand (DELETE
+	// /v1/adapters/{key}): the local Registry drops the entry and retires
+	// its per-key gauges (as an LRU eviction would); the cluster router fans
+	// the eviction to the key's owners. It reports whether anything was
+	// resident; a key the resolver has never seen is ErrUnknownKey.
+	Evict(ctx context.Context, key string) (bool, error)
 }
 
 // ReadyChecker is optionally implemented by resolvers with a notion of
@@ -31,16 +37,6 @@ type Resolver interface {
 // instance, is not ready until at least one backend is healthy.
 type ReadyChecker interface {
 	Ready() error
-}
-
-// Evicter is optionally implemented by resolvers that can drop a resident
-// adapter on demand. DELETE /v1/adapters/{key} consults it: the local
-// Registry drops the entry and retires its per-key gauges (as an LRU
-// eviction would); the cluster router fans the eviction to the key's
-// owners. Evict reports whether anything was resident; a key the resolver
-// has never seen is ErrUnknownKey.
-type Evicter interface {
-	Evict(ctx context.Context, key string) (bool, error)
 }
 
 // Sentinel errors of the serving tier beyond ErrUnknownKey (registry.go).

@@ -287,12 +287,7 @@ func (s *Server) adapterStats(_ context.Context, w http.ResponseWriter, rq *Requ
 // 404; a known key that simply is not resident right now evicts nothing
 // and reports evicted=false.
 func (s *Server) evict(ctx context.Context, w http.ResponseWriter, rq *Request[None]) {
-	ev, ok := s.res.(Evicter)
-	if !ok {
-		WriteErrorStatus(w, http.StatusNotImplemented, "resolver does not support eviction")
-		return
-	}
-	evicted, err := ev.Evict(ctx, rq.Key)
+	evicted, err := s.res.Evict(ctx, rq.Key)
 	if err != nil {
 		WriteError(w, err)
 		return

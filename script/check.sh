@@ -70,6 +70,11 @@
 #   a peer's error answer: the WireError Call
 #     builds never panics, its retry and 404
 #     verdicts come from the status alone       serve.FuzzParseErrorEnvelope (corpus in tier-1, 10 s in tier-2)
+#   any method, path and body through the
+#     route table: no panic, every refusal a
+#     wireStatuses row in the envelope, only
+#     valid keys and candidate-bearing
+#     predicts reach the resolver               serve.FuzzRequestPipeline (corpus in tier-1, 10 s in tier-2)
 #   the load generator is not linked by the
 #     binaries or the examples                  loadgen.TestNotLinkedByProduct
 #   a manager forgets old finished jobs only    jobs.TestManagerForgetsOldFinishedJobs
@@ -116,7 +121,7 @@ echo "check.sh: tier-1 gates passed"
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
 echo "check.sh: drills passed"
 
-# The twelve fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The thirteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
@@ -125,6 +130,7 @@ go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
 go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s ./internal/dataio
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataio
 go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s ./internal/serve
+go test -run '^$' -fuzz '^FuzzRequestPipeline$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
