@@ -502,6 +502,39 @@ func TestTransferDigest(t *testing.T) {
 	}
 }
 
+// methodDigest is the FNV-1a digest TestMethodDigest computes, recorded by
+// running the test on the commit before the baselines' fixed settings became
+// constants (parent dde560f, with the predictor called without a context).
+const methodDigest = "9d2687816de152f0"
+
+// TestMethodDigest pins the few-shot baselines to their recorded answers bit
+// for bit: Non-LLM, Mistral, TableLLaMA, MELD, Jellyfish and Jellyfish-ICL,
+// each adapted on the first three downstream datasets of the benchmark's zoo
+// from the few-shot sample the zoo's seed draws, digest their test-split
+// answers. The GPT tiers are left out: they would train three more bases.
+func TestMethodDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a zoo (~8 s)")
+	}
+	z := transferZoo()
+	h := fnv.New64a()
+	for _, key := range z.DownstreamKeys()[:3] {
+		b := z.DownstreamByKey(key)
+		fewshot := b.DS.FewShot(rand.New(rand.NewSource(z.Seed)), eval.FewShotN)
+		for _, name := range []string{eval.MethodNonLLM, eval.MethodMistral, eval.MethodTableLLaMA,
+			eval.MethodMELD, eval.MethodJellyfish, eval.MethodJellyfishICL} {
+			pred := z.Method(name).Adapt(&baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: z.Seed})
+			fmt.Fprintf(h, "%s|%s|", key, name)
+			for _, ans := range pred.PredictBatch(context.Background(), b.DS.Test) {
+				fmt.Fprintf(h, "%s|", ans)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != methodDigest {
+		t.Fatalf("method digest %s, want %s", got, methodDigest)
+	}
+}
+
 // TestConcurrentPredictMatchesSerial: on every adapted model of the
 // benchmark's zoo, four goroutines answering disjoint quarters of the test
 // split at once — batch sizes 1, 3, 8 and 5 — reproduce the serial answers

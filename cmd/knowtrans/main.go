@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/lora"
 	"repro/internal/tasks"
@@ -189,8 +190,8 @@ func runTransfer(args []string) {
 	ktScore := baselines.Evaluate(pred, b.Kind, b.DS.Test)
 
 	fmt.Printf("\n%-24s %6.2f\n%-24s %6.2f\n", "Jellyfish-7B (few-shot):", jellyScore, "KnowTrans-7B:", ktScore)
-	if kc, ok := pred.(interface{ SearchedKnowledge() *tasks.Knowledge }); ok && kc.SearchedKnowledge() != nil {
-		fmt.Printf("\nSearched knowledge:\n%s\n", tasks.RenderKnowledgeText(kc.SearchedKnowledge()))
+	if k := pred.(*core.Adapted).Knowledge; k != nil {
+		fmt.Printf("\nSearched knowledge:\n%s\n", tasks.RenderKnowledgeText(k))
 	}
 	finish()
 }

@@ -97,11 +97,10 @@ func main() {
 	// Final comparison on the held-out test set.
 	spec := tasks.SpecFor(tasks.EM)
 	plain := upstream.Clone()
-	tc := model.DefaultTrain(seed)
-	tc.Epochs, tc.BatchSize = 10, 4
+	tc := model.TrainConfig{Epochs: 10, LR: 0.02, Clip: 5, Seed: seed, WeightDecay: 1e-4, BatchSize: 4}
 	pps := plain.Params()
 	model.Train(plain, model.ExamplesFrom(tasks.EM, fewshot, nil), tc, &pps)
-	fmt.Printf("\n%-30s %6.2f F1\n", "Jellyfish-style few-shot FT:", plain.Evaluate(spec, wa.DS.Test, nil))
+	fmt.Printf("\n%-30s %6.2f F1\n", "Jellyfish-style few-shot FT:", akb.Evaluate(plain, spec, wa.DS.Test, nil))
 	fmt.Printf("%-30s %6.2f F1\n", "KnowTrans:", akb.Evaluate(ad.Model, spec, wa.DS.Test, ad.Knowledge))
 
 	// A peek at one prediction with its knowledge-augmented prompt.

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/akb"
 	"repro/internal/data"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -56,7 +57,7 @@ func main() {
 
 	// Baseline: plain few-shot fine-tuning of the upstream model.
 	baseline := fineTune(upstream.Clone(), b.Kind, fewshot, seed)
-	baseScore := baseline.Evaluate(tasks.SpecFor(b.Kind), b.DS.Test, nil)
+	baseScore := akb.Evaluate(baseline, tasks.SpecFor(b.Kind), b.DS.Test, nil)
 
 	// KnowTrans: SKC + AKB, from the same few-shot sample (the zoo draws it
 	// from its seed).
@@ -64,7 +65,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	ktScore := ad.Evaluate(b.DS.Test)
+	ktScore := akb.Evaluate(ad.Model, tasks.SpecFor(b.Kind), b.DS.Test, ad.Knowledge)
 
 	fmt.Printf("\n%-34s %6.2f F1\n", "Jellyfish-7B + few-shot FT:", baseScore)
 	fmt.Printf("%-34s %6.2f F1\n", "KnowTrans-7B (SKC + AKB):", ktScore)
@@ -78,8 +79,7 @@ func main() {
 }
 
 func fineTune(m *model.Model, kind tasks.Kind, fewshot []*data.Instance, seed int64) *model.Model {
-	tc := model.DefaultTrain(seed)
-	tc.Epochs = 8
+	tc := model.TrainConfig{Epochs: 8, LR: 0.02, Clip: 5, Seed: seed, WeightDecay: 1e-4}
 	ps := m.Params()
 	model.Train(m, model.ExamplesFrom(kind, fewshot, nil), tc, &ps)
 	return m

@@ -69,15 +69,23 @@ type Oracle interface {
 	Refine(req RefineRequest) []*tasks.Knowledge
 }
 
-// Config mirrors the paper's Section VII-A AKB defaults: 10 examples for
-// generation, 3 iterations, refinement driven by sampled error subsets of 4.
+// The search's shape, fixed by the paper's Section VII-A AKB settings: 10
+// demonstrations for generation, a generated pool of 4, 3 iterations unless
+// the caller sweeps them, and per iteration 2 feedback/refinement rounds,
+// each on a sampled error subset of 4.
+const (
+	defaultIterations = 3
+	genExamples       = 10
+	poolSize          = 4
+	refinePerIter     = 2
+	errorsPerSubset   = 4
+)
+
+// Config is what varies between searches: the number of iterations (Fig. 7
+// sweeps it; 0 means defaultIterations), the seed, and the recorder.
 type Config struct {
-	Iterations      int
-	GenExamples     int
-	PoolSize        int
-	RefinePerIter   int
-	ErrorsPerSubset int
-	Seed            int64
+	Iterations int
+	Seed       int64
 	// Rec, when non-nil, receives one span per Generation / Evaluation /
 	// Feedback / Refinement step, per-iteration candidate-score
 	// observations, and the oracle-call / predictor-eval counters the cost
@@ -87,41 +95,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Iterations:      3,
-		GenExamples:     10,
-		PoolSize:        4,
-		RefinePerIter:   2,
-		ErrorsPerSubset: 4,
-		Seed:            seed,
-	}
-}
-
-// Normalize fills every unset (zero) field of the config with the paper
-// default of DefaultConfig, preserving fields the caller did set. It
-// replaces the old all-or-nothing sentinel (Iterations == 0 used to clobber
-// an explicitly populated Config with DefaultConfig wholesale);
-// SearchFallible normalizes its config on entry, so a
-// Config{Iterations: 7} now means "7 iterations, paper defaults for the
-// rest".
-func (c Config) Normalize() Config {
-	d := DefaultConfig(c.Seed)
-	if c.Iterations == 0 {
-		c.Iterations = d.Iterations
-	}
-	if c.GenExamples == 0 {
-		c.GenExamples = d.GenExamples
-	}
-	if c.PoolSize == 0 {
-		c.PoolSize = d.PoolSize
-	}
-	if c.RefinePerIter == 0 {
-		c.RefinePerIter = d.RefinePerIter
-	}
-	if c.ErrorsPerSubset == 0 {
-		c.ErrorsPerSubset = d.ErrorsPerSubset
-	}
-	return c
+	return Config{Iterations: defaultIterations, Seed: seed}
 }
 
 // Step records one iteration for the round-count analysis of Fig. 7.
@@ -168,7 +142,9 @@ func (r *Result) Degraded() bool { return r.DegradedRounds > 0 }
 // case (every oracle call failing) the result is the no-knowledge baseline
 // scored on the validation set.
 func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, kind tasks.Kind, valid []*data.Instance, probe []*data.Instance, cfg Config) *Result {
-	cfg = cfg.Normalize()
+	if cfg.Iterations == 0 {
+		cfg.Iterations = defaultIterations
+	}
 	rec, searchSpan := cfg.Rec.StartSpan("akb.search")
 	defer searchSpan.End()
 	searchSpan.SetAttr("kind", string(kind))
@@ -196,7 +172,7 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 	}
 
 	// Line 1: sample demonstrations X_demos ⊂ D_valid.
-	demos := sampleInstances(rng, valid, cfg.GenExamples)
+	demos := sampleInstances(rng, valid, genExamples)
 
 	// Line 2: initial candidate pool via Eq. 7. The empty knowledge is
 	// always a candidate so the search can conclude "no knowledge helps"
@@ -208,7 +184,7 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 	generated, err := oracle.Generate(ctx, GenerateRequest{
 		Kind:     kind,
 		Examples: demos,
-		PoolSize: cfg.PoolSize,
+		PoolSize: poolSize,
 	})
 	if err != nil {
 		degrade(genRec, "generate", err)
@@ -307,8 +283,8 @@ func SearchFallible(ctx context.Context, pred Predictor, oracle FallibleOracle, 
 		// candidates. Either way the search continues from its best-so-far
 		// pool.
 		trajectory := append([]*tasks.Knowledge(nil), pool...)
-		for j := 0; j < cfg.RefinePerIter; j++ {
-			subset := sampleErrors(rng, errs, cfg.ErrorsPerSubset)
+		for j := 0; j < refinePerIter; j++ {
+			subset := sampleErrors(rng, errs, errorsPerSubset)
 			fbRec, fbSpan := iterRec.StartSpan("akb.feedback")
 			fbSpan.SetAttr("errors", len(subset))
 			iterRec.Count("akb.oracle_calls", 1)

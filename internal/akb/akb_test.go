@@ -178,8 +178,9 @@ func TestErrorsAndEvaluate(t *testing.T) {
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig(0)
-	if cfg.Iterations != 3 || cfg.GenExamples != 10 || cfg.ErrorsPerSubset != 4 {
-		t.Fatalf("defaults diverge from Section VII-A: %+v", cfg)
+	if cfg.Iterations != 3 || genExamples != 10 || poolSize != 4 || refinePerIter != 2 || errorsPerSubset != 4 {
+		t.Fatalf("search shape diverges from Section VII-A: %+v, %d examples, pool %d, %d rounds of %d errors",
+			cfg, genExamples, poolSize, refinePerIter, errorsPerSubset)
 	}
 }
 

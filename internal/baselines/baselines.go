@@ -7,6 +7,7 @@
 package baselines
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/data"
@@ -17,11 +18,12 @@ import (
 )
 
 // Predictor answers instances of one downstream dataset, a slice at a time
-// and one answer per instance in order (the shape akb.Predictor and the
-// serving tier already have). Model-backed methods answer through the
-// backbone's batched forward; per-row methods through rowPredictor.
+// and one answer per instance in order. It is the serving tier's Adapter
+// shape, so the *core.Adapted that serve holds is scored as it is.
+// Model-backed methods answer through the backbone's batched forward; per-row
+// methods through rowPredictor. The methods here ignore the context.
 type Predictor interface {
-	PredictBatch(ins []*data.Instance) []string
+	PredictBatch(ctx context.Context, ins []*data.Instance) []string
 }
 
 // rowPredictor is the one row loop of the methods that answer an instance at
@@ -29,7 +31,7 @@ type Predictor interface {
 // gate): their predict method, as a Predictor.
 type rowPredictor func(in *data.Instance) string
 
-func (predict rowPredictor) PredictBatch(ins []*data.Instance) []string {
+func (predict rowPredictor) PredictBatch(_ context.Context, ins []*data.Instance) []string {
 	out := make([]string, len(ins))
 	for i, in := range ins {
 		out[i] = predict(in)
@@ -62,7 +64,7 @@ type Method interface {
 // bug in the method, not a score: it panics.
 func Evaluate(p Predictor, kind tasks.Kind, test []*data.Instance) float64 {
 	metric := tasks.NewMetric(tasks.SpecFor(kind).Metric)
-	got := p.PredictBatch(test)
+	got := p.PredictBatch(context.Background(), test)
 	if len(got) != len(test) {
 		panic(fmt.Sprintf("baselines: predictor answered %d of %d instances", len(got), len(test)))
 	}
@@ -72,17 +74,15 @@ func Evaluate(p Predictor, kind tasks.Kind, test []*data.Instance) float64 {
 	return metric.Score()
 }
 
-// modelPredictor wraps a DP-LM (optionally with fixed knowledge) as a
-// Predictor.
+// modelPredictor wraps a DP-LM, prompted without knowledge, as a Predictor.
 type modelPredictor struct {
 	m    *model.Model
 	spec tasks.Spec
-	k    *tasks.Knowledge
 }
 
 // PredictBatch answers the slice through the model's batched forward.
-func (p *modelPredictor) PredictBatch(ins []*data.Instance) []string {
-	return p.m.PredictBatchWith(p.spec, ins, p.k)
+func (p *modelPredictor) PredictBatch(_ context.Context, ins []*data.Instance) []string {
+	return p.m.PredictBatchWith(p.spec, ins, nil)
 }
 
 // FineTuned is the standard "fine-tune the whole model on the few-shot
@@ -92,29 +92,19 @@ type FineTuned struct {
 	MethodName string
 	// Backbone returns a fresh clone of the backbone to fine-tune.
 	Backbone func() *model.Model
-	Train    model.TrainConfig
 }
 
 // Name implements Method.
 func (f *FineTuned) Name() string { return f.MethodName }
 
 // Adapt implements Method: full fine-tuning of the clone on the few-shot
-// examples.
+// examples, under the few-shot schedule KnowTrans's own fine-tuning runs.
 func (f *FineTuned) Adapt(ctx *AdaptContext) Predictor {
 	m := f.Backbone()
 	if ctx.Rec != nil {
 		m.Rec = ctx.Rec
 	}
-	tc := f.Train
-	if tc.Epochs == 0 {
-		tc = model.DefaultTrain(ctx.Seed)
-		tc.Epochs = 6
-		tc.LR = 0.01
-		tc.WeightDecay = 3e-4
-		tc.BatchSize = 4
-	}
-	tc.Seed = ctx.Seed
 	ps := m.Params()
-	model.Train(m, model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil), tc, &ps)
+	model.Train(m, model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil), model.FewShotTrain(ctx.Seed), &ps)
 	return &modelPredictor{m: m, spec: ctx.Bundle.Spec()}
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func TestNonLLMAdaptAllTasks(t *testing.T) {
 		}
 		// Every prediction must be a legal answer for its instance.
 		head := b.DS.Test[:10]
-		for i, got := range pred.PredictBatch(head) {
+		for i, got := range pred.PredictBatch(context.Background(), head) {
 			in := head[i]
 			legal := false
 			for _, c := range in.Candidates {
@@ -64,7 +65,7 @@ func TestProfileDetectorFlagsMissing(t *testing.T) {
 		Target:     "ibu",
 		Candidates: []string{tasks.AnswerYes, tasks.AnswerNo},
 	}
-	if got := pred.PredictBatch([]*data.Instance{in}); len(got) != 1 || got[0] != tasks.AnswerYes {
+	if got := pred.PredictBatch(context.Background(), []*data.Instance{in}); len(got) != 1 || got[0] != tasks.AnswerYes {
 		t.Fatalf("missing value should be flagged, got %q", got)
 	}
 }
@@ -85,7 +86,7 @@ func TestICLNoGradientUpdates(t *testing.T) {
 	b := smallBundle("EM/Walmart-Amazon")
 	backbone := tinyBackbone()()
 	before := backbone.Export()
-	icl := &ICL{MethodName: "icl", Backbone: func() *model.Model { return backbone }, K: 5}
+	icl := &ICL{MethodName: "icl", Backbone: func() *model.Model { return backbone }, VoteWeight: 0.5}
 	pred := icl.Adapt(ctxFor(b, 4))
 	_ = Evaluate(pred, b.Kind, b.DS.Test[:20])
 	after := backbone.Export()
@@ -100,7 +101,7 @@ func TestICLNoGradientUpdates(t *testing.T) {
 
 func TestICLPromptTokensLargerThanBare(t *testing.T) {
 	b := smallBundle("EM/Walmart-Amazon")
-	icl := &ICL{MethodName: "icl", Backbone: tinyBackbone(), K: 10}
+	icl := &ICL{MethodName: "icl", Backbone: tinyBackbone(), VoteWeight: 0.5}
 	pred := icl.Adapt(ctxFor(b, 5)).(*iclPredictor)
 	in := b.DS.Test[0]
 	inputTokens, outputTokens := pred.PromptTokens(in)
@@ -128,7 +129,6 @@ func TestMELDRoutesAndPredicts(t *testing.T) {
 		Backbone:  func() *model.Model { return base },
 		Snaps:     snaps,
 		Centroids: cents,
-		TopK:      2,
 	}
 	b := smallBundle("EM/Walmart-Amazon")
 	pred := m.Adapt(ctxFor(b, 7))
@@ -136,7 +136,7 @@ func TestMELDRoutesAndPredicts(t *testing.T) {
 	if score < 0 || score > 100 {
 		t.Fatalf("meld score %v", score)
 	}
-	// The gate must route: after a prediction at most TopK experts active.
+	// The gate must route: after a prediction at most meldTopK experts active.
 	mp := pred.(*meldPredictor)
 	mp.Predict(b.DS.Test[0])
 	active := 0
@@ -145,8 +145,8 @@ func TestMELDRoutesAndPredicts(t *testing.T) {
 			active++
 		}
 	}
-	if active == 0 || active > 2 {
-		t.Fatalf("gate routed %d experts, want 1..2", active)
+	if active == 0 || active > meldTopK {
+		t.Fatalf("gate routed %d experts, want 1..%d", active, meldTopK)
 	}
 }
 
@@ -162,7 +162,9 @@ func TestEvaluateUsesTaskMetric(t *testing.T) {
 // shortPredictor answers one row fewer than it was asked.
 type shortPredictor struct{}
 
-func (shortPredictor) PredictBatch(ins []*data.Instance) []string { return make([]string, len(ins)-1) }
+func (shortPredictor) PredictBatch(_ context.Context, ins []*data.Instance) []string {
+	return make([]string, len(ins)-1)
+}
 
 // TestEvaluatePanicsOnWrongLength: a predictor that loses a row is a bug in
 // the method; scoring what it did answer would report a number for it.

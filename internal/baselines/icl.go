@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/data"
@@ -10,21 +11,24 @@ import (
 	"repro/internal/text"
 )
 
-// ICL adapts a frozen backbone with in-context learning: the k most similar
-// few-shot demonstrations are serialized into the prompt, and their labels
-// vote on the candidates with similarity weights — the retrieval-augmented
-// realization of demonstration conditioning in a bag-of-features substrate.
+// ICL adapts a frozen backbone with in-context learning: the iclK most
+// similar few-shot demonstrations are serialized into the prompt, and their
+// labels vote on the candidates with similarity weights — the
+// retrieval-augmented realization of demonstration conditioning in a
+// bag-of-features substrate.
 // This is the protocol behind Jellyfish-ICL and the GPT tiers.
 type ICL struct {
 	MethodName string
 	// Backbone returns the model each adaptation shares (model.Model.Share):
 	// read in place, never written.
 	Backbone func() *model.Model
-	K        int
 	// VoteWeight scales the neighbor-vote score bonus. Wider models rely on
 	// demonstrations more effectively; the zoo sets this per tier.
 	VoteWeight float64
 }
+
+// iclK is how many demonstrations each query retrieves.
+const iclK = 10
 
 // Name implements Method.
 func (c *ICL) Name() string { return c.MethodName }
@@ -36,19 +40,11 @@ func (c *ICL) Adapt(ctx *AdaptContext) Predictor {
 	if ctx.Rec != nil {
 		m.Rec = ctx.Rec
 	}
-	k := c.K
-	if k == 0 {
-		k = 10
-	}
 	p := &iclPredictor{
 		m:      m,
 		enc:    text.NewEncoder(m.Hasher),
 		spec:   ctx.Bundle.Spec(),
-		k:      k,
 		weight: c.VoteWeight,
-	}
-	if p.weight == 0 {
-		p.weight = 0.5
 	}
 	for _, in := range ctx.FewShot {
 		p.demos = append(p.demos, demo{
@@ -70,7 +66,6 @@ type iclPredictor struct {
 	m      *model.Model
 	enc    *text.Encoder // retrieval-side hashing; the model keeps its own
 	spec   tasks.Spec
-	k      int
 	weight float64
 	demos  []demo
 }
@@ -81,7 +76,7 @@ type neighbor struct {
 	sim float64
 }
 
-// neighbors returns the k demonstrations most similar to in, best first.
+// neighbors returns the iclK demonstrations most similar to in, best first.
 func (p *iclPredictor) neighbors(in *data.Instance) []neighbor {
 	q := recordVec(p.enc, in)
 	ns := make([]neighbor, 0, len(p.demos))
@@ -89,15 +84,15 @@ func (p *iclPredictor) neighbors(in *data.Instance) []neighbor {
 		ns = append(ns, neighbor{d, q.Dot(d.vec)})
 	}
 	sort.SliceStable(ns, func(i, j int) bool { return ns[i].sim > ns[j].sim })
-	if len(ns) > p.k {
-		ns = ns[:p.k]
+	if len(ns) > iclK {
+		ns = ns[:iclK]
 	}
 	return ns
 }
 
 // PredictBatch implements Predictor, a row at a time: retrieval is per query.
-func (p *iclPredictor) PredictBatch(ins []*data.Instance) []string {
-	return rowPredictor(p.Predict).PredictBatch(ins)
+func (p *iclPredictor) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
+	return rowPredictor(p.Predict).PredictBatch(ctx, ins)
 }
 
 // Predict builds the demonstration-augmented prompt and combines model

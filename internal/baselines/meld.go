@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -27,9 +28,10 @@ type MELD struct {
 	Backbone  func() *model.Model
 	Snaps     []*skc.NamedSnapshot
 	Centroids []Centroid
-	TopK      int
-	Train     model.TrainConfig
 }
+
+// meldTopK is how many experts the gate routes each instance to.
+const meldTopK = 2
 
 // Centroid is the mean hashed-record vector of one upstream dataset.
 type Centroid struct {
@@ -78,11 +80,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 		m:     host,
 		enc:   text.NewEncoder(host.Hasher),
 		spec:  ctx.Bundle.Spec(),
-		topK:  m.TopK,
 		cents: m.Centroids,
-	}
-	if p.topK == 0 {
-		p.topK = 2
 	}
 	layers := host.LoraLayers()
 	lora.Reserve(layers, len(m.Snaps)+1, cfg)
@@ -105,11 +103,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 
 	// Fine-tune the shared adapter with the gate active (experts routed per
 	// training instance too).
-	tc := m.Train
-	if tc.Epochs == 0 {
-		tc = model.TrainConfig{Epochs: 10, LR: 0.02, Clip: 5, WeightDecay: 1e-4, BatchSize: 4}
-	}
-	tc.Seed = ctx.Seed
+	tc := model.TrainConfig{Epochs: 10, LR: 0.02, Clip: 5, Seed: ctx.Seed, WeightDecay: 1e-4, BatchSize: 4}
 	var ps nn.ParamSet
 	ps.Add(shared.Params()...)
 	examples := model.ExamplesFrom(ctx.Bundle.Kind, ctx.FewShot, nil)
@@ -120,10 +114,6 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 	opt := nn.NewAdam(tc.LR)
 	opt.WeightDecay = tc.WeightDecay
 	order := rand.New(rand.NewSource(tc.Seed))
-	batch := tc.BatchSize
-	if batch <= 0 {
-		batch = 4
-	}
 	var ex tasks.Example
 	one := []*tasks.Example{&ex}
 	for epoch := 0; epoch < tc.Epochs; epoch++ {
@@ -135,7 +125,7 @@ func (m *MELD) Adapt(ctx *AdaptContext) Predictor {
 			p.route(te.Instance)
 			tasks.BuildExampleInto(&ex, te.Spec, te.Instance, te.Knowledge)
 			host.StepBatch(one, 0)
-			if pending++; pending == batch {
+			if pending++; pending == tc.BatchSize {
 				ps.ClipGradNorm(tc.Clip)
 				opt.Step(&ps)
 				ps.ZeroGrad()
@@ -160,7 +150,6 @@ type meldPredictor struct {
 	m       *model.Model
 	enc     *text.Encoder // routing-side hashing; the model keeps its own
 	spec    tasks.Spec
-	topK    int
 	experts []expert
 	cents   []Centroid
 }
@@ -186,7 +175,7 @@ func (p *meldPredictor) route(in *data.Instance) {
 	sort.SliceStable(idx, func(a, b int) bool { return sims[idx[a]] > sims[idx[b]] })
 	// Softmax over the selected top-k, zero elsewhere.
 	var z float64
-	k := p.topK
+	k := meldTopK
 	if k > len(idx) {
 		k = len(idx)
 	}
@@ -205,8 +194,8 @@ func (p *meldPredictor) route(in *data.Instance) {
 
 // PredictBatch implements Predictor, a row at a time: the gate is set per
 // instance.
-func (p *meldPredictor) PredictBatch(ins []*data.Instance) []string {
-	return rowPredictor(p.Predict).PredictBatch(ins)
+func (p *meldPredictor) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
+	return rowPredictor(p.Predict).PredictBatch(ctx, ins)
 }
 
 // Predict routes one instance and answers it under that gate.

@@ -38,7 +38,9 @@ type KnowTrans struct {
 	Upstream *model.Model
 	Patches  []*skc.NamedSnapshot
 
-	SKC skc.Options
+	// Strategy is how SKC weighs the upstream patches (Table VI); its zero
+	// value is the adaptive λ of SKC proper.
+	Strategy lora.WeightStrategy
 
 	UseSKC bool
 	UseAKB bool
@@ -53,8 +55,7 @@ type KnowTrans struct {
 	Faults *faults.Config
 
 	// Rec, when non-nil, wraps every Transfer in a root span and threads
-	// observability down into the SKC and AKB stages (overriding any
-	// Rec already set on kt.SKC so the spans nest correctly).
+	// observability down into the SKC and AKB stages.
 	Rec *obs.Recorder
 }
 
@@ -105,37 +106,16 @@ func (a *Adapted) Predict(ctx context.Context, in *data.Instance) string {
 // PredictBatch answers a whole micro-batch, one answer per instance in
 // order, with the searched knowledge in the prompt. It is safe for
 // concurrent calls on one Adapted (model.Model.PredictBatchWith runs each on
-// its own scratch) and the returned slice belongs to the caller; a dead
-// context returns nil — the serving layer uses this to shed work nobody is
-// waiting for.
+// its own scratch) and the returned slice belongs to the caller. A context
+// already dead when the call starts gets nil and no forward. The serving
+// batcher sheds expired rows before it calls and passes a context derived
+// from context.Background(); the experiment harness passes
+// context.Background() itself.
 func (a *Adapted) PredictBatch(ctx context.Context, ins []*data.Instance) []string {
 	if ctx != nil && ctx.Err() != nil {
 		return nil
 	}
 	return a.Model.PredictBatchWith(tasks.SpecFor(a.Kind), ins, a.Knowledge)
-}
-
-// Detached is Adapted without the context parameter: the shape the
-// experiment harness's Predictor seam expects. Every call runs under
-// context.Background().
-type Detached struct{ *Adapted }
-
-// PredictBatch satisfies the harness's context-free Predictor interface, so
-// experiment eval loops score adapted models a slice at a time.
-func (d Detached) PredictBatch(ins []*data.Instance) []string {
-	return d.Adapted.PredictBatch(context.Background(), ins)
-}
-
-// Detached returns a context-free predictor view of the adapted model.
-func (a *Adapted) Detached() Detached { return Detached{a} }
-
-// SearchedKnowledge returns the knowledge AKB selected (nil when AKB was
-// disabled or concluded that no knowledge helps).
-func (a *Adapted) SearchedKnowledge() *tasks.Knowledge { return a.Knowledge }
-
-// Evaluate scores the adapted model on a test set with the task metric.
-func (a *Adapted) Evaluate(test []*data.Instance) float64 {
-	return akb.Evaluate(a.Model, tasks.SpecFor(a.Kind), test, a.Knowledge)
 }
 
 // Transfer adapts the upstream DP-LLM to a novel dataset/task from the
@@ -163,11 +143,7 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 	examples := model.ExamplesFrom(kind, fewshot, nil)
 
 	if kt.UseSKC {
-		opts := kt.SKC
-		opts.Seed = seed
-		if rec != nil {
-			opts.Rec = rec
-		}
+		opts := skc.Options{Strategy: kt.Strategy, Seed: seed, Rec: rec}
 		tr, err := skc.Transfer(kt.Upstream, kt.Patches, examples, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: SKC transfer: %w", err)
@@ -175,11 +151,7 @@ func (kt *KnowTrans) Transfer(ctx context.Context, kind tasks.Kind, fewshot []*d
 		ad.Model, ad.Fusion = tr.Model, tr.Fusion
 	} else {
 		m := kt.Upstream.Clone()
-		tc := model.DefaultTrain(seed)
-		tc.Epochs = 6
-		tc.LR = 0.01
-		tc.WeightDecay = 3e-4
-		tc.BatchSize = 4
+		tc := model.FewShotTrain(seed)
 		tc.MetricTag = "core.plain_ft"
 		ps := m.Params()
 		model.Train(m, examples, tc, &ps)

@@ -77,18 +77,15 @@ func TestTransferFullPipeline(t *testing.T) {
 		t.Fatal("AKB result missing")
 	}
 	test := percentED(rng, 40)
-	if score := ad.Evaluate(test); score < 80 {
+	if score := akb.Evaluate(ad.Model, tasks.SpecFor(tasks.ED), test, ad.Knowledge); score < 80 {
 		t.Fatalf("full transfer should nearly solve the toy task, got %v", score)
 	}
-	// Predict must be consistent with Evaluate.
+	// Predict answers with a legal candidate.
 	for _, in := range test[:5] {
 		got := ad.Predict(context.Background(), in)
 		if got != tasks.AnswerYes && got != tasks.AnswerNo {
 			t.Fatalf("illegal prediction %q", got)
 		}
-	}
-	if ad.SearchedKnowledge() != ad.Knowledge {
-		t.Fatal("SearchedKnowledge accessor broken")
 	}
 }
 

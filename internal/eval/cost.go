@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"context"
+
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/lora"
 	"repro/internal/tasks"
@@ -66,11 +69,11 @@ func runTable3(z *Zoo, _ int) *Table {
 	// knowledge), answers as output.
 	kt := z.KnowTransMethod(Size7B, true, true, lora.StrategyAdaptive)
 	pred := kt.Adapt(&baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: seed})
-	ktPred := pred.(interface{ SearchedKnowledge() *tasks.Knowledge })
+	k := pred.(*core.Adapted).Knowledge
 	spec := tasks.SpecFor(b.Kind)
 	var inSum, outSum int
-	for i, ans := range pred.PredictBatch(sample) {
-		ex := tasks.BuildExample(spec, sample[i], ktPred.SearchedKnowledge())
+	for i, ans := range pred.PredictBatch(context.Background(), sample) {
+		ex := tasks.BuildExample(spec, sample[i], k)
 		inSum += text.CountTokens(ex.Prompt)
 		outSum += text.CountTokens(ans)
 	}

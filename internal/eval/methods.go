@@ -9,7 +9,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/oracle"
-	"repro/internal/skc"
 )
 
 // Method names as they appear in the paper's tables.
@@ -45,15 +44,15 @@ func (z *Zoo) Method(name string) baselines.Method {
 	case MethodJellyfish:
 		return &baselines.FineTuned{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B).Clone() }}
 	case MethodJellyfishICL:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B) }, K: 10, VoteWeight: 0.6}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Upstream(Size7B) }, VoteWeight: 0.6}
 	case MethodKnowTrans:
 		return z.KnowTransMethod(Size7B, true, true, lora.StrategyAdaptive)
 	case MethodGPT35:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT35) }, K: 10, VoteWeight: 1.0}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT35) }, VoteWeight: 1.0}
 	case MethodGPT4:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4) }, K: 10, VoteWeight: 1.2}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4) }, VoteWeight: 1.2}
 	case MethodGPT4o:
-		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4o) }, K: 10, VoteWeight: 1.2}
+		return &baselines.ICL{MethodName: name, Backbone: func() *model.Model { return z.Base(SizeGPT4o) }, VoteWeight: 1.2}
 	default:
 		panic("eval: unknown method " + name)
 	}
@@ -107,7 +106,7 @@ func (k *ktMethod) Adapt(ctx *baselines.AdaptContext) baselines.Predictor {
 	if err != nil {
 		panic(err)
 	}
-	return ad.Detached()
+	return ad
 }
 
 // AdaptKnowTrans exposes the full Adapted artifact (fusion weights, searched
@@ -138,7 +137,7 @@ func (z *Zoo) knowTrans(backbone *model.Model, size Size, cellSeed int64, rec *o
 	return &core.KnowTrans{
 		Upstream: backbone,
 		Patches:  z.Patches(size),
-		SKC:      skc.Options{Strategy: strategy},
+		Strategy: strategy,
 		UseSKC:   useSKC,
 		UseAKB:   useAKB,
 		Oracle:   z.Oracle(cellSeed, oracle.PaperTemperature),

@@ -13,7 +13,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/faults"
-	"repro/internal/lora"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/skc"
@@ -314,11 +313,7 @@ func (z *Zoo) Patches(size Size) []*skc.NamedSnapshot {
 				Examples: model.ExamplesFrom(b.Kind, rebalance(b, z.Seed+1), nil),
 			})
 		}
-		return skc.ExtractPatches(z.Base(size), sources, skc.Options{
-			Patch: lora.DefaultConfig(),
-			Seed:  z.Seed + 29,
-			Rec:   z.Rec,
-		})
+		return skc.ExtractPatches(z.Base(size), sources, skc.Options{Seed: z.Seed + 29, Rec: z.Rec})
 	}).([]*skc.NamedSnapshot)
 }
 

@@ -158,99 +158,69 @@ func (f *Injector) draw(op string) (Kind, int, bool) {
 	return kind, f.calls, true
 }
 
-// fail maps an error-kind fault to its injected error; ok=false means the
-// kind corrupts the response instead of failing the call.
-func fail(kind Kind, call int) (error, bool) {
-	switch kind {
-	case KindTimeout, KindRateLimit, KindServerError:
-		return &Error{Kind: kind, Call: call}, true
+// inject runs one oracle call through the fault schedule: one draw, then
+// either an injected error — for the transient kinds, without calling the
+// wrapped oracle — or the wrapped call (after the sleep, for KindLatency),
+// whose response corrupt rewrites for the kind. A corrupted response still
+// costs the wrapped oracle its call (and its rng): only the response is
+// lost.
+func inject[T any](ctx context.Context, f *Injector, op string, call func() T, corrupt func(Kind, T) T) (T, error) {
+	var zero T
+	if err := ctx.Err(); err != nil {
+		return zero, err
 	}
-	return nil, false
-}
-
-func (f *Injector) sleepLatency() {
-	if f.cfg.Latency > 0 {
+	kind, n, faulted := f.draw(op)
+	if !faulted {
+		return call(), nil
+	}
+	if err := (&Error{Kind: kind, Call: n}); err.Temporary() {
+		return zero, err
+	}
+	if kind == KindLatency && f.cfg.Latency > 0 {
 		time.Sleep(f.cfg.Latency)
 	}
+	return corrupt(kind, call()), nil
 }
 
 // Generate implements akb.FallibleOracle.
 func (f *Injector) Generate(ctx context.Context, req akb.GenerateRequest) ([]*tasks.Knowledge, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	kind, call, faulted := f.draw("generate")
-	if faulted {
-		if err, ok := fail(kind, call); ok {
-			return nil, err
-		}
-		switch kind {
-		case KindLatency:
-			f.sleepLatency()
-		case KindEmpty:
-			// The upstream model still consumed the call (and its rng);
-			// only the response is lost.
-			f.inner.Generate(req)
-			return nil, nil
-		case KindTruncated:
-			return truncateAll(f.inner.Generate(req)), nil
-		case KindMalformed:
-			return f.malformAll(f.inner.Generate(req)), nil
-		}
-	}
-	return f.inner.Generate(req), nil
+	return inject(ctx, f, "generate", func() []*tasks.Knowledge { return f.inner.Generate(req) }, corruptKnowledge)
 }
 
 // Feedback implements akb.FallibleOracle.
 func (f *Injector) Feedback(ctx context.Context, req akb.FeedbackRequest) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	kind, call, faulted := f.draw("feedback")
-	if faulted {
-		if err, ok := fail(kind, call); ok {
-			return "", err
-		}
-		switch kind {
-		case KindLatency:
-			f.sleepLatency()
-		case KindEmpty:
-			f.inner.Feedback(req)
-			return "", nil
-		case KindTruncated:
-			fb := f.inner.Feedback(req)
-			return fb[:len(fb)/3], nil
-		case KindMalformed:
-			f.inner.Feedback(req)
-			return strings.Repeat("\x00\xff", 64), nil
-		}
-	}
-	return f.inner.Feedback(req), nil
+	return inject(ctx, f, "feedback", func() string { return f.inner.Feedback(req) }, corruptFeedback)
 }
 
 // Refine implements akb.FallibleOracle.
 func (f *Injector) Refine(ctx context.Context, req akb.RefineRequest) ([]*tasks.Knowledge, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	return inject(ctx, f, "refine", func() []*tasks.Knowledge { return f.inner.Refine(req) }, corruptKnowledge)
+}
+
+// corruptKnowledge rewrites a Generate or Refine response for kind.
+func corruptKnowledge(kind Kind, ks []*tasks.Knowledge) []*tasks.Knowledge {
+	switch kind {
+	case KindEmpty:
+		return nil
+	case KindTruncated:
+		return truncateAll(ks)
+	case KindMalformed:
+		return malformAll(ks)
 	}
-	kind, call, faulted := f.draw("refine")
-	if faulted {
-		if err, ok := fail(kind, call); ok {
-			return nil, err
-		}
-		switch kind {
-		case KindLatency:
-			f.sleepLatency()
-		case KindEmpty:
-			f.inner.Refine(req)
-			return nil, nil
-		case KindTruncated:
-			return truncateAll(f.inner.Refine(req)), nil
-		case KindMalformed:
-			return f.malformAll(f.inner.Refine(req)), nil
-		}
+	return ks
+}
+
+// corruptFeedback rewrites a Feedback response for kind.
+func corruptFeedback(kind Kind, fb string) string {
+	switch kind {
+	case KindEmpty:
+		return ""
+	case KindTruncated:
+		return fb[:len(fb)/3]
+	case KindMalformed:
+		return strings.Repeat("\x00\xff", 64)
 	}
-	return f.inner.Refine(req), nil
+	return fb
 }
 
 // truncateAll simulates a response cut off mid-stream: knowledge text is
@@ -276,7 +246,7 @@ func truncateAll(ks []*tasks.Knowledge) []*tasks.Knowledge {
 // malformAll corrupts candidates the way a garbled API response would:
 // non-finite and negative rule weights plus runaway text — exactly the
 // malformations akb.SanitizeCandidates exists to catch.
-func (f *Injector) malformAll(ks []*tasks.Knowledge) []*tasks.Knowledge {
+func malformAll(ks []*tasks.Knowledge) []*tasks.Knowledge {
 	out := make([]*tasks.Knowledge, 0, len(ks))
 	for _, k := range ks {
 		if k == nil {

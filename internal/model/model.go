@@ -58,7 +58,7 @@ const DefaultDim = text.DefaultDim
 
 // Model is one DP-LM instance: weights, which inference only reads, plus
 // scratch, which every forward mutates. Ownership follows that split.
-// PredictBatchWith (and PredictWith / Evaluate on top of it) may be called by
+// PredictBatchWith (and PredictWith on top of it) may be called by
 // any number of goroutines at once — each call checks a batchScratch out of
 // the model's free list and returns a slice its caller owns. Everything else
 // belongs to the model's single owner, who serializes it and runs it while no
@@ -186,14 +186,4 @@ func (m *Model) LoraLayers() map[string]lora.Layer {
 // through PredictBatchWith.
 func (m *Model) PredictWith(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) string {
 	return m.PredictBatchWith(spec, []*data.Instance{in}, k)[0]
-}
-
-// Evaluate scores the model on instances with the given knowledge and
-// returns the task metric on the 100-point scale.
-func (m *Model) Evaluate(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) float64 {
-	metric := tasks.NewMetric(spec.Metric)
-	for i, ans := range m.PredictBatchWith(spec, ins, k) {
-		metric.Add(ans, ins[i].GoldText())
-	}
-	return metric.Score()
 }

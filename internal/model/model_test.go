@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/akb"
 	"repro/internal/data"
 	"repro/internal/lora"
 	"repro/internal/nn"
@@ -42,10 +43,10 @@ func TestTrainLearnsSeparableTask(t *testing.T) {
 	train := toyED(60, 3)
 	test := toyED(40, 4)
 	spec := tasks.SpecFor(tasks.ED)
-	before := m.Evaluate(spec, test, nil)
+	before := akb.Evaluate(m, spec, test, nil)
 	ps := m.Params()
 	Train(m, ExamplesFrom(tasks.ED, train, nil), TrainConfig{Epochs: 6, LR: 0.05, Clip: 5, Seed: 7}, &ps)
-	after := m.Evaluate(spec, test, nil)
+	after := akb.Evaluate(m, spec, test, nil)
 	if after < 95 {
 		t.Fatalf("model failed to learn separable task: before=%v after=%v", before, after)
 	}
@@ -176,7 +177,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	// Training the clone must not affect the original.
 	ps := c.Params()
-	Train(c, ExamplesFrom(tasks.ED, toyED(30, 6), nil), DefaultTrain(1), &ps)
+	Train(c, ExamplesFrom(tasks.ED, toyED(30, 6), nil), TrainConfig{Epochs: 3, LR: 0.02, Clip: 5, Seed: 1, WeightDecay: 1e-4}, &ps)
 	s3 := m.ScoresBatch(one(ex))[0]
 	for i := range s1 {
 		if s1[i] != s3[i] {
@@ -188,7 +189,7 @@ func TestCloneIndependence(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	m := New(tinyConfig())
 	ps := m.Params()
-	Train(m, ExamplesFrom(tasks.ED, toyED(20, 8), nil), DefaultTrain(2), &ps)
+	Train(m, ExamplesFrom(tasks.ED, toyED(20, 8), nil), TrainConfig{Epochs: 3, LR: 0.02, Clip: 5, Seed: 2, WeightDecay: 1e-4}, &ps)
 	blob, err := m.Export().Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +255,7 @@ func TestPatchOnlyFineTune(t *testing.T) {
 	Train(m, ExamplesFrom(tasks.ED, train, nil), TrainConfig{Epochs: 6, LR: 0.05, Clip: 5, Seed: 12}, &ps)
 
 	spec := tasks.SpecFor(tasks.ED)
-	score := m.Evaluate(spec, toyED(40, 13), nil)
+	score := akb.Evaluate(m, spec, toyED(40, 13), nil)
 	if score < 90 {
 		t.Fatalf("patch-only fine-tune failed to learn: %v", score)
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/akb"
 	"repro/internal/lora"
 	"repro/internal/nn"
 	"repro/internal/tasks"
@@ -14,7 +15,7 @@ import (
 func TestTrainEmptyExamples(t *testing.T) {
 	m := New(tinyConfig())
 	ps := m.Params()
-	if loss := Train(m, nil, DefaultTrain(1), &ps); loss != 0 {
+	if loss := Train(m, nil, TrainConfig{Epochs: 3, LR: 0.02, Clip: 5, Seed: 1, WeightDecay: 1e-4}, &ps); loss != 0 {
 		t.Fatalf("empty training should be a no-op, loss %v", loss)
 	}
 }
@@ -27,7 +28,7 @@ func TestTrainBatchSizesEquivalentDirection(t *testing.T) {
 		tc := TrainConfig{Epochs: 6, LR: 0.05, Clip: 5, Seed: 7, BatchSize: batch}
 		ps := m.Params()
 		Train(m, ExamplesFrom(tasks.ED, toyED(60, 3), nil), tc, &ps)
-		score := m.Evaluate(tasks.SpecFor(tasks.ED), toyED(40, 4), nil)
+		score := akb.Evaluate(m, tasks.SpecFor(tasks.ED), toyED(40, 4), nil)
 		if score < 90 {
 			t.Fatalf("batch=%d failed to learn: %v", batch, score)
 		}

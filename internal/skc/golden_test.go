@@ -121,7 +121,7 @@ func TestGoldenBitIdentity(t *testing.T) {
 	opts := testOptions()
 	snaps := ExtractPatches(base, sources, opts)
 
-	opts.FewShot = model.TrainConfig{Epochs: 5, LR: 0.05, Clip: 0.05, Seed: 12, WeightDecay: 3e-4, BatchSize: 4}
+	opts.fewShot = model.TrainConfig{Epochs: 5, LR: 0.05, Clip: 0.05, Seed: 12, WeightDecay: 3e-4, BatchSize: 4}
 	tr, err := BuildFusion(upstream, snaps, opts)
 	if err != nil {
 		t.Fatal(err)

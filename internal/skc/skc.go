@@ -36,33 +36,32 @@ type NamedSnapshot struct {
 	Snap *lora.Snapshot
 }
 
-// Options configures the SKC pipeline. Zero values take defaults mirroring
-// Section VII-A (LoRA rank scaled to the substrate, 3 epochs, lr 6e-5 scaled
-// up for the small model).
+// Options configures the SKC pipeline: the λ weight strategy, the seed and
+// the recorder are the caller's; the patch shape and the two training
+// schedules are the paper's Section VII-A recipe scaled to the substrate,
+// filled in by withDefaults (the package's tests shrink them).
 type Options struct {
-	Patch      lora.Config
-	PatchTrain model.TrainConfig
-	FewShot    model.TrainConfig
-	Strategy   lora.WeightStrategy
-	Seed       int64
+	Strategy lora.WeightStrategy
+	Seed     int64
 	// Rec, when non-nil, receives per-stage spans, per-epoch loss gauges,
 	// and the final λ weight of every fused patch (skc.lambda/<name>).
 	Rec *obs.Recorder
+
+	patch      lora.Config
+	patchTrain model.TrainConfig
+	fewShot    model.TrainConfig
 }
 
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
-	if o.Patch.Rank == 0 {
-		o.Patch = lora.DefaultConfig()
+	if o.patch.Rank == 0 {
+		o.patch = lora.DefaultConfig()
 	}
-	if o.PatchTrain.Epochs == 0 {
-		o.PatchTrain = model.TrainConfig{Epochs: 2, LR: 0.02, Clip: 5, Seed: o.Seed + 1}
+	if o.patchTrain.Epochs == 0 {
+		o.patchTrain = model.TrainConfig{Epochs: 2, LR: 0.02, Clip: 5, Seed: o.Seed + 1}
 	}
-	if o.FewShot.Epochs == 0 {
-		// Gentle few-shot fine-tuning: even rank-constrained patches can
-		// memorize 20 examples if trained long, which trades upstream
-		// calibration for training-set fit.
-		o.FewShot = model.TrainConfig{Epochs: 6, LR: 0.01, Clip: 5, Seed: o.Seed + 2, WeightDecay: 3e-4, BatchSize: 4}
+	if o.fewShot.Epochs == 0 {
+		o.fewShot = model.FewShotTrain(o.Seed + 2)
 	}
 	// Strategy's zero value is StrategyAdaptive — SKC proper.
 	return o
@@ -85,10 +84,10 @@ func ExtractPatches(base *model.Model, sources []Source, opts Options) []*NamedS
 		host.Trust.Frozen = true
 		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*31 + 17))
 		coef := &nn.Scalar{Name: "extract", Val: 1, Frozen: true}
-		patch := lora.Attach(src.Name, host.LoraLayers(), opts.Patch, coef, rng)
+		patch := lora.Attach(src.Name, host.LoraLayers(), opts.patch, coef, rng)
 		var ps nn.ParamSet
 		ps.Add(patch.Params()...)
-		tc := opts.PatchTrain
+		tc := opts.patchTrain
 		tc.Seed = opts.Seed + int64(i)*131
 		if tc.MetricTag == "" {
 			tc.MetricTag = "skc.extract"
@@ -131,21 +130,21 @@ func BuildFusion(upstream *model.Model, snaps []*NamedSnapshot, opts Options) (*
 	// patch count is known here, so the banks are sized once and the library
 	// is loaded in one pass over each.
 	layers := m.LoraLayers()
-	lora.Reserve(layers, len(snaps)+1, opts.Patch)
+	lora.Reserve(layers, len(snaps)+1, opts.patch)
 	library := make([]*lora.Snapshot, len(snaps))
 	for i, ns := range snaps {
 		coef := &nn.Scalar{Name: "λ/" + ns.Name, Val: 1 / float64(len(snaps))}
 		if opts.Strategy == lora.StrategyUniform {
 			coef.Frozen = true
 		}
-		fusion.Upstream = append(fusion.Upstream, lora.AttachUnset(ns.Name, layers, opts.Patch, coef, rng))
+		fusion.Upstream = append(fusion.Upstream, lora.AttachUnset(ns.Name, layers, opts.patch, coef, rng))
 		fusion.Lambdas = append(fusion.Lambdas, coef)
 		library[i] = ns.Snap
 	}
 	if err := lora.LoadAll(fusion.Upstream, library); err != nil {
 		return nil, fmt.Errorf("skc: loading patches: %w", err)
 	}
-	shared := lora.Attach("shared", layers, opts.Patch,
+	shared := lora.Attach("shared", layers, opts.patch,
 		&nn.Scalar{Name: "λ/shared", Val: 1, Frozen: true}, rng)
 	fusion.Shared = shared
 	return &Transferred{Model: m, Fusion: fusion}, nil
@@ -160,10 +159,10 @@ func FewShotFineTune(tr *Transferred, examples []model.TrainExample, opts Option
 	defer span.End()
 	span.SetAttr("examples", len(examples))
 	ps := tr.Fusion.TrainableParams()
-	if opts.FewShot.MetricTag == "" {
-		opts.FewShot.MetricTag = "skc.fewshot"
+	if opts.fewShot.MetricTag == "" {
+		opts.fewShot.MetricTag = "skc.fewshot"
 	}
-	loss := model.Train(tr.Model, examples, opts.FewShot, &ps)
+	loss := model.Train(tr.Model, examples, opts.fewShot, &ps)
 	span.SetAttr("final_loss", loss)
 	recordLambdas(opts.Rec, tr.Fusion)
 	return loss

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/akb"
 	"repro/internal/data"
 	"repro/internal/lora"
 	"repro/internal/model"
@@ -39,10 +40,28 @@ func tinyModel(seed int64) *model.Model {
 
 func testOptions() Options {
 	return Options{
-		Patch:      lora.Config{Rank: 2, Alpha: 1},
-		PatchTrain: model.TrainConfig{Epochs: 4, LR: 0.05, Clip: 5, Seed: 11},
-		FewShot:    model.TrainConfig{Epochs: 10, LR: 0.05, Clip: 5, Seed: 12},
+		patch:      lora.Config{Rank: 2, Alpha: 1},
+		patchTrain: model.TrainConfig{Epochs: 4, LR: 0.05, Clip: 5, Seed: 11},
+		fewShot:    model.TrainConfig{Epochs: 10, LR: 0.05, Clip: 5, Seed: 12},
 		Seed:       5,
+	}
+}
+
+// TestDefaultOptions: a caller that sets only the seed — core.Transfer, the
+// benchmark's traced Transfer, the zoo's patch extraction — gets the paper's
+// patch shape, the 2-epoch patch-extraction schedule and the one few-shot
+// schedule, each on its own offset of the seed.
+func TestDefaultOptions(t *testing.T) {
+	const s = 40
+	o := Options{Seed: s}.withDefaults()
+	if o.patch != lora.DefaultConfig() {
+		t.Errorf("patch %+v, want lora.DefaultConfig() %+v", o.patch, lora.DefaultConfig())
+	}
+	if want := (model.TrainConfig{Epochs: 2, LR: 0.02, Clip: 5, Seed: s + 1}); o.patchTrain != want {
+		t.Errorf("patch schedule %+v, want %+v", o.patchTrain, want)
+	}
+	if want := model.FewShotTrain(s + 2); o.fewShot != want {
+		t.Errorf("few-shot schedule %+v, want %+v", o.fewShot, want)
 	}
 }
 
@@ -109,8 +128,8 @@ func TestTransferImprovesOverZeroShot(t *testing.T) {
 	spec := tasks.SpecFor(tasks.ED)
 	relTest := markerDataset(rng, 80, "%", "")
 	confTest := markerDataset(rng, 80, "", "%")
-	zeroRel := upstream.Evaluate(spec, relTest, nil)
-	zeroConf := upstream.Evaluate(spec, confTest, nil)
+	zeroRel := akb.Evaluate(upstream, spec, relTest, nil)
+	zeroConf := akb.Evaluate(upstream, spec, confTest, nil)
 	minZero := zeroRel
 	if zeroConf < minZero {
 		minZero = zeroConf
@@ -128,7 +147,7 @@ func TestTransferImprovesOverZeroShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after := tr.Model.Evaluate(spec, target.test, nil); after < 90 {
+		if after := akb.Evaluate(tr.Model, spec, target.test, nil); after < 90 {
 			t.Fatalf("transfer %d should nearly solve the toy task, got %v", i, after)
 		}
 	}
@@ -145,7 +164,7 @@ func TestAdaptiveLambdaPrefersRelevantPatch(t *testing.T) {
 	snaps := ExtractPatches(base, sources, testOptions())
 	fewshot := markerDataset(rng, 20, "%", "")
 	opts := testOptions()
-	opts.FewShot.Epochs = 20
+	opts.fewShot.Epochs = 20
 	tr, err := Transfer(upstream, snaps, model.ExamplesFrom(tasks.ED, fewshot, nil), opts)
 	if err != nil {
 		t.Fatal(err)

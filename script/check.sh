@@ -8,6 +8,8 @@
 #   the paper: `experiment all` prints
 #     results_full.txt byte for byte            cmd/knowtrans TestDrillPaperTables (tier-2)
 #   training arithmetic bitwise                 skc.TestGoldenBitIdentity, TestTransferDigest (root package)
+#   baselines' answers bitwise (Non-LLM, the
+#     fine-tuned tiers, MELD, Jellyfish-ICL)    TestMethodDigest (root package)
 #   a StepBatch window == its examples one at
 #     a time: gradients, touched rows, λ, loss  model.TestStepBatchMatchesOneExampleWindows
 #   batched passes == one row at a time         nn.TestBankMatchesPerPatchReference
@@ -83,9 +85,18 @@
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
 #   error envelope, one client call site,
 #     one request pipeline                      the four `! grep` lines, below
-# Run from anywhere inside the repo; exits non-zero on first failure.
+# Run from anywhere inside the repo; exits non-zero on first failure. Each
+# stage prints its wall seconds when it passes.
 set -eu
 cd "$(dirname "$0")/.."
+
+stage_start=$(date +%s)
+# passed STAGE reports STAGE passed and the wall seconds since the last one.
+passed() {
+	now=$(date +%s)
+	echo "check.sh: $1 passed in $((now - stage_start)) s"
+	stage_start=$now
+}
 
 # --- tier-1 ------------------------------------------------------------------
 fmt=$(gofmt -l .)
@@ -112,14 +123,14 @@ go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 # once, so these two are raced on one core and on several, with the load
 # generator's tests that aim 64 concurrent requests at a real server.
 go test -race -cpu 1,4 ./internal/serve/... ./internal/model/... ./internal/loadgen/...
-echo "check.sh: tier-1 gates passed"
+passed "tier-1 gates"
 
 # --- tier-2: the drills ------------------------------------------------------
 # Go tests that start the real binary as child processes (about 150 s, half of
 # it the paper tables, a zoo per child), so tier-1's `go test` skips them
 # unless -drill is passed.
 go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
-echo "check.sh: drills passed"
+passed "drills"
 
 # The thirteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
@@ -136,7 +147,7 @@ go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/lora
 go test -run '^$' -fuzz '^FuzzNumberScreen$' -fuzztime 10s ./internal/tasks
-echo "check.sh: fuzz targets passed"
+passed "fuzz targets"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
 # error through serve.WriteError, never raw http.Error; and the router and
