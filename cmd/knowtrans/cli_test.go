@@ -101,6 +101,30 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 	}
 }
 
+// TestSubcommandHelpListsFlags: `-h` lists a subcommand's own flags even
+// where the subcommand takes a positional argument first, and a flag may
+// come before that argument.
+func TestSubcommandHelpListsFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		// The flag package's listing, not the usage text's synopsis.
+		{[]string{"experiment", "-h"}, "  -reps int\n"},
+		{[]string{"obs", "trace", "-h"}, "  -top int\n"},
+		{[]string{"obs", "prof", "-h"}, "  -gate\n"},
+	} {
+		stdout, stderr, exit := knowtrans(t, c.args...)
+		if exit != 2 || !strings.Contains(stderr, c.flag) || stdout != "" {
+			t.Errorf("knowtrans %v: exit %d, stdout %q, stderr %q; want exit 2 listing %q",
+				c.args, exit, stdout, stderr, c.flag)
+		}
+	}
+	if stdout, stderr, exit := knowtrans(t, "experiment", "-scale", "0.05", "table1"); exit != 0 || !strings.Contains(stdout, "scale=0.05") {
+		t.Errorf("experiment -scale 0.05 table1: exit %d, stdout %q, stderr %q", exit, stdout, stderr)
+	}
+}
+
 // TestFailedObsSetupReleasesWhatItAcquired: when a late step of the telemetry
 // setup fails (-profdir under a regular file), what the earlier steps started
 // is stopped before the exit 1 — the CPU profile is a complete gzip stream

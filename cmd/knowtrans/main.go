@@ -16,7 +16,9 @@
 //	knowtrans obs trace|top|prof ...
 //
 // Experiment ids: table1 table2 table3 table4 table5 table6 table7 fig4
-// fig5 fig6 fig7 (see DESIGN.md for the mapping to the paper).
+// fig5 fig6 fig7 (see DESIGN.md for the mapping to the paper), and the
+// reproduction's own ablate-substrate and ablate-oracle, which `all` leaves
+// out.
 //
 // The binary holds only these subcommands. The drills that show serving,
 // routing and resuming never change an answer are Go tests that start this
@@ -110,6 +112,20 @@ func parseOrExit(fs *flag.FlagSet, args []string) {
 	}
 }
 
+// parseAroundArg parses a subcommand whose one positional argument may come
+// before or after its flags (`experiment table1 -scale 0.05`, `experiment
+// -scale 0.05 table1`, `experiment -h`) and returns that argument, "" when
+// there is none.
+func parseAroundArg(fs *flag.FlagSet, args []string) string {
+	parseOrExit(fs, args)
+	if fs.NArg() == 0 {
+		return ""
+	}
+	arg := fs.Arg(0)
+	parseOrExit(fs, fs.Args()[1:])
+	return arg
+}
+
 // mistake refuses an invocation the operator must correct: explanation, usage,
 // exit 2 — before obsFlags.setup, so a refused invocation creates no file.
 func mistake(format string, args ...any) {
@@ -125,11 +141,10 @@ func runExperiment(args []string) {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"experiment cell workers (1 = serial; results are identical at any count)")
 	of := addObsFlags(fs)
-	if len(args) == 0 {
+	id := parseAroundArg(fs, args)
+	if id == "" {
 		mistake("experiment needs an id (or `all`)")
 	}
-	id := args[0]
-	parseOrExit(fs, args[1:])
 	exps := eval.Registry()
 	if id != "all" {
 		e, ok := eval.ExperimentByID(id)

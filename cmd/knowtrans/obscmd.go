@@ -2,9 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/obs/analyze"
@@ -44,12 +44,13 @@ func obsMistake(format string, args ...any) {
 	os.Exit(2)
 }
 
-// traceArgs splits `obs trace|prof FILE [flags]` into the file and the flags.
-func traceArgs(sub string, args []string) (string, []string) {
-	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+// traceArg parses `obs trace|prof FILE [flags]` and returns the file.
+func traceArg(fs *flag.FlagSet, sub string, args []string) string {
+	path := parseAroundArg(fs, args)
+	if path == "" {
 		obsMistake("obs %s needs a trace file", sub)
 	}
-	return args[0], args[1:]
+	return path
 }
 
 func loadTrace(path string) *analyze.Trace {
@@ -85,8 +86,7 @@ func runObsTrace(args []string) {
 	traceID := fs.String("trace-id", "", "reassemble one request's end-to-end path by trace `id`")
 	follow := fs.Bool("follow", false, "tail the file: re-render as new records land")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll interval in -follow mode")
-	path, flags := traceArgs("trace", args)
-	parseOrExit(fs, flags)
+	path := traceArg(fs, "trace", args)
 
 	render := func(tr *analyze.Trace) error {
 		if *traceID != "" {
@@ -150,8 +150,7 @@ func runObsProf(args []string) {
 	fs := newFlagSet("obs prof")
 	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	gate := fs.Bool("gate", false, "exit 1 when the samples show a goroutine leak or unbounded heap growth")
-	path, flags := traceArgs("prof", args)
-	parseOrExit(fs, flags)
+	path := traceArg(fs, "prof", args)
 
 	rep := analyze.NewProfReport(loadTrace(path))
 	if rep.Samples == 0 {

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/akb"
-	"repro/internal/datagen"
 	"repro/internal/eval"
 	"repro/internal/tasks"
 )
@@ -63,7 +62,6 @@ func main() {
 		fmt.Printf("  %-22s %-14q  %-3s -> %-3s (gold %s)\n",
 			in.Target+":", in.FieldValue(in.Target), without, with, in.GoldText())
 	}
-	_ = datagen.DownstreamKeys // keep the import explicit about provenance
 }
 
 func looksAbbreviated(v string) bool {

@@ -261,6 +261,27 @@ func TestRouterHedgesSlowBackend(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayFollowsObservedP95: with no fixed delay a backup waits
+// hedgeMax until the window holds 2×latRefreshEvery latencies, then the
+// window's p95, clamped to [hedgeMin, hedgeMax].
+func TestHedgeDelayFollowsObservedP95(t *testing.T) {
+	for _, c := range []struct {
+		us   float64
+		want time.Duration
+	}{{5000, 5 * time.Millisecond}, {100, hedgeMin}, {5e6, hedgeMax}} {
+		var r Router
+		for i := 0; i < 2*latRefreshEvery; i++ {
+			if d := r.hedgeDelay(); d != hedgeMax {
+				t.Fatalf("after %d latencies the delay is %v, want hedgeMax while warming up", i, d)
+			}
+			r.lat.add(c.us)
+		}
+		if d := r.hedgeDelay(); d != c.want {
+			t.Errorf("latencies of %gµs: delay %v, want %v", c.us, d, c.want)
+		}
+	}
+}
+
 // TestRouterTerminalErrorsDoNotFailOver: a 404 means the key is unknown
 // fleet-wide; retrying it on a replica would just double the damage of a
 // bad client loop.

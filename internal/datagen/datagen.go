@@ -176,34 +176,28 @@ func upstreamGenerator(key string) Generator {
 
 // Downstream generates the 13 novel datasets of Table I at the given scale.
 func Downstream(seed int64, scale float64) []*Bundle {
-	var out []*Bundle
-	for i, key := range downstreamOrder {
-		sz := downstreamSizes[key]
-		rng := rand.New(rand.NewSource(seed + int64(i)*1009))
-		b := downstreamGenerator(key)(rng, scaled(sz.train, scale), scaled(sz.test, scale))
-		out = append(out, b)
-	}
-	return out
+	return byKeys(downstreamOrder, seed, scale)
 }
 
 // Upstream generates the 12 upstream datasets of Table VII at the given
 // scale. Upstream bundles carry only Train (they are a training resource);
 // a small Test split is still produced for diagnostics.
 func Upstream(seed int64, scale float64) []*Bundle {
-	var out []*Bundle
-	for i, key := range upstreamOrder {
-		sz := upstreamSizes[key]
-		rng := rand.New(rand.NewSource(seed + 7777 + int64(i)*1013))
-		n := scaled(sz.samples, scale)
-		b := upstreamGenerator(key)(rng, n, n/10+10)
-		b.Upstream = true
-		out = append(out, b)
+	return byKeys(upstreamOrder, seed, scale)
+}
+
+func byKeys(keys []string, seed int64, scale float64) []*Bundle {
+	out := make([]*Bundle, len(keys))
+	for i, key := range keys {
+		out[i] = ByKey(key, seed, scale)
 	}
 	return out
 }
 
 // ByKey generates a single dataset (upstream or downstream) by its
-// task-qualified key at the given scale.
+// task-qualified key at the given scale. The i-th key of a table draws from
+// its own seed, so a dataset is the same whether generated alone or with its
+// table.
 func ByKey(key string, seed int64, scale float64) *Bundle {
 	for i, k := range downstreamOrder {
 		if k == key {
@@ -214,9 +208,8 @@ func ByKey(key string, seed int64, scale float64) *Bundle {
 	}
 	for i, k := range upstreamOrder {
 		if k == key {
-			sz := upstreamSizes[key]
 			rng := rand.New(rand.NewSource(seed + 7777 + int64(i)*1013))
-			n := scaled(sz.samples, scale)
+			n := scaled(upstreamSizes[key].samples, scale)
 			b := upstreamGenerator(key)(rng, n, n/10+10)
 			b.Upstream = true
 			return b

@@ -1,6 +1,7 @@
 package datagen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,6 +62,12 @@ func TestInstanceWellFormed(t *testing.T) {
 func TestDeterministicGeneration(t *testing.T) {
 	a := Downstream(42, testScale)
 	b := Downstream(42, testScale)
+	// A dataset generated alone is the one its table generates.
+	for _, bundle := range append(Downstream(42, testScale), Upstream(42, testScale)...) {
+		if alone := ByKey(bundle.Key(), 42, testScale); !reflect.DeepEqual(alone, bundle) {
+			t.Errorf("ByKey(%s) differs from its table's bundle", bundle.Key())
+		}
+	}
 	for i := range a {
 		if len(a[i].DS.Train) != len(b[i].DS.Train) {
 			t.Fatalf("%s: nondeterministic size", a[i].Key())

@@ -17,21 +17,13 @@ import (
 // set, one pair task, one extraction task.
 var ablationDatasets = []string{"ED/Beer", "EM/Walmart-Amazon", "DI/Flipkart"}
 
-func init() {
-	extra := []Experiment{
-		{"ablate-substrate", "Substrate ablations: trust head, rule channel, text channel (reproduction-specific)", runAblateSubstrate},
-		{"ablate-oracle", "Oracle ablations: temperature and world lexicon (reproduction-specific)", runAblateOracle},
-	}
-	extraExperiments = append(extraExperiments, extra...)
-}
-
-// extraExperiments holds reproduction-specific experiments appended to the
-// registry (kept separate from the paper's own artifact list).
-var extraExperiments []Experiment
-
-// FullRegistry returns the paper experiments plus the substrate ablations.
+// FullRegistry returns the paper experiments plus the reproduction's own
+// ablations, which `experiment all` leaves out.
 func FullRegistry() []Experiment {
-	return append(Registry(), extraExperiments...)
+	return append(Registry(),
+		Experiment{"ablate-substrate", "Substrate ablations: trust head, rule channel, text channel (reproduction-specific)", runAblateSubstrate},
+		Experiment{"ablate-oracle", "Oracle ablations: temperature and world lexicon (reproduction-specific)", runAblateOracle},
+	)
 }
 
 // ExperimentByID searches the full registry.
@@ -114,12 +106,15 @@ func runAblateSubstrate(z *Zoo, reps int) *Table {
 	return t.WithAverages()
 }
 
-// runAblateOracle compares AKB outcomes under oracle variants: the default
-// temperature-0.9 oracle, a temperature-0 (deterministic best-effort)
-// oracle, and an oracle stripped of its world lexicon (approximated by an
-// empty-dictionary environment: the lexicon rules simply never widen, so we
-// emulate it by clamping generation to error-only induction via temperature
-// 0 plus rule filtering).
+// runAblateOracle compares AKB outcomes on one SKC fine-tune per cell:
+//
+//   - "no-AKB": no knowledge at all,
+//   - "temp-0": knowledge searched with a temperature-0 (deterministic
+//     best-effort) oracle,
+//   - "temp-0.9": knowledge searched with the paper's temperature-0.9 oracle.
+//
+// Both oracles hold the same world lexicon (datagen.WorldLexicon); no column
+// varies it.
 func runAblateOracle(z *Zoo, reps int) *Table {
 	columns := []string{"no-AKB", "temp-0", "temp-0.9"}
 	t := &Table{ID: "ablate-oracle", Title: "AKB oracle ablations (KnowTrans-7B)", Columns: columns}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,21 @@ func TestFullRegistryIncludesAblations(t *testing.T) {
 	for _, e := range Registry() {
 		if strings.HasPrefix(e.ID, "ablate-") {
 			t.Fatalf("paper registry should not include reproduction ablation %s", e.ID)
+		}
+	}
+	// No drill runs the ablations, so they run here, on the shared zoo: a
+	// score in every cell of every ablation dataset.
+	z := zooForTest()
+	for _, id := range []string{"ablate-substrate", "ablate-oracle"} {
+		e, _ := ExperimentByID(id)
+		tb := e.Run(z, 1)
+		for _, key := range ablationDatasets {
+			task, name, _ := strings.Cut(key, "/")
+			for _, col := range tb.Columns {
+				if v, ok := tb.CellAt(task, name, col); !ok || v < 0 || v > 100 {
+					t.Errorf("%s: %s %s = %v, %v; want a score in [0, 100]", id, key, col, v, ok)
+				}
+			}
 		}
 	}
 }
@@ -125,6 +141,14 @@ func TestZooCachesArtifacts(t *testing.T) {
 	}
 	if len(z.Centroids(Size7B)) != 12 {
 		t.Fatalf("expected 12 centroids")
+	}
+	// The key list is read without generating; it names what Downstream generates.
+	var generated []string
+	for _, b := range z.Downstream() {
+		generated = append(generated, b.Key())
+	}
+	if keys := z.DownstreamKeys(); !slices.Equal(keys, generated) {
+		t.Fatalf("DownstreamKeys = %v, Downstream generates %v", keys, generated)
 	}
 }
 

@@ -189,14 +189,9 @@ func (z *Zoo) FindDownstream(key string) (*datagen.Bundle, bool) {
 	return nil, false
 }
 
-// DownstreamKeys lists every downstream dataset key (for usage messages).
-func (z *Zoo) DownstreamKeys() []string {
-	var keys []string
-	for _, b := range z.Downstream() {
-		keys = append(keys, b.Key())
-	}
-	return keys
-}
+// DownstreamKeys lists every downstream dataset key, in Table I order,
+// without generating a dataset.
+func (z *Zoo) DownstreamKeys() []string { return datagen.DownstreamKeys() }
 
 // UpstreamBundles returns the 12 upstream datasets of Table VII. Upstream
 // data is the abundant resource of the setting (the paper's 36k labeled

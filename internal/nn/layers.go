@@ -27,9 +27,6 @@ type Attachment struct {
 // passes skip it (and leave its tape slots stale).
 func (at *Attachment) skipped() bool { return at.Coef.Val == 0 && at.Coef.Frozen }
 
-// Rank returns the LoRA rank of the attachment.
-func (at *Attachment) Rank() int { return at.B.Cols() }
-
 // Params returns the patch's trainable factors. The coefficient is owned by
 // the fusion module and registered separately.
 func (at *Attachment) Params() []*Block { return []*Block{at.B, &at.A.Block} }

@@ -3,6 +3,7 @@ package analyze
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,15 @@ func TestProfReportSteady(t *testing.T) {
 	}
 	if !strings.Contains(text.String(), "verdict: ok") {
 		t.Errorf("text missing ok verdict:\n%s", text.String())
+	}
+	// `obs prof -json` is the same report, field for field.
+	var blob bytes.Buffer
+	if err := r.WriteJSON(&blob); err != nil {
+		t.Fatal(err)
+	}
+	var back ProfReport
+	if err := json.Unmarshal(blob.Bytes(), &back); err != nil || !reflect.DeepEqual(&back, r) {
+		t.Errorf("-json round trip = %+v, %v; want %+v", back, err, *r)
 	}
 }
 

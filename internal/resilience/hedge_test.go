@@ -108,6 +108,9 @@ func TestHedgeTerminalErrorShortCircuits(t *testing.T) {
 	if !IsTerminal(err) {
 		t.Fatalf("err %v should still be marked terminal", err)
 	}
+	if got := err.Error(); got != "replica says: unknown key" {
+		t.Fatalf("err reads %q; the marker must add no text", got)
+	}
 	if got := attempts.Load(); got != 1 {
 		t.Fatalf("attempts = %d, want 1 (terminal error must not fail over)", got)
 	}

@@ -96,13 +96,8 @@ const (
 	// PredAttrEqual fires on pair instances when the scoped attribute has
 	// (nearly) equal non-missing values on both sides.
 	PredAttrEqual PredKind = "attr-equal"
-	// PredAttrDiffer fires on pair instances when both sides have the
-	// attribute non-missing and clearly different.
-	PredAttrDiffer PredKind = "attr-differ"
-	// PredInRange fires when the scoped value parses as a number inside
-	// [lo,hi] given by Arg "lo..hi".
-	PredInRange PredKind = "in-range"
-	// PredNotInRange is the negation of PredInRange.
+	// PredNotInRange fires when the scoped attribute has values and none
+	// parses as a number inside [lo,hi] given by Arg "lo..hi".
 	PredNotInRange PredKind = "not-in-range"
 	// PredAlways fires unconditionally (used for default-answer rules).
 	PredAlways PredKind = "always"
@@ -153,8 +148,6 @@ const (
 	// TransformSpellFix supports the dictionary word (Arg: comma-separated
 	// dictionary) closest to the target value within edit distance 2.
 	TransformSpellFix TransformKind = "spell-fix"
-	// TransformCopyAttr supports the value of attribute Arg.
-	TransformCopyAttr TransformKind = "copy-attr"
 )
 
 // Answer is what a rule supports: either a literal candidate or a transform
@@ -499,9 +492,7 @@ func (c Condition) Eval(in *data.Instance) bool {
 	case PredNoSharedModelToken:
 		return !sharedModelToken(in)
 	case PredAttrEqual:
-		return attrPairState(in, c.Attr) == pairEqual
-	case PredAttrDiffer:
-		return attrPairState(in, c.Attr) == pairDiffer
+		return attrPairEqual(in, c.Attr)
 	case PredInDict:
 		dict := splitDict(c.Arg)
 		return anyVal(func(v string) bool { return dict[norm(v)] })
@@ -518,9 +509,6 @@ func (c Condition) Eval(in *data.Instance) bool {
 			}
 			return false
 		})
-	case PredInRange:
-		lo, hi, ok := parseRange(c.Arg)
-		return ok && anyVal(func(v string) bool { return inRange(v, lo, hi) })
 	case PredNotInRange:
 		lo, hi, ok := parseRange(c.Arg)
 		return ok && len(vals) > 0 && !anyVal(func(v string) bool { return inRange(v, lo, hi) })
@@ -529,15 +517,9 @@ func (c Condition) Eval(in *data.Instance) bool {
 	}
 }
 
-type pairState int
-
-const (
-	pairUnknown pairState = iota
-	pairEqual
-	pairDiffer
-)
-
-func attrPairState(in *data.Instance, attr string) pairState {
+// attrPairEqual reports whether a pair instance has attr non-missing on both
+// sides with (nearly) equal values.
+func attrPairEqual(in *data.Instance, attr string) bool {
 	byEntity := map[string]string{}
 	for _, f := range in.Fields {
 		if strings.EqualFold(f.Name, attr) && f.Entity != "" {
@@ -545,19 +527,16 @@ func attrPairState(in *data.Instance, attr string) pairState {
 		}
 	}
 	if len(byEntity) != 2 {
-		return pairUnknown
+		return false
 	}
 	var vals []string
 	for _, v := range byEntity {
 		if IsMissingValue(v) {
-			return pairUnknown
+			return false
 		}
 		vals = append(vals, normalizeLoose(v))
 	}
-	if vals[0] == vals[1] {
-		return pairEqual
-	}
-	return pairDiffer
+	return vals[0] == vals[1]
 }
 
 func normalizeLoose(v string) string {
@@ -639,9 +618,6 @@ func (a Answer) Resolve(in *data.Instance) (string, bool) {
 			}
 		}
 		return best, best != ""
-	case TransformCopyAttr:
-		v := in.FieldValue(a.Arg)
-		return v, v != "" && !IsMissingValue(v)
 	default:
 		return "", false
 	}

@@ -11,7 +11,6 @@ import (
 type Metric interface {
 	Add(pred, gold string)
 	Score() float64
-	Name() string
 }
 
 // NewMetric constructs the metric for a kind; it panics on an unknown kind.
@@ -48,8 +47,6 @@ func (m *accuracy) Score() float64 {
 	return 100 * float64(m.correct) / float64(m.total)
 }
 
-func (m *accuracy) Name() string { return string(MetricAccuracy) }
-
 // binaryF1 is the F1 of the positive ("yes") class.
 type binaryF1 struct{ tp, fp, fn int }
 
@@ -67,8 +64,6 @@ func (m *binaryF1) Add(pred, gold string) {
 }
 
 func (m *binaryF1) Score() float64 { return f1(m.tp, m.fp, m.fn) }
-
-func (m *binaryF1) Name() string { return string(MetricBinaryF1) }
 
 // microF1 pools TP/FP/FN over all classes. For single-label predictions it
 // coincides with accuracy, which is why the paper's CTA numbers read like
@@ -93,8 +88,6 @@ func (m *microF1) Score() float64 {
 	return 100 * 2 * float64(m.tp) / float64(denom)
 }
 
-func (m *microF1) Name() string { return string(MetricMicroF1) }
-
 // valueF1 scores extraction/correction tasks where "n/a" is abstention:
 // precision over non-n/a predictions, recall over non-n/a golds.
 type valueF1 struct{ tp, fp, fn int }
@@ -117,8 +110,6 @@ func (m *valueF1) Add(pred, gold string) {
 }
 
 func (m *valueF1) Score() float64 { return f1(m.tp, m.fp, m.fn) }
-
-func (m *valueF1) Name() string { return string(MetricValueF1) }
 
 func f1(tp, fp, fn int) float64 {
 	denom := 2*tp + fp + fn

@@ -363,10 +363,6 @@ func describeRule(r Rule) string {
 		cond = "when the entities share no model number"
 	case PredAttrEqual:
 		cond = fmt.Sprintf("when %s matches on both sides", attr)
-	case PredAttrDiffer:
-		cond = fmt.Sprintf("when %s clearly differs", attr)
-	case PredInRange:
-		cond = fmt.Sprintf("when %s is within %s", attr, r.Cond.Arg)
 	case PredNotInRange:
 		cond = fmt.Sprintf("when %s is outside %s", attr, r.Cond.Arg)
 	case PredInDict:
@@ -390,8 +386,6 @@ func describeRule(r Rule) string {
 		ans = "the first word of " + src
 	case TransformSpellFix:
 		ans = "the closest known spelling"
-	case TransformCopyAttr:
-		ans = "the value of " + r.Answer.Arg
 	}
 	if cond == "" {
 		cond = "when the rule applies"

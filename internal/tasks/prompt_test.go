@@ -110,7 +110,7 @@ func TestRenderKnowledgeText(t *testing.T) {
 		Serial: []SerialDirective{{Action: ActionIgnore, Attr: "price"}},
 		Rules: []Rule{
 			{Cond: Condition{Pred: PredFormat, Arg: FormatPercent}, Answer: Answer{Literal: AnswerYes}, Weight: 1},
-			{Cond: Condition{Pred: PredMissing, Attr: "desc"}, Answer: Answer{Transform: TransformCopyAttr, Arg: "maker"}, Weight: 1},
+			{Cond: Condition{Pred: PredMissing, Attr: "desc"}, Answer: Answer{Transform: TransformFirstWord, Arg: "maker"}, Weight: 1},
 		},
 	}
 	txt := RenderKnowledgeText(k)

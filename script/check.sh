@@ -1,8 +1,8 @@
 #!/bin/sh
 # The repository's correctness gate: tier-1, then the drills. Every gate is
-# owned by a Go test or one of the two greps below; this script compares no
-# numbers. Latency, throughput and allocation of the serving tiers across
-# commits are benchmark/'s job (BENCHMARK.json).
+# owned by a Go test, the coverage stage or one of the greps below; this
+# script compares no numbers. Latency, throughput and allocation of the
+# serving tiers across commits are benchmark/'s job (BENCHMARK.json).
 #
 #   gate                                        owner
 #   the paper: `experiment all` prints
@@ -85,10 +85,15 @@
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
 #   error envelope, one client call site,
 #     one request pipeline                      the four `! grep` lines, below
+#   every product function runs in tier-1's
+#     `go test` or a drill                      the coverage stage, below (its allow-list)
 # Run from anywhere inside the repo; exits non-zero on first failure. Each
 # stage prints its wall seconds when it passes.
 set -eu
 cd "$(dirname "$0")/.."
+cov=$(mktemp -d)
+trap 'rm -rf "$cov"' EXIT
+covpkg=./internal/...,./cmd/...
 
 stage_start=$(date +%s)
 # passed STAGE reports STAGE passed and the wall seconds since the last one.
@@ -114,7 +119,8 @@ go build ./...
 # list below leaves out nn, lora, skc, tensor, text, baselines, dataio, datagen,
 # oracle and the root package — the reference suites, both golden digests
 # (TestGoldenBitIdentity, TestTransferDigest) and TestAllocationBudgets.
-go test ./...
+# Coverage counters change no verdict, so this run also feeds the coverage stage.
+go test -coverpkg=$covpkg -coverprofile="$cov/tier1.out" ./...
 go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 	./internal/faults/... ./internal/resilience/... ./internal/core/... \
 	./internal/tasks/... ./internal/cluster/... ./internal/jobs/... \
@@ -129,8 +135,25 @@ passed "tier-1 gates"
 # Go tests that start the real binary as child processes (about 150 s, half of
 # it the paper tables, a zoo per child), so tier-1's `go test` skips them
 # unless -drill is passed.
-go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v
+go test ./cmd/knowtrans -run 'TestDrill' -drill -count=1 -v \
+	-coverpkg=$covpkg -coverprofile="$cov/drills.out"
 passed "drills"
+
+# --- coverage: nothing unreached ----------------------------------------------
+# The two profiles above, merged: a drill's children are its test binary
+# re-executed, and they write their counters under the GOCOVERDIR `go test`
+# sets, so the drills' profile holds them. A product function at 0% fails
+# unless it is allowed here, one "file:function reason" a line.
+allowed=''
+printf '%s\n' "$allowed" >"$cov/allowed"
+{ cat "$cov/tier1.out"; tail -n +2 "$cov/drills.out"; } >"$cov/merged.out"
+go tool cover -func="$cov/merged.out" >"$cov/func.txt"
+awk 'NR == FNR { if (NF == 1) { print "check.sh: allow-list entry without a reason: " $1; bad = 1 } if (NF) ok[$1] = 1; next }
+	$NF == "0.0%" { sub(/^repro\//, "", $1); sub(/:[0-9]+:$/, "", $1)
+		if (!(($1 ":" $2) in ok)) { print "check.sh: no test or drill runs " $1 ":" $2; bad = 1 } }
+	END { exit bad }' "$cov/allowed" "$cov/func.txt"
+awk 'END { print "check.sh: product statements reached: " $NF }' "$cov/func.txt"
+passed "coverage"
 
 # The thirteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
