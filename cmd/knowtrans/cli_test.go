@@ -56,6 +56,10 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		{"obs", "prof", unsampled, "-windows", "4"},
 		// Removed: runtime samples ride the -trace file.
 		{"transfer", "-dataset", "ED/Beer", "-scale", "0.05", "-sample", "1ms", "-timeline", filepath.Join(dir, "runtime.jsonl")},
+		// Runtime samples are trace events: without -trace there is nowhere to
+		// write them.
+		{"transfer", "-dataset", "ED/Beer", "-scale", "0.05", "-sample", "10ms",
+			"-cpuprofile", filepath.Join(dir, "c.pprof"), "-metrics", filepath.Join(dir, "m.json")},
 		{"obs", "diff", missing, missing}, // removed: numbers are compared by benchmark/ only
 		{"obs", "frobnicate"},
 		{"obs"},
@@ -122,6 +126,23 @@ func TestSubcommandHelpListsFlags(t *testing.T) {
 	}
 	if stdout, stderr, exit := knowtrans(t, "experiment", "-scale", "0.05", "table1"); exit != 0 || !strings.Contains(stdout, "scale=0.05") {
 		t.Errorf("experiment -scale 0.05 table1: exit %d, stdout %q, stderr %q", exit, stdout, stderr)
+	}
+}
+
+// TestObsTraceFollowStopsWhenTheFileStopsGrowing: `obs trace -follow
+// -trace-id` on a complete trace renders the request's path once, then
+// exits 0 once the file has stopped growing for two polls.
+func TestObsTraceFollowStopsWhenTheFileStopsGrowing(t *testing.T) {
+	const id = "0af7651916cd43dd8448eb211c80319c"
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	lines := `{"span":1,"trace":"` + id + `","name":"serve.request","start_us":0,"dur_us":50}` + "\n" +
+		`{"span":2,"trace":"ffffffffffffffffffffffffffffffff","name":"experiment","start_us":0,"dur_us":5}` + "\n"
+	if err := os.WriteFile(trace, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, exit := knowtrans(t, "obs", "trace", trace, "-follow", "-trace-id", id, "-interval", "10ms")
+	if exit != 0 || strings.Count(stdout, "trace "+id+": 1 span(s)") != 1 || strings.Contains(stdout, "experiment") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 0 and the one-span path printed once", exit, stdout, stderr)
 	}
 }
 

@@ -21,13 +21,12 @@ import (
 //
 //	-trace FILE.jsonl   span trace of the run (Transfer → SKC → AKB tree)
 //	-metrics FILE.json  counters/gauges/histogram summaries at exit
-//	-pprof ADDR         serve net/http/pprof, /metrics (Prometheus text
-//	                    exposition, re-rendered on every scrape), and
-//	                    /metrics.json on ADDR (dedicated mux; bind failure
-//	                    is a startup error, shutdown is graceful at exit)
-//	-sample D           poll runtime/metrics every D into the metrics
-//	                    registry and, with -trace, a runtime.sample event
-//	                    in the trace (0 disables)
+//	-pprof ADDR         serve net/http/pprof and /metrics.json (re-snapshotted
+//	                    on every scrape) on ADDR (dedicated mux; bind
+//	                    failure is a startup error, shutdown is graceful
+//	                    at exit)
+//	-sample D           poll runtime/metrics every D into a runtime.sample
+//	                    event in the -trace file (0 disables; needs -trace)
 //	-cpuprofile FILE    whole-run CPU profile
 //	-memprofile FILE    heap profile written at exit
 //	-profdir DIR        slow-request-triggered CPU/heap captures (serve)
@@ -51,8 +50,8 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	o := &obsFlags{}
 	fs.StringVar(&o.trace, "trace", "", "write a JSONL span trace to `file`")
 	fs.StringVar(&o.metrics, "metrics", "", "write a metrics JSON snapshot to `file` at exit")
-	fs.StringVar(&o.pprof, "pprof", "", "serve pprof + live /metrics on `addr` (e.g. localhost:6060)")
-	fs.DurationVar(&o.sample, "sample", 0, "poll runtime/metrics every `interval` into the registry and, with -trace, the trace (0 disables)")
+	fs.StringVar(&o.pprof, "pprof", "", "serve pprof + live /metrics.json on `addr` (e.g. localhost:6060)")
+	fs.DurationVar(&o.sample, "sample", 0, "poll runtime/metrics every `interval` into the -trace file (0 disables)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a whole-run CPU profile to `file`")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to `file` at exit")
 	fs.StringVar(&o.profdir, "profdir", "", "write slow-request-triggered CPU/heap captures under `dir`")
@@ -91,9 +90,14 @@ func (o *obsFlags) enabled() bool {
 // in the returned flush, which must run before exit — is fatal. Seeded runs
 // mint reproducible trace IDs, so a client's per-index traces and the server's
 // spans line up run over run. A service always carries a metrics registry
-// (/metrics needs one even when no obs flag asked for files); a batch run
-// with no obs flag keeps the nil recorder and its zero cost.
+// (/metrics.json needs one even when no obs flag asked for files); a batch
+// run with no obs flag keeps the nil recorder and its zero cost. -sample
+// without -trace would record nothing, so it is refused before any file
+// is created.
 func (o *obsFlags) start(seed int64, service bool) (*obs.Recorder, func()) {
+	if o.sample > 0 && o.trace == "" {
+		mistake("-sample writes runtime samples into the -trace file; name one")
+	}
 	rec, finish, err := o.setup()
 	if err != nil {
 		fatal(err)
@@ -160,7 +164,7 @@ func (o *obsFlags) setup() (_ *obs.Recorder, _ func() error, err error) {
 
 	// The registry exists whenever any observability is on: spans and
 	// metrics come from the same instrumentation points, a trace-only run
-	// still benefits from counters being cheap, and the live /metrics
+	// still benefits from counters being cheap, and the live /metrics.json
 	// endpoint needs something to render even when nothing is written at
 	// exit.
 	reg := obs.NewRegistry()
@@ -197,7 +201,7 @@ func (o *obsFlags) setup() (_ *obs.Recorder, _ func() error, err error) {
 			<-served
 			return err
 		})
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s: /debug/pprof/ /metrics /metrics.json\n", ln.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry on http://%s: /debug/pprof/ /metrics.json\n", ln.Addr())
 	}
 
 	var tracer *obs.Tracer
@@ -237,9 +241,9 @@ func (o *obsFlags) setup() (_ *obs.Recorder, _ func() error, err error) {
 		releases = append(releases, func() error { rtpprof.StopCPUProfile(); return nil })
 	}
 
-	// Continuous runtime sampling: registry gauges plus the runtime.sample
-	// trace events `knowtrans obs prof` reads. Released first, before the
-	// tracer closes: Stop's final sample is the trace's last one.
+	// Continuous runtime sampling: the runtime.sample trace events
+	// `knowtrans obs prof` reads. Released first, before the tracer closes:
+	// Stop's final sample is the trace's last one.
 	if o.sample > 0 {
 		sampler := profile.Start(profile.Config{Interval: o.sample, Rec: rec})
 		releases = append(releases, func() error { sampler.Stop(); return nil })

@@ -35,7 +35,7 @@ func runServe(args []string) {
 		// for the kernel-assigned port.
 		fmt.Printf("knowtrans serve on http://%s (scale=%.2f seed=%d max-adapters=%d max-batch=%d batch-wait=%s)\n",
 			bound, zf.scale, zf.seed, opts.MaxAdapters, opts.MaxBatch, opts.MaxWait)
-		endpoints := "endpoints: POST /v1/predict  POST+GET /v1/adapters  GET /healthz /readyz /metrics /metrics.json"
+		endpoints := "endpoints: POST /v1/predict  POST+GET /v1/adapters  GET /healthz /readyz /metrics.json"
 		if sf.jobsDir != "" {
 			endpoints += "  POST+GET /v1/jobs"
 		}

@@ -140,6 +140,12 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	if snap.State != StateDone || snap.RowsDone != 8 || snap.ShardsDone != 2 {
 		t.Fatalf("job did not finish cleanly: %+v", snap)
 	}
+	// The body's keys in order: Progress's, embedded, between state and output.
+	_, blob = doReq(t, http.MethodGet, ts.URL+"/v1/jobs/"+id, nil)
+	const wantKeys = "id adapter state rows rows_done shards shards_done shards_resumed retries row_failures output wall_s"
+	if keys := strings.Join(objectKeys(t, blob), " "); keys != wantKeys {
+		t.Fatalf("GET /v1/jobs/{id} keys:\n%s\nwant\n%s", keys, wantKeys)
+	}
 	if _, err := os.Stat(filepath.Join(dir, out)); err != nil {
 		t.Fatalf("output missing: %v", err)
 	}
@@ -396,4 +402,26 @@ func TestManagerForgetsOldFinishedJobs(t *testing.T) {
 	if snap := finish(held); snap.State != StateDone {
 		t.Fatalf("held job: %+v", snap)
 	}
+}
+
+// objectKeys returns the top-level keys of a JSON object in document order.
+func objectKeys(t *testing.T, blob []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v): %s", err, blob)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }

@@ -73,21 +73,16 @@ type job struct {
 }
 
 // Snapshot is the externally visible state of one job — the GET
-// /v1/jobs/{id} body.
+// /v1/jobs/{id} body. The embedded Progress's keys sit between state and
+// output.
 type Snapshot struct {
-	ID            string  `json:"id"`
-	Adapter       string  `json:"adapter"`
-	State         string  `json:"state"`
-	Rows          int     `json:"rows"`
-	RowsDone      int     `json:"rows_done"`
-	Shards        int     `json:"shards"`
-	ShardsDone    int     `json:"shards_done"`
-	ShardsResumed int     `json:"shards_resumed"`
-	Retries       int64   `json:"retries"`
-	RowFailures   int64   `json:"row_failures"`
-	Output        string  `json:"output,omitempty"`
-	Error         string  `json:"error,omitempty"`
-	WallS         float64 `json:"wall_s"`
+	ID      string `json:"id"`
+	Adapter string `json:"adapter"`
+	State   string `json:"state"`
+	Progress
+	Output string  `json:"output,omitempty"`
+	Error  string  `json:"error,omitempty"`
+	WallS  float64 `json:"wall_s"`
 }
 
 // NewManager returns a manager running jobs against res.
@@ -225,17 +220,11 @@ func (j *job) snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	s := Snapshot{
-		ID:            j.id,
-		Adapter:       j.spec.Adapter,
-		State:         j.state,
-		Rows:          pr.Rows,
-		RowsDone:      pr.RowsDone,
-		Shards:        pr.Shards,
-		ShardsDone:    pr.ShardsDone,
-		ShardsResumed: pr.ShardsResumed,
-		Retries:       pr.Retries,
-		RowFailures:   pr.RowFailures,
-		WallS:         j.wallS,
+		ID:       j.id,
+		Adapter:  j.spec.Adapter,
+		State:    j.state,
+		Progress: pr,
+		WallS:    j.wallS,
 	}
 	if j.state == StateRunning {
 		s.WallS = time.Since(j.started).Seconds()

@@ -46,8 +46,8 @@ type Trace struct {
 	// analyzed anyway.
 	Truncated bool
 	// Orphans counts spans whose parent never flushed (an aborted run's
-	// open spans); they are promoted to roots so their subtrees stay
-	// visible.
+	// open spans) or whose parents form a cycle; they are promoted to roots
+	// so their subtrees stay visible.
 	Orphans int
 }
 
@@ -82,39 +82,63 @@ func LoadFile(path string) (*Trace, error) {
 // end order, children before parents).
 func build(recs []obs.SpanRecord) *Trace {
 	t := &Trace{Records: recs}
-	nodes := map[uint64]*Node{}
+	index := map[uint64]int{}
 	var spans []*Node
 	for _, rec := range recs {
 		if rec.IsEvent() {
 			t.Events = append(t.Events, rec)
 			continue
 		}
-		n := &Node{Rec: rec}
-		nodes[rec.Span] = n
-		spans = append(spans, n)
+		index[rec.Span] = len(spans)
+		spans = append(spans, &Node{Rec: rec})
 	}
 	t.Spans = len(spans)
-	for _, n := range spans {
-		p := n.Rec.Parent
-		if p == 0 {
-			t.Roots = append(t.Roots, n)
+	// up[i] is the index of span i's parent, -1 for a root.
+	up := make([]int, len(spans))
+	for i, n := range spans {
+		up[i] = -1
+		if n.Rec.Parent == 0 {
 			continue
 		}
-		parent, ok := nodes[p]
 		// A parent id only attaches within the same trace: a serve.request
 		// span's parent is the *remote* span behind the traceparent header,
 		// whose id lives in the client's process and must not collide with a
 		// local span that happens to share the number. Remote-parented spans
 		// become clean roots of their trace; a missing *local* parent is the
 		// debris of an aborted run and still counts as an orphan.
-		if ok && parent != n && parent.Rec.Trace == n.Rec.Trace {
-			parent.Children = append(parent.Children, n)
-			continue
-		}
-		if !n.Rec.Remote {
+		if p, ok := index[n.Rec.Parent]; ok && spans[p].Rec.Trace == n.Rec.Trace {
+			up[i] = p
+		} else if !n.Rec.Remote {
 			t.Orphans++
 		}
-		t.Roots = append(t.Roots, n)
+	}
+	// Spans whose parents form a cycle (a span naming itself, two naming each
+	// other, or a duplicated span id closing one) reach no root and would
+	// vanish from every report: each span on a cycle is promoted to a root
+	// and counted as an orphan. walked[i] is 1 + the walk that reached span i.
+	walked := make([]int, len(spans))
+	for i := range spans {
+		j := i
+		for j >= 0 && walked[j] == 0 {
+			walked[j] = i + 1
+			j = up[j]
+		}
+		if j < 0 || walked[j] != i+1 {
+			continue // reached a root, or a span an earlier walk settled
+		}
+		for up[j] >= 0 {
+			next := up[j]
+			up[j] = -1
+			t.Orphans++
+			j = next
+		}
+	}
+	for i, n := range spans {
+		if up[i] < 0 {
+			t.Roots = append(t.Roots, n)
+		} else {
+			spans[up[i]].Children = append(spans[up[i]].Children, n)
+		}
 	}
 	var finish func(n *Node)
 	finish = func(n *Node) {

@@ -147,6 +147,21 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 }
 
+// TestParentCycleSpansAreOrphanRoots: spans whose parents name each other
+// reach no root; they are promoted to roots and counted as orphans instead
+// of vanishing from the report.
+func TestParentCycleSpansAreOrphanRoots(t *testing.T) {
+	tr, err := Load(strings.NewReader(span(1, 2, "a", 0, 5) + "\n" + span(2, 1, "b", 0, 7) + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := NewReport(tr, 0)
+	if rep.Spans != 2 || rep.Roots != 2 || rep.Orphans != 2 || rep.RootUS != 12 || len(rep.Stats) != 2 {
+		t.Errorf("report = %d spans, %d roots, %d orphans, root %dµs, %d stats; want 2, 2, 2, 12, 2",
+			rep.Spans, rep.Roots, rep.Orphans, rep.RootUS, len(rep.Stats))
+	}
+}
+
 // TestTruncatedFinalLine is the aborted-run contract: a trace whose final
 // line was cut mid-write still loads (skipping the tail), while a
 // malformed line in the middle is a hard error.

@@ -87,7 +87,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		sb.WriteString("note: final line truncated (run aborted mid-write); analyzed the loadable prefix\n")
 	}
 	if r.Orphans > 0 {
-		fmt.Fprintf(&sb, "note: %d orphan span(s) promoted to roots (parents never flushed)\n", r.Orphans)
+		fmt.Fprintf(&sb, "note: %d orphan span(s) promoted to roots (parents never flushed or form a cycle)\n", r.Orphans)
 	}
 	fmt.Fprintf(&sb, "self-time coverage: %.1f%% of root duration\n\n", 100*r.Coverage)
 

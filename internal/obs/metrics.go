@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -285,8 +286,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // DeleteGauge removes the named gauge so it no longer appears in snapshots
-// or /metrics output. Use it to retire per-key series whose key was evicted;
-// a gauge that merely reads zero still occupies a line in /metrics forever,
+// or /metrics.json. Use it to retire per-key series whose key was evicted;
+// a gauge that merely reads zero still occupies an entry there forever,
 // and a long-running server churning through keys accumulates stale series
 // without bound. Deleting a missing gauge is a no-op. Callers must not hold
 // on to the *Gauge across deletion: a later Gauge(name) call creates a fresh
@@ -352,4 +353,17 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// MountMetrics puts the live scrape of reg on mux: /metrics.json, a registry
+// snapshot taken per request, so a long run can be watched while it
+// executes. The services' API mux (serve.NewServer) and the -pprof telemetry
+// mux mount through here.
+func MountMetrics(mux *http.ServeMux, reg *Registry) {
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := reg.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
 }

@@ -5,11 +5,10 @@
 //
 // It provides three instruments:
 //
-//   - Sampler: a background poller over runtime/metrics (heap live bytes
-//     and objects, cumulative allocations, GC pause distribution,
-//     goroutine count, scheduler latency) that feeds the obs metrics
-//     registry live and writes one runtime.sample event per tick into the
-//     span trace — the resource record `knowtrans obs prof` analyzes.
+//   - Sampler: a background poller over runtime/metrics (live heap bytes,
+//     cumulative allocations, GC pause distribution, goroutine count,
+//     scheduler latency) that writes one runtime.sample event per tick into
+//     the span trace — the resource record `knowtrans obs prof` analyzes.
 //   - pprof label plumbing (Do): the serve path runs request handling,
 //     batches, and cold-start Transfers under pprof labels (route, key,
 //     batch, phase) and eval labels its worker cells, so a captured CPU
@@ -26,23 +25,6 @@ package profile
 import (
 	"context"
 	"runtime/pprof"
-)
-
-// Registry metric names the Sampler maintains. Exported so consumers
-// (obs top, the Prometheus exposition help text, dashboards) reference
-// one spelling.
-const (
-	MetricGoroutines    = "runtime.goroutines"
-	MetricHeapLiveBytes = "runtime.heap_live_bytes"
-	MetricHeapObjects   = "runtime.heap_objects"
-	MetricGCCycles      = "runtime.gc_cycles"
-	MetricGCPauseP50US  = "runtime.gc_pause_p50_us"
-	MetricGCPauseP95US  = "runtime.gc_pause_p95_us"
-	MetricSchedLatP50US = "runtime.sched_lat_p50_us"
-	MetricSchedLatP95US = "runtime.sched_lat_p95_us"
-	MetricAllocBytes    = "runtime.alloc_bytes_total"
-	MetricGCPauseHist   = "runtime.gc_pause_us"
-	MetricSamples       = "runtime.samples"
 )
 
 // EventSample is the trace event the Sampler writes on every tick. Its

@@ -2,7 +2,6 @@ package profile
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -13,20 +12,17 @@ import (
 type Config struct {
 	// Interval between samples. Default 100ms; the floor is 1ms.
 	Interval time.Duration
-	// Rec receives the live gauge/counter/histogram feed and, when it has a
-	// tracer, one EventSample per tick (nil disables both; the obs recorder
-	// is nil-safe anyway).
+	// Rec receives one EventSample per tick when it has a tracer (nil
+	// disables it; the obs recorder is nil-safe anyway).
 	Rec *obs.Recorder
 }
 
-// Sampler polls runtime/metrics on a fixed interval, feeding the obs
-// registry and writing one EventSample into the trace per tick. Start it
-// with Start; Stop takes a final sample, waits for the loop goroutine to
-// exit, and is idempotent — the clean start/stop contract the race tests
-// pin.
+// Sampler polls runtime/metrics on a fixed interval, writing one
+// EventSample into the trace per tick. Start it with Start; Stop takes a
+// final sample, waits for the loop goroutine to exit, and is idempotent —
+// the clean start/stop contract the race tests pin.
 type Sampler struct {
-	cfg     Config
-	samples atomic.Int64
+	cfg Config
 
 	stopOnce sync.Once
 	stopc    chan struct{}
@@ -62,54 +58,28 @@ func (s *Sampler) Stop() {
 	<-s.done
 }
 
-// Samples returns how many samples have been taken so far.
-func (s *Sampler) Samples() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.samples.Load()
-}
-
 func (s *Sampler) run() {
 	defer close(s.done)
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
-	prev := s.take(nil, false)
+	s.take(false)
 	for {
 		select {
 		case <-ticker.C:
-			prev = s.take(&prev, false)
+			s.take(false)
 		case <-s.stopc:
 			// The final sample is the state at shutdown: the one the
 			// end-of-run leak rule of `obs prof` reads.
-			s.take(&prev, true)
+			s.take(true)
 			return
 		}
 	}
 }
 
-// take reads one Stats, feeds the registry and the trace, and returns the
-// reading the next tick's deltas start from (prev is nil on the first).
-func (s *Sampler) take(prev *Stats, final bool) Stats {
+// take reads one Stats and writes it to the trace as an EventSample, whose
+// start_us is the time of the reading.
+func (s *Sampler) take(final bool) {
 	st := ReadStats()
-	seq := s.samples.Add(1)
-
-	rec := s.cfg.Rec
-	rec.SetGauge(MetricGoroutines, float64(st.Goroutines))
-	rec.SetGauge(MetricHeapLiveBytes, float64(st.HeapLiveBytes))
-	rec.SetGauge(MetricHeapObjects, float64(st.HeapObjects))
-	rec.SetGauge(MetricGCCycles, float64(st.GCCycles))
-	rec.SetGauge(MetricGCPauseP50US, st.GCPauseP50US)
-	rec.SetGauge(MetricGCPauseP95US, st.GCPauseP95US)
-	rec.SetGauge(MetricSchedLatP50US, st.SchedLatP50US)
-	rec.SetGauge(MetricSchedLatP95US, st.SchedLatP95US)
-	rec.SetGauge(MetricSamples, float64(seq))
-	if prev != nil {
-		rec.Count(MetricAllocBytes, int64(st.TotalAllocBytes-prev.TotalAllocBytes))
-		s.feedPauseHist(*prev, st)
-	}
-
-	// The readings `obs prof` summarizes; the record's start_us is the time.
 	args := []any{
 		"goroutines", st.Goroutines,
 		"heap_live_bytes", st.HeapLiveBytes,
@@ -122,31 +92,5 @@ func (s *Sampler) take(prev *Stats, final bool) Stats {
 	if final {
 		args = append(args, "final", true)
 	}
-	rec.Event(EventSample, args...)
-	return st
-}
-
-// feedPauseHist turns the interval's new GC pauses (cumulative bucket
-// count deltas) into observations on the obs pause histogram, so the
-// /metrics exposition carries a real pause distribution, not just
-// quantile gauges. GC cycles are rare relative to sampling intervals, so
-// the per-bucket replay is bounded; a paranoid cap keeps a pathological
-// interval from stalling the loop.
-func (s *Sampler) feedPauseHist(prev, cur Stats) {
-	if s.cfg.Rec == nil || len(cur.gcPauseCounts) == 0 || len(prev.gcPauseCounts) != len(cur.gcPauseCounts) {
-		return
-	}
-	const maxReplay = 1024
-	replayed := 0
-	for i, c := range cur.gcPauseCounts {
-		dc := int64(c) - int64(prev.gcPauseCounts[i])
-		if dc <= 0 {
-			continue
-		}
-		mid := bucketMid(cur.gcPauseBounds, i) * 1e6 // seconds → µs
-		for j := int64(0); j < dc && replayed < maxReplay; j++ {
-			s.cfg.Rec.Observe(MetricGCPauseHist, mid, nil)
-			replayed++
-		}
-	}
+	s.cfg.Rec.Event(EventSample, args...)
 }

@@ -13,7 +13,6 @@ import (
 const (
 	rmGoroutines = "/sched/goroutines:goroutines"
 	rmHeapLive   = "/memory/classes/heap/objects:bytes"
-	rmHeapObjs   = "/gc/heap/objects:objects"
 	rmAllocBytes = "/gc/heap/allocs:bytes"
 	rmGCCycles   = "/gc/cycles/total:gc-cycles"
 	rmGCPauses   = "/gc/pauses:seconds"
@@ -27,19 +26,11 @@ const (
 type Stats struct {
 	Goroutines      int64
 	HeapLiveBytes   uint64
-	HeapObjects     uint64
 	TotalAllocBytes uint64
 	GCCycles        uint64
 	GCPauseP50US    float64
 	GCPauseP95US    float64
-	SchedLatP50US   float64
 	SchedLatP95US   float64
-
-	// gcPauseCounts keeps the raw cumulative pause bucket counts so a
-	// Sampler can feed per-interval pause observations into an obs
-	// histogram; buckets are the shared boundary slice.
-	gcPauseCounts []uint64
-	gcPauseBounds []float64
 }
 
 // ReadStats takes one reading of every metric the package tracks. It is
@@ -49,7 +40,6 @@ func ReadStats() Stats {
 	samples := []metrics.Sample{
 		{Name: rmGoroutines},
 		{Name: rmHeapLive},
-		{Name: rmHeapObjs},
 		{Name: rmAllocBytes},
 		{Name: rmGCCycles},
 		{Name: rmGCPauses},
@@ -59,17 +49,13 @@ func ReadStats() Stats {
 	var st Stats
 	st.Goroutines = int64(sampleUint64(&samples[0]))
 	st.HeapLiveBytes = sampleUint64(&samples[1])
-	st.HeapObjects = sampleUint64(&samples[2])
-	st.TotalAllocBytes = sampleUint64(&samples[3])
-	st.GCCycles = sampleUint64(&samples[4])
-	if h := sampleHist(&samples[5]); h != nil {
+	st.TotalAllocBytes = sampleUint64(&samples[2])
+	st.GCCycles = sampleUint64(&samples[3])
+	if h := sampleHist(&samples[4]); h != nil {
 		st.GCPauseP50US = histQuantileSeconds(h, 0.50) * 1e6
 		st.GCPauseP95US = histQuantileSeconds(h, 0.95) * 1e6
-		st.gcPauseCounts = append([]uint64(nil), h.Counts...)
-		st.gcPauseBounds = h.Buckets
 	}
-	if h := sampleHist(&samples[6]); h != nil {
-		st.SchedLatP50US = histQuantileSeconds(h, 0.50) * 1e6
+	if h := sampleHist(&samples[5]); h != nil {
 		st.SchedLatP95US = histQuantileSeconds(h, 0.95) * 1e6
 	}
 	return st
@@ -96,24 +82,6 @@ func sampleHist(s *metrics.Sample) *metrics.Float64Histogram {
 		return nil
 	}
 	return s.Value.Float64Histogram()
-}
-
-// bucketMid returns a finite representative value for bucket i of a
-// runtime histogram (Counts[i] covers [Buckets[i], Buckets[i+1])). The
-// outermost buckets may be unbounded; they are clamped to their finite
-// edge.
-func bucketMid(buckets []float64, i int) float64 {
-	lo, hi := buckets[i], buckets[i+1]
-	switch {
-	case math.IsInf(lo, -1) && math.IsInf(hi, +1):
-		return 0
-	case math.IsInf(lo, -1):
-		return hi
-	case math.IsInf(hi, +1):
-		return lo
-	default:
-		return (lo + hi) / 2
-	}
 }
 
 // histQuantileSeconds estimates the q-quantile of a runtime histogram

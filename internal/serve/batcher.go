@@ -166,7 +166,7 @@ func (b *batcher) predict(ctx context.Context, in *data.Instance) (string, error
 
 // stop refuses new requests, fails everything still queued, waits for every
 // batch in flight to be answered and the goroutines to exit, and retires the
-// per-key depth gauge (an evicted key must disappear from /metrics, not
+// per-key depth gauge (an evicted key must disappear from /metrics.json, not
 // linger as a stale series). Queued requesters get errBatcherStopped and
 // transparently re-resolve through the registry.
 func (b *batcher) stop() {

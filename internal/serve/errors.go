@@ -7,10 +7,10 @@ import (
 	"net/http"
 )
 
-// ErrorEnvelope is the one error body this surface speaks (the /metrics*
-// 500 paths included): a versioned JSON envelope instead of ad-hoc text, so
-// clients, the cluster router, and the load generator can branch on a stable
-// machine-readable code.
+// ErrorEnvelope is the one error body this surface speaks (the /metrics.json
+// scrape, which obs mounts, aside): a versioned JSON envelope instead of
+// ad-hoc text, so clients, the cluster router, and the load generator can
+// branch on a stable machine-readable code.
 //
 //	{"error": {"code": "not_found", "message": "...", "retryable": false}}
 type ErrorEnvelope struct {

@@ -11,7 +11,7 @@
 //     drains queued requests into batches before touching the model and
 //     keeps up to GOMAXPROCS of them in flight at once.
 //   - Server: the HTTP surface (POST /v1/predict, POST+GET /v1/adapters,
-//     /healthz, /metrics) with per-request deadlines.
+//     /healthz, /metrics.json) with per-request deadlines.
 //
 // Everything is instrumented through internal/obs: serve.request /
 // serve.transfer / serve.batch spans, queue-depth and batch-size

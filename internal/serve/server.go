@@ -27,10 +27,9 @@ import (
 //	DELETE /v1/adapters/{key} explicit eviction (retires per-key gauges)
 //	GET    /healthz           liveness: process up + build/occupancy context
 //	GET    /readyz            readiness: accepting work (503 while draining/unready)
-//	GET    /metrics           Prometheus text exposition (when a metrics registry is wired)
-//	GET    /metrics.json      the same snapshot as JSON
+//	GET    /metrics.json      registry snapshot as JSON (when a metrics registry is wired)
 //
-// Every route but the two /metrics scrapes is a row of the table in
+// Every route but the /metrics.json scrape is a row of the table in
 // NewServer and crosses the one pipeline (Handle), so every error body here
 // — a wrong method and an unknown path included — is the versioned JSON
 // envelope (ErrorEnvelope), counted, logged and traced; plain-text error

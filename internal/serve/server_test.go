@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -166,25 +167,37 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if hr.GoVersion == "" || hr.UptimeS < 0 {
 		t.Fatalf("healthz missing build info: %+v", hr)
 	}
-	// A predict populates the request counters the /metrics endpoint renders.
+	// A predict populates the request counters the /metrics.json scrape
+	// carries; /metrics, which has no rendering, is an unknown path.
 	postJSON(t, srv.URL+"/v1/predict", PredictRequest{
 		Adapter:  "EM/A",
 		Instance: WireInstance{ID: "1", Candidates: []string{"y", "n"}},
 	})
-	mresp, err := http.Get(srv.URL + "/metrics")
+	mresp, err := http.Get(srv.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(mresp.Body); err != nil {
+	var snap obs.RegistrySnapshot
+	if err := json.NewDecoder(mresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	for _, want := range []string{"serve_requests", "serve_registry_miss", "serve_transfers"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %s:\n%s", want, text)
+	for _, want := range []string{"serve.requests", "serve.registry_miss", "serve.transfers"} {
+		if _, ok := snap.Counters[want]; !ok {
+			t.Fatalf("/metrics.json counters miss %s: %v", want, snap.Counters)
 		}
+	}
+	gone, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(gone.Body)
+	gone.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eb, ok := ParseErrorEnvelope(body); gone.StatusCode != http.StatusNotFound || !ok || eb.Code != "not_found" {
+		t.Fatalf("GET /metrics: %d %s, want the 404 not_found envelope", gone.StatusCode, body)
 	}
 }
 

@@ -77,6 +77,10 @@
 #     wireStatuses row in the envelope, only
 #     valid keys and candidate-bearing
 #     predicts reach the resolver               serve.FuzzRequestPipeline (corpus in tier-1, 10 s in tier-2)
+#   a trace file read from disk: Load errors
+#     or its Walk visits every span once (a
+#     parent cycle included); the reports and
+#     their writers never panic                 analyze.FuzzLoad (corpus in tier-1, 10 s in tier-2)
 #   the load generator is not linked by the
 #     binaries or the examples                  loadgen.TestNotLinkedByProduct
 #   a manager forgets old finished jobs only    jobs.TestManagerForgetsOldFinishedJobs
@@ -155,9 +159,10 @@ awk 'NR == FNR { if (NF == 1) { print "check.sh: allow-list entry without a reas
 awk 'END { print "check.sh: product statements reached: " $NF }' "$cov/func.txt"
 passed "coverage"
 
-# The thirteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The fourteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/obs/analyze
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/jobs
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
