@@ -90,13 +90,20 @@ func BenchmarkAblateOracle(b *testing.B)    { runExperiment(b, "ablate-oracle") 
 
 // --- Substrate micro-benchmarks ------------------------------------------------
 
+// example serializes in into a fresh Example.
+func example(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) *tasks.Example {
+	ex := &tasks.Example{}
+	tasks.BuildExampleInto(ex, spec, in, k)
+	return ex
+}
+
 // trainWindow builds the first n training examples of one EM dataset: an
 // accumulation window.
 func trainWindow(n int) []*tasks.Example {
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
 	exs := make([]*tasks.Example, n)
 	for i := range exs {
-		exs[i] = tasks.BuildExample(bundle.Spec(), bundle.DS.Train[i], nil)
+		exs[i] = example(bundle.Spec(), bundle.DS.Train[i], nil)
 	}
 	return exs
 }
@@ -160,7 +167,7 @@ func BenchmarkTrainStepFused(b *testing.B) {
 func BenchmarkInference(b *testing.B) {
 	m := model.New(model.Config{Name: "bench", Hidden: model.Hidden7B, Seed: 1})
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
-	exs := []*tasks.Example{tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)}
+	exs := []*tasks.Example{example(bundle.Spec(), bundle.DS.Test[0], nil)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PredictBatch(exs)
@@ -172,7 +179,7 @@ func BenchmarkInference(b *testing.B) {
 func BenchmarkInferenceFused(b *testing.B) {
 	m, _ := fusedBenchModel()
 	bundle := datagen.ByKey("EM/Walmart-Amazon", 1, 0.05)
-	exs := []*tasks.Example{tasks.BuildExample(bundle.Spec(), bundle.DS.Test[0], nil)}
+	exs := []*tasks.Example{example(bundle.Spec(), bundle.DS.Test[0], nil)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PredictBatch(exs)
@@ -332,7 +339,7 @@ func TestServeRequestAllocs(t *testing.T) {
 	srv := serve.NewServer(warmResolver{}, serve.Options{Rec: obs.NewRecorder(obs.NewRegistry(), nil)})
 	body, err := json.Marshal(serve.PredictRequest{Adapter: "ED/Beer", Instance: serve.WireInstance{
 		ID:         "r1",
-		Fields:     []serve.WireField{{Name: "abv", Value: "5.2%"}, {Name: "style", Value: "IPA"}},
+		Fields:     []data.Field{{Name: "abv", Value: "5.2%"}, {Name: "style", Value: "IPA"}},
 		Target:     "abv",
 		Candidates: []string{"yes", "no"},
 	}})

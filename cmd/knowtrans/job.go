@@ -88,7 +88,7 @@ func runJob(args []string) {
 	}
 	fmt.Printf("job %s: done — %d rows in %.2fs (%.0f rows/s), %d shards (%d resumed), %d row failures, %d retries\n",
 		result.ID, result.Rows, result.WallS, float64(result.Rows)/result.WallS,
-		result.Shards, result.ResumedShards, result.RowFailures, result.Retries)
+		result.Shards, result.ShardsResumed, result.RowFailures, result.Retries)
 	fmt.Printf("wrote %s\n", result.Output)
 	finish()
 }

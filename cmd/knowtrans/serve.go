@@ -22,7 +22,6 @@ func runServe(args []string) {
 	fs.IntVar(&opts.MaxAdapters, "max-adapters", opts.MaxAdapters, "resident-adapter bound (LRU eviction beyond it)")
 	fs.IntVar(&opts.MaxBatch, "max-batch", opts.MaxBatch, "per-adapter micro-batch cap (1 disables batching)")
 	fs.DurationVar(&opts.MaxWait, "batch-wait", opts.MaxWait, "how long a non-full batch lingers for stragglers")
-	fs.DurationVar(&opts.TransferTimeout, "transfer-timeout", opts.TransferTimeout, "cold-start Transfer bound (0 = unbounded)")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 

@@ -25,7 +25,6 @@ type serviceFlags struct {
 	drainTimeout time.Duration
 	accessLog    string
 	jobsDir      string
-	maxJobs      int
 }
 
 // addServiceFlags registers the shared set. The server half of opts defaults
@@ -43,7 +42,6 @@ func addServiceFlags(fs *flag.FlagSet, opts *serve.Options, addr string) *servic
 	fs.DurationVar(&opts.SlowRequest, "slow", opts.SlowRequest, "access-log latency threshold for slow=true + Warn level")
 	fs.StringVar(&sf.jobsDir, "jobs-dir", "",
 		"mount the bulk-job API (POST/GET /v1/jobs) on this `dir`: checkpoint logs land in it, and the input/output paths of posted specs resolve under it (empty disables)")
-	fs.IntVar(&sf.maxJobs, "max-jobs", jobs.DefaultMaxActive, "with -jobs-dir: concurrent bulk jobs before 429")
 	return sf
 }
 
@@ -68,7 +66,6 @@ func (sf *serviceFlags) serve(res serve.Resolver, of *obsFlags, announce func(ne
 	if sf.jobsDir != "" {
 		jm := jobs.NewManager(res, jobs.ManagerOptions{
 			CheckpointDir: sf.jobsDir,
-			MaxActive:     sf.maxJobs,
 			Rec:           sf.opts.Rec,
 		})
 		jm.Mount(srv)

@@ -25,7 +25,7 @@ func addZooFlags(fs *flag.FlagSet, withFaults bool) *zooFlags {
 	fs.Int64Var(&zf.seed, "seed", 1, "master random seed (every artifact and adapter is deterministic in it)")
 	if withFaults {
 		fs.StringVar(&zf.faults, "faults", "",
-			"inject oracle faults during Transfers, `spec` rate=R,seed=S[,kinds=a+b][,latency=D] (chaos testing; see internal/faults)")
+			"inject oracle faults during Transfers, `spec` rate=R,seed=S[,kinds=a+b] (chaos testing; see internal/faults)")
 	}
 	return zf
 }

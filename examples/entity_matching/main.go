@@ -105,8 +105,7 @@ func main() {
 
 	// A peek at one prediction with its knowledge-augmented prompt.
 	in := wa.DS.Test[0]
-	ex := tasks.BuildExample(spec, in, ad.Knowledge)
-	fmt.Printf("\nexample prompt:\n%s\n-> prediction: %s (gold: %s)\n", ex.Prompt, ad.Predict(context.Background(), in), in.GoldText())
+	fmt.Printf("\nexample prompt:\n%s\n-> prediction: %s (gold: %s)\n", tasks.RenderPrompt(spec, in, ad.Knowledge), ad.Predict(context.Background(), in), in.GoldText())
 }
 
 func toExamples(corpus []datagen.LabeledExample) []model.TrainExample {

@@ -105,8 +105,7 @@ func TestICLPromptTokensLargerThanBare(t *testing.T) {
 	pred := icl.Adapt(ctxFor(b, 5)).(*iclPredictor)
 	in := b.DS.Test[0]
 	inputTokens, outputTokens := pred.PromptTokens(in)
-	ex := tasks.BuildExample(tasks.SpecFor(b.Kind), in, nil)
-	bare := len(strings.Fields(ex.Prompt))
+	bare := len(strings.Fields(tasks.RenderPrompt(tasks.SpecFor(b.Kind), in, nil)))
 	if inputTokens <= bare {
 		t.Fatalf("ICL prompt (%d tokens) must exceed the bare prompt (%d): demonstrations are in-context", inputTokens, bare)
 	}

@@ -133,8 +133,7 @@ func (p *iclPredictor) Predict(in *data.Instance) string {
 // PromptTokens reports the token count of one demonstration-augmented
 // prompt, used by the Table III cost analysis.
 func (p *iclPredictor) PromptTokens(in *data.Instance) (input, output int) {
-	ex := tasks.BuildExample(p.spec, in, nil)
-	prompt := ex.Prompt
+	prompt := tasks.RenderPrompt(p.spec, in, nil)
 	for _, n := range p.neighbors(in) {
 		prompt += "\nExample: " + data.RenderRecord(n.d.in.Fields) + " -> " + n.d.ans
 	}

@@ -34,43 +34,6 @@ func (b *Bundle) Key() string { return b.DS.Key() }
 // Spec returns the bundle's task spec.
 func (b *Bundle) Spec() tasks.Spec { return tasks.SpecFor(b.Kind) }
 
-// Sizes of the downstream datasets (Table I). Scale (0,1] shrinks them
-// proportionally so the full experiment suite stays runnable on a laptop;
-// scale=1 reproduces the paper's row counts.
-type sizeSpec struct{ train, test int }
-
-var downstreamSizes = map[string]sizeSpec{
-	"ED/Flights":        {12256, 2000},
-	"ED/Rayyan":         {9000, 2000},
-	"ED/Beer":           {10050, 2000},
-	"DI/Flipkart":       {11460, 2675},
-	"DI/Phone":          {2547, 1194},
-	"SM/CMS":            {23068, 2564},
-	"EM/Abt-Buy":        {5743, 1916},
-	"EM/Walmart-Amazon": {6144, 2049},
-	"CTA/SOTAB":         {356, 250},
-	"AVE/AE-110k":       {4405, 1495},
-	"AVE/OA-mine":       {7360, 2451},
-	"DC/Rayyan":         {9000, 2000},
-	"DC/Beer":           {10050, 2000},
-}
-
-// Upstream dataset sizes (Table VII; #Samples with #Positives).
-var upstreamSizes = map[string]struct{ samples, positives int }{
-	"ED/Adult":              {1100, 70},
-	"ED/Hospital":           {3420, 88},
-	"DI/Buy":                {586, 0},
-	"DI/Restaurant":         {778, 0},
-	"SM/MIMIC":              {7000, 11},
-	"SM/Synthea":            {5000, 18},
-	"EM/Amazon-Google":      {6874, 699},
-	"EM/Beer":               {359, 54},
-	"EM/DBLP-ACM":           {5000, 885},
-	"EM/DBLP-GoogleScholar": {5000, 924},
-	"EM/Fodors-Zagats":      {757, 88},
-	"EM/iTunes-Amazon":      {430, 105},
-}
-
 // scaled applies the scale factor with a floor so tiny scales keep datasets
 // usable.
 func scaled(n int, scale float64) int {
@@ -87,103 +50,62 @@ func scaled(n int, scale float64) int {
 	return out
 }
 
-// Generator builds one dataset at the given sizes.
-type Generator func(rng *rand.Rand, train, test int) *Bundle
-
-// downstreamGenerators maps dataset keys to constructors, in the paper's
-// Table I order.
-var downstreamOrder = []string{
-	"ED/Flights", "ED/Rayyan", "ED/Beer",
-	"DI/Flipkart", "DI/Phone",
-	"SM/CMS",
-	"EM/Abt-Buy", "EM/Walmart-Amazon",
-	"CTA/SOTAB",
-	"AVE/AE-110k", "AVE/OA-mine",
-	"DC/Rayyan", "DC/Beer",
+// downstream is Table I in the paper's order: each dataset's key, its
+// train/test sizes and its generator. Scale (0,1] shrinks the sizes
+// proportionally so the full experiment suite stays runnable on a laptop;
+// scale=1 reproduces the paper's row counts.
+var downstream = []struct {
+	key         string
+	train, test int
+	gen         func(rng *rand.Rand, train, test int) *Bundle
+}{
+	{"ED/Flights", 12256, 2000, genFlightsED},
+	{"ED/Rayyan", 9000, 2000, genRayyanED},
+	{"ED/Beer", 10050, 2000, genBeerED},
+	{"DI/Flipkart", 11460, 2675, genFlipkartDI},
+	{"DI/Phone", 2547, 1194, genPhoneDI},
+	{"SM/CMS", 23068, 2564, genCMSSM},
+	{"EM/Abt-Buy", 5743, 1916, genAbtBuyEM},
+	{"EM/Walmart-Amazon", 6144, 2049, genWalmartAmazonEM},
+	{"CTA/SOTAB", 356, 250, genSOTABCTA},
+	{"AVE/AE-110k", 4405, 1495, genAE110kAVE},
+	{"AVE/OA-mine", 7360, 2451, genOAMineAVE},
+	{"DC/Rayyan", 9000, 2000, genRayyanDC},
+	{"DC/Beer", 10050, 2000, genBeerDC},
 }
 
-var upstreamOrder = []string{
-	"ED/Adult", "ED/Hospital",
-	"DI/Buy", "DI/Restaurant",
-	"SM/MIMIC", "SM/Synthea",
-	"EM/Amazon-Google", "EM/Beer", "EM/DBLP-ACM",
-	"EM/DBLP-GoogleScholar", "EM/Fodors-Zagats", "EM/iTunes-Amazon",
-}
-
-func downstreamGenerator(key string) Generator {
-	switch key {
-	case "ED/Flights":
-		return genFlightsED
-	case "ED/Rayyan":
-		return genRayyanED
-	case "ED/Beer":
-		return genBeerED
-	case "DI/Flipkart":
-		return genFlipkartDI
-	case "DI/Phone":
-		return genPhoneDI
-	case "SM/CMS":
-		return genCMSSM
-	case "EM/Abt-Buy":
-		return genAbtBuyEM
-	case "EM/Walmart-Amazon":
-		return genWalmartAmazonEM
-	case "CTA/SOTAB":
-		return genSOTABCTA
-	case "AVE/AE-110k":
-		return genAE110kAVE
-	case "AVE/OA-mine":
-		return genOAMineAVE
-	case "DC/Rayyan":
-		return genRayyanDC
-	case "DC/Beer":
-		return genBeerDC
-	default:
-		panic(fmt.Sprintf("datagen: unknown downstream dataset %q", key))
-	}
-}
-
-func upstreamGenerator(key string) Generator {
-	switch key {
-	case "ED/Adult":
-		return genAdultED
-	case "ED/Hospital":
-		return genHospitalED
-	case "DI/Buy":
-		return genBuyDI
-	case "DI/Restaurant":
-		return genRestaurantDI
-	case "SM/MIMIC":
-		return genMIMICSM
-	case "SM/Synthea":
-		return genSyntheaSM
-	case "EM/Amazon-Google":
-		return genAmazonGoogleEM
-	case "EM/Beer":
-		return genBeerEM
-	case "EM/DBLP-ACM":
-		return genDBLPACMEM
-	case "EM/DBLP-GoogleScholar":
-		return genDBLPScholarEM
-	case "EM/Fodors-Zagats":
-		return genFodorsZagatsEM
-	case "EM/iTunes-Amazon":
-		return genITunesAmazonEM
-	default:
-		panic(fmt.Sprintf("datagen: unknown upstream dataset %q", key))
-	}
+// upstream is Table VII in the paper's order: each dataset's key, its
+// #Samples and #Positives, and its generator, which is handed the row's
+// positive rate (positives/samples).
+var upstream = []struct {
+	key                string
+	samples, positives int
+	gen                func(rng *rand.Rand, train, test int, posRate float64) *Bundle
+}{
+	{"ED/Adult", 1100, 70, genAdultED},
+	{"ED/Hospital", 3420, 88, genHospitalED},
+	{"DI/Buy", 586, 0, genBuyDI},
+	{"DI/Restaurant", 778, 0, genRestaurantDI},
+	{"SM/MIMIC", 7000, 11, genMIMICSM},
+	{"SM/Synthea", 5000, 18, genSyntheaSM},
+	{"EM/Amazon-Google", 6874, 699, genAmazonGoogleEM},
+	{"EM/Beer", 359, 54, genBeerEM},
+	{"EM/DBLP-ACM", 5000, 885, genDBLPACMEM},
+	{"EM/DBLP-GoogleScholar", 5000, 924, genDBLPScholarEM},
+	{"EM/Fodors-Zagats", 757, 88, genFodorsZagatsEM},
+	{"EM/iTunes-Amazon", 430, 105, genITunesAmazonEM},
 }
 
 // Downstream generates the 13 novel datasets of Table I at the given scale.
 func Downstream(seed int64, scale float64) []*Bundle {
-	return byKeys(downstreamOrder, seed, scale)
+	return byKeys(DownstreamKeys(), seed, scale)
 }
 
 // Upstream generates the 12 upstream datasets of Table VII at the given
 // scale. Upstream bundles carry only Train (they are a training resource);
 // a small Test split is still produced for diagnostics.
 func Upstream(seed int64, scale float64) []*Bundle {
-	return byKeys(upstreamOrder, seed, scale)
+	return byKeys(UpstreamKeys(), seed, scale)
 }
 
 func byKeys(keys []string, seed int64, scale float64) []*Bundle {
@@ -195,22 +117,21 @@ func byKeys(keys []string, seed int64, scale float64) []*Bundle {
 }
 
 // ByKey generates a single dataset (upstream or downstream) by its
-// task-qualified key at the given scale. The i-th key of a table draws from
+// task-qualified key at the given scale. The i-th row of a table draws from
 // its own seed, so a dataset is the same whether generated alone or with its
 // table.
 func ByKey(key string, seed int64, scale float64) *Bundle {
-	for i, k := range downstreamOrder {
-		if k == key {
-			sz := downstreamSizes[key]
+	for i, row := range downstream {
+		if row.key == key {
 			rng := rand.New(rand.NewSource(seed + int64(i)*1009))
-			return downstreamGenerator(key)(rng, scaled(sz.train, scale), scaled(sz.test, scale))
+			return row.gen(rng, scaled(row.train, scale), scaled(row.test, scale))
 		}
 	}
-	for i, k := range upstreamOrder {
-		if k == key {
+	for i, row := range upstream {
+		if row.key == key {
 			rng := rand.New(rand.NewSource(seed + 7777 + int64(i)*1013))
-			n := scaled(upstreamSizes[key].samples, scale)
-			b := upstreamGenerator(key)(rng, n, n/10+10)
+			n := scaled(row.samples, scale)
+			b := row.gen(rng, n, n/10+10, float64(row.positives)/float64(row.samples))
 			b.Upstream = true
 			return b
 		}
@@ -219,19 +140,39 @@ func ByKey(key string, seed int64, scale float64) *Bundle {
 }
 
 // DownstreamKeys returns the Table I dataset keys in order.
-func DownstreamKeys() []string { return append([]string(nil), downstreamOrder...) }
+func DownstreamKeys() []string {
+	keys := make([]string, len(downstream))
+	for i, row := range downstream {
+		keys[i] = row.key
+	}
+	return keys
+}
 
 // UpstreamKeys returns the Table VII dataset keys in order.
-func UpstreamKeys() []string { return append([]string(nil), upstreamOrder...) }
+func UpstreamKeys() []string {
+	keys := make([]string, len(upstream))
+	for i, row := range upstream {
+		keys[i] = row.key
+	}
+	return keys
+}
 
 // PaperSizes returns the unscaled Table I sizes for a downstream key.
 func PaperSizes(key string) (train, test int, ok bool) {
-	sz, ok := downstreamSizes[key]
-	return sz.train, sz.test, ok
+	for _, row := range downstream {
+		if row.key == key {
+			return row.train, row.test, true
+		}
+	}
+	return 0, 0, false
 }
 
 // PaperUpstreamSize returns the unscaled Table VII row for an upstream key.
 func PaperUpstreamSize(key string) (samples, positives int, ok bool) {
-	sz, ok := upstreamSizes[key]
-	return sz.samples, sz.positives, ok
+	for _, row := range upstream {
+		if row.key == key {
+			return row.samples, row.positives, true
+		}
+	}
+	return 0, 0, false
 }

@@ -131,7 +131,7 @@ func genPhoneDI(rng *rand.Rand, train, test int) *Bundle {
 // genBuyDI (upstream): manufacturer imputation for electronics listings —
 // the upstream analog of Flipkart/Phone, which is exactly the transferable
 // knowledge SKC's patches should carry downstream.
-func genBuyDI(rng *rand.Rand, train, test int) *Bundle {
+func genBuyDI(rng *rand.Rand, train, test int, _ float64) *Bundle {
 	ds := &data.Dataset{Name: "Buy", Task: string(tasks.DI)}
 	for i := 0; i < train+test; i++ {
 		p := genProduct(rng)
@@ -170,7 +170,7 @@ func areaCodeOf(city string) string {
 
 // genRestaurantDI (upstream): impute the city of a restaurant; the area
 // code of the phone number determines it.
-func genRestaurantDI(rng *rand.Rand, train, test int) *Bundle {
+func genRestaurantDI(rng *rand.Rand, train, test int, _ float64) *Bundle {
 	ds := &data.Dataset{Name: "Restaurant", Task: string(tasks.DI)}
 	for i := 0; i < train+test; i++ {
 		city := pick(rng, cities)

@@ -234,7 +234,7 @@ func genRayyanED(rng *rand.Rand, train, test int) *Bundle {
 
 // --- Upstream ED: Adult, Hospital -------------------------------------------
 
-func genAdultED(rng *rand.Rand, train, test int) *Bundle {
+func genAdultED(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	workclasses := []string{"private", "self-emp", "federal-gov", "state-gov", "local-gov"}
 	educations := []string{"bachelors", "hs-grad", "masters", "doctorate", "some-college", "assoc"}
 	occupations := []string{"tech-support", "sales", "exec-managerial", "craft-repair", "farming", "clerical"}
@@ -263,14 +263,13 @@ func genAdultED(rng *rand.Rand, train, test int) *Bundle {
 			return corruption{typo(rng, v), "categorical-typo"}
 		}
 	}
-	samples, positives, _ := PaperUpstreamSize("ED/Adult")
-	ds := edDataset(rng, "Adult", train, test, float64(positives)/float64(samples), cleanGen, corrupt)
+	ds := edDataset(rng, "Adult", train, test, posRate, cleanGen, corrupt)
 	return &Bundle{DS: ds, Kind: tasks.ED, Seed: &tasks.Knowledge{
 		Text: "Errors include out-of-range numbers, typos in categories, and missing values.",
 	}}
 }
 
-func genHospitalED(rng *rand.Rand, train, test int) *Bundle {
+func genHospitalED(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	conditions := []string{"heart attack", "pneumonia", "heart failure", "surgical infection"}
 	cleanGen := func(rng *rand.Rand) (record, string) {
 		city := pick(rng, cities)
@@ -296,8 +295,7 @@ func genHospitalED(rng *rand.Rand, train, test int) *Bundle {
 			return corruption{typo(rng, v), "text-typo"}
 		}
 	}
-	samples, positives, _ := PaperUpstreamSize("ED/Hospital")
-	ds := edDataset(rng, "Hospital", train, test, float64(positives)/float64(samples), cleanGen, corrupt)
+	ds := edDataset(rng, "Hospital", train, test, posRate, cleanGen, corrupt)
 	return &Bundle{DS: ds, Kind: tasks.ED, Seed: &tasks.Knowledge{
 		Text: "Errors are mostly injected typos in text fields and malformed identifiers.",
 	}}

@@ -197,7 +197,7 @@ func genWalmartAmazonEM(rng *rand.Rand, train, test int) *Bundle {
 
 // --- Upstream EM -----------------------------------------------------------
 
-func genAmazonGoogleEM(rng *rand.Rand, train, test int) *Bundle {
+func genAmazonGoogleEM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	render := func(p product, variant bool) []data.Field {
 		return []data.Field{
 			{Name: "title", Value: p.title(rng, variant)},
@@ -205,9 +205,6 @@ func genAmazonGoogleEM(rng *rand.Rand, train, test int) *Bundle {
 			{Name: "price", Value: priceStr(p.price * (0.8 + rng.Float64()*0.4))},
 		}
 	}
-	_, positives, _ := PaperUpstreamSize("EM/Amazon-Google")
-	samples, _, _ := PaperUpstreamSize("EM/Amazon-Google")
-	posRate := float64(positives) / float64(samples)
 	ds := buildPairDataset(rng, "Amazon-Google", tasks.EM, train, test, posRate,
 		func(rng *rand.Rand, id string, pos bool) *data.Instance { return emPair(rng, render, id, pos) })
 	return &Bundle{DS: ds, Kind: tasks.EM, Seed: &tasks.Knowledge{
@@ -215,7 +212,7 @@ func genAmazonGoogleEM(rng *rand.Rand, train, test int) *Bundle {
 	}}
 }
 
-func genBeerEM(rng *rand.Rand, train, test int) *Bundle {
+func genBeerEM(rng *rand.Rand, train, test int, _ float64) *Bundle {
 	gen := func(rng *rand.Rand, id string, pos bool) *data.Instance {
 		name := pick(rng, beerNameParts1) + " " + pick(rng, beerNameParts2)
 		brewery := pick(rng, breweries)
@@ -342,15 +339,15 @@ func genBibEM(rng *rand.Rand, name string, train, test int, posRate float64, noi
 	}}
 }
 
-func genDBLPACMEM(rng *rand.Rand, train, test int) *Bundle {
-	return genBibEM(rng, "DBLP-ACM", train, test, 885.0/5000, false)
+func genDBLPACMEM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
+	return genBibEM(rng, "DBLP-ACM", train, test, posRate, false)
 }
 
-func genDBLPScholarEM(rng *rand.Rand, train, test int) *Bundle {
-	return genBibEM(rng, "DBLP-GoogleScholar", train, test, 924.0/5000, true)
+func genDBLPScholarEM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
+	return genBibEM(rng, "DBLP-GoogleScholar", train, test, posRate, true)
 }
 
-func genFodorsZagatsEM(rng *rand.Rand, train, test int) *Bundle {
+func genFodorsZagatsEM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	gen := func(rng *rand.Rand, id string, pos bool) *data.Instance {
 		name := pick(rng, lastNames) + "'s " + pick(rng, restaurantNouns)
 		city := pick(rng, cities)
@@ -389,13 +386,13 @@ func genFodorsZagatsEM(rng *rand.Rand, train, test int) *Bundle {
 		}
 		return pairInstance(id, a, b, pos)
 	}
-	ds := buildPairDataset(rng, "Fodors-Zagats", tasks.EM, train, test, 88.0/757, gen)
+	ds := buildPairDataset(rng, "Fodors-Zagats", tasks.EM, train, test, posRate, gen)
 	return &Bundle{DS: ds, Kind: tasks.EM, Seed: &tasks.Knowledge{
 		Text: "Determine whether the two restaurant records are the same.",
 	}}
 }
 
-func genITunesAmazonEM(rng *rand.Rand, train, test int) *Bundle {
+func genITunesAmazonEM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	gen := func(rng *rand.Rand, id string, pos bool) *data.Instance {
 		title := pick(rng, songAdjs) + " " + pick(rng, songNouns)
 		artist := pick(rng, artists)
@@ -433,7 +430,7 @@ func genITunesAmazonEM(rng *rand.Rand, train, test int) *Bundle {
 		}
 		return pairInstance(id, a, b, pos)
 	}
-	ds := buildPairDataset(rng, "iTunes-Amazon", tasks.EM, train, test, 105.0/430, gen)
+	ds := buildPairDataset(rng, "iTunes-Amazon", tasks.EM, train, test, posRate, gen)
 	return &Bundle{DS: ds, Kind: tasks.EM, Seed: &tasks.Knowledge{
 		Text: "Determine whether the two songs are the same.",
 	}}

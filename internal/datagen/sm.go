@@ -116,21 +116,17 @@ func smDataset(rng *rand.Rand, name string, train, test int, posRate float64, co
 	return ds
 }
 
-func genMIMICSM(rng *rand.Rand, train, test int) *Bundle {
-	samples, positives, _ := PaperUpstreamSize("SM/MIMIC")
+func genMIMICSM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
 	// The real MIMIC split is extremely imbalanced (11/7000); we keep it
 	// rare but learnable.
-	rate := float64(positives) / float64(samples) * 20
-	ds := smDataset(rng, "MIMIC", train, test, rate, medicalConcepts[:10])
+	ds := smDataset(rng, "MIMIC", train, test, posRate*20, medicalConcepts[:10])
 	return &Bundle{DS: ds, Kind: tasks.SM, Seed: &tasks.Knowledge{
 		Text: "Decide if the two columns describe the same clinical attribute.",
 	}}
 }
 
-func genSyntheaSM(rng *rand.Rand, train, test int) *Bundle {
-	samples, positives, _ := PaperUpstreamSize("SM/Synthea")
-	rate := float64(positives) / float64(samples) * 20
-	ds := smDataset(rng, "Synthea", train, test, rate, medicalConcepts[4:])
+func genSyntheaSM(rng *rand.Rand, train, test int, posRate float64) *Bundle {
+	ds := smDataset(rng, "Synthea", train, test, posRate*20, medicalConcepts[4:])
 	return &Bundle{DS: ds, Kind: tasks.SM, Seed: &tasks.Knowledge{
 		Text: "Decide if the two columns describe the same attribute of the synthetic health records.",
 	}}

@@ -3,9 +3,12 @@ package dataio
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/tasks"
 )
@@ -216,6 +219,39 @@ func TestJSONRoundTripGeneratedDataset(t *testing.T) {
 		}
 		if len(ds.Train[i].Fields) != len(b.DS.Train[i].Fields) {
 			t.Fatalf("fields changed at %d", i)
+		}
+	}
+}
+
+// A field has one JSON shape: lowercase keys, entity omitted when empty.
+// Files written before the keys were tagged spell them "Entity"/"Name"/
+// "Value"; they decode to the same instances.
+func TestFieldJSONShape(t *testing.T) {
+	ds := &data.Dataset{Name: "x", Task: "EM", Test: []*data.Instance{{
+		ID:         "1",
+		Fields:     []data.Field{{Entity: "A", Name: "t", Value: "v"}, {Name: "abv", Value: "5%"}},
+		Candidates: []string{"yes", "no"},
+	}}}
+	var buf bytes.Buffer
+	if err := EncodeJSON(ds, "", &buf); err != nil {
+		t.Fatal(err)
+	}
+	var flat bytes.Buffer
+	if err := json.Compact(&flat, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	want := `"fields":[{"entity":"A","name":"t","value":"v"},{"name":"abv","value":"5%"}]`
+	if !strings.Contains(flat.String(), want) {
+		t.Fatalf("encoded %s\nwant it to hold %s", flat.Bytes(), want)
+	}
+	old := `{"name":"x","task":"EM","train":[],"test":[{"id":"1","fields":[{"Entity":"A","Name":"t","Value":"v"},{"Entity":"","Name":"abv","Value":"5%"}],"candidates":["yes","no"],"gold":0}]}`
+	for _, blob := range []string{buf.String(), old} {
+		back, err := DecodeJSON(strings.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Test[0].Fields; !slices.Equal(got, ds.Test[0].Fields) {
+			t.Fatalf("%s decoded fields %+v, want %+v", blob, got, ds.Test[0].Fields)
 		}
 	}
 }

@@ -14,7 +14,9 @@ import (
 // DecodeJSON returns (never panics), and a dataset it accepts survives its
 // own encoding: EncodeJSON then DecodeJSON gives the same name, task and
 // instances. A nil and an empty list or map count as the same (EncodeJSON
-// omits an empty Meta).
+// omits an empty Meta). The corpus spells a field's keys both ways: the
+// lowercase tags EncodeJSON writes and the capitalized keys of files
+// written before the tags.
 func FuzzDecodeJSON(f *testing.F) {
 	one := `{"name":"x","task":"ED","train":[{"id":"1","fields":[{"Name":"abv","Value":"5%"}],"target":"abv","candidates":["yes","no"],"gold":0,"meta":{"k":"v"}}],"test":[]}`
 	for _, s := range []string{
@@ -23,6 +25,7 @@ func FuzzDecodeJSON(f *testing.F) {
 		one + " trailing garbage {{{",
 		one + one,
 		`{"name":"y","task":"EM","train":[],"test":[{"id":"2","fields":[{"Entity":"A","Name":"t","Value":"é�"}],"candidates":["yes"],"gold":0,"meta":{}}]}`,
+		`{"name":"y","task":"EM","train":[],"test":[{"id":"2","fields":[{"entity":"A","name":"t","value":"é�"},{"name":"n","value":""}],"candidates":["yes"],"gold":0}]}`,
 		`{"name":"z","train":[{"id":"3","candidates":[],"gold":0}]}`,
 		`{"name":"w","test":[{"id":"4","fields":null,"candidates":null,"gold":-1}]}`,
 		`{"NAME":"case","Task":"DI","train":null,"test":null}`,

@@ -73,8 +73,7 @@ func runTable3(z *Zoo, _ int) *Table {
 	spec := tasks.SpecFor(b.Kind)
 	var inSum, outSum int
 	for i, ans := range pred.PredictBatch(context.Background(), sample) {
-		ex := tasks.BuildExample(spec, sample[i], k)
-		inSum += text.CountTokens(ex.Prompt)
+		inSum += text.CountTokens(tasks.RenderPrompt(spec, sample[i], k))
 		outSum += text.CountTokens(ans)
 	}
 	addCostRow(t, MethodKnowTrans, inSum, outSum, len(sample))

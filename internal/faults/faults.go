@@ -2,7 +2,7 @@
 // path: it wraps any infallible akb.Oracle in the error-returning
 // akb.FallibleOracle interface and injects a seeded, reproducible schedule
 // of the failure modes a remote closed-source-LLM API exhibits under load —
-// added latency, timeouts, rate limits, transient server errors, and
+// slow responses, timeouts, rate limits, transient server errors, and
 // empty, truncated, or malformed knowledge candidates.
 //
 // Determinism is the point: the injector draws every fault decision from
@@ -22,7 +22,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/obs"
@@ -33,7 +32,9 @@ import (
 type Kind string
 
 const (
-	// KindLatency delays the call by Config.Latency, then lets it succeed.
+	// KindLatency is a slow response that arrives intact. The delay is not
+	// simulated: the call succeeds unchanged, and only the injection is
+	// counted, so seeded chaos runs stay wall-clock fast.
 	KindLatency Kind = "latency"
 	// KindTimeout fails the call as a deadline expiry (the error unwraps to
 	// context.DeadlineExceeded). Transient: a retry may succeed.
@@ -97,10 +98,6 @@ type Config struct {
 	Seed int64
 	// Kinds restricts injection to a subset of fault kinds (nil = AllKinds).
 	Kinds []Kind
-	// Latency is the delay KindLatency injects (0 disables the sleep, which
-	// keeps seeded chaos tests and experiment grids wall-clock fast while
-	// still exercising the pass-through path).
-	Latency time.Duration
 	// Rec, when non-nil, counts injections (faults.injected) and emits one
 	// faults.inject event per fault, which carries the kind.
 	Rec *obs.Recorder
@@ -160,8 +157,8 @@ func (f *Injector) draw(op string) (Kind, int, bool) {
 
 // inject runs one oracle call through the fault schedule: one draw, then
 // either an injected error — for the transient kinds, without calling the
-// wrapped oracle — or the wrapped call (after the sleep, for KindLatency),
-// whose response corrupt rewrites for the kind. A corrupted response still
+// wrapped oracle — or the wrapped call, whose response corrupt rewrites for
+// the kind (KindLatency leaves it as it is). A corrupted response still
 // costs the wrapped oracle its call (and its rng): only the response is
 // lost.
 func inject[T any](ctx context.Context, f *Injector, op string, call func() T, corrupt func(Kind, T) T) (T, error) {
@@ -175,9 +172,6 @@ func inject[T any](ctx context.Context, f *Injector, op string, call func() T, c
 	}
 	if err := (&Error{Kind: kind, Call: n}); err.Temporary() {
 		return zero, err
-	}
-	if kind == KindLatency && f.cfg.Latency > 0 {
-		time.Sleep(f.cfg.Latency)
 	}
 	return corrupt(kind, call()), nil
 }

@@ -8,7 +8,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/akb"
 	"repro/internal/obs"
@@ -198,11 +197,11 @@ func (o *fixedOracle) Feedback(akb.FeedbackRequest) string             { return 
 func (o *fixedOracle) Refine(akb.RefineRequest) []*tasks.Knowledge     { return o.ks }
 
 func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("rate=0.3,seed=9,kinds=timeout+empty,latency=5ms")
+	cfg, err := ParseSpec("rate=0.3,seed=9,kinds=timeout+empty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Rate: 0.3, Seed: 9, Kinds: []Kind{KindTimeout, KindEmpty}, Latency: 5 * time.Millisecond}
+	want := Config{Rate: 0.3, Seed: 9, Kinds: []Kind{KindTimeout, KindEmpty}}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("got %+v want %+v", cfg, want)
 	}
@@ -211,7 +210,7 @@ func TestParseSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "seed=9", "rate=1.5", "rate=x", "rate=0.1,bogus=1",
-		"rate=0.1,kinds=nope", "rate=0.1,latency=-1s", "rate",
+		"rate=0.1,kinds=nope", "rate=0.1,latency=5ms", "rate",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q should not parse", bad)

@@ -5,18 +5,17 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // ParseSpec parses the compact fault spec the CLI's -faults flag accepts:
 //
-//	rate=0.3,seed=9[,kinds=timeout+empty+malformed][,latency=5ms]
+//	rate=0.3,seed=9[,kinds=timeout+empty+malformed]
 //
 // Keys may appear in any order; unknown keys and out-of-range values are
-// errors. kinds is a +-separated subset of AllKinds (omit for all); latency
-// only matters when the latency kind can fire. rate=0 is valid and useful:
-// the whole resilience chain is exercised with zero injections, which must
-// leave every result byte-identical to an unwrapped run.
+// errors. kinds is a +-separated subset of AllKinds (omit for all). rate=0
+// is valid and useful: the whole resilience chain is exercised with zero
+// injections, which must leave every result byte-identical to an unwrapped
+// run.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	seenRate := false
@@ -51,12 +50,6 @@ func ParseSpec(spec string) (Config, error) {
 				}
 				cfg.Kinds = append(cfg.Kinds, kind)
 			}
-		case "latency":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return Config{}, fmt.Errorf("faults: bad latency %q", val)
-			}
-			cfg.Latency = d
 		default:
 			return Config{}, fmt.Errorf("faults: unknown spec key %q", key)
 		}

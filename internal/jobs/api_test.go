@@ -330,6 +330,65 @@ func (g *gateResolver) Predict(_ context.Context, key string, in *data.Instance)
 	return in.Candidates[in.Gold], false, nil
 }
 
+// TestJobsHTTPShedsPastActiveBound: with maxActive jobs parked in a
+// predict, one more POST /v1/jobs is shed with the retryable 429
+// "overloaded" envelope and starts nothing; once a running job finishes,
+// the same spec is admitted.
+func TestJobsHTTPShedsPastActiveBound(t *testing.T) {
+	dir := t.TempDir()
+	writeInput(t, dir, 2)
+	res := &gateResolver{gate: make(chan struct{})}
+	ts, m := newJobServer(t, res, dir)
+	spec := func(adapter string, i int) []byte {
+		return []byte(fmt.Sprintf(`{"adapter":%q,"input":{"path":"input.json"},"output":{"path":"out-%d.csv"},"shards":1}`, adapter, i))
+	}
+	var held []string
+	for i := 0; i < maxActive; i++ {
+		resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs", spec("EM/held", i))
+		var sub SubmitResponse
+		if err := json.Unmarshal(blob, &sub); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d of %d: %d %s (%v)", i+1, maxActive, resp.StatusCode, blob, err)
+		}
+		held = append(held, sub.Job.ID)
+	}
+	extra := spec("EM/quick", maxActive)
+	resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs", extra)
+	eb, ok := serve.ParseErrorEnvelope(blob)
+	if resp.StatusCode != http.StatusTooManyRequests || !ok || eb.Code != serve.CodeOverloaded || !eb.Retryable ||
+		resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit past the bound: %d %s, want the retryable 429 overloaded envelope with Retry-After", resp.StatusCode, blob)
+	}
+	if n := len(m.List()); n != maxActive {
+		t.Fatalf("a shed submit left %d jobs, want the %d running", n, maxActive)
+	}
+
+	// Every job must end before the test does: one still appending to its
+	// checkpoint log races the TempDir cleanup.
+	settle := func(id string) Snapshot {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if snap, _ := m.Get(id); snap.State != StateRunning {
+				return snap
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s still running", id)
+			}
+		}
+	}
+	close(res.gate)
+	if snap := settle(held[0]); snap.State != StateDone {
+		t.Fatalf("held job after the gate opened: %+v", snap)
+	}
+	resp, blob = doReq(t, http.MethodPost, ts.URL+"/v1/jobs", extra)
+	var sub SubmitResponse
+	if err := json.Unmarshal(blob, &sub); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit after a job finished: %d %s, want 202", resp.StatusCode, blob)
+	}
+	for _, id := range append(held, sub.Job.ID) {
+		settle(id)
+	}
+}
+
 // TestManagerForgetsOldFinishedJobs: a manager remembers every running job
 // and the maxFinished most recently finished ones, no more; a forgotten ID
 // answers like an unknown one, and resubmitting its spec still resumes from

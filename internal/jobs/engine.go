@@ -216,16 +216,13 @@ func (t *Tracker) Progress() Progress {
 	}
 }
 
-// Result summarizes one completed run.
+// Result summarizes one completed run: its tracker's final Progress, with
+// the job's ID, output path and wall time beside it.
 type Result struct {
-	ID            string  `json:"id"`
-	Rows          int     `json:"rows"`
-	Shards        int     `json:"shards"`
-	ResumedShards int     `json:"resumed_shards"`
-	RowFailures   int     `json:"row_failures"`
-	Retries       int64   `json:"retries"`
-	Output        string  `json:"output"`
-	WallS         float64 `json:"wall_s"`
+	ID string `json:"id"`
+	Progress
+	Output string  `json:"output"`
+	WallS  float64 `json:"wall_s"`
 }
 
 // Run executes a plan: committed shards from the checkpoint log are
@@ -294,9 +291,8 @@ func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (*Result, error)
 		tr.shardsResumed.Add(1)
 		tr.rowFailures.Add(int64(rec.Failures))
 	}
-	resumed := int(tr.shardsResumed.Load())
 	var committed atomic.Int64
-	committed.Store(int64(resumed))
+	committed.Store(tr.shardsResumed.Load())
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -346,14 +342,10 @@ func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (*Result, error)
 	}
 	e.Rec.Count("jobs.completed", 1)
 	return &Result{
-		ID:            p.ID,
-		Rows:          p.Rows,
-		Shards:        len(p.Shards),
-		ResumedShards: resumed,
-		RowFailures:   int(tr.rowFailures.Load()),
-		Retries:       tr.retries.Load(),
-		Output:        p.Spec.Output.Path,
-		WallS:         time.Since(start).Seconds(),
+		ID:       p.ID,
+		Progress: tr.Progress(),
+		Output:   p.Spec.Output.Path,
+		WallS:    time.Since(start).Seconds(),
 	}, nil
 }
 

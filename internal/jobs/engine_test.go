@@ -167,8 +167,8 @@ func TestRunInterruptResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.ResumedShards != 2 {
-		t.Fatalf("resumed %d shards, want 2", result.ResumedShards)
+	if result.ShardsResumed != 2 {
+		t.Fatalf("resumed %d shards, want 2", result.ShardsResumed)
 	}
 
 	// Zero duplicated predicts: every row answered exactly once across

@@ -20,8 +20,10 @@ const (
 	StateCanceled = "canceled"
 )
 
-// DefaultMaxActive is ManagerOptions.MaxActive when unset.
-const DefaultMaxActive = 4
+// maxActive bounds concurrently running jobs; submits past it are shed
+// with serve.ErrOverloaded, which the HTTP layer maps to a retryable 429
+// envelope.
+const maxActive = 4
 
 // maxFinished bounds how many finished jobs a Manager remembers: the most
 // recent ones. A long-lived server otherwise holds every spec, tracker and
@@ -34,10 +36,6 @@ type ManagerOptions struct {
 	// CheckpointDir holds the checkpoint logs (required). It is also the one
 	// directory a spec posted over HTTP can name files in (Spec.confine).
 	CheckpointDir string
-	// MaxActive bounds concurrently running jobs (default DefaultMaxActive);
-	// submits past it are shed with serve.ErrOverloaded, which the HTTP
-	// layer maps to a retryable 429 envelope.
-	MaxActive int
 	// Rec threads observability through the engine. Nil disables it.
 	Rec *obs.Recorder
 }
@@ -87,9 +85,6 @@ type Snapshot struct {
 
 // NewManager returns a manager running jobs against res.
 func NewManager(res serve.Resolver, opts ManagerOptions) *Manager {
-	if opts.MaxActive == 0 {
-		opts.MaxActive = DefaultMaxActive
-	}
 	return &Manager{
 		eng:  &Engine{Res: res, CheckpointDir: opts.CheckpointDir, Rec: opts.Rec},
 		opts: opts,
@@ -108,9 +103,9 @@ func (m *Manager) Submit(sp *Spec) (Snapshot, bool, error) {
 		m.mu.Unlock()
 		return old.snapshot(), false, nil
 	}
-	if m.active >= m.opts.MaxActive {
+	if m.active >= maxActive {
 		m.mu.Unlock()
-		return Snapshot{}, false, fmt.Errorf("%w: %d jobs already running (max %d)", serve.ErrOverloaded, m.active, m.opts.MaxActive)
+		return Snapshot{}, false, fmt.Errorf("%w: %d jobs already running (max %d)", serve.ErrOverloaded, m.active, maxActive)
 	}
 	if known {
 		m.finished = slices.DeleteFunc(m.finished, func(f *job) bool { return f == old })

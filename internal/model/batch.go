@@ -183,7 +183,7 @@ func (m *Model) forward(b *batchScratch, exs []*tasks.Example) *tensor.Mat {
 	}
 	for i, ex := range exs {
 		if len(ex.Candidates) == 0 {
-			panic(fmt.Sprintf("model: example %q has no candidates", ex.Prompt))
+			panic(fmt.Sprintf("model: example %d of a batch of %d has no candidates", i, n))
 		}
 		b.enc.EncodeTo(b.encs[i], ex.Segments)
 	}

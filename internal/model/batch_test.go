@@ -89,7 +89,7 @@ func TestScoresBatchMatchesScores(t *testing.T) {
 			}
 			exs := make([]*tasks.Example, len(ins))
 			for i, in := range ins {
-				exs[i] = tasks.BuildExample(spec, in, tc.know)
+				exs[i] = example(spec, in, tc.know)
 			}
 			want := make([][]float64, len(exs))
 			wantIdx := make([]int, len(exs))
@@ -135,7 +135,7 @@ func TestPredictBatchWithMatchesPredictWith(t *testing.T) {
 		t.Fatalf("got %d answers for %d instances", len(got), len(ins))
 	}
 	for i, in := range ins {
-		best, _ := Argmax(referenceScores(m, tasks.BuildExample(spec, in, k)))
+		best, _ := Argmax(referenceScores(m, example(spec, in, k)))
 		if want := in.Candidates[best]; got[i] != want {
 			t.Fatalf("instance %d: batched %q, reference %q", i, got[i], want)
 		}
@@ -162,7 +162,7 @@ func TestScoresBatchFollowsCoefficientChanges(t *testing.T) {
 		}
 		gates = append(gates, coef)
 	}
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 41)[0], nil)
+	ex := example(tasks.SpecFor(tasks.ED), toyED(1, 41)[0], nil)
 	var seen [][]float64
 	for _, route := range [][]float64{{0.7, 0.3, 0}, {0, 0.1, 0.9}} {
 		for i, g := range gates {
@@ -218,7 +218,7 @@ func TestPredictCountsNaNScores(t *testing.T) {
 	m.Trust.Val = 1
 	in := toyED(1, 5)[0]
 	in.Fields[0].Value = "0.07%"
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
+	ex := example(tasks.SpecFor(tasks.ED), in, nil)
 	ex.Hints = []float64{math.NaN(), 0} // poisons candidate 0 only
 	if best := m.PredictBatch(one(ex))[0]; best != 1 {
 		t.Fatalf("PredictBatch returned the NaN-scored candidate: %d", best)

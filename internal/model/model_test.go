@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/akb"
@@ -121,7 +122,7 @@ func TestModelStepGradientCheck(t *testing.T) {
 	ins[0].Gold = 0
 	exs := make([]*tasks.Example, len(ins))
 	for i, in := range ins {
-		exs[i] = tasks.BuildExample(tasks.SpecFor(tasks.ED), in, k)
+		exs[i] = example(tasks.SpecFor(tasks.ED), in, k)
 	}
 	if exs[0].Hints[0] == 0 {
 		t.Fatal("test setup: rule should fire")
@@ -167,7 +168,7 @@ func TestCloneIndependence(t *testing.T) {
 	m := New(tinyConfig())
 	c := m.Clone()
 	// Same weights initially.
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
+	ex := example(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
 	s1 := append([]float64(nil), m.ScoresBatch(one(ex))[0]...)
 	s2 := c.ScoresBatch(one(ex))[0]
 	for i := range s1 {
@@ -205,7 +206,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	test := toyED(20, 9)
 	spec := tasks.SpecFor(tasks.ED)
 	for _, in := range test {
-		ex := tasks.BuildExample(spec, in, nil)
+		ex := example(spec, in, nil)
 		if m.PredictBatch(one(ex))[0] != m2.PredictBatch(one(ex))[0] {
 			t.Fatal("snapshot round trip changed predictions")
 		}
@@ -276,7 +277,7 @@ func TestPatchOnlyFineTune(t *testing.T) {
 func TestPredictDeterministic(t *testing.T) {
 	m := New(tinyConfig())
 	in := toyED(1, 20)[0]
-	ex := tasks.BuildExample(tasks.SpecFor(tasks.ED), in, nil)
+	ex := example(tasks.SpecFor(tasks.ED), in, nil)
 	p1 := m.PredictBatch(one(ex))[0]
 	for i := 0; i < 5; i++ {
 		if m.PredictBatch(one(ex))[0] != p1 {
@@ -285,14 +286,18 @@ func TestPredictDeterministic(t *testing.T) {
 	}
 }
 
+// The panic names the offending example by its index in the batch: the
+// product builders leave no other label on an Example.
 func TestScoresPanicsWithoutCandidates(t *testing.T) {
 	m := New(tinyConfig())
+	ok := example(tasks.SpecFor(tasks.ED), toyED(1, 5)[0], nil)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty candidates")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "example 1 of a batch of 2 has no candidates") {
+			t.Fatalf("panic %q does not name the empty example", msg)
 		}
 	}()
-	m.ScoresBatch(one(&tasks.Example{}))
+	m.ScoresBatch([]*tasks.Example{ok, {}})
 }
 
 // fusedModel builds what few-shot fine-tuning trains: a shared backbone with
@@ -322,7 +327,7 @@ func TestWarmStepAllocatesNothing(t *testing.T) {
 	spec := tasks.SpecFor(tasks.ED)
 	var window []*tasks.Example
 	for _, in := range toyED(4, 5) {
-		window = append(window, tasks.BuildExample(spec, in, hintKnowledge()))
+		window = append(window, example(spec, in, hintKnowledge()))
 	}
 	opt := nn.NewAdam(0.01)
 	opt.WeightDecay = 3e-4
@@ -355,8 +360,8 @@ func TestStepKeepsPerCandidateActivations(t *testing.T) {
 	ins[1].Candidates = []string{"0.05", "maybe", tasks.AnswerNo, "0.05%"}
 	ins[1].Gold = 3
 	exs := []*tasks.Example{
-		tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[0], nil),
-		tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[1], nil),
+		example(tasks.SpecFor(tasks.ED), ins[0], nil),
+		example(tasks.SpecFor(tasks.ED), ins[1], nil),
 	}
 	ps.ZeroGrad()
 	m.StepBatch(exs, 0)

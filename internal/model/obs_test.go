@@ -15,7 +15,7 @@ import (
 func TestPredictNilRecorderAddsNoAllocs(t *testing.T) {
 	m := New(tinyConfig())
 	ins := toyED(1, 9)
-	exs := one(tasks.BuildExample(tasks.SpecFor(tasks.ED), ins[0], nil))
+	exs := one(example(tasks.SpecFor(tasks.ED), ins[0], nil))
 	m.PredictBatch(exs) // warm caches (candidate encodings, scratch)
 
 	if m.Rec != nil {

@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 
+	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tasks"
 	"repro/internal/tensor"
@@ -46,6 +47,13 @@ func referenceTower(emb *nn.Embedding, dense *nn.Dense, x *tensor.Sparse) tensor
 func referenceLoss(m *Model, ex *tasks.Example) float64 {
 	scores := referenceScores(m, ex)
 	return nn.SoftmaxCE(scores, ex.Gold, make(tensor.Vec, len(scores)))
+}
+
+// example serializes in into a fresh Example.
+func example(spec tasks.Spec, in *data.Instance, k *tasks.Knowledge) *tasks.Example {
+	ex := &tasks.Example{}
+	tasks.BuildExampleInto(ex, spec, in, k)
+	return ex
 }
 
 // one wraps a single example as the n = 1 batch every per-example caller

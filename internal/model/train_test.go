@@ -122,7 +122,7 @@ func TestStepBatchMatchesOneExampleWindows(t *testing.T) {
 			}
 			exs := make([]*tasks.Example, len(ins))
 			for i, in := range ins {
-				exs[i] = tasks.BuildExample(spec, in, k)
+				exs[i] = example(spec, in, k)
 			}
 			wloss = whole.StepBatch(exs, wloss)
 			for _, ex := range exs {

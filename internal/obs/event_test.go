@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"log/slog"
 	"strings"
 	"testing"
 )
@@ -14,7 +13,7 @@ func TestTracerEvent(t *testing.T) {
 	rec := NewRecorder(NewRegistry(), tr)
 
 	r2, sp := rec.StartSpan("akb.iteration")
-	r2.Event("akb.candidate", "score", 91.5, "accepted", true, slog.Int("iter", 2))
+	r2.Event("akb.candidate", "score", 91.5, "accepted", true, "iter", 2)
 	sp.End()
 
 	recs, _, err := ReadJSONL[SpanRecord](strings.NewReader(buf.String()))
@@ -49,20 +48,6 @@ func TestEventNilSafety(t *testing.T) {
 	tr.EventIn(SpanContext{}, "ghost")
 	metricsOnly := NewRecorder(NewRegistry(), nil)
 	metricsOnly.Event("ghost", "k", 1)
-}
-
-func TestEventGroupFlattening(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	tr.EventIn(SpanContext{}, "e", slog.Group("g", slog.Int("x", 1), slog.Group("h", slog.Int("y", 2))))
-	recs, _, err := ReadJSONL[SpanRecord](strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attrs := recs[0].Attrs
-	if attrs["g.x"] != float64(1) || attrs["g.h.y"] != float64(2) {
-		t.Errorf("flattened attrs = %v", attrs)
-	}
 }
 
 // errCloser fails on Close, to exercise error propagation.

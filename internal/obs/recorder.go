@@ -89,10 +89,10 @@ func (r *Recorder) DeleteGauge(name string) {
 }
 
 // Event emits a structured event into the trace stream, parented to the
-// recorder's current span. args are slog-style attributes (alternating
-// key/value pairs or slog.Attr values). Events are how the pipeline records
-// point-in-time decisions — AKB candidate accept/reject, feedback text —
-// that have no duration but belong on the span timeline.
+// recorder's current span. args are alternating string keys and values
+// (Tracer.EventIn). Events are how the pipeline records point-in-time
+// decisions — AKB candidate accept/reject, feedback text — that have no
+// duration but belong on the span timeline.
 func (r *Recorder) Event(name string, args ...any) {
 	if r == nil || r.Tracer == nil {
 		return

@@ -76,11 +76,6 @@ type Options struct {
 	// MaxInflight sheds predict requests with 429 + Retry-After once more
 	// than this many HTTP requests are in flight. Default 0: unlimited.
 	MaxInflight int
-	// TransferTimeout bounds one cold-start Transfer. Builds run detached
-	// from the triggering request's context (coalesced waiters must not be
-	// at the mercy of the first requester's deadline), so this is their
-	// only bound. Default 0: unbounded.
-	TransferTimeout time.Duration
 	// Rec threads observability through the service. Nil disables it at
 	// zero cost.
 	Rec *obs.Recorder
@@ -287,26 +282,20 @@ func (r *Registry) get(ctx context.Context, key string) (e *entry, cold bool, er
 
 // build runs the Transfer for one flight and publishes the result. It runs
 // on the triggering requester's goroutine but under a context detached from
-// that request, bounded only by TransferTimeout: coalesced waiters must not
-// inherit the first requester's deadline. reqCtx is used for span linkage
+// that request, with no deadline: coalesced waiters must not inherit the
+// first requester's deadline. reqCtx is used for span linkage
 // only — the serve.transfer span links the triggering request's span, so a
 // request that paid a cold start stays attributable — never for
 // cancellation. The slot is released and waiters woken under defer, so a
 // panicking Transfer fails its waiters (they see the panic as an error)
 // instead of wedging the key.
 func (r *Registry) build(reqCtx context.Context, key string, f *flight) {
-	bctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if r.opts.TransferTimeout > 0 {
-		bctx, cancel = context.WithTimeout(bctx, r.opts.TransferTimeout)
-	}
 	_, span := r.rec.StartSpan("serve.transfer")
 	span.SetAttr("key", key)
 	if rs := obs.SpanFromContext(reqCtx); rs != nil {
 		span.Link(rs.Context())
 	}
 	defer func() {
-		cancel()
 		if p := recover(); p != nil {
 			f.err = fmt.Errorf("serve: transfer %q panicked: %v", key, p)
 		}
@@ -333,7 +322,7 @@ func (r *Registry) build(reqCtx context.Context, key string, f *flight) {
 	// starts are attributable to the key that paid for them.
 	var ad Adapter
 	var err error
-	profile.Do(bctx, func(ctx context.Context) {
+	profile.Do(context.Background(), func(ctx context.Context) {
 		ad, err = r.transfer(ctx, key)
 	}, profile.LabelKey, key, profile.LabelPhase, "transfer")
 	if err == nil && ad == nil {

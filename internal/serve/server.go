@@ -96,18 +96,12 @@ func (s *Server) StartDrain() {
 	s.draining.Store(true)
 }
 
-// WireField / WireInstance are the JSON shape of a data.Instance on the
-// predict endpoint. Gold is deliberately absent: the service answers
-// questions, it does not score them.
-type WireField struct {
-	Entity string `json:"entity,omitempty"`
-	Name   string `json:"name"`
-	Value  string `json:"value"`
-}
-
+// WireInstance is the JSON shape of a data.Instance on the predict
+// endpoint; its fields keep data.Field's own shape. Gold is deliberately
+// absent: the service answers questions, it does not score them.
 type WireInstance struct {
 	ID         string            `json:"id,omitempty"`
-	Fields     []WireField       `json:"fields"`
+	Fields     []data.Field      `json:"fields"`
 	Target     string            `json:"target,omitempty"`
 	Candidates []string          `json:"candidates,omitempty"`
 	Meta       map[string]string `json:"meta,omitempty"`
@@ -117,30 +111,24 @@ type WireInstance struct {
 // is not carried: callers that know it (the drills) keep it on their side
 // of the wire.
 func WireFrom(in *data.Instance) WireInstance {
-	wi := WireInstance{
+	return WireInstance{
 		ID:         in.ID,
+		Fields:     in.Fields,
 		Target:     in.Target,
 		Candidates: in.Candidates,
 		Meta:       in.Meta,
 	}
-	for _, f := range in.Fields {
-		wi.Fields = append(wi.Fields, WireField{Entity: f.Entity, Name: f.Name, Value: f.Value})
-	}
-	return wi
 }
 
 func (wi *WireInstance) instance() *data.Instance {
-	in := &data.Instance{
+	return &data.Instance{
 		ID:         wi.ID,
+		Fields:     wi.Fields,
 		Target:     wi.Target,
 		Candidates: wi.Candidates,
 		Meta:       wi.Meta,
 		Gold:       -1, // unknown; the service never sees labels
 	}
-	for _, f := range wi.Fields {
-		in.Fields = append(in.Fields, data.Field{Entity: f.Entity, Name: f.Name, Value: f.Value})
-	}
-	return in
 }
 
 // PredictRequest is the body of POST /v1/predict.

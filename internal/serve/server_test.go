@@ -203,7 +203,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 func TestRequestTimeout(t *testing.T) {
 	tr := newStubTransferer(200 * time.Millisecond)
-	srv, _ := newTestServer(t, tr, Options{RequestTimeout: 20 * time.Millisecond, TransferTimeout: time.Hour})
+	srv, _ := newTestServer(t, tr, Options{RequestTimeout: 20 * time.Millisecond})
 	resp, body := postJSON(t, srv.URL+"/v1/predict", PredictRequest{
 		Adapter:  "EM/slow",
 		Instance: WireInstance{ID: "1", Candidates: []string{"y", "n"}},

@@ -146,8 +146,10 @@ func TestGoldenBitIdentity(t *testing.T) {
 	d.adapted(t, tr.Model)
 	d.floats(tr.Fusion.Weights()...)
 	spec := tasks.SpecFor(tasks.ED)
+	var ex tasks.Example
 	for _, in := range markerDataset(rng, 10, "%", "") {
-		d.floats(tr.Model.ScoresBatch([]*tasks.Example{tasks.BuildExample(spec, in, know)})[0]...)
+		tasks.BuildExampleInto(&ex, spec, in, know)
+		d.floats(tr.Model.ScoresBatch([]*tasks.Example{&ex})[0]...)
 	}
 	if got := fmt.Sprintf("%016x", d.h.Sum64()); got != goldenDigest {
 		t.Fatalf("training arithmetic changed: digest %s, want %s", got, goldenDigest)

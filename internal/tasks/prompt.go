@@ -18,9 +18,6 @@ type Example struct {
 	Candidates []string
 	Gold       int
 	Hints      []float64
-	// Prompt is the rendered natural-language prompt, used for token/cost
-	// accounting (Table III) and debugging; the model consumes Segments.
-	Prompt string
 }
 
 // Segment weights: the record dominates, task scaffolding contributes a
@@ -39,29 +36,18 @@ const (
 	wAlign     = 1.6
 )
 
-// BuildExample converts an instance into a model-ready example under the
-// given knowledge (nil for none). This is the serializer: it applies the
+// BuildExampleInto converts an instance into a model-ready example under the
+// given knowledge (nil for none), filling ex in place and reusing
+// ex.Segments' backing array. This is the serializer: it applies the
 // knowledge's serialization directives, derives format-signature and
 // pair-alignment features (the substrate's stand-in for what a transformer
-// reads off raw text), and compiles rules to candidate hints.
-func BuildExample(spec Spec, in *data.Instance, k *Knowledge) *Example {
-	ex := &Example{}
-	BuildExampleInto(ex, spec, in, k)
-	ex.Prompt = RenderPrompt(spec, in, k)
-	return ex
-}
-
-// BuildExampleInto is the serve-path variant of BuildExample: it fills ex in
-// place, reusing ex.Segments' backing array, and does NOT render ex.Prompt —
-// the rendered prompt exists only for token/cost accounting and debugging,
-// and the model consumes Segments. The emitted segments are identical to
-// BuildExample's (same serializer, same order, same weights), which is what
-// keeps the batched serve path byte-identical to the direct path.
+// reads off raw text), and compiles rules to candidate hints. The model
+// consumes only Segments; the natural-language prompt, which token and cost
+// accounting read, is RenderPrompt's.
 func BuildExampleInto(ex *Example, spec Spec, in *data.Instance, k *Knowledge) {
 	ex.Candidates = in.Candidates
 	ex.Gold = in.Gold
 	ex.Hints = k.Hints(in)
-	ex.Prompt = ""
 	fields, weights := k.ApplySerial(in.Fields)
 
 	segs := append(ex.Segments[:0], text.Segment{Text: taskLabel(spec.Kind), Weight: wDescription})

@@ -20,9 +20,16 @@ func pairInstance() *data.Instance {
 	}
 }
 
+// build serializes in into a fresh Example.
+func build(spec Spec, in *data.Instance, k *Knowledge) *Example {
+	ex := &Example{}
+	BuildExampleInto(ex, spec, in, k)
+	return ex
+}
+
 func TestBuildExampleBasics(t *testing.T) {
 	in := edInstance("abv", "0.05%", data.Field{Name: "beer_name", Value: "Hop Storm"})
-	ex := BuildExample(SpecFor(ED), in, nil)
+	ex := build(SpecFor(ED), in, nil)
 	if len(ex.Candidates) != 2 || ex.Gold != 0 {
 		t.Fatalf("candidates/gold wrong: %+v", ex)
 	}
@@ -32,8 +39,8 @@ func TestBuildExampleBasics(t *testing.T) {
 	if len(ex.Segments) == 0 {
 		t.Fatal("no segments built")
 	}
-	if !strings.Contains(ex.Prompt, "abv") {
-		t.Fatalf("prompt should mention the target attribute:\n%s", ex.Prompt)
+	if prompt := RenderPrompt(SpecFor(ED), in, nil); !strings.Contains(prompt, "abv") {
+		t.Fatalf("prompt should mention the target attribute:\n%s", prompt)
 	}
 }
 
@@ -41,9 +48,9 @@ func TestBuildExampleBasics(t *testing.T) {
 func TestKnowledgeChangesPrompt(t *testing.T) {
 	in := edInstance("abv", "0.05%")
 	k := &Knowledge{Text: "The ABV attribute must be a decimal value between 0 and 1, without a % symbol."}
-	plain := BuildExample(SpecFor(ED), in, nil)
-	aug := BuildExample(SpecFor(ED), in, k)
-	if plain.Prompt == aug.Prompt {
+	plain := build(SpecFor(ED), in, nil)
+	aug := build(SpecFor(ED), in, k)
+	if RenderPrompt(SpecFor(ED), in, nil) == RenderPrompt(SpecFor(ED), in, k) {
 		t.Fatal("knowledge text must appear in the prompt")
 	}
 	if len(aug.Segments) <= len(plain.Segments) {
@@ -53,7 +60,7 @@ func TestKnowledgeChangesPrompt(t *testing.T) {
 
 func TestFormatSignatureSegmentsPresent(t *testing.T) {
 	in := edInstance("created", "4/3/15")
-	ex := BuildExample(SpecFor(ED), in, nil)
+	ex := build(SpecFor(ED), in, nil)
 	found := false
 	for _, s := range ex.Segments {
 		if strings.HasPrefix(s.Field, "fmt.") && strings.Contains(s.Text, "slashdate") {
@@ -66,7 +73,7 @@ func TestFormatSignatureSegmentsPresent(t *testing.T) {
 }
 
 func TestAlignSegmentsForPairs(t *testing.T) {
-	ex := BuildExample(SpecFor(EM), pairInstance(), nil)
+	ex := build(SpecFor(EM), pairInstance(), nil)
 	var hasOverlap, hasModelToken, hasPriceAlign bool
 	for _, s := range ex.Segments {
 		switch s.Field {
@@ -86,7 +93,7 @@ func TestAlignSegmentsForPairs(t *testing.T) {
 
 func TestAlignSegmentsAbsentForSingleRecord(t *testing.T) {
 	in := edInstance("abv", "0.05")
-	ex := BuildExample(SpecFor(ED), in, nil)
+	ex := build(SpecFor(ED), in, nil)
 	for _, s := range ex.Segments {
 		if strings.HasPrefix(s.Field, "align.") {
 			t.Fatalf("single-record instance should have no alignment segments, got %q", s.Field)
@@ -96,7 +103,7 @@ func TestAlignSegmentsAbsentForSingleRecord(t *testing.T) {
 
 func TestIgnoreDirectiveRemovesAttrFromSegments(t *testing.T) {
 	k := &Knowledge{Serial: []SerialDirective{{Action: ActionIgnore, Attr: "price"}}}
-	ex := BuildExample(SpecFor(EM), pairInstance(), k)
+	ex := build(SpecFor(EM), pairInstance(), k)
 	for _, s := range ex.Segments {
 		if s.Field == "A.price" || s.Field == "B.price" {
 			t.Fatal("ignored attribute must not be serialized")

@@ -173,7 +173,7 @@ func TestApplySerialInvariant(t *testing.T) {
 	}
 }
 
-// Property: BuildExample output is internally consistent for arbitrary
+// Property: BuildExampleInto output is internally consistent for arbitrary
 // instances and knowledge.
 func TestBuildExampleInvariant(t *testing.T) {
 	f := func(seed int64) bool {
@@ -183,11 +183,11 @@ func TestBuildExampleInvariant(t *testing.T) {
 		for i := 0; i < rng.Intn(4); i++ {
 			k.Rules = append(k.Rules, randRule(rng))
 		}
-		ex := BuildExample(SpecFor(ED), in, k)
+		ex := build(SpecFor(ED), in, k)
 		if len(ex.Hints) != len(ex.Candidates) || ex.Gold != in.Gold {
 			return false
 		}
-		if len(ex.Segments) == 0 || ex.Prompt == "" {
+		if len(ex.Segments) == 0 || RenderPrompt(SpecFor(ED), in, k) == "" {
 			return false
 		}
 		return true

@@ -81,10 +81,11 @@ type Segment struct {
 // Empirically this tracks GPT-style BPE counts within ~15% on tabular
 // prompts, which is accurate enough for a cost comparison.
 func CountTokens(s string) int {
-	n := len(Tokenize(s))
+	toks := Tokenize(s)
+	n := len(toks)
 	// BPE splits long alphanumeric words; approximate with one extra token
 	// per 6 characters beyond the first 6.
-	for _, t := range Tokenize(s) {
+	for _, t := range toks {
 		if len(t) > 6 {
 			n += (len(t) - 1) / 6
 		}
