@@ -11,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/skc"
 	"repro/internal/tasks"
+	"repro/internal/text"
 )
 
 func smallBundle(key string) *datagen.Bundle { return datagen.ByKey(key, 3, 0.05) }
@@ -111,6 +112,12 @@ func TestICLPromptTokensLargerThanBare(t *testing.T) {
 	}
 	if outputTokens <= 0 {
 		t.Fatalf("output tokens = %d", outputTokens)
+	}
+	// The answer counted from the prompt's one retrieval is Predict's answer.
+	for _, in := range b.DS.Test {
+		if _, out := pred.PromptTokens(in); out != text.CountTokens(pred.Predict(in)) {
+			t.Fatalf("PromptTokens counts %d output tokens, Predict's answer has %d", out, text.CountTokens(pred.Predict(in)))
+		}
 	}
 }
 

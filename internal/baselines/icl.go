@@ -98,7 +98,11 @@ func (p *iclPredictor) PredictBatch(ctx context.Context, ins []*data.Instance) [
 // Predict builds the demonstration-augmented prompt and combines model
 // scores with similarity-weighted neighbor votes.
 func (p *iclPredictor) Predict(in *data.Instance) string {
-	neighbors := p.neighbors(in)
+	return p.predict(in, p.neighbors(in))
+}
+
+// predict answers in given its retrieved neighbors.
+func (p *iclPredictor) predict(in *data.Instance, neighbors []neighbor) string {
 	var ex tasks.Example
 	tasks.BuildExampleInto(&ex, p.spec, in, nil)
 	// Serialize demonstrations into the prompt. They are hashed into an
@@ -130,14 +134,16 @@ func (p *iclPredictor) Predict(in *data.Instance) string {
 	return ex.Candidates[best]
 }
 
-// PromptTokens reports the token count of one demonstration-augmented
-// prompt, used by the Table III cost analysis.
+// PromptTokens reports the token counts of one demonstration-augmented
+// prompt and of its answer, used by the Table III cost analysis. One
+// retrieval serves both.
 func (p *iclPredictor) PromptTokens(in *data.Instance) (input, output int) {
+	neighbors := p.neighbors(in)
 	prompt := tasks.RenderPrompt(p.spec, in, nil)
-	for _, n := range p.neighbors(in) {
+	for _, n := range neighbors {
 		prompt += "\nExample: " + data.RenderRecord(n.d.in.Fields) + " -> " + n.d.ans
 	}
-	return text.CountTokens(prompt), text.CountTokens(p.Predict(in))
+	return text.CountTokens(prompt), text.CountTokens(p.predict(in, neighbors))
 }
 
 func equalFold(a, b string) bool {

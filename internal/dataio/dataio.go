@@ -226,18 +226,23 @@ func EncodeJSON(ds *data.Dataset, seedKnowledge string, w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// DecodeJSON parses a dataset previously written by EncodeJSON / dpgen. The
-// stream must hold exactly one dataset: anything but whitespace after it is
-// an error, so two concatenated datasets are refused rather than silently
-// cut to the first.
+// DecodeJSON reads r to its end and parses what it read with ParseJSON.
 func DecodeJSON(r io.Reader) (*data.Dataset, error) {
-	var in JSONDataset
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("dataio: decoding dataset: %w", err)
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dataio: reading dataset: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("dataio: decoding dataset: trailing data after the value")
+	return ParseJSON(blob)
+}
+
+// ParseJSON parses a dataset previously written by EncodeJSON / dpgen from
+// bytes already in memory, without first copying them. blob must hold
+// exactly one dataset: anything but whitespace after it is an error, so two
+// concatenated datasets are refused rather than silently cut to the first.
+func ParseJSON(blob []byte) (*data.Dataset, error) {
+	var in JSONDataset
+	if err := json.Unmarshal(blob, &in); err != nil {
+		return nil, fmt.Errorf("dataio: decoding dataset: %w", err)
 	}
 	ds := &data.Dataset{Name: in.Name, Task: in.Task}
 	var err error

@@ -137,7 +137,7 @@ func loadInput(sp *Spec) ([]*data.Instance, string, error) {
 	var ins []*data.Instance
 	switch sp.Input.Format {
 	case "json":
-		ds, err := dataio.DecodeJSON(bytes.NewReader(blob))
+		ds, err := dataio.ParseJSON(blob)
 		if err != nil {
 			return nil, "", fmt.Errorf("jobs: %w", err)
 		}

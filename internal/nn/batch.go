@@ -35,10 +35,12 @@ func (l *Embedding) ForwardBatch(xs []*tensor.Sparse, y *tensor.Mat, pool *tenso
 }
 
 // ForwardTape computes y.Row(i) = Σⱼ xⱼ·E[j,:] + α Σₚ λₚ (Σⱼ xⱼ·Bₚ[j,:])·Aₚ
-// for x = xs[i] and returns the tape. Each active feature is gathered once
-// from E and once from the bank, whose row carries every patch's B row, into
-// the tape row; each patch then lifts its columns back to hidden space and
-// adds them under the λ it reads now. y must be len(xs) x Hidden.
+// for x = xs[i] and returns the tape. The active features are gathered once
+// from E into y's row and once from the bank, whose row carries every patch's
+// B row, into the tape row, each gather one tensor.Mat.AddRows, which sums
+// eight feature rows per pass over the output row; each patch then lifts its
+// columns back to hidden space and adds them under the λ it reads now. y must
+// be len(xs) x Hidden.
 func (l *Embedding) ForwardTape(xs []*tensor.Sparse, y *tensor.Mat, pool *tensor.Pool) *tensor.Mat {
 	n, h := len(xs), l.Hidden()
 	if y.Rows != n || y.Cols != h {
@@ -49,17 +51,13 @@ func (l *Embedding) ForwardTape(xs []*tensor.Sparse, y *tensor.Mat, pool *tensor
 	for b, x := range xs {
 		row := y.Row(b)
 		row.Zero()
-		for i, idx := range x.Idx {
-			row.Axpy(x.Val[i], l.table.Row(int(idx)))
-		}
+		l.table.AddRows(row, x.Idx, x.Val)
 		if len(l.Patches) == 0 {
 			continue
 		}
 		u := tape.Row(b)
 		u.Zero()
-		for i, idx := range x.Idx {
-			u.Axpy(x.Val[i], l.bank.W.Row(int(idx)))
-		}
+		l.bank.W.AddRows(u, x.Idx, x.Val)
 		for _, at := range l.Patches {
 			if at.skipped() {
 				continue

@@ -28,7 +28,7 @@ func MatMulNT(a, b, c *Mat) {
 			brow := b.Data[j*k : (j+1)*k]
 			var s float64
 			for t, x := range arow {
-				s += x * brow[t]
+				s += float64(x * brow[t])
 			}
 			crow[j] = s
 		}
@@ -36,24 +36,16 @@ func MatMulNT(a, b, c *Mat) {
 }
 
 // MatMulNN computes c = a · b. Shapes: a is n×k, b is k×m, c is n×m. Each
-// output row is accumulated k-outer with the same zero-skip MulVecT uses
-// (c.Row(i) = bᵀ · a.Row(i)), preserving the serial summation order bit for
-// bit. c is zeroed first; it must not alias a or b.
+// output row is c.Row(i) = bᵀ · a.Row(i), one MulVecT, so the rows of b are
+// summed k-outer with its zero skip, in the serial order bit for bit. c must
+// not alias a or b.
 func MatMulNN(a, b, c *Mat) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulNN shape mismatch a %dx%d, b %dx%d, c %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	c.Zero()
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for t, x := range arow {
-			if x == 0 {
-				continue
-			}
-			axpy(x, b.Data[t*b.Cols:(t+1)*b.Cols], crow)
-		}
+		b.MulVecT(a.Row(i), c.Row(i))
 	}
 }
 

@@ -8,14 +8,16 @@ import (
 )
 
 // The naive loops below are the arithmetic the kernels replaced, each with
-// its caller's zero-coefficient skip. The kernels must match them bit for bit.
+// its caller's zero-coefficient skip: one y += a·row per term. The kernels must
+// match them bit for bit. Their products are written float64(x * y) like the
+// kernels', so that no GOARCH fuses the reference either.
 
 func naiveAxpy(v Vec, a float64, w Vec) {
 	if a == 0 {
 		return
 	}
 	for i, x := range w {
-		v[i] += a * x
+		v[i] += float64(a * x)
 	}
 }
 
@@ -27,7 +29,7 @@ func naiveMulVecT(m *Mat, x, y Vec) {
 			continue
 		}
 		for j, w := range m.Row(i) {
-			y[j] += a * w
+			y[j] += float64(a * w)
 		}
 	}
 }
@@ -43,7 +45,7 @@ func naiveRankOne(m *Mat, a float64, u, v Vec) {
 		}
 		row := m.Row(i)
 		for j, x := range v {
-			row[j] += s * x
+			row[j] += float64(s * x)
 		}
 	}
 }
@@ -57,7 +59,7 @@ func naiveMatMulNN(a, b, c *Mat) {
 				continue
 			}
 			for j, w := range b.Row(t) {
-				crow[j] += x * w
+				crow[j] += float64(x * w)
 			}
 		}
 	}
@@ -97,6 +99,9 @@ func randMat(rng *rand.Rand, r, c int) *Mat {
 
 func requireBits(t *testing.T, label string, want, got []float64) {
 	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d, naive loop %d", label, len(got), len(want))
+	}
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: [%d] = %v (%#x), naive loop %v (%#x)", label, i,
@@ -105,11 +110,11 @@ func requireBits(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// TestKernelsMatchNaiveLoops pins axpy and its four callers against the
-// naive loops, bitwise, at every length 0–19 (every tail of the four-way
-// unroll) with NaN, ±Inf, −0 and subnormals in the operands and in the
-// coefficients. Zero coefficients meet NaN and ±Inf operands, and 0·NaN and
-// 0·Inf are NaN, so a caller that lost its zero skip fails here.
+// TestKernelsMatchNaiveLoops pins axpy, its callers and the rowSum kernels
+// against the naive loops, bitwise, at every length 0–19 (every tail of the
+// four-way unroll) with NaN, ±Inf, −0 and subnormals in the operands and in
+// the coefficients. Zero coefficients meet NaN and ±Inf operands, and 0·NaN
+// and 0·Inf are NaN, so a caller that lost its zero skip fails here.
 func TestKernelsMatchNaiveLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	coefs := append([]float64{1, -2.5, 1e-300}, specials...)
@@ -123,7 +128,7 @@ func TestKernelsMatchNaiveLoops(t *testing.T) {
 			x, y := randVec(rng, n), randVec(rng, n)
 			want, got := y.Clone(), y.Clone()
 			for i, v := range x {
-				want[i] += a * v
+				want[i] += float64(a * v)
 			}
 			axpy(a, x, got)
 			requireBits(t, "axpy", want, got)
@@ -152,6 +157,101 @@ func TestKernelsMatchNaiveLoops(t *testing.T) {
 			requireBits(t, "MatMulNN", wantC.Data, gotC.Data)
 		}
 	}
+}
+
+// naiveAddRows is the gather AddRows replaced: one Vec.Axpy per feature.
+func naiveAddRows(m *Mat, y Vec, idx []int32, val []float64) {
+	for k, i := range idx {
+		if val[k] == 0 {
+			continue
+		}
+		for j, w := range m.Row(int(i)) {
+			y[j] += float64(val[k] * w)
+		}
+	}
+}
+
+// sumCoefs are the coefficients the rowSum tests draw: both zeros (skipped),
+// ordinary values, and the specials.
+var sumCoefs = append([]float64{1, -2.5, 0.1, 1e-300, 3}, specials...)
+
+// TestRowSumMatchesNaiveAxpy pins the blocked kernel through its three
+// callers — AddRows, MulVecT and MatMulNN — against one naive axpy per term,
+// at every term count 0–20 (a full pass of eight, then every 4-wide and
+// single-term tail, twice over) and widths 0–9 and 13. Repeated indices,
+// zero coefficients (both signs) against rows holding ±Inf and NaN, signed
+// zeros and subnormals are all drawn; a zero coefficient must add nothing,
+// and a NaN must carry the payload one axpy per term gives it.
+func TestRowSumMatchesNaiveAxpy(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, width := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
+		for terms := 0; terms <= 20; terms++ {
+			for trial := 0; trial < 8; trial++ {
+				m := randMat(rng, 6, width) // 6 rows: 20 terms repeat indices
+				idx := make([]int32, terms)
+				val := make([]float64, terms)
+				for k := range idx {
+					idx[k] = int32(rng.Intn(m.Rows))
+					val[k] = sumCoefs[rng.Intn(len(sumCoefs))]
+				}
+				y := randVec(rng, width)
+				want, got := y.Clone(), y.Clone()
+				naiveAddRows(m, want, idx, val)
+				m.AddRows(got, idx, val)
+				requireBits(t, "AddRows", want, got)
+
+				// The same coefficients as a dense x over a terms-row matrix.
+				mt := randMat(rng, terms, width)
+				wantY, gotY := randVec(rng, width), randVec(rng, width)
+				naiveMulVecT(mt, val, wantY)
+				mt.MulVecT(val, gotY)
+				requireBits(t, "MulVecT", wantY, gotY)
+
+				a := randMat(rng, 2, terms)
+				copy(a.Row(1), val)
+				wantC, gotC := randMat(rng, 2, width), randMat(rng, 2, width)
+				naiveMatMulNN(a, mt, wantC)
+				MatMulNN(a, mt, gotC)
+				requireBits(t, "MatMulNN", wantC.Data, gotC.Data)
+			}
+		}
+	}
+}
+
+// FuzzAddRows drives AddRows with fuzzer-chosen gathers and checks each
+// against one naive axpy per term, bitwise. The source
+// matrix (eight rows) and y are drawn like the other kernel tests' operands,
+// a quarter of them specials, so rows of ±Inf and NaN meet zero coefficients.
+//
+// Input layout: the first byte seeds the draws and picks the width (modulo
+// 18); then two bytes per term — a row index (modulo 8) and a coefficient
+// code whose value comes from addValues.
+func FuzzAddRows(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 0, 2, 1, 3})                                               // under four terms
+	f.Add([]byte{4, 0, 2, 1, 3, 2, 4, 3, 8, 4, 9})                             // one 4-wide pass and a tail
+	f.Add([]byte{13, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 2, 0, 2}) // repeats, eight and one
+	f.Add([]byte{7, 3, 0, 3, 1, 3, 13, 3, 15, 3, 0, 3, 1, 3, 14, 3, 2, 3, 3, 3, 10, 3, 11})
+	f.Add([]byte{17, 0, 15, 1, 14, 2, 13, 3, 12, 4, 11, 5, 10, 6, 9, 7, 8, 0, 7, 1, 6, 2, 5, 3, 4})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		width := int(in[0]) % 18
+		rng := rand.New(rand.NewSource(int64(in[0])))
+		m := randMat(rng, 8, width)
+		y := randVec(rng, width)
+		var idx []int32
+		var val []float64
+		for op := in[1:]; len(op) >= 2; op = op[2:] {
+			idx = append(idx, int32(op[0]%8))
+			val = append(val, addValues[int(op[1])%len(addValues)])
+		}
+		want, got := y.Clone(), y.Clone()
+		naiveAddRows(m, want, idx, val)
+		m.AddRows(got, idx, val)
+		requireBits(t, "AddRows", want, got)
+	})
 }
 
 // FuzzDenseBuilder drives the builder with fuzzer-chosen Add sequences and

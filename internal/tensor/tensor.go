@@ -42,7 +42,7 @@ func (v Vec) Dot(w Vec) float64 {
 	}
 	var s float64
 	for i, x := range v {
-		s += x * w[i]
+		s += float64(x * w[i])
 	}
 	return s
 }
@@ -59,24 +59,135 @@ func (v Vec) Axpy(a float64, w Vec) {
 }
 
 // axpy performs y[i] += a*x[i] for every i < len(x); y must be at least as
-// long as x. It is the one inner loop under Vec.Axpy, MulVecT, RankOne and
-// MatMulNN, unrolled four ways. Each element is still its own multiply and
-// add, so the result is bit-identical to the plain loop; the zero-coefficient
-// skips stay with the callers.
+// long as x. It is the inner loop of the scatters, Vec.Axpy and RankOne, where
+// each term has an output row of its own, and of rowSum's single terms and
+// of a pass's columns from the first NaN sum on; loops that sum many rows
+// into one output row go through rowSum. It is
+// unrolled four ways. Each element is still its own multiply and add, so the
+// result is bit-identical to the plain loop; the zero-coefficient skips stay
+// with the callers.
+//
+// Every kernel in this package writes a product as float64(x * y): the
+// explicit conversion rounds the product, so no GOARCH may fuse it with the
+// sum into one multiply-add, and every GOARCH rounds as amd64 does.
 func axpy(a float64, x, y []float64) {
 	y = y[:len(x)]
 	n := len(x) &^ 3
 	for i := 0; i < n; i += 4 {
 		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
-		ys[0] += a * xs[0]
-		ys[1] += a * xs[1]
-		ys[2] += a * xs[2]
-		ys[3] += a * xs[3]
+		ys[0] += float64(a * xs[0])
+		ys[1] += float64(a * xs[1])
+		ys[2] += float64(a * xs[2])
+		ys[3] += float64(a * xs[3])
 	}
 	x, y = x[n:], y[n:]
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
+}
+
+// rowSum adds Σₖ aₖ·src.Row(iₖ) to the row y, bit for bit as one
+// y += aₖ·src.Row(iₖ) per term in queue order would. Callers queue
+// (coefficient, row index) terms with add and finish with flush; every eight
+// terms are added in one pass over y, which reads and writes y once instead
+// of eight times. Each element still gets its terms in queue order, each
+// product rounded before its sum, so blocking moves no bit. y must be
+// src.Cols long and must not alias src.
+type rowSum struct {
+	y   []float64
+	src *Mat
+	n   int
+	a   [8]float64
+	i   [8]int
+}
+
+// add queues the term a·src.Row(i), skipping a zero coefficient as Vec.Axpy
+// does (so a zero against an Inf or NaN row adds nothing).
+func (s *rowSum) add(a float64, i int) {
+	if a == 0 {
+		return
+	}
+	s.a[s.n], s.i[s.n] = a, i
+	s.n++
+	if s.n == 8 {
+		s.flush()
+	}
+}
+
+// flush adds the queued terms to y and empties the queue: eight in one pass,
+// fewer as a four-term pass where four remain, then one term at a time.
+//
+// A pass stops at the first column whose sum is NaN and flush adds its terms
+// to the rest of the row one axpy each. A sum of numbers is the same whichever
+// operand of each add the register allocator makes the destination, but where
+// two NaNs meet, amd64 keeps the destination's payload, so only a NaN can tell
+// a pass from one axpy per term. In a finite model no pass stops early.
+func (s *rowSum) flush() {
+	k, j := 0, len(s.y)
+	if s.n == 8 {
+		k, j = 8, add8(s.y, &s.a, s.src, &s.i)
+	} else if s.n >= 4 {
+		k, j = 4, add4(s.y, (*[4]float64)(s.a[:4]), s.src, (*[4]int)(s.i[:4]))
+	}
+	if j < len(s.y) {
+		for t := 0; t < k; t++ {
+			axpy(s.a[t], s.src.Row(s.i[t])[j:], s.y[j:])
+		}
+	}
+	for ; k < s.n; k++ {
+		axpy(s.a[k], s.src.Row(s.i[k]), s.y)
+	}
+	s.n = 0
+}
+
+// add8 performs y[j] += a[k]*src[i[k], j] for k = 0…7 for j = 0, 1, …, the
+// eight sums of each element in order in a register, up to the first element
+// whose sum is NaN. It returns that element's index, or len(y); the element
+// and the rest of y are left as they were.
+func add8(y []float64, a *[8]float64, src *Mat, i *[8]int) int {
+	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	r0, r1, r2, r3 := src.Row(i[0]), src.Row(i[1]), src.Row(i[2]), src.Row(i[3])
+	r4, r5, r6, r7 := src.Row(i[4]), src.Row(i[5]), src.Row(i[6]), src.Row(i[7])
+	n := len(y) // rows as long as y: the loop needs no bounds checks
+	r0, r1, r2, r3, r4, r5, r6, r7 = r0[:n], r1[:n], r2[:n], r3[:n], r4[:n], r5[:n], r6[:n], r7[:n]
+	j := 0
+	for ; j < n; j++ {
+		t := y[j]
+		t += float64(a0 * r0[j])
+		t += float64(a1 * r1[j])
+		t += float64(a2 * r2[j])
+		t += float64(a3 * r3[j])
+		t += float64(a4 * r4[j])
+		t += float64(a5 * r5[j])
+		t += float64(a6 * r6[j])
+		t += float64(a7 * r7[j])
+		if t != t {
+			break
+		}
+		y[j] = t
+	}
+	return j
+}
+
+// add4 is add8 for four terms.
+func add4(y []float64, a *[4]float64, src *Mat, i *[4]int) int {
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	r0, r1, r2, r3 := src.Row(i[0]), src.Row(i[1]), src.Row(i[2]), src.Row(i[3])
+	n := len(y)
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	j := 0
+	for ; j < n; j++ {
+		t := y[j]
+		t += float64(a0 * r0[j])
+		t += float64(a1 * r1[j])
+		t += float64(a2 * r2[j])
+		t += float64(a3 * r3[j])
+		if t != t {
+			break
+		}
+		y[j] = t
+	}
+	return j
 }
 
 // Scale multiplies every element of v by a in place.
@@ -90,7 +201,7 @@ func (v Vec) Scale(a float64) {
 func (v Vec) Norm() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -153,7 +264,7 @@ func (m *Mat) MulVec(x, y Vec) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, w := range row {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		y[i] = s
 	}
@@ -165,13 +276,25 @@ func (m *Mat) MulVecT(x, y Vec) {
 		panic(fmt.Sprintf("tensor: mulvecT shape mismatch mat %dx%d, x %d, y %d", m.Rows, m.Cols, len(x), len(y)))
 	}
 	y.Zero()
-	for i := 0; i < m.Rows; i++ {
-		a := x[i]
-		if a == 0 {
-			continue
-		}
-		axpy(a, m.Data[i*m.Cols:(i+1)*m.Cols], y)
+	s := rowSum{y: y, src: m}
+	for i, a := range x {
+		s.add(a, i)
 	}
+	s.flush()
+}
+
+// AddRows performs y += Σᵢ val[i]·m.Row(idx[i]), the gather of a sparse
+// vector's rows: terms in order, zero values skipped. y must have length
+// Cols, must not alias m, and idx and val must be equally long.
+func (m *Mat) AddRows(y Vec, idx []int32, val []float64) {
+	if len(y) != m.Cols || len(idx) != len(val) {
+		panic(fmt.Sprintf("tensor: addrows shape mismatch mat %dx%d, y %d, idx %d, val %d", m.Rows, m.Cols, len(y), len(idx), len(val)))
+	}
+	s := rowSum{y: y, src: m}
+	for k, i := range idx {
+		s.add(val[k], int(i))
+	}
+	s.flush()
 }
 
 // RankOne performs m += a * u * vᵀ in place, the outer-product update used by
@@ -196,7 +319,7 @@ func (m *Mat) RankOne(a float64, u, v Vec) {
 func (m *Mat) FrobeniusNorm() float64 {
 	var s float64
 	for _, x := range m.Data {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -219,7 +342,7 @@ type Sparse struct {
 func (s *Sparse) Norm() float64 {
 	var t float64
 	for _, v := range s.Val {
-		t += v * v
+		t += float64(v * v)
 	}
 	return math.Sqrt(t)
 }
@@ -249,7 +372,7 @@ func (s *Sparse) Dot(o *Sparse) float64 {
 	for i < len(s.Idx) && j < len(o.Idx) {
 		switch {
 		case s.Idx[i] == o.Idx[j]:
-			t += s.Val[i] * o.Val[j]
+			t += float64(s.Val[i] * o.Val[j])
 			i++
 			j++
 		case s.Idx[i] < o.Idx[j]:

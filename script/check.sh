@@ -61,7 +61,10 @@
 #                                               10 s of fuzzing each in tier-2
 #   sparse features == reference hasher         text.FuzzEncoderEquivalence, tensor.FuzzDenseBuilder
 #                                               (corpora in tier-1, 10 s of fuzzing each in tier-2)
-#   kernels == naive loops, bitwise             tensor.TestKernelsMatchNaiveLoops
+#   kernels == naive loops, bitwise             tensor.TestKernelsMatchNaiveLoops,
+#                                               tensor.TestRowSumMatchesNaiveAxpy, tensor.FuzzAddRows
+#                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
+#   no fused multiply-add in tensor on arm64    the arm64 stage, below
 #   dataset decode refuses trailing bytes       dataio.TestDecodeJSONRejectsTrailingBytes, dataio.FuzzDecodeJSON
 #                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
 #   the float screen rejects only what
@@ -135,6 +138,25 @@ go test -race ./internal/obs/... ./internal/akb/... ./internal/eval/... \
 go test -race -cpu 1,4 ./internal/serve/... ./internal/model/... ./internal/loadgen/...
 passed "tier-1 gates"
 
+# --- no fused multiply-add ---------------------------------------------------
+# arm64 (like ppc64le, s390x, riscv64 and loong64, unlike amd64) fuses x*y + z
+# into one instruction that rounds once, so a fused kernel gives other bits
+# than amd64; the kernels write float64(x * y), whose explicit conversion
+# forbids it. The toolchain cross-compiles with no download, and a warm build
+# cache replays the compiler's listing, so a second run sees the same code.
+if ! asm=$(GOARCH=arm64 go build -o /dev/null -gcflags=-S ./internal/tensor 2>&1); then
+	printf '%s\n' "$asm" >&2
+	echo "check.sh: arm64 build of internal/tensor failed" >&2
+	exit 1
+fi
+fused=$(printf '%s\n' "$asm" | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b' || true)
+if [ -n "$fused" ]; then
+	echo "check.sh: fused multiply-add in internal/tensor on arm64:" >&2
+	echo "$fused" >&2
+	exit 1
+fi
+passed "no fused multiply-add in tensor"
+
 # --- tier-2: the drills ------------------------------------------------------
 # Go tests that start the real binary as child processes (about 150 s, half of
 # it the paper tables, a zoo per child), so tier-1's `go test` skips them
@@ -159,7 +181,7 @@ awk 'NR == FNR { if (NF == 1) { print "check.sh: allow-list entry without a reas
 awk 'END { print "check.sh: product statements reached: " $NF }' "$cov/func.txt"
 passed "coverage"
 
-# The fourteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The fifteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run.
 go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/obs/analyze
@@ -172,6 +194,7 @@ go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s ./internal/serv
 go test -run '^$' -fuzz '^FuzzRequestPipeline$' -fuzztime 10s ./internal/serve
 go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
+go test -run '^$' -fuzz '^FuzzAddRows$' -fuzztime 10s ./internal/tensor
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
 go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/lora
 go test -run '^$' -fuzz '^FuzzNumberScreen$' -fuzztime 10s ./internal/tasks
