@@ -36,9 +36,9 @@ func (t *Table) Append(row ...string) {
 // Field is one (attribute, value) pair of an instance's record context.
 // Entity distinguishes the two sides of a matching pair ("A"/"B"); it is
 // empty for single-record tasks. The tags are its one JSON shape, on the
-// predict wire and in dataset files alike; encoding/json matches keys
-// case-insensitively, so files written with the untagged "Entity"/"Name"/
-// "Value" keys still decode.
+// predict wire and in dataset files alike; encoding/json, and the dataset
+// decoder in internal/dataio after it, match keys case-insensitively, so
+// files written with the untagged "Entity"/"Name"/"Value" keys still decode.
 type Field struct {
 	Entity string `json:"entity,omitempty"`
 	Name   string `json:"name"`

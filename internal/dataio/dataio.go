@@ -235,26 +235,6 @@ func DecodeJSON(r io.Reader) (*data.Dataset, error) {
 	return ParseJSON(blob)
 }
 
-// ParseJSON parses a dataset previously written by EncodeJSON / dpgen from
-// bytes already in memory, without first copying them. blob must hold
-// exactly one dataset: anything but whitespace after it is an error, so two
-// concatenated datasets are refused rather than silently cut to the first.
-func ParseJSON(blob []byte) (*data.Dataset, error) {
-	var in JSONDataset
-	if err := json.Unmarshal(blob, &in); err != nil {
-		return nil, fmt.Errorf("dataio: decoding dataset: %w", err)
-	}
-	ds := &data.Dataset{Name: in.Name, Task: in.Task}
-	var err error
-	if ds.Train, err = fromJSON(in.Train); err != nil {
-		return nil, fmt.Errorf("dataio: %s train: %w", in.Name, err)
-	}
-	if ds.Test, err = fromJSON(in.Test); err != nil {
-		return nil, fmt.Errorf("dataio: %s test: %w", in.Name, err)
-	}
-	return ds, nil
-}
-
 func toJSON(ins []*data.Instance) []JSONInstance {
 	out := make([]JSONInstance, 0, len(ins))
 	for _, in := range ins {
@@ -264,18 +244,4 @@ func toJSON(ins []*data.Instance) []JSONInstance {
 		})
 	}
 	return out
-}
-
-func fromJSON(ins []JSONInstance) ([]*data.Instance, error) {
-	out := make([]*data.Instance, 0, len(ins))
-	for _, ji := range ins {
-		if ji.Gold < 0 || ji.Gold >= len(ji.Candidates) {
-			return nil, fmt.Errorf("instance %s: gold %d out of range (%d candidates)", ji.ID, ji.Gold, len(ji.Candidates))
-		}
-		out = append(out, &data.Instance{
-			ID: ji.ID, Fields: ji.Fields, Target: ji.Target,
-			Candidates: ji.Candidates, Gold: ji.Gold, Meta: ji.Meta,
-		})
-	}
-	return out, nil
 }

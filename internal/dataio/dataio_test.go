@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/datagen"
@@ -285,5 +287,70 @@ func TestDecodeJSONRejectsBadGold(t *testing.T) {
 	bad := `{"name":"x","task":"ED","train":[{"id":"1","fields":[],"candidates":["yes"],"gold":5}],"test":[]}`
 	if _, err := DecodeJSON(strings.NewReader(bad)); err == nil {
 		t.Fatal("out-of-range gold must be rejected")
+	}
+}
+
+// bulkInput is a job input the size of the bulk benchmark's: 2,000 test
+// rows of six flight fields, encoded as EncodeJSON writes it.
+func bulkInput(t testing.TB) []byte {
+	names := []string{"datasource", "flight", "scheduled_departure", "actual_departure", "scheduled_arrival", "actual_arrival"}
+	sources := []string{"flightview", "flightaware", "airtravelcenter", "orbitz"}
+	ds := &data.Dataset{Name: "bulk", Task: "ED"}
+	for i := range 2000 {
+		in := &data.Instance{
+			ID:         fmt.Sprintf("bulk-%05d", i),
+			Target:     names[1+i%5],
+			Candidates: []string{tasks.AnswerYes, tasks.AnswerNo},
+			Gold:       i % 2,
+			Meta:       map[string]string{"error_type": []string{"clean", "typo", "format"}[i%3]},
+		}
+		in.Fields = append(in.Fields,
+			data.Field{Name: names[0], Value: sources[i%4]},
+			data.Field{Name: names[1], Value: fmt.Sprintf("AA-%d", 100+i*7%4900)})
+		for j, name := range names[2:] {
+			in.Fields = append(in.Fields, data.Field{Name: name, Value: fmt.Sprintf("%d:%02d %s Dec %d", 1+(i+j)%12, (i*13+j)%60, []string{"a.m.", "p.m."}[j%2], 1+i%28)})
+		}
+		ds.Test = append(ds.Test, in)
+	}
+	var buf bytes.Buffer
+	if err := EncodeJSON(ds, "", &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func BenchmarkParseJSON(b *testing.B) {
+	blob := bulkInput(b)
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := ParseJSON(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestParseJSONAllocs is the decoder's allocation budget on bulkInput: per
+// instance, one string for its ID and field values and its Meta map; the
+// instances, fields and candidates come from slabs, and names, targets and
+// candidates are interned. The allocs/op limit is exact. Decoding through
+// encoding/json into JSONDataset, then copying into instances, the same
+// input cost 60,029 allocs/op and 3,925,933 B/op.
+func TestParseJSONAllocs(t *testing.T) {
+	const maxAllocs, maxBytes = 6_105, 1_810_000
+	blob := bulkInput(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParseJSON(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r := testing.Benchmark(BenchmarkParseJSON)
+	t.Logf("%d-byte input: %.0f allocs/op, %d B/op, %v/op", len(blob), allocs, r.AllocedBytesPerOp(), time.Duration(r.NsPerOp()))
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocs/op, limit %d", allocs, maxAllocs)
+	}
+	if r.AllocedBytesPerOp() > maxBytes {
+		t.Errorf("%d B/op, limit %d", r.AllocedBytesPerOp(), maxBytes)
 	}
 }

@@ -529,13 +529,11 @@ func writeOutput(sp *Spec, ins []*data.Instance, answers []string) error {
 			return fmt.Errorf("jobs: %w", err)
 		}
 	case "jsonl":
+		enc := json.NewEncoder(&buf)
 		for i, in := range ins {
-			raw, err := json.Marshal(outputRow{ID: in.ID, Answer: answers[i]})
-			if err != nil {
+			if err := enc.Encode(outputRow{ID: in.ID, Answer: answers[i]}); err != nil {
 				return fmt.Errorf("jobs: %w", err)
 			}
-			buf.Write(raw)
-			buf.WriteByte('\n')
 		}
 	default:
 		return fmt.Errorf("jobs: unknown output format %q", sp.Output.Format)

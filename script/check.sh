@@ -182,22 +182,24 @@ awk 'END { print "check.sh: product statements reached: " $NF }' "$cov/func.txt"
 passed "coverage"
 
 # The fifteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
-# corpora). -fuzz takes one target and one package per run.
-go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s ./internal/obs
-go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/obs/analyze
-go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/jobs
-go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/jobs
-go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s ./internal/faults
-go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s ./internal/dataio
-go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataio
-go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s ./internal/serve
-go test -run '^$' -fuzz '^FuzzRequestPipeline$' -fuzztime 10s ./internal/serve
-go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s ./internal/text
-go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s ./internal/tensor
-go test -run '^$' -fuzz '^FuzzAddRows$' -fuzztime 10s ./internal/tensor
-go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/model
-go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s ./internal/lora
-go test -run '^$' -fuzz '^FuzzNumberScreen$' -fuzztime 10s ./internal/tasks
+# corpora). -fuzz takes one target and one package per run. -fuzzminimizetime
+# 100x caps the minimizing of each new input at 100 runs, so the 10 s go to
+# fuzzing rather than to shrinking what it found.
+go test -run '^$' -fuzz '^FuzzParseTraceparent$' -fuzztime 10s -fuzzminimizetime 100x ./internal/obs
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s -fuzzminimizetime 100x ./internal/obs/analyze
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobs
+go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s -fuzzminimizetime 100x ./internal/jobs
+go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 10s -fuzzminimizetime 100x ./internal/faults
+go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dataio
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dataio
+go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+go test -run '^$' -fuzz '^FuzzRequestPipeline$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s -fuzzminimizetime 100x ./internal/text
+go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
+go test -run '^$' -fuzz '^FuzzAddRows$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
+go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s -fuzzminimizetime 100x ./internal/model
+go test -run '^$' -fuzz '^FuzzDecodeSnapshot$' -fuzztime 10s -fuzzminimizetime 100x ./internal/lora
+go test -run '^$' -fuzz '^FuzzNumberScreen$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tasks
 passed "fuzz targets"
 
 # Envelope enforcement, statically: the serving packages route every HTTP
