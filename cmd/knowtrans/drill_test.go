@@ -486,7 +486,7 @@ func TestRouteChild(t *testing.T) {
 	if err := json.Unmarshal(blob, &health); err != nil || resp.StatusCode != http.StatusOK || health["ok"] != true {
 		t.Fatalf("/healthz: %d %s (%v)", resp.StatusCode, blob, err)
 	}
-	for _, field := range []string{"max_batch", "max_wait_s", "max_adapters", "sampler"} {
+	for _, field := range []string{"max_batch", "max_adapters", "sampler"} {
 		if _, ok := health[field]; ok {
 			t.Errorf("a router's /healthz carries %s: %s", field, blob)
 		}

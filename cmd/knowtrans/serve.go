@@ -21,7 +21,6 @@ func runServe(args []string) {
 	zf := addZooFlags(fs, true)
 	fs.IntVar(&opts.MaxAdapters, "max-adapters", opts.MaxAdapters, "resident-adapter bound (LRU eviction beyond it)")
 	fs.IntVar(&opts.MaxBatch, "max-batch", opts.MaxBatch, "per-adapter micro-batch cap (1 disables batching)")
-	fs.DurationVar(&opts.MaxWait, "batch-wait", opts.MaxWait, "how long a non-full batch lingers for stragglers")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
@@ -32,8 +31,8 @@ func runServe(args []string) {
 		// The bound address is printed first and alone on its line: whoever
 		// starts a backend on 127.0.0.1:0 (the drills do) parses this line
 		// for the kernel-assigned port.
-		fmt.Printf("knowtrans serve on http://%s (scale=%.2f seed=%d max-adapters=%d max-batch=%d batch-wait=%s)\n",
-			bound, zf.scale, zf.seed, opts.MaxAdapters, opts.MaxBatch, opts.MaxWait)
+		fmt.Printf("knowtrans serve on http://%s (scale=%.2f seed=%d max-adapters=%d max-batch=%d)\n",
+			bound, zf.scale, zf.seed, opts.MaxAdapters, opts.MaxBatch)
 		endpoints := "endpoints: POST /v1/predict  POST+GET /v1/adapters  GET /healthz /readyz /metrics.json"
 		if sf.jobsDir != "" {
 			endpoints += "  POST+GET /v1/jobs"

@@ -22,7 +22,7 @@ type fakePredictor struct{}
 func (fakePredictor) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
 	out := make([]string, len(ins))
 	for n, in := range ins {
-		hints := k.Hints(in)
+		hints := k.Hints(nil, in)
 		best, bestH := -1, 0.0
 		for i, h := range hints {
 			if h > bestH {

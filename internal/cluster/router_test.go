@@ -33,7 +33,7 @@ func (a *echoAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []st
 // real `knowtrans serve` process.
 func newBackend(t *testing.T) (*httptest.Server, *serve.Registry) {
 	t.Helper()
-	opts := serve.Options{MaxWait: 100 * time.Microsecond}
+	opts := serve.Options{}
 	reg := serve.NewRegistry(func(_ context.Context, key string) (serve.Adapter, error) {
 		return &echoAdapter{key: key}, nil
 	}, opts)

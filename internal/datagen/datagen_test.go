@@ -289,7 +289,7 @@ func TestRuleFollowingHintsMostlyCorrect(t *testing.T) {
 		if ex.Knowledge == nil {
 			continue
 		}
-		hints := ex.Knowledge.Hints(ex.Instance)
+		hints := ex.Knowledge.Hints(nil, ex.Instance)
 		for k, h := range hints {
 			if h > 0 {
 				total++

@@ -58,7 +58,7 @@ type hintPredictor struct{}
 func (hintPredictor) PredictBatchWith(spec tasks.Spec, ins []*data.Instance, k *tasks.Knowledge) []string {
 	out := make([]string, len(ins))
 	for n, in := range ins {
-		hints := k.Hints(in)
+		hints := k.Hints(nil, in)
 		best, bestH := -1, 0.0
 		for i, h := range hints {
 			if h > bestH {

@@ -38,7 +38,7 @@ func newServer(t *testing.T, delay time.Duration, opts serve.Options) (*httptest
 }
 
 func TestRunLoadAgainstServer(t *testing.T) {
-	srv, reg := newServer(t, time.Millisecond, serve.Options{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv, reg := newServer(t, time.Millisecond, serve.Options{MaxBatch: 4})
 	keys := []string{"EM/A", "EM/B", "ED/C", "ED/D"}
 	var items []Item
 	for i := 0; i < 128; i++ {

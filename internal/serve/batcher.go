@@ -35,13 +35,17 @@ var sizeBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128,
 
 // batcher is the per-adapter micro-batching predict loop. Requests enqueue
 // under a mutex; a single dispatcher goroutine (run) drains the queue into
-// batches of at most maxBatch, lingering up to maxWait for stragglers once
-// it holds at least one request, and hands each batch on a lane to a serving
+// batches of at most maxBatch and hands each batch on a lane to a serving
 // goroutine, which answers it with ONE Adapter.PredictBatch call. There are
 // as many lanes as serving goroutines, and the dispatcher takes a free lane
-// before it waits for work: up to that many batches are in flight at once,
-// and rows pile up in the queue — which is how batches fill — only while
-// every lane is busy.
+// before it looks at the queue, so up to that many batches are in flight.
+//
+// When a batch leaves is Nagle's rule (RFC 896) applied to rows: with a lane
+// free, a batch is cut when the queue holds maxBatch rows or when no batch of
+// this adapter is in flight. An idle adapter answers a lone request at once,
+// and rows coalesce only behind a forward that is running — whose end, not a
+// clock, releases them. So the rule needs no timer, and a non-full batch never
+// starts beside another batch of the same batcher.
 //
 // The enqueue path checks the stopped flag under the same mutex that stop
 // sets it, so after stop returns no new request can slip into the queue:
@@ -53,23 +57,26 @@ type batcher struct {
 	key      string
 	ad       Adapter
 	maxBatch int
-	maxWait  time.Duration
 	rec      *obs.Recorder
 	// depthGauge is the per-key queue depth gauge name, precomputed so the
 	// enqueue hot path does no string concatenation.
 	depthGauge string
-	// now is the clock, injectable for deterministic linger tests.
-	now func() time.Time
 
-	mu      sync.Mutex
-	queue   []*predictReq
-	stopped bool
+	mu    sync.Mutex
+	queue []*predictReq
+	// inFlight counts the batches cut and not yet answered: the dispatcher
+	// increments it as it cuts one, the serving goroutine decrements it after
+	// the batch's PredictBatch has returned.
+	inFlight int
+	stopped  bool
 
-	// wake (capacity 1) nudges the loop after an enqueue; coalesced wakes
-	// are fine because the loop re-reads the queue under the mutex. stopc
-	// unblocks the loop's waits on stop; done closes when the loop and
-	// every serving goroutine have exited.
+	// wake (capacity 1) nudges the loop after an enqueue and freed (capacity
+	// 1) after a batch in flight is answered; coalesced nudges are fine
+	// because the loop re-reads the queue and inFlight under the mutex. stopc
+	// unblocks the loop's waits on stop; done closes when the loop and every
+	// serving goroutine have exited.
 	wake  chan struct{}
+	freed chan struct{}
 	stopc chan struct{}
 	done  chan struct{}
 
@@ -80,13 +87,6 @@ type batcher struct {
 	idle    chan *lane
 	work    chan *lane
 	serving sync.WaitGroup
-
-	// linger timer, allocated once per batcher and reused across batches
-	// (Stop+drain+Reset protocol). timerInits counts allocations so the
-	// reuse is testable; it is written only by the loop goroutine and read
-	// after done closes.
-	timer      *time.Timer
-	timerInits int
 }
 
 // lane is one batch in flight and the scratch serve reuses across the
@@ -102,16 +102,15 @@ type lane struct {
 // newBatcher starts the dispatcher and lanes serving goroutines (at least
 // one). The registry passes runtime.GOMAXPROCS(0) — more forwards than cores
 // cannot overlap — and tests pin the count.
-func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, lanes int, rec *obs.Recorder) *batcher {
+func newBatcher(key string, ad Adapter, maxBatch, lanes int, rec *obs.Recorder) *batcher {
 	b := &batcher{
 		key:        key,
 		ad:         ad,
 		maxBatch:   maxBatch,
-		maxWait:    maxWait,
 		rec:        rec,
 		depthGauge: "serve.queue_depth/" + key,
-		now:        time.Now,
 		wake:       make(chan struct{}, 1),
+		freed:      make(chan struct{}, 1),
 		stopc:      make(chan struct{}),
 		done:       make(chan struct{}),
 		idle:       make(chan *lane, lanes),
@@ -125,6 +124,13 @@ func newBatcher(key string, ad Adapter, maxBatch int, maxWait time.Duration, lan
 			for ln := range b.work {
 				b.serve(ln)
 				b.idle <- ln
+				b.mu.Lock()
+				b.inFlight--
+				b.mu.Unlock()
+				select {
+				case b.freed <- struct{}{}:
+				default:
+				}
 			}
 		}()
 	}
@@ -139,7 +145,7 @@ func (b *batcher) predict(ctx context.Context, in *data.Instance) (string, error
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &predictReq{ctx: ctx, in: in, resp: make(chan predictResp, 1), enq: b.now()}
+	r := &predictReq{ctx: ctx, in: in, resp: make(chan predictResp, 1), enq: time.Now()}
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
@@ -185,8 +191,8 @@ func (b *batcher) stop() {
 }
 
 // run is the dispatcher, the queue's only consumer: take a free lane, wait
-// for work, linger for stragglers, move the batch onto the lane, repeat
-// until stopped.
+// until the batching rule lets a batch leave, move the batch onto the lane,
+// repeat until stopped.
 func (b *batcher) run() {
 	defer close(b.done)
 	var ln *lane // the free lane the next batch goes to
@@ -210,79 +216,31 @@ func (b *batcher) run() {
 			b.serving.Wait()
 			return
 		}
-		if len(b.queue) == 0 {
+		// The batching rule (see batcher): short of a full batch, wait while
+		// a forward runs; its end or the next arrival re-checks.
+		if pending := len(b.queue); pending == 0 || (pending < b.maxBatch && b.inFlight > 0) {
 			b.mu.Unlock()
 			select {
 			case <-b.wake:
+			case <-b.freed:
 			case <-b.stopc:
 			}
 			continue
-		}
-		pending := len(b.queue)
-		oldest := b.queue[0].enq
-		b.mu.Unlock()
-
-		// Linger: a non-full batch waits for stragglers so bursts coalesce.
-		// The deadline anchors at the OLDEST queued request's enqueue time,
-		// not at linger entry: under back-to-back batches the loop may reach
-		// this point long after the request arrived, and re-starting the
-		// clock here would stretch the documented maxWait bound into up to
-		// 2x tail latency. Singleton traffic pays at most maxWait extra
-		// latency; a full batch (or maxBatch 1) goes immediately.
-		if pending < b.maxBatch && b.maxBatch > 1 {
-			if wait := b.maxWait - b.now().Sub(oldest); wait > 0 {
-				b.linger(wait)
-			}
 		}
 
 		// Take the batch into the lane's scratch and close the gap in place:
 		// the queue keeps its backing array, and the vacated tail is cleared
 		// so it does not pin requests already handed off.
-		b.mu.Lock()
 		n := min(len(b.queue), b.maxBatch)
 		ln.batch = append(ln.batch[:0], b.queue[:n]...)
 		rest := copy(b.queue, b.queue[n:])
 		clear(b.queue[rest:])
 		b.queue = b.queue[:rest]
+		b.inFlight++
 		b.rec.SetGauge(b.depthGauge, float64(rest))
 		b.mu.Unlock()
 		b.work <- ln
 		ln = nil
-	}
-}
-
-// linger blocks until the batch fills, wait elapses, or stop. Wake signals
-// re-check the queue length under the mutex, so coalesced wakes and spurious
-// ones are harmless. The timer is allocated once per batcher and reused with
-// the Stop+drain+Reset protocol — one timer per batch on the hot path was
-// pure allocation churn.
-func (b *batcher) linger(wait time.Duration) {
-	if b.timer == nil {
-		b.timer = time.NewTimer(wait)
-		b.timerInits++
-	} else {
-		if !b.timer.Stop() {
-			select {
-			case <-b.timer.C:
-			default:
-			}
-		}
-		b.timer.Reset(wait)
-	}
-	for {
-		select {
-		case <-b.wake:
-			b.mu.Lock()
-			full := len(b.queue) >= b.maxBatch || b.stopped
-			b.mu.Unlock()
-			if full {
-				return
-			}
-		case <-b.timer.C:
-			return
-		case <-b.stopc:
-			return
-		}
 	}
 }
 
@@ -310,7 +268,7 @@ func (b *batcher) serve(ln *lane) {
 	batchLabel := strconv.Itoa(len(batch))
 	live := ln.live[:0]
 	for _, r := range batch {
-		queueUS := b.now().Sub(r.enq).Microseconds()
+		queueUS := time.Since(r.enq).Microseconds()
 		if rs := obs.SpanFromContext(r.ctx); rs != nil {
 			span.Link(rs.Context())
 			rs.SetAttr("queue_us", queueUS)

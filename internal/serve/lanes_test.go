@@ -71,28 +71,24 @@ func ids(lo, hi int) []string {
 	return out
 }
 
-// TestTwoLanesOverlapFullBatches: a queue of 2×MaxBatch on two lanes puts two
-// PredictBatch calls in flight at once, each a full batch — the second batch
-// does not wait for the first one's forward, and the first is not cut short
-// to feed the idle lane.
+// TestTwoLanesOverlapFullBatches: behind a running forward on one lane, a
+// full batch leaves on the other at once — it does not wait for the running
+// forward — and is not cut short to feed the free lane.
 func TestTwoLanesOverlapFullBatches(t *testing.T) {
-	ad := gatedAdapter("K")
-	// The linger is far longer than the test: only full batches leave.
-	b := newBatcher("K", ad, 4, 10*time.Second, 2, nil)
-	defer b.stop()
+	ad, b := newGatedBatcher(t, 4, 2, nil)
+	head := predictAsync(b, "h")
+	ad.awaitEntered(t, 1)
 	results := predictAsync(b, ids(0, 8)...)
-	ad.awaitEntered(t, 2)
+	ad.awaitEntered(t, 1)
+	awaitQueued(t, b, 4) // no lane is left for the second full batch
 	if got := ad.inCall.Load(); got != 2 {
 		t.Fatalf("%d PredictBatch calls in flight, want 2", got)
 	}
-	close(ad.gate)
-	for i := 0; i < 8; i++ {
-		if r := recvResult(t, results); !r.answered("K") {
-			t.Fatalf("row %s: (%q, %v)", r.id, r.ans, r.err)
-		}
-	}
-	if got := ad.calls.Load(); got != 2 {
-		t.Fatalf("%d PredictBatch calls for 8 rows at MaxBatch 4, want 2 full batches", got)
+	ad.release()
+	recvAnswers(t, head, 1)
+	recvAnswers(t, results, 8)
+	if got := ad.calls.Load(); got != 3 {
+		t.Fatalf("%d PredictBatch calls for the head and 8 rows at MaxBatch 4, want 3", got)
 	}
 }
 
@@ -102,16 +98,14 @@ func TestTwoLanesOverlapFullBatches(t *testing.T) {
 func TestInFlightNeverExceedsLanes(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		t.Run(fmt.Sprint("lanes=", lanes), func(t *testing.T) {
-			ad := gatedAdapter("K")
-			b := newBatcher("K", ad, 1, time.Millisecond, lanes, nil)
-			defer b.stop()
+			ad, b := newGatedBatcher(t, 1, lanes, nil)
 			results := predictAsync(b, ids(0, lanes+3)...)
 			ad.awaitEntered(t, lanes)
 			awaitQueued(t, b, 3)
 			if got := int(ad.inCall.Load()); got != lanes {
 				t.Fatalf("%d calls in flight with 3 rows queued, want %d", got, lanes)
 			}
-			close(ad.gate)
+			ad.release()
 			for i := 0; i < lanes+3; i++ {
 				if r := recvResult(t, results); !r.answered("K") {
 					t.Fatalf("row %s: (%q, %v)", r.id, r.ans, r.err)
@@ -129,7 +123,7 @@ func TestInFlightNeverExceedsLanes(t *testing.T) {
 // released the moment stop returns.
 func TestStopCollectsEveryLane(t *testing.T) {
 	ad := gatedAdapter("K")
-	b := newBatcher("K", ad, 1, time.Millisecond, 2, nil)
+	b := newBatcher("K", ad, 1, 2, nil)
 	inFlight := predictAsync(b, "0", "1")
 	ad.awaitEntered(t, 2)
 	queued := predictAsync(b, "2", "3")
@@ -150,7 +144,7 @@ func TestStopCollectsEveryLane(t *testing.T) {
 		t.Fatal("stop returned with two batches still inside the adapter")
 	default:
 	}
-	close(ad.gate)
+	ad.release()
 	for i := 0; i < 2; i++ {
 		if r := recvResult(t, inFlight); !r.answered("K") {
 			t.Fatalf("in-flight row %s: (%q, %v), want its answer", r.id, r.ans, r.err)
@@ -220,7 +214,7 @@ func TestEvictionBehindBusyLanesRetries(t *testing.T) {
 		t.Fatal("Evict returned with batches still inside the evicted adapter")
 	default:
 	}
-	close(first.gate)
+	first.release()
 	for i := 0; i < lanes; i++ {
 		if res := recvResult(t, inFlight); !res.answered("EM/A") {
 			t.Fatalf("in-flight request: (%q, %v), want its answer", res.ans, res.err)
@@ -238,13 +232,16 @@ func TestEvictionBehindBusyLanesRetries(t *testing.T) {
 // whose answer comes back short fails all three of its members and the other
 // answers all three of its own.
 func TestWrongLengthFailsOneLaneOnly(t *testing.T) {
-	ad := gatedAdapter("K")
-	b := newBatcher("K", ad, 3, 10*time.Second, 2, nil)
-	defer b.stop()
+	ad, b := newGatedBatcher(t, 3, 3, nil)
+	// A lone head holds one lane; the six rows behind it leave as two full
+	// batches on the other two.
+	head := predictAsync(b, "h")
+	ad.awaitEntered(t, 1)
 	results := predictAsync(b, ids(0, 6)...)
 	ad.awaitEntered(t, 2)
-	ad.wrongLen.Store(true) // consumed by whichever call returns first
-	close(ad.gate)
+	ad.wrongLen.Store(3) // consumed by whichever batch of three returns first
+	ad.release()
+	recvAnswers(t, head, 1)
 	var answers, failed int
 	for i := 0; i < 6; i++ {
 		switch r := recvResult(t, results); {

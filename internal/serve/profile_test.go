@@ -121,14 +121,14 @@ func TestTransferCarriesPprofLabels(t *testing.T) {
 // own options — never the server's defaulted copy, which at the parent made a
 // router's /healthz claim max_batch 8.
 func TestHealthzDescribesWhatItFronts(t *testing.T) {
-	reg := NewRegistry(newStubTransferer(0).transfer, Options{MaxBatch: 3, MaxAdapters: 5, MaxWait: 7 * time.Millisecond})
+	reg := NewRegistry(newStubTransferer(0).transfer, Options{MaxBatch: 3, MaxAdapters: 5})
 	for _, tc := range []struct {
 		name string
 		res  Resolver
 		want map[string]any // nil: the field must be absent
 	}{
-		{"registry", reg, map[string]any{"max_batch": 3.0, "max_adapters": 5.0, "max_wait_s": 0.007}},
-		{"other resolver", &envResolver{}, map[string]any{"max_batch": nil, "max_adapters": nil, "max_wait_s": nil}},
+		{"registry", reg, map[string]any{"max_batch": 3.0, "max_adapters": 5.0}},
+		{"other resolver", &envResolver{}, map[string]any{"max_batch": nil, "max_adapters": nil}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The server's own options say nothing about the registry.

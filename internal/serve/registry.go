@@ -64,12 +64,10 @@ type Options struct {
 	// beyond it). Default 8.
 	MaxAdapters int
 	// MaxBatch is the per-adapter micro-batch cap. Default 8; 1 disables
-	// batching (every request is its own batch).
+	// batching (every request is its own batch). A full batch leaves on any
+	// free lane; a non-full one leaves once nothing of its adapter is in
+	// flight, so no request waits on a clock.
 	MaxBatch int
-	// MaxWait is how long a non-full batch lingers for stragglers once it
-	// holds at least one request, measured from the oldest queued request's
-	// arrival. Default 2ms.
-	MaxWait time.Duration
 	// RequestTimeout is the per-request deadline the server applies on top
 	// of the client's context. Default 60s; negative disables.
 	RequestTimeout time.Duration
@@ -101,9 +99,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
 	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 60 * time.Second
@@ -340,7 +335,7 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		key:     key,
 		ad:      ad,
 		lastUse: r.clock,
-		bat:     newBatcher(key, ad, r.opts.MaxBatch, r.opts.MaxWait, runtime.GOMAXPROCS(0), r.rec),
+		bat:     newBatcher(key, ad, r.opts.MaxBatch, runtime.GOMAXPROCS(0), r.rec),
 	}
 	r.ready[key] = e
 	for len(r.ready) > r.opts.MaxAdapters {

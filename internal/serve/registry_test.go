@@ -26,9 +26,11 @@ type stubAdapter struct {
 	// sends on it or closes it; each call announces itself on entered first.
 	gate    chan struct{}
 	entered chan struct{}
-	// wrongLen makes the next PredictBatch to return come back one answer
-	// short: the broken adapter contract. One call consumes it.
-	wrongLen    atomic.Bool
+	opened  sync.Once
+	// wrongLen, when non-zero, makes the next PredictBatch of that many rows
+	// to return come back one answer short: the broken adapter contract. One
+	// call consumes it.
+	wrongLen    atomic.Int32
 	calls       atomic.Int32
 	inCall      atomic.Int32
 	maxInFlight atomic.Int32
@@ -61,10 +63,27 @@ func (a *stubAdapter) PredictBatch(_ context.Context, ins []*data.Instance) []st
 	for _, in := range ins {
 		ans = append(ans, a.key+":"+in.ID)
 	}
-	if a.wrongLen.CompareAndSwap(true, false) {
+	if a.wrongLen.CompareAndSwap(int32(len(ins)), 0) {
 		return ans[:len(ans)-1]
 	}
 	return ans
+}
+
+// release opens the gate for good: every call held inside the adapter and
+// every later one goes through. Calling it again is harmless.
+func (a *stubAdapter) release() { a.opened.Do(func() { close(a.gate) }) }
+
+// newGatedBatcher is newBatcher over a gated stub for key "K". Its cleanup
+// opens the gate before it stops the batcher, so a test that fails with calls
+// held inside the adapter ends instead of hanging in stop.
+func newGatedBatcher(t *testing.T, maxBatch, lanes int, rec *obs.Recorder) (*stubAdapter, *batcher) {
+	ad := gatedAdapter("K")
+	b := newBatcher("K", ad, maxBatch, lanes, rec)
+	t.Cleanup(func() {
+		ad.release()
+		b.stop()
+	})
+	return ad, b
 }
 
 // awaitEntered waits until n more calls are inside the gated adapter.
@@ -245,7 +264,18 @@ func TestLRUEviction(t *testing.T) {
 // cold-starts again and keeps its counters.
 func TestCloseStopsEveryBatcher(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	// The baseline is taken once the count holds still: an earlier test's
+	// evicted batcher stops in the background, and its goroutines exiting
+	// during this test would read as lanes that never started.
 	before := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
 	tr := newStubTransferer(0)
 	metrics := obs.NewRegistry()
 	r := NewRegistry(tr.transfer, Options{Rec: obs.NewRecorder(metrics, nil)})
@@ -385,7 +415,7 @@ func TestCanceledRequestDoesNotCancelTransfer(t *testing.T) {
 // re-resolve). Every request must still be answered, by the right adapter.
 func TestEvictionChurnNeverWedges(t *testing.T) {
 	tr := newStubTransferer(time.Millisecond)
-	r := NewRegistry(tr.transfer, Options{MaxAdapters: 1, MaxBatch: 4, MaxWait: 100 * time.Microsecond})
+	r := NewRegistry(tr.transfer, Options{MaxAdapters: 1, MaxBatch: 4})
 	keys := []string{"A", "B", "C"}
 	const n = 90
 	var wg sync.WaitGroup

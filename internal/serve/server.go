@@ -180,12 +180,11 @@ type HealthResponse struct {
 	GoVersion string  `json:"go_version"`
 	Revision  string  `json:"revision,omitempty"`
 	Resident  int     `json:"resident"`
-	// MaxBatch, MaxWaitS and MaxAdapt describe a local Registry — its own
-	// options, as it defaulted them — and are absent in front of any other
-	// resolver: a router has no batcher to report.
-	MaxBatch int     `json:"max_batch,omitempty"`
-	MaxWaitS float64 `json:"max_wait_s,omitempty"`
-	MaxAdapt int     `json:"max_adapters,omitempty"`
+	// MaxBatch and MaxAdapt describe a local Registry — its own options, as
+	// it defaulted them — and are absent in front of any other resolver: a
+	// router has no batcher to report.
+	MaxBatch int `json:"max_batch,omitempty"`
+	MaxAdapt int `json:"max_adapters,omitempty"`
 	// Goroutines / HeapLiveBytes are fresh runtime readings taken at
 	// request time.
 	Goroutines    int64  `json:"goroutines"`
@@ -293,7 +292,7 @@ func (s *Server) healthz(_ context.Context, w http.ResponseWriter, _ *Request[No
 	}
 	hr.Goroutines, hr.HeapLiveBytes = profile.QuickReadings()
 	if reg, ok := s.res.(*Registry); ok {
-		hr.MaxBatch, hr.MaxWaitS, hr.MaxAdapt = reg.opts.MaxBatch, reg.opts.MaxWait.Seconds(), reg.opts.MaxAdapters
+		hr.MaxBatch, hr.MaxAdapt = reg.opts.MaxBatch, reg.opts.MaxAdapters
 	}
 	WriteJSON(w, http.StatusOK, hr)
 }

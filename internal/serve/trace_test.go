@@ -48,7 +48,6 @@ func TestConcurrentTracing(t *testing.T) {
 	rec := obs.NewRecorder(obs.NewRegistry(), tracer)
 	opts := Options{
 		MaxBatch:  8,
-		MaxWait:   time.Millisecond,
 		Rec:       rec,
 		AccessLog: slog.New(slog.NewJSONHandler(logBuf, nil)),
 	}

@@ -38,7 +38,7 @@ func TestWarmRacesEviction(t *testing.T) {
 	mreg := obs.NewRegistry()
 	rec := obs.NewRecorder(mreg, nil)
 	tr := newStubTransferer(0)
-	opts := Options{MaxAdapters: 2, MaxBatch: 4, MaxWait: 100 * time.Microsecond, Rec: rec}
+	opts := Options{MaxAdapters: 2, MaxBatch: 4, Rec: rec}
 	r := NewRegistry(tr.transfer, opts)
 
 	keys := make([]string, 6)

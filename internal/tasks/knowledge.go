@@ -697,11 +697,12 @@ func EditDistance(a, b string, budget int) int {
 }
 
 // Hints computes the per-candidate hint vector of the knowledge's rules on
-// an instance: hint[k] = Σ weight of rules whose condition fires and whose
-// resolved answer equals candidate k (case-insensitive). The model adds
+// an instance into dst's backing array (grown if short) and returns it:
+// hint[k] = Σ weight of rules whose condition fires and whose resolved
+// answer equals candidate k (case-insensitive). The model adds
 // ruleTrust·hint[k] to candidate scores; see internal/model.
-func (k *Knowledge) Hints(in *data.Instance) []float64 {
-	hints := make([]float64, len(in.Candidates))
+func (k *Knowledge) Hints(dst []float64, in *data.Instance) []float64 {
+	hints := append(dst[:0], make([]float64, len(in.Candidates))...)
 	if k == nil || len(k.Rules) == 0 {
 		return hints
 	}
@@ -726,39 +727,30 @@ func (k *Knowledge) Hints(in *data.Instance) []float64 {
 	return hints
 }
 
-// ApplySerial rewrites the instance fields according to the knowledge's
-// serialization directives and returns per-field weights. The caller encodes
-// the returned fields with the returned weights.
-func (k *Knowledge) ApplySerial(fields []data.Field) ([]data.Field, []float64) {
-	out := make([]data.Field, 0, len(fields))
-	weights := make([]float64, 0, len(fields))
-	for _, f := range fields {
-		w := 1.0
-		drop := false
-		v := f.Value
-		if k != nil {
-			for _, d := range k.Serial {
-				if d.Attr != "" && !strings.EqualFold(d.Attr, f.Name) {
-					continue
-				}
-				switch d.Action {
-				case ActionIgnore:
-					drop = true
-				case ActionEmphasize:
-					w *= 2
-				case ActionNormalizeMissing:
-					if IsMissingValue(v) {
-						v = "missingvalue"
-					}
-				}
-			}
-		}
-		if drop {
+// ApplySerial rewrites one instance field according to the knowledge's
+// serialization directives: the field as it is encoded, its weight, and
+// false when a directive drops it. The caller encodes each kept field with
+// its weight, in the instance's order.
+func (k *Knowledge) ApplySerial(f data.Field) (data.Field, float64, bool) {
+	w := 1.0
+	if k == nil {
+		return f, w, true
+	}
+	drop := false
+	for _, d := range k.Serial {
+		if d.Attr != "" && !strings.EqualFold(d.Attr, f.Name) {
 			continue
 		}
-		f.Value = v
-		out = append(out, f)
-		weights = append(weights, w)
+		switch d.Action {
+		case ActionIgnore:
+			drop = true
+		case ActionEmphasize:
+			w *= 2
+		case ActionNormalizeMissing:
+			if IsMissingValue(f.Value) {
+				f.Value = "missingvalue"
+			}
+		}
 	}
-	return out, weights
+	return f, w, !drop
 }

@@ -169,18 +169,19 @@ func TestKnowledgeHints(t *testing.T) {
 		},
 	}
 	in := edInstance("abv", "0.05%")
-	h := k.Hints(in)
+	h := k.Hints(nil, in)
 	if h[0] != 1 || h[1] != 0 {
 		t.Fatalf("hints = %v, want [1 0]", h)
 	}
+	// The next row's hints reuse the array and start from zero.
 	clean := edInstance("abv", "0.05")
-	h = k.Hints(clean)
-	if h[0] != 0 || h[1] != 0 {
-		t.Fatalf("hints on clean value = %v, want zeros", h)
+	reused := k.Hints(h, clean)
+	if reused[0] != 0 || reused[1] != 0 || &reused[0] != &h[0] {
+		t.Fatalf("hints on clean value = %v (same array %v), want zeros in the array passed in", reused, &reused[0] == &h[0])
 	}
 	// Nil knowledge yields zero hints of the right length.
 	var nilK *Knowledge
-	h = nilK.Hints(in)
+	h = nilK.Hints(nil, in)
 	if len(h) != 2 || h[0] != 0 || h[1] != 0 {
 		t.Fatalf("nil knowledge hints = %v", h)
 	}
@@ -199,21 +200,21 @@ func TestApplySerial(t *testing.T) {
 		{Name: "price", Value: "99.99"},
 		{Name: "desc", Value: "nan"},
 	}
-	out, w := k.ApplySerial(fields)
-	if len(out) != 2 {
-		t.Fatalf("price should be dropped, got %d fields", len(out))
+	if f, w, keep := k.ApplySerial(fields[0]); !keep || f != fields[0] || w != 2 {
+		t.Fatalf("model should be emphasized: %+v, %v, kept %v", f, w, keep)
 	}
-	if out[0].Name != "model" || w[0] != 2 {
-		t.Fatalf("model should be emphasized: %+v, %v", out[0], w[0])
+	if _, _, keep := k.ApplySerial(fields[1]); keep {
+		t.Fatal("price should be dropped")
 	}
-	if out[1].Value != "missingvalue" {
-		t.Fatalf("nan should be normalized, got %q", out[1].Value)
+	if f, w, keep := k.ApplySerial(fields[2]); !keep || f.Value != "missingvalue" || w != 1 {
+		t.Fatalf("nan should be normalized: %+v, %v, kept %v", f, w, keep)
 	}
 	// Nil knowledge: identity.
 	var nilK *Knowledge
-	out, w = nilK.ApplySerial(fields)
-	if len(out) != 3 || w[0] != 1 {
-		t.Fatalf("nil knowledge should be identity: %d fields", len(out))
+	for _, in := range fields {
+		if f, w, keep := nilK.ApplySerial(in); !keep || f != in || w != 1 {
+			t.Fatalf("nil knowledge should be identity: %+v -> %+v, %v, kept %v", in, f, w, keep)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ const (
 )
 
 // BuildExampleInto converts an instance into a model-ready example under the
-// given knowledge (nil for none), filling ex in place and reusing
-// ex.Segments' backing array. This is the serializer: it applies the
+// given knowledge (nil for none), filling ex in place and reusing the backing
+// arrays of ex.Segments and ex.Hints. This is the serializer: it applies the
 // knowledge's serialization directives, derives format-signature and
 // pair-alignment features (the substrate's stand-in for what a transformer
 // reads off raw text), and compiles rules to candidate hints. The model
@@ -47,20 +47,22 @@ const (
 func BuildExampleInto(ex *Example, spec Spec, in *data.Instance, k *Knowledge) {
 	ex.Candidates = in.Candidates
 	ex.Gold = in.Gold
-	ex.Hints = k.Hints(in)
-	fields, weights := k.ApplySerial(in.Fields)
+	ex.Hints = k.Hints(ex.Hints, in)
 
 	segs := append(ex.Segments[:0], text.Segment{Text: taskLabel(spec.Kind), Weight: wDescription})
 	segs = append(segs, text.Segment{Text: spec.Description, Weight: wDescription})
 	if k != nil && k.Text != "" {
 		segs = append(segs, text.Segment{Field: "knowledge", Text: k.Text, Weight: wKnowledge, Isolated: true})
 	}
-	for i, f := range fields {
+	for _, f := range in.Fields {
+		f, w, keep := k.ApplySerial(f)
+		if !keep {
+			continue
+		}
 		name := f.Name
 		if f.Entity != "" {
 			name = f.Entity + "." + f.Name
 		}
-		w := weights[i]
 		if in.Target != "" && strings.EqualFold(f.Name, in.Target) {
 			w *= wTarget
 		}

@@ -2,6 +2,7 @@ package tasks
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -53,7 +54,7 @@ func TestHintsInvariant(t *testing.T) {
 			total += r.Weight
 			k.Rules = append(k.Rules, r)
 		}
-		hints := k.Hints(in)
+		hints := k.Hints(nil, in)
 		if len(hints) != len(in.Candidates) {
 			return false
 		}
@@ -142,7 +143,8 @@ func TestMetricPerfect(t *testing.T) {
 	}
 }
 
-// Property: ApplySerial never invents fields and preserves order.
+// Property: ApplySerial never renames a field, drops the ignored attribute,
+// and weights what it keeps positively.
 func TestApplySerialInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -152,17 +154,15 @@ func TestApplySerialInvariant(t *testing.T) {
 			{Action: ActionEmphasize, Attr: "abv"},
 			{Action: ActionNormalizeMissing},
 		}}
-		out, w := k.ApplySerial(in.Fields)
-		if len(out) != len(w) || len(out) > len(in.Fields) {
-			return false
-		}
-		for _, f := range out {
-			if f.Name == "city" {
-				return false // ignored attribute leaked
+		for _, field := range in.Fields {
+			f, w, keep := k.ApplySerial(field)
+			if !keep {
+				if !strings.EqualFold(field.Name, "city") {
+					return false // a field no directive ignores was dropped
+				}
+				continue
 			}
-		}
-		for _, x := range w {
-			if x <= 0 {
+			if f.Name != field.Name || f.Entity != field.Entity || strings.EqualFold(f.Name, "city") || w <= 0 {
 				return false
 			}
 		}

@@ -28,6 +28,10 @@
 #   no leak in a healthy run (obs prof -gate
 #     over the trace's runtime samples)         cmd/knowtrans TestDrillServe/default
 #   a drain stops every resident batcher        serve.TestCloseStopsEveryBatcher
+#   batching rule: a lone request never waits,
+#     a non-full batch never starts beside
+#     another                                   serve.TestBatchingRule, serve.TestTwoLanesOverlapFullBatches,
+#                                               serve.TestBatcherInterleavings (-race -cpu 1,4)
 #   the leak gate bites: a growing or a burst
 #     leak is flagged; warmup, plateau jitter,
 #     a drained or a truncated run are not      analyze.TestProfReportDetectsLeaks,
