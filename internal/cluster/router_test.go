@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -140,6 +141,45 @@ func TestRouterValidatesKeys(t *testing.T) {
 	}
 	if _, err := r.Warm(context.Background(), ""); !errors.Is(err, serve.ErrBadKey) {
 		t.Fatalf("Warm(empty key) = %v, want ErrBadKey", err)
+	}
+}
+
+// TestRouterRefusesMalformedPredictBodies: a predict body holding a key
+// twice, or followed by more bytes, is refused with a 400 by the router's
+// own pipeline, so no backend sees a request; the same instance sent well
+// formed is answered.
+func TestRouterRefusesMalformedPredictBodies(t *testing.T) {
+	backend, _ := newBackend(t)
+	r := newTestRouter(t, testOptions([]string{backend.URL}))
+	front := httptest.NewServer(serve.NewServer(r, serve.Options{}))
+	t.Cleanup(front.Close)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	const valid = `{"adapter":"EM/A","instance":{"id":"1","target":"a","candidates":["yes","no"]}}`
+	for _, body := range []string{
+		strings.Replace(valid, `"target":"a"`, `"target":"a","target":"b"`, 1),
+		valid + " trailing garbage",
+	} {
+		if status := post(body); status != http.StatusBadRequest {
+			t.Fatalf("router answered %s with %d, want 400", body, status)
+		}
+	}
+	if n := statFor(r.Stats(), backend.URL).Requests; n != 0 {
+		t.Fatalf("the backend saw %d requests for refused bodies, want 0", n)
+	}
+	if status := post(valid); status != http.StatusOK {
+		t.Fatalf("router answered the well-formed body with %d, want 200", status)
+	}
+	if n := statFor(r.Stats(), backend.URL).Requests; n != 1 {
+		t.Fatalf("the backend saw %d requests, want 1", n)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -26,7 +27,9 @@ import (
 // twice, or two keys that select one member, is refused, where
 // encoding/json would merge the second value into the first.
 func ParseJSON(blob []byte) (*data.Dataset, error) {
-	d := decoder{blob: blob, intern: map[string]string{}}
+	// A dataset's slabs start at 16 elements and double up to 1,024.
+	d := decoder{blob: blob, intern: map[string]string{},
+		fields: make([]data.Field, 0, 16), cands: make([]string, 0, 16)}
 	ds, err := d.dataset()
 	if err != nil {
 		return nil, fmt.Errorf("dataio: decoding dataset: %w", err)
@@ -34,29 +37,92 @@ func ParseJSON(blob []byte) (*data.Dataset, error) {
 	return ds, nil
 }
 
-// maxDepth is encoding/json's nesting limit; the dataset object is level 1.
+// ParsePredict parses the body of a predict request,
+// {"adapter": KEY, "instance": {...}}, from bytes already in memory. The
+// instance is read as ParseJSON reads one, over JSONInstance's members but
+// gold and gold_text, which are unknown keys here (validated and dropped),
+// and comes back with Gold -1: a predict carries no label. The body object
+// is level 1 of the nesting limit, the instance level 2. An absent or null
+// instance is the empty one, as encoding/json leaves it; a duplicate key and
+// anything but whitespace after the body are refused.
+//
+// One instance shares nothing, so nothing is interned and its lists are cut
+// to size; the scratch buffers come from a pool.
+func ParsePredict(blob []byte) (adapter string, in *data.Instance, err error) {
+	d := scratch.Get().(*decoder)
+	defer d.release()
+	d.blob = blob
+	in = &data.Instance{Gold: -1}
+	d.ws()
+	err = d.object("a predict body", predictKeys, 1, func(member int) (err error) {
+		switch member {
+		case 0:
+			var s []byte
+			s, err = d.text()
+			adapter = string(s)
+		case 1:
+			err = d.instance(in, wireKeys, 2)
+		}
+		return err
+	})
+	if d.ws(); err == nil && d.off != len(d.blob) {
+		err = d.errorf("data after the predict body")
+	}
+	if err != nil {
+		return "", nil, fmt.Errorf("dataio: decoding predict body: %w", err)
+	}
+	return adapter, in, nil
+}
+
+// maxDepth is encoding/json's nesting limit; the outermost object is level 1.
 const maxDepth = 10000
 
 // maxIntern is the longest string a decode interns.
 const maxIntern = 64
 
-// The members of the three object shapes, as JSONDataset, JSONInstance and
-// data.Field name them.
+// The members of the object shapes, as JSONDataset, JSONInstance, data.Field
+// and a predict body name them; a predict's instance has JSONInstance's
+// members up to gold.
 var (
 	datasetKeys  = []string{"name", "task", "seed_knowledge", "train", "test"}
-	instanceKeys = []string{"id", "fields", "target", "candidates", "gold", "gold_text", "meta"}
+	instanceKeys = []string{"id", "fields", "target", "candidates", "meta", "gold", "gold_text"}
+	wireKeys     = instanceKeys[:5]
 	fieldKeys    = []string{"entity", "name", "value"}
+	predictKeys  = []string{"adapter", "instance"}
 )
 
-// decoder is one ParseJSON call. Every cache it holds lives as long as the
-// call: interned strings and the slabs instances, fields and candidates are
-// cut from.
+// scratch holds ParsePredict's decoders between calls.
+var scratch = sync.Pool{New: func() any { return new(decoder) }}
+
+// maxPooled is the longest body whose decoder goes back to the pool: every
+// scratch buffer grows with the body it read, so one outsized body does not
+// pin its buffers.
+const maxPooled = 64 << 10
+
+// release returns a ParsePredict decoder to the pool with its scratch
+// buffers emptied and nothing else: no slab (the result owns it), no
+// interned string, no key set.
+func (d *decoder) release() {
+	if len(d.blob) > maxPooled {
+		return
+	}
+	clear(d.row)
+	clear(d.words)
+	*d = decoder{buf: d.buf[:0], row: d.row[:0], words: d.words[:0],
+		chars: d.chars[:0], spans: d.spans[:0], open: d.open[:0]}
+	scratch.Put(d)
+}
+
+// decoder is one ParseJSON or ParsePredict call. Every cache it holds lives
+// as long as the call: interned strings and the slabs instances, fields and
+// candidates are cut from. Only ParsePredict's scratch buffers outlive it,
+// in the pool.
 type decoder struct {
 	blob []byte
 	off  int
 	buf  []byte // the last string that needed unquoting
 
-	intern map[string]string // short strings (names, targets, candidates, meta), one copy each
+	intern map[string]string // short strings (names, targets, candidates, meta), one copy each; nil: intern nothing
 	recent [64]string        // the last of them seen in each slot, looked up before intern
 	insts  []data.Instance
 	fields []data.Field
@@ -110,13 +176,25 @@ func (d *decoder) dataset() (*data.Dataset, error) {
 	return ds, nil
 }
 
-// instances reads the train or test list (level 2).
+// instances reads the train or test list (level 2) and checks that each
+// gold indexes its instance's candidates; a null instance has no
+// candidates, so it fails the check.
 func (d *decoder) instances(split string) ([]*data.Instance, error) {
 	out := []*data.Instance{}
 	null, err := d.list("a list of instances", func() error {
-		in, err := d.instance(split)
+		if len(d.insts) == 0 {
+			d.insts = make([]data.Instance, 64)
+		}
+		in := &d.insts[0]
+		d.insts = d.insts[1:]
+		if err := d.instance(in, instanceKeys, 3); err != nil {
+			return err
+		}
+		if in.Gold < 0 || in.Gold >= len(in.Candidates) {
+			return fmt.Errorf("%s instance %q: gold %d out of range (%d candidates)", split, in.ID, in.Gold, len(in.Candidates))
+		}
 		out = append(out, in)
-		return err
+		return nil
 	})
 	if null || err != nil {
 		return nil, err
@@ -124,39 +202,35 @@ func (d *decoder) instances(split string) ([]*data.Instance, error) {
 	return out, nil
 }
 
-// instance reads one instance (level 3) and checks that its gold indexes
-// its candidates; a null instance has no candidates, so it fails the check.
-func (d *decoder) instance(split string) (*data.Instance, error) {
-	if len(d.insts) == 0 {
-		d.insts = make([]data.Instance, 64)
-	}
-	in := &d.insts[0]
-	d.insts = d.insts[1:]
+// instance reads one instance object into in: the members of names, a
+// prefix of instanceKeys, the object at level depth (3 in a dataset, 2 in a
+// predict body).
+func (d *decoder) instance(in *data.Instance, names []string, depth int) error {
 	d.chars, d.spans = d.chars[:0], d.spans[:0]
-	err := d.object("an instance object", instanceKeys, 3, func(member int) (err error) {
+	err := d.object("an instance object", names, depth, func(member int) (err error) {
 		var s []byte
 		switch member {
 		case 0:
 			s, err = d.text()
 			d.hold(-1, s)
 		case 1:
-			in.Fields, err = d.fieldList()
+			in.Fields, err = d.fieldList(depth + 2)
 		case 2:
 			s, err = d.text()
 			in.Target = d.interned(s)
 		case 3:
 			in.Candidates, err = d.candidates()
 		case 4:
-			in.Gold, err = d.gold()
-		case 5:
-			_, err = d.text()
-		case 6:
 			in.Meta, err = d.meta()
+		case 5:
+			in.Gold, err = d.gold()
+		case 6:
+			_, err = d.text()
 		}
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(d.spans) > 0 {
 		chars := string(d.chars)
@@ -168,18 +242,16 @@ func (d *decoder) instance(split string) (*data.Instance, error) {
 			}
 		}
 	}
-	if in.Gold < 0 || in.Gold >= len(in.Candidates) {
-		return nil, fmt.Errorf("%s instance %q: gold %d out of range (%d candidates)", split, in.ID, in.Gold, len(in.Candidates))
-	}
-	return in, nil
+	return nil
 }
 
-// fieldList reads an instance's fields (level 4, each field level 5).
-func (d *decoder) fieldList() ([]data.Field, error) {
+// fieldList reads an instance's fields (level 4 in a dataset), each field an
+// object at level depth.
+func (d *decoder) fieldList(depth int) ([]data.Field, error) {
 	d.row = d.row[:0]
 	null, err := d.list("a list of fields", func() error {
 		var f data.Field
-		err := d.object("a field object", fieldKeys, 5, func(member int) (err error) {
+		err := d.object("a field object", fieldKeys, depth, func(member int) (err error) {
 			var s []byte
 			switch member {
 			case 0:
@@ -349,13 +421,15 @@ func (d *decoder) hold(field int, s []byte) {
 }
 
 // cut copies xs into the slab and returns the copy, its capacity capped
-// so that an append to it cannot reach the next owner's elements.
+// so that an append to it cannot reach the next owner's elements. A full
+// slab is followed by one twice its size, up to 1,024 elements, or xs's; the
+// first slab of a decode that starts with none is cut to xs.
 func cut[T any](slab *[]T, xs []T) []T {
 	if len(xs) == 0 {
 		return []T{}
 	}
 	if len(xs) > cap(*slab)-len(*slab) {
-		*slab = make([]T, 0, max(len(xs), min(2*cap(*slab), 1024), 16))
+		*slab = make([]T, 0, max(len(xs), min(2*cap(*slab), 1024)))
 	}
 	n := len(*slab)
 	*slab = append(*slab, xs...)
@@ -391,9 +465,10 @@ func (d *decoder) unique(obj int, key []byte) error {
 	return nil
 }
 
-// interned returns s as a string, one copy per distinct short string.
+// interned returns s as a string, one copy per distinct short string of a
+// decode that interns.
 func (d *decoder) interned(s []byte) string {
-	if len(s) == 0 || len(s) > maxIntern {
+	if d.intern == nil || len(s) == 0 || len(s) > maxIntern {
 		return string(s)
 	}
 	recent := &d.recent[(len(s)+7*int(s[0])+31*int(s[len(s)-1]))%len(d.recent)]

@@ -25,6 +25,8 @@ func FuzzParseSpec(f *testing.F) {
 		`{"adapter":"EM/A","input":{"path":"in.json","split":"all"},"output":{"path":"o.csv"},"shards":-2}`,
 		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"o.csv"},"surprise":1}`,
 		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"o.csv"}} trailing`,
+		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"o.csv"}}{"adapter":"EM/B","input":{"path":"in.json"},"output":{"path":"o.csv"}}`,
+		"{\"adapter\":\"EM/A\",\"input\":{\"path\":\"in.json\"},\"output\":{\"path\":\"o.csv\"}}\n\t ",
 		`{"adapter":"","input":{},"output":{}}`,
 		`[]`, `null`, ` `, `{`,
 	} {

@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,7 +90,7 @@ type Limits struct {
 }
 
 // ParseSpec decodes a JSON spec and normalizes it: defaults applied, shape
-// validated, unknown fields rejected.
+// validated, unknown fields and anything after the spec rejected.
 func ParseSpec(blob []byte) (*Spec, error) {
 	if len(bytes.TrimSpace(blob)) == 0 {
 		return nil, fmt.Errorf("jobs: empty spec")
@@ -99,6 +100,9 @@ func ParseSpec(blob []byte) (*Spec, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
 		return nil, fmt.Errorf("jobs: bad JSON spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("jobs: bad JSON spec: data after the spec at byte %d", dec.InputOffset())
 	}
 	if err := sp.Normalize(); err != nil {
 		return nil, err

@@ -80,6 +80,8 @@ func TestSpecNormalizeErrors(t *testing.T) {
 		"negative shards":    `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"},"shards":-1}`,
 		"csv kind from task": `{"adapter":"TX/A","input":{"path":"a.csv"},"output":{"path":"o.csv"}}`,
 		"not JSON":           "adapter: EM/A\ninput:\n  path: a.json\noutput:\n  path: o.csv\n",
+		"trailing bytes":     `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"}} trailing {{{`,
+		"two specs":          `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"}}{"adapter":"EM/B","input":{"path":"b.json"},"output":{"path":"o.csv"}}`,
 	}
 	for name, blob := range cases {
 		if _, err := ParseSpec([]byte(blob)); err == nil {

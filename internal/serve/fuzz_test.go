@@ -3,16 +3,20 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/dataio"
 )
 
 // roundTripFunc answers a request in process: no listener, no dial.
@@ -127,8 +131,9 @@ func (pipelineStub) Resident() int        { return 1 }
 // retryable flag of its status; the resolver only ever sees keys ValidateKey
 // accepts, and never a predict without candidates. The seed corpus holds
 // one valid and one malformed request per route in Server.routes, plus one
-// predict per scripted verdict, one without candidates and one with a bad
-// key.
+// predict per scripted verdict, one without candidates, one with a bad key,
+// one holding a key twice and one followed by more bytes, and a warm body
+// followed by more bytes.
 func FuzzRequestPipeline(f *testing.F) {
 	const valid = `{"adapter":"EM/known","key":"EM/known","instance":{"fields":[{"name":"a","value":"1"}],"candidates":["yes","no"]}}`
 	methodIndex := func(m string) uint8 {
@@ -169,6 +174,9 @@ func FuzzRequestPipeline(f *testing.F) {
 	}
 	f.Add(post, "/v1/predict", []byte(strings.Replace(valid, `"candidates":["yes","no"]`, `"candidates":[]`, 1)))
 	f.Add(post, "/v1/predict", []byte(strings.Replace(valid, "EM/known", "no-slash", 2)))
+	f.Add(post, "/v1/predict", []byte(strings.Replace(valid, `"candidates"`, `"target":"a","target":"b","candidates"`, 1)))
+	f.Add(post, "/v1/predict", []byte(valid+" trailing garbage"))
+	f.Add(post, "/v1/adapters", []byte(`{"key":"EM/known"} {"key":"EM/known"}`))
 
 	f.Fuzz(func(t *testing.T, method uint8, path string, body []byte) {
 		m := pipelineMethods[int(method)%len(pipelineMethods)]
@@ -210,4 +218,183 @@ func FuzzRequestPipeline(f *testing.F) {
 				m, path, status, env.Code, env.Retryable, ErrorCode(status), ErrorRetryable(status))
 		}
 	})
+}
+
+// FuzzParsePredict: a predict body is untrusted bytes. Whatever they are,
+// dataio.ParsePredict returns (never panics) and agrees with the decoder it
+// replaced here, encoding/json's Decoder into PredictRequest
+// (referencePredict): it errors whenever the reference does, and otherwise
+// reads the same adapter and instance with Gold -1, save that a body
+// holding a duplicate key (predictDuplicateKey), or followed by anything but
+// whitespace, is refused. A nil and an empty list or map count as the same.
+// What it accepts survives the client's encoding: PredictRequest over
+// WireFrom, parsed again, gives the same adapter and instance.
+//
+// It lives here rather than beside ParsePredict because its reference is
+// this package's; dataio's test binary does not link net, whose unique
+// handles allocate after every GC and would unsettle TestParseJSONAllocs.
+func FuzzParsePredict(f *testing.F) {
+	one := `{"adapter":"ED/Beer","instance":{"id":"1","fields":[{"Name":"abv","Value":"5%"}],"target":"abv","candidates":["yes","no"],"meta":{"k":"v"}}}`
+	// n arrays under an unknown key of the instance (level 2): 9,998 reach
+	// encoding/json's limit of 10,000 levels, more pass it.
+	nested := func(n int) string {
+		return `{"adapter":"EM/A","instance":{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}}`
+	}
+	for _, s := range []string{
+		one,
+		" " + one + "\n",
+		one + " trailing garbage",
+		one + one,
+		`{"adapter":"EM/A","instance":{"fields":[{"entity":"A","name":"t","value":"x"},{"Entity":"B","NAME":"t","vALUE":"y"}],"candidates":["yes","no"]}}`,
+		`{"adapter":"EM/A","instance":{"target":"a","target":"b","candidates":["yes"]}}`,
+		`{"adapter":"EM/A","instance":{"target":"a","TARGET":"b"}}`,
+		`{"adapter":"EM/A","adapter":"EM/B","instance":{}}`,
+		`{"adapter":"EM/A","instance":{"candidates":["yes","no"],"gold":0,"gold_text":"yes"}}`,
+		`{"adapter":"EM/A","instance":{"candidates":["yes"],"gold":1.5e400,"gold_text":{"a":[true,null]}}}`,
+		`{"adapter":"EM/A","instance":{"candidates":["yes"],"gold":0,"gold":1}}`,
+		`{"adapter":null,"instance":{"id":null,"fields":null,"target":null,"candidates":null,"meta":null}}`,
+		`{"adapter":"EM/A","instance":{"fields":[null,{"name":null,"value":null}],"candidates":["yes",null],"meta":{"k":null}}}`,
+		`{"adapter":"EM/A","instance":null}`,
+		`{"Adapter":"EM/A","INSTANCE":{"ID":"x","Candidates":["y"]}}`,
+		`{"adapter":"EM/A","instance":{"meta":{"k":"a","k":"b"}}}`,
+		`{"adapter":"EM/A","instance":{"meta":{"k":1}}}`,
+		`{"adapter":"EM/A","instance":{"candidates":"yes"}}`,
+		`{"adapter":5}`, `{"adapter":"EM/A","instance":[]}`, `{"adapter":"EM/A","extra":[1,{"b":2,"b":3}]}`,
+		"{\"adapter\":\"\xff\",\"instance\":{\"id\":\"\\ud800\",\"candidates\":[\"\xc3\"]}}",
+		`null`, ` null `, ``, ` `, `[]`, `"x"`, `{`, `{"adapter":"EM/A",}`,
+		nested(9998),
+		nested(9999),
+		nested(10000),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		adapter, in, err := dataio.ParsePredict(blob)
+		if err != nil && (adapter != "" || in != nil) {
+			t.Fatalf("ParsePredict failed (%v) but returned %q, %+v", err, adapter, in)
+		}
+		ref, trailing, refErr := referencePredict(blob)
+		switch {
+		case refErr != nil:
+			if err == nil {
+				t.Fatalf("accepted what encoding/json refuses (%v)", refErr)
+			}
+		case trailing:
+			if err == nil {
+				t.Fatal("accepted a body followed by more bytes")
+			}
+		case predictDuplicateKey(t, blob):
+			if err == nil {
+				t.Fatal("accepted a body holding a duplicate key")
+			}
+		case err != nil:
+			t.Fatalf("refused what encoding/json accepts: %v", err)
+		default:
+			samePredict(t, "against encoding/json", adapter, in, ref)
+		}
+		if err != nil {
+			return
+		}
+		sent := PredictRequest{Adapter: adapter, Instance: WireFrom(in)}
+		raw, err := json.Marshal(sent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backAdapter, back, err := dataio.ParsePredict(raw)
+		if err != nil {
+			t.Fatalf("an accepted body does not parse from its client encoding: %v\n%s", err, raw)
+		}
+		samePredict(t, "in the round trip", backAdapter, back, sent)
+	})
+}
+
+// referencePredict is how the predict route read a body before
+// dataio.ParsePredict: one Decoder.Decode into PredictRequest, which stops
+// after the first value. trailing reports whether more than whitespace
+// follows it.
+func referencePredict(blob []byte) (pr PredictRequest, trailing bool, err error) {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	if err := dec.Decode(&pr); err != nil {
+		return pr, false, err
+	}
+	return pr, len(bytes.TrimLeft(blob[dec.InputOffset():], " \t\r\n")) > 0, nil
+}
+
+func samePredict(t *testing.T, how, adapter string, in *data.Instance, want PredictRequest) {
+	t.Helper()
+	w := want.Instance
+	if adapter != want.Adapter || in.Gold != -1 || in.ID != w.ID || in.Target != w.Target ||
+		!slices.Equal(in.Fields, w.Fields) || !slices.Equal(in.Candidates, w.Candidates) || !maps.Equal(in.Meta, w.Meta) {
+		t.Fatalf("%s: got %q %+v, want %q %+v", how, adapter, in, want.Adapter, w)
+	}
+}
+
+// keyShape is what predictDuplicateKey knows of an object: the members a
+// key may select (encoding/json's rule: an exact match, else a case-folded
+// one) and the shape of each member's value. An array has its slot's shape,
+// each element in turn; any other object has no members.
+type keyShape struct {
+	members []string
+	values  map[string]*keyShape
+}
+
+// predictShape is a predict body's: the instance has no gold, so gold and
+// gold_text are keys outside its shape.
+var predictShape = &keyShape{
+	members: []string{"adapter", "instance"},
+	values: map[string]*keyShape{"instance": {
+		members: []string{"id", "fields", "target", "candidates", "meta"},
+		values:  map[string]*keyShape{"fields": {members: []string{"entity", "name", "value"}}},
+	}},
+}
+
+// predictDuplicateKey reports whether the first value of a body
+// encoding/json accepts holds an object with one key twice (compared
+// unquoted), or two keys that select one member of the body, its instance
+// or a field.
+func predictDuplicateKey(t *testing.T, blob []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	token := func() json.Token {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("walking a body encoding/json accepts: %v", err)
+		}
+		return tok
+	}
+	var walk func(s *keyShape) bool
+	walk = func(s *keyShape) bool {
+		switch token() {
+		case json.Delim('['):
+			for dec.More() {
+				if walk(s) {
+					return true
+				}
+			}
+		case json.Delim('{'):
+			seen := map[string]bool{}
+			for dec.More() {
+				key := token().(string)
+				id, value := "="+key, (*keyShape)(nil)
+				if s != nil {
+					i := slices.Index(s.members, key)
+					if i < 0 {
+						i = slices.IndexFunc(s.members, func(m string) bool { return strings.EqualFold(key, m) })
+					}
+					if i >= 0 {
+						id, value = s.members[i], s.values[s.members[i]]
+					}
+				}
+				if seen[id] || walk(value) {
+					return true
+				}
+				seen[id] = true
+			}
+		default:
+			return false
+		}
+		token() // the closer
+		return false
+	}
+	return walk(predictShape)
 }

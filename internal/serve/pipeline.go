@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -24,9 +25,10 @@ import (
 // label of the pattern's first route. ShedDrain refuses with 503 +
 // Retry-After while the server drains, ShedOverload with 429 + Retry-After
 // past Options.MaxInflight. BodyCap > 0 declares a JSON body of at most that
-// many bytes, decoded into Request.Body before the handler runs (larger or
-// malformed: 400); zero leaves the body unread. Deadline runs the handler
-// under Options.RequestTimeout.
+// many bytes, read whole and decoded into Request.Body by json.Unmarshal
+// before the handler runs (larger, malformed or followed by more bytes:
+// 400); zero leaves the body unread. Deadline runs the handler under
+// Options.RequestTimeout.
 type Route struct {
 	Method, Pattern, Label  string
 	ShedDrain, ShedOverload bool
@@ -84,10 +86,9 @@ func Handle[T any](s *Server, rt Route, key func(*Request[T]) string, h func(con
 		}
 		rq := &Request[T]{Request: r}
 		if rt.BodyCap > 0 {
-			err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.BodyCap)).Decode(&rq.Body)
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				err = fmt.Errorf("exceeds %d bytes", rt.BodyCap)
+			blob, err := readBody(w, r, rt.BodyCap)
+			if err == nil {
+				err = json.Unmarshal(blob, &rq.Body)
 			}
 			if err != nil {
 				WriteErrorStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -116,6 +117,24 @@ func Handle[T any](s *Server, rt Route, key func(*Request[T]) string, h func(con
 	if !mounted {
 		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.dispatch(s.routes[pattern], w, r) })
 	}
+}
+
+// readBody reads r's body, at most limit bytes: in one read into a buffer of
+// its declared Content-Length, else (length unknown, or declared over the
+// limit) into a buffer that grows as the body arrives.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; 0 <= n && n <= limit {
+		blob := make([]byte, n)
+		_, err := io.ReadFull(body, blob)
+		return blob, err
+	}
+	blob, err := io.ReadAll(body)
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		err = fmt.Errorf("exceeds %d bytes", limit)
+	}
+	return blob, err
 }
 
 // dispatch is the method check: the pattern's route for r.Method (a GET

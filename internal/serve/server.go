@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/dataio"
 	"repro/internal/obs"
 	"repro/internal/obs/profile"
 )
@@ -67,7 +68,7 @@ func NewServer(res Resolver, opts Options) *Server {
 	pathKey := func(rq *Request[None]) string { return strings.TrimPrefix(rq.URL.Path, adaptersPath) }
 	Handle(s, Route{Method: http.MethodPost, Pattern: "/v1/predict", Label: "predict",
 		ShedDrain: true, ShedOverload: true, BodyCap: maxBodyBytes, Deadline: true},
-		func(rq *Request[PredictRequest]) string { return rq.Body.Adapter }, s.predict)
+		func(rq *Request[predictBody]) string { return rq.Body.adapter }, s.predict)
 	Handle(s, Route{Method: http.MethodGet, Pattern: "/v1/adapters", Label: "adapters"}, nil, s.adapters)
 	Handle(s, Route{Method: http.MethodPost, Pattern: "/v1/adapters", Label: "warm",
 		ShedDrain: true, BodyCap: maxBodyBytes, Deadline: true},
@@ -97,8 +98,9 @@ func (s *Server) StartDrain() {
 }
 
 // WireInstance is the JSON shape of a data.Instance on the predict
-// endpoint; its fields keep data.Field's own shape. Gold is deliberately
-// absent: the service answers questions, it does not score them.
+// endpoint, as a client encodes it; its fields keep data.Field's own shape.
+// Gold is deliberately absent: the service answers questions, it does not
+// score them.
 type WireInstance struct {
 	ID         string            `json:"id,omitempty"`
 	Fields     []data.Field      `json:"fields"`
@@ -120,21 +122,24 @@ func WireFrom(in *data.Instance) WireInstance {
 	}
 }
 
-func (wi *WireInstance) instance() *data.Instance {
-	return &data.Instance{
-		ID:         wi.ID,
-		Fields:     wi.Fields,
-		Target:     wi.Target,
-		Candidates: wi.Candidates,
-		Meta:       wi.Meta,
-		Gold:       -1, // unknown; the service never sees labels
-	}
-}
-
-// PredictRequest is the body of POST /v1/predict.
+// PredictRequest is the body of POST /v1/predict, as a client encodes it.
+// The server reads it as predictBody.
 type PredictRequest struct {
 	Adapter  string       `json:"adapter"`
 	Instance WireInstance `json:"instance"`
+}
+
+// predictBody is the body of POST /v1/predict as the server reads it: by
+// dataio.ParsePredict, the instance grammar a job file is read by, so a
+// duplicate key is a 400 here as it is an error there.
+type predictBody struct {
+	adapter  string
+	instance *data.Instance // Gold -1: the service never sees labels
+}
+
+func (b *predictBody) UnmarshalJSON(blob []byte) (err error) {
+	b.adapter, b.instance, err = dataio.ParsePredict(blob)
+	return err
 }
 
 // PredictResponse is the body of a successful predict call. Cold reports
@@ -227,14 +232,14 @@ func vcsRevision() string {
 	return rev + dirty
 }
 
-func (s *Server) predict(ctx context.Context, w http.ResponseWriter, rq *Request[PredictRequest]) {
-	if len(rq.Body.Instance.Candidates) == 0 {
+func (s *Server) predict(ctx context.Context, w http.ResponseWriter, rq *Request[predictBody]) {
+	if len(rq.Body.instance.Candidates) == 0 {
 		// Prediction ranks candidate answers (DESIGN.md: open-domain tasks
 		// are realized as ranking), so an empty set is unanswerable.
 		WriteErrorStatus(w, http.StatusBadRequest, "instance needs candidate answers")
 		return
 	}
-	ans, cold, err := s.res.Predict(ctx, rq.Key, rq.Body.Instance.instance())
+	ans, cold, err := s.res.Predict(ctx, rq.Key, rq.Body.instance)
 	if err != nil {
 		WriteError(w, err)
 		return

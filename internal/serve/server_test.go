@@ -95,17 +95,24 @@ func TestPredictRejectsBadRequests(t *testing.T) {
 			t.Fatalf("%s: error body %q, want envelope with code %s", tc.name, body, ErrorCode(tc.want))
 		}
 	}
-	// Malformed JSON.
-	resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	// Malformed JSON, a key given twice (the last would win under
+	// encoding/json) and bytes after the body.
+	for _, raw := range []string{
+		"{nope",
+		`{"adapter":"EM/A","instance":{"target":"a","target":"b","candidates":["y"]}}`,
+		`{"adapter":"EM/A","instance":{"candidates":["y"]}} trailing garbage`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/predict", "application/json", strings.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", raw, resp.StatusCode)
+		}
 	}
 	// Wrong method.
-	resp, err = http.Get(srv.URL + "/v1/predict")
+	resp, err := http.Get(srv.URL + "/v1/predict")
 	if err != nil {
 		t.Fatal(err)
 	}

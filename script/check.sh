@@ -71,6 +71,11 @@
 #   no fused multiply-add in tensor on arm64    the arm64 stage, below
 #   dataset decode refuses trailing bytes       dataio.TestDecodeJSONRejectsTrailingBytes, dataio.FuzzDecodeJSON
 #                                               (corpus in tier-1, 10 s of fuzzing in tier-2)
+#   a predict body is read by the job file's
+#     instance grammar: duplicate keys and
+#     trailing bytes refused, at the router
+#     too, before any backend sees them         serve.FuzzParsePredict (corpus in tier-1, 10 s in tier-2),
+#                                               cluster.TestRouterRefusesMalformedPredictBodies
 #   the float screen rejects only what
 #     strconv.ParseFloat rejects                tasks.FuzzNumberScreen (corpus in tier-1, 10 s in tier-2)
 #   CSV input: no panic, rows at header arity,
@@ -185,7 +190,7 @@ awk 'NR == FNR { if (NF == 1) { print "check.sh: allow-list entry without a reas
 awk 'END { print "check.sh: product statements reached: " $NF }' "$cov/func.txt"
 passed "coverage"
 
-# The fifteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
+# The sixteen fuzz targets, 10 s each (tier-1's `go test ./...` ran their seed
 # corpora). -fuzz takes one target and one package per run. -fuzzminimizetime
 # 100x caps the minimizing of each new input at 100 runs, so the 10 s go to
 # fuzzing rather than to shrinking what it found.
@@ -198,6 +203,7 @@ go test -run '^$' -fuzz '^FuzzDecodeJSON$' -fuzztime 10s -fuzzminimizetime 100x 
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s -fuzzminimizetime 100x ./internal/dataio
 go test -run '^$' -fuzz '^FuzzParseErrorEnvelope$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 go test -run '^$' -fuzz '^FuzzRequestPipeline$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+go test -run '^$' -fuzz '^FuzzParsePredict$' -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 go test -run '^$' -fuzz '^FuzzEncoderEquivalence$' -fuzztime 10s -fuzzminimizetime 100x ./internal/text
 go test -run '^$' -fuzz '^FuzzDenseBuilder$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
 go test -run '^$' -fuzz '^FuzzAddRows$' -fuzztime 10s -fuzzminimizetime 100x ./internal/tensor
