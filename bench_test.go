@@ -338,7 +338,9 @@ func (w *discardWriter) WriteHeader(int)             {}
 // test), which may add stages (the body cap) only by paying for them
 // elsewhere (the per-route counter name is built once, not per request).
 // Reading the body once at its Content-Length and the instance by
-// dataio.ParsePredict took it from 58 (parent 658d34d) to 47.
+// dataio.ParsePredict took it from 58 (parent 658d34d) to 47; calling the
+// body's own parser instead of json.Unmarshal's two scans before it, from
+// 46 (parent dc20e45) to 42.
 func TestServeRequestAllocs(t *testing.T) {
 	srv := serve.NewServer(warmResolver{}, serve.Options{Rec: obs.NewRecorder(obs.NewRegistry(), nil)})
 	body, err := json.Marshal(serve.PredictRequest{Adapter: "ED/Beer", Instance: serve.WireInstance{
@@ -355,7 +357,7 @@ func TestServeRequestAllocs(t *testing.T) {
 		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 	})
 	t.Logf("warm predict through the pipeline: %v allocs/op", got)
-	const limit = 47
+	const limit = 42
 	if got > limit {
 		t.Errorf("%v allocs/op, limit %d", got, limit)
 	}

@@ -3,7 +3,6 @@ package eval
 import (
 	"repro/internal/akb"
 	"repro/internal/baselines"
-	"repro/internal/obs"
 	"repro/internal/tasks"
 )
 
@@ -22,7 +21,7 @@ var ablationDatasets = []string{"ED/Beer", "EM/Walmart-Amazon", "DI/Flipkart"}
 func FullRegistry() []Experiment {
 	return append(Registry(),
 		Experiment{"ablate-substrate", "Substrate ablations: trust head, rule channel, text channel (reproduction-specific)", runAblateSubstrate},
-		Experiment{"ablate-oracle", "Oracle ablations: temperature and world lexicon (reproduction-specific)", runAblateOracle},
+		Experiment{"ablate-oracle", "Oracle ablations: search temperature (reproduction-specific)", runAblateOracle},
 	)
 }
 
@@ -49,61 +48,37 @@ func ExperimentByID(id string) (Experiment, bool) {
 //     hints act only through the learned instruction-following pathway,
 //   - "none": no knowledge at all.
 func runAblateSubstrate(z *Zoo, reps int) *Table {
-	columns := []string{"none", "trust-off", "no-rules", "no-text", "full"}
-	t := &Table{ID: "ablate-substrate", Title: "Knowledge-channel ablations on the adapted model", Columns: columns}
-	bundles := bundlesByKey(z, ablationDatasets)
-	var jobs []cellJob[map[string]float64]
-	for _, b := range bundles {
-		key := cellKey(b.Key(), "ablate")
-		jobs = append(jobs, cellJob[map[string]float64]{
-			Label: key,
-			Run: func(rec *obs.Recorder) map[string]float64 {
-				cells := map[string]float64{}
-				for rep := 0; rep < reps; rep++ {
-					fewshot := b.DS.FewShot(fewShotRNG(z, key, rep), FewShotN)
-					ctx := &baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: repSeed(z, key, rep), Rec: rec}
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, true)
-					if err != nil {
-						panic(err)
-					}
-					spec := tasks.SpecFor(b.Kind)
-					k := ad.Knowledge
-					score := func(k *tasks.Knowledge) float64 {
-						return akb.Evaluate(ad.Model, spec, b.DS.Test, k)
-					}
-					cells["none"] += score(nil)
-					cells["full"] += score(k)
-					if k != nil {
-						noRules := k.Clone()
-						noRules.Rules = nil
-						cells["no-rules"] += score(noRules)
-						noText := k.Clone()
-						noText.Text = ""
-						cells["no-text"] += score(noText)
-					} else {
-						cells["no-rules"] += score(nil)
-						cells["no-text"] += score(nil)
-					}
-					// ad.Model is this cell's private adapted model, with a
-					// trust scalar of its own, so the toggle never races with
-					// other cells.
-					trust := ad.Model.Trust.Val
-					ad.Model.Trust.Val = 0
-					cells["trust-off"] += score(k)
-					ad.Model.Trust.Val = trust
-				}
-				for _, c := range columns {
-					cells[c] /= float64(reps)
-				}
-				return cells
-			},
-		})
-	}
-	results := runCells(z, jobs)
-	for i, b := range bundles {
-		t.AddRow(string(b.Kind), b.DS.Name, results[i])
-	}
-	return t.WithAverages()
+	t := &Table{ID: "ablate-substrate", Title: "Knowledge-channel ablations on the adapted model",
+		Columns: []string{"none", "trust-off", "no-rules", "no-text", "full"}}
+	return runAblation(z, t, "ablate", reps, func(ctx *baselines.AdaptContext) []float64 {
+		b := ctx.Bundle
+		ad, err := z.AdaptKnowTrans(ctx, Size7B, true, true)
+		if err != nil {
+			panic(err)
+		}
+		spec := tasks.SpecFor(b.Kind)
+		k := ad.Knowledge
+		score := func(k *tasks.Knowledge) float64 {
+			return akb.Evaluate(ad.Model, spec, b.DS.Test, k)
+		}
+		none, full := score(nil), score(k)
+		noRules, noText := none, none
+		if k != nil {
+			stripped := k.Clone()
+			stripped.Rules = nil
+			noRules = score(stripped)
+			stripped = k.Clone()
+			stripped.Text = ""
+			noText = score(stripped)
+		}
+		// ad.Model is this cell's private adapted model, with a trust scalar
+		// of its own, so the toggle never races with other cells.
+		trust := ad.Model.Trust.Val
+		ad.Model.Trust.Val = 0
+		trustOff := score(k)
+		ad.Model.Trust.Val = trust
+		return []float64{none, trustOff, noRules, noText, full}
+	})
 }
 
 // runAblateOracle compares AKB outcomes on one SKC fine-tune per cell:
@@ -116,45 +91,42 @@ func runAblateSubstrate(z *Zoo, reps int) *Table {
 // Both oracles hold the same world lexicon (datagen.WorldLexicon); no column
 // varies it.
 func runAblateOracle(z *Zoo, reps int) *Table {
-	columns := []string{"no-AKB", "temp-0", "temp-0.9"}
-	t := &Table{ID: "ablate-oracle", Title: "AKB oracle ablations (KnowTrans-7B)", Columns: columns}
+	t := &Table{ID: "ablate-oracle", Title: "AKB oracle ablations (KnowTrans-7B)",
+		Columns: []string{"no-AKB", "temp-0", "temp-0.9"}}
+	return runAblation(z, t, "ablateo", reps, func(ctx *baselines.AdaptContext) []float64 {
+		b := ctx.Bundle
+		// One SKC fine-tune shared by all oracle variants.
+		ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
+		if err != nil {
+			panic(err)
+		}
+		spec := tasks.SpecFor(b.Kind)
+		cells := []float64{akb.Evaluate(ad.Model, spec, b.DS.Test, nil)}
+		for _, temp := range []float64{0, 0.9} {
+			res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, temp),
+				b.Kind, ctx.FewShot, nil, akb.DefaultConfig(ctx.Seed), ctx.Seed, ctx.Rec)
+			cells = append(cells, akb.Evaluate(ad.Model, spec, b.DS.Test, res.Best))
+		}
+		return cells
+	})
+}
+
+// runAblation fills t with one row per ablation dataset: each row's cells
+// are measure's values in column order, averaged over reps repetitions at
+// the paper's few-shot budget on the zoo's worker pool; a row's seed
+// stream is cellKey(dataset, tag). The result carries the averages.
+func runAblation(z *Zoo, t *Table, tag string, reps int, measure func(*baselines.AdaptContext) []float64) *Table {
 	bundles := bundlesByKey(z, ablationDatasets)
-	var jobs []cellJob[map[string]float64]
-	for _, b := range bundles {
-		key := cellKey(b.Key(), "ablateo")
-		jobs = append(jobs, cellJob[map[string]float64]{
-			Label: key,
-			Run: func(rec *obs.Recorder) map[string]float64 {
-				cells := map[string]float64{}
-				for rep := 0; rep < reps; rep++ {
-					fewshot := b.DS.FewShot(fewShotRNG(z, key, rep), FewShotN)
-					ctx := &baselines.AdaptContext{Bundle: b, FewShot: fewshot, Seed: repSeed(z, key, rep), Rec: rec}
-					// One SKC fine-tune shared by all oracle variants.
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
-					if err != nil {
-						panic(err)
-					}
-					spec := tasks.SpecFor(b.Kind)
-					cells["no-AKB"] += akb.Evaluate(ad.Model, spec, b.DS.Test, nil)
-					for _, v := range []struct {
-						col  string
-						temp float64
-					}{{"temp-0", 0}, {"temp-0.9", 0.9}} {
-						res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, v.temp),
-							b.Kind, fewshot, nil, akb.DefaultConfig(ctx.Seed), ctx.Seed, rec)
-						cells[v.col] += akb.Evaluate(ad.Model, spec, b.DS.Test, res.Best)
-					}
-				}
-				for _, c := range columns {
-					cells[c] /= float64(reps)
-				}
-				return cells
-			},
-		})
-	}
-	results := runCells(z, jobs)
+	jobs := make([]cellJob[[]float64], len(bundles))
 	for i, b := range bundles {
-		t.AddRow(string(b.Kind), b.DS.Name, results[i])
+		jobs[i] = repCell(z, b, cellKey(b.Key(), tag), reps, FewShotN, measure)
+	}
+	for i, vals := range runCells(z, jobs) {
+		cells := make(map[string]float64, len(t.Columns))
+		for j, col := range t.Columns {
+			cells[col] = vals[j]
+		}
+		t.AddRow(string(bundles[i].Kind), bundles[i].DS.Name, cells)
 	}
 	return t.WithAverages()
 }

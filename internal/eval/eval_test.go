@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -61,6 +64,43 @@ func TestFullRegistryIncludesAblations(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// ablationDigest is the FNV-1a digest TestAblationDigest computes, recorded
+// on the commit before the ablations' repetition loops became repCell
+// (parent dc20e45).
+const ablationDigest = "1f8acb7156e08c85"
+
+// TestAblationDigest pins both ablation tables bit for bit: no drill and no
+// paper table runs them, so this is what keeps their arithmetic from
+// drifting. It digests every cell of ablate-substrate and ablate-oracle on
+// the shared zoo at two repetitions — the averaging over repetitions
+// included — in row and column order.
+func TestAblationDigest(t *testing.T) {
+	z := zooForTest()
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, id := range []string{"ablate-substrate", "ablate-oracle"} {
+		e, _ := ExperimentByID(id)
+		tb := e.Run(z, 2)
+		for _, r := range tb.Rows {
+			fmt.Fprintf(h, "%s|%s|%s|", id, r.Task, r.Dataset)
+			for _, col := range tb.Columns {
+				v, ok := r.Cells[col]
+				if !ok {
+					t.Fatalf("%s: %s/%s has no %s cell", id, r.Task, r.Dataset, col)
+				}
+				bits := math.Float64bits(v)
+				for i := range buf {
+					buf[i] = byte(bits >> (8 * i))
+				}
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != ablationDigest {
+		t.Fatalf("ablation digest %s, want %s", got, ablationDigest)
 	}
 }
 

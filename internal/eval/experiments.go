@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/baselines"
 	"repro/internal/datagen"
@@ -60,35 +61,55 @@ func repSeed(z *Zoo, key string, rep int) int64 {
 	return int64(h.Sum64() & 0x7fffffffffffffff)
 }
 
-// methodCell builds the pool job for one (dataset, column) table cell:
-// construct the method, adapt and score it reps times on per-repetition
-// few-shot samples, return the mean. key is the cell's content-addressed
-// seed-stream key (see cellKey) — derived from names, never from execution
-// order, which is what makes the worker schedule irrelevant to the result.
-// obsName labels the per-method latency histogram eval.cell_us/<method> — the
-// wall time of one repetition, adapt plus evaluate (usually the column name;
-// Fig. 4 uses the method name across budget columns).
-func methodCell(z *Zoo, b *datagen.Bundle, key, obsName string, reps, fewshotN int, build func() baselines.Method) cellJob[float64] {
-	return cellJob[float64]{
+// repCell builds the pool job for one table cell measured over reps
+// repetitions: repetition r draws an n-row few-shot sample with
+// fewShotRNG(z, key, r) and its seed with repSeed(z, key, r), measure adapts
+// and scores on them and returns one value per column, and the job returns
+// each column's mean, summed in repetition order. key is the cell's
+// content-addressed seed-stream key (see cellKey) — derived from names, never
+// from execution order, which is what makes the worker schedule irrelevant to
+// the result.
+func repCell(z *Zoo, b *datagen.Bundle, key string, reps, n int, measure func(*baselines.AdaptContext) []float64) cellJob[[]float64] {
+	return cellJob[[]float64]{
 		Label: key,
-		Run: func(rec *obs.Recorder) float64 {
-			m := build()
-			var sum float64
+		Run: func(rec *obs.Recorder) []float64 {
+			var sum []float64
 			for rep := 0; rep < reps; rep++ {
-				fewshot := b.DS.FewShot(fewShotRNG(z, key, rep), fewshotN)
-				start := rec.Now()
-				pred := m.Adapt(&baselines.AdaptContext{
+				vals := measure(&baselines.AdaptContext{
 					Bundle:  b,
-					FewShot: fewshot,
+					FewShot: b.DS.FewShot(fewShotRNG(z, key, rep), n),
 					Seed:    repSeed(z, key, rep),
 					Rec:     rec,
 				})
-				sum += baselines.Evaluate(pred, b.Kind, b.DS.Test)
-				rec.ObserveSince("eval.cell_us/"+obsName, start)
+				if sum == nil {
+					sum = make([]float64, len(vals))
+				}
+				for i, v := range vals {
+					sum[i] += v
+				}
 			}
-			return sum / float64(reps)
+			for i := range sum {
+				sum[i] /= float64(reps)
+			}
+			return sum
 		},
 	}
+}
+
+// methodCell is the repCell of one method's score: the method is built once
+// per cell, on the worker that runs it. obsName labels the per-method latency
+// histogram eval.cell_us/<method> — the wall time of one repetition, adapt
+// plus evaluate (usually the column name; Fig. 4 uses the method name across
+// budget columns).
+func methodCell(z *Zoo, b *datagen.Bundle, key, obsName string, reps, fewshotN int, build func() baselines.Method) cellJob[[]float64] {
+	method := sync.OnceValue(build)
+	return repCell(z, b, key, reps, fewshotN, func(ctx *baselines.AdaptContext) []float64 {
+		m := method()
+		start := ctx.Rec.Now()
+		score := baselines.Evaluate(m.Adapt(ctx), b.Kind, b.DS.Test)
+		ctx.Rec.ObserveSince("eval.cell_us/"+obsName, start)
+		return []float64{score}
+	})
 }
 
 // bundlesByKey resolves dataset keys to bundles, in order.
@@ -105,7 +126,7 @@ func bundlesByKey(z *Zoo, keys []string) []*datagen.Bundle {
 // paper's few-shot budget, on the zoo's worker pool. Rows keep bundle
 // order; the result carries the per-task averages.
 func runGrid(z *Zoo, t *Table, bundles []*datagen.Bundle, reps int, method func(col string) baselines.Method) *Table {
-	jobs := make([]cellJob[float64], 0, len(bundles)*len(t.Columns))
+	jobs := make([]cellJob[[]float64], 0, len(bundles)*len(t.Columns))
 	for _, b := range bundles {
 		for _, col := range t.Columns {
 			jobs = append(jobs, methodCell(z, b, cellKey(b.Key(), col), col, reps, FewShotN,
@@ -116,7 +137,7 @@ func runGrid(z *Zoo, t *Table, bundles []*datagen.Bundle, reps int, method func(
 	for _, b := range bundles {
 		cells := make(map[string]float64, len(t.Columns))
 		for _, col := range t.Columns {
-			cells[col], scores = scores[0], scores[1:]
+			cells[col], scores = scores[0][0], scores[1:]
 		}
 		t.AddRow(string(b.Kind), b.DS.Name, cells)
 	}

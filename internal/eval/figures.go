@@ -9,7 +9,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/lora"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/oracle"
 )
 
@@ -45,7 +44,7 @@ func runFig4(z *Zoo, reps int) *Table {
 		}
 	}
 	methods := []string{MethodJellyfish, MethodKnowTrans}
-	var jobs []cellJob[float64]
+	var jobs []cellJob[[]float64]
 	for _, pt := range points {
 		for _, name := range methods {
 			jobs = append(jobs, methodCell(z, pt.b, cellKey(pt.b.Key(), name, strconv.Itoa(pt.n)), name, reps, pt.n,
@@ -56,8 +55,8 @@ func runFig4(z *Zoo, reps int) *Table {
 	for i, pt := range points {
 		t.AddRow(string(pt.b.Kind), fmt.Sprintf("%s@%d", pt.b.DS.Name, pt.n), map[string]float64{
 			"Instances":    float64(pt.n),
-			"Jellyfish-7B": scores[2*i],
-			"KnowTrans-7B": scores[2*i+1],
+			"Jellyfish-7B": scores[2*i][0],
+			"KnowTrans-7B": scores[2*i+1][0],
 		})
 	}
 	return t
@@ -125,71 +124,56 @@ func runFig7(z *Zoo, reps int) *Table {
 	t := &Table{ID: "fig7", Title: "Effect of refinement rounds on eval and test scores (KnowTrans-7B)",
 		Columns: []string{"Round", "Eval", "Test"}}
 	const rounds = 7
-	type series struct {
-		evalAvg [rounds]float64
-		testAvg [rounds]float64
-	}
 	bundles := bundlesByKey(z, fig7Datasets)
-	var jobs []cellJob[series]
+	var jobs []cellJob[[]float64]
 	for _, b := range bundles {
-		key := cellKey(b.Key(), "fig7")
-		jobs = append(jobs, cellJob[series]{
-			Label: key,
-			Run: func(rec *obs.Recorder) series {
-				var s series
-				for rep := 0; rep < reps; rep++ {
-					// A larger labeled pool split into disjoint fine-tuning and
-					// validation halves (the paper's Section VII-A train/validation
-					// split): a validation set the model did not memorize is what
-					// lets the eval curve climb across refinement rounds.
-					pool := b.DS.FewShot(fewShotRNG(z, key, rep), 2*FewShotN)
-					half := len(pool) / 2
-					ftHalf, valHalf := pool[:half], pool[half:]
-					ctx := &baselines.AdaptContext{Bundle: b, FewShot: ftHalf, Seed: repSeed(z, key, rep), Rec: rec}
-					// Fine-tune with SKC but defer AKB: the search is run manually
-					// with a test probe and an extended round budget.
-					ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
-					if err != nil {
-						panic(err)
-					}
-					probe := b.DS.Test
-					if len(probe) > 300 {
-						probe = probe[:300]
-					}
-					cfg := akb.DefaultConfig(ctx.Seed)
-					cfg.Iterations = rounds
-					res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, oracle.PaperTemperature), b.Kind, valHalf, probe, cfg, ctx.Seed, rec)
-					last := akb.Step{TestScore: -1}
-					for r := 0; r < rounds; r++ {
-						step := last
-						for _, st := range res.Steps {
-							if st.Iter == r {
-								step = st
-							}
-						}
-						// After convergence the curve stays flat at the last value.
-						if step.TestScore >= 0 || r == 0 {
-							last = step
-						}
-						s.evalAvg[r] += last.EvalScore
-						s.testAvg[r] += last.TestScore
+		// A labeled pool of twice the budget, split into disjoint fine-tuning
+		// and validation halves (the paper's Section VII-A train/validation
+		// split): a validation set the model did not memorize is what lets the
+		// eval curve climb across refinement rounds. The cell's values are
+		// the eval curve, then the test curve.
+		jobs = append(jobs, repCell(z, b, cellKey(b.Key(), "fig7"), reps, 2*FewShotN, func(ctx *baselines.AdaptContext) []float64 {
+			half := len(ctx.FewShot) / 2
+			valHalf := ctx.FewShot[half:]
+			ctx.FewShot = ctx.FewShot[:half]
+			// Fine-tune with SKC but defer AKB: the search is run manually
+			// with a test probe and an extended round budget.
+			ad, err := z.AdaptKnowTrans(ctx, Size7B, true, false)
+			if err != nil {
+				panic(err)
+			}
+			probe := b.DS.Test
+			if len(probe) > 300 {
+				probe = probe[:300]
+			}
+			cfg := akb.DefaultConfig(ctx.Seed)
+			cfg.Iterations = rounds
+			res := z.searchAKB(ad.Model, z.Oracle(ctx.Seed, oracle.PaperTemperature), b.Kind, valHalf, probe, cfg, ctx.Seed, ctx.Rec)
+			curves := make([]float64, 2*rounds)
+			last := akb.Step{TestScore: -1}
+			for r := 0; r < rounds; r++ {
+				step := last
+				for _, st := range res.Steps {
+					if st.Iter == r {
+						step = st
 					}
 				}
-				for r := 0; r < rounds; r++ {
-					s.evalAvg[r] /= float64(reps)
-					s.testAvg[r] /= float64(reps)
+				// After convergence the curve stays flat at the last value.
+				if step.TestScore >= 0 || r == 0 {
+					last = step
 				}
-				return s
-			},
-		})
+				curves[r], curves[rounds+r] = last.EvalScore, last.TestScore
+			}
+			return curves
+		}))
 	}
 	results := runCells(z, jobs)
 	for i, b := range bundles {
 		for r := 0; r < rounds; r++ {
 			t.AddRow(string(b.Kind), fmt.Sprintf("%s@round%d", b.DS.Name, r), map[string]float64{
 				"Round": float64(r),
-				"Eval":  results[i].evalAvg[r],
-				"Test":  results[i].testAvg[r],
+				"Eval":  results[i][r],
+				"Test":  results[i][rounds+r],
 			})
 		}
 	}

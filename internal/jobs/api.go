@@ -52,8 +52,9 @@ func (m *Manager) Mount(srv *serve.Server) {
 }
 
 // submit starts (or, under ?dry_run, only plans) the job of the posted spec.
-// The pipeline has checked the body is JSON within the cap; ParseSpec is
-// the strict reading every spec gets.
+// The pipeline hands over the body's bytes, within the cap and unchecked;
+// ParseSpec is the one strict reading every spec gets, so a malformed spec
+// is a 400 with ParseSpec's message.
 func (m *Manager) submit(_ context.Context, w http.ResponseWriter, rq *serve.Request[json.RawMessage]) {
 	sp, err := ParseSpec(rq.Body)
 	if err == nil {

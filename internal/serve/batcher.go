@@ -34,18 +34,20 @@ type predictResp struct {
 var sizeBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256}
 
 // batcher is the per-adapter micro-batching predict loop. Requests enqueue
-// under a mutex; a single dispatcher goroutine (run) drains the queue into
-// batches of at most maxBatch and hands each batch on a lane to a serving
-// goroutine, which answers it with ONE Adapter.PredictBatch call. There are
-// as many lanes as serving goroutines, and the dispatcher takes a free lane
-// before it looks at the queue, so up to that many batches are in flight.
+// under a mutex, and the lanes — serving goroutines, GOMAXPROCS of them as
+// the registry sets it — cut the queue into batches of at most maxBatch
+// themselves: a free lane waits under that mutex until the batching rule
+// lets a batch leave, takes it into its own scratch and answers it with ONE
+// Adapter.PredictBatch call. So up to one batch per lane is in flight.
 //
-// When a batch leaves is Nagle's rule (RFC 896) applied to rows: with a lane
-// free, a batch is cut when the queue holds maxBatch rows or when no batch of
-// this adapter is in flight. An idle adapter answers a lone request at once,
-// and rows coalesce only behind a forward that is running — whose end, not a
-// clock, releases them. So the rule needs no timer, and a non-full batch never
-// starts beside another batch of the same batcher.
+// When a batch leaves is Nagle's rule (RFC 896) applied to rows: a batch is
+// cut when the queue holds maxBatch rows or when no batch of this adapter is
+// in flight. An idle adapter answers a lone request at once, and rows
+// coalesce only behind a forward that is running — whose end, not a clock,
+// releases them. So the rule needs no timer, and a non-full batch never
+// starts beside another batch of the same batcher. Only an enqueue that makes
+// the rule hold wakes a waiting lane; a lane that finishes a batch wakes no
+// one, it tests the rule again itself.
 //
 // The enqueue path checks the stopped flag under the same mutex that stop
 // sets it, so after stop returns no new request can slip into the queue:
@@ -64,44 +66,26 @@ type batcher struct {
 
 	mu    sync.Mutex
 	queue []*predictReq
-	// inFlight counts the batches cut and not yet answered: the dispatcher
-	// increments it as it cuts one, the serving goroutine decrements it after
-	// the batch's PredictBatch has returned.
+	// inFlight counts the batches cut and not yet answered: a lane
+	// increments it as it cuts one and decrements it after the batch's
+	// PredictBatch has returned.
 	inFlight int
 	stopped  bool
-
-	// wake (capacity 1) nudges the loop after an enqueue and freed (capacity
-	// 1) after a batch in flight is answered; coalesced nudges are fine
-	// because the loop re-reads the queue and inFlight under the mutex. stopc
-	// unblocks the loop's waits on stop; done closes when the loop and every
-	// serving goroutine have exited.
-	wake  chan struct{}
-	freed chan struct{}
-	stopc chan struct{}
-	done  chan struct{}
-
-	// idle holds the lanes with no batch in flight (its capacity is the lane
-	// count, so returning one never blocks); work carries a lane with a
-	// formed batch to whichever serving goroutine is free, and serving counts
-	// those goroutines for stop.
-	idle    chan *lane
-	work    chan *lane
-	serving sync.WaitGroup
+	// cut (on mu) is where free lanes wait for the batching rule or stop.
+	cut   sync.Cond
+	lanes sync.WaitGroup
 }
 
-// lane is one batch in flight and the scratch serve reuses across the
-// batches that ride it. The dispatcher owns a lane between taking it off idle
-// and sending it on work; the serving goroutine that receives it owns it
-// until it puts it back on idle.
+// lane is the scratch one serving goroutine reuses across its batches.
 type lane struct {
 	batch []*predictReq
 	live  []*predictReq
 	ins   []*data.Instance
 }
 
-// newBatcher starts the dispatcher and lanes serving goroutines (at least
-// one). The registry passes runtime.GOMAXPROCS(0) — more forwards than cores
-// cannot overlap — and tests pin the count.
+// newBatcher starts lanes serving goroutines (at least one). The registry
+// passes runtime.GOMAXPROCS(0) — more forwards than cores cannot overlap —
+// and tests pin the count.
 func newBatcher(key string, ad Adapter, maxBatch, lanes int, rec *obs.Recorder) *batcher {
 	b := &batcher{
 		key:        key,
@@ -109,33 +93,20 @@ func newBatcher(key string, ad Adapter, maxBatch, lanes int, rec *obs.Recorder) 
 		maxBatch:   maxBatch,
 		rec:        rec,
 		depthGauge: "serve.queue_depth/" + key,
-		wake:       make(chan struct{}, 1),
-		freed:      make(chan struct{}, 1),
-		stopc:      make(chan struct{}),
-		done:       make(chan struct{}),
-		idle:       make(chan *lane, lanes),
-		work:       make(chan *lane),
 	}
-	b.serving.Add(lanes)
+	b.cut.L = &b.mu
+	b.lanes.Add(lanes)
 	for i := 0; i < lanes; i++ {
-		b.idle <- &lane{}
-		go func() {
-			defer b.serving.Done()
-			for ln := range b.work {
-				b.serve(ln)
-				b.idle <- ln
-				b.mu.Lock()
-				b.inFlight--
-				b.mu.Unlock()
-				select {
-				case b.freed <- struct{}{}:
-				default:
-				}
-			}
-		}()
+		go b.run()
 	}
-	go b.run()
 	return b
+}
+
+// ready is the batching rule (see batcher): short of a full batch, a row
+// waits while a forward runs. b.mu must be held.
+func (b *batcher) ready() bool {
+	pending := len(b.queue)
+	return pending >= b.maxBatch || (pending > 0 && b.inFlight == 0)
 }
 
 // predict enqueues one instance and waits for its batch to be served. A
@@ -154,13 +125,13 @@ func (b *batcher) predict(ctx context.Context, in *data.Instance) (string, error
 	b.queue = append(b.queue, r)
 	depth := len(b.queue)
 	b.rec.SetGauge(b.depthGauge, float64(depth))
+	wake := b.ready()
 	b.mu.Unlock()
 	b.rec.Observe("serve.queue_depth", float64(depth), sizeBounds)
-	select {
-	case b.wake <- struct{}{}:
-	default:
+	if wake {
+		b.cut.Signal()
 	}
-	// The loop owns the request from here: even if this requester gives up,
+	// The lanes own the request from here: even if this requester gives up,
 	// the batch will answer into the buffered resp channel and move on.
 	select {
 	case resp := <-r.resp:
@@ -170,67 +141,55 @@ func (b *batcher) predict(ctx context.Context, in *data.Instance) (string, error
 	}
 }
 
-// stop refuses new requests, fails everything still queued, waits for every
-// batch in flight to be answered and the goroutines to exit, and retires the
+// halt refuses new requests, fails everything still queued and retires the
 // per-key depth gauge (an evicted key must disappear from /metrics.json, not
-// linger as a stale series). Queued requesters get errBatcherStopped and
-// transparently re-resolve through the registry.
-func (b *batcher) stop() {
+// linger as a stale series); the lanes finish the batches in flight and exit
+// by themselves. Queued requesters get errBatcherStopped and transparently
+// re-resolve through the registry. Only the first call acts. The registry
+// halts a batcher under its own lock, before the key can get a new batcher,
+// so no retirement can land on a successor's gauge.
+func (b *batcher) halt() {
 	b.mu.Lock()
 	if b.stopped {
 		b.mu.Unlock()
-	} else {
-		b.stopped = true
-		b.mu.Unlock()
-		close(b.stopc)
+		return
 	}
-	<-b.done
-	// Safe against enqueue races: every gauge write happens under b.mu with
-	// stopped false, which happens-before the loop exit observed above.
+	b.stopped = true
+	q := b.queue
+	b.queue = nil
+	// Every gauge write happens under b.mu with stopped false, so none
+	// follows this one.
 	b.rec.DeleteGauge(b.depthGauge)
+	b.mu.Unlock()
+	b.cut.Broadcast()
+	for _, r := range q {
+		r.resp <- predictResp{err: errBatcherStopped}
+	}
 }
 
-// run is the dispatcher, the queue's only consumer: take a free lane, wait
-// until the batching rule lets a batch leave, move the batch onto the lane,
-// repeat until stopped.
+// stop halts the batcher and waits for every batch in flight to be answered
+// and the lanes to exit.
+func (b *batcher) stop() {
+	b.halt()
+	b.lanes.Wait()
+}
+
+// run is one lane: wait until the batching rule lets a batch leave, take it
+// into the lane's scratch, serve it, repeat until stopped.
 func (b *batcher) run() {
-	defer close(b.done)
-	var ln *lane // the free lane the next batch goes to
+	defer b.lanes.Done()
+	var ln lane
+	b.mu.Lock()
 	for {
-		if ln == nil {
-			select {
-			case ln = <-b.idle:
-			case <-b.stopc:
-			}
+		for !b.stopped && !b.ready() {
+			b.cut.Wait()
 		}
-		b.mu.Lock()
 		if b.stopped {
-			q := b.queue
-			b.queue = nil
 			b.mu.Unlock()
-			for _, r := range q {
-				r.resp <- predictResp{err: errBatcherStopped}
-			}
-			// Each serving goroutine finishes the batch it holds, if any.
-			close(b.work)
-			b.serving.Wait()
 			return
 		}
-		// The batching rule (see batcher): short of a full batch, wait while
-		// a forward runs; its end or the next arrival re-checks.
-		if pending := len(b.queue); pending == 0 || (pending < b.maxBatch && b.inFlight > 0) {
-			b.mu.Unlock()
-			select {
-			case <-b.wake:
-			case <-b.freed:
-			case <-b.stopc:
-			}
-			continue
-		}
-
-		// Take the batch into the lane's scratch and close the gap in place:
-		// the queue keeps its backing array, and the vacated tail is cleared
-		// so it does not pin requests already handed off.
+		// Close the gap in place: the queue keeps its backing array, and the
+		// vacated tail is cleared so it does not pin requests already taken.
 		n := min(len(b.queue), b.maxBatch)
 		ln.batch = append(ln.batch[:0], b.queue[:n]...)
 		rest := copy(b.queue, b.queue[n:])
@@ -239,12 +198,13 @@ func (b *batcher) run() {
 		b.inFlight++
 		b.rec.SetGauge(b.depthGauge, float64(rest))
 		b.mu.Unlock()
-		b.work <- ln
-		ln = nil
+		b.serve(&ln)
+		b.mu.Lock()
+		b.inFlight--
 	}
 }
 
-// serve answers the batch on ln, on a serving goroutine. Requests whose
+// serve answers the batch on ln, on its lane. Requests whose
 // context already expired are shed without touching the model, and the
 // survivors are answered by ONE PredictBatch call, which may run beside the
 // other lanes' (Adapter is safe for concurrent calls). An adapter that

@@ -16,8 +16,8 @@ import (
 // seeded sequences of arrivals, context cancels and gate releases, with one
 // stop at a seeded point, on 1–4 lanes and MaxBatch 1–4. After every step it
 // waits for the batcher to settle — every batch cut is inside the adapter and
-// the batching rule allows no further cut — which a dispatcher that strands
-// a row it should send never does. At each settled step it checks:
+// the batching rule allows no further cut — which a batcher whose lanes
+// strand a row they should send never does. At each settled step it checks:
 //
 //   - no more batches are in flight than there are lanes;
 //   - a batch smaller than MaxBatch was cut only with nothing in flight, and

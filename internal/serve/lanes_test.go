@@ -93,8 +93,8 @@ func TestTwoLanesOverlapFullBatches(t *testing.T) {
 }
 
 // TestInFlightNeverExceedsLanes: with every call held inside the adapter,
-// exactly lanes batches get in and the rest of the work stays queued — the
-// dispatcher takes nothing off the queue without a free lane to put it on.
+// exactly lanes batches get in and the rest of the work stays queued —
+// nothing leaves the queue without a free lane to serve it.
 func TestInFlightNeverExceedsLanes(t *testing.T) {
 	for _, lanes := range []int{1, 2, 4} {
 		t.Run(fmt.Sprint("lanes=", lanes), func(t *testing.T) {

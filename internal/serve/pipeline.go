@@ -25,10 +25,12 @@ import (
 // label of the pattern's first route. ShedDrain refuses with 503 +
 // Retry-After while the server drains, ShedOverload with 429 + Retry-After
 // past Options.MaxInflight. BodyCap > 0 declares a JSON body of at most that
-// many bytes, read whole and decoded into Request.Body by json.Unmarshal
-// before the handler runs (larger, malformed or followed by more bytes:
-// 400); zero leaves the body unread. Deadline runs the handler under
-// Options.RequestTimeout.
+// many bytes, read whole and decoded into Request.Body before the handler
+// runs (larger, malformed or followed by more bytes: 400) — by the body
+// type's own UnmarshalJSON when it has one, which then owns the syntax
+// check (json.RawMessage's copies the bytes unchecked for its handler to
+// parse), else by json.Unmarshal; zero leaves the body unread. Deadline
+// runs the handler under Options.RequestTimeout.
 type Route struct {
 	Method, Pattern, Label  string
 	ShedDrain, ShedOverload bool
@@ -88,7 +90,7 @@ func Handle[T any](s *Server, rt Route, key func(*Request[T]) string, h func(con
 		if rt.BodyCap > 0 {
 			blob, err := readBody(w, r, rt.BodyCap)
 			if err == nil {
-				err = json.Unmarshal(blob, &rq.Body)
+				err = decodeBody(blob, &rq.Body)
 			}
 			if err != nil {
 				WriteErrorStatus(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -117,6 +119,16 @@ func Handle[T any](s *Server, rt Route, key func(*Request[T]) string, h func(con
 	if !mounted {
 		s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) { s.dispatch(s.routes[pattern], w, r) })
 	}
+}
+
+// decodeBody decodes blob into v by v's own UnmarshalJSON when it has one,
+// and by json.Unmarshal, which would scan the body twice before handing it
+// to that method, otherwise.
+func decodeBody(blob []byte, v any) error {
+	if u, ok := v.(json.Unmarshaler); ok {
+		return u.UnmarshalJSON(blob)
+	}
+	return json.Unmarshal(blob, v)
 }
 
 // readBody reads r's body, at most limit bytes: in one read into a buffer of

@@ -327,8 +327,8 @@ func (r *Registry) build(reqCtx context.Context, key string, f *flight) {
 }
 
 // installLocked makes an adapter resident and evicts past the LRU bound.
-// Callers hold r.mu. Evicted batchers are stopped off the lock — they may
-// need to drain queued requests first, and those requests re-resolve.
+// Callers hold r.mu. Evicted batchers are halted: their queued requests
+// re-resolve, and their lanes finish the batches in flight on their own.
 func (r *Registry) installLocked(key string, ad Adapter) {
 	r.clock++
 	e := &entry{
@@ -348,7 +348,7 @@ func (r *Registry) installLocked(key string, ad Adapter) {
 		delete(r.ready, victim.key)
 		r.statLocked(victim.key) // ensure the row survives for snapshots
 		r.rec.Count("serve.registry_eviction", 1)
-		go victim.bat.stop()
+		victim.bat.halt()
 	}
 }
 
@@ -391,12 +391,11 @@ func (r *Registry) Evict(_ context.Context, key string) (bool, error) {
 	if resident {
 		delete(r.ready, key)
 		r.rec.Count("serve.registry_eviction", 1)
+		e.bat.halt()
 	}
 	r.mu.Unlock()
 	if resident {
-		// Stop off the lock, as in installLocked: the batcher may need to
-		// drain queued requests first (they re-resolve), and stop retires
-		// the key's queue-depth gauge.
+		// Wait off the lock for the batches in flight.
 		e.bat.stop()
 	}
 	if !resident && !loading && !known {
@@ -414,6 +413,9 @@ func (r *Registry) Close() {
 	r.mu.Lock()
 	ready := r.ready
 	r.ready = map[string]*entry{}
+	for _, e := range ready {
+		e.bat.halt()
+	}
 	r.mu.Unlock()
 	for _, e := range ready {
 		e.bat.stop()

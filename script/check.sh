@@ -10,6 +10,8 @@
 #   training arithmetic bitwise                 skc.TestGoldenBitIdentity, TestTransferDigest (root package)
 #   baselines' answers bitwise (Non-LLM, the
 #     fine-tuned tiers, MELD, Jellyfish-ICL)    TestMethodDigest (root package)
+#   both ablation tables (outside `experiment
+#     all`), every cell bitwise at 2 reps       eval.TestAblationDigest
 #   a StepBatch window == its examples one at
 #     a time: gradients, touched rows, λ, loss  model.TestStepBatchMatchesOneExampleWindows
 #   batched passes == one row at a time         nn.TestBankMatchesPerPatchReference
