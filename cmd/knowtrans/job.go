@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/jobs"
@@ -82,13 +83,14 @@ func runJob(args []string) {
 	}
 	fmt.Printf("job %s: %d rows over %d shards → %s (checkpoint %s)\n",
 		p.ID, p.Rows, len(p.Shards), sp.Output.Path, ckptPath)
-	result, err := eng.Run(context.Background(), p, nil)
+	start := time.Now()
+	pr, err := eng.Run(context.Background(), p, nil)
 	if err != nil {
 		fatal(err)
 	}
+	wall := time.Since(start).Seconds()
 	fmt.Printf("job %s: done — %d rows in %.2fs (%.0f rows/s), %d shards (%d resumed), %d row failures, %d retries\n",
-		result.ID, result.Rows, result.WallS, float64(result.Rows)/result.WallS,
-		result.Shards, result.ShardsResumed, result.RowFailures, result.Retries)
-	fmt.Printf("wrote %s\n", result.Output)
+		p.ID, pr.Rows, wall, float64(pr.Rows)/wall, pr.Shards, pr.ShardsResumed, pr.RowFailures, pr.Retries)
+	fmt.Printf("wrote %s\n", sp.Output.Path)
 	finish()
 }

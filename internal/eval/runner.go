@@ -15,8 +15,7 @@ import (
 // (dataset × method) cell of a result table, averaged over its repetitions
 // inside Run so the floating-point summation order never depends on the
 // schedule. Label names the cell in worker spans; Run receives the recorder
-// its telemetry should attach to: the cell's own derived recorder under a
-// worker span in parallel runs, the zoo's recorder in serial ones.
+// its telemetry should attach to: the cell's own, under its eval.cell span.
 type cellJob[T any] struct {
 	Label string
 	Run   func(rec *obs.Recorder) T
@@ -28,38 +27,23 @@ type cellPanic struct {
 	stack []byte
 }
 
-// runCells evaluates jobs on z.Workers goroutines and returns the results
-// in declaration order. Determinism does not depend on scheduling: every
-// job derives its randomness from content-addressed keys (fewShotRNG /
-// repSeed over cellKey strings), reads only immutable zoo artifacts, and
-// writes only its own output slot — so tables assembled from the returned
-// slice are byte-identical at any worker count. With z.Workers <= 1 (the
-// default) jobs run inline on the calling goroutine, preserving the serial
-// path exactly: same recorder, same panic propagation, no pool overhead.
+// runCells evaluates jobs on min(max(z.Workers, 1), len(jobs)) goroutines
+// and returns the results in declaration order; one worker runs them in
+// order. Determinism does not depend on scheduling: every job derives its
+// randomness from content-addressed keys (fewShotRNG / repSeed over cellKey
+// strings), reads only immutable zoo artifacts, and writes only its own
+// output slot — so tables assembled from the returned slice are
+// byte-identical at any worker count.
 //
-// Parallel runs are instrumented through the obs layer: an eval.workers
-// gauge, an eval.cell_queue_us histogram (delay from pool start to each
-// cell's dispatch), one eval.worker span per goroutine with eval.cell child
-// spans per job. A panicking job does not wedge the pool — the remaining
+// The pool is instrumented through the obs layer: an eval.workers gauge,
+// an eval.cell_queue_us histogram (delay from pool start to each cell's
+// dispatch), one eval.worker span per goroutine with eval.cell child spans
+// per job. A panicking job does not wedge the pool — the remaining
 // workers drain and the first panic is re-raised on the calling goroutine
 // with the worker's stack.
 func runCells[T any](z *Zoo, jobs []cellJob[T]) []T {
 	out := make([]T, len(jobs))
-	workers := z.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, j := range jobs {
-			// Same pprof cell label as the parallel path below, so serial
-			// profiles segment by cell too.
-			profile.Do(context.Background(), func(context.Context) {
-				out[i] = j.Run(z.Rec)
-			}, profile.LabelCell, j.Label)
-		}
-		return out
-	}
-
+	workers := min(max(z.Workers, 1), len(jobs))
 	z.Rec.SetGauge("eval.workers", float64(workers))
 	start := z.Rec.Now()
 	var next atomic.Int64
@@ -89,7 +73,7 @@ func runCells[T any](z *Zoo, jobs []cellJob[T]) []T {
 				crec, cspan := wrec.StartSpan("eval.cell")
 				cspan.SetAttr("cell", jobs[i].Label)
 				// The cell runs under a pprof label so CPU profiles of a
-				// parallel table build attribute samples to the (dataset ×
+				// table build attribute samples to the (dataset ×
 				// method) cell that burned them.
 				profile.Do(context.Background(), func(context.Context) {
 					out[i] = jobs[i].Run(crec)

@@ -118,15 +118,6 @@ func TestRunCellsPreservesDeclarationOrder(t *testing.T) {
 	}
 }
 
-func TestRunCellsSerialPathUsesCallingGoroutine(t *testing.T) {
-	z := NewZoo(1, 0.5) // Workers zero value: serial
-	ran := 0
-	out := runCells(z, []cellJob[int]{{Label: "a", Run: func(_ *obs.Recorder) int { ran++; return 7 }}})
-	if ran != 1 || out[0] != 7 {
-		t.Fatalf("serial path ran=%d out=%v", ran, out)
-	}
-}
-
 func TestRunCellsPropagatesWorkerPanic(t *testing.T) {
 	z := NewZoo(1, 0.5)
 	z.Workers = 2

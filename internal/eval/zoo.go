@@ -82,10 +82,9 @@ type Zoo struct {
 
 	// Workers is the fan-out of the experiment cell pool (see runCells):
 	// grids of independent (dataset × method) cells are evaluated by this
-	// many goroutines. Values <= 1 keep today's serial path, running every
-	// cell inline on the calling goroutine. Results are identical at any
-	// worker count — cells derive their seeds from content-addressed keys,
-	// not from execution order.
+	// many goroutines; values <= 1 mean one, which runs the cells in order.
+	// Results are identical at any worker count — cells derive their seeds
+	// from content-addressed keys, not from execution order.
 	Workers int
 
 	// Rec, when set before the first artifact is built, threads

@@ -234,7 +234,10 @@ func TestJobsHTTPErrors(t *testing.T) {
 // the jobs directory and nowhere else. An absolute path or a ".." escape is
 // a 400 before a byte is read or a directory made — at the parent a dry run
 // answered with the row count and SHA-256 of any file the process could
-// read, and a real submit wrote answers wherever it was told.
+// read, and a real submit wrote answers wherever it was told. A checkpoint
+// log (*.ckpt.jsonl) is the directory's own and no spec's file: without the
+// refusal, a job whose output named another job's log renamed its answers
+// over it when it ended, and that job could never resume.
 func TestJobsHTTPConfinesPaths(t *testing.T) {
 	root := t.TempDir()
 	jobsDir := filepath.Join(root, "jobs")
@@ -246,7 +249,7 @@ func TestJobsHTTPConfinesPaths(t *testing.T) {
 	res := newFakeResolver()
 	ts, _ := newJobServer(t, res, jobsDir)
 	spec := func(in, out string) []byte {
-		return []byte(fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q},"output":{"path":%q}}`, in, out))
+		return []byte(fmt.Sprintf(`{"adapter":"EM/Walmart-Amazon","input":{"path":%q,"format":"json"},"output":{"path":%q}}`, in, out))
 	}
 
 	for _, tc := range []struct{ name, in, out string }{
@@ -255,6 +258,9 @@ func TestJobsHTTPConfinesPaths(t *testing.T) {
 		{"input escapes from below", "sub/../../input.json", "out.csv"},
 		{"absolute output", "input.json", filepath.Join(root, "made", "out.csv")},
 		{"output escapes", "input.json", "../made/out.csv"},
+		{"output names a checkpoint log", "input.json", "job-j0123456789abcdef.ckpt.jsonl"},
+		{"output names a checkpoint log below", "input.json", "made/JOB-X.CKPT.JSONL"},
+		{"input names a checkpoint log", "job-j0123456789abcdef.ckpt.jsonl", "out.csv"},
 	} {
 		for _, query := range []string{"?dry_run=1", ""} {
 			resp, blob := doReq(t, http.MethodPost, ts.URL+"/v1/jobs"+query, spec(tc.in, tc.out))

@@ -132,7 +132,20 @@ func ReadLog(path string) (*LogState, error) {
 // and fsynced: once Append returns, the record survives a SIGKILL.
 type Log struct {
 	mu sync.Mutex
-	f  *os.File
+	f  logFile
+	// err is the first failed write or sync. It may have left part of a
+	// record in the file, so every later Append returns it: a record
+	// written after the torn one would share its line, and ReadLog
+	// tolerates a torn record only as the file's unterminated tail.
+	err error
+}
+
+// logFile is what a Log writes to: the *os.File OpenAppend opens, or in
+// tests a file that fails part-way.
+type logFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // OpenAppend opens the log for appending, first truncating away the torn
@@ -157,7 +170,8 @@ func (st *LogState) OpenAppend(path string) (*Log, error) {
 	return &Log{f: f}, nil
 }
 
-// Append writes one record and fsyncs.
+// Append writes one record and fsyncs. After a failed write or sync it
+// writes nothing and returns that first error.
 func (l *Log) Append(rec *Record) error {
 	raw, err := json.Marshal(rec)
 	if err != nil {
@@ -166,13 +180,15 @@ func (l *Log) Append(rec *Record) error {
 	raw = append(raw, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
 	if _, err := l.f.Write(raw); err != nil {
-		return fmt.Errorf("jobs: appending checkpoint: %w", err)
+		l.err = fmt.Errorf("jobs: appending checkpoint: %w", err)
+	} else if err := l.f.Sync(); err != nil {
+		l.err = fmt.Errorf("jobs: syncing checkpoint: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: syncing checkpoint: %w", err)
-	}
-	return nil
+	return l.err
 }
 
 // Close closes the log file.

@@ -37,8 +37,8 @@ type Engine struct {
 	// job.commit spans, jobs.* metrics). Nil disables it.
 	Rec *obs.Recorder
 	// OnCommit, when set, observes every durable shard commit with the
-	// total committed count (resumed shards included) — the crash drill's
-	// kill-mid-flight hook.
+	// tracker's count of done shards (resumed ones included) — the crash
+	// drill's kill-mid-flight hook.
 	OnCommit func(shard, committed int)
 }
 
@@ -53,13 +53,12 @@ type ShardRange struct {
 // content-hashed, shard layout fixed. Planning is side-effect free (the
 // `job plan` / ?dry_run=1 face); the same spec and input always produce the same plan.
 type Plan struct {
-	Spec           *Spec        `json:"spec"`
-	ID             string       `json:"id"`
-	SpecHash       string       `json:"spec_hash"`
-	InputSHA       string       `json:"input_sha"`
-	Rows           int          `json:"rows"`
-	Shards         []ShardRange `json:"shards"`
-	EstimatedCalls int          `json:"estimated_calls"`
+	Spec     *Spec        `json:"spec"`
+	ID       string       `json:"id"`
+	SpecHash string       `json:"spec_hash"`
+	InputSHA string       `json:"input_sha"`
+	Rows     int          `json:"rows"`
+	Shards   []ShardRange `json:"shards"`
 
 	ins []*data.Instance
 }
@@ -84,13 +83,12 @@ func (e *Engine) Plan(sp *Spec) (*Plan, error) {
 		shards = len(ins)
 	}
 	p := &Plan{
-		Spec:           sp,
-		ID:             sp.ID(),
-		SpecHash:       sp.Hash(),
-		InputSHA:       sha,
-		Rows:           len(ins),
-		EstimatedCalls: len(ins),
-		ins:            ins,
+		Spec:     sp,
+		ID:       sp.ID(),
+		SpecHash: sp.Hash(),
+		InputSHA: sha,
+		Rows:     len(ins),
+		ins:      ins,
 	}
 	base, rem := len(ins)/shards, len(ins)%shards
 	start := 0
@@ -118,7 +116,6 @@ func (p *Plan) Render(w *strings.Builder) {
 	fmt.Fprintf(w, "  limits:    concurrency=%d shard_parallelism=%d retries=%d max_row_failures=%d row_timeout_s=%g\n",
 		p.Spec.Limits.Concurrency, p.Spec.Limits.ShardParallelism, p.Spec.Limits.Retries,
 		p.Spec.Limits.MaxRowFailures, p.Spec.Limits.RowTimeoutS)
-	fmt.Fprintf(w, "  estimate:  %d predict calls over %d shards\n", p.EstimatedCalls, len(p.Shards))
 	for _, sh := range p.Shards {
 		fmt.Fprintf(w, "  shard %3d: rows [%d, %d)\n", sh.Index, sh.Start, sh.End)
 	}
@@ -216,53 +213,45 @@ func (t *Tracker) Progress() Progress {
 	}
 }
 
-// Result summarizes one completed run: its tracker's final Progress, with
-// the job's ID, output path and wall time beside it.
-type Result struct {
-	ID string `json:"id"`
-	Progress
-	Output string  `json:"output"`
-	WallS  float64 `json:"wall_s"`
-}
-
 // Run executes a plan: committed shards from the checkpoint log are
 // adopted verbatim (zero re-predicts, zero duplicate Transfers), pending
-// shards fan out under the spec's limits, each committing durably before
+// shards run on shard_parallelism workers, each committing durably before
 // the next resume could see it, and the output is assembled in input
 // order — so an interrupted-and-resumed job writes the same bytes an
-// uninterrupted one does. The returned error leaves the job resumable.
-func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (*Result, error) {
+// uninterrupted one does. It returns the tracker's final Progress. The
+// first failure stops the whole run and is its error, which leaves the
+// job resumable.
+func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (Progress, error) {
 	if e.CheckpointDir == "" {
-		return nil, fmt.Errorf("jobs: engine needs a CheckpointDir")
+		return Progress{}, fmt.Errorf("jobs: engine needs a CheckpointDir")
 	}
 	if tr == nil {
 		tr = &Tracker{}
 	}
 	tr.rowsTotal.Store(int64(p.Rows))
 	tr.shardsTotal.Store(int64(len(p.Shards)))
-	start := time.Now()
 
 	path := CheckpointPath(e.CheckpointDir, p.ID)
 	st, err := ReadLog(path)
 	if err != nil {
-		return nil, err
+		return Progress{}, err
 	}
 	if st.Plan != nil {
 		if st.Plan.SpecHash != p.SpecHash {
-			return nil, fmt.Errorf("jobs: checkpoint %s belongs to spec %s, this plan is %s", path, st.Plan.SpecHash[:16], p.SpecHash[:16])
+			return Progress{}, fmt.Errorf("jobs: checkpoint %s belongs to spec %s, this plan is %s", path, st.Plan.SpecHash[:16], p.SpecHash[:16])
 		}
 		if st.Plan.InputSHA != p.InputSHA {
-			return nil, fmt.Errorf("jobs: input %s changed since the job began (sha %s → %s); resuming would mix epochs",
+			return Progress{}, fmt.Errorf("jobs: input %s changed since the job began (sha %s → %s); resuming would mix epochs",
 				p.Spec.Input.Path, st.Plan.InputSHA[:16], p.InputSHA[:16])
 		}
 		if st.Plan.Rows != p.Rows || st.Plan.Shards != len(p.Shards) {
-			return nil, fmt.Errorf("jobs: checkpoint %s plans %d rows / %d shards, this plan has %d / %d",
+			return Progress{}, fmt.Errorf("jobs: checkpoint %s plans %d rows / %d shards, this plan has %d / %d",
 				path, st.Plan.Rows, st.Plan.Shards, p.Rows, len(p.Shards))
 		}
 	}
 	lg, err := st.OpenAppend(path)
 	if err != nil {
-		return nil, err
+		return Progress{}, err
 	}
 	defer lg.Close()
 	if st.Plan == nil {
@@ -270,7 +259,7 @@ func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (*Result, error)
 			V: recordV, Type: recPlan, SpecHash: p.SpecHash, Adapter: p.Spec.Adapter,
 			Rows: p.Rows, Shards: len(p.Shards), InputSHA: p.InputSHA,
 		}); err != nil {
-			return nil, err
+			return Progress{}, err
 		}
 	}
 
@@ -283,78 +272,44 @@ func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (*Result, error)
 			continue
 		}
 		if len(rec.Answers) != sh.End-sh.Start {
-			return nil, fmt.Errorf("jobs: checkpoint shard %d carries %d answers for %d rows", sh.Index, len(rec.Answers), sh.End-sh.Start)
+			return Progress{}, fmt.Errorf("jobs: checkpoint shard %d carries %d answers for %d rows", sh.Index, len(rec.Answers), sh.End-sh.Start)
 		}
 		copy(answers[sh.Start:sh.End], rec.Answers)
 		tr.rowsDone.Add(int64(sh.End - sh.Start))
 		tr.shardsDone.Add(1)
 		tr.shardsResumed.Add(1)
+		tr.retries.Add(rec.Retries)
 		tr.rowFailures.Add(int64(rec.Failures))
 	}
-	var committed atomic.Int64
-	committed.Store(tr.shardsResumed.Load())
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		runErr  error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			runErr = err
-			cancel()
-		})
-	}
-	sem := make(chan struct{}, p.Spec.Limits.ShardParallelism)
-	for _, sh := range pending {
-		sh := sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-runCtx.Done():
-				return
-			}
-			if err := e.runShard(runCtx, p, sh, answers, tr, lg, &committed); err != nil {
-				fail(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	fanOut(ctx, p.Spec.Limits.ShardParallelism, len(pending), func(i int) {
+		e.runShard(ctx, stop, p, pending[i], answers, tr, lg)
+	})
+	if err := context.Cause(ctx); err != nil {
+		return Progress{}, err
 	}
 
 	if !st.Done {
 		if err := lg.Append(&Record{Type: recDone, Rows: p.Rows}); err != nil {
-			return nil, err
+			return Progress{}, err
 		}
 	}
 	if err := writeOutput(p.Spec, p.ins, answers); err != nil {
-		return nil, err
+		return Progress{}, err
 	}
 	e.Rec.Count("jobs.completed", 1)
-	return &Result{
-		ID:       p.ID,
-		Progress: tr.Progress(),
-		Output:   p.Spec.Output.Path,
-		WallS:    time.Since(start).Seconds(),
-	}, nil
+	return tr.Progress(), nil
 }
 
 // runShard predicts one shard's rows under the concurrency limit, verifies
 // every answer against its row's candidate set, and commits the shard as
-// one fsynced checkpoint record. The job.shard span rides the context, so
-// serve.batch/cluster.attempt spans below link back to the shard that
-// caused them.
-func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers []string, tr *Tracker, lg *Log, committed *atomic.Int64) error {
+// one fsynced checkpoint record. A row past the failure budget or a failed
+// commit stops the whole run with its error; a stopped shard does not
+// commit. The job.shard span rides the context, so serve.batch /
+// cluster.attempt spans below link back to the shard that caused them.
+func (e *Engine) runShard(ctx context.Context, stop context.CancelCauseFunc, p *Plan, sh ShardRange, answers []string, tr *Tracker, lg *Log) {
 	_, span := e.Rec.StartSpan("job.shard")
 	defer span.End()
 	span.SetAttr("shard", sh.Index)
@@ -363,68 +318,38 @@ func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers [
 	sctx := obs.ContextWithSpan(ctx, span)
 
 	rows := sh.End - sh.Start
-	workers := p.Spec.Limits.Concurrency
-	if workers > rows {
-		workers = rows
-	}
-	rowCtx, rowCancel := context.WithCancel(sctx)
-	defer rowCancel()
-	var (
-		next          atomic.Int64
-		shardRetries  atomic.Int64
-		shardFailures atomic.Int64
-		werrOnce      sync.Once
-		werr          error
-		wg            sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= rows || rowCtx.Err() != nil {
-					return
-				}
-				idx := sh.Start + i
-				in := p.ins[idx]
-				ans, retries, err := e.predictRow(rowCtx, p.Spec, in)
-				shardRetries.Add(retries)
-				tr.retries.Add(retries)
-				if err == nil && !answerValid(ans, in) {
-					err = fmt.Errorf("jobs: row %s: answer %q is not among its %d candidates", in.ID, ans, len(in.Candidates))
-				}
-				if err != nil {
-					if rowCtx.Err() != nil {
-						return
-					}
-					total := tr.rowFailures.Add(1)
-					shardFailures.Add(1)
-					e.Rec.Count("jobs.row_failures", 1)
-					if total > int64(p.Spec.Limits.MaxRowFailures) {
-						werrOnce.Do(func() {
-							werr = fmt.Errorf("jobs: shard %d row %s: %w (row failure %d exceeds budget %d)",
-								sh.Index, in.ID, err, total, p.Spec.Limits.MaxRowFailures)
-							rowCancel()
-						})
-						return
-					}
-					answers[idx] = "" // within budget: an empty answer marks the lost row
-				} else {
-					answers[idx] = ans
-				}
-				tr.rowsDone.Add(1)
-				e.Rec.Count("jobs.rows_done", 1)
+	var shardRetries, shardFailures atomic.Int64
+	fanOut(ctx, p.Spec.Limits.Concurrency, rows, func(i int) {
+		idx := sh.Start + i
+		in := p.ins[idx]
+		ans, retries, err := e.predictRow(sctx, p.Spec, in)
+		shardRetries.Add(retries)
+		tr.retries.Add(retries)
+		if err == nil && !answerValid(ans, in) {
+			err = fmt.Errorf("jobs: row %s: answer %q is not among its %d candidates", in.ID, ans, len(in.Candidates))
+		}
+		if err != nil {
+			if ctx.Err() != nil {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	if werr != nil {
-		span.SetAttr("error", true)
-		return werr
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+			total := tr.rowFailures.Add(1)
+			shardFailures.Add(1)
+			e.Rec.Count("jobs.row_failures", 1)
+			if total > int64(p.Spec.Limits.MaxRowFailures) {
+				span.SetAttr("error", true)
+				stop(fmt.Errorf("jobs: shard %d row %s: %w (row failure %d exceeds budget %d)",
+					sh.Index, in.ID, err, total, p.Spec.Limits.MaxRowFailures))
+				return
+			}
+			answers[idx] = "" // within budget: an empty answer marks the lost row
+		} else {
+			answers[idx] = ans
+		}
+		tr.rowsDone.Add(1)
+		e.Rec.Count("jobs.rows_done", 1)
+	})
+	if ctx.Err() != nil {
+		return
 	}
 
 	// Commit: the shard becomes durable in one fsynced append. Everything
@@ -440,14 +365,37 @@ func (e *Engine) runShard(ctx context.Context, p *Plan, sh ShardRange, answers [
 	cspan.End()
 	if err != nil {
 		span.SetAttr("error", true)
-		return err
+		stop(err)
+		return
 	}
-	tr.shardsDone.Add(1)
-	n := int(committed.Add(1))
+	n := int(tr.shardsDone.Add(1))
 	if e.OnCommit != nil {
 		e.OnCommit(sh.Index, n)
 	}
-	return nil
+}
+
+// fanOut calls do(i) for each i in [0, n) on min(workers, n) goroutines,
+// each taking the next index, and returns when they have all stopped. Once
+// ctx is done no further index starts.
+func fanOut(ctx context.Context, workers, n int, do func(i int)) {
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // predictRow answers one row through the resolver, retrying transient

@@ -134,8 +134,10 @@ func TestRunInterruptResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel as soon as two shards have committed.
+	// Interrupted run: cancel as soon as two shards have committed. A row
+	// of shard 0 fails once first, so a committed shard carries a retry.
 	res := newFakeResolver()
+	res.failFor["row-001"] = 1
 	out := filepath.Join(dir, "out.csv")
 	sp := testSpec(t, input, out, 4)
 	ckpt := filepath.Join(dir, "ckpt")
@@ -156,19 +158,19 @@ func TestRunInterruptResumeByteIdentical(t *testing.T) {
 		t.Fatal("interrupted run must not write output")
 	}
 
-	// Resume: committed shards adopted, the rest runs, output appears.
+	// Resume: committed shards adopted with their counts, the rest runs,
+	// output appears.
 	eng2 := &Engine{Res: res, CheckpointDir: ckpt}
 	p2, err := eng2.Plan(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &Tracker{}
-	result, err := eng2.Run(context.Background(), p2, tr)
+	pr, err := eng2.Run(context.Background(), p2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.ShardsResumed != 2 {
-		t.Fatalf("resumed %d shards, want 2", result.ShardsResumed)
+	if pr.ShardsResumed != 2 || pr.ShardsDone != 4 || pr.Retries != 1 || pr.RowFailures != 0 {
+		t.Fatalf("progress %+v, want 4 shards done, 2 resumed, and the 1 retry a resumed shard committed", pr)
 	}
 
 	// Zero duplicated predicts: every row answered exactly once across
@@ -215,21 +217,21 @@ func TestRunRetriesTransient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := eng.Run(context.Background(), p, nil)
+	pr, err := eng.Run(context.Background(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if result.Retries < 2 {
-		t.Fatalf("retries = %d, want >= 2", result.Retries)
+	if pr.Retries < 2 {
+		t.Fatalf("retries = %d, want >= 2", pr.Retries)
 	}
-	if result.RowFailures != 0 {
-		t.Fatalf("row failures = %d, want 0", result.RowFailures)
+	if pr.RowFailures != 0 {
+		t.Fatalf("row failures = %d, want 0", pr.RowFailures)
 	}
 
-	// The process-wide series say what the result says, and the run left its
+	// The process-wide series say what the progress says, and the run left its
 	// three span kinds: one plan, and per shard one run and one commit.
-	if c := reg.Snapshot().Counters; c["jobs.retries"] != result.Retries || c["jobs.rows_done"] != 4 || c["jobs.row_failures"] != 0 {
-		t.Errorf("counters %v, want jobs.retries %d, jobs.rows_done 4, no jobs.row_failures", c, result.Retries)
+	if c := reg.Snapshot().Counters; c["jobs.retries"] != pr.Retries || c["jobs.rows_done"] != 4 || c["jobs.row_failures"] != 0 {
+		t.Errorf("counters %v, want jobs.retries %d, jobs.rows_done 4, no jobs.row_failures", c, pr.Retries)
 	}
 	if err := eng.Rec.Tracer.Close(); err != nil {
 		t.Fatal(err)
@@ -289,12 +291,12 @@ func TestRunFailureBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result, err := eng2.Run(context.Background(), p2, nil)
+	pr, err := eng2.Run(context.Background(), p2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Snapshot().Counters["jobs.row_failures"]; result.RowFailures != 1 || got != 1 {
-		t.Fatalf("row failures = %d, jobs.row_failures = %d, want 1 and 1", result.RowFailures, got)
+	if got := reg.Snapshot().Counters["jobs.row_failures"]; pr.RowFailures != 1 || got != 1 {
+		t.Fatalf("row failures = %d, jobs.row_failures = %d, want 1 and 1", pr.RowFailures, got)
 	}
 	blob, err := os.ReadFile(out)
 	if err != nil {

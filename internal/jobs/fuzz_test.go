@@ -14,7 +14,8 @@ import (
 // they are, ParseSpec returns (never panics). A spec it accepts is already in
 // normal form — normalizing it again, or marshaling it and parsing that,
 // gives the same hash, which is the job's identity and its checkpoint log's
-// name — and once confined to a jobs directory it names no path outside it.
+// name — and once confined to a jobs directory it names no path outside it
+// and no checkpoint log.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		`{"adapter":"EM/Walmart-Amazon","input":{"path":"in.json"},"output":{"path":"out.csv"}}`,
@@ -29,6 +30,7 @@ func FuzzParseSpec(f *testing.F) {
 		"{\"adapter\":\"EM/A\",\"input\":{\"path\":\"in.json\"},\"output\":{\"path\":\"o.csv\"}}\n\t ",
 		`{"adapter":"","input":{},"output":{}}`,
 		`[]`, `null`, ` `, `{`,
+		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"sub/job-j0123456789abcdef.Ckpt.jsonl"}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -61,6 +63,9 @@ func FuzzParseSpec(f *testing.F) {
 			if rel, err := filepath.Rel(dir, p); err != nil || rel == ".." || strings.HasPrefix(rel, "../") || filepath.IsAbs(rel) {
 				t.Fatalf("confined path %q is outside %s (rel %q, %v)", p, dir, rel, err)
 			}
+			if strings.HasSuffix(strings.ToLower(p), ckptExt) {
+				t.Fatalf("confined path %q names a checkpoint log", p)
+			}
 		}
 	})
 }
@@ -71,14 +76,19 @@ func FuzzParseSpec(f *testing.F) {
 // pieces, a done record), cuts it at an arbitrary offset, and requires what
 // the torn-tail rule promises: no error, validOff on a record boundary at or
 // before the cut, and exactly the shards whose records lie wholly before it,
-// with their answers intact. The raw bytes themselves are read as a log too:
-// that may fail, but never panics and never reports an offset inside a line.
+// with their answers intact. A full record written after that cut must be
+// refused unless the cut fell on a record boundary: it would share the torn
+// record's line, which is why a Log appends nothing after a failed write.
+// The raw bytes themselves are read as a log too: that may fail, but never
+// panics and never reports an offset inside a line.
 func FuzzReadLog(f *testing.F) {
 	f.Add([]byte("a,b\nc\"d\\e\x00f"), uint16(3), uint16(40))
 	f.Add([]byte(`{"v":1,"type":"plan","rows":4,"shards":1}`+"\n"+`{"type":"shard","shard":0,"answers":["a"]}`+"\n"), uint16(1), uint16(60))
 	f.Add([]byte(`{"v":99,"type":"plan"}`+"\n"), uint16(0), uint16(0))
 	f.Add([]byte("not json at all\n{\"type\":\"done\"}\n"), uint16(2), uint16(9999))
 	f.Add([]byte{}, uint16(5), uint16(1))
+	f.Add([]byte(`{"v":1,"type":"plan","rows":2,"shards":2}`+"\n"+`{"type":"shard","shard":0,"answers":["a`+
+		`{"type":"shard","shard":1,"answers":["b"]}`+"\n"), uint16(1), uint16(90))
 	path := filepath.Join(f.TempDir(), "fuzz.ckpt.jsonl")
 	f.Fuzz(func(t *testing.T, data []byte, nShards, cut uint16) {
 		// Arbitrary bytes.
@@ -144,6 +154,14 @@ func FuzzReadLog(f *testing.F) {
 			if !reflect.DeepEqual(got.Answers, recs[1+i].Answers) {
 				t.Fatalf("shard %d answers %q, want %q", i, got.Answers, recs[1+i].Answers)
 			}
+		}
+
+		// A full record after the cut.
+		if err := os.WriteFile(path, append(prefix, `{"type":"done"}`+"\n"...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadLog(path); (err == nil) != (len(prefix) == wantOff) {
+			t.Fatalf("a full record after a %d-byte prefix (%d whole): err %v", len(prefix), wantOff, err)
 		}
 	})
 }

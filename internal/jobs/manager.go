@@ -26,8 +26,8 @@ const (
 const maxActive = 4
 
 // maxFinished bounds how many finished jobs a Manager remembers: the most
-// recent ones. A long-lived server otherwise holds every spec, tracker and
-// result it ever saw. An evicted ID answers like an unknown one, and its
+// recent ones. A long-lived server otherwise holds every spec and tracker it
+// ever saw. An evicted ID answers like an unknown one, and its
 // checkpoint log is untouched, so resubmitting the spec still resumes.
 const maxFinished = 64
 
@@ -63,11 +63,10 @@ type job struct {
 	cancel  context.CancelFunc
 	started time.Time
 
-	mu     sync.Mutex
-	state  string
-	result *Result
-	err    error
-	wallS  float64
+	mu    sync.Mutex
+	state string
+	err   error
+	wallS float64
 }
 
 // Snapshot is the externally visible state of one job — the GET
@@ -132,13 +131,10 @@ func (m *Manager) Submit(sp *Spec) (Snapshot, bool, error) {
 // run plans and executes one job, recording its terminal state.
 func (m *Manager) run(ctx context.Context, j *job) {
 	defer j.cancel()
-	res, err := func() (*Result, error) {
-		p, perr := m.eng.Plan(j.spec)
-		if perr != nil {
-			return nil, perr
-		}
-		return m.eng.Run(ctx, p, j.tracker)
-	}()
+	p, err := m.eng.Plan(j.spec)
+	if err == nil {
+		_, err = m.eng.Run(ctx, p, j.tracker)
+	}
 	// Count before publishing: a poller that sees the terminal state also
 	// sees its counter. A finished job is the engine's jobs.completed.
 	state := StateDone
@@ -155,7 +151,7 @@ func (m *Manager) run(ctx context.Context, j *job) {
 	defer m.mu.Unlock()
 	j.mu.Lock()
 	j.wallS = time.Since(j.started).Seconds()
-	j.state, j.result, j.err = state, res, err
+	j.state, j.err = state, err
 	j.mu.Unlock()
 	m.active--
 	m.opts.Rec.SetGauge("jobs.active", float64(m.active))
@@ -224,8 +220,8 @@ func (j *job) snapshot() Snapshot {
 	if j.state == StateRunning {
 		s.WallS = time.Since(j.started).Seconds()
 	}
-	if j.result != nil {
-		s.Output = j.result.Output
+	if j.state == StateDone {
+		s.Output = j.spec.Output.Path
 	}
 	if j.err != nil {
 		s.Error = j.err.Error()

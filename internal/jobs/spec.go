@@ -125,12 +125,17 @@ func ParseSpecFile(path string) (*Spec, error) {
 
 // confine is what a spec from the network gets instead of the submitter's
 // view of the filesystem: its paths must be local (relative, no ".." that
-// escapes — filepath.IsLocal) and are resolved under dir. Nothing has been
-// read and no directory made when it refuses.
+// escapes — filepath.IsLocal) and are resolved under dir. dir also holds
+// the checkpoint logs, so a path named like one (in any case) is refused:
+// an output there would replace another job's log. Nothing has been read
+// and no directory made when it refuses.
 func (s *Spec) confine(dir string) error {
 	for _, p := range []*string{&s.Input.Path, &s.Output.Path} {
 		if !filepath.IsLocal(*p) {
 			return fmt.Errorf("jobs: path %q must be relative to the server's jobs directory and stay inside it", *p)
+		}
+		if strings.HasSuffix(strings.ToLower(*p), ckptExt) {
+			return fmt.Errorf("jobs: path %q names a checkpoint log, which the server's jobs directory keeps for its jobs", *p)
 		}
 		*p = filepath.Join(dir, *p)
 	}

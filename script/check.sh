@@ -49,6 +49,7 @@
 #   allocs/op of one request through the
 #     pipeline                                  TestServeRequestAllocs (root package)
 #   HTTP job specs stay inside -jobs-dir        jobs.TestJobsHTTPConfinesPaths
+#   HTTP job specs name no checkpoint log       jobs.TestJobsHTTPConfinesPaths, jobs.FuzzParseSpec
 #   allocs/op and B/op of predict and Transfer  TestAllocationBudgets (root package)
 #   loaded zoo == trained zoo, 13 keys bitwise  TestTransferDigest (root package)
 #   build -> transfer -artifacts == transfer,
@@ -101,6 +102,8 @@
 #   `job plan` is byte-stable                   cmd/knowtrans TestJobPlanIsDeterministic, jobs.TestPlanDeterministic
 #   backend SIGKILL mid-load                    cmd/knowtrans TestDrillRoute
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
+#   a failed checkpoint append, cut at every
+#     byte, leaves a readable log               jobs.TestCheckpointFailedAppendKeepsLogReadable, jobs.FuzzReadLog
 #   error envelope, one client call site,
 #     one request pipeline                      the four `! grep` lines, below
 #   every product function runs in tier-1's
