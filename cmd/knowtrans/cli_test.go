@@ -54,6 +54,9 @@ func TestOperatorMistakesExitTwo(t *testing.T) {
 		{"obs", "prof", unsampled, "-gate"},
 		// Removed: no caller set the window count; it is 4.
 		{"obs", "prof", unsampled, "-windows", "4"},
+		// Removed: each analyzer prints one report, its text.
+		{"obs", "trace", unsampled, "-json"},
+		{"obs", "prof", unsampled, "-json"},
 		// Removed: runtime samples ride the -trace file.
 		{"transfer", "-dataset", "ED/Beer", "-scale", "0.05", "-sample", "1ms", "-timeline", filepath.Join(dir, "runtime.jsonl")},
 		// Runtime samples are trace events: without -trace there is nowhere to

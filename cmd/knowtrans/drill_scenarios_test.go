@@ -113,7 +113,6 @@ func TestDrillServe(t *testing.T) {
 			fl := mustSpawn(t, "main", 1, args...)
 			rep, err := loadgen.Run(context.Background(), fl[0].url, items, loadgen.Options{
 				Concurrency: tc.concurrency,
-				TraceSeed:   drillSeed,
 			})
 			if err != nil {
 				t.Fatalf("load run: %v", err)
@@ -199,7 +198,6 @@ func TestDrillRoute(t *testing.T) {
 	// lands, so the failover counter never moves — observed, not
 	// hypothesized.) Both probe independently; both must eject the corpse.
 	rec := obs.NewRecorder(obs.NewRegistry(), nil)
-	rec.SeedTraceIDs(drillSeed)
 	copts := cluster.Options{
 		Backends:      fl.urls(),
 		ProbeInterval: 100 * time.Millisecond,
@@ -233,7 +231,6 @@ func TestDrillRoute(t *testing.T) {
 	// Phase 1: full fleet, hedging router.
 	p1, err := loadgen.Run(context.Background(), hedgeURL, items, loadgen.Options{
 		Concurrency: concurrency,
-		TraceSeed:   drillSeed,
 	})
 	if err != nil {
 		t.Fatalf("phase-1 load: %v", err)
@@ -244,7 +241,6 @@ func TestDrillRoute(t *testing.T) {
 	victim := rFail.Owners(keys[0])[0]
 	p2, err := loadgen.Run(context.Background(), failURL, items, loadgen.Options{
 		Concurrency: concurrency,
-		TraceSeed:   drillSeed + 1,
 		AtCount:     len(items) / 4,
 		OnCount:     func() { fl.kill(victim) },
 	})
@@ -292,7 +288,7 @@ func TestDrillRoute(t *testing.T) {
 	if len(probes) == 0 {
 		t.Fatalf("victim %s owned no keys — rebalance went unexercised", victim)
 	}
-	p3, err := loadgen.Run(context.Background(), failURL, probes, loadgen.Options{TraceSeed: drillSeed + 2})
+	p3, err := loadgen.Run(context.Background(), failURL, probes, loadgen.Options{})
 	if err != nil {
 		t.Fatalf("post-ejection load: %v", err)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -16,9 +15,9 @@ import (
 // live view of a server. It compares nothing: numbers from two commits meet
 // only in benchmark/.
 //
-//	knowtrans obs trace t.jsonl [-top 10] [-json] [-trace-id ID] [-follow]
+//	knowtrans obs trace t.jsonl [-top 10] [-trace-id ID] [-follow]
 //	knowtrans obs top [-url URL] [-n N]
-//	knowtrans obs prof t.jsonl [-gate] [-json]
+//	knowtrans obs prof t.jsonl [-gate]
 func runObs(args []string) {
 	if len(args) == 0 {
 		obsMistake("obs needs a subcommand")
@@ -63,7 +62,7 @@ func loadTrace(path string) *analyze.Trace {
 
 func obsUsage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  knowtrans obs trace FILE.jsonl [-top N] [-json] [-trace-id ID] [-follow] [-interval D]
+  knowtrans obs trace FILE.jsonl [-top N] [-trace-id ID] [-follow] [-interval D]
       analyze a span trace: per-stage aggregates (count, total/self time,
       p50/p95), the critical path, the slowest spans, and event counts.
       -trace-id reassembles one request's end-to-end path (its spans,
@@ -72,7 +71,7 @@ func obsUsage() {
   knowtrans obs top [-url URL] [-interval D] [-n N]
       live operator view of a running server: polls /metrics.json for
       in-flight requests, per-key queue depths, and rolling p50/p95
-  knowtrans obs prof FILE.jsonl [-json] [-gate]
+  knowtrans obs prof FILE.jsonl [-gate]
       summarize the runtime samples of a trace recorded with -trace and
       -sample: heap growth slope, GC pause p50/p95, goroutine-leak detection
       across four windows and at the final sample, alloc rate. -gate exits 1
@@ -82,7 +81,6 @@ func obsUsage() {
 func runObsTrace(args []string) {
 	fs := newFlagSet("obs trace")
 	top := fs.Int("top", 10, "slowest-spans entries to report")
-	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	traceID := fs.String("trace-id", "", "reassemble one request's end-to-end path by trace `id`")
 	follow := fs.Bool("follow", false, "tail the file: re-render as new records land")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll interval in -follow mode")
@@ -90,19 +88,9 @@ func runObsTrace(args []string) {
 
 	render := func(tr *analyze.Trace) error {
 		if *traceID != "" {
-			p := tr.FilterTrace(*traceID)
-			if *asJSON {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				return enc.Encode(p)
-			}
-			return p.WriteText(os.Stdout)
+			return tr.FilterTrace(*traceID).WriteText(os.Stdout)
 		}
-		rep := analyze.NewReport(tr, *top)
-		if *asJSON {
-			return rep.WriteJSON(os.Stdout)
-		}
-		return rep.WriteText(os.Stdout)
+		return analyze.NewReport(tr, *top).WriteText(os.Stdout)
 	}
 
 	if !*follow {
@@ -148,7 +136,6 @@ func runObsTrace(args []string) {
 // verdicts.
 func runObsProf(args []string) {
 	fs := newFlagSet("obs prof")
-	asJSON := fs.Bool("json", false, "emit the report as JSON instead of text")
 	gate := fs.Bool("gate", false, "exit 1 when the samples show a goroutine leak or unbounded heap growth")
 	path := traceArg(fs, "prof", args)
 
@@ -156,13 +143,7 @@ func runObsProf(args []string) {
 	if rep.Samples == 0 {
 		obsMistake("%s holds no runtime.sample events (record them with -trace and -sample)", path)
 	}
-	var err error
-	if *asJSON {
-		err = rep.WriteJSON(os.Stdout)
-	} else {
-		err = rep.WriteText(os.Stdout)
-	}
-	if err != nil {
+	if err := rep.WriteText(os.Stdout); err != nil {
 		fatal(err)
 	}
 	if *gate && rep.Unhealthy() {

@@ -87,14 +87,13 @@ func (o *obsFlags) enabled() bool {
 }
 
 // start is setup for a subcommand, to which a telemetry failure — at setup or
-// in the returned flush, which must run before exit — is fatal. Seeded runs
-// mint reproducible trace IDs, so a client's per-index traces and the server's
-// spans line up run over run. A service always carries a metrics registry
-// (/metrics.json needs one even when no obs flag asked for files); a batch
-// run with no obs flag keeps the nil recorder and its zero cost. -sample
-// without -trace would record nothing, so it is refused before any file
-// is created.
-func (o *obsFlags) start(seed int64, service bool) (*obs.Recorder, func()) {
+// in the returned flush, which must run before exit — is fatal. Trace IDs
+// are random (obs.NewTraceID), whatever -seed says. A service always carries
+// a metrics registry (/metrics.json needs one even when no obs flag asked
+// for files); a batch run with no obs flag keeps the nil recorder and its
+// zero cost. -sample without -trace would record nothing, so it is refused
+// before any file is created.
+func (o *obsFlags) start(service bool) (*obs.Recorder, func()) {
 	if o.sample > 0 && o.trace == "" {
 		mistake("-sample writes runtime samples into the -trace file; name one")
 	}
@@ -105,7 +104,6 @@ func (o *obsFlags) start(seed int64, service bool) (*obs.Recorder, func()) {
 	if rec == nil && service {
 		rec = obs.NewRecorder(obs.NewRegistry(), nil)
 	}
-	rec.SeedTraceIDs(seed)
 	return rec, func() {
 		if err := finish(); err != nil {
 			fatal(err)

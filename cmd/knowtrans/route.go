@@ -25,7 +25,7 @@ func runRoute(args []string) {
 	fs.IntVar(&copts.Replication, "replication", copts.Replication, "distinct backends owning each key (primary + replicas)")
 	fs.DurationVar(&copts.ProbeInterval, "probe-interval", copts.ProbeInterval, "base /readyz probe period per backend")
 	fs.DurationVar(&copts.HedgeDelay, "hedge-delay", copts.HedgeDelay, "fixed backup-request delay (0 = p95-derived, negative disables hedging)")
-	fs.Int64Var(&copts.Seed, "seed", copts.Seed, "seed for probe jitter and trace IDs")
+	fs.Int64Var(&copts.Seed, "seed", copts.Seed, "seed for probe jitter")
 	of := addObsFlags(fs)
 	parseOrExit(fs, args)
 
@@ -34,7 +34,7 @@ func runRoute(args []string) {
 	if copts.Backends = splitBackends(*backendList); len(copts.Backends) == 0 {
 		mistake("route needs -backends")
 	}
-	rec, finish := of.start(copts.Seed, true)
+	rec, finish := of.start(true)
 	opts.Rec, copts.Rec = rec, rec
 	// Again, now that the fleet is known: Replication clamps to it, so the
 	// banner prints what the ring uses.

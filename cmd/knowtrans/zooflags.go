@@ -51,7 +51,7 @@ func (zf *zooFlags) open(of *obsFlags, service bool) (*eval.Zoo, *obs.Recorder, 
 			mistake("unknown dataset %q; valid keys:\n  %s", *zf.dataset, strings.Join(z.DownstreamKeys(), "\n  "))
 		}
 	}
-	rec, finish := of.start(zf.seed, service)
+	rec, finish := of.start(service)
 	z.Rec = rec
 	return z, rec, finish
 }

@@ -216,6 +216,8 @@ func TestJobsHTTPErrors(t *testing.T) {
 		{"bad id", http.MethodGet, "/v1/jobs/a/b", nil, http.StatusBadRequest},
 		{"item post", http.MethodPost, "/v1/jobs/jdeadbeefdeadbeef", nil, http.StatusMethodNotAllowed},
 		{"spec over the cap", http.MethodPost, "/v1/jobs", bytes.Repeat([]byte(" "), maxSpecBytes+1), http.StatusBadRequest},
+		{"row timeout overflows", http.MethodPost, "/v1/jobs",
+			[]byte(`{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"},"limits":{"row_timeout_s":1e10}}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, blob := doReq(t, tc.method, ts.URL+tc.path, tc.body)

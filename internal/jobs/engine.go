@@ -40,6 +40,10 @@ type Engine struct {
 	// tracker's count of done shards (resumed ones included) — the crash
 	// drill's kill-mid-flight hook.
 	OnCommit func(shard, committed int)
+
+	// wrapLog, when set, wraps the checkpoint file Run appends to (a test
+	// hands it one that fails part-way); nil appends to the file itself.
+	wrapLog func(logFile) logFile
 }
 
 // ShardRange is one contiguous row range [Start, End) of the input.
@@ -253,6 +257,9 @@ func (e *Engine) Run(ctx context.Context, p *Plan, tr *Tracker) (Progress, error
 	if err != nil {
 		return Progress{}, err
 	}
+	if e.wrapLog != nil {
+		lg.f = e.wrapLog(lg.f)
+	}
 	defer lg.Close()
 	if st.Plan == nil {
 		if err := lg.Append(&Record{
@@ -411,7 +418,7 @@ func (e *Engine) predictRow(ctx context.Context, sp *Spec, in *data.Instance) (s
 		actx := ctx
 		cancel := context.CancelFunc(func() {})
 		if sp.Limits.RowTimeoutS > 0 {
-			actx, cancel = context.WithTimeout(ctx, time.Duration(sp.Limits.RowTimeoutS*float64(time.Second)))
+			actx, cancel = context.WithTimeout(ctx, sp.Limits.rowTimeout())
 		}
 		ans, _, err := e.Res.Predict(actx, sp.Adapter, in)
 		cancel()
@@ -425,18 +432,24 @@ func (e *Engine) predictRow(ctx context.Context, sp *Spec, in *data.Instance) (s
 		if a < attempts-1 {
 			retries++
 			e.Rec.Count("jobs.retries", 1)
-			backoff := time.Duration(25<<uint(a)) * time.Millisecond
-			if backoff > time.Second {
-				backoff = time.Second
-			}
 			select {
-			case <-time.After(backoff):
+			case <-time.After(retryBackoff(a)):
 			case <-ctx.Done():
 				return "", retries, ctx.Err()
 			}
 		}
 	}
 	return "", retries, lastErr
+}
+
+// retryBackoff is the wait after failed attempt a (0-based): 25 ms doubling
+// per attempt, capped at 1 s. The cap is taken before the shift, so no
+// attempt index overflows into a negative wait.
+func retryBackoff(a int) time.Duration {
+	if a >= 6 { // 25 ms << 6 is past the cap
+		return time.Second
+	}
+	return time.Duration(25<<a) * time.Millisecond
 }
 
 // answerValid is the Verify stage: the service ranks candidates, so a

@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/dataio"
@@ -201,6 +203,101 @@ func TestRunInterruptResumeByteIdentical(t *testing.T) {
 	}
 	if n := res.count("row-000"); n != 1 {
 		t.Fatalf("rerun of a done job re-predicted rows (%d)", n)
+	}
+}
+
+// failingWrite is a checkpoint file whose n-th Write writes nothing and
+// fails with ENOSPC, as a full disk does; the writes before it land.
+type failingWrite struct {
+	logFile
+	n int
+}
+
+func (f *failingWrite) Write(p []byte) (int, error) {
+	if f.n--; f.n == 0 {
+		return 0, syscall.ENOSPC
+	}
+	return f.logFile.Write(p)
+}
+
+// TestRunStopsOnFailedCommit: a shard whose commit fails stops the whole
+// run. The log takes the plan record and shard 0, then refuses shard 1;
+// no row of shards 2-3 is predicted, no done record is written, and Run's
+// error is the disk's. A rerun on a working disk adopts shard 0 and writes
+// what an uninterrupted run writes.
+func TestRunStopsOnFailedCommit(t *testing.T) {
+	dir := t.TempDir()
+	input := writeInput(t, dir, 8)
+
+	refOut := filepath.Join(dir, "ref.csv")
+	refEng := &Engine{Res: newFakeResolver(), CheckpointDir: filepath.Join(dir, "ckpt-ref")}
+	refPlan, err := refEng.Plan(testSpec(t, input, refOut, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := refEng.Run(context.Background(), refPlan, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	res := newFakeResolver()
+	out := filepath.Join(dir, "out.csv")
+	ckpt := filepath.Join(dir, "ckpt")
+	eng := &Engine{Res: res, CheckpointDir: ckpt, wrapLog: func(f logFile) logFile {
+		return &failingWrite{logFile: f, n: 3} // plan, shard 0, then shard 1 fails
+	}}
+	p, err := eng.Plan(testSpec(t, input, out, 4)) // shard_parallelism 1: shards in order
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(context.Background(), p, nil); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Run = %v, want the failed commit's ENOSPC", err)
+	}
+	for _, sh := range p.Shards[2:] {
+		for i := sh.Start; i < sh.End; i++ {
+			if id := p.ins[i].ID; res.count(id) != 0 {
+				t.Errorf("row %s of shard %d was predicted after shard 1's commit failed", id, sh.Index)
+			}
+		}
+	}
+	st, err := ReadLog(CheckpointPath(ckpt, p.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done || len(st.Shards) != 1 || st.Shards[0] == nil {
+		t.Fatalf("log after the failed commit: done %v, shards %v; want shard 0 alone", st.Done, st.Shards)
+	}
+
+	pr, err := (&Engine{Res: res, CheckpointDir: ckpt}).Run(context.Background(), p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr.ShardsResumed != 1 || pr.ShardsDone != 4 {
+		t.Fatalf("rerun progress %+v, want shard 0 adopted and 4 done", pr)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(refOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("rerun output differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRetryBackoffBounded: the wait after any failed attempt is positive
+// and at most 1 s. Shifting first overflowed from attempt 39 on, and a
+// negative wait retried at once.
+func TestRetryBackoffBounded(t *testing.T) {
+	for a := 0; a <= 100; a++ {
+		if d := retryBackoff(a); d <= 0 || d > time.Second {
+			t.Fatalf("retryBackoff(%d) = %v, want (0, 1s]", a, d)
+		}
+	}
+	if retryBackoff(0) != 25*time.Millisecond || retryBackoff(5) != 800*time.Millisecond || retryBackoff(6) != time.Second {
+		t.Fatalf("backoff 0, 5, 6 = %v, %v, %v; want 25ms, 800ms, 1s", retryBackoff(0), retryBackoff(5), retryBackoff(6))
 	}
 }
 

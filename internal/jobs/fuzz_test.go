@@ -14,7 +14,7 @@ import (
 // they are, ParseSpec returns (never panics). A spec it accepts is already in
 // normal form — normalizing it again, or marshaling it and parsing that,
 // gives the same hash, which is the job's identity and its checkpoint log's
-// name — and once confined to a jobs directory it names no path outside it
+// name — its row timeout is a positive time.Duration, and once confined to a jobs directory it names no path outside it
 // and no checkpoint log.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
@@ -31,6 +31,7 @@ func FuzzParseSpec(f *testing.F) {
 		`{"adapter":"","input":{},"output":{}}`,
 		`[]`, `null`, ` `, `{`,
 		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"sub/job-j0123456789abcdef.Ckpt.jsonl"}}`,
+		`{"adapter":"EM/A","input":{"path":"in.json"},"output":{"path":"o.csv"},"limits":{"row_timeout_s":1e10}}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -41,6 +42,9 @@ func FuzzParseSpec(f *testing.F) {
 				t.Fatalf("ParseSpec failed (%v) but returned %+v", err, sp)
 			}
 			return
+		}
+		if d := sp.Limits.rowTimeout(); d <= 0 {
+			t.Fatalf("accepted row_timeout_s %g is the time.Duration %d", sp.Limits.RowTimeoutS, d)
 		}
 		hash := sp.Hash()
 		again := *sp

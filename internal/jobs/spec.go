@@ -17,9 +17,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -85,8 +87,16 @@ type Limits struct {
 	// kills the job; it stays resumable).
 	MaxRowFailures int `json:"max_row_failures,omitempty"`
 	// RowTimeoutS bounds one predict attempt in seconds (default 120 —
-	// a cold adapter pays a full Transfer on its first predict).
+	// a cold adapter pays a full Transfer on its first predict). It must
+	// be a time.Duration of at least 1 ns: about 9.2e9 s is the most one
+	// holds.
 	RowTimeoutS float64 `json:"row_timeout_s,omitempty"`
+}
+
+// rowTimeout is RowTimeoutS as a time.Duration; Normalize has checked that
+// it fits.
+func (l Limits) rowTimeout() time.Duration {
+	return time.Duration(l.RowTimeoutS * float64(time.Second))
 }
 
 // ParseSpec decodes a JSON spec and normalizes it: defaults applied, shape
@@ -245,6 +255,11 @@ func (s *Spec) Normalize() error {
 	if s.Limits.Concurrency < 1 || s.Limits.ShardParallelism < 1 || s.Limits.Retries < 0 ||
 		s.Limits.MaxRowFailures < 0 || s.Limits.RowTimeoutS < 0 {
 		return fmt.Errorf("jobs: negative limits: %+v", s.Limits)
+	}
+	// float64(math.MaxInt64) is 2^63, the first nanosecond count a
+	// time.Duration cannot hold; converting one would be negative on amd64.
+	if ns := s.Limits.RowTimeoutS * float64(time.Second); ns < 1 || ns >= math.MaxInt64 {
+		return fmt.Errorf("jobs: limits.row_timeout_s %g does not fit a time.Duration (1e-9 to about 9.2e9 seconds)", s.Limits.RowTimeoutS)
 	}
 	return nil
 }

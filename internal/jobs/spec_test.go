@@ -82,6 +82,10 @@ func TestSpecNormalizeErrors(t *testing.T) {
 		"not JSON":           "adapter: EM/A\ninput:\n  path: a.json\noutput:\n  path: o.csv\n",
 		"trailing bytes":     `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"}} trailing {{{`,
 		"two specs":          `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"}}{"adapter":"EM/B","input":{"path":"b.json"},"output":{"path":"o.csv"}}`,
+		// 1e10 s is 1e19 ns, past what a time.Duration holds: converted, it
+		// is negative, and every attempt's context would start expired.
+		"row timeout overflows":  `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"},"limits":{"row_timeout_s":1e10}}`,
+		"row timeout below 1 ns": `{"adapter":"EM/A","input":{"path":"a.json"},"output":{"path":"o.csv"},"limits":{"row_timeout_s":1e-10}}`,
 	}
 	for name, blob := range cases {
 		if _, err := ParseSpec([]byte(blob)); err == nil {

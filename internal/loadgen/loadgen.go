@@ -31,7 +31,9 @@ type Item struct {
 	Want string
 }
 
-// Options configures Run.
+// Options configures Run. Trace IDs are not an option: every request sends
+// a `traceparent` in a fresh random trace (obs.NewTraceID), and Run checks
+// the echo against the ID it sent.
 type Options struct {
 	// Concurrency is the number of in-flight requests the generator keeps
 	// open. Default 64.
@@ -39,11 +41,6 @@ type Options struct {
 	// Timeout bounds one HTTP request. Default 120s (a cold adapter pays
 	// for a full Transfer on its first predict).
 	Timeout time.Duration
-	// TraceSeed seeds the deterministic per-request trace IDs the generator
-	// sends as `traceparent` headers (item i gets the i-th ID of the stream,
-	// independent of worker scheduling). Zero seeds from the clock — IDs are
-	// still sent, just not reproducible across runs.
-	TraceSeed int64
 	// AtCount/OnCount inject a mid-load event: OnCount fires exactly once,
 	// as soon as AtCount requests have completed. The cluster drill uses it
 	// to SIGKILL a backend while the remaining requests are in flight.
@@ -99,11 +96,6 @@ func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Repo
 	if workers > len(items) {
 		workers = len(items)
 	}
-	seed := opts.TraceSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	ids := obs.NewIDSource(seed)
 
 	var (
 		next       atomic.Int64
@@ -117,6 +109,7 @@ func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Repo
 
 		mu         sync.Mutex
 		latUs      = make([]float64, len(items))
+		traces     = make([]obs.TraceID, len(items))
 		firstErr   string
 		errorCodes map[string]int
 	)
@@ -130,6 +123,8 @@ func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Repo
 
 	doItem := func(i int) {
 		it := items[i]
+		sent := remoteParent()
+		traces[i] = sent.Trace
 		body, _ := json.Marshal(serve.PredictRequest{Adapter: it.Key, Instance: it.In})
 		t0 := time.Now()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/v1/predict", bytes.NewReader(body))
@@ -139,7 +134,6 @@ func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Repo
 			return
 		}
 		req.Header.Set("Content-Type", "application/json")
-		sent := remoteParent(ids, i)
 		req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
 		resp, err := client.Do(req)
 		latUs[i] = float64(time.Since(t0).Microseconds())
@@ -225,16 +219,16 @@ func Run(ctx context.Context, baseURL string, items []Item, opts Options) (*Repo
 		TraceEchoMisses: int(echoMiss.Load()),
 		ErrorCodes:      errorCodes,
 		EnvelopeMisses:  int(envMiss.Load()),
-		SampleTrace:     remoteParent(ids, slowest).Trace.String(),
+		SampleTrace:     traces[slowest].String(),
 		FirstError:      firstErr,
 	}, nil
 }
 
-// remoteParent is the traceparent Run sends with item i: the (i+1)-th trace
-// ID of the seeded stream, independent of worker scheduling, under a span ID
-// taken from that ID's low half — high-entropy, so it cannot collide with the
-// small sequential span IDs a server's Tracer assigns.
-func remoteParent(ids *obs.IDSource, i int) obs.SpanContext {
-	trace := ids.At(uint64(i + 1))
+// remoteParent is the traceparent Run sends with one item: a fresh random
+// trace ID under a span ID taken from that ID's low half — high-entropy, so
+// it cannot collide with the small sequential span IDs a server's Tracer
+// assigns.
+func remoteParent() obs.SpanContext {
+	trace := obs.NewTraceID()
 	return obs.SpanContext{Trace: trace, Span: binary.BigEndian.Uint64(trace[8:]) | 1}
 }

@@ -258,11 +258,4 @@ func TestReportRendering(t *testing.T) {
 			t.Errorf("text report missing %q in:\n%s", want, out)
 		}
 	}
-	var js bytes.Buffer
-	if err := rep.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), `"self_time_coverage": 1`) {
-		t.Errorf("json report missing coverage:\n%s", js.String())
-	}
 }

@@ -46,10 +46,8 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("walk visits %d of %d spans", len(seen), tr.Spans)
 		}
 		_ = NewReport(tr, 3).WriteText(io.Discard)
-		_ = NewReport(tr, 0).WriteJSON(io.Discard)
-		prof := NewProfReport(tr)
-		_ = prof.WriteText(io.Discard)
-		_ = prof.WriteJSON(io.Discard)
+		_ = NewReport(tr, 0).WriteText(io.Discard)
+		_ = NewProfReport(tr).WriteText(io.Discard)
 		for _, r := range tr.Records {
 			_ = tr.FilterTrace(r.Trace).WriteText(io.Discard)
 		}

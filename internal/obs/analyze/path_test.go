@@ -16,11 +16,9 @@ func serveLikeTrace(t *testing.T) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
-	tr.SeedTraceIDs(11)
-	ids := obs.NewIDSource(99)
 
-	reqA := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(1), Span: 1<<40 + 1})
-	reqB := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: ids.At(2), Span: 1<<40 + 2})
+	reqA := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: obs.NewTraceID(), Span: 1<<40 + 1})
+	reqB := tr.StartSpanIn("serve.request", obs.SpanContext{Trace: obs.NewTraceID(), Span: 1<<40 + 2})
 	tr.EventIn(reqA.Context(), "serve.enqueue", "key", "em/abt")
 
 	batch := tr.StartSpan("serve.batch")

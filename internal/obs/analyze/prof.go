@@ -1,7 +1,6 @@
 package analyze
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -262,13 +261,6 @@ func monotonicWindows(ws []ProfWindow, lo, hi func(ProfWindow) float64, absSlack
 	first, last := lo(ws[0]), lo(ws[len(ws)-1])
 	growth := last - first
 	return growth > absSlack && (first == 0 || growth/first > relSlack)
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *ProfReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 func fmtBytes(b float64) string {

@@ -1,15 +1,14 @@
 package analyze
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 )
 
-// Report is the complete analysis of one trace, the JSON document behind
-// `knowtrans obs trace -json` and the source of the text rendering.
+// Report is the complete analysis of one trace, the source of the text
+// rendering `knowtrans obs trace` prints.
 type Report struct {
 	Spans     int     `json:"spans"`
 	Events    int     `json:"events"`
@@ -51,13 +50,6 @@ func NewReport(t *Trace, topN int) *Report {
 		r.Coverage = float64(self) / float64(r.RootUS)
 	}
 	return r
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // fmtUS renders microseconds in a human scale (µs/ms/s).

@@ -54,15 +54,6 @@ func (r *Recorder) StartSpanIn(name string, remote SpanContext) (*Recorder, *Spa
 	return &Recorder{Metrics: r.Metrics, Tracer: r.Tracer, parent: s}, s
 }
 
-// SeedTraceIDs makes the tracer's trace IDs deterministic in the seed; a
-// recorder without a tracer ignores it.
-func (r *Recorder) SeedTraceIDs(seed int64) {
-	if r == nil {
-		return
-	}
-	r.Tracer.SeedTraceIDs(seed)
-}
-
 // Count adds d to the named counter.
 func (r *Recorder) Count(name string, d int64) {
 	if r == nil || r.Metrics == nil {

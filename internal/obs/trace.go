@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,51 +27,13 @@ type Tracer struct {
 	closed bool
 	nextID atomic.Uint64
 	epoch  time.Time
-	ids    atomic.Pointer[IDSource]
 }
 
 // NewTracer returns a tracer writing JSONL records to w. Timestamps in the
-// records are microsecond offsets from the tracer's creation. Trace IDs
-// are minted from a clock-seeded source; call SeedTraceIDs to make them
-// reproducible (the determinism gates do).
+// records are microsecond offsets from the tracer's creation. Every root
+// span mints its trace ID with NewTraceID.
 func NewTracer(w io.Writer) *Tracer {
-	t := &Tracer{w: w, epoch: time.Now()}
-	t.ids.Store(NewIDSource(time.Now().UnixNano()))
-	return t
-}
-
-// tracerSeedSalt domain-separates a seeded tracer's mint stream from a
-// plain NewIDSource(seed) stream. Clients (the load generator) mint their
-// request trace IDs from NewIDSource(seed).At(n); the server's tracer mints
-// local roots from Next(), which walks the same At sequence — without the
-// salt, a server and its clients seeded alike would collide on trace IDs
-// and locally-rooted spans (batches, transfers) would appear to live inside
-// some request's trace.
-const tracerSeedSalt = 0x7C1A5E21D0B5F3E9
-
-// SeedTraceIDs replaces the tracer's trace-ID source with a deterministic
-// one: same seed + same mint order = same IDs. Serial seeded runs become
-// byte-reproducible up to timings; concurrent runs also need trace IDs
-// remapped to a canonical order because mint order races. The stream is
-// domain-separated from NewIDSource(seed) so equally-seeded clients never
-// mint a colliding trace ID.
-func (t *Tracer) SeedTraceIDs(seed int64) {
-	if t == nil {
-		return
-	}
-	t.ids.Store(NewIDSource(seed ^ tracerSeedSalt))
-}
-
-func (t *Tracer) mintTraceID() TraceID {
-	src := t.ids.Load()
-	if src == nil {
-		// Zero-value Tracer (not built by NewTracer): seed from the clock once.
-		src = NewIDSource(time.Now().UnixNano())
-		if !t.ids.CompareAndSwap(nil, src) {
-			src = t.ids.Load()
-		}
-	}
-	return src.Next()
+	return &Tracer{w: w, epoch: time.Now()}
 }
 
 // Err returns the first write error encountered, if any.
@@ -115,41 +78,16 @@ func ParseTraceID(s string) (TraceID, error) {
 	return id, nil
 }
 
-// IDSource mints deterministic trace IDs from a seed: a splitmix64 stream,
-// so the n-th ID of two sources with the same seed is identical. Safe for
-// concurrent use.
-type IDSource struct {
-	seed uint64
-	seq  atomic.Uint64
-}
-
-// NewIDSource returns an ID source for the seed.
-func NewIDSource(seed int64) *IDSource {
-	return &IDSource{seed: splitmix64(uint64(seed) ^ 0x9E3779B97F4A7C15)}
-}
-
-// Next mints the next trace ID of the stream.
-func (s *IDSource) Next() TraceID { return s.At(s.seq.Add(1)) }
-
-// At returns the n-th trace ID of the stream (n >= 1) independent of mint
-// order — the per-index form concurrent load generators need.
-func (s *IDSource) At(n uint64) TraceID {
+// NewTraceID mints a random trace ID: 128 bits from math/rand/v2, never
+// the all-zero value. It is the one source of trace IDs — the tracer's
+// root spans and the load generator's request parents both draw from it.
+func NewTraceID() TraceID {
 	var id TraceID
-	binary.BigEndian.PutUint64(id[:8], splitmix64(s.seed+2*n))
-	binary.BigEndian.PutUint64(id[8:], splitmix64(s.seed+2*n+1))
-	if id.IsZero() {
-		id[15] = 1
+	for id.IsZero() {
+		binary.BigEndian.PutUint64(id[:8], rand.Uint64())
+		binary.BigEndian.PutUint64(id[8:], rand.Uint64())
 	}
 	return id
-}
-
-// splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
-// high-quality 64-bit mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }
 
 // SpanContext identifies one span for cross-boundary propagation: what a
@@ -266,7 +204,7 @@ func (t *Tracer) StartSpan(name string) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, name: name, id: t.nextID.Add(1), trace: t.mintTraceID(), start: time.Now()}
+	return &Span{t: t, name: name, id: t.nextID.Add(1), trace: NewTraceID(), start: time.Now()}
 }
 
 // StartSpanIn opens a span inside an existing trace under a remote parent

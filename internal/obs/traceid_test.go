@@ -3,32 +3,30 @@ package obs
 import (
 	"bytes"
 	"context"
-	"io"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestIDSourceDeterminism(t *testing.T) {
-	a, b := NewIDSource(42), NewIDSource(42)
-	for i := 0; i < 10; i++ {
-		if x, y := a.Next(), b.Next(); x != y {
-			t.Fatalf("mint %d diverged: %s vs %s", i, x, y)
+func TestNewTraceID(t *testing.T) {
+	seen := make(map[TraceID]bool, 10000)
+	for i := 0; i < 10000; i++ {
+		id := NewTraceID()
+		if id.IsZero() {
+			t.Fatalf("draw %d minted the zero trace id", i)
 		}
-	}
-	if NewIDSource(42).At(3) != a.At(3) {
-		t.Fatal("At is not mint-order independent")
-	}
-	if NewIDSource(1).At(1) == NewIDSource(2).At(1) {
-		t.Fatal("different seeds minted the same trace id")
-	}
-	if id := NewIDSource(7).Next(); id.IsZero() || len(id.String()) != 32 {
-		t.Fatalf("bad trace id %q", id.String())
+		if s := id.String(); len(s) != 32 || strings.Trim(s, "0123456789abcdef") != "" {
+			t.Fatalf("draw %d: trace id %q is not 32 lowercase hex characters", i, s)
+		}
+		if seen[id] {
+			t.Fatalf("draw %d repeated trace id %s", i, id)
+		}
+		seen[id] = true
 	}
 }
 
 func TestTraceparentRoundTrip(t *testing.T) {
-	sc := SpanContext{Trace: NewIDSource(9).At(1), Span: 0xDEADBEEF}
+	sc := SpanContext{Trace: NewTraceID(), Span: 0xDEADBEEF}
 	tp := FormatTraceparent(sc)
 	if !strings.HasPrefix(tp, "00-") || !strings.HasSuffix(tp, "-01") {
 		t.Fatalf("traceparent %q not W3C-shaped", tp)
@@ -64,7 +62,6 @@ func TestTraceparentRoundTrip(t *testing.T) {
 func TestSpanTracePropagation(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.SeedTraceIDs(7)
 
 	root := tr.StartSpan("root")
 	child := root.StartChild("child")
@@ -87,27 +84,12 @@ func TestSpanTracePropagation(t *testing.T) {
 	if byName["other"].Trace == byName["root"].Trace {
 		t.Fatal("separate roots share a trace id")
 	}
-
-	// Same seed, same mint order → same ids.
-	var buf2 bytes.Buffer
-	tr2 := NewTracer(&buf2)
-	tr2.SeedTraceIDs(7)
-	r2 := tr2.StartSpan("root")
-	r2.StartChild("child").End()
-	tr2.StartSpan("other").End()
-	r2.End()
-	recs2, _, _ := ReadJSONL[SpanRecord](&buf2)
-	for i := range recs {
-		if recs[i].Trace != recs2[i].Trace {
-			t.Fatalf("seeded trace ids not reproducible: %q vs %q", recs[i].Trace, recs2[i].Trace)
-		}
-	}
 }
 
 func TestStartSpanInAdoptsRemoteTrace(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	remote := SpanContext{Trace: NewIDSource(3).At(1), Span: 0xABCD}
+	remote := SpanContext{Trace: NewTraceID(), Span: 0xABCD}
 
 	rec := NewRecorder(NewRegistry(), tr)
 	reqRec, span := rec.StartSpanIn("serve.request", remote)
@@ -170,7 +152,7 @@ func TestSpanCrossGoroutineAnnotation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s.SetAttr("queue_us", int64(5))
-			s.Link(SpanContext{Trace: NewIDSource(1).At(1), Span: 9})
+			s.Link(SpanContext{Trace: NewTraceID(), Span: 9})
 		}()
 		go func() {
 			defer wg.Done()
@@ -227,27 +209,5 @@ func TestHistogramExemplars(t *testing.T) {
 	// Without any stamped exemplar the field stays absent.
 	if s := newHistogram(nil); s.Snapshot().Exemplars != nil {
 		t.Fatal("empty histogram grew exemplars")
-	}
-}
-
-// TestSeededTracerAvoidsClientStream pins the domain separation between a
-// seeded tracer's local roots and a client ID source with the same seed: a
-// server and a load generator sharing one -seed must never collide on trace
-// IDs, or locally-rooted batch/transfer spans would graft themselves into
-// some request's trace.
-func TestSeededTracerAvoidsClientStream(t *testing.T) {
-	client := NewIDSource(7)
-	clientIDs := map[string]bool{}
-	for n := uint64(1); n <= 512; n++ {
-		clientIDs[client.At(n).String()] = true
-	}
-	tr := NewTracer(io.Discard)
-	tr.SeedTraceIDs(7)
-	for i := 0; i < 512; i++ {
-		s := tr.StartSpan("local.root")
-		if id := s.Context().Trace.String(); clientIDs[id] {
-			t.Fatalf("tracer root %d minted trace %s, which a client with the same seed also mints", i, id)
-		}
-		s.End()
 	}
 }

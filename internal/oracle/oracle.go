@@ -156,12 +156,6 @@ func (g *GPT) Refine(req akb.RefineRequest) []*tasks.Knowledge {
 	for _, r := range base.Rules {
 		existing[ruleKey(r)] = true
 	}
-	for _, t := range req.Trajectory {
-		if t == nil {
-			continue
-		}
-		_ = t // trajectory length itself tempers how aggressive refinement is
-	}
 
 	// Drop rules that misfired on the sampled errors.
 	var keptRules []tasks.Rule

@@ -55,12 +55,15 @@ func TestConcurrentTracing(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, opts))
 	defer srv.Close()
 
-	// 64 predicts at once over 4 adapters. Request i carries the i-th trace
-	// ID of a seeded stream as its remote parent, so the test knows every
-	// trace it sent; the slowest request is followed end to end below.
+	// 64 predicts at once over 4 adapters. Request i carries traces[i] as
+	// its remote parent, so the test knows every trace it sent; the slowest
+	// request is followed end to end below.
 	keys := []string{"EM/A", "EM/B", "ED/C", "ED/D"}
 	const n = 64
-	ids := obs.NewIDSource(7)
+	traces := make([]obs.TraceID, n)
+	for i := range traces {
+		traces[i] = obs.NewTraceID()
+	}
 	lat := make([]time.Duration, n)
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
@@ -76,7 +79,7 @@ func TestConcurrentTracing(t *testing.T) {
 				return
 			}
 			// A high span ID cannot collide with the tracer's sequential ones.
-			sent := obs.SpanContext{Trace: ids.At(uint64(i + 1)), Span: 1<<40 + uint64(i)}
+			sent := obs.SpanContext{Trace: traces[i], Span: 1<<40 + uint64(i)}
 			req.Header.Set(obs.TraceparentHeader, obs.FormatTraceparent(sent))
 			t0 := time.Now()
 			resp, err := srv.Client().Do(req)
@@ -108,7 +111,7 @@ func TestConcurrentTracing(t *testing.T) {
 			slowest = i
 		}
 	}
-	sampleTrace := ids.At(uint64(slowest + 1)).String()
+	sampleTrace := traces[slowest].String()
 	srv.Close() // drain handlers so every request span and log line has flushed
 
 	// A batch span ends moments *after* its last member's response is
@@ -143,8 +146,8 @@ func TestConcurrentTracing(t *testing.T) {
 	// non-empty trace ID, and the set of trace IDs matches what the load
 	// test sent.
 	sentTraces := map[string]bool{}
-	for i := 0; i < n; i++ {
-		sentTraces[ids.At(uint64(i+1)).String()] = true
+	for _, id := range traces {
+		sentTraces[id.String()] = true
 	}
 	var logLines int
 	seenTraces := map[string]bool{}

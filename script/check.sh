@@ -104,6 +104,9 @@
 #   job SIGKILL, torn tail, resume              cmd/knowtrans TestDrillJob
 #   a failed checkpoint append, cut at every
 #     byte, leaves a readable log               jobs.TestCheckpointFailedAppendKeepsLogReadable, jobs.FuzzReadLog
+#   a failed shard commit stops the run         jobs.TestRunStopsOnFailedCommit
+#   job limits that overflow are refused        jobs.TestSpecNormalizeErrors, jobs.TestJobsHTTPErrors,
+#                                               jobs.FuzzParseSpec, jobs.TestRetryBackoffBounded
 #   error envelope, one client call site,
 #     one request pipeline                      the four `! grep` lines, below
 #   every product function runs in tier-1's
